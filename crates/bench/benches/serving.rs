@@ -8,6 +8,14 @@
 //!   `serving/prepare_from_scratch` is what every request cost before the
 //!   service layer existed: parse → `Σ_Q`/`ebcheck` → `qplan` → execute.
 //!   The ratio lands in `derived.speedup_prepared_vs_replan`.
+//! * **What does un-prepared text cost?** `serving/query_sql_literal`
+//!   sends the same requests as SQL text with the constants written as
+//!   literals, no text ever repeating: the plan cache keys text by its
+//!   shape, so it should cost a cached request plus one scan of the text.
+//!   `derived.sql_literal_over_cached` is the ratio to `Session::query`
+//!   on the same request sequence, measured in interleaved windows that
+//!   do not collapse under `BENCH_SMOKE` — CI gates the smoke run's
+//!   ratio at ≤ 3.0 (text keyed with its constants sat at ~6).
 //! * **Do concurrent readers scale?** `serving/threads/N` hammers one
 //!   shared server from N sessions on N threads; `ops_per_sec` is the
 //!   aggregate QPS. `derived.qps_scaling_4_over_1` is the 4-thread/1-thread
@@ -160,7 +168,9 @@ fn bindings(users: i64, n: usize) -> Vec<BTreeMap<String, Value>> {
         .map(|i| {
             let i = i as i64;
             let mut b = BTreeMap::new();
-            b.insert("aid".to_string(), Value::str(format!("a{}", i * 7 + 1)));
+            // Albums wrap at the `users / 20` that `social_db` loads.
+            let album = (i * 7 + 1) % (users / 20);
+            b.insert("aid".to_string(), Value::str(format!("a{album}")));
             b.insert(
                 "uid".to_string(),
                 Value::str(format!("u{}", (i * 13 + 5) % users)),
@@ -243,6 +253,46 @@ fn bench_serving(_c: &mut criterion::Criterion) {
         sink += resp.rows().map_or(0, |r| r.len());
     });
     cached.record("serving/query_cached");
+
+    // --- Lane 1c: the same session path fed literal SQL text, one shape,
+    // never the same text twice (the (album, user) pair first repeats
+    // after `users` requests). Interleaved with `Session::query` windows
+    // over the same request sequence, so the ratio compares like with
+    // like; the windows keep a real size under BENCH_SMOKE because CI
+    // gates this ratio on its smoke run. ---
+    let (sql_samples, sql_iters) = if smoke_mode() { (3, 150) } else { (10, 2000) };
+    let requests: Vec<(BTreeMap<String, Value>, String)> = bindings(users, sql_samples * sql_iters)
+        .into_iter()
+        .map(|b| {
+            let sql = bcq_core::parser::render_sql(&tpl.instantiate(&b)).unwrap();
+            (b, sql)
+        })
+        .collect();
+    let no_bindings = BTreeMap::new();
+    session
+        .query_sql("adhoc", &requests[0].1, &no_bindings)
+        .unwrap(); // compiles the shape
+    let (mut text_ns, mut templated_ns) = (Vec::new(), Vec::new());
+    for window in requests.chunks(sql_iters) {
+        let start = Instant::now();
+        for (bind, _) in window {
+            let resp = session.query(&tpl, bind).unwrap();
+            sink += resp.rows().map_or(0, |r| r.len());
+        }
+        templated_ns.push(start.elapsed().as_nanos() as f64 / sql_iters as f64);
+        let start = Instant::now();
+        for (_, sql) in window {
+            let resp = session.query_sql("adhoc", sql, &no_bindings).unwrap();
+            sink += resp.rows().map_or(0, |r| r.len());
+        }
+        text_ns.push(start.elapsed().as_nanos() as f64 / sql_iters as f64);
+    }
+    let text = summarize(text_ns, sql_iters);
+    text.record("serving/query_sql_literal");
+    record_derived(
+        "sql_literal_over_cached",
+        text.ns / summarize(templated_ns, sql_iters).ns,
+    );
 
     // --- Lane 2: what every request cost pre-service: parse → analyze →
     // plan → execute, per request. ---
@@ -363,10 +413,11 @@ fn bench_serving(_c: &mut criterion::Criterion) {
     let nqps4 = net_qps.iter().find(|(t, _)| *t == 4).unwrap().1;
     record_derived("net_qps_scaling_4_over_1", nqps4 / nqps1);
 
-    // The whole bench compiled the template exactly once (the network
-    // sessions all hit the shared sharded plan cache).
+    // The whole bench compiled exactly twice — the template, and the one
+    // shape of all the literal texts (the network sessions all hit the
+    // shared sharded plan cache).
     let cs = server.cache_stats();
-    assert_eq!(cs.misses, 1, "one compile, {} hits", cs.hits);
+    assert_eq!(cs.misses, 2, "two compiles, {} hits", cs.hits);
 
     // --- Per-lane latency distribution over everything this bench served,
     // from the always-on registry (log-linear histogram, ≤ 3.1% relative

@@ -1,5 +1,5 @@
 //! The plan cache: an LRU of [`PreparedQuery`]s keyed on
-//! query + access-schema fingerprints.
+//! query + access-schema fingerprints, or on the shape of a query text.
 //!
 //! Entries remember a **relation-scoped validation stamp**: the epoch of
 //! each relation the prepared query's access schema actually reads (its
@@ -144,6 +144,11 @@ impl PlanCache {
     /// least-recently-used entry if the cache is full. Re-inserting an
     /// existing key keeps the newest validation per relation (see
     /// [`Self::revalidate`] for the race this guards against).
+    ///
+    /// The LRU victim is found by a scan of every entry, under the shard
+    /// lock. That is paid per insert at capacity, and inserts happen once
+    /// per compiled template or query *shape* — texts that differ only in
+    /// their constants share one entry — never once per request.
     pub fn insert(&mut self, key: String, prepared: Arc<PreparedQuery>, stamps: RelStamps) {
         let stamps = match self.map.get(&key) {
             Some(e) => merge_stamps(&e.stamps, stamps),

@@ -17,9 +17,11 @@
 //!   (admitted onto the budgeted baseline, or rejected outright under
 //!   [`AdmissionPolicy::Strict`]).
 //! * [`PlanCache`] — an LRU keyed on the normalized query + access-schema
-//!   fingerprint, with hit/miss/invalidation counters. Entries are
-//!   validated **relation-scoped**: each remembers the epochs of the
-//!   relations its plan reads, so writes elsewhere are pure hits.
+//!   fingerprint (or, for query texts, on the text's **shape**: the text
+//!   with its `WHERE` constants lifted into slots), with
+//!   hit/miss/invalidation counters. Entries are validated
+//!   **relation-scoped**: each remembers the epochs of the relations its
+//!   plan reads, so writes elsewhere are pure hits.
 //! * [`SharedDb`] — single-writer/multi-reader **epoch snapshots** over
 //!   the relation-sharded [`bcq_storage::Database`]: readers grab an
 //!   `Arc` snapshot and never block; writers copy-on-write only the

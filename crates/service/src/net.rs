@@ -17,13 +17,17 @@
 //!   is the only scheduler.
 //! * **Commands** — a deliberately tiny text grammar (one line per
 //!   request): `PING`, `EXEC <template> [param=value …]`,
-//!   `INSERT <rel> <value …>`, `DELETE <rel> <value …>`. Values are
-//!   typed tokens: `i:42` (integer), `s:alice` (string), `n:` (null).
-//!   Templates are compiled [`SpcQuery`]s registered at bind time and
-//!   served through the plan cache, so a network `EXEC` takes the same
-//!   prepared fast path an embedded [`Session::query`] does.
+//!   `SQL <query text>`, `INSERT <rel> <value …>`,
+//!   `DELETE <rel> <value …>`. Values are typed tokens: `i:42`
+//!   (integer), `s:alice` (string), `n:` (null). Templates are compiled
+//!   [`SpcQuery`]s registered at bind time and served through the plan
+//!   cache, so a network `EXEC` takes the same prepared fast path an
+//!   embedded [`Session::query`] does. `SQL` carries ad-hoc text —
+//!   everything after the verb, constants written as SQL literals — to
+//!   [`Session::query_sql`], which serves it from the plan cache by the
+//!   text's shape; its reply has the grammar of `EXEC`'s.
 //!
-//! The text grammar is whitespace-delimited, so string values must be
+//! The value tokens are whitespace-delimited, so string values must be
 //! single tokens (no spaces/tabs/newlines) — which every workload
 //! identifier is. [`NetClient`] enforces this on send.
 //!
@@ -34,7 +38,7 @@
 //! thread. Connection threads exit when their peer disconnects, so
 //! callers drop their [`NetClient`]s first.
 
-use crate::server::{Server, Session};
+use crate::server::{Response, Server, Session};
 use bcq_core::prelude::{SpcQuery, Value};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -307,9 +311,11 @@ fn dispatch(
     session: &mut Session,
     templates: &BTreeMap<String, SpcQuery>,
 ) -> Result<String, String> {
-    let mut toks = line.split_whitespace();
-    let cmd = toks.next().ok_or("empty request")?;
+    let line = line.trim_start();
+    let (cmd, rest) = line.split_once(char::is_whitespace).unwrap_or((line, ""));
+    let mut toks = rest.split_whitespace();
     match cmd {
+        "" => Err("empty request".to_string()),
         "PING" => Ok("OK pong".to_string()),
         "EXEC" => {
             let name = toks.next().ok_or("EXEC needs a template name")?;
@@ -323,24 +329,9 @@ fn dispatch(
                     .ok_or_else(|| format!("binding {tok:?} is not param=value"))?;
                 bind.insert(param.to_string(), parse_value(val)?);
             }
-            let resp = session.query(tpl, &bind).map_err(|e| e.to_string())?;
-            let rows = resp
-                .rows()
-                .ok_or("query did not finish within its budget")?;
-            let mut out = format!("OK {}", rows.len());
-            for row in rows.rows() {
-                out.push('\n');
-                let mut first = true;
-                for v in row.iter() {
-                    if !first {
-                        out.push('\t');
-                    }
-                    first = false;
-                    out.push_str(&fmt_value(v).map_err(|e| e.to_string())?);
-                }
-            }
-            Ok(out)
+            answer(session.query(tpl, &bind))
         }
+        "SQL" => answer(session.query_sql("sql", rest, &BTreeMap::new())),
         "INSERT" => {
             let rel = toks.next().ok_or("INSERT needs a relation name")?;
             let row = toks.map(parse_value).collect::<Result<Vec<_>, _>>()?;
@@ -355,6 +346,28 @@ fn dispatch(
         }
         other => Err(format!("unknown command {other:?}")),
     }
+}
+
+/// Renders a query's reply — `EXEC`'s and `SQL`'s alike: `OK <count>`,
+/// then one line of tab-separated value tokens per row.
+fn answer(resp: crate::Result<Response>) -> Result<String, String> {
+    let resp = resp.map_err(|e| e.to_string())?;
+    let rows = resp
+        .rows()
+        .ok_or("query did not finish within its budget")?;
+    let mut out = format!("OK {}", rows.len());
+    for row in rows.rows() {
+        out.push('\n');
+        let mut first = true;
+        for v in row.iter() {
+            if !first {
+                out.push('\t');
+            }
+            first = false;
+            out.push_str(&fmt_value(v).map_err(|e| e.to_string())?);
+        }
+    }
+    Ok(out)
 }
 
 // ---------------------------------------------------------------------
@@ -418,30 +431,15 @@ impl NetClient {
             line.push_str(&fmt_value(v)?);
         }
         let reply = self.round_trip(&line)?;
-        let mut lines = reply.split('\n');
-        let count: usize = lines
-            .next()
-            .unwrap_or("")
-            .parse()
-            .map_err(|_| NetError::Protocol("missing row count".to_string()))?;
-        let mut rows = Vec::with_capacity(count);
-        for line in lines {
-            let row = if line.is_empty() {
-                Vec::new() // the empty projection tuple of a Boolean query
-            } else {
-                line.split('\t')
-                    .map(|t| parse_value(t).map_err(NetError::Protocol))
-                    .collect::<Result<Vec<_>, _>>()?
-            };
-            rows.push(row);
-        }
-        if rows.len() != count {
-            return Err(NetError::Protocol(format!(
-                "row count mismatch: header {count}, body {}",
-                rows.len()
-            )));
-        }
-        Ok(rows)
+        parse_rows(&reply)
+    }
+
+    /// Executes an ad-hoc query text (constants written as SQL literals);
+    /// the server serves it from its plan cache by the text's shape.
+    /// Returns the answer rows like [`NetClient::exec`].
+    pub fn sql(&mut self, text: &str) -> Result<Vec<Vec<Value>>, NetError> {
+        let reply = self.round_trip(&format!("SQL {text}"))?;
+        parse_rows(&reply)
     }
 
     /// Inserts one row through the server's maintained write path;
@@ -470,6 +468,35 @@ impl NetClient {
             .parse()
             .map_err(|_| NetError::Protocol(format!("bad delete reply {reply:?}")))
     }
+}
+
+/// Parses a query reply (`OK ` already stripped): the row count, then one
+/// line of tab-separated value tokens per row.
+fn parse_rows(reply: &str) -> Result<Vec<Vec<Value>>, NetError> {
+    let mut lines = reply.split('\n');
+    let count: usize = lines
+        .next()
+        .unwrap_or("")
+        .parse()
+        .map_err(|_| NetError::Protocol("missing row count".to_string()))?;
+    let mut rows = Vec::with_capacity(count);
+    for line in lines {
+        let row = if line.is_empty() {
+            Vec::new() // the empty projection tuple of a Boolean query
+        } else {
+            line.split('\t')
+                .map(|t| parse_value(t).map_err(NetError::Protocol))
+                .collect::<Result<Vec<_>, _>>()?
+        };
+        rows.push(row);
+    }
+    if rows.len() != count {
+        return Err(NetError::Protocol(format!(
+            "row count mismatch: header {count}, body {}",
+            rows.len()
+        )));
+    }
+    Ok(rows)
 }
 
 #[cfg(test)]
@@ -588,6 +615,84 @@ mod tests {
 
         assert!(net.frames_served() >= 8);
         drop(client);
+        net.shutdown();
+    }
+
+    #[test]
+    fn sql_verb_round_trips_ad_hoc_text() {
+        let (server, tpl) = boot();
+        let net = NetServer::bind(Arc::clone(&server), &[tpl], "127.0.0.1:0").unwrap();
+        let mut client = NetClient::connect(net.addr()).unwrap();
+
+        let via_exec = client
+            .exec("friends_of", &[("uid", Value::str("u0"))])
+            .unwrap();
+        let via_sql = client
+            .sql("SELECT f.friend_id\n  FROM friends f\n  WHERE f.user_id = 'u0'")
+            .unwrap();
+        assert_eq!(via_sql, via_exec);
+        assert_eq!(via_sql.len(), 8);
+        // Another literal, same shape: served from the plan cache.
+        let misses = server.cache_stats().misses;
+        assert!(client
+            .sql("SELECT f.friend_id FROM friends f WHERE f.user_id = 'nobody'")
+            .unwrap()
+            .is_empty());
+        assert_eq!(server.cache_stats().misses, misses);
+        // A Boolean head answers with the empty tuple.
+        assert_eq!(
+            client
+                .sql("SELECT 1 FROM friends f WHERE f.user_id = 'u0'")
+                .unwrap(),
+            vec![Vec::<Value>::new()]
+        );
+
+        // A parse error is one `ERR` line, and the connection lives on.
+        match client.sql("SELECT f.friend_id\nFROM friends f\nWHERE f.user_id <\n3") {
+            Err(NetError::Remote(m)) => {
+                assert!(m.contains("unexpected character"), "{m}");
+                assert!(!m.contains('\n'), "{m:?}");
+            }
+            other => panic!("expected remote error, got {other:?}"),
+        }
+        match client.sql("") {
+            Err(NetError::Remote(m)) => assert!(m.contains("expected `select`"), "{m}"),
+            other => panic!("expected remote error, got {other:?}"),
+        }
+        client.ping().unwrap();
+        drop(client);
+        net.shutdown();
+    }
+
+    #[test]
+    fn garbage_after_the_sql_verb_does_not_kill_the_connection() {
+        let (server, tpl) = boot();
+        let net = NetServer::bind(Arc::clone(&server), &[tpl], "127.0.0.1:0").unwrap();
+        let mut stream = TcpStream::connect(net.addr()).unwrap();
+        let mut ask = |payload: &[u8]| {
+            write_frame(&mut stream, payload).unwrap();
+            String::from_utf8(read_frame(&mut stream).unwrap().unwrap()).unwrap()
+        };
+        // Not UTF-8, control bytes, an unterminated string, a lone verb,
+        // and a multi-byte character cut by nothing but the lexer.
+        for payload in [
+            &b"SQL \xff\xfe\x00"[..],
+            b"SQL \x00\x01\x02 = = =",
+            b"SQL SELECT f.friend_id FROM friends f WHERE f.user_id = 'open",
+            b"SQL",
+            b"SQL   ",
+            "SQL SELECT \u{1F980} FROM \u{00e9}".as_bytes(),
+            b"SQL ?",
+            b"SQL -",
+            b"SQL 99999999999999999999999",
+        ] {
+            let reply = ask(payload);
+            assert!(reply.starts_with("ERR "), "{payload:?} -> {reply:?}");
+            assert!(!reply.contains('\n'), "{reply:?}");
+        }
+        assert_eq!(ask(b"PING"), "OK pong");
+        assert!(ask(b"SQL SELECT 1 FROM friends f WHERE f.user_id = 'u0'").starts_with("OK 1"));
+        drop(stream);
         net.shutdown();
     }
 

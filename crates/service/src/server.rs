@@ -11,6 +11,12 @@
 //! [`RequestStats`]: lane taken, cache hit, epoch served, the full access
 //! [`Meter`], and the budget verdict.
 //!
+//! [`Session::query_sql`] takes the same road from a query **text**, keyed
+//! by the text's *shape*: the constants of its `WHERE` clause are lifted
+//! into parameter slots by one scan of the text, so every text of one
+//! shape is served by one cache entry and only the first of them is
+//! parsed, analysed and planned.
+//!
 //! ## Admission control
 //!
 //! Queries that are not effectively bounded are the serving tier's tail
@@ -50,7 +56,8 @@ use crate::prepared::{access_fingerprint, query_fingerprint, ra_fingerprint, Lan
 use crate::shared::SharedDb;
 use bcq_core::access::AccessSchema;
 use bcq_core::error::CoreError;
-use bcq_core::prelude::{parse_spc, RaExpr, RelId, SpcQuery, Value};
+use bcq_core::parser::{lifted_slot_name, SqlShape, LIFTED_SLOT_PREFIX};
+use bcq_core::prelude::{RaExpr, RelId, SpcQuery, Value};
 use bcq_core::qplan::qplan_template;
 use bcq_durability::{
     recover_with, LogStorage, RecoveryReport, ReplayEvent, ReplayObserver, SyncPolicy, WalStats,
@@ -349,6 +356,60 @@ impl CacheShards {
     /// Live entries summed across shards.
     fn len(&self) -> usize {
         self.shards.iter().map(|s| lock_recovered(s).len()).sum()
+    }
+}
+
+/// Prefix of the plan-cache keys of query texts, which keeps them apart
+/// from the fingerprint keys of [`Server::prepare`]. (They carry no access
+/// fingerprint: a server's cache only ever holds plans compiled under its
+/// one, fixed access schema.)
+const SQL_KEY_PREFIX: &str = "sql:";
+
+/// A session's reusable buffers for the text path ([`Server::prepare_sql`]):
+/// the shape key and lifted values of the text being served, and the
+/// binding map the request executes with. In the steady state — texts of
+/// one shape with the same `?name` parameters — a request updates the
+/// map's values in place and allocates no name.
+#[derive(Debug, Default)]
+struct SqlScratch {
+    key: String,
+    values: Vec<Value>,
+    /// `slot_names[i]` is the name of lifted slot `i + 1`; grown on demand.
+    slot_names: Vec<String>,
+    bindings: BTreeMap<String, Value>,
+}
+
+impl SqlScratch {
+    /// Moves the lifted values into `bindings` under their slot names and
+    /// copies the caller's bindings beside them. The map keeps its entries
+    /// (and their allocated names) whenever its key set is already the
+    /// one wanted, which also keeps [`ParamEnv::rebind`] on its
+    /// same-name-set fast path.
+    fn bind(&mut self, caller: &BTreeMap<String, Value>) {
+        let n = self.values.len();
+        while self.slot_names.len() < n {
+            self.slot_names
+                .push(lifted_slot_name(self.slot_names.len() + 1));
+        }
+        let slots = &self.slot_names[..n];
+        // Caller names never start with the slot prefix, so the names
+        // wanted are `n + caller.len()` distinct ones.
+        let same_names = self.bindings.len() == n + caller.len()
+            && slots.iter().all(|s| self.bindings.contains_key(s))
+            && caller.keys().all(|k| self.bindings.contains_key(k));
+        if !same_names {
+            self.bindings.clear();
+        }
+        let lifted = slots.iter().zip(self.values.drain(..));
+        let callers = caller.iter().map(|(k, v)| (k, v.clone()));
+        for (name, value) in lifted.chain(callers) {
+            match self.bindings.get_mut(name) {
+                Some(slot) => *slot = value,
+                None => {
+                    self.bindings.insert(name.clone(), value);
+                }
+            }
+        }
     }
 }
 
@@ -798,6 +859,7 @@ impl Server {
         Session {
             server: Arc::clone(self),
             stats: SessionStats::default(),
+            sql: SqlScratch::default(),
         }
     }
 
@@ -806,8 +868,50 @@ impl Server {
     /// plan. Epoch-stale cache entries are revalidated against the current
     /// snapshot's indices, or dropped and re-prepared.
     pub fn prepare(&self, q: &SpcQuery) -> crate::Result<Prepared> {
-        let key = format!("{}#{}", query_fingerprint(q), self.access_fp);
-        self.prepare_keyed(key, || self.classify_spc(q))
+        let fp = query_fingerprint(q);
+        let key = format!("{fp}#{}", self.access_fp);
+        self.prepare_keyed(&key, || self.classify_spc(q, fp))
+    }
+
+    /// Prepares (or fetches from cache) a query **text** by its shape.
+    ///
+    /// One scan of `sql` ([`SqlShape::scan`]) lifts every literal to the
+    /// right of an `=` into a slot and yields the shape key the plan cache
+    /// is looked up under — so staleness stamps, revalidation and eviction
+    /// work exactly as for [`Server::prepare`]. On a hit nothing is
+    /// parsed, fingerprinted or planned. On a miss the scanned tokens are
+    /// parsed into the shape's template (one placeholder per lifted
+    /// literal) and classified like any other template; a text that does
+    /// not parse, or that the admission policy refuses, caches nothing.
+    ///
+    /// Either way `scratch.bindings` then holds the bindings to execute
+    /// with: the lifted values under their slot names, merged with the
+    /// caller's own `bindings` for the `?name` parameters of the text.
+    fn prepare_sql(
+        &self,
+        name: &str,
+        sql: &str,
+        bindings: &BTreeMap<String, Value>,
+        scratch: &mut SqlScratch,
+    ) -> crate::Result<Prepared> {
+        if let Some(reserved) = bindings.keys().find(|k| k.starts_with(LIFTED_SLOT_PREFIX)) {
+            return Err(CoreError::Invalid(format!(
+                "parameter name `{reserved}` is reserved for lifted literals"
+            ))
+            .into());
+        }
+        scratch.key.clear();
+        scratch.key.push_str(SQL_KEY_PREFIX);
+        scratch.values.clear();
+        let shape = SqlShape::scan(sql, &mut scratch.key, &mut scratch.values)?;
+        self.metrics.record_sql(scratch.values.len() as u64);
+        let prepared = self.prepare_keyed(&scratch.key, || {
+            let template = shape.template(Arc::clone(self.access.catalog()), name)?;
+            let fp = query_fingerprint(&template);
+            self.classify_spc(&template, fp)
+        })?;
+        scratch.bind(bindings);
+        Ok(prepared)
     }
 
     /// Prepares an RA expression. Certified expressions ride the
@@ -816,7 +920,7 @@ impl Server {
     /// expressions are rejected (the baseline evaluates SPC only).
     pub fn prepare_ra(&self, expr: &RaExpr) -> crate::Result<Prepared> {
         let key = format!("{}#{}", ra_fingerprint(expr), self.access_fp);
-        self.prepare_keyed(key, || self.classify_ra(expr))
+        self.prepare_keyed(&key, || self.classify_ra(expr))
     }
 
     /// The current stamps of a prepared query's read relations — the slice
@@ -830,14 +934,14 @@ impl Server {
 
     fn prepare_keyed(
         &self,
-        key: String,
+        key: &str,
         build: impl FnOnce() -> crate::Result<PreparedQuery>,
     ) -> crate::Result<Prepared> {
         let snap = self.shared.snapshot();
         {
             let _lookup = self.metrics.span(Phase::CacheLookup);
-            let mut cache = lock_recovered(self.cache.shard(&key));
-            if let Some((prepared, stamps)) = cache.get(&key) {
+            let mut cache = lock_recovered(self.cache.shard(key));
+            if let Some((prepared, stamps)) = cache.get(key) {
                 // Relation-scoped staleness: only the epochs of relations
                 // the plan's access schema actually reads matter. Writes
                 // anywhere else leave the entry current — a pure hit.
@@ -856,14 +960,14 @@ impl Server {
                 // reused as-is; only its stamps are refreshed.
                 if self.plan_indexes_built(&snap, &prepared) {
                     let fresh = Self::read_stamps(&snap, prepared.read_rels());
-                    cache.revalidate(&key, fresh);
+                    cache.revalidate(key, fresh);
                     return Ok(Prepared {
                         query: prepared,
                         cache_hit: true,
                         compile_elapsed: Duration::ZERO,
                     });
                 }
-                cache.invalidate(&key);
+                cache.invalidate(key);
             }
         }
         // Miss (or invalidated): compile outside the cache lock.
@@ -873,8 +977,8 @@ impl Server {
         let compile_elapsed = compile_start.elapsed();
         drop(compile_span);
         let stamps = Self::read_stamps(&snap, prepared.read_rels());
-        let mut cache = lock_recovered(self.cache.shard(&key));
-        cache.insert(key, Arc::clone(&prepared), stamps);
+        let mut cache = lock_recovered(self.cache.shard(key));
+        cache.insert(key.to_owned(), Arc::clone(&prepared), stamps);
         Ok(Prepared {
             query: prepared,
             cache_hit: false,
@@ -893,9 +997,10 @@ impl Server {
         }
     }
 
-    fn classify_spc(&self, q: &SpcQuery) -> crate::Result<PreparedQuery> {
+    /// Classifies `q` into its lane; `fp` is its [`query_fingerprint`],
+    /// which the caller has already built for the cache key.
+    fn classify_spc(&self, q: &SpcQuery, fp: String) -> crate::Result<PreparedQuery> {
         let _admit = self.metrics.span(Phase::Admit);
-        let fp = query_fingerprint(q);
         match qplan_template(q, &self.access) {
             Ok(plan) => Ok(PreparedQuery::bounded(q.clone(), plan, fp)),
             Err(CoreError::NotEffectivelyBounded(why)) => match self.config.policy {
@@ -914,7 +1019,7 @@ impl Server {
     fn classify_ra(&self, expr: &RaExpr) -> crate::Result<PreparedQuery> {
         expr.validate()?;
         if let RaExpr::Spc(q) = expr {
-            return self.classify_spc(q);
+            return self.classify_spc(q, query_fingerprint(q));
         }
         let _admit = self.metrics.span(Phase::Admit);
         // Certification and per-block plan compilation happen here, once:
@@ -1471,6 +1576,7 @@ pub struct SessionStats {
 pub struct Session {
     server: Arc<Server>,
     stats: SessionStats,
+    sql: SqlScratch,
 }
 
 impl Session {
@@ -1504,17 +1610,27 @@ impl Session {
         self.run(&prepared, bindings)
     }
 
-    /// Parses an SQL-ish query against the server's catalog, then prepares
-    /// and executes it.
+    /// Serves an SQL-ish query text, compiled once per **shape**: one scan
+    /// of `sql` ([`SqlShape::scan`]) lifts every literal to the right of an
+    /// `=` into a slot, and the plan cache is keyed on what is left, so
+    /// only the first text of a shape is parsed, analysed and planned. The
+    /// request executes with the text's own literals plus `bindings` for
+    /// its `?name` parameters (whose names may not start with
+    /// [`LIFTED_SLOT_PREFIX`]). A text that does not parse, or that the
+    /// admission policy refuses, caches nothing.
     pub fn query_sql(
         &mut self,
         name: &str,
         sql: &str,
         bindings: &BTreeMap<String, Value>,
     ) -> crate::Result<Response> {
-        let catalog = Arc::clone(self.server.access.catalog());
-        let q = parse_spc(catalog, name, sql)?;
-        self.query(&q, bindings)
+        let mut scratch = std::mem::take(&mut self.sql);
+        let prepared = self.server.prepare_sql(name, sql, bindings, &mut scratch);
+        let result = self
+            .record_prepare(prepared)
+            .and_then(|p| self.run(&p, &scratch.bindings));
+        self.sql = scratch;
+        result
     }
 
     /// Inserts one row through the server's maintained write path
@@ -1677,6 +1793,120 @@ mod tests {
         let cs = server.cache_stats();
         assert_eq!(cs.misses, 1);
         assert_eq!(cs.hits, 2);
+    }
+
+    #[test]
+    fn sql_texts_of_one_shape_share_one_cache_entry() {
+        // Capacity 8, 50 distinct literals: keyed on the text they would
+        // have evicted each other; keyed on the shape they are one entry.
+        let server = setup(AdmissionPolicy::Strict);
+        let mut s = server.session();
+        const N: u64 = 50;
+        for i in 0..N {
+            let sql = format!("SELECT f.friend_id FROM friends f WHERE f.user_id = 'u{i}'");
+            let r = s.query_sql("adhoc", &sql, &BTreeMap::new()).unwrap();
+            assert_eq!(r.stats.lane, Lane::Bounded);
+            assert_eq!(r.stats.cache_hit, i > 0, "literal {i}");
+            let expect = match i {
+                0 => 2,
+                9 => 1,
+                _ => 0,
+            };
+            assert_eq!(r.rows().unwrap().len(), expect, "friends of u{i}");
+        }
+        assert_eq!(server.cache.len(), 1);
+        let cs = server.cache_stats();
+        assert_eq!(
+            (cs.misses, cs.hits, cs.evictions),
+            (1, N - 1, 0),
+            "one compile per shape"
+        );
+        let m = server.metrics_snapshot();
+        assert_eq!((m.sql.requests, m.sql.literals_lifted), (N, N));
+        assert_eq!(m.requests(), N);
+    }
+
+    #[test]
+    fn shape_entries_obey_the_cache_staleness_rules() {
+        let server = setup(AdmissionPolicy::Strict);
+        let mut s = server.session();
+        let none = BTreeMap::new();
+        let friends_of =
+            |u: &str| format!("SELECT f.friend_id FROM friends f WHERE f.user_id = '{u}'");
+        let row = |u: &str, f: &str| [Value::str(u), Value::str(f)];
+        assert_eq!(
+            s.query_sql("q", &friends_of("u0"), &none)
+                .unwrap()
+                .rows()
+                .unwrap()
+                .len(),
+            2
+        );
+
+        // A maintained write to a relation the shape never reads: pure hit.
+        server.insert("in_album", &row("p9", "a9")).unwrap();
+        let r = s.query_sql("q", &friends_of("u9"), &none).unwrap();
+        assert!(r.stats.cache_hit);
+        assert_eq!(server.cache_stats().revalidations, 0);
+
+        // Maintained writes to the relation it reads: revalidated (the
+        // index was maintained), never recompiled.
+        server.insert("friends", &row("u9", "u4")).unwrap();
+        let r = s.query_sql("q", &friends_of("u9"), &none).unwrap();
+        assert!(r.stats.cache_hit);
+        assert_eq!(r.rows().unwrap().len(), 2);
+        assert!(server.delete("friends", &row("u9", "u4")).unwrap());
+        let r = s.query_sql("q", &friends_of("u9"), &none).unwrap();
+        assert_eq!(r.rows().unwrap().len(), 1);
+        let cs = server.cache_stats();
+        assert_eq!((cs.misses, cs.revalidations, cs.invalidations), (1, 2, 0));
+
+        // The index its plan probes is swept away (an out-of-band write
+        // that `bulk_update` has not yet followed with its rebuild): the
+        // entry is dropped and the shape recompiled, and the request fails
+        // loudly instead of answering from a plan without its index.
+        server
+            .shared
+            .write(|db| db.insert("friends", &row("u9", "u5")).unwrap());
+        assert!(s.query_sql("q", &friends_of("u9"), &none).is_err());
+        assert_eq!(server.cache_stats().invalidations, 1);
+        server.bulk_update(|_| ());
+        let r = s.query_sql("q", &friends_of("u9"), &none).unwrap();
+        assert!(r.stats.cache_hit);
+        assert_eq!(r.rows().unwrap().len(), 2, "u3 and the out-of-band u5");
+        assert_eq!(server.cache.len(), 1);
+    }
+
+    #[test]
+    fn sql_scratch_rebinds_in_place_across_shapes_and_caller_names() {
+        let server = setup(AdmissionPolicy::Strict);
+        let mut s = server.session();
+        let mut caller = BTreeMap::new();
+        caller.insert("uid".to_string(), Value::str("u0"));
+        // Literal + caller-bound parameter.
+        let q1 = "SELECT ia.photo_id FROM in_album ia, friends f, tagging t \
+                  WHERE ia.album_id = 'a0' AND f.user_id = ?uid \
+                  AND ia.photo_id = t.photo_id AND t.tagger_id = f.friend_id \
+                  AND t.taggee_id = ?uid";
+        let r = s.query_sql("q1", q1, &caller).unwrap();
+        assert!(r.rows().unwrap().contains(&[Value::str("p1")]));
+        assert_eq!(s.sql.bindings.keys().collect::<Vec<_>>(), vec!["$1", "uid"]);
+        // Another shape with more slots and no caller names: stale names
+        // are dropped, not left behind to shadow anything.
+        let q2 = "SELECT t.tagger_id FROM tagging t \
+                  WHERE t.photo_id = 'p1' AND t.taggee_id = 'u0'";
+        let r = s.query_sql("q2", q2, &BTreeMap::new()).unwrap();
+        assert!(r.rows().unwrap().contains(&[Value::str("u1")]));
+        assert_eq!(s.sql.bindings.keys().collect::<Vec<_>>(), vec!["$1", "$2"]);
+        // Back to the first shape: same answer as before.
+        let r = s.query_sql("q1", q1, &caller).unwrap();
+        assert!(r.stats.cache_hit);
+        assert_eq!(r.rows().unwrap().len(), 1);
+        // A caller name spelled like a lifted slot is refused up front.
+        let mut bad = BTreeMap::new();
+        bad.insert("$1".to_string(), Value::str("a0"));
+        let err = s.query_sql("q1", q1, &bad).unwrap_err();
+        assert!(err.to_string().contains("reserved"), "{err}");
     }
 
     #[test]

@@ -31,6 +31,16 @@ pub struct PhaseSnapshot {
     pub timings: HistSnapshot,
 }
 
+/// The SQL text path: requests received and literals lifted into slots.
+/// How many of those requests compiled is the plan cache's `misses`.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SqlSnapshot {
+    /// Query texts received that lexed.
+    pub requests: u64,
+    /// Literals lifted out of those texts into parameter slots.
+    pub literals_lifted: u64,
+}
+
 /// Admission-control verdict counts.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AdmissionSnapshot {
@@ -154,6 +164,8 @@ pub struct MetricsSnapshot {
     pub lanes: Vec<LaneSnapshot>,
     /// Traced phase timings, in [`Phase::ALL`] order.
     pub phases: Vec<PhaseSnapshot>,
+    /// The SQL text path.
+    pub sql: SqlSnapshot,
     /// Admission verdicts.
     pub admission: AdmissionSnapshot,
     /// Plan-cache movement (serving layer fills this).
@@ -185,6 +197,10 @@ pub(crate) fn snapshot_of(reg: &MetricsRegistry) -> MetricsSnapshot {
                 timings: reg.phase_hist(phase).snapshot(),
             })
             .collect(),
+        sql: SqlSnapshot {
+            requests: reg.sql_requests.get(),
+            literals_lifted: reg.sql_literals_lifted.get(),
+        },
         admission: AdmissionSnapshot {
             rejected: reg.rejected.get(),
             budget_completed: reg.budget_completed.get(),
@@ -241,6 +257,8 @@ impl MetricsSnapshot {
         for (a, b) in self.phases.iter_mut().zip(&other.phases) {
             a.timings.merge(&b.timings);
         }
+        self.sql.requests += other.sql.requests;
+        self.sql.literals_lifted += other.sql.literals_lifted;
         self.admission.rejected += other.admission.rejected;
         self.admission.budget_completed += other.admission.budget_completed;
         self.admission.budget_exhausted += other.admission.budget_exhausted;
@@ -324,8 +342,12 @@ impl MetricsSnapshot {
         let a = self.admission;
         let _ = write!(
             s,
-            "\n  }},\n  \"admission\": {{\"rejected\": {}, \"budget_completed\": {}, \"budget_exhausted\": {}}},\n",
-            a.rejected, a.budget_completed, a.budget_exhausted,
+            "\n  }},\n  \"sql\": {{\"requests\": {}, \"literals_lifted\": {}}},\n  \"admission\": {{\"rejected\": {}, \"budget_completed\": {}, \"budget_exhausted\": {}}},\n",
+            self.sql.requests,
+            self.sql.literals_lifted,
+            a.rejected,
+            a.budget_completed,
+            a.budget_exhausted,
         );
         let c = self.cache;
         let _ = writeln!(
@@ -424,6 +446,8 @@ impl MetricsSnapshot {
         }
         let a = self.admission;
         for (name, v) in [
+            ("bcq_sql_requests_total", self.sql.requests),
+            ("bcq_sql_literals_lifted_total", self.sql.literals_lifted),
             ("bcq_admission_rejected_total", a.rejected),
             ("bcq_budget_completed_total", a.budget_completed),
             ("bcq_budget_exhausted_total", a.budget_exhausted),
@@ -572,6 +596,8 @@ mod tests {
         r.record_request(LaneKind::Bounded, 900, 3);
         r.record_request(LaneKind::Budgeted, 50_000, 120);
         r.record_budget_verdict(true);
+        r.record_sql(2);
+        r.record_sql(1);
         r.record_write(true, 4_000, 1);
         r.record_ingest(1_000, 2, 48_000, 1, 7_500);
         r.record_lock_wait(250, true);
@@ -598,6 +624,7 @@ mod tests {
             "\"p999\"",
             "\"plan_cache\"",
             "\"admission\"",
+            "\"sql\": {\"requests\": 2, \"literals_lifted\": 3}",
             "\"writes\"",
             "\"view_deltas\"",
             "\"gauges\"",
@@ -625,6 +652,8 @@ mod tests {
             "{p}"
         );
         assert!(p.contains("bcq_budget_completed_total 1"), "{p}");
+        assert!(p.contains("bcq_sql_requests_total 2"), "{p}");
+        assert!(p.contains("bcq_sql_literals_lifted_total 3"), "{p}");
         assert!(p.contains("bcq_plan_cache_hits_total 2"), "{p}");
         assert!(p.contains("bcq_writes_inserts_total 1"), "{p}");
         assert!(p.contains("bcq_total_tuples 11"), "{p}");
@@ -657,6 +686,8 @@ mod tests {
         assert_eq!(a.lane(LaneKind::Bounded).latency.count(), 4);
         assert_eq!(a.lane(LaneKind::Bounded).tuples_fetched, 12);
         assert_eq!(a.admission.budget_completed, 2);
+        assert_eq!(a.sql.requests, 4);
+        assert_eq!(a.sql.literals_lifted, 6);
         assert_eq!(a.cache.hits, 4);
         assert_eq!(a.writes.inserts, 2);
         assert_eq!(a.ingest.rows, 2_000);

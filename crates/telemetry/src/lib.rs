@@ -41,7 +41,7 @@ pub mod span;
 
 pub use export::{
     AdmissionSnapshot, GaugeSnapshot, IngestSnapshot, LaneSnapshot, MetricsSnapshot, PhaseSnapshot,
-    PlanCacheSnapshot, WalSnapshot, WriteSnapshot,
+    PlanCacheSnapshot, SqlSnapshot, WalSnapshot, WriteSnapshot,
 };
 pub use hist::{HistSnapshot, Histogram};
 pub use metrics::{Counter, LaneKind, MetricsRegistry, NUM_LANES};

@@ -129,6 +129,11 @@ pub struct MetricsRegistry {
     /// Total tuples fetched per lane — aggregate `|D_Q|`, the paper's
     /// bounded-access measure, summed fleet-wide.
     lane_tuples: [Counter; NUM_LANES],
+    /// Query texts received on the SQL path that lexed (each goes on to
+    /// a plan-cache lookup by shape; hits and misses are the cache's).
+    pub sql_requests: Counter,
+    /// Literals lifted out of those texts into parameter slots.
+    pub sql_literals_lifted: Counter,
     /// Requests refused by admission control (strict policy).
     pub rejected: Counter,
     /// Budgeted-lane requests that finished within the work cap.
@@ -200,6 +205,8 @@ impl MetricsRegistry {
             tracing: AtomicBool::new(false),
             lane_latency: Default::default(),
             lane_tuples: Default::default(),
+            sql_requests: Counter::new(),
+            sql_literals_lifted: Counter::new(),
             rejected: Counter::new(),
             budget_completed: Counter::new(),
             budget_exhausted: Counter::new(),
@@ -257,6 +264,17 @@ impl MetricsRegistry {
         let i = lane.index();
         self.lane_latency[i].record(latency_ns);
         self.lane_tuples[i].add(tuples_fetched);
+    }
+
+    /// Records one query text received on the SQL path and how many of
+    /// its literals were lifted into slots.
+    #[inline]
+    pub fn record_sql(&self, literals_lifted: u64) {
+        if !self.is_enabled() {
+            return;
+        }
+        self.sql_requests.inc();
+        self.sql_literals_lifted.add(literals_lifted);
     }
 
     /// Records a budgeted-lane verdict (completed within the cap or
@@ -425,7 +443,10 @@ mod tests {
         r.record_request(LaneKind::Bounded, 500, 3);
         r.record_budget_verdict(true);
         r.record_rejected();
+        r.record_sql(2);
         r.record_write(true, 1000, 2);
+        assert_eq!(r.sql_requests.get(), 0);
+        assert_eq!(r.sql_literals_lifted.get(), 0);
         assert_eq!(r.lane_latency(LaneKind::Bounded).snapshot().count(), 0);
         assert_eq!(r.lane_tuples(LaneKind::Bounded), 0);
         assert_eq!(r.budget_completed.get(), 0);

@@ -1,8 +1,8 @@
 //! Observability end to end: drive a mixed read/write workload through a
 //! [`Server`], then dump what the always-on metrics registry saw — the
 //! per-lane latency histograms (p50/p99/p999), plan-cache movement,
-//! admission verdicts, write-path, bulk-ingest and copy-on-write
-//! amplification counters, and the write-concurrency series (per-relation
+//! the text path's request and lifted-literal counts, admission verdicts,
+//! write-path, bulk-ingest and copy-on-write amplification counters, and the write-concurrency series (per-relation
 //! latch waits and conflicts, commit-section hold times, group-commit
 //! batch sizes) — as both JSON and Prometheus text. Then the two opt-in
 //! diagnostics: request tracing (phase timings for admit → cache-lookup →
@@ -140,6 +140,15 @@ fn main() -> core::result::Result<(), Box<dyn std::error::Error>> {
     for _ in 0..3 {
         session.query(&scan, &BTreeMap::new())?;
     }
+    // Ad-hoc text whose constants vary: the plan cache keys it by shape,
+    // so 200 texts are one compile (sql.* and plan_cache.* show it).
+    for i in 0..200 {
+        session.query_sql(
+            "friends_of",
+            &format!("SELECT f.friend_id FROM friends f WHERE f.user_id = 'u{i}'"),
+            &BTreeMap::new(),
+        )?;
+    }
     // Writes racing a held snapshot: the store must copy-on-write the
     // touched shard, which is what the cow_* counters then expose.
     let pinned = server.snapshot();
@@ -180,12 +189,20 @@ fn main() -> core::result::Result<(), Box<dyn std::error::Error>> {
     println!("=== JSON ===\n{}\n", snap.to_json());
     println!("=== Prometheus ===\n{}", snap.to_prometheus());
 
-    assert_eq!(snap.lane(LaneKind::Bounded).latency.count(), 2_001);
+    assert_eq!(snap.lane(LaneKind::Bounded).latency.count(), 2_201);
     assert_eq!(snap.lane(LaneKind::Budgeted).latency.count(), 3);
     assert!(snap.lane(LaneKind::Bounded).latency.quantile(0.999) > 0);
     assert_eq!(snap.admission.budget_completed, 3);
-    assert_eq!(snap.cache.misses, 2, "Q1 + scan compiled once each");
-    assert!(snap.cache.hits >= 2_000);
+    assert_eq!(
+        snap.cache.misses, 3,
+        "Q1, the scan and the text's shape compiled once each"
+    );
+    assert!(snap.cache.hits >= 2_199);
+    assert_eq!((snap.sql.requests, snap.sql.literals_lifted), (200, 200));
+    println!(
+        "text path: {} requests, {} literals lifted, {} plan-cache misses in all\n",
+        snap.sql.requests, snap.sql.literals_lifted, snap.cache.misses,
+    );
     assert_eq!(snap.writes.inserts, 16);
     assert_eq!(snap.writes.deletes, 4);
     assert_eq!(snap.writes.bulk_updates, 2, "bulk_update + bulk_load");

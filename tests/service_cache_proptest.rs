@@ -3,7 +3,8 @@
 //! through the serving layer (prepared, cached, epoch-snapshotted) must be
 //! **indistinguishable** from running `eval_dq` from scratch on an
 //! identically-loaded fresh database at every epoch, including across
-//! `ensure_index` invalidations.
+//! `ensure_index` invalidations — for the compiled template and for the
+//! same query sent as literal text, which the plan cache keys by shape.
 
 use bounded_cq::prelude::*;
 use proptest::prelude::*;
@@ -11,7 +12,12 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 fn catalog() -> Arc<Catalog> {
-    Catalog::from_names(&[("edge", &["src", "dst"]), ("label", &["node", "tag"])]).unwrap()
+    Catalog::from_names(&[
+        ("edge", &["src", "dst"]),
+        ("label", &["node", "tag"]),
+        ("audit", &["event"]),
+    ])
+    .unwrap()
 }
 
 fn access(cat: &Arc<Catalog>) -> AccessSchema {
@@ -34,6 +40,14 @@ fn template(cat: &Arc<Catalog>) -> SpcQuery {
         .project(("l", "tag"))
         .build()
         .unwrap()
+}
+
+/// [`template`] as ad-hoc text, `start` written as a literal.
+fn two_hop_sql(start: i64) -> String {
+    format!(
+        "SELECT l.tag FROM edge e1, edge e2, label l \
+         WHERE e1.src = {start} AND e2.src = e1.dst AND l.node = e2.dst"
+    )
 }
 
 /// One random mutation: relation, row values, and whether it goes through
@@ -103,6 +117,17 @@ proptest! {
                     start,
                     served.stats.epoch
                 );
+                // The same request as literal text, through the shape key.
+                let by_text = session
+                    .query_sql("adhoc", &two_hop_sql(start), &BTreeMap::new())
+                    .unwrap();
+                prop_assert_eq!(
+                    by_text.rows().unwrap(),
+                    &fresh.result,
+                    "text, start={} epoch={}",
+                    start,
+                    by_text.stats.epoch
+                );
             }
         };
 
@@ -123,8 +148,82 @@ proptest! {
             check(&mut session, &reference_rows, &probes);
         }
 
-        // The cached plan was compiled exactly once across all epochs.
-        prop_assert_eq!(server.cache_stats().misses, 1);
+        // The template and the shape were each compiled exactly once
+        // across all epochs and all literals.
+        prop_assert_eq!(server.cache_stats().misses, 2);
         prop_assert_eq!(server.cache_stats().invalidations, 0);
+        prop_assert_eq!(server.cache_stats().evictions, 0);
     }
+}
+
+/// The staleness rules, step by step, for an entry keyed by shape: writes
+/// to a relation the shape does not read are pure hits, writes to one it
+/// reads — maintained or bulk — revalidate it, and it is never recompiled.
+#[test]
+fn shape_entries_are_stamped_by_the_relations_they_read() {
+    let cat = catalog();
+    let a = access(&cat);
+    let mut db = Database::new(Arc::clone(&cat));
+    let mut rows: Vec<Mutation> = vec![
+        (true, false, 1, 2),
+        (true, false, 2, 3),
+        (false, false, 3, 7),
+    ];
+    for m in &rows {
+        apply_reference(&mut db, m);
+    }
+    let server = Arc::new(Server::new(db, a.clone(), ServerConfig::default()));
+    let mut session = server.session();
+    let none = BTreeMap::new();
+
+    // Serves `start` as text, compares with a fresh `eval_dq`, and returns
+    // the cache's (misses, revalidations) afterwards.
+    let mut step = |rows: &[Mutation], start: i64, tag: &str| {
+        let served = session
+            .query_sql("adhoc", &two_hop_sql(start), &none)
+            .unwrap();
+        let mut fresh_db = Database::new(Arc::clone(&cat));
+        for m in rows {
+            apply_reference(&mut fresh_db, m);
+        }
+        fresh_db.build_indexes(&a);
+        let ground = parse_spc(Arc::clone(&cat), "adhoc", &two_hop_sql(start)).unwrap();
+        let fresh = eval_dq(&fresh_db, &qplan(&ground, &a).unwrap(), &a).unwrap();
+        assert_eq!(served.rows().unwrap(), &fresh.result, "{tag}");
+        let cs = server.cache_stats();
+        assert_eq!((cs.invalidations, cs.evictions), (0, 0), "{tag}");
+        (cs.misses, cs.revalidations)
+    };
+
+    assert_eq!(step(&rows, 1, "first text compiles the shape"), (1, 0));
+    assert_eq!(step(&rows, 2, "another literal: pure hit"), (1, 0));
+
+    // Maintained writes to a relation the shape never reads.
+    server.insert("audit", &[Value::int(1)]).unwrap();
+    assert!(server.delete("audit", &[Value::int(1)]).unwrap());
+    assert_eq!(step(&rows, 1, "unread relation wrote: pure hit"), (1, 0));
+
+    // A maintained insert, then a maintained delete, on a read relation.
+    let (rel, row) = encode(true, 3, 1);
+    server.insert(rel, &row).unwrap();
+    rows.push((true, false, 3, 1));
+    assert_eq!(
+        step(&rows, 2, "read relation inserted: revalidated"),
+        (1, 1)
+    );
+    assert_eq!(step(&rows, 1, "stamps are fresh again: pure hit"), (1, 1));
+    assert!(server.delete(rel, &row).unwrap());
+    rows.pop();
+    assert_eq!(step(&rows, 2, "read relation deleted: revalidated"), (1, 2));
+
+    // A bulk write drops the relation's indices and rebuilds them inside
+    // the same write: the entry finds them again and is kept.
+    let (rel, row) = encode(false, 2, 9);
+    server.bulk_update(|db| db.insert(rel, &row).unwrap());
+    rows.push((false, true, 2, 9));
+    assert_eq!(
+        step(&rows, 1, "bulk write: revalidated, not recompiled"),
+        (1, 3)
+    );
+    assert_eq!(server.metrics_snapshot().sql.requests, 7);
 }
