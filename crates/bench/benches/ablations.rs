@@ -16,9 +16,7 @@ use bcq_core::mbounded::{min_dq_bound_exact, min_dq_bound_greedy};
 use bcq_core::prelude::*;
 use bcq_exec::{baseline, BaselineMode, BaselineOptions};
 use bcq_workload::{mot, tfacc};
-use criterion::{
-    criterion_group, criterion_main, measure_median_ns, record_derived, smoke_mode, Criterion,
-};
+use criterion::{criterion_group, criterion_main, smoke_mode, Criterion};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -382,180 +380,6 @@ fn retraction_index_scaling(c: &mut Criterion) {
     );
 }
 
-/// The compiled-program ablation: the same bounded plan executed through
-/// the compiled `OpProgram` interpreter (`eval_dq` — zero per-request
-/// planning-shaped work) vs the query-walking operators
-/// (`eval_dq_interpreted` — filter checks, `O(cols²)` class scans, join
-/// order and projection map re-derived per request). Fetch work is shared
-/// byte for byte, so the ratio isolates exactly what compilation buys.
-///
-/// The subject is an 8-atom transitive chain with small witness sets — the
-/// probe-heavy, small-batch regime the serving layer lives in, where
-/// per-request shape derivation is a real fraction of the request.
-fn compiled_pipeline(c: &mut Criterion) {
-    use bcq_exec::{eval_dq, eval_dq_interpreted};
-    const ATOMS: usize = 8;
-    let defs: Vec<(String, [String; 2])> = (0..ATOMS)
-        .map(|i| (format!("c{i}"), [format!("a{i}"), format!("b{i}")]))
-        .collect();
-    let rels: Vec<RelationSchema> = defs
-        .iter()
-        .map(|(name, cols)| RelationSchema::new(name.as_str(), cols.iter().map(String::as_str)))
-        .collect::<std::result::Result<_, _>>()
-        .unwrap();
-    let cat = Arc::new(Catalog::new(rels).unwrap());
-    let mut a = AccessSchema::new(cat.clone());
-    for i in 0..ATOMS {
-        a.add(
-            &format!("c{i}"),
-            &[format!("a{i}").as_str()],
-            &[format!("b{i}").as_str()],
-            2,
-        )
-        .unwrap();
-    }
-    // Each key maps to one successor inside a domain of 8 values: 8-row
-    // tables, bounded witness sets — the small-batch, many-step regime
-    // bounded serving lives in, where per-request shape derivation is a
-    // real fraction of the request.
-    let mut db = bcq_storage::Database::new(cat.clone());
-    for i in 0..ATOMS {
-        for v in 0..8i64 {
-            db.insert(
-                &format!("c{i}"),
-                &[Value::int(v), Value::int((v * 3 + 1) % 8)],
-            )
-            .unwrap();
-        }
-    }
-    db.build_indexes(&a);
-
-    let mut b = SpcQuery::builder(cat, "chain6");
-    for i in 0..ATOMS {
-        b = b.atom(&format!("c{i}"), &format!("t{i}"));
-    }
-    b = b.eq_const(("t0", "a0"), 1);
-    for i in 1..ATOMS {
-        let prev = format!("t{}", i - 1);
-        let prev_b = format!("b{}", i - 1);
-        let cur = format!("t{i}");
-        let cur_a = format!("a{i}");
-        b = b.eq(
-            (cur.as_str(), cur_a.as_str()),
-            (prev.as_str(), prev_b.as_str()),
-        );
-    }
-    let q = b.project(("t7", "b7")).build().unwrap();
-    let plan = bcq_core::qplan::qplan(&q, &a).unwrap();
-
-    // Both paths agree before anything is timed.
-    let compiled_out = eval_dq(&db, &plan, &a).unwrap();
-    let interpreted_out = eval_dq_interpreted(&db, &plan, &a).unwrap();
-    assert_eq!(compiled_out.result, interpreted_out.result);
-    assert!(
-        !compiled_out.result.is_empty(),
-        "chain must produce answers"
-    );
-    assert_eq!(compiled_out.dq_tuples(), interpreted_out.dq_tuples());
-
-    // --- The pipeline tail on identical prefetched batches.
-    // Fetching is shared byte for byte between the two paths, so timing
-    // `run_program` vs `run_join_pipeline` on the same batches isolates
-    // exactly what compilation removes: the per-request filter/join/project
-    // shape derivation. ---
-    use bcq_exec::{run_join_pipeline, run_program, run_program_columnar, Batch, ExecContext};
-    let sigma = Sigma::build(&q);
-    let layouts: Vec<Vec<usize>> = vec![vec![0, 1]; ATOMS];
-    let prog = OpProgram::compile(&q, &sigma, &layouts, None);
-    let base_batches: Vec<Batch> = (0..ATOMS)
-        .map(|atom| Batch {
-            atom,
-            cols: vec![0, 1],
-            rows: db
-                .table(q.relation_of(atom))
-                .rows()
-                .map(|r| r.iter().copied().collect())
-                .collect(),
-        })
-        .collect();
-    // The same inputs transposed to column-major — what the data plane
-    // actually feeds the interpreter since the vectorized rewrite.
-    let base_cols: Vec<ColumnBatch> = base_batches
-        .iter()
-        .map(|b| {
-            ColumnBatch::from_rows(b.atom, b.cols.clone(), b.rows.iter().map(|r| r.as_slice()))
-        })
-        .collect();
-    {
-        // Semantic guard on the exact batches being timed.
-        let mut cctx = ExecContext::new(&db, None);
-        let compiled = run_program(&prog, base_batches.clone(), &mut cctx).unwrap();
-        let mut ictx = ExecContext::new(&db, None);
-        let interpreted = run_join_pipeline(&q, &sigma, base_batches.clone(), &mut ictx).unwrap();
-        assert_eq!(compiled, interpreted);
-        let mut vctx = ExecContext::new(&db, None);
-        let columnar = run_program_columnar(&prog, base_cols.clone(), &mut vctx).unwrap();
-        assert_eq!(columnar, interpreted);
-        assert!(!compiled.is_empty());
-    }
-
-    eprintln!("\n== ablation/compiled_pipeline (8-atom chain) ==");
-    let mut sink = 0usize;
-    let columnar = measure_median_ns(15, 2000, |_| {
-        let mut ctx = ExecContext::new(&db, None);
-        sink += run_program_columnar(&prog, base_cols.clone(), &mut ctx)
-            .unwrap()
-            .len();
-    });
-    columnar.record("ablation/compiled_pipeline/columnar");
-    let compiled = measure_median_ns(15, 2000, |_| {
-        let mut ctx = ExecContext::new(&db, None);
-        sink += run_program(&prog, base_batches.clone(), &mut ctx)
-            .unwrap()
-            .len();
-    });
-    compiled.record("ablation/compiled_pipeline/compiled");
-    let interpreted = measure_median_ns(15, 2000, |_| {
-        let mut ctx = ExecContext::new(&db, None);
-        sink += run_join_pipeline(&q, &sigma, base_batches.clone(), &mut ctx)
-            .unwrap()
-            .len();
-    });
-    interpreted.record("ablation/compiled_pipeline/interpreted");
-    // Headline: the vectorized compiled interpreter vs the row-at-a-time
-    // query-walking oracle on identical inputs — what compilation *plus*
-    // the columnar layout buy together.
-    record_derived(
-        "speedup_compiled_vs_interpreted",
-        interpreted.ns / columnar.ns,
-    );
-    // The columnar layout's own contribution: same compiled program,
-    // row-major vs column-major interpretation.
-    record_derived("speedup_columnar_vs_row", compiled.ns / columnar.ns);
-    record_derived(
-        "speedup_compiled_vs_interpreted_tail",
-        interpreted.ns / compiled.ns,
-    );
-
-    // --- End-to-end ratio: the same plan, fetches included — what a whole
-    // bounded request gains from the compiled (columnar) data plane over
-    // walking the query row at a time. ---
-    let e2e_compiled = measure_median_ns(15, 400, |_| {
-        sink += eval_dq(&db, &plan, &a).unwrap().result.len();
-    });
-    e2e_compiled.record("ablation/compiled_pipeline/e2e_compiled");
-    let e2e_interpreted = measure_median_ns(15, 400, |_| {
-        sink += eval_dq_interpreted(&db, &plan, &a).unwrap().result.len();
-    });
-    e2e_interpreted.record("ablation/compiled_pipeline/e2e_interpreted");
-    record_derived(
-        "speedup_compiled_vs_interpreted_e2e",
-        e2e_interpreted.ns / e2e_compiled.ns,
-    );
-    std::hint::black_box(sink);
-    let _ = c;
-}
-
 criterion_group!(
     benches,
     dp_ablation,
@@ -563,7 +387,6 @@ criterion_group!(
     baseline_modes,
     complexity_scaling,
     incremental_vs_full,
-    retraction_index_scaling,
-    compiled_pipeline
+    retraction_index_scaling
 );
 criterion_main!(benches);

@@ -30,12 +30,11 @@
 //!   registry's own log-linear histogram supplies the tail:
 //!   `derived.serving_bounded_p50/p99/p999_ns`.
 //! * **What does a write cost under snapshots?** (`bench_write_path`)
-//!   single-row inserts with a reader snapshot held, sharded store vs the
-//!   pre-sharding monolithic copy-on-write, with the rows/bytes cloned per
-//!   write measured from the storage layer's cow counters — and the same
-//!   measurement on a catalog padded with ballast relations, proving the
-//!   sharded clone cost is independent of the number of other relations
-//!   (`derived.write_sharded_ballast_ratio` ≈ 1.0).
+//!   single-row inserts with a reader snapshot held, with the rows/bytes
+//!   cloned per write measured from the storage layer's cow counters — and
+//!   the same measurement on a catalog padded with ballast relations,
+//!   proving the sharded clone cost is independent of the number of other
+//!   relations (`derived.write_sharded_ballast_ratio` ≈ 1.0).
 //! * **What does durability cost?** the same steady-state maintained
 //!   insert against a WAL-attached server (group commit every 64 ops, on
 //!   an in-memory log device so the number isolates record encoding +
@@ -69,7 +68,7 @@
 //!
 //! Every datapoint in `BENCH_serving.json` carries the machine's `cores`
 //! (top-level and as `derived.cores`): scaling ratios are only
-//! meaningful when cores ≥ 4, and CI gates them conditionally.
+//! meaningful when cores ≥ 4, so read them against it; CI gates none.
 //!
 //! `BENCH_SMOKE=1` shrinks the dataset and runs every lane once (CI).
 
@@ -428,8 +427,8 @@ fn bench_serving(_c: &mut criterion::Criterion) {
     record_derived("serving_bounded_p50_ns", lat.quantile(0.50) as f64);
     record_derived("serving_bounded_p99_ns", lat.quantile(0.99) as f64);
     record_derived("serving_bounded_p999_ns", lat.quantile(0.999) as f64);
-    // Scaling ratios are only meaningful with real parallelism; CI gates
-    // them conditionally on this value (also recorded at the top level).
+    // Scaling ratios are only meaningful with real parallelism: read them
+    // against this value (also recorded at the top level).
     record_derived(
         "cores",
         std::thread::available_parallelism().map_or(1, |n| n.get()) as f64,
@@ -438,8 +437,8 @@ fn bench_serving(_c: &mut criterion::Criterion) {
 }
 
 /// A social catalog padded with `ballast` extra relations (never queried,
-/// never written) — the axis along which monolithic copy-on-write
-/// amplifies and the sharded store must not.
+/// never written) — the axis along which a whole-database copy-on-write
+/// would amplify and the sharded store must not.
 fn ballast_catalog(ballast: usize) -> Arc<Catalog> {
     let mut rels = vec![
         RelationSchema::new("in_album", ["photo_id", "album_id"]).unwrap(),
@@ -552,7 +551,7 @@ fn bench_write_path(_c: &mut criterion::Criterion) {
     record_derived("write_bytes_cloned_per_write_sharded", sharded_cells * 8.0);
 
     // --- The same writes with ballast relations: the sharded clone cost
-    // must not move (the monolithic baseline scales with total size). ---
+    // must not move. ---
     let ballasted = write_server(users, BALLAST);
     let (ballast_ns, ballast_cells) = measure_sharded_writes(&ballasted, writes);
     record_metric_sampled(
@@ -573,33 +572,6 @@ fn bench_write_path(_c: &mut criterion::Criterion) {
              relations: {sharded_cells} vs {ballast_cells} cells"
         );
     }
-
-    // --- Monolithic baseline: what the pre-sharding store cloned per
-    // write racing a snapshot — every table and index. ---
-    let mono_writes = (writes / 8).max(1);
-    let row = [Value::str("u1"), Value::str("f1")];
-    let mut current = ballasted.snapshot();
-    let mono_rows = current.total_tuples() as f64;
-    let start = Instant::now();
-    for _ in 0..mono_writes {
-        let mut db = current.clone_monolithic();
-        db.insert_maintained("friends", &row).unwrap();
-        current = Arc::new(db);
-    }
-    let mono_ns = start.elapsed().as_nanos() as f64 / mono_writes as f64;
-    record_metric_sampled(
-        "serving/write/monolithic_cow",
-        mono_ns,
-        1,
-        mono_writes as u64,
-    );
-    record_derived("write_rows_cloned_per_write_monolithic", mono_rows);
-    record_derived(
-        "write_amp_rows_monolithic_over_sharded",
-        mono_rows / (ballast_cells / 2.0),
-    );
-    record_derived("write_speedup_sharded_vs_monolithic", mono_ns / ballast_ns);
-    std::hint::black_box(current.total_tuples());
 
     // --- WAL on vs off: the identical steady-state maintained insert
     // (values already interned, no snapshot held) against a durable

@@ -14,10 +14,11 @@
 //! know their per-atom fetch bounds statically, so batches are small and
 //! column-at-a-time passes stay resident in cache.
 //!
-//! The row-at-a-time interpreter over [`crate::row::RowBuf`] batches
-//! survives unchanged as the differential oracle; `bcq-exec`'s equivalence
-//! tests drive both layouts over identical inputs and assert identical
-//! answers and meter charges.
+//! `bcq-exec`'s differential reference takes these same batches and
+//! transposes them back to [`crate::row::RowBuf`] rows
+//! ([`ColumnBatch::to_rows`]); the equivalence tests drive the columnar
+//! interpreter and the reference over identical inputs and assert
+//! identical answers and meter charges.
 
 use crate::row::{Cell, Row, RowBuf};
 

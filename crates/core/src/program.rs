@@ -5,19 +5,19 @@
 //! is fixed before the first request: which columns each batch carries,
 //! which `Σ_Q` class each column belongs to, which filter checks apply to
 //! which positions, in what order the batches join and on which key
-//! permutations, and where the projection reads its output. The
-//! query-walking operators in `bcq-exec` re-derive all of that per request
-//! (`class_of` lookups, `O(cols²)` shared-column scans, join-order search);
-//! an [`OpProgram`] derives it exactly once, from
+//! permutations, and where the projection reads its output. A
+//! query-walking evaluator (`bcq-exec` keeps one as its differential
+//! reference) re-derives all of that per request (`class_of` lookups,
+//! `O(cols²)` shared-column scans, join-order search); an [`OpProgram`]
+//! derives it exactly once, from
 //! `SpcQuery + Sigma +` the per-atom batch column layouts (which the access
 //! schema determines through the plan's anchor steps).
 //!
 //! ## Instruction set
 //!
 //! A program is a small set of flat, position-resolved tables — there is no
-//! bytecode, just vectors the interpreter (`run_program` /
-//! `run_program_partials` in `bcq-exec`) walks without ever consulting the
-//! query again:
+//! bytecode, just vectors the columnar interpreter (`bcq_exec::pipeline`)
+//! walks without ever consulting the query again:
 //!
 //! * **Pins** ([`PinSource`]): every constant and parameter slot the query
 //!   mentions, deduplicated. The interpreter resolves each pin to an
@@ -46,11 +46,11 @@
 //! The interpreter must be fed batches whose column layouts match the
 //! `atom_cols` the program was compiled for, and a binding for **every**
 //! parameter slot ([`OpProgram::slots`]). Unlike the query-walking
-//! `FilterAtom` oracle — where an unbound placeholder is *inert* (template
+//! reference — whose filter leaves an unbound placeholder *inert* (template
 //! semantics) — a compiled program treats an unbound slot like a
 //! never-interned value and returns the empty answer; every public executor
 //! validates bindings before running, so the difference is unobservable
-//! outside the pipeline's own unit tests.
+//! outside `bcq-exec`'s own unit tests.
 
 use crate::query::{Predicate, QAttr, SpcQuery};
 use crate::sigma::Sigma;
@@ -311,7 +311,8 @@ impl OpProgram {
         };
 
         // Per-atom filters: the explicit predicates resolved to positions,
-        // plus the same-class pairs Σ_Q implies (mirrors `FilterAtom`).
+        // plus the same-class pairs Σ_Q implies (mirrors the reference's
+        // atom filter).
         let mut filters: Vec<AtomFilter> = vec![AtomFilter::default(); n];
         for (atom, filter) in filters.iter_mut().enumerate() {
             let cols = &atom_cols[atom];

@@ -20,19 +20,18 @@
 //!   points in Figure 5.
 //!
 //! The data plane is the shared [`crate::pipeline`]: the baseline only
-//! chooses *access paths* ([`crate::pipeline::FetchSource`]); filtering,
-//! joining, projecting, and all metering are the same operators `evalDQ`
-//! uses.
+//! chooses *access paths* (table scan or full index postings, fetched
+//! column-major); filtering, joining, projecting, and all metering are the
+//! same interpreter `evalDQ` runs. [`baseline_interpreted`] swaps that tail
+//! for the query-walking reference — same fetches, same charges — as the
+//! differential oracle.
 
-use crate::pipeline::{
-    filter_program_columnar, run_join_pipeline, run_program_columnar_prefiltered,
-    semijoin_program_columnar, Batch, BudgetExhausted, ExecContext, Fetch, FetchSource, FilterAtom,
-    SemiJoin,
-};
+use crate::pipeline::{run_query_columnar, BudgetExhausted, ExecContext, Fetch, FetchSource};
+use crate::reference;
 use crate::results::ResultSet;
 use bcq_core::access::AccessSchema;
 use bcq_core::error::Result;
-use bcq_core::prelude::{ColumnBatch, OpProgram, QAttr, RowBuf, SpcQuery, Value};
+use bcq_core::prelude::{ColumnBatch, QAttr, RowBuf, SpcQuery, Value};
 use bcq_core::sigma::Sigma;
 use bcq_storage::{Database, Meter};
 use std::time::{Duration, Instant};
@@ -133,10 +132,10 @@ pub fn baseline(
     baseline_impl(db, q, a, opts, true)
 }
 
-/// [`baseline`] through the query-walking operators instead of a compiled
+/// [`baseline`] with the query-walking reference instead of a compiled
 /// program — the differential-testing oracle. Semantically identical
-/// (access-path choice is shared; only the filter/semijoin/join/project
-/// tail differs in how it derives its shape).
+/// (access-path choice and fetching are shared; only the
+/// filter/semijoin/join/project tail differs in how it derives its shape).
 pub fn baseline_interpreted(
     db: &Database,
     q: &SpcQuery,
@@ -185,11 +184,7 @@ fn baseline_impl(
         })
         .collect();
 
-    // The compiled path fetches straight into columnar batches
-    // ([`Fetch::run_columns`]); the oracle keeps row-major batches. Charges
-    // are identical — only the materialized layout differs.
-    let mut batches: Vec<Batch> = Vec::new();
-    let mut col_batches: Vec<ColumnBatch> = Vec::new();
+    let mut batches: Vec<ColumnBatch> = Vec::with_capacity(q.num_atoms());
     #[allow(clippy::needless_range_loop)]
     for atom in 0..q.num_atoms() {
         let rel = q.relation_of(atom);
@@ -254,65 +249,27 @@ fn baseline_impl(
                     .collect(),
             },
         };
-        let fetch = Fetch { atom, cols, source };
-        let fetched = if compiled {
-            fetch.run_columns(&mut ctx).map(|b| col_batches.push(b))
-        } else {
-            fetch.run(&mut ctx).map(|b| batches.push(b))
-        };
-        if fetched.is_err() {
-            return Ok(BaselineOutcome::DidNotFinish {
-                meter: ctx.meter,
-                elapsed: start.elapsed(),
-            });
+        match (Fetch { atom, cols, source }).run_columns(&mut ctx) {
+            Ok(batch) => batches.push(batch),
+            Err(BudgetExhausted) => {
+                return Ok(BaselineOutcome::DidNotFinish {
+                    meter: ctx.meter,
+                    elapsed: start.elapsed(),
+                });
+            }
         }
     }
 
-    // The baseline is the ad-hoc competitor, so its programs are compiled
+    // The baseline is the ad-hoc competitor, so its program is compiled
     // per call (for prepared queries the serving layer compiles once and
-    // reuses); the interpreted oracle path keeps the query-walking
-    // operators instead.
-    //
-    // Order fidelity: the query-walking join picks its order from the
-    // batch sizes *after* atom-local filtering (and, in IndexJoin mode,
-    // after the semijoin prune). To charge the same intermediate work —
-    // budget verdicts included — the compiled path filters and prunes
-    // first (neither charges the meter except semijoin drops, identically
-    // on both paths), reschedules the join from the post-prune sizes, and
-    // then runs the prefiltered interpreter so the rows are not scanned a
-    // second time.
+    // reuses). IndexJoin mode: re-fetching atoms lazily through join-key
+    // indices is approximated by pre-restricting candidates with
+    // semijoins; the join itself is the shared interpreter either way.
+    let semijoin = opts.mode == BaselineMode::IndexJoin;
     let joined = if compiled {
-        let mut prog = OpProgram::compile(q, &sigma, &needed_cols, None);
-        filter_program_columnar(&prog, &ctx, &mut col_batches);
-        if opts.mode == BaselineMode::IndexJoin {
-            semijoin_program_columnar(&prog, &mut col_batches, &mut ctx);
-        }
-        let sizes: Vec<u128> = col_batches.iter().map(|b| b.len() as u128).collect();
-        prog.reschedule_joins(&sizes);
-        run_program_columnar_prefiltered(&prog, col_batches, &mut ctx)
+        run_query_columnar(q, &sigma, &needed_cols, batches, semijoin, &mut ctx)
     } else {
-        // IndexJoin mode: re-fetching atoms lazily through join-key
-        // indices is approximated by pre-restricting candidates with
-        // semi-joins; the join itself is the shared pipeline either way.
-        // Atom-local filters run first so rows that cannot survive anyway
-        // do not feed the semi-join key sets and inflate its pruning
-        // accounting (the pipeline re-applies the filter afterwards,
-        // which is free and idempotent).
-        if opts.mode == BaselineMode::IndexJoin {
-            let filter = FilterAtom {
-                query: q,
-                sigma: &sigma,
-            };
-            for batch in &mut batches {
-                filter.apply(&ctx, batch);
-            }
-            SemiJoin {
-                query: q,
-                sigma: &sigma,
-            }
-            .apply(&mut batches, &mut ctx);
-        }
-        run_join_pipeline(q, &sigma, batches, &mut ctx)
+        reference::join_project(q, &sigma, &batches, semijoin, &mut ctx)
     };
     match joined {
         Ok(result) => Ok(BaselineOutcome::Completed {
@@ -495,6 +452,43 @@ mod tests {
         // The semi-join pass cannot produce more intermediates than the
         // plain join saved.
         assert!(smart.meter().work() <= plain.meter().work() + 16);
+    }
+
+    #[test]
+    fn index_join_prune_work_counts_against_the_budget() {
+        // Disjoint join values: the two scans touch 20 rows, then the
+        // semijoin passes drop all 10 + 10 candidates — 40 touched rows,
+        // none of them charged by a join step.
+        let cat = Catalog::from_names(&[("r", &["a", "b"]), ("s", &["c", "d"])]).unwrap();
+        let a = AccessSchema::new(Arc::clone(&cat));
+        let mut db = Database::new(Arc::clone(&cat));
+        for i in 0..10 {
+            db.insert("r", &[Value::int(i), Value::int(i)]).unwrap();
+            db.insert("s", &[Value::int(100 + i), Value::int(i)])
+                .unwrap();
+        }
+        let q = SpcQuery::builder(cat, "disjoint")
+            .atom("r", "r")
+            .atom("s", "s")
+            .eq(("r", "b"), ("s", "c"))
+            .project(("r", "a"))
+            .build()
+            .unwrap();
+        for run in [baseline, baseline_interpreted] {
+            let at = |budget| {
+                let opts = BaselineOptions {
+                    mode: BaselineMode::IndexJoin,
+                    work_budget: Some(budget),
+                };
+                run(&db, &q, &a, opts).unwrap()
+            };
+            let tight = at(25);
+            assert!(!tight.finished(), "25 < 40 touched rows must not finish");
+            assert!(tight.meter().work() > 25);
+            let exact = at(40);
+            assert!(exact.result().expect("40 rows fit in 40").is_empty());
+            assert_eq!(exact.meter().work(), 40);
+        }
     }
 
     #[test]

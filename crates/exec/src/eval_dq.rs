@@ -4,8 +4,8 @@
 //! probes one access-constraint index with keys assembled from constants and
 //! earlier steps' columns, materializing at most `bound` witness tuples.
 //! `D_Q` is the union of the fetched sets; the final join/filter/project is
-//! the shared [`crate::pipeline`] and runs entirely on `D_Q`. Total data
-//! accessed is independent of `|D|`.
+//! the shared interpreter in [`crate::pipeline`] and runs entirely on
+//! `D_Q`. Total data accessed is independent of `|D|`.
 //!
 //! Constants are encoded against the database's symbol table *read-only*
 //! ([`bcq_core::symbols::SymbolTable::try_encode`]): a constant whose
@@ -13,9 +13,9 @@
 //! never materialize.
 
 use crate::pipeline::{
-    project_program_flat, run_join_partials, run_program_columnar_impl, Batch, ColumnarScratch,
-    ExecContext, ParamEnv, Project,
+    project_program_flat, run_program_columnar_impl, ColumnarScratch, ExecContext, ParamEnv,
 };
+use crate::reference;
 use crate::results::ResultSet;
 use bcq_core::access::AccessSchema;
 use bcq_core::error::{CoreError, Result};
@@ -83,9 +83,9 @@ pub fn eval_dq(db: &Database, plan: &QueryPlan, a: &AccessSchema) -> Result<Exec
     eval_dq_with(db, plan, a, ParamEnv::empty_ref())
 }
 
-/// [`eval_dq`] through the query-walking operators instead of the compiled
-/// program — the ground-plan differential oracle (see
-/// [`eval_dq_with_interpreted`]).
+/// [`eval_dq`] with the join/filter/project tail run by the query-walking
+/// reference instead of the compiled program — the ground-plan
+/// differential oracle (see [`eval_dq_with_interpreted`]).
 pub fn eval_dq_interpreted(
     db: &Database,
     plan: &QueryPlan,
@@ -112,11 +112,11 @@ pub fn eval_dq_with(
     eval_dq_with_impl(db, plan, a, params, true)
 }
 
-/// [`eval_dq_with`] through the **query-walking operators** instead of the
-/// compiled program — the differential-testing oracle (and the
-/// "interpreted" side of the `ablation/compiled_pipeline` datapoint).
-/// Semantically identical; re-derives the filter checks, join order and
-/// projection map from the query on every call.
+/// [`eval_dq_with`] with the join/filter/project tail run by the
+/// **query-walking reference** instead of the compiled program — the
+/// differential-testing oracle. Same plan, same fetches, semantically
+/// identical; the reference re-derives the filter checks, join order and
+/// projection map from the query on every call, row at a time.
 pub fn eval_dq_with_interpreted(
     db: &Database,
     plan: &QueryPlan,
@@ -225,22 +225,14 @@ fn eval_dq_scratch<P: Probe>(
             }
             r
         } else {
-            let partials = run_join_partials(
+            reference::join_project(
                 plan.query(),
                 plan.sigma(),
-                anchors_to_rows(&anchors[..num_atoms]),
+                &anchors[..num_atoms],
+                false,
                 &mut ctx,
             )
-            .expect("bounded evaluation has no budget");
-            if partials.is_empty() {
-                ResultSet::empty()
-            } else {
-                Project {
-                    query: plan.query(),
-                    sigma: plan.sigma(),
-                }
-                .apply(db.symbols(), &partials)
-            }
+            .expect("bounded evaluation has no budget")
         }
     };
     Ok(ExecOutcome {
@@ -251,8 +243,8 @@ fn eval_dq_scratch<P: Probe>(
 }
 
 /// Outcome of a bounded evaluation stopped **before projection**: the
-/// surviving `Σ_Q` class assignments (see
-/// [`crate::pipeline::run_join_partials`]) plus the access accounting.
+/// surviving `Σ_Q` class assignments — the interpreter's flat partial
+/// buffer, re-boxed one slice per derivation — plus the access accounting.
 #[derive(Debug, Clone)]
 pub struct PartialsOutcome {
     /// One entry per derivation: a cell per `Σ_Q` class (`None` = class
@@ -442,20 +434,6 @@ fn fetch_anchors<P: Probe>(
         std::mem::swap(anchor, &mut fetched[sid]);
     }
     Ok(true)
-}
-
-/// Transposes the anchor batches back to row-major for the query-walking
-/// oracle (the differential slow path; charges were already taken by
-/// [`fetch_anchors`], identically for both executors).
-fn anchors_to_rows(anchors: &[ColumnBatch]) -> Vec<Batch> {
-    anchors
-        .iter()
-        .map(|b| Batch {
-            atom: b.atom(),
-            cols: b.cols().to_vec(),
-            rows: b.to_rows(),
-        })
-        .collect()
 }
 
 /// Enumerates the key tuples of a fetch step into `keys` (cleared first):

@@ -18,11 +18,11 @@
 //! CQs are monotone, so a deletion can only *retract* answers — the
 //! question is which. Each maintained answer carries its **support**: the
 //! number of stored *derivations*, where a derivation is one surviving
-//! `Σ_Q` class assignment from the join pipeline
-//! ([`crate::pipeline::run_join_partials`]), canonicalized to the cells it
-//! pins at each atom's columns (`None` marks a column no fetched batch
-//! constrained — a wildcard, distinct from a column bound to a stored
-//! `Value::Null`). Inserts add support (the delta plans above, collected
+//! `Σ_Q` class assignment of the bounded evaluation stopped before
+//! projection ([`crate::eval_dq::eval_dq_partials`]), canonicalized to the
+//! cells it pins at each atom's columns (`None` marks a column no fetched
+//! batch constrained — a wildcard, distinct from a column bound to a
+//! stored `Value::Null`). Inserts add support (the delta plans above, collected
 //! pre-projection); deleting the **last copy** of a row value subtracts
 //! the support of every derivation consistent with it, and an answer whose
 //! support reaches zero is retracted. Insertion work is bounded like the

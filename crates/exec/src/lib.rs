@@ -8,20 +8,28 @@
 //!   and a work budget reproducing the 2 500 s cap.
 //! * [`eval_ra`] evaluates certified RA expressions boundedly on top of
 //!   [`eval_dq()`].
-//! * [`pipeline`] hosts the **single** physical-operator implementation
-//!   (fetch / filter / hash-join / project over interned row batches, with
-//!   unified metering) that all of the above share. Its hot path is the
-//!   compiled-program interpreter ([`pipeline::run_program`]) over
-//!   [`bcq_core::program::OpProgram`]s; the query-walking operators remain
-//!   as the differential oracle
-//!   ([`eval_dq::eval_dq_interpreted`] / [`baseline::baseline_interpreted`]).
+//! * [`pipeline`] is the **one engine** all of the above share: the
+//!   columnar interpreter of compiled [`bcq_core::program::OpProgram`]s
+//!   (fetch / filter sweeps / join schedule / project over
+//!   [`bcq_core::batch::ColumnBatch`]es, with unified metering and the
+//!   work budget).
+//! * The private `reference` module is the **one reference**: a
+//!   query-walking, row-at-a-time filter → hash-join → project over the
+//!   same batches. It serves nothing; [`eval_dq_interpreted()`] /
+//!   [`eval_dq_with_interpreted()`] / [`baseline_interpreted()`] select it
+//!   so the differential suites can check the engine's join strategies,
+//!   join order and budget accounting on workload-sized inputs, which the
+//!   exponential enumeration oracle in `tests/oracle.rs` cannot reach.
 
 pub mod baseline;
 pub mod eval_dq;
 pub mod incremental;
 pub mod pipeline;
 pub mod ra;
+mod reference;
 pub mod results;
+#[cfg(test)]
+mod test_fixtures;
 pub mod views;
 
 pub use baseline::{
@@ -32,13 +40,7 @@ pub use eval_dq::{
     eval_dq_with_interpreted, ExecOutcome, PartialsOutcome,
 };
 pub use incremental::{DeltaStats, IncrementalAnswer};
-pub use pipeline::{
-    filter_program_batches, filter_program_columnar, project_program, run_join_partials,
-    run_join_pipeline, run_program, run_program_columnar, run_program_columnar_partials,
-    run_program_columnar_prefiltered, run_program_partials, run_program_prefiltered,
-    semijoin_program, semijoin_program_columnar, Batch, BudgetExhausted, ExecContext, Fetch,
-    FetchSource, FilterAtom, HashJoin, ParamEnv, Project, SemiJoin,
-};
+pub use pipeline::{BudgetExhausted, ExecContext, ParamEnv};
 pub use ra::{eval_ra, eval_ra_prepared, PreparedRa, RaOutcome};
 pub use results::ResultSet;
 pub use views::materialize_views;

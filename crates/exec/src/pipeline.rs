@@ -1,46 +1,48 @@
-//! The shared physical-operator pipeline.
+//! The columnar program interpreter: the one engine behind every executor.
 //!
-//! Every executor in this crate — the bounded `evalDQ`, the
-//! conventional-DBMS baseline, and (through `evalDQ`) the RA evaluator —
-//! is a composition of the four operators in this module over batches of
-//! interned rows:
+//! The paper's `evalDQ` (§6) is one algorithm — run the plan `ξ` to fetch
+//! `D_Q`, then evaluate `Q` on `D_Q` — and that second half (filter → join
+//! → project over per-atom candidate batches) is the same job for the
+//! bounded executor, the conventional baseline, RA evaluation and the
+//! incremental delta plans. This module implements it once:
 //!
 //! ```text
-//!   Fetch  →  FilterAtom  →  HashJoin  →  Project
+//!   fetch  →  filter sweeps  →  [semijoin prefilter]  →  join schedule  →  project
 //! ```
 //!
-//! * [`Fetch`] materializes per-atom candidate batches from a table scan,
-//!   an index posting list, or index witness sets — charging the
-//!   [`Meter`] uniformly (this is the only place fetch work is counted).
-//! * [`FilterAtom`] applies the atom-local selection conditions of `Σ_Q`.
-//! * [`HashJoin`] merges the batches on their `Σ_Q` equivalence classes,
-//!   hash-join style, in a greedy shared-classes-first order.
-//! * [`Project`] reads the projection classes and decodes the final
-//!   [`ResultSet`] back to values.
+//! * Candidates arrive as [`ColumnBatch`]es, gathered column-major straight
+//!   off the tables — by `eval_dq`'s plan-driven witness fetches, or by
+//!   this module's `Fetch::run_columns` (table scan / full index postings:
+//!   the baseline's access paths). Fetching is the only place fetch work
+//!   is charged.
+//! * Everything after the fetch is driven by a compiled
+//!   [`bcq_core::program::OpProgram`]: filter checks, join schedule, key
+//!   permutations, semijoin layouts and the projection map were all
+//!   resolved to positions at prepare time, so a request only resolves the
+//!   program's pins to interned cells and then sweeps, hashes and merges
+//!   fixed-width [`Cell`] words. Filters shrink a batch's selection vector
+//!   in place; a join step sweeps the packed key column once per partial
+//!   while the step is small and hashes the batch once it is large;
+//!   partial assignments live in one flat ping-pong buffer; only
+//!   projection touches anything row-shaped.
+//! * The [`ExecContext`] carries the [`Meter`] and the optional work
+//!   budget, so *every* executor meters identically and aborts identically
+//!   on budget exhaustion — the paper's 2 500 s cap, deterministically.
 //!
-//! All rows inside the pipeline are fixed-width [`Cell`] rows: join keys
-//! hash a handful of `u64` words. The [`ExecContext`] carries the meter
-//! and the optional work budget, so *every* executor meters identically
-//! and aborts identically on budget exhaustion — the paper's 2 500 s cap,
-//! deterministically.
+//! ## One engine, one reference
 //!
-//! ## Compiled programs vs the query-walking oracle
-//!
-//! The hot path is the **program interpreter**: [`run_program`] /
-//! [`run_program_partials`] execute a compiled
-//! [`bcq_core::program::OpProgram`] — filter checks, join schedule, key
-//! permutations and projection map all resolved to positions at prepare
-//! time — so a request does zero planning-shaped work. The query-walking
-//! operators ([`FilterAtom`], [`HashJoin`], [`SemiJoin`], [`Project`],
-//! composed by [`run_join_pipeline`]) re-derive that shape from the query
-//! per call; they survive as the **compile-from oracle** the differential
-//! tests compare the interpreter against.
+//! There is no second engine. The only other implementation of
+//! filter/join/project in this crate is the private `reference` module: a
+//! deliberately plain, query-walking, row-at-a-time evaluator over the
+//! same batches and the same context. It serves no request; the
+//! `*_interpreted` entry points select it so the differential suites can
+//! check this interpreter — its hash-join branch, join order and budget
+//! accounting — at workload scale, where the enumeration oracle of
+//! `tests/oracle.rs` cannot go.
 
 use crate::results::ResultSet;
 use bcq_core::fx::FxHashMap;
-use bcq_core::prelude::{
-    Cell, ColumnBatch, OpProgram, Predicate, QAttr, RowBuf, SpcQuery, SymbolTable, Value,
-};
+use bcq_core::prelude::{Cell, ColumnBatch, OpProgram, RowBuf, SpcQuery, SymbolTable, Value};
 use bcq_core::program::{ColAction, PinSource};
 use bcq_core::sigma::Sigma;
 use bcq_storage::{Database, HashIndex, Meter, Table};
@@ -210,43 +212,21 @@ impl<'a> ExecContext<'a> {
         self.check_budget()
     }
 
-    #[inline]
-    fn charge_intermediate(&mut self) -> Result<(), BudgetExhausted> {
-        self.meter.intermediate_rows += 1;
-        self.check_budget()
-    }
-
     /// Charges a whole batch of intermediate rows at once — the columnar
-    /// join's per-bucket boundary. Totals match the row-at-a-time path's
-    /// one-by-one charging exactly; on budget exhaustion only the verdict
-    /// is guaranteed to match (the meter may overshoot by at most one
-    /// bucket, where the row path stops at the first offending row).
+    /// join's per-bucket boundary, and a semijoin pass's dropped rows.
+    /// Totals match the reference's row-by-row charging exactly; on budget
+    /// exhaustion only the verdict is guaranteed to match (the meter may
+    /// overshoot by at most one bucket, where the reference stops at the
+    /// first offending row).
     #[inline]
-    fn charge_intermediate_n(&mut self, n: u64) -> Result<(), BudgetExhausted> {
+    pub(crate) fn charge_intermediate_n(&mut self, n: u64) -> Result<(), BudgetExhausted> {
         self.meter.intermediate_rows += n;
         self.check_budget()
     }
 }
 
-/// Candidate rows for one atom, projected onto `cols`.
-#[derive(Debug, Clone)]
-pub struct Batch {
-    /// The atom these rows instantiate.
-    pub atom: usize,
-    /// Relation columns present in each row (sorted).
-    pub cols: Vec<usize>,
-    /// The rows, projected onto `cols`.
-    pub rows: Vec<RowBuf>,
-}
-
 /// Where a [`Fetch`] gets its rows.
-pub enum FetchSource<'a> {
-    /// Existence probe: one empty row if the table is non-empty
-    /// (plan steps of kind `Any`).
-    Existence {
-        /// The probed table.
-        table: &'a Table,
-    },
+pub(crate) enum FetchSource<'a> {
     /// Full table scan with inline constant filtering. A `None` constant
     /// is a value the symbol table has never seen: no row can match.
     Scan {
@@ -254,16 +234,6 @@ pub enum FetchSource<'a> {
         table: &'a Table,
         /// `(column, required cell)` filters applied during the scan.
         consts: Vec<(usize, Option<Cell>)>,
-    },
-    /// Witness-set lookups: the bounded executor's access path. One probe
-    /// per key; each witness row is charged as one fetched tuple.
-    IndexWitnesses {
-        /// The probed index.
-        index: &'a HashIndex,
-        /// The table the index's row ids point into.
-        table: &'a Table,
-        /// Keys to probe (already interned).
-        keys: Vec<RowBuf>,
     },
     /// Full-postings lookup: what a conventional DBMS reads through a
     /// secondary index — every duplicate, whole tuples. `None` means the
@@ -278,10 +248,11 @@ pub enum FetchSource<'a> {
     },
 }
 
-/// The fetch operator: materializes one batch of candidate rows, charging
-/// the meter per touched row (scans charge `rows_scanned`, index reads
-/// charge `tuples_fetched`, probes charge `index_probes`).
-pub struct Fetch<'a> {
+/// The baseline's fetch operator: materializes one batch of candidate
+/// rows, charging the meter per touched row (scans charge `rows_scanned`,
+/// index reads charge `tuples_fetched`, probes charge `index_probes`).
+/// The bounded executor's witness fetches live in `eval_dq`.
+pub(crate) struct Fetch<'a> {
     /// The atom the batch instantiates.
     pub atom: usize,
     /// Relation columns to project each fetched row onto (borrowed: plans
@@ -292,66 +263,10 @@ pub struct Fetch<'a> {
 }
 
 impl Fetch<'_> {
-    /// Runs the fetch.
-    pub fn run(&self, ctx: &mut ExecContext<'_>) -> Result<Batch, BudgetExhausted> {
-        Ok(Batch {
-            atom: self.atom,
-            cols: self.cols.to_vec(),
-            rows: self.run_rows(ctx)?,
-        })
-    }
-
-    /// Runs the fetch, returning only the projected rows — the bounded
-    /// executor's hot path (it tracks columns through the plan's steps and
-    /// has no use for a per-fetch copy).
-    pub fn run_rows(&self, ctx: &mut ExecContext<'_>) -> Result<Vec<RowBuf>, BudgetExhausted> {
-        let mut rows: Vec<RowBuf> = Vec::new();
-        let project = |row: &[Cell]| -> RowBuf { self.cols.iter().map(|&c| row[c]).collect() };
-        match &self.source {
-            FetchSource::Existence { table } => {
-                if !table.is_empty() {
-                    ctx.charge_fetched()?;
-                    rows.push(RowBuf::new());
-                }
-            }
-            FetchSource::Scan { table, consts } => {
-                // A never-interned constant can match no stored row, but the
-                // scan itself is still charged — a conventional DBMS reads
-                // the table before discovering nothing matches.
-                let matchable = consts.iter().all(|(_, c)| c.is_some());
-                for row in table.rows() {
-                    ctx.charge_scanned()?;
-                    if matchable && consts.iter().all(|(i, c)| Some(row[*i]) == *c) {
-                        rows.push(project(row));
-                    }
-                }
-            }
-            FetchSource::IndexWitnesses { index, table, keys } => {
-                for key in keys {
-                    ctx.meter.index_probes += 1;
-                    for &rid in index.witnesses(key) {
-                        ctx.charge_fetched()?;
-                        rows.push(project(table.row(rid as usize)));
-                    }
-                }
-            }
-            FetchSource::IndexPostings { index, table, key } => {
-                ctx.meter.index_probes += 1;
-                if let Some(key) = key {
-                    for &rid in index.all(key) {
-                        ctx.charge_fetched()?;
-                        rows.push(project(table.row(rid as usize)));
-                    }
-                }
-            }
-        }
-        Ok(rows)
-    }
-
     /// Runs the fetch straight into a column-major batch: matching row ids
-    /// are collected first (charging the meter exactly like [`Fetch::run`]),
-    /// then every projected column is gathered from the table in one
-    /// contiguous pass ([`Table::gather_column`]) — no row materialization.
+    /// are collected first (charging the meter per touched row), then every
+    /// projected column is gathered from the table in one contiguous pass
+    /// ([`Table::gather_column`]) — no row materialization.
     pub fn run_columns(&self, ctx: &mut ExecContext<'_>) -> Result<ColumnBatch, BudgetExhausted> {
         let mut batch = ColumnBatch::new(self.atom, self.cols.to_vec());
         let gather = |table: &Table, rids: &[u32], batch: &mut ColumnBatch| {
@@ -360,12 +275,6 @@ impl Fetch<'_> {
             });
         };
         match &self.source {
-            FetchSource::Existence { table } => {
-                if !table.is_empty() {
-                    ctx.charge_fetched()?;
-                    batch.push_row(&[]);
-                }
-            }
             FetchSource::Scan { table, consts } => {
                 let matchable = consts.iter().all(|(_, c)| c.is_some());
                 let mut rids: Vec<u32> = Vec::new();
@@ -373,17 +282,6 @@ impl Fetch<'_> {
                     ctx.charge_scanned()?;
                     if matchable && consts.iter().all(|(i, c)| Some(row[*i]) == *c) {
                         rids.push(rid as u32);
-                    }
-                }
-                gather(table, &rids, &mut batch);
-            }
-            FetchSource::IndexWitnesses { index, table, keys } => {
-                let mut rids: Vec<u32> = Vec::new();
-                for key in keys {
-                    ctx.meter.index_probes += 1;
-                    for &rid in index.witnesses(key) {
-                        ctx.charge_fetched()?;
-                        rids.push(rid);
                     }
                 }
                 gather(table, &rids, &mut batch);
@@ -403,408 +301,8 @@ impl Fetch<'_> {
     }
 }
 
-/// The atom-local filter operator: applies constant equalities and
-/// same-class attribute equalities of `Σ_Q` over the columns present in a
-/// batch.
-///
-/// Conditions referencing columns that are not present are skipped —
-/// callers must ensure (as `QPlan` anchors and baseline candidate columns
-/// do) that all conditions on the atom are checkable either here or
-/// through class joins.
-pub struct FilterAtom<'q> {
-    /// The query whose conditions are applied.
-    pub query: &'q SpcQuery,
-    /// Its equivalence classes.
-    pub sigma: &'q Sigma,
-}
-
-impl FilterAtom<'_> {
-    /// Filters `batch` in place. Constant equalities, bound-parameter
-    /// equalities (`S[A] = ?p` with `?p` in the context's [`ParamEnv`]),
-    /// and intra-atom attribute equalities are applied; unbound parameters
-    /// stay inert (template semantics).
-    pub fn apply(&self, ctx: &ExecContext<'_>, batch: &mut Batch) {
-        let symbols = ctx.symbols();
-        let q = self.query;
-        let col_pos = |cols: &[usize], col: usize| cols.iter().position(|&c| c == col);
-        // `None` constant: the value was never interned, nothing matches.
-        let mut checks: Vec<(usize, Option<Cell>)> = Vec::new();
-        let mut eqs: Vec<(usize, usize)> = Vec::new();
-        for p in q.predicates() {
-            match p {
-                Predicate::Const(a, v) if a.atom == batch.atom => {
-                    if let Some(i) = col_pos(&batch.cols, a.col) {
-                        checks.push((i, symbols.try_encode(v)));
-                    }
-                }
-                Predicate::Param(a, name) if a.atom == batch.atom => {
-                    if let (Some(i), Some(cell)) =
-                        (col_pos(&batch.cols, a.col), ctx.params.get(name))
-                    {
-                        checks.push((i, cell));
-                    }
-                }
-                Predicate::Eq(a, b) if a.atom == batch.atom && b.atom == batch.atom => {
-                    if let (Some(i), Some(j)) =
-                        (col_pos(&batch.cols, a.col), col_pos(&batch.cols, b.col))
-                    {
-                        eqs.push((i, j));
-                    }
-                }
-                _ => {}
-            }
-        }
-        // Same-class columns within the atom must agree even without an
-        // explicit syntactic equality (e.g. equated transitively through
-        // other atoms — checking early shrinks the join input; the class
-        // merge would catch it anyway).
-        let classes: Vec<_> = batch
-            .cols
-            .iter()
-            .map(|&c| {
-                self.sigma
-                    .class_of_flat(q.flat_id(QAttr::new(batch.atom, c)))
-            })
-            .collect();
-        for i in 0..classes.len() {
-            for j in i + 1..classes.len() {
-                if classes[i] == classes[j] && !eqs.contains(&(i, j)) {
-                    eqs.push((i, j));
-                }
-            }
-        }
-        if checks.is_empty() && eqs.is_empty() {
-            return;
-        }
-        batch.rows.retain(|row| {
-            checks.iter().all(|(i, c)| Some(row[*i]) == *c)
-                && eqs.iter().all(|(i, j)| row[*i] == row[*j])
-        });
-    }
-}
-
-/// The multiway hash-join operator: merges per-atom batches on their `Σ_Q`
-/// equivalence classes. Produces partial assignments of one cell per class
-/// (`None` = class not yet bound).
-pub struct HashJoin<'q> {
-    /// The query being joined.
-    pub query: &'q SpcQuery,
-    /// Its equivalence classes.
-    pub sigma: &'q Sigma,
-}
-
-impl HashJoin<'_> {
-    /// Joins the batches; every produced intermediate row is charged to the
-    /// context's meter (and checked against the budget).
-    ///
-    /// Returns the surviving class assignments, or an empty vector if any
-    /// batch empties out. Batches must already be filtered
-    /// ([`FilterAtom`]); `run_join_pipeline` composes the two.
-    pub fn run(
-        &self,
-        symbols: &SymbolTable,
-        batches: Vec<Batch>,
-        ctx: &mut ExecContext<'_>,
-    ) -> Result<Vec<Box<[Option<Cell>]>>, BudgetExhausted> {
-        let q = self.query;
-        let sigma = self.sigma;
-        debug_assert_eq!(batches.len(), q.num_atoms());
-        if batches.iter().any(|b| b.rows.is_empty()) {
-            return Ok(Vec::new());
-        }
-
-        let nclasses = sigma.num_classes();
-        // Classes bound per atom.
-        let atom_classes: Vec<Vec<usize>> = batches
-            .iter()
-            .map(|b| {
-                b.cols
-                    .iter()
-                    .map(|&c| sigma.class_of_flat(q.flat_id(QAttr::new(b.atom, c))).0)
-                    .collect()
-            })
-            .collect();
-
-        // Greedy join order: start with the smallest candidate set;
-        // repeatedly take the atom sharing the most classes with what is
-        // already bound (ties: smaller candidate set), falling back to a
-        // cross product.
-        let mut order: Vec<usize> = Vec::with_capacity(batches.len());
-        let mut used = vec![false; batches.len()];
-        let mut bound = vec![false; nclasses];
-        // Constants are always bound (checked in filters) — and so are
-        // classes pinned by a bound parameter, which are constants at
-        // execution time; counting them keeps prepared plans choosing the
-        // same join orders as the equivalent ground query.
-        for (i, cls) in sigma.classes().iter().enumerate() {
-            if cls.constant.is_some()
-                || cls
-                    .placeholders
-                    .iter()
-                    .any(|name| matches!(ctx.params.get(name), Some(Some(_))))
-            {
-                bound[i] = true;
-            }
-        }
-        let first = (0..batches.len())
-            .min_by_key(|&i| batches[i].rows.len())
-            .expect("at least one atom");
-        order.push(first);
-        used[first] = true;
-        for &c in &atom_classes[first] {
-            bound[c] = true;
-        }
-        while order.len() < batches.len() {
-            let next = (0..batches.len())
-                .filter(|&i| !used[i])
-                .max_by_key(|&i| {
-                    let shared = atom_classes[i].iter().filter(|&&c| bound[c]).count();
-                    (shared, usize::MAX - batches[i].rows.len())
-                })
-                .expect("unused atom exists");
-            order.push(next);
-            used[next] = true;
-            for &c in &atom_classes[next] {
-                bound[c] = true;
-            }
-        }
-
-        // Partial results: one cell slot per class, seeded with the
-        // constants — and with bound parameters, which are constants at
-        // execution time — so pinned join columns line up across atoms. A
-        // value that was never interned cannot be matched by any row of
-        // the (non-empty, already filtered) batches that carry its class —
-        // but classes whose columns appear in *no* batch must still compare
-        // equal, so bail out to the empty result explicitly. The same bail
-        // applies when a class is pinned to two disagreeing values (a
-        // binding conflicting with a constant or another binding).
-        let mut seed: Box<[Option<Cell>]> = vec![None; nclasses].into_boxed_slice();
-        for (i, cls) in sigma.classes().iter().enumerate() {
-            let mut pinned: Option<Cell> = None;
-            if let Some(v) = &cls.constant {
-                match symbols.try_encode(v) {
-                    Some(cell) => pinned = Some(cell),
-                    None => return Ok(Vec::new()),
-                }
-            }
-            for name in &cls.placeholders {
-                match ctx.params.get(name) {
-                    Some(Some(cell)) => match pinned {
-                        None => pinned = Some(cell),
-                        Some(prev) if prev == cell => {}
-                        Some(_) => return Ok(Vec::new()),
-                    },
-                    Some(None) => return Ok(Vec::new()),
-                    None => {} // unbound placeholder: inert (template semantics)
-                }
-            }
-            seed[i] = pinned;
-        }
-        let mut partials: Vec<Box<[Option<Cell>]>> = vec![seed];
-
-        for &ai in &order {
-            let batch = &batches[ai];
-            let classes = &atom_classes[ai];
-            // Shared classes between current partials and this batch.
-            let shared: Vec<usize> = {
-                let p0 = &partials[0];
-                let mut s: Vec<usize> = classes
-                    .iter()
-                    .copied()
-                    .filter(|&c| p0[c].is_some())
-                    .collect();
-                s.sort_unstable();
-                s.dedup();
-                s
-            };
-            // Positions of the shared classes within this batch's rows.
-            let shared_pos: Vec<usize> = shared
-                .iter()
-                .map(|&c| classes.iter().position(|&k| k == c).expect("shared class"))
-                .collect();
-
-            // Hash the batch rows on the shared classes. Buckets are a
-            // linked list threaded through one `next_row` array (newest
-            // first) — one map + one vector, no per-key allocation.
-            const NIL: u32 = u32::MAX;
-            let mut bucket_head: FxHashMap<RowBuf, u32> = FxHashMap::default();
-            let mut next_row: Vec<u32> = Vec::with_capacity(batch.rows.len());
-            for (ri, row) in batch.rows.iter().enumerate() {
-                let key: RowBuf = shared_pos.iter().map(|&p| row[p]).collect();
-                let head = bucket_head.entry(key).or_insert(NIL);
-                next_row.push(*head);
-                *head = ri as u32;
-            }
-
-            let mut next: Vec<Box<[Option<Cell>]>> = Vec::new();
-            for partial in &partials {
-                let key: RowBuf = shared
-                    .iter()
-                    .map(|&c| partial[c].expect("shared class is bound"))
-                    .collect();
-                let Some(&head) = bucket_head.get(key.as_slice()) else {
-                    continue;
-                };
-                let mut cursor = head;
-                while cursor != NIL {
-                    let ri = cursor as usize;
-                    cursor = next_row[ri];
-                    let row = &batch.rows[ri];
-                    let mut merged = partial.clone();
-                    let mut ok = true;
-                    for (pos, &c) in classes.iter().enumerate() {
-                        match merged[c] {
-                            Some(v) if v != row[pos] => {
-                                ok = false;
-                                break;
-                            }
-                            Some(_) => {}
-                            None => merged[c] = Some(row[pos]),
-                        }
-                    }
-                    if !ok {
-                        continue;
-                    }
-                    ctx.charge_intermediate()?;
-                    next.push(merged);
-                }
-            }
-            partials = next;
-            if partials.is_empty() {
-                return Ok(Vec::new());
-            }
-        }
-        Ok(partials)
-    }
-}
-
-/// The projection operator: reads `π_Z` from the joined class assignments
-/// and decodes the result set (the empty projection yields the empty tuple
-/// — Boolean queries).
-pub struct Project<'q> {
-    /// The query whose projection is read.
-    pub query: &'q SpcQuery,
-    /// Its equivalence classes.
-    pub sigma: &'q Sigma,
-}
-
-impl Project<'_> {
-    /// Decodes the final answer.
-    pub fn apply(&self, symbols: &SymbolTable, partials: &[Box<[Option<Cell>]>]) -> ResultSet {
-        let mut out = Vec::with_capacity(partials.len());
-        for partial in partials {
-            let row: Box<[Value]> = self
-                .query
-                .projection()
-                .iter()
-                .map(|z| {
-                    let c = self.sigma.class_of_flat(self.query.flat_id(*z)).0;
-                    symbols.decode(partial[c].expect("projection class is bound"))
-                })
-                .collect();
-            out.push(row);
-        }
-        ResultSet::from_rows(out)
-    }
-}
-
-/// The semi-join reducer used by the baseline's `IndexJoin` mode: for each
-/// batch, drops candidate rows whose join-class values do not appear in any
-/// other batch. Models an optimizer that uses indices on join keys to skip
-/// non-matching rows. Dropped rows are charged as intermediate work.
-pub struct SemiJoin<'q> {
-    /// The query whose join classes drive the reduction.
-    pub query: &'q SpcQuery,
-    /// Its equivalence classes.
-    pub sigma: &'q Sigma,
-}
-
-impl SemiJoin<'_> {
-    /// One full reduction pass over all batch pairs.
-    pub fn apply(&self, batches: &mut [Batch], ctx: &mut ExecContext<'_>) {
-        use bcq_core::fx::FxHashSet;
-        let q = self.query;
-        let sigma = self.sigma;
-        let n = batches.len();
-        for i in 0..n {
-            for j in 0..n {
-                if i == j {
-                    continue;
-                }
-                // Shared classes between atoms i and j.
-                let class_of = |b: &Batch, pos: usize| {
-                    sigma.class_of_flat(q.flat_id(QAttr::new(b.atom, b.cols[pos])))
-                };
-                let mut shared: Vec<(usize, usize)> = Vec::new(); // (pos_i, pos_j)
-                for pi in 0..batches[i].cols.len() {
-                    for pj in 0..batches[j].cols.len() {
-                        if class_of(&batches[i], pi) == class_of(&batches[j], pj) {
-                            shared.push((pi, pj));
-                        }
-                    }
-                }
-                if shared.is_empty() {
-                    continue;
-                }
-                let keys: FxHashSet<RowBuf> = batches[j]
-                    .rows
-                    .iter()
-                    .map(|row| shared.iter().map(|&(_, pj)| row[pj]).collect())
-                    .collect();
-                let before = batches[i].rows.len();
-                batches[i].rows.retain(|row| {
-                    let key: RowBuf = shared.iter().map(|&(pi, _)| row[pi]).collect();
-                    keys.contains(key.as_slice())
-                });
-                ctx.meter.intermediate_rows += (before - batches[i].rows.len()) as u64;
-            }
-        }
-    }
-}
-
-/// The canonical tail of every executor: filter each batch, hash-join on
-/// `Σ_Q` classes, project `Z`. This is the single shared join
-/// implementation — `evalDQ`, the baseline, and the RA evaluator all end
-/// here.
-pub fn run_join_pipeline(
-    q: &SpcQuery,
-    sigma: &Sigma,
-    batches: Vec<Batch>,
-    ctx: &mut ExecContext<'_>,
-) -> Result<ResultSet, BudgetExhausted> {
-    let partials = run_join_partials(q, sigma, batches, ctx)?;
-    if partials.is_empty() {
-        return Ok(ResultSet::empty());
-    }
-    let project = Project { query: q, sigma };
-    Ok(project.apply(ctx.db.symbols(), &partials))
-}
-
-/// The pipeline up to (but excluding) projection: filter each batch, then
-/// hash-join on `Σ_Q` classes, returning the surviving class assignments —
-/// one cell per class, `None` for classes none of the fetched columns
-/// bound. Incremental maintenance consumes these directly: each assignment
-/// is one **derivation** of an answer tuple, the unit support counting
-/// counts.
-pub fn run_join_partials(
-    q: &SpcQuery,
-    sigma: &Sigma,
-    mut batches: Vec<Batch>,
-    ctx: &mut ExecContext<'_>,
-) -> Result<Vec<Box<[Option<Cell>]>>, BudgetExhausted> {
-    let filter = FilterAtom { query: q, sigma };
-    for batch in &mut batches {
-        filter.apply(ctx, batch);
-        if batch.rows.is_empty() {
-            return Ok(Vec::new());
-        }
-    }
-    let join = HashJoin { query: q, sigma };
-    join.run(ctx.db.symbols(), batches, ctx)
-}
-
 // ---------------------------------------------------------------------------
-// The compiled-program interpreter: the per-request hot path.
+// The interpreter: vectorized batch execution over `ColumnBatch`.
 // ---------------------------------------------------------------------------
 
 /// Resolves every pin of a program to an interned cell, once per request.
@@ -822,243 +320,12 @@ fn resolve_pins(prog: &OpProgram, ctx: &ExecContext<'_>) -> Vec<Option<Cell>> {
         .collect()
 }
 
-/// Applies the compiled per-atom filters to every batch:
-/// constant/parameter checks and intra-atom equalities, all pre-resolved
-/// to row positions, with the program's pins resolved **once** for the
-/// whole set. Behaviorally identical to [`FilterAtom`] (asserted by the
-/// pipeline's differential tests), minus the per-request predicate walk
-/// and `O(cols²)` class scan.
-pub fn filter_program_batches(prog: &OpProgram, ctx: &ExecContext<'_>, batches: &mut [Batch]) {
-    let resolved = resolve_pins(prog, ctx);
-    for batch in batches {
-        filter_resolved(prog, &resolved, batch);
-    }
-}
-
-fn filter_resolved(prog: &OpProgram, resolved: &[Option<Cell>], batch: &mut Batch) {
-    let f = &prog.filters[batch.atom];
-    debug_assert_eq!(batch.cols, prog.atom_cols[batch.atom], "batch layout");
-    if f.is_empty() {
-        return;
-    }
-    batch.rows.retain(|row| {
-        f.checks
-            .iter()
-            .all(|&(i, pin)| Some(row[i]) == resolved[pin])
-            && f.eqs.iter().all(|&(i, j)| row[i] == row[j])
-    });
-}
-
-/// Runs the compiled semijoin prefilter: every pass reduces one batch's
-/// candidates to rows whose shared-class key appears in another batch,
-/// using the position pairs hoisted into the program at compile time
-/// (the query-walking [`SemiJoin`] rediscovers them per request in an
-/// `O(cols²)` loop per atom pair). Dropped rows are charged as
-/// intermediate work, exactly like the oracle.
-pub fn semijoin_program(prog: &OpProgram, batches: &mut [Batch], ctx: &mut ExecContext<'_>) {
-    use bcq_core::fx::FxHashSet;
-    for pass in prog.semijoins() {
-        let keys: FxHashSet<RowBuf> = batches[pass.source]
-            .rows
-            .iter()
-            .map(|row| pass.pairs.iter().map(|&(_, pj)| row[pj]).collect())
-            .collect();
-        let target = &mut batches[pass.target];
-        let before = target.rows.len();
-        target.rows.retain(|row| {
-            let key: RowBuf = pass.pairs.iter().map(|&(pi, _)| row[pi]).collect();
-            keys.contains(key.as_slice())
-        });
-        ctx.meter.intermediate_rows += (before - target.rows.len()) as u64;
-    }
-}
-
-/// Decodes the final answer through the program's precompiled projection
-/// map (class per output column — no per-row `class_of` lookups).
-pub fn project_program(
-    prog: &OpProgram,
-    symbols: &SymbolTable,
-    partials: &[Box<[Option<Cell>]>],
-) -> ResultSet {
-    let mut out = Vec::with_capacity(partials.len());
-    for partial in partials {
-        let row: Box<[Value]> = prog
-            .proj_classes
-            .iter()
-            .map(|&c| symbols.decode(partial[c].expect("projection class is bound")))
-            .collect();
-        out.push(row);
-    }
-    ResultSet::from_rows(out)
-}
-
-/// Interprets a compiled program end to end: compiled filters, the
-/// compiled join schedule, compiled projection. The program's contract
-/// (batch layouts matching `atom_cols`, every slot bound) is documented in
-/// [`bcq_core::program`]; batches must arrive indexed by atom
-/// (`batches[i].atom == i`), as every executor produces them.
-pub fn run_program(
-    prog: &OpProgram,
-    batches: Vec<Batch>,
-    ctx: &mut ExecContext<'_>,
-) -> Result<ResultSet, BudgetExhausted> {
-    let partials = run_program_partials(prog, batches, ctx)?;
-    if partials.is_empty() {
-        return Ok(ResultSet::empty());
-    }
-    Ok(project_program(prog, ctx.db.symbols(), &partials))
-}
-
-/// [`run_program`] stopped before projection: the surviving `Σ_Q` class
-/// assignments (the derivations incremental maintenance stores). This is
-/// the compiled counterpart of [`run_join_partials`] — same inputs, same
-/// partials, none of the per-request shape derivation.
-pub fn run_program_partials(
-    prog: &OpProgram,
-    batches: Vec<Batch>,
-    ctx: &mut ExecContext<'_>,
-) -> Result<Vec<Box<[Option<Cell>]>>, BudgetExhausted> {
-    run_program_partials_impl(prog, batches, ctx, true)
-}
-
-/// [`run_program`] for batches the caller already passed through
-/// [`filter_program_batches`]: skips the (idempotent but not free) second
-/// filter pass and goes straight to the seed + join schedule. The
-/// baseline uses this after its filter/prune/reschedule sequence.
-pub fn run_program_prefiltered(
-    prog: &OpProgram,
-    batches: Vec<Batch>,
-    ctx: &mut ExecContext<'_>,
-) -> Result<ResultSet, BudgetExhausted> {
-    let partials = run_program_partials_impl(prog, batches, ctx, false)?;
-    if partials.is_empty() {
-        return Ok(ResultSet::empty());
-    }
-    Ok(project_program(prog, ctx.db.symbols(), &partials))
-}
-
-/// Seeds one partial assignment (one slot per class) from the compiled
-/// pins: `None` means the answer is empty before any row is touched — a
-/// pin resolved to nothing, or two pins of one class disagree.
-fn seed_from_pins(prog: &OpProgram, resolved: &[Option<Cell>]) -> Option<Vec<Option<Cell>>> {
-    let mut seed: Vec<Option<Cell>> = vec![None; prog.num_classes];
-    for sp in &prog.seeds {
-        let mut pinned: Option<Cell> = None;
-        for &pid in &sp.pins {
-            match resolved[pid] {
-                Some(cell) => match pinned {
-                    None => pinned = Some(cell),
-                    Some(prev) if prev == cell => {}
-                    Some(_) => return None,
-                },
-                None => return None,
-            }
-        }
-        seed[sp.class] = pinned;
-    }
-    Some(seed)
-}
-
-fn run_program_partials_impl(
-    prog: &OpProgram,
-    mut batches: Vec<Batch>,
-    ctx: &mut ExecContext<'_>,
-    apply_filters: bool,
-) -> Result<Vec<Box<[Option<Cell>]>>, BudgetExhausted> {
-    debug_assert_eq!(batches.len(), prog.num_atoms);
-    debug_assert!(batches.iter().enumerate().all(|(i, b)| b.atom == i));
-    let resolved = resolve_pins(prog, ctx);
-
-    // Compiled per-atom filters; any batch emptying out empties the answer.
-    for batch in &mut batches {
-        if apply_filters {
-            filter_resolved(prog, &resolved, batch);
-        }
-        if batch.rows.is_empty() {
-            return Ok(Vec::new());
-        }
-    }
-
-    // Seed the class slots from the compiled pins. A pin that resolves to
-    // nothing, or two pins of one class disagreeing, empties the answer
-    // before any row is touched.
-    let Some(seed) = seed_from_pins(prog, &resolved) else {
-        return Ok(Vec::new());
-    };
-    let mut partials: Vec<Box<[Option<Cell>]>> = vec![seed.into_boxed_slice()];
-
-    // The compiled join schedule: batch order, shared classes and key
-    // permutations are all precomputed; each step is pure hashing/merging.
-    for step in &prog.join_steps {
-        let batch = &batches[step.atom];
-        let classes = &prog.col_classes[step.atom];
-
-        // Hash the batch rows on the precompiled key positions (linked-list
-        // buckets through one `next_row` array — no per-key allocation).
-        const NIL: u32 = u32::MAX;
-        let mut bucket_head: FxHashMap<RowBuf, u32> = FxHashMap::default();
-        let mut next_row: Vec<u32> = Vec::with_capacity(batch.rows.len());
-        for (ri, row) in batch.rows.iter().enumerate() {
-            let key: RowBuf = step.shared_pos.iter().map(|&p| row[p]).collect();
-            let head = bucket_head.entry(key).or_insert(NIL);
-            next_row.push(*head);
-            *head = ri as u32;
-        }
-
-        let mut next: Vec<Box<[Option<Cell>]>> = Vec::new();
-        for partial in &partials {
-            let key: RowBuf = step
-                .shared_classes
-                .iter()
-                .map(|&c| partial[c].expect("shared class is bound"))
-                .collect();
-            let Some(&head) = bucket_head.get(key.as_slice()) else {
-                continue;
-            };
-            let mut cursor = head;
-            while cursor != NIL {
-                let ri = cursor as usize;
-                cursor = next_row[ri];
-                let row = &batch.rows[ri];
-                let mut merged = partial.clone();
-                let mut ok = true;
-                for (pos, &c) in classes.iter().enumerate() {
-                    match merged[c] {
-                        Some(v) if v != row[pos] => {
-                            ok = false;
-                            break;
-                        }
-                        Some(_) => {}
-                        None => merged[c] = Some(row[pos]),
-                    }
-                }
-                if !ok {
-                    continue;
-                }
-                ctx.charge_intermediate()?;
-                next.push(merged);
-            }
-        }
-        partials = next;
-        if partials.is_empty() {
-            return Ok(Vec::new());
-        }
-    }
-    Ok(partials)
-}
-
-// ---------------------------------------------------------------------------
-// The columnar interpreter: vectorized batch execution over `ColumnBatch`.
-// ---------------------------------------------------------------------------
-
-/// Columnar [`filter_program_batches`]: the same compiled checks, executed
-/// as predicate sweeps over single columns that shrink each batch's
-/// selection vector in place — no row is ever materialized or moved.
-pub fn filter_program_columnar(
-    prog: &OpProgram,
-    ctx: &ExecContext<'_>,
-    batches: &mut [ColumnBatch],
-) {
+/// Applies the compiled per-atom filters to every batch — constant and
+/// parameter checks and intra-atom equalities, all pre-resolved to column
+/// positions, with the program's pins resolved **once** for the whole set
+/// — as predicate sweeps over single columns that shrink each batch's
+/// selection vector in place; no row is ever materialized or moved.
+fn filter_program_columnar(prog: &OpProgram, ctx: &ExecContext<'_>, batches: &mut [ColumnBatch]) {
     let resolved = resolve_pins(prog, ctx);
     for batch in batches {
         filter_columnar_resolved(prog, &resolved, batch);
@@ -1087,15 +354,17 @@ fn filter_columnar_resolved(prog: &OpProgram, resolved: &[Option<Cell>], batch: 
     }
 }
 
-/// Columnar [`semijoin_program`]: each pass gathers the source batch's
-/// live key cells into a set and sweeps the target's selection vector
-/// against it. Dropped rows are charged as intermediate work, exactly like
-/// the row-at-a-time pass and the query-walking oracle.
-pub fn semijoin_program_columnar(
+/// Runs the compiled semijoin prefilter: each pass gathers the source
+/// batch's live key cells into a set (on the shared-column position pairs
+/// hoisted into the program at compile time) and sweeps the target's
+/// selection vector against it. Dropped rows are charged as intermediate
+/// work and the budget is checked after every pass, exactly like the
+/// reference.
+fn semijoin_program_columnar(
     prog: &OpProgram,
     batches: &mut [ColumnBatch],
     ctx: &mut ExecContext<'_>,
-) {
+) -> Result<(), BudgetExhausted> {
     use bcq_core::fx::FxHashSet;
     for pass in prog.semijoins() {
         let dropped = if let [(pi, pj)] = pass.pairs[..] {
@@ -1145,8 +414,9 @@ pub fn semijoin_program_columnar(
             batches[pass.target].set_sel(keep);
             dropped
         };
-        ctx.meter.intermediate_rows += dropped as u64;
+        ctx.charge_intermediate_n(dropped as u64)?;
     }
+    Ok(())
 }
 
 /// Decodes the flat columnar partial buffer (stride = `num_classes`)
@@ -1174,8 +444,9 @@ pub(crate) fn project_program_flat(
 
 /// Reusable buffers for the columnar interpreter. The serving layer keeps
 /// one per thread (see `eval_dq`), so a steady-state request runs the whole
-/// join schedule without allocating; the public one-shot entry points
-/// create a fresh (empty) scratch per call instead.
+/// join schedule without allocating; the ad-hoc entry
+/// ([`run_query_columnar`]) creates a fresh (empty) scratch per call
+/// instead.
 #[derive(Debug, Default)]
 pub(crate) struct ColumnarScratch {
     resolved: Vec<Option<Cell>>,
@@ -1186,51 +457,38 @@ pub(crate) struct ColumnarScratch {
     chain: Vec<u32>,
 }
 
-/// [`run_program`] over column-major batches — the vectorized hot path.
-/// Answers and meter charges are identical to the row-at-a-time
-/// interpreter and the query-walking oracle (asserted by the
-/// pipeline-equivalence suite); internally partials live in one flat
-/// ping-pong buffer and no intermediate row is ever materialized.
-pub fn run_program_columnar(
-    prog: &OpProgram,
+/// The ad-hoc entry: compiles `q` for batches laid out as `layouts` and
+/// runs it in one call — the per-call baseline's tail (prepared queries
+/// compile once at prepare time and drive [`run_program_columnar_impl`]
+/// themselves). With `semijoin` set, the `IndexJoin` prefilter runs
+/// between the filters and the join.
+///
+/// Order fidelity: the reference picks its join order from the batch
+/// sizes *after* atom-local filtering (and, with `semijoin`, after the
+/// prune). To charge the same intermediate work — budget verdicts
+/// included — filter and prune run first (neither charges the meter
+/// except semijoin drops, identically on both sides), the join is
+/// rescheduled from the surviving sizes, and the interpreter then runs
+/// with its own filter pass off so the rows are not swept a second time.
+pub(crate) fn run_query_columnar(
+    q: &SpcQuery,
+    sigma: &Sigma,
+    layouts: &[Vec<usize>],
     mut batches: Vec<ColumnBatch>,
+    semijoin: bool,
     ctx: &mut ExecContext<'_>,
 ) -> Result<ResultSet, BudgetExhausted> {
+    let mut prog = OpProgram::compile(q, sigma, layouts, None);
+    filter_program_columnar(&prog, ctx, &mut batches);
+    if semijoin {
+        semijoin_program_columnar(&prog, &mut batches, ctx)?;
+    }
+    let sizes: Vec<u128> = batches.iter().map(|b| b.len() as u128).collect();
+    prog.reschedule_joins(&sizes);
     let mut scratch = ColumnarScratch::default();
     let flat =
-        run_program_columnar_impl(prog, &mut batches, ctx, true, &mut scratch, &mut NoProbe)?;
-    Ok(project_program_flat(prog, ctx.db.symbols(), flat))
-}
-
-/// [`run_program_columnar`] stopped before projection, re-boxed per
-/// partial — the boundary where incremental maintenance's derivation
-/// format ([`run_program_partials`]'s) is preserved bit for bit.
-pub fn run_program_columnar_partials(
-    prog: &OpProgram,
-    mut batches: Vec<ColumnBatch>,
-    ctx: &mut ExecContext<'_>,
-) -> Result<Vec<Box<[Option<Cell>]>>, BudgetExhausted> {
-    let mut scratch = ColumnarScratch::default();
-    let flat =
-        run_program_columnar_impl(prog, &mut batches, ctx, true, &mut scratch, &mut NoProbe)?;
-    Ok(flat
-        .chunks_exact(prog.num_classes)
-        .map(|p| p.to_vec().into_boxed_slice())
-        .collect())
-}
-
-/// [`run_program_columnar`] for batches the caller already passed through
-/// [`filter_program_columnar`]: skips the second filter pass (the
-/// baseline's filter/prune/reschedule/run sequence).
-pub fn run_program_columnar_prefiltered(
-    prog: &OpProgram,
-    mut batches: Vec<ColumnBatch>,
-    ctx: &mut ExecContext<'_>,
-) -> Result<ResultSet, BudgetExhausted> {
-    let mut scratch = ColumnarScratch::default();
-    let flat =
-        run_program_columnar_impl(prog, &mut batches, ctx, false, &mut scratch, &mut NoProbe)?;
-    Ok(project_program_flat(prog, ctx.db.symbols(), flat))
+        run_program_columnar_impl(&prog, &mut batches, ctx, false, &mut scratch, &mut NoProbe)?;
+    Ok(project_program_flat(&prog, ctx.db.symbols(), flat))
 }
 
 /// Appends `partial` merged with the batch row `row` onto the flat output
@@ -1555,505 +813,96 @@ pub(crate) fn run_program_columnar_impl<'s, P: Probe>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bcq_core::prelude::{Catalog, SpcQuery};
+    use crate::reference;
+    use crate::test_fixtures::{dummy_db, rows, two_rel_query};
+    use bcq_core::access::AccessSchema;
+    use bcq_core::prelude::{Catalog, RelId};
+    use bcq_telemetry::Profiler;
+    use std::sync::Arc;
 
-    /// A database whose symbol table has the ints 0..1000 available (small
-    /// ints always encode, so an empty database suffices for int-only
-    /// tests).
-    fn dummy_db() -> Database {
-        Database::new(Catalog::from_names(&[("unused", &["x"])]).unwrap())
+    /// A column-major batch over the leading columns, from small-int rows.
+    fn batch(atom: usize, data: &[&[i64]]) -> ColumnBatch {
+        let width = data.first().map_or(0, |r| r.len());
+        ColumnBatch::from_rows(
+            atom,
+            (0..width).collect(),
+            rows(data).iter().map(|r| r.as_slice()),
+        )
     }
 
-    fn two_rel_query() -> SpcQuery {
-        let cat = Catalog::from_names(&[("r", &["a", "b"]), ("s", &["c", "d"])]).unwrap();
-        SpcQuery::builder(cat, "j")
-            .atom("r", "r")
-            .atom("s", "s")
-            .eq(("r", "b"), ("s", "c"))
-            .project(("r", "a"))
-            .project(("s", "d"))
-            .build()
-            .unwrap()
+    fn layouts(batches: &[ColumnBatch]) -> Vec<Vec<usize>> {
+        batches.iter().map(|b| b.cols().to_vec()).collect()
     }
 
-    fn rows(data: &[&[i64]]) -> Vec<RowBuf> {
-        data.iter()
-            .map(|r| {
-                r.iter()
-                    .map(|&v| Cell::from_small_int(v).unwrap())
-                    .collect()
-            })
-            .collect()
+    /// One compiled program through the interpreter, projected — the
+    /// serving path's shape, with the filter pass and the probe selectable.
+    fn interpret<P: Probe>(
+        prog: &OpProgram,
+        mut batches: Vec<ColumnBatch>,
+        ctx: &mut ExecContext<'_>,
+        apply_filters: bool,
+        probe: &mut P,
+    ) -> Result<ResultSet, BudgetExhausted> {
+        let mut scratch = ColumnarScratch::default();
+        let flat =
+            run_program_columnar_impl(prog, &mut batches, ctx, apply_filters, &mut scratch, probe)?;
+        Ok(project_program_flat(prog, ctx.db.symbols(), flat))
+    }
+
+    /// The engine (ad-hoc entry: filter, reschedule on the surviving sizes,
+    /// run — so its join order is the reference's) and the reference over
+    /// the same batches, unbudgeted. Asserts equal answers and equal meters
+    /// and returns them.
+    fn engine_vs_reference(
+        q: &SpcQuery,
+        batches: &[ColumnBatch],
+        semijoin: bool,
+    ) -> (ResultSet, Meter) {
+        let sigma = Sigma::build(q);
+        let db = dummy_db();
+        let mut ectx = ExecContext::new(&db, None);
+        let engine = run_query_columnar(
+            q,
+            &sigma,
+            &layouts(batches),
+            batches.to_vec(),
+            semijoin,
+            &mut ectx,
+        )
+        .unwrap();
+        let mut rctx = ExecContext::new(&db, None);
+        let oracle = reference::join_project(q, &sigma, batches, semijoin, &mut rctx).unwrap();
+        assert_eq!(engine, oracle, "{}: engine vs reference", q.name());
+        assert_eq!(ectx.meter, rctx.meter, "{}: same work charged", q.name());
+        (engine, ectx.meter)
     }
 
     #[test]
-    fn equi_join_on_classes() {
+    fn columnar_program_matches_reference() {
         let q = two_rel_query();
-        let sigma = Sigma::build(&q);
-        let batches = vec![
-            Batch {
-                atom: 0,
-                cols: vec![0, 1],
-                rows: rows(&[&[1, 10], &[2, 20], &[3, 30]]),
-            },
-            Batch {
-                atom: 1,
-                cols: vec![0, 1],
-                rows: rows(&[&[10, 100], &[20, 200], &[99, 999]]),
-            },
+        let batches = [
+            batch(0, &[&[1, 10], &[2, 20], &[3, 30]]),
+            batch(1, &[&[10, 100], &[20, 200], &[99, 999]]),
         ];
-        let db = dummy_db();
-        let mut ctx = ExecContext::new(&db, None);
-        let rs = run_join_pipeline(&q, &sigma, batches, &mut ctx).unwrap();
+        let (rs, _) = engine_vs_reference(&q, &batches, false);
         assert_eq!(rs.len(), 2);
         assert!(rs.contains(&[Value::int(1), Value::int(100)]));
         assert!(rs.contains(&[Value::int(2), Value::int(200)]));
-        assert!(ctx.meter.intermediate_rows >= 2);
-    }
-
-    #[test]
-    fn cross_product_when_no_shared_classes() {
-        let cat = Catalog::from_names(&[("r", &["a"]), ("s", &["b"])]).unwrap();
-        let q = SpcQuery::builder(cat, "x")
-            .atom("r", "r")
-            .atom("s", "s")
-            .project(("r", "a"))
-            .project(("s", "b"))
-            .build()
-            .unwrap();
-        let sigma = Sigma::build(&q);
-        let batches = vec![
-            Batch {
-                atom: 0,
-                cols: vec![0],
-                rows: rows(&[&[1], &[2]]),
-            },
-            Batch {
-                atom: 1,
-                cols: vec![0],
-                rows: rows(&[&[7], &[8]]),
-            },
-        ];
-        let db = dummy_db();
-        let mut ctx = ExecContext::new(&db, None);
-        let rs = run_join_pipeline(&q, &sigma, batches, &mut ctx).unwrap();
-        assert_eq!(rs.len(), 4);
-    }
-
-    #[test]
-    fn budget_aborts() {
-        let cat = Catalog::from_names(&[("r", &["a"]), ("s", &["b"])]).unwrap();
-        let q = SpcQuery::builder(cat, "x")
-            .atom("r", "r")
-            .atom("s", "s")
-            .project(("r", "a"))
-            .project(("s", "b"))
-            .build()
-            .unwrap();
-        let sigma = Sigma::build(&q);
-        let big: Vec<RowBuf> = (0..100)
-            .map(|i| std::iter::once(Cell::from_small_int(i).unwrap()).collect())
-            .collect();
-        let batches = vec![
-            Batch {
-                atom: 0,
-                cols: vec![0],
-                rows: big.clone(),
-            },
-            Batch {
-                atom: 1,
-                cols: vec![0],
-                rows: big,
-            },
-        ];
-        let db = dummy_db();
-        let mut ctx = ExecContext::new(&db, Some(50));
-        let r = run_join_pipeline(&q, &sigma, batches, &mut ctx);
-        assert_eq!(r, Err(BudgetExhausted));
-    }
-
-    #[test]
-    fn filter_applies_constants_and_intra_atom_eqs() {
-        let cat = Catalog::from_names(&[("r", &["a", "b", "c"])]).unwrap();
-        let q = SpcQuery::builder(cat, "f")
-            .atom("r", "r")
-            .eq_const(("r", "a"), 1)
-            .eq(("r", "b"), ("r", "c"))
-            .project(("r", "b"))
-            .build()
-            .unwrap();
-        let sigma = Sigma::build(&q);
-        let mut batch = Batch {
-            atom: 0,
-            cols: vec![0, 1, 2],
-            rows: rows(&[&[1, 5, 5], &[1, 5, 6], &[2, 7, 7]]),
-        };
-        let db = dummy_db();
-        let ctx = ExecContext::new(&db, None);
-        FilterAtom {
-            query: &q,
-            sigma: &sigma,
-        }
-        .apply(&ctx, &mut batch);
-        assert_eq!(batch.rows, rows(&[&[1, 5, 5]]));
-    }
-
-    #[test]
-    fn filter_with_uninterned_string_constant_empties_batch() {
-        let cat = Catalog::from_names(&[("r", &["a"])]).unwrap();
-        let q = SpcQuery::builder(cat, "f")
-            .atom("r", "r")
-            .eq_const(("r", "a"), "never-loaded")
-            .project(("r", "a"))
-            .build()
-            .unwrap();
-        let sigma = Sigma::build(&q);
-        let mut batch = Batch {
-            atom: 0,
-            cols: vec![0],
-            rows: rows(&[&[1], &[2]]),
-        };
-        let db = dummy_db();
-        let ctx = ExecContext::new(&db, None);
-        FilterAtom {
-            query: &q,
-            sigma: &sigma,
-        }
-        .apply(&ctx, &mut batch);
-        assert!(batch.rows.is_empty());
-    }
-
-    #[test]
-    fn boolean_query_yields_empty_tuple() {
-        let cat = Catalog::from_names(&[("r", &["a"])]).unwrap();
-        let q = SpcQuery::builder(cat, "b")
-            .atom("r", "r")
-            .eq_const(("r", "a"), 1)
-            .build()
-            .unwrap();
-        let sigma = Sigma::build(&q);
-        let batches = vec![Batch {
-            atom: 0,
-            cols: vec![0],
-            rows: rows(&[&[1]]),
-        }];
-        let db = dummy_db();
-        let mut ctx = ExecContext::new(&db, None);
-        let rs = run_join_pipeline(&q, &sigma, batches, &mut ctx).unwrap();
-        assert!(rs.as_bool());
-        assert_eq!(rs.rows()[0].len(), 0);
-    }
-
-    #[test]
-    fn empty_candidates_empty_result() {
-        let q = two_rel_query();
-        let sigma = Sigma::build(&q);
-        let batches = vec![
-            Batch {
-                atom: 0,
-                cols: vec![0, 1],
-                rows: Vec::new(),
-            },
-            Batch {
-                atom: 1,
-                cols: vec![0, 1],
-                rows: rows(&[&[1, 2]]),
-            },
-        ];
-        let db = dummy_db();
-        let mut ctx = ExecContext::new(&db, None);
-        let rs = run_join_pipeline(&q, &sigma, batches, &mut ctx).unwrap();
-        assert!(rs.is_empty());
-    }
-
-    #[test]
-    fn fetch_scan_charges_all_rows_and_filters() {
-        let cat = Catalog::from_names(&[("r", &["a", "b"])]).unwrap();
-        let mut db = Database::new(cat);
-        for (a, b) in [(1, 10), (2, 20), (1, 30)] {
-            db.insert("r", &[Value::int(a), Value::int(b)]).unwrap();
-        }
-        let mut ctx = ExecContext::new(&db, None);
-        let want = db.symbols().try_encode(&Value::int(1));
-        let fetch = Fetch {
-            atom: 0,
-            cols: &[0, 1],
-            source: FetchSource::Scan {
-                table: db.table(bcq_core::prelude::RelId(0)),
-                consts: vec![(0, want)],
-            },
-        };
-        let batch = fetch.run(&mut ctx).unwrap();
-        assert_eq!(batch.rows.len(), 2);
-        assert_eq!(ctx.meter.rows_scanned, 3, "whole table charged");
-        assert_eq!(ctx.meter.tuples_fetched, 0);
-    }
-
-    #[test]
-    fn fetch_budget_aborts_mid_scan() {
-        let cat = Catalog::from_names(&[("r", &["a"])]).unwrap();
-        let mut db = Database::new(cat);
-        for i in 0..10 {
-            db.insert("r", &[Value::int(i)]).unwrap();
-        }
-        let mut ctx = ExecContext::new(&db, Some(4));
-        let fetch = Fetch {
-            atom: 0,
-            cols: &[0],
-            source: FetchSource::Scan {
-                table: db.table(bcq_core::prelude::RelId(0)),
-                consts: vec![],
-            },
-        };
-        assert!(matches!(fetch.run(&mut ctx), Err(BudgetExhausted)));
-        assert!(ctx.meter.work() > 4);
-    }
-
-    #[test]
-    fn semi_join_prunes_and_charges() {
-        let q = two_rel_query();
-        let sigma = Sigma::build(&q);
-        let mut batches = vec![
-            Batch {
-                atom: 0,
-                cols: vec![0, 1],
-                rows: rows(&[&[1, 10], &[2, 99]]),
-            },
-            Batch {
-                atom: 1,
-                cols: vec![0, 1],
-                rows: rows(&[&[10, 100]]),
-            },
-        ];
-        let db = dummy_db();
-        let mut ctx = ExecContext::new(&db, None);
-        SemiJoin {
-            query: &q,
-            sigma: &sigma,
-        }
-        .apply(&mut batches, &mut ctx);
-        assert_eq!(
-            batches[0].rows,
-            rows(&[&[1, 10]]),
-            "non-matching row dropped"
-        );
-        assert_eq!(ctx.meter.intermediate_rows, 1);
-    }
-
-    #[test]
-    fn compiled_program_matches_oracle_join() {
-        let q = two_rel_query();
-        let sigma = Sigma::build(&q);
-        let layouts = vec![vec![0, 1], vec![0, 1]];
-        let prog = OpProgram::compile(&q, &sigma, &layouts, None);
-        let make = || {
-            vec![
-                Batch {
-                    atom: 0,
-                    cols: vec![0, 1],
-                    rows: rows(&[&[1, 10], &[2, 20], &[3, 30]]),
-                },
-                Batch {
-                    atom: 1,
-                    cols: vec![0, 1],
-                    rows: rows(&[&[10, 100], &[20, 200], &[99, 999]]),
-                },
-            ]
-        };
-        let db = dummy_db();
-        let mut cctx = ExecContext::new(&db, None);
-        let compiled = run_program(&prog, make(), &mut cctx).unwrap();
-        let mut ictx = ExecContext::new(&db, None);
-        let interpreted = run_join_pipeline(&q, &sigma, make(), &mut ictx).unwrap();
-        assert_eq!(compiled, interpreted);
-        assert_eq!(
-            cctx.meter.intermediate_rows, ictx.meter.intermediate_rows,
-            "same batch sizes, same merge work"
-        );
-    }
-
-    #[test]
-    fn compiled_program_respects_budget() {
-        let q = two_rel_query();
-        let sigma = Sigma::build(&q);
-        let layouts = vec![vec![0, 1], vec![0, 1]];
-        let prog = OpProgram::compile(&q, &sigma, &layouts, None);
-        let big: Vec<RowBuf> = (0..100).map(|i| rows(&[&[i, i]]).pop().unwrap()).collect();
-        let batches = vec![
-            Batch {
-                atom: 0,
-                cols: vec![0, 1],
-                rows: big.clone(),
-            },
-            Batch {
-                atom: 1,
-                cols: vec![0, 1],
-                rows: big,
-            },
-        ];
-        let db = dummy_db();
-        let mut ctx = ExecContext::new(&db, Some(10));
-        assert_eq!(run_program(&prog, batches, &mut ctx), Err(BudgetExhausted));
-    }
-
-    #[test]
-    fn compiled_filter_matches_oracle() {
-        let cat = Catalog::from_names(&[("r", &["a", "b", "c"])]).unwrap();
-        let q = SpcQuery::builder(cat, "f")
-            .atom("r", "r")
-            .eq_const(("r", "a"), 1)
-            .eq(("r", "b"), ("r", "c"))
-            .project(("r", "b"))
-            .build()
-            .unwrap();
-        let sigma = Sigma::build(&q);
-        let prog = OpProgram::compile(&q, &sigma, &[vec![0, 1, 2]], None);
-        let data: &[&[i64]] = &[&[1, 5, 5], &[1, 5, 6], &[2, 7, 7], &[1, 9, 9]];
-        let db = dummy_db();
-        let ctx = ExecContext::new(&db, None);
-
-        let mut compiled = Batch {
-            atom: 0,
-            cols: vec![0, 1, 2],
-            rows: rows(data),
-        };
-        filter_program_batches(&prog, &ctx, std::slice::from_mut(&mut compiled));
-        let mut oracle = Batch {
-            atom: 0,
-            cols: vec![0, 1, 2],
-            rows: rows(data),
-        };
-        FilterAtom {
-            query: &q,
-            sigma: &sigma,
-        }
-        .apply(&ctx, &mut oracle);
-        assert_eq!(compiled.rows, oracle.rows);
-        assert_eq!(compiled.rows, rows(&[&[1, 5, 5], &[1, 9, 9]]));
-    }
-
-    #[test]
-    fn compiled_semijoin_matches_oracle_prefilter() {
-        // The satellite guarantee: the hoisted shared-column layout must
-        // reproduce the query-walking prefilter exactly — same surviving
-        // rows per batch, same intermediate-row charge.
-        let q = two_rel_query();
-        let sigma = Sigma::build(&q);
-        let layouts = vec![vec![0, 1], vec![0, 1]];
-        let prog = OpProgram::compile(&q, &sigma, &layouts, None);
-        let make = || {
-            vec![
-                Batch {
-                    atom: 0,
-                    cols: vec![0, 1],
-                    rows: rows(&[&[1, 10], &[2, 99], &[3, 20], &[4, 20]]),
-                },
-                Batch {
-                    atom: 1,
-                    cols: vec![0, 1],
-                    rows: rows(&[&[10, 100], &[20, 200], &[55, 500]]),
-                },
-            ]
-        };
-        let db = dummy_db();
-        let mut cctx = ExecContext::new(&db, None);
-        let mut compiled = make();
-        semijoin_program(&prog, &mut compiled, &mut cctx);
-        let mut ictx = ExecContext::new(&db, None);
-        let mut oracle = make();
-        SemiJoin {
-            query: &q,
-            sigma: &sigma,
-        }
-        .apply(&mut oracle, &mut ictx);
-        for (c, o) in compiled.iter().zip(&oracle) {
-            assert_eq!(c.rows, o.rows, "atom {}", c.atom);
-        }
-        assert_eq!(cctx.meter.intermediate_rows, ictx.meter.intermediate_rows);
-        // And the pass actually pruned something, in both.
-        assert_eq!(compiled[0].rows.len(), 3);
-        assert_eq!(compiled[1].rows.len(), 2);
-    }
-
-    /// Transposes a row-major test batch into the columnar layout.
-    fn colbatch(b: &Batch) -> ColumnBatch {
-        ColumnBatch::from_rows(b.atom, b.cols.clone(), b.rows.iter().map(|r| r.as_slice()))
-    }
-
-    #[test]
-    fn columnar_program_matches_row_interpreter() {
-        let q = two_rel_query();
-        let sigma = Sigma::build(&q);
-        let layouts = vec![vec![0, 1], vec![0, 1]];
-        let prog = OpProgram::compile(&q, &sigma, &layouts, None);
-        let make = || {
-            vec![
-                Batch {
-                    atom: 0,
-                    cols: vec![0, 1],
-                    rows: rows(&[&[1, 10], &[2, 20], &[3, 30]]),
-                },
-                Batch {
-                    atom: 1,
-                    cols: vec![0, 1],
-                    rows: rows(&[&[10, 100], &[20, 200], &[99, 999]]),
-                },
-            ]
-        };
-        let db = dummy_db();
-        let mut rctx = ExecContext::new(&db, None);
-        let row_rs = run_program(&prog, make(), &mut rctx).unwrap();
-        let mut cctx = ExecContext::new(&db, None);
-        let col_rs =
-            run_program_columnar(&prog, make().iter().map(colbatch).collect(), &mut cctx).unwrap();
-        assert_eq!(col_rs, row_rs);
-        assert_eq!(cctx.meter, rctx.meter, "identical charges");
-        // And the partials boundary preserves the derivation format.
-        let mut pctx = ExecContext::new(&db, None);
-        let col_parts =
-            run_program_columnar_partials(&prog, make().iter().map(colbatch).collect(), &mut pctx)
-                .unwrap();
-        let mut qctx = ExecContext::new(&db, None);
-        let mut row_parts = run_program_partials(&prog, make(), &mut qctx).unwrap();
-        let mut col_sorted = col_parts;
-        col_sorted.sort();
-        row_parts.sort();
-        assert_eq!(col_sorted, row_parts);
     }
 
     #[test]
     fn columnar_join_handles_duplicate_keys() {
         // Duplicate join-key values on both sides (including a fully
         // duplicated row): every pairing must be produced and charged
-        // exactly as the row-at-a-time interpreter does.
+        // exactly as the reference does.
         let q = two_rel_query();
-        let sigma = Sigma::build(&q);
-        let layouts = vec![vec![0, 1], vec![0, 1]];
-        let prog = OpProgram::compile(&q, &sigma, &layouts, None);
-        let make = || {
-            vec![
-                Batch {
-                    atom: 0,
-                    cols: vec![0, 1],
-                    rows: rows(&[&[1, 10], &[2, 10], &[2, 10], &[3, 20]]),
-                },
-                Batch {
-                    atom: 1,
-                    cols: vec![0, 1],
-                    rows: rows(&[&[10, 100], &[10, 200], &[20, 300]]),
-                },
-            ]
-        };
-        let db = dummy_db();
-        let mut rctx = ExecContext::new(&db, None);
-        let row_rs = run_program(&prog, make(), &mut rctx).unwrap();
-        let mut cctx = ExecContext::new(&db, None);
-        let col_rs =
-            run_program_columnar(&prog, make().iter().map(colbatch).collect(), &mut cctx).unwrap();
-        assert_eq!(col_rs, row_rs);
-        assert_eq!(cctx.meter, rctx.meter);
+        let batches = [
+            batch(0, &[&[1, 10], &[2, 10], &[2, 10], &[3, 20]]),
+            batch(1, &[&[10, 100], &[10, 200], &[20, 300]]),
+        ];
+        let (_, meter) = engine_vs_reference(&q, &batches, false);
         // 3 rows key 10 × 2 matches + 1 row key 20 × 1 match, both steps.
-        assert!(cctx.meter.intermediate_rows >= 7);
+        assert!(meter.intermediate_rows >= 7);
     }
 
     #[test]
@@ -2061,17 +910,10 @@ mod tests {
         let q = two_rel_query();
         let sigma = Sigma::build(&q);
         let prog = OpProgram::compile(&q, &sigma, &[vec![0, 1], vec![0, 1]], None);
-        let batches = vec![
-            ColumnBatch::new(0, vec![0, 1]),
-            colbatch(&Batch {
-                atom: 1,
-                cols: vec![0, 1],
-                rows: rows(&[&[10, 100]]),
-            }),
-        ];
+        let batches = vec![ColumnBatch::new(0, vec![0, 1]), batch(1, &[&[10, 100]])];
         let db = dummy_db();
         let mut ctx = ExecContext::new(&db, None);
-        let rs = run_program_columnar(&prog, batches, &mut ctx).unwrap();
+        let rs = interpret(&prog, batches, &mut ctx, true, &mut NoProbe).unwrap();
         assert!(rs.is_empty());
         assert_eq!(ctx.meter.intermediate_rows, 0, "nothing joined");
     }
@@ -2090,24 +932,20 @@ mod tests {
             .unwrap();
         let sigma = Sigma::build(&q);
         let prog = OpProgram::compile(&q, &sigma, &[vec![0, 1]], None);
-        let mut batch = colbatch(&Batch {
-            atom: 0,
-            cols: vec![0, 1],
-            rows: rows(&[&[1, 10], &[2, 20]]),
-        });
+        let mut filtered = batch(0, &[&[1, 10], &[2, 20]]);
         let db = dummy_db();
         let ctx = ExecContext::new(&db, None);
-        filter_program_columnar(&prog, &ctx, std::slice::from_mut(&mut batch));
-        assert!(batch.is_empty());
-        assert_eq!(batch.total_rows(), 2, "columns untouched");
+        filter_program_columnar(&prog, &ctx, std::slice::from_mut(&mut filtered));
+        assert!(filtered.is_empty());
+        assert_eq!(filtered.total_rows(), 2, "columns untouched");
         let mut ctx = ExecContext::new(&db, None);
-        let rs = run_program_columnar(&prog, vec![batch], &mut ctx).unwrap();
+        let rs = interpret(&prog, vec![filtered], &mut ctx, true, &mut NoProbe).unwrap();
         assert!(rs.is_empty());
         assert_eq!(ctx.meter.intermediate_rows, 0);
     }
 
     #[test]
-    fn columnar_filter_matches_oracle() {
+    fn columnar_filter_matches_reference() {
         let cat = Catalog::from_names(&[("r", &["a", "b", "c"])]).unwrap();
         let q = SpcQuery::builder(cat, "f")
             .atom("r", "r")
@@ -2118,67 +956,46 @@ mod tests {
             .unwrap();
         let sigma = Sigma::build(&q);
         let prog = OpProgram::compile(&q, &sigma, &[vec![0, 1, 2]], None);
-        let data: &[&[i64]] = &[&[1, 5, 5], &[1, 5, 6], &[2, 7, 7], &[1, 9, 9]];
+        let candidates = batch(0, &[&[1, 5, 5], &[1, 5, 6], &[2, 7, 7], &[1, 9, 9]]);
         let db = dummy_db();
         let ctx = ExecContext::new(&db, None);
-        let mut columnar = colbatch(&Batch {
-            atom: 0,
-            cols: vec![0, 1, 2],
-            rows: rows(data),
-        });
+        let mut columnar = candidates.clone();
         filter_program_columnar(&prog, &ctx, std::slice::from_mut(&mut columnar));
-        let mut oracle = Batch {
-            atom: 0,
-            cols: vec![0, 1, 2],
-            rows: rows(data),
-        };
-        FilterAtom {
-            query: &q,
-            sigma: &sigma,
-        }
-        .apply(&ctx, &mut oracle);
-        assert_eq!(columnar.to_rows(), oracle.rows);
+        assert_eq!(columnar.to_rows(), rows(&[&[1, 5, 5], &[1, 9, 9]]));
         assert_eq!(columnar.sel(), &[0, 3], "selection keeps original indices");
+        let (rs, _) = engine_vs_reference(&q, &[candidates], false);
+        assert_eq!(rs.len(), 2);
     }
 
     #[test]
-    fn columnar_semijoin_matches_row_semijoin() {
+    fn columnar_semijoin_matches_reference() {
+        // The hoisted shared-column layout must reproduce the
+        // query-walking prefilter exactly: same answer, same charge for
+        // the rows it drops, same join work on what survives.
         let q = two_rel_query();
+        let batches = [
+            batch(0, &[&[1, 10], &[2, 99], &[3, 20], &[4, 20]]),
+            batch(1, &[&[10, 100], &[20, 200], &[55, 500]]),
+        ];
+        let (rs, _) = engine_vs_reference(&q, &batches, true);
+        assert_eq!(rs.len(), 3);
+        // And the pass actually pruned something: one row from each side.
         let sigma = Sigma::build(&q);
-        let layouts = vec![vec![0, 1], vec![0, 1]];
-        let prog = OpProgram::compile(&q, &sigma, &layouts, None);
-        let make = || {
-            vec![
-                Batch {
-                    atom: 0,
-                    cols: vec![0, 1],
-                    rows: rows(&[&[1, 10], &[2, 99], &[3, 20], &[4, 20]]),
-                },
-                Batch {
-                    atom: 1,
-                    cols: vec![0, 1],
-                    rows: rows(&[&[10, 100], &[20, 200], &[55, 500]]),
-                },
-            ]
-        };
+        let prog = OpProgram::compile(&q, &sigma, &layouts(&batches), None);
         let db = dummy_db();
-        let mut rctx = ExecContext::new(&db, None);
-        let mut row_batches = make();
-        semijoin_program(&prog, &mut row_batches, &mut rctx);
-        let mut cctx = ExecContext::new(&db, None);
-        let mut col_batches: Vec<ColumnBatch> = make().iter().map(colbatch).collect();
-        semijoin_program_columnar(&prog, &mut col_batches, &mut cctx);
-        for (c, r) in col_batches.iter().zip(&row_batches) {
-            assert_eq!(c.to_rows(), r.rows, "atom {}", c.atom());
-        }
-        assert_eq!(cctx.meter.intermediate_rows, rctx.meter.intermediate_rows);
+        let mut ctx = ExecContext::new(&db, None);
+        let mut pruned = batches.to_vec();
+        semijoin_program_columnar(&prog, &mut pruned, &mut ctx).unwrap();
+        assert_eq!((pruned[0].len(), pruned[1].len()), (3, 2));
+        assert_eq!(ctx.meter.intermediate_rows, 2);
     }
 
     #[test]
-    fn columnar_dup_class_sweep_matches_merge_conflicts() {
+    fn columnar_dup_class_sweep_matches_reference() {
         // An unfiltered batch with an intra-atom repeated class reaches the
-        // join (prefiltered entry point): the selection sweep must drop
-        // exactly the rows the row-at-a-time merge rejects, uncharged.
+        // join (filter pass off): the selection sweep must drop exactly the
+        // rows the reference's filter and class-walk merge reject,
+        // uncharged.
         let cat = Catalog::from_names(&[("r", &["a", "b"])]).unwrap();
         let q = SpcQuery::builder(cat, "dup")
             .atom("r", "r")
@@ -2188,28 +1005,17 @@ mod tests {
             .unwrap();
         let sigma = Sigma::build(&q);
         let prog = OpProgram::compile(&q, &sigma, &[vec![0, 1]], None);
-        let make = || {
-            vec![Batch {
-                atom: 0,
-                cols: vec![0, 1],
-                rows: rows(&[&[1, 1], &[1, 2], &[3, 3]]),
-            }]
-        };
+        let batches = [batch(0, &[&[1, 1], &[1, 2], &[3, 3]])];
         let db = dummy_db();
+        let mut ectx = ExecContext::new(&db, None);
+        let engine = interpret(&prog, batches.to_vec(), &mut ectx, false, &mut NoProbe).unwrap();
         let mut rctx = ExecContext::new(&db, None);
-        let row_rs = run_program_prefiltered(&prog, make(), &mut rctx).unwrap();
-        let mut cctx = ExecContext::new(&db, None);
-        let col_rs = run_program_columnar_prefiltered(
-            &prog,
-            make().iter().map(colbatch).collect(),
-            &mut cctx,
-        )
-        .unwrap();
-        assert_eq!(col_rs, row_rs);
-        assert_eq!(col_rs.len(), 2);
-        assert_eq!(cctx.meter, rctx.meter);
+        let oracle = reference::join_project(&q, &sigma, &batches, false, &mut rctx).unwrap();
+        assert_eq!(engine, oracle);
+        assert_eq!(engine.len(), 2);
+        assert_eq!(ectx.meter, rctx.meter);
         assert_eq!(
-            cctx.meter.intermediate_rows, 2,
+            ectx.meter.intermediate_rows, 2,
             "conflict row never charged"
         );
     }
@@ -2218,60 +1024,21 @@ mod tests {
     fn columnar_program_respects_budget() {
         let q = two_rel_query();
         let sigma = Sigma::build(&q);
-        let layouts = vec![vec![0, 1], vec![0, 1]];
-        let prog = OpProgram::compile(&q, &sigma, &layouts, None);
-        let big: Vec<RowBuf> = (0..100).map(|i| rows(&[&[i, i]]).pop().unwrap()).collect();
-        let batches: Vec<ColumnBatch> = [
-            Batch {
-                atom: 0,
-                cols: vec![0, 1],
-                rows: big.clone(),
-            },
-            Batch {
-                atom: 1,
-                cols: vec![0, 1],
-                rows: big,
-            },
-        ]
-        .iter()
-        .map(colbatch)
-        .collect();
+        let prog = OpProgram::compile(&q, &sigma, &[vec![0, 1], vec![0, 1]], None);
+        let big: Vec<[i64; 2]> = (0..100).map(|i| [i, i]).collect();
+        let big: Vec<&[i64]> = big.iter().map(|r| r.as_slice()).collect();
+        let batches = vec![batch(0, &big), batch(1, &big)];
         let db = dummy_db();
         let mut ctx = ExecContext::new(&db, Some(10));
         assert_eq!(
-            run_program_columnar(&prog, batches, &mut ctx),
+            interpret(&prog, batches, &mut ctx, true, &mut NoProbe),
             Err(BudgetExhausted)
         );
         assert!(ctx.meter.work() > 10);
     }
 
     #[test]
-    fn columnar_fetch_matches_row_fetch() {
-        let cat = Catalog::from_names(&[("r", &["a", "b"])]).unwrap();
-        let mut db = Database::new(cat);
-        for (a, b) in [(1, 10), (2, 20), (1, 30)] {
-            db.insert("r", &[Value::int(a), Value::int(b)]).unwrap();
-        }
-        let want = db.symbols().try_encode(&Value::int(1));
-        let make_fetch = || Fetch {
-            atom: 0,
-            cols: &[1, 0],
-            source: FetchSource::Scan {
-                table: db.table(bcq_core::prelude::RelId(0)),
-                consts: vec![(0, want)],
-            },
-        };
-        let mut rctx = ExecContext::new(&db, None);
-        let row_batch = make_fetch().run(&mut rctx).unwrap();
-        let mut cctx = ExecContext::new(&db, None);
-        let col_batch = make_fetch().run_columns(&mut cctx).unwrap();
-        assert_eq!(col_batch.to_rows(), row_batch.rows);
-        assert_eq!(col_batch.cols(), &[1, 0][..], "projection permutes");
-        assert_eq!(cctx.meter, rctx.meter);
-    }
-
-    #[test]
-    fn compiled_uninterned_constant_empties_like_oracle() {
+    fn uninterned_constant_empties_like_reference() {
         let cat = Catalog::from_names(&[("r", &["a"])]).unwrap();
         let q = SpcQuery::builder(cat, "f")
             .atom("r", "r")
@@ -2279,16 +1046,158 @@ mod tests {
             .project(("r", "a"))
             .build()
             .unwrap();
-        let sigma = Sigma::build(&q);
-        let prog = OpProgram::compile(&q, &sigma, &[vec![0]], None);
-        let batches = vec![Batch {
-            atom: 0,
-            cols: vec![0],
-            rows: rows(&[&[1], &[2]]),
-        }];
-        let db = dummy_db();
-        let mut ctx = ExecContext::new(&db, None);
-        let rs = run_program(&prog, batches, &mut ctx).unwrap();
+        let (rs, _) = engine_vs_reference(&q, &[batch(0, &[&[1], &[2]])], false);
         assert!(rs.is_empty());
+    }
+
+    /// The join step's strategy is a function of (partials × live rows)
+    /// against [`LINEAR_SWEEP_LIMIT`]; no workload-sized input is needed
+    /// to reach the hash branch, only one just past the limit. Runs a
+    /// two-atom join at the largest `n × n` that still sweeps and at the
+    /// next `n`, on a one-column and on a two-column key, duplicate keys
+    /// on both sides, and holds both against the reference. The recorded
+    /// step labels pin which branch ran, so moving the constant cannot
+    /// silently take the hash branch out of coverage.
+    #[test]
+    fn join_strategy_switches_at_the_sweep_limit() {
+        let sweeps = (1..)
+            .take_while(|n| n * n <= LINEAR_SWEEP_LIMIT)
+            .last()
+            .unwrap();
+        let cat = Catalog::from_names(&[("r", &["a", "b", "c"]), ("s", &["d", "e", "f"])]).unwrap();
+        for two_column_key in [false, true] {
+            let mut b = SpcQuery::builder(Arc::clone(&cat), "limit")
+                .atom("r", "r")
+                .atom("s", "s")
+                .eq(("r", "b"), ("s", "d"));
+            if two_column_key {
+                b = b.eq(("r", "c"), ("s", "e"));
+            }
+            let q = b.project(("r", "a")).project(("s", "f")).build().unwrap();
+            let sigma = Sigma::build(&q);
+            for (n, strategy) in [(sweeps, "sweep"), (sweeps + 1, "hash")] {
+                let r: Vec<[i64; 3]> = (0..n as i64).map(|i| [i, i % 7, i % 3]).collect();
+                let s: Vec<[i64; 3]> = (0..n as i64).map(|i| [i % 7, i % 3, i]).collect();
+                let r: Vec<&[i64]> = r.iter().map(|x| x.as_slice()).collect();
+                let s: Vec<&[i64]> = s.iter().map(|x| x.as_slice()).collect();
+                let batches = [batch(0, &r), batch(1, &s)];
+                let prog = OpProgram::compile(&q, &sigma, &layouts(&batches), None);
+                let db = dummy_db();
+
+                let mut profiler = Profiler::new();
+                let mut ectx = ExecContext::new(&db, None);
+                let engine =
+                    interpret(&prog, batches.to_vec(), &mut ectx, true, &mut profiler).unwrap();
+                let joins: Vec<String> = profiler
+                    .finish(0)
+                    .steps
+                    .into_iter()
+                    .filter(|s| s.kind == StepKind::Join)
+                    .map(|s| s.label)
+                    .collect();
+                assert_eq!(joins.len(), 2, "{joins:?}");
+                assert!(joins[0].ends_with(" cross"), "{joins:?}");
+                assert!(
+                    joins[1].ends_with(&format!("parts={n} {strategy}")),
+                    "n={n}: {joins:?}"
+                );
+
+                let mut rctx = ExecContext::new(&db, None);
+                let oracle =
+                    reference::join_project(&q, &sigma, &batches, false, &mut rctx).unwrap();
+                assert_eq!(engine, oracle, "n={n} {strategy}");
+                assert!(engine.len() > n, "duplicate keys fan out");
+                assert_eq!(ectx.meter.intermediate_rows, rctx.meter.intermediate_rows);
+            }
+        }
+    }
+
+    /// `r(a, b)` = (1,10), (2,20), (1,30) with an index on `a`.
+    fn fetch_db() -> (Database, AccessSchema) {
+        let cat = Catalog::from_names(&[("r", &["a", "b"])]).unwrap();
+        let mut a = AccessSchema::new(Arc::clone(&cat));
+        a.add("r", &["a"], &["b"], 8).unwrap();
+        let mut db = Database::new(cat);
+        for (x, y) in [(1, 10), (2, 20), (1, 30)] {
+            db.insert("r", &[Value::int(x), Value::int(y)]).unwrap();
+        }
+        db.build_indexes(&a);
+        (db, a)
+    }
+
+    #[test]
+    fn fetch_scan_charges_all_rows_and_filters() {
+        let (db, _) = fetch_db();
+        let mut ctx = ExecContext::new(&db, None);
+        let fetch = Fetch {
+            atom: 0,
+            cols: &[1, 0],
+            source: FetchSource::Scan {
+                table: db.table(RelId(0)),
+                consts: vec![(0, db.symbols().try_encode(&Value::int(1)))],
+            },
+        };
+        let fetched = fetch.run_columns(&mut ctx).unwrap();
+        assert_eq!(fetched.to_rows(), rows(&[&[10, 1], &[30, 1]]));
+        assert_eq!(fetched.cols(), &[1, 0][..], "projection permutes");
+        assert_eq!(ctx.meter.rows_scanned, 3, "whole table charged");
+        assert_eq!(ctx.meter.tuples_fetched, 0);
+    }
+
+    #[test]
+    fn fetch_budget_aborts_mid_scan() {
+        let cat = Catalog::from_names(&[("r", &["a"])]).unwrap();
+        let mut db = Database::new(cat);
+        for i in 0..10 {
+            db.insert("r", &[Value::int(i)]).unwrap();
+        }
+        let mut ctx = ExecContext::new(&db, Some(4));
+        let fetch = Fetch {
+            atom: 0,
+            cols: &[0],
+            source: FetchSource::Scan {
+                table: db.table(RelId(0)),
+                consts: vec![],
+            },
+        };
+        assert!(matches!(fetch.run_columns(&mut ctx), Err(BudgetExhausted)));
+        assert!(ctx.meter.work() > 4);
+    }
+
+    #[test]
+    fn fetch_index_postings_charges_matches_only() {
+        let (db, a) = fetch_db();
+        let index = db
+            .index_for(a.constraint(a.for_relation(RelId(0))[0]))
+            .unwrap();
+        let key_of = |v: i64| -> Option<RowBuf> {
+            Some(std::iter::once(db.symbols().try_encode(&Value::int(v))?).collect())
+        };
+        // (key, rows fetched): a hit with a duplicate key value, a key no
+        // row carries, and a key holding a never-interned constant.
+        for (key, want) in [
+            (key_of(1), rows(&[&[1, 10], &[1, 30]])),
+            (key_of(7), Vec::new()),
+            (None, Vec::new()),
+        ] {
+            let mut ctx = ExecContext::new(&db, None);
+            let fetch = Fetch {
+                atom: 0,
+                cols: &[0, 1],
+                source: FetchSource::IndexPostings {
+                    index,
+                    table: db.table(RelId(0)),
+                    key,
+                },
+            };
+            let fetched = fetch.run_columns(&mut ctx).unwrap();
+            assert_eq!(fetched.to_rows(), want);
+            let charged = Meter {
+                tuples_fetched: want.len() as u64,
+                index_probes: 1,
+                ..Meter::new()
+            };
+            assert_eq!(ctx.meter, charged, "one probe, postings only");
+        }
     }
 }

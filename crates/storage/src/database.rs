@@ -252,22 +252,6 @@ impl Database {
         self.cow_clones
     }
 
-    /// A deep copy that clones **every** shard's table and indices — the
-    /// write cost the pre-sharding monolithic store paid on every
-    /// copy-on-write. Kept as the baseline the write-amplification bench
-    /// compares sharded writes against.
-    pub fn clone_monolithic(&self) -> Database {
-        let mut db = self.clone();
-        db.symbols = Arc::new((*self.symbols).clone());
-        for shard in &mut db.shards {
-            let copy = (**shard).clone();
-            db.cow_cells += copy.clone_cells();
-            db.cow_clones += 1;
-            *shard = Arc::new(copy);
-        }
-        db
-    }
-
     /// Bumps the commit counter and returns the touched shard for mutation,
     /// stamping its epoch — the single funnel every write path goes
     /// through. Clones the shard iff an outstanding clone/snapshot still
@@ -1116,25 +1100,6 @@ mod tests {
             db.value_rows(RelId(1)).last().unwrap(),
             vec![Value::str("u0"), Value::str("brand-new")]
         );
-    }
-
-    #[test]
-    fn clone_monolithic_copies_every_shard() {
-        let mut db = Database::new(photos());
-        db.insert("friends", &[Value::int(1), Value::int(2)])
-            .unwrap();
-        db.insert("in_album", &[Value::int(7), Value::int(8)])
-            .unwrap();
-        let copy = db.clone_monolithic();
-        for rel in 0..db.num_relations() {
-            assert!(!Arc::ptr_eq(db.shard(RelId(rel)), copy.shard(RelId(rel))));
-        }
-        assert_eq!(
-            copy.cow_cells_cloned() - db.cow_cells_cloned(),
-            4,
-            "two 2-cell rows copied"
-        );
-        assert_eq!(copy.total_tuples(), db.total_tuples());
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! * [`storage`] — in-memory tables and constraint indices
 //!   over interned rows, `D |= A` validation, constraint discovery.
 //! * [`exec`] — the bounded executor `evalDQ`, the
-//!   conventional-DBMS baseline, and the shared physical-operator
-//!   pipeline ([`bcq_exec::pipeline`]) both run on.
+//!   conventional-DBMS baseline, and the columnar program interpreter
+//!   ([`bcq_exec::pipeline`]) both run on.
 //! * [`service`] — the prepared-query serving layer: compile
 //!   a template once, cache the plan, execute per request against epoch
 //!   snapshots under admission control.
@@ -82,9 +82,9 @@ pub mod prelude {
     pub use bcq_core::prelude::*;
     pub use bcq_exec::{
         baseline, baseline_interpreted, eval_dq, eval_dq_interpreted, eval_dq_partials,
-        eval_dq_with, eval_dq_with_interpreted, eval_ra, materialize_views, run_program,
-        run_program_partials, BaselineMode, BaselineOptions, BaselineOutcome, DeltaStats,
-        ExecOutcome, IncrementalAnswer, ParamEnv, PartialsOutcome, RaOutcome, ResultSet,
+        eval_dq_with, eval_dq_with_interpreted, eval_ra, materialize_views, BaselineMode,
+        BaselineOptions, BaselineOutcome, DeltaStats, ExecOutcome, IncrementalAnswer, ParamEnv,
+        PartialsOutcome, RaOutcome, ResultSet,
     };
     pub use bcq_service::{
         trace_thread, AdmissionPolicy, BudgetVerdict, DirLog, DurabilityConfig, Lane, LaneKind,

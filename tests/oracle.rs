@@ -112,6 +112,47 @@ fn oracle_agrees_on_example_1() {
     assert_eq!(as_sorted_rows(slow.result().unwrap()), expected);
 }
 
+/// The randomized cases below stay under 10 rows per table, where every
+/// join step is a linear sweep. Two 64-row relations over a 4-value join
+/// column put 64 partials against 64 live rows — past the interpreter's
+/// sweep limit — so the from-scratch oracle also sees its hash-join
+/// branch, through both executors.
+#[test]
+fn oracle_agrees_on_a_hash_sized_join() {
+    let catalog = Catalog::from_names(&[("r", &["a", "b"]), ("s", &["c", "d"])]).unwrap();
+    let mut a = AccessSchema::new(catalog.clone());
+    a.add("r", &[], &["a", "b"], 64).unwrap();
+    a.add("s", &[], &["c", "d"], 64).unwrap();
+    let q = SpcQuery::builder(catalog.clone(), "fanout")
+        .atom("r", "r")
+        .atom("s", "s")
+        .eq(("r", "b"), ("s", "c"))
+        .project(("r", "a"))
+        .project(("s", "d"))
+        .build()
+        .unwrap();
+    let mut db = Database::new(catalog);
+    for i in 0..64 {
+        db.insert("r", &[Value::int(i), Value::int(i % 4)]).unwrap();
+        db.insert("s", &[Value::int(i % 4), Value::int(i)]).unwrap();
+    }
+    db.build_indexes(&a);
+
+    let expected = naive_spc(&db, &q);
+    assert_eq!(expected.len(), 64 * 16);
+    let plan = qplan(&q, &a).unwrap();
+    let (fast, profile) =
+        bounded_cq::exec::eval_dq_profiled(&db, &plan, &a, ParamEnv::empty_ref()).unwrap();
+    assert!(
+        profile.steps.iter().any(|s| s.label.ends_with(" hash")),
+        "the join must be hash-sized:\n{}",
+        profile.render()
+    );
+    assert_eq!(as_sorted_rows(&fast.result), expected);
+    let slow = baseline(&db, &q, &a, BaselineOptions::default()).unwrap();
+    assert_eq!(as_sorted_rows(slow.result().unwrap()), expected);
+}
+
 // ---------------------------------------------------------------------
 // Randomized oracle comparison (mirrors proptest_invariants' generators,
 // but the assertion target is the from-scratch evaluator above).

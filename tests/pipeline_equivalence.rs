@@ -1,28 +1,30 @@
-//! Three-executor equivalence over the shared operator pipeline, and
+//! Three-executor equivalence over the shared interpreter, and
 //! compiled ≡ interpreted equivalence within each executor.
 //!
 //! `evalDQ`, the conventional baseline (all modes), and the RA evaluator
 //! are different *access-path planners* over the same
-//! `bcq_exec::pipeline` operators; on every effectively bounded workload
+//! `bcq_exec::pipeline` engine; on every effectively bounded workload
 //! query they must produce identical `ResultSet`s. This is the guard rail
 //! for the single-join-implementation invariant: a bug in the shared
 //! filter/join/project shows up as three-way agreement on a wrong answer
 //! (covered by the independent oracle in `tests/oracle.rs`), while a
 //! divergence between executors can only come from the access-path layer.
 //!
-//! Since the pipeline's hot path became the **compiled-program
-//! interpreter** (`OpProgram` + `run_program`), every executor here is
-//! additionally checked against its **query-walking oracle**
-//! (`eval_dq_interpreted` / `baseline_interpreted`): same batches, the
-//! shape derived at compile time vs re-derived per request, identical
-//! answers and identical fetch accounting — across all three workloads and
-//! a proptest over random queries, data and parameter bindings.
+//! The engine is the **columnar interpreter of compiled programs**
+//! (`OpProgram`), so every executor here is additionally checked against
+//! the **query-walking reference** (`eval_dq_interpreted` /
+//! `baseline_interpreted`): same column batches, the shape derived at
+//! compile time vs re-derived per request, vectorized vs row at a time —
+//! identical answers and identical accounting, across all three workloads
+//! and a proptest over random queries, data and parameter bindings. The
+//! baseline pair fetches identically and schedules its joins from the same
+//! post-filter sizes, so its **whole** `Meter` must agree; `FullScan` mode
+//! is the full-table-candidates case (every atom's whole relation enters
+//! the filters).
 
 use bounded_cq::core::ra::RaExpr;
-use bounded_cq::core::sigma::Sigma;
 use bounded_cq::exec::{
-    baseline_interpreted, eval_dq_interpreted, eval_dq_with_interpreted, eval_ra, run_program,
-    run_program_columnar, Batch, ExecContext,
+    baseline_interpreted, eval_dq_interpreted, eval_dq_with_interpreted, eval_ra,
 };
 use bounded_cq::prelude::*;
 
@@ -74,20 +76,14 @@ fn check_dataset(ds: &Dataset, scale: f64) {
                 "{}: compiled vs interpreted baseline {mode:?}",
                 wq.query.name()
             );
+            // The whole meter: fetching is shared, and the compiled join
+            // order is chosen from the same post-filter/post-prune sizes
+            // the oracle uses, so intermediate work — and with it every
+            // budget verdict — cannot diverge between the two baselines.
             assert_eq!(
-                oracle.meter().tuples_fetched,
-                out.meter().tuples_fetched,
-                "{}: compiled baseline {mode:?} fetches differently",
-                wq.query.name()
-            );
-            // Intermediate work must match too — the compiled join order
-            // is chosen from the same post-filter/post-prune sizes the
-            // oracle uses, so budget verdicts cannot diverge between the
-            // compiled and interpreted baselines.
-            assert_eq!(
-                oracle.meter().intermediate_rows,
-                out.meter().intermediate_rows,
-                "{}: compiled baseline {mode:?} charges different intermediate work",
+                oracle.meter(),
+                out.meter(),
+                "{}: compiled baseline {mode:?} charges differently",
                 wq.query.name()
             );
         }
@@ -117,83 +113,9 @@ fn check_dataset(ds: &Dataset, scale: f64) {
     );
 }
 
-/// Columnar ≡ row-at-a-time over the **same compiled program and the same
-/// candidate batches**: full-table candidates per atom, one `OpProgram`,
-/// both interpreters. Unlike the executor-level checks above (where the
-/// query-walking oracle may pick a different join order), the join order
-/// here is shared, so the *entire* meter — `tuples_fetched`,
-/// `rows_scanned` and `intermediate_rows` — must agree, not just the
-/// answer.
-fn check_program_layouts(ds: &Dataset, scale: f64) {
-    let db = ds.build(scale);
-    let mut checked = 0usize;
-    for wq in ds.effectively_bounded_queries() {
-        let q = &wq.query;
-        if q.has_placeholders() {
-            continue;
-        }
-        let sigma = Sigma::build(q);
-        if !sigma.is_satisfiable() {
-            continue;
-        }
-        let layouts: Vec<Vec<usize>> = (0..q.num_atoms())
-            .map(|atom| (0..q.arity_of(atom)).collect())
-            .collect();
-        let prog = OpProgram::compile(q, &sigma, &layouts, None);
-        let row_batches: Vec<Batch> = (0..q.num_atoms())
-            .map(|atom| Batch {
-                atom,
-                cols: layouts[atom].clone(),
-                rows: db
-                    .table(q.relation_of(atom))
-                    .rows()
-                    .map(|r| r.iter().copied().collect())
-                    .collect(),
-            })
-            .collect();
-        let col_batches: Vec<ColumnBatch> = (0..q.num_atoms())
-            .map(|atom| {
-                ColumnBatch::from_rows(
-                    atom,
-                    layouts[atom].clone(),
-                    db.table(q.relation_of(atom)).rows(),
-                )
-            })
-            .collect();
-        let mut rctx = ExecContext::new(&db, None);
-        let row_rs = run_program(&prog, row_batches, &mut rctx).unwrap();
-        let mut cctx = ExecContext::new(&db, None);
-        let col_rs = run_program_columnar(&prog, col_batches, &mut cctx).unwrap();
-        assert_eq!(col_rs, row_rs, "{}: columnar vs row program", q.name());
-        assert_eq!(
-            cctx.meter,
-            rctx.meter,
-            "{}: columnar program charges differently",
-            q.name()
-        );
-        checked += 1;
-    }
-    assert!(checked > 0, "{}: no ground bounded queries ran", ds.name);
-}
-
 #[test]
 fn tfacc_three_executors_agree() {
     check_dataset(&bounded_cq::workload::tfacc::dataset(), 0.05);
-}
-
-#[test]
-fn tfacc_columnar_program_matches_row_program() {
-    check_program_layouts(&bounded_cq::workload::tfacc::dataset(), 0.05);
-}
-
-#[test]
-fn mot_columnar_program_matches_row_program() {
-    check_program_layouts(&bounded_cq::workload::mot::dataset(), 0.05);
-}
-
-#[test]
-fn tpch_columnar_program_matches_row_program() {
-    check_program_layouts(&bounded_cq::workload::tpch::dataset(), 0.1);
 }
 
 #[test]
@@ -379,54 +301,12 @@ proptest! {
                 i.result().unwrap(),
                 "baseline {:?} compiled vs interpreted", mode
             );
-            prop_assert_eq!(c.meter().tuples_fetched, i.meter().tuples_fetched);
-            prop_assert_eq!(
-                c.meter().intermediate_rows,
-                i.meter().intermediate_rows,
-                "baseline {:?} intermediate work diverges", mode
-            );
+            prop_assert_eq!(c.meter(), i.meter(), "baseline {:?} meters diverge", mode);
             prop_assert_eq!(
                 c.result().unwrap(),
                 &compiled.result,
                 "baseline {:?} vs prepared bounded answer", mode
             );
-        }
-
-        // Program-level: the same compiled program over the same full-table
-        // candidate batches, columnar vs row-at-a-time interpreter. Shared
-        // join order means the entire meter must agree.
-        let sigma = Sigma::build(&ground);
-        if sigma.is_satisfiable() {
-            let layouts: Vec<Vec<usize>> = (0..ground.num_atoms())
-                .map(|atom| (0..ground.arity_of(atom)).collect())
-                .collect();
-            let prog = OpProgram::compile(&ground, &sigma, &layouts, None);
-            let row_batches: Vec<bounded_cq::exec::Batch> = (0..ground.num_atoms())
-                .map(|atom| bounded_cq::exec::Batch {
-                    atom,
-                    cols: layouts[atom].clone(),
-                    rows: db
-                        .table(ground.relation_of(atom))
-                        .rows()
-                        .map(|r| r.iter().copied().collect())
-                        .collect(),
-                })
-                .collect();
-            let col_batches: Vec<ColumnBatch> = (0..ground.num_atoms())
-                .map(|atom| {
-                    ColumnBatch::from_rows(
-                        atom,
-                        layouts[atom].clone(),
-                        db.table(ground.relation_of(atom)).rows(),
-                    )
-                })
-                .collect();
-            let mut rctx = ExecContext::new(&db, None);
-            let row_rs = run_program(&prog, row_batches, &mut rctx).unwrap();
-            let mut cctx = ExecContext::new(&db, None);
-            let col_rs = run_program_columnar(&prog, col_batches, &mut cctx).unwrap();
-            prop_assert_eq!(col_rs, row_rs, "columnar vs row program");
-            prop_assert_eq!(cctx.meter, rctx.meter, "columnar program meters differently");
         }
     }
 }
