@@ -258,7 +258,7 @@ fn incremental_vs_full(c: &mut Criterion) {
     // full scan (O(|store|) per deleted atom) — identical retractions,
     // counted and asserted below.
     let mut deleted_db = db.clone();
-    assert!(deleted_db.delete_maintained("lineitem", &row).unwrap());
+    assert!(deleted_db.delete("lineitem", &row).unwrap().is_some());
     group.bench_function("delta_delete_indexed", |b| {
         b.iter(|| {
             let mut inc = base_answer.clone();
@@ -322,7 +322,7 @@ fn retraction_index_scaling(c: &mut Criterion) {
         .collect();
     let mut deleted_db = db.clone();
     for v in &victims {
-        assert!(deleted_db.delete_maintained("r", v).unwrap());
+        assert!(deleted_db.delete("r", v).unwrap().is_some());
     }
 
     let mut group = c.benchmark_group("ablation/retraction_index");

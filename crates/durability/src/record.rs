@@ -27,7 +27,7 @@ pub enum RecordBody {
         /// Pooled integer.
         value: i64,
     },
-    /// Bulk-path insert.
+    /// Row insert (indices maintained).
     Insert {
         /// Commit stamp.
         commit: u64,
@@ -36,16 +36,7 @@ pub enum RecordBody {
         /// Raw cell words of the row.
         cells: Vec<u64>,
     },
-    /// Maintained insert.
-    InsertMaintained {
-        /// Commit stamp.
-        commit: u64,
-        /// Touched relation index.
-        rel: u32,
-        /// Raw cell words of the row.
-        cells: Vec<u64>,
-    },
-    /// Bulk-path delete of one copy.
+    /// Delete of one copy (indices maintained).
     Delete {
         /// Commit stamp.
         commit: u64,
@@ -54,33 +45,15 @@ pub enum RecordBody {
         /// Raw cell words of the row.
         cells: Vec<u64>,
     },
-    /// Maintained delete of one copy.
-    DeleteMaintained {
-        /// Commit stamp.
-        commit: u64,
-        /// Touched relation index.
-        rel: u32,
-        /// Raw cell words of the row.
-        cells: Vec<u64>,
-    },
-    /// A bulk load began (one commit for all following bulk rows).
+    /// A bulk load began (one commit for all following bulk chunks).
     BulkBegin {
         /// Commit stamp.
         commit: u64,
         /// Relation being loaded.
         rel: u32,
     },
-    /// One row of the in-progress bulk load.
-    BulkRow {
-        /// Relation being loaded.
-        rel: u32,
-        /// Raw cell words of the row.
-        cells: Vec<u64>,
-    },
     /// One chunk of the in-progress bulk load: `rows` rows stored row-major
-    /// back to back in `cells` — the bulk-ingest fast path's amortized
-    /// record (one frame per chunk instead of one [`RecordBody::BulkRow`]
-    /// per row).
+    /// back to back in `cells` (one frame per chunk, however many rows).
     BulkChunk {
         /// Relation being loaded.
         rel: u32,
@@ -117,105 +90,23 @@ pub struct WalRecord {
     pub body: RecordBody,
 }
 
-impl RecordBody {
-    /// The owned form of a borrowed [`WalOp`].
-    pub fn from_op(op: &WalOp<'_>) -> RecordBody {
-        let cells_of = |cells: &[bcq_core::prelude::Cell]| cells.iter().map(|c| c.raw()).collect();
-        match *op {
-            WalOp::InternStr { id, text } => RecordBody::InternStr {
-                id,
-                text: text.to_string(),
-            },
-            WalOp::InternWide { id, value } => RecordBody::InternWide { id, value },
-            WalOp::Insert { commit, rel, cells } => RecordBody::Insert {
-                commit,
-                rel: rel.0 as u32,
-                cells: cells_of(cells),
-            },
-            WalOp::InsertMaintained { commit, rel, cells } => RecordBody::InsertMaintained {
-                commit,
-                rel: rel.0 as u32,
-                cells: cells_of(cells),
-            },
-            WalOp::Delete { commit, rel, cells } => RecordBody::Delete {
-                commit,
-                rel: rel.0 as u32,
-                cells: cells_of(cells),
-            },
-            WalOp::DeleteMaintained { commit, rel, cells } => RecordBody::DeleteMaintained {
-                commit,
-                rel: rel.0 as u32,
-                cells: cells_of(cells),
-            },
-            WalOp::BulkBegin { commit, rel } => RecordBody::BulkBegin {
-                commit,
-                rel: rel.0 as u32,
-            },
-            WalOp::BulkRow { rel, cells } => RecordBody::BulkRow {
-                rel: rel.0 as u32,
-                cells: cells_of(cells),
-            },
-            WalOp::BulkChunk { rel, rows, cells } => RecordBody::BulkChunk {
-                rel: rel.0 as u32,
-                rows,
-                cells: cells_of(cells),
-            },
-            WalOp::BulkEnd { rel } => RecordBody::BulkEnd { rel: rel.0 as u32 },
-            WalOp::EnsureIndex { commit, rel, x, y } => RecordBody::EnsureIndex {
-                commit,
-                rel: rel.0 as u32,
-                x: x.iter().map(|&c| c as u32).collect(),
-                y: y.iter().map(|&c| c as u32).collect(),
-            },
-        }
-    }
-
-    /// The relation stream this record belongs to, or `None` for the
-    /// `meta` (interning) stream.
-    pub fn rel(&self) -> Option<u32> {
-        match *self {
-            RecordBody::InternStr { .. } | RecordBody::InternWide { .. } => None,
-            RecordBody::Insert { rel, .. }
-            | RecordBody::InsertMaintained { rel, .. }
-            | RecordBody::Delete { rel, .. }
-            | RecordBody::DeleteMaintained { rel, .. }
-            | RecordBody::BulkBegin { rel, .. }
-            | RecordBody::BulkRow { rel, .. }
-            | RecordBody::BulkChunk { rel, .. }
-            | RecordBody::BulkEnd { rel }
-            | RecordBody::EnsureIndex { rel, .. } => Some(rel),
-        }
-    }
-
-    /// The commit stamp, for records that represent a commit bump.
-    pub fn commit(&self) -> Option<u64> {
-        match *self {
-            RecordBody::Insert { commit, .. }
-            | RecordBody::InsertMaintained { commit, .. }
-            | RecordBody::Delete { commit, .. }
-            | RecordBody::DeleteMaintained { commit, .. }
-            | RecordBody::BulkBegin { commit, .. }
-            | RecordBody::EnsureIndex { commit, .. } => Some(commit),
-            RecordBody::InternStr { .. }
-            | RecordBody::InternWide { .. }
-            | RecordBody::BulkRow { .. }
-            | RecordBody::BulkChunk { .. }
-            | RecordBody::BulkEnd { .. } => None,
-        }
-    }
-}
-
 const KIND_INTERN_STR: u8 = 1;
 const KIND_INTERN_WIDE: u8 = 2;
-const KIND_INSERT: u8 = 3;
-const KIND_INSERT_MAINTAINED: u8 = 4;
-const KIND_DELETE: u8 = 5;
-const KIND_DELETE_MAINTAINED: u8 = 6;
+const KIND_INSERT: u8 = 4;
+const KIND_DELETE: u8 = 6;
 const KIND_BULK_BEGIN: u8 = 7;
-const KIND_BULK_ROW: u8 = 8;
 const KIND_ENSURE_INDEX: u8 = 9;
 const KIND_BULK_END: u8 = 10;
 const KIND_BULK_CHUNK: u8 = 11;
+
+/// Tags of record kinds no writer emits any more. They keep their numbers
+/// so a log that still holds one is refused by name instead of being
+/// misread as a surviving kind.
+const RETIRED_KINDS: [(u8, &str); 3] = [
+    (3, "index-dropping Insert"),
+    (5, "index-dropping Delete"),
+    (8, "per-row BulkRow"),
+];
 
 /// A decode failure: the frame passed its CRC but its payload does not
 /// parse — a codec bug or version skew, never silently skippable.
@@ -298,9 +189,9 @@ fn take_cols(r: &mut Reader<'_>) -> Result<Vec<u32>, DecodeError> {
 }
 
 /// Serializes `op` under sequence number `seq` straight onto `out` — the
-/// write path's allocation-free twin of [`RecordBody::from_op`] followed
-/// by [`WalRecord::encode`]. Byte-for-byte parity between the two paths
-/// is pinned by a test, so recovery decodes either identically.
+/// write path's allocation-free twin of [`WalRecord::encode`] on the
+/// owned mirror of `op`. Byte-for-byte parity between the two encoders is
+/// pinned by a test, so recovery decodes either identically.
 pub fn encode_op_into(seq: u64, op: &WalOp<'_>, out: &mut Vec<u8>) {
     let put_cell_slice = |out: &mut Vec<u8>, cells: &[bcq_core::prelude::Cell]| {
         out.extend_from_slice(&(cells.len() as u32).to_le_bytes());
@@ -333,20 +224,8 @@ pub fn encode_op_into(seq: u64, op: &WalOp<'_>, out: &mut Vec<u8>) {
             out.extend_from_slice(&(rel.0 as u32).to_le_bytes());
             put_cell_slice(out, cells);
         }
-        WalOp::InsertMaintained { commit, rel, cells } => {
-            out.push(KIND_INSERT_MAINTAINED);
-            out.extend_from_slice(&commit.to_le_bytes());
-            out.extend_from_slice(&(rel.0 as u32).to_le_bytes());
-            put_cell_slice(out, cells);
-        }
         WalOp::Delete { commit, rel, cells } => {
             out.push(KIND_DELETE);
-            out.extend_from_slice(&commit.to_le_bytes());
-            out.extend_from_slice(&(rel.0 as u32).to_le_bytes());
-            put_cell_slice(out, cells);
-        }
-        WalOp::DeleteMaintained { commit, rel, cells } => {
-            out.push(KIND_DELETE_MAINTAINED);
             out.extend_from_slice(&commit.to_le_bytes());
             out.extend_from_slice(&(rel.0 as u32).to_le_bytes());
             put_cell_slice(out, cells);
@@ -355,11 +234,6 @@ pub fn encode_op_into(seq: u64, op: &WalOp<'_>, out: &mut Vec<u8>) {
             out.push(KIND_BULK_BEGIN);
             out.extend_from_slice(&commit.to_le_bytes());
             out.extend_from_slice(&(rel.0 as u32).to_le_bytes());
-        }
-        WalOp::BulkRow { rel, cells } => {
-            out.push(KIND_BULK_ROW);
-            out.extend_from_slice(&(rel.0 as u32).to_le_bytes());
-            put_cell_slice(out, cells);
         }
         WalOp::BulkChunk { rel, rows, cells } => {
             out.push(KIND_BULK_CHUNK);
@@ -404,20 +278,8 @@ impl WalRecord {
                 out.extend_from_slice(&rel.to_le_bytes());
                 put_cells(&mut out, cells);
             }
-            RecordBody::InsertMaintained { commit, rel, cells } => {
-                out.push(KIND_INSERT_MAINTAINED);
-                out.extend_from_slice(&commit.to_le_bytes());
-                out.extend_from_slice(&rel.to_le_bytes());
-                put_cells(&mut out, cells);
-            }
             RecordBody::Delete { commit, rel, cells } => {
                 out.push(KIND_DELETE);
-                out.extend_from_slice(&commit.to_le_bytes());
-                out.extend_from_slice(&rel.to_le_bytes());
-                put_cells(&mut out, cells);
-            }
-            RecordBody::DeleteMaintained { commit, rel, cells } => {
-                out.push(KIND_DELETE_MAINTAINED);
                 out.extend_from_slice(&commit.to_le_bytes());
                 out.extend_from_slice(&rel.to_le_bytes());
                 put_cells(&mut out, cells);
@@ -426,11 +288,6 @@ impl WalRecord {
                 out.push(KIND_BULK_BEGIN);
                 out.extend_from_slice(&commit.to_le_bytes());
                 out.extend_from_slice(&rel.to_le_bytes());
-            }
-            RecordBody::BulkRow { rel, cells } => {
-                out.push(KIND_BULK_ROW);
-                out.extend_from_slice(&rel.to_le_bytes());
-                put_cells(&mut out, cells);
             }
             RecordBody::BulkChunk { rel, rows, cells } => {
                 out.push(KIND_BULK_CHUNK);
@@ -476,17 +333,7 @@ impl WalRecord {
                 rel: r.u32()?,
                 cells: take_cells(&mut r)?,
             },
-            KIND_INSERT_MAINTAINED => RecordBody::InsertMaintained {
-                commit: r.u64()?,
-                rel: r.u32()?,
-                cells: take_cells(&mut r)?,
-            },
             KIND_DELETE => RecordBody::Delete {
-                commit: r.u64()?,
-                rel: r.u32()?,
-                cells: take_cells(&mut r)?,
-            },
-            KIND_DELETE_MAINTAINED => RecordBody::DeleteMaintained {
                 commit: r.u64()?,
                 rel: r.u32()?,
                 cells: take_cells(&mut r)?,
@@ -494,10 +341,6 @@ impl WalRecord {
             KIND_BULK_BEGIN => RecordBody::BulkBegin {
                 commit: r.u64()?,
                 rel: r.u32()?,
-            },
-            KIND_BULK_ROW => RecordBody::BulkRow {
-                rel: r.u32()?,
-                cells: take_cells(&mut r)?,
             },
             KIND_BULK_CHUNK => RecordBody::BulkChunk {
                 rel: r.u32()?,
@@ -511,7 +354,12 @@ impl WalRecord {
                 x: take_cols(&mut r)?,
                 y: take_cols(&mut r)?,
             },
-            other => return Err(format!("unknown record kind {other}")),
+            other => {
+                return Err(match RETIRED_KINDS.iter().find(|(tag, _)| *tag == other) {
+                    Some((_, name)) => format!("retired record kind {other} ({name})"),
+                    None => format!("unknown record kind {other}"),
+                })
+            }
         };
         r.done()?;
         Ok(WalRecord { seq, body })
@@ -538,26 +386,12 @@ mod tests {
                 rel: 1,
                 cells: vec![0b1001, 0b0010],
             },
-            RecordBody::InsertMaintained {
-                commit: 10,
-                rel: 0,
-                cells: vec![!0b111 | 0b001],
-            },
             RecordBody::Delete {
                 commit: 11,
                 rel: 2,
                 cells: vec![],
             },
-            RecordBody::DeleteMaintained {
-                commit: 12,
-                rel: 2,
-                cells: vec![0b011],
-            },
             RecordBody::BulkBegin { commit: 13, rel: 7 },
-            RecordBody::BulkRow {
-                rel: 7,
-                cells: vec![1, 2, 3],
-            },
             RecordBody::BulkChunk {
                 rel: 7,
                 rows: 2,
@@ -571,13 +405,39 @@ mod tests {
                 y: vec![1],
             },
         ];
+        let mut tags = Vec::new();
         for (i, body) in records.into_iter().enumerate() {
             let rec = WalRecord {
                 seq: i as u64 + 100,
                 body,
             };
             let bytes = rec.encode();
+            tags.push(bytes[8]);
             assert_eq!(WalRecord::decode(&bytes).unwrap(), rec);
+        }
+        assert_eq!(tags, [1, 2, 4, 6, 7, 11, 10, 9], "surviving tag bytes");
+    }
+
+    #[test]
+    fn retired_record_kinds_are_refused_by_name() {
+        // A well-formed body of the retired layouts (3 and 5 shared the
+        // insert layout, 8 was `rel` + cells): the tag alone decides.
+        let mut row = WalRecord {
+            seq: 7,
+            body: RecordBody::Insert {
+                commit: 1,
+                rel: 0,
+                cells: vec![0b1001],
+            },
+        }
+        .encode();
+        for (tag, name) in [(3u8, "Insert"), (5, "Delete"), (8, "BulkRow")] {
+            row[8] = tag;
+            let err = WalRecord::decode(&row).unwrap_err();
+            assert!(
+                err.contains(&format!("retired record kind {tag}")) && err.contains(name),
+                "tag {tag}: {err}"
+            );
         }
     }
 
@@ -588,7 +448,7 @@ mod tests {
             Cell::from_raw(0b1001).unwrap(),
             Cell::from_raw(0b0010).unwrap(),
         ];
-        let ops = vec![
+        let ops = [
             WalOp::InternStr {
                 id: 3,
                 text: "héllo",
@@ -602,28 +462,14 @@ mod tests {
                 rel: RelId(1),
                 cells: &cells,
             },
-            WalOp::InsertMaintained {
-                commit: 10,
-                rel: RelId(0),
-                cells: &cells[..1],
-            },
             WalOp::Delete {
                 commit: 11,
-                rel: RelId(2),
-                cells: &[],
-            },
-            WalOp::DeleteMaintained {
-                commit: 12,
                 rel: RelId(2),
                 cells: &cells[1..],
             },
             WalOp::BulkBegin {
                 commit: 13,
                 rel: RelId(7),
-            },
-            WalOp::BulkRow {
-                rel: RelId(7),
-                cells: &cells,
             },
             WalOp::BulkChunk {
                 rel: RelId(7),
@@ -642,12 +488,9 @@ mod tests {
             let seq = i as u64 + 100;
             let mut direct = Vec::new();
             encode_op_into(seq, op, &mut direct);
-            let owned = WalRecord {
-                seq,
-                body: RecordBody::from_op(op),
-            }
-            .encode();
-            assert_eq!(direct, owned, "op {i} diverged between encode paths");
+            let owned = WalRecord::decode(&direct).unwrap();
+            assert_eq!(owned.seq, seq);
+            assert_eq!(owned.encode(), direct, "op {i} diverged between encoders");
         }
     }
 

@@ -21,8 +21,10 @@
 //!    so the rebuilt cells — and therefore rows, indices, and epochs — are
 //!    bit-identical. Each commit-bearing record asserts the database
 //!    arrived at exactly its commit stamp. A bulk load replays only if its
-//!    closing [`RecordBody::BulkEnd`] made it to the log; an open bulk at
-//!    the tail is torn and discarded whole.
+//!    closing [`RecordBody::BulkEnd`] made it to the log — each buffered
+//!    chunk then goes back through `BulkLoader::push_rows` as the flat
+//!    values it decoded to; an open bulk at the tail is torn and discarded
+//!    whole.
 //! 4. **Truncate.** Streams are cut back to the last kept record, so the
 //!    discarded suffix can never resurface and a writer restarted at
 //!    `last_seq + 1` never collides. This is also what makes recovery
@@ -114,25 +116,22 @@ pub struct RecoveryReport {
 /// One replayed mutation, as seen by a [`ReplayObserver`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReplayEvent {
-    /// A row was inserted (`maintained` mirrors which insert path ran).
+    /// A row was inserted (indices maintained in place).
     Inserted {
         /// Touched relation.
         rel: RelId,
         /// The inserted row.
         row: Vec<Value>,
-        /// Whether indices were maintained in place.
-        maintained: bool,
     },
-    /// One copy of a row was deleted.
+    /// One copy of a row was deleted (indices maintained in place).
     Deleted {
         /// Touched relation.
         rel: RelId,
         /// The deleted row.
         row: Vec<Value>,
-        /// Whether indices were maintained in place.
-        maintained: bool,
     },
-    /// A complete bulk load was re-applied (indices dropped).
+    /// A complete bulk load was re-applied (the relation's indices
+    /// cleared).
     BulkLoaded {
         /// Loaded relation.
         rel: RelId,
@@ -174,7 +173,7 @@ struct Staged {
 }
 
 /// An in-flight bulk load being buffered until its `BulkEnd` proves it
-/// complete. Interns are buffered alongside the rows: a torn bulk is
+/// complete. Interns are buffered alongside the chunks: a torn bulk is
 /// discarded whole, and its intern records are truncated away with it, so
 /// they must not leak into the recovered database's symbol table (a later
 /// writer would then skip re-logging them).
@@ -182,7 +181,8 @@ struct PendingBulk {
     rel: u32,
     commit: u64,
     begin_seq: u64,
-    rows: Vec<Vec<Value>>,
+    /// One entry per chunk record: its rows' values, flat row-major.
+    chunks: Vec<Vec<Value>>,
     interns: Vec<Intern>,
 }
 
@@ -296,20 +296,18 @@ pub fn recover_with(
                     check_intern_wide(&mut side, *id, *value)?;
                     bulk.interns.push(Intern::Wide(*value));
                 }
-                RecordBody::BulkRow { rel, cells } if *rel == bulk.rel => {
-                    bulk.rows.push(decode_cells(&side, cells, seq)?);
-                }
                 RecordBody::BulkChunk { rel, rows, cells } if *rel == bulk.rel => {
-                    let n = *rows as usize;
-                    if n == 0 || cells.len() % n != 0 {
+                    // A CRC-valid chunk of the wrong width must not reach
+                    // the table's arity assertion.
+                    let arity = cat.relation(RelId(*rel as usize)).arity();
+                    if *rows == 0 || (*rows as usize).checked_mul(arity) != Some(cells.len()) {
                         return Err(RecoverError::Replay(format!(
-                            "bulk chunk at seq {seq} carries {} cells for {n} rows",
+                            "bulk chunk at seq {seq} for relation {rel}: expected {rows} rows \
+                             of width {arity}, found {} cells",
                             cells.len()
                         )));
                     }
-                    let arity = cells.len() / n;
-                    let vals = decode_cells(&side, cells, seq)?;
-                    bulk.rows.extend(vals.chunks(arity).map(<[Value]>::to_vec));
+                    bulk.chunks.push(decode_cells(&side, cells, seq)?);
                 }
                 RecordBody::BulkEnd { rel } if *rel == bulk.rel => {
                     let bulk = pending.take().unwrap();
@@ -324,9 +322,9 @@ pub fn recover_with(
                             Intern::Wide(value) => db.replay_intern_wide(*value),
                         }
                     }
-                    let mut loader = db.loader(rel);
-                    for row in &bulk.rows {
-                        loader.push(row);
+                    let mut loader = db.bulk_loader(rel);
+                    for chunk in &bulk.chunks {
+                        loader.push_rows(chunk);
                     }
                     drop(loader);
                     check_commit(&db, bulk.commit, seq)?;
@@ -351,54 +349,27 @@ pub fn recover_with(
                 check_intern_wide(&mut side, *id, *value)?;
                 db.replay_intern_wide(*value);
             }
-            RecordBody::Insert { commit, rel, cells }
-            | RecordBody::InsertMaintained { commit, rel, cells } => {
-                let maintained = matches!(s.record.body, RecordBody::InsertMaintained { .. });
+            RecordBody::Insert { commit, rel, cells } => {
                 let rel = rel_id(&db, *rel, seq)?;
                 let row = decode_cells(&side, cells, seq)?;
-                let name = cat.relation(rel).name();
-                let result = if maintained {
-                    db.insert_maintained(name, &row).map(|_| ())
-                } else {
-                    db.insert(name, &row)
-                };
-                result.map_err(|e| RecoverError::Replay(format!("insert at seq {seq}: {e}")))?;
+                db.insert(cat.relation(rel).name(), &row)
+                    .map_err(|e| RecoverError::Replay(format!("insert at seq {seq}: {e}")))?;
                 check_commit(&db, *commit, seq)?;
-                observer.applied(
-                    &db,
-                    ReplayEvent::Inserted {
-                        rel,
-                        row,
-                        maintained,
-                    },
-                );
+                observer.applied(&db, ReplayEvent::Inserted { rel, row });
             }
-            RecordBody::Delete { commit, rel, cells }
-            | RecordBody::DeleteMaintained { commit, rel, cells } => {
-                let maintained = matches!(s.record.body, RecordBody::DeleteMaintained { .. });
+            RecordBody::Delete { commit, rel, cells } => {
                 let rel = rel_id(&db, *rel, seq)?;
                 let row = decode_cells(&side, cells, seq)?;
-                let name = cat.relation(rel).name();
-                let hit = if maintained {
-                    db.delete_maintained(name, &row)
-                } else {
-                    db.delete(name, &row)
-                }
-                .map_err(|e| RecoverError::Replay(format!("delete at seq {seq}: {e}")))?;
-                if !hit {
+                let hit = db
+                    .delete(cat.relation(rel).name(), &row)
+                    .map_err(|e| RecoverError::Replay(format!("delete at seq {seq}: {e}")))?;
+                if hit.is_none() {
                     return Err(RecoverError::Replay(format!(
                         "logged delete at seq {seq} found no row on replay"
                     )));
                 }
                 check_commit(&db, *commit, seq)?;
-                observer.applied(
-                    &db,
-                    ReplayEvent::Deleted {
-                        rel,
-                        row,
-                        maintained,
-                    },
-                );
+                observer.applied(&db, ReplayEvent::Deleted { rel, row });
             }
             RecordBody::BulkBegin { commit, rel } => {
                 rel_id(&db, *rel, seq)?;
@@ -406,13 +377,11 @@ pub fn recover_with(
                     rel: *rel,
                     commit: *commit,
                     begin_seq: seq,
-                    rows: Vec::new(),
+                    chunks: Vec::new(),
                     interns: Vec::new(),
                 });
             }
-            RecordBody::BulkRow { .. }
-            | RecordBody::BulkChunk { .. }
-            | RecordBody::BulkEnd { .. } => {
+            RecordBody::BulkChunk { .. } | RecordBody::BulkEnd { .. } => {
                 return Err(RecoverError::Replay(format!(
                     "bulk record at seq {seq} outside any bulk load"
                 )));

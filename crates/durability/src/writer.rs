@@ -409,7 +409,10 @@ mod tests {
         db.set_wal(Some(writer.clone()));
         db.insert("r", &[Value::str("x"), Value::int(1)]).unwrap();
         db.insert("s", &[Value::int(2)]).unwrap();
-        assert!(db.delete("r", &[Value::str("x"), Value::int(1)]).unwrap());
+        assert!(db
+            .delete("r", &[Value::str("x"), Value::int(1)])
+            .unwrap()
+            .is_some());
 
         // meta got the intern; rel streams got their ops; seqs are dense.
         let mut seqs = Vec::new();
@@ -437,7 +440,7 @@ mod tests {
         let mut db = Database::new(catalog());
         db.set_wal(Some(writer.clone()));
         for i in 0..10 {
-            db.insert_maintained("s", &[Value::int(i)]).unwrap();
+            db.insert("s", &[Value::int(i)]).unwrap();
         }
         // 10 commits at one fsync per 4: two batches, 2 ops pending.
         assert_eq!(writer.stats().fsyncs, 2);
@@ -453,7 +456,7 @@ mod tests {
         let mut db2 = Database::new(catalog());
         db2.set_wal(Some(always.clone()));
         for i in 0..5 {
-            db2.insert_maintained("s", &[Value::int(i)]).unwrap();
+            db2.insert("s", &[Value::int(i)]).unwrap();
         }
         assert_eq!(always.stats().fsyncs, 5);
     }
@@ -466,7 +469,7 @@ mod tests {
         let mut db = Database::new(catalog());
         db.set_wal(Some(writer.clone()));
         for i in 0..3 {
-            db.insert_maintained("s", &[Value::int(i)]).unwrap();
+            db.insert("s", &[Value::int(i)]).unwrap();
         }
         // Records appended, nothing flushed: the commit section never
         // paid for an fsync.
@@ -496,7 +499,7 @@ mod tests {
         let mut db = Database::new(catalog());
         db.set_wal(Some(writer.clone()));
         for i in 0..10 {
-            db.insert_maintained("s", &[Value::int(i)]).unwrap();
+            db.insert("s", &[Value::int(i)]).unwrap();
             writer.ack().unwrap();
         }
         // 10 commits at one flush per 4 pending: two batches, 2 left over.
@@ -526,7 +529,7 @@ mod tests {
                     for i in 0..50 {
                         db.lock()
                             .unwrap()
-                            .insert_maintained("s", &[Value::int(t * 1000 + i)])
+                            .insert("s", &[Value::int(t * 1000 + i)])
                             .unwrap();
                         if let Some(batch) = writer.ack().unwrap() {
                             batched.fetch_add(batch, Ordering::Relaxed);
@@ -553,10 +556,10 @@ mod tests {
         writer.set_deferred(true);
         let mut db = Database::new(catalog());
         db.set_wal(Some(writer.clone()));
-        db.insert_maintained("s", &[Value::int(1)]).unwrap();
+        db.insert("s", &[Value::int(1)]).unwrap();
         writer.ack().unwrap();
         // Unacked tail: appended but never flushed.
-        db.insert_maintained("s", &[Value::int(2)]).unwrap();
+        db.insert("s", &[Value::int(2)]).unwrap();
         log.crash(0);
 
         let (recovered, _report) = crate::recover(log.as_ref(), catalog()).unwrap();

@@ -9,7 +9,7 @@ use bcq_durability::{
     checkpoint, frame::append_frame, recover, snapshot_name, LogStorage, MemLog, RecordBody,
     RecoverError, SyncPolicy, WalRecord, WalWriter,
 };
-use bcq_storage::Database;
+use bcq_storage::{Database, Prepare, RowOp};
 use std::sync::Arc;
 
 fn catalog() -> Arc<Catalog> {
@@ -127,9 +127,9 @@ fn recovery_is_idempotent_and_restartable() {
     let (mut db, w) = wired(&log, SyncPolicy::Manual);
     db.insert("r", &[Value::str("x"), Value::int(1)]).unwrap();
     {
-        let mut l = db.loader(RelId(1));
-        l.push(&[Value::int(10)]);
-        l.push(&[Value::int(20)]);
+        let mut l = db.bulk_loader(RelId(1));
+        l.push_rows(&[Value::int(10)]);
+        l.push_rows(&[Value::int(20)]);
     }
     db.insert("r", &[Value::str("y"), Value::int(2)]).unwrap();
     log.sync().unwrap();
@@ -168,7 +168,7 @@ fn lying_fsync_loses_acknowledged_writes_but_recovery_stays_sound() {
     log.set_fsync_lies(true);
     let (mut db, w) = wired(&log, SyncPolicy::Always);
     for i in 0..3 {
-        db.insert_maintained("s", &[Value::int(i)]).unwrap();
+        db.insert("s", &[Value::int(i)]).unwrap();
     }
     assert_eq!(w.stats().fsyncs, 3, "the drive claimed three flushes");
     log.crash(0); // power loss: the volatile cache never hit the platter
@@ -186,9 +186,9 @@ fn bulk_load_without_its_end_record_is_discarded_whole() {
         db.insert("r", &[Value::int(1), Value::int(2)]).unwrap();
         log.sync().unwrap();
         let oracle_pre = state(&db);
-        let mut l = db.loader(RelId(1));
-        l.push(&[Value::int(10)]);
-        l.push(&[Value::int(20)]);
+        let mut l = db.bulk_loader(RelId(1));
+        l.push_rows(&[Value::int(10)]);
+        l.push_rows(&[Value::int(20)]);
         let before_end = log.unsynced_bytes();
         drop(l); // appends the BulkEnd record
         let end_bytes = log.unsynced_bytes() - before_end;
@@ -205,7 +205,7 @@ fn bulk_load_without_its_end_record_is_discarded_whole() {
     assert_eq!(report.last_seq, 1, "rolled back to before BulkBegin");
     assert_eq!(
         report.discarded, 3,
-        "begin + two rows (the end never landed)"
+        "begin + two one-row chunks (the end never landed)"
     );
 
     // Crash right after it: the load is complete and replays in full.
@@ -217,12 +217,12 @@ fn bulk_load_without_its_end_record_is_discarded_whole() {
 }
 
 #[test]
-fn bulk_delete_touches_only_its_shard_and_recovery_keeps_the_vector_clock() {
-    // Regression guard: `Database::delete` (the bulk-unload path that drops
-    // the relation's indices) must funnel through `shard_mut` on exactly
-    // one shard — untouched relations keep their epoch *and* their
-    // physical `Arc` (COW sharing with older snapshots) — and a recovery
-    // snapshot taken across the delete must reproduce the vector clock.
+fn delete_touches_only_its_shard_and_recovery_keeps_the_vector_clock() {
+    // Regression guard: `Database::delete` must funnel through `shard_mut`
+    // on exactly one shard — untouched relations keep their epoch *and*
+    // their physical `Arc` (COW sharing with older snapshots) — and a
+    // recovery snapshot taken across the delete must reproduce the vector
+    // clock.
     let log = Arc::new(MemLog::new());
     let (mut db, w) = wired(&log, SyncPolicy::Always);
     db.insert("r", &[Value::int(1), Value::int(2)]).unwrap();
@@ -233,7 +233,10 @@ fn bulk_delete_touches_only_its_shard_and_recovery_keeps_the_vector_clock() {
     let (r, s) = (RelId(0), RelId(1));
     let (r_epoch, s_epoch) = (db.epoch_of(r), db.epoch_of(s));
 
-    assert!(db.delete("r", &[Value::int(1), Value::int(2)]).unwrap());
+    assert!(db
+        .delete("r", &[Value::int(1), Value::int(2)])
+        .unwrap()
+        .is_some());
     assert_eq!(db.epoch_of(r), r_epoch + 1, "deleted shard advances");
     assert_eq!(db.epoch_of(s), s_epoch, "untouched shard's epoch is still");
     assert!(
@@ -244,7 +247,7 @@ fn bulk_delete_touches_only_its_shard_and_recovery_keeps_the_vector_clock() {
         !Arc::ptr_eq(pre.shard(r), db.shard(r)),
         "the deleted shard was copied on write"
     );
-    assert_eq!(db.shard(r).num_indexes(), 0, "bulk delete drops indices");
+    assert_eq!(db.shard(r).num_indexes(), 1, "the delete kept the index");
 
     // A checkpoint taken across the delete carries the exact vector clock,
     // and so does pure log replay.
@@ -291,4 +294,87 @@ fn records_beyond_a_sequence_gap_are_discarded() {
     // And the cut is durable: a second recovery sees a clean log.
     let (_, report2) = recover(&*log, catalog()).unwrap();
     assert_eq!(report2.discarded, 0);
+}
+
+#[test]
+fn bulk_chunk_of_the_wrong_width_is_a_replay_error_not_a_panic() {
+    // A well-framed, CRC-valid chunk whose cell count is a multiple of its
+    // row count but not `rows × arity`: `r` has arity 2, the chunk claims
+    // 2 rows in 6 cells. Recovery must refuse it before it reaches the
+    // table's arity assertion.
+    let log = Arc::new(MemLog::new());
+    let mut syms = SymbolTable::new();
+    let cell = syms.encode(&Value::int(7)).raw();
+    let bodies = [
+        RecordBody::BulkBegin { commit: 1, rel: 0 },
+        RecordBody::BulkChunk {
+            rel: 0,
+            rows: 2,
+            cells: vec![cell; 6],
+        },
+        RecordBody::BulkEnd { rel: 0 },
+    ];
+    let mut framed = Vec::new();
+    for (i, body) in bodies.into_iter().enumerate() {
+        let seq = i as u64 + 1;
+        append_frame(&mut framed, &WalRecord { seq, body }.encode());
+    }
+    log.append("rel-0", &framed).unwrap();
+    log.sync().unwrap();
+
+    match recover(&*log, catalog()) {
+        Err(RecoverError::Replay(msg)) => {
+            for part in ["seq 2", "relation 0", "width 2", "found 6 cells"] {
+                assert!(msg.contains(part), "`{part}` missing from: {msg}");
+            }
+        }
+        other => panic!("expected a replay error, got {other:?}"),
+    }
+}
+
+/// Hex of the bytes `stream` holds.
+fn hex(log: &MemLog, stream: &str) -> String {
+    let bytes = log.read(stream).unwrap();
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+#[test]
+fn surviving_records_are_byte_identical_to_the_pre_retirement_format() {
+    // Stream contents (frames included) captured at the commit before the
+    // index-dropping record kinds were retired, from this exact sequence:
+    // an index build, a served insert and delete on `r` (tags 9, 4, 6),
+    // then a one-chunk bulk load of `s` (tags 7, 11, 10) with a string and
+    // a wide-int intern (tags 1, 2).
+    const META: &str = "12000000905e0d6a02000000000000000100000000010000006b\
+        1500000053f6bb7e06000000000000000200000000ffffffffffffff7f";
+    const REL_0: &str = "250000008a7f31b2010000000000000009010000000000000000\
+        0000000100000000000000010000000100000029000000686227b903000000000000\
+        0004020000000000000000000000020000000200000000000000390000000000000029\
+        00000080bfedd0040000000000000006030000000000000000000000020000000200\
+        0000000000003900000000000000";
+    const REL_1: &str = "15000000ec18ee0a050000000000000007040000000000000001\
+        00000025000000e4a80ceb07000000000000000b0100000002000000020000005100\
+        00000000000004000000000000000d0000002bea7ba708000000000000000a01000000";
+    let row = [Value::str("k"), Value::int(7)];
+    // The row writes once in place and once prepared off the commit lock:
+    // both must land the same bytes.
+    for prepared in [false, true] {
+        let log = Arc::new(MemLog::new());
+        let (mut db, _w) = wired(&log, SyncPolicy::Always);
+        db.ensure_index_cols(RelId(0), &[0], &[1]);
+        db.insert("r", &row).unwrap();
+        if prepared {
+            match db.prepare(RowOp::Delete, "r", &row).unwrap() {
+                Prepare::Ready(p) => db.commit_prepared(p),
+                other => panic!("expected a prepared delete, got {other:?}"),
+            };
+        } else {
+            assert!(db.delete("r", &row).unwrap().is_some());
+        }
+        db.bulk_loader(RelId(1))
+            .push_rows(&[Value::int(10), Value::int(i64::MAX)]);
+        for (stream, want) in [("meta", META), ("rel-0", REL_0), ("rel-1", REL_1)] {
+            assert_eq!(hex(&log, stream), want, "{stream}, prepared = {prepared}");
+        }
+    }
 }

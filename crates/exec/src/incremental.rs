@@ -43,10 +43,9 @@
 //! Deleting a duplicate copy is a no-op: bag storage, set answers (see
 //! [`bcq_storage::Table`]).
 //!
-//! The caller must mutate the [`Database`] through the maintained paths
-//! ([`Database::insert_maintained`] / [`Database::delete_maintained`], or
-//! rebuild indices) before notifying, since plans only read through
-//! indices.
+//! The caller mutates the [`Database`] first ([`Database::insert`] /
+//! [`Database::delete`] keep every index fresh; after a bulk load, rebuild
+//! them) and then notifies, since plans only read through indices.
 
 use crate::eval_dq::eval_dq_partials;
 use crate::results::ResultSet;
@@ -349,9 +348,9 @@ impl IncrementalAnswer {
         self.derivations.len()
     }
 
-    /// Inserts `row` into `db` (maintaining its indices in place via
-    /// [`Database::insert_maintained`]) and applies the bounded delta —
-    /// the one-call live-update path.
+    /// Inserts `row` into `db` ([`Database::insert`] maintains its indices
+    /// in place) and applies the bounded delta — the one-call live-update
+    /// path.
     pub fn insert_and_apply(
         &mut self,
         db: &mut Database,
@@ -359,12 +358,12 @@ impl IncrementalAnswer {
         row: &[Value],
     ) -> Result<DeltaStats> {
         let rel = self.query.catalog().require_rel(rel_name)?;
-        db.insert_maintained(rel_name, row)?;
+        db.insert(rel_name, row)?;
         self.on_insert(db, rel, row)
     }
 
-    /// Deletes one copy of `row` from `db` (index-maintained via
-    /// [`Database::delete_maintained`]) and applies the retraction delta.
+    /// Deletes one copy of `row` from `db` ([`Database::delete`], indices
+    /// maintained) and applies the retraction delta.
     /// A row that was never stored is a no-op.
     pub fn delete_and_apply(
         &mut self,
@@ -373,15 +372,15 @@ impl IncrementalAnswer {
         row: &[Value],
     ) -> Result<DeltaStats> {
         let rel = self.query.catalog().require_rel(rel_name)?;
-        if !db.delete_maintained(rel_name, row)? {
+        if db.delete(rel_name, row)?.is_none() {
             return Ok(DeltaStats::default());
         }
         self.on_delete(db, rel, row)
     }
 
     /// Applies an insertion: `row` was added to relation `rel` of `db`
-    /// (indices already up to date — use [`Database::insert_maintained`]
-    /// or rebuild). Updates the answer with bounded work.
+    /// (indices already up to date — [`Database::insert`] keeps them so).
+    /// Updates the answer with bounded work.
     pub fn on_insert(&mut self, db: &Database, rel: RelId, row: &[Value]) -> Result<DeltaStats> {
         if row.len() != self.query.catalog().relation(rel).arity() {
             return Err(CoreError::Invalid("arity mismatch in on_insert".into()));
@@ -419,8 +418,8 @@ impl IncrementalAnswer {
     }
 
     /// Applies a deletion: one copy of `row` was removed from relation
-    /// `rel` of `db` (indices already maintained — use
-    /// [`Database::delete_maintained`]). Subtracts support from every
+    /// `rel` of `db` (indices already maintained, as [`Database::delete`]
+    /// leaves them). Subtracts support from every
     /// derivation consistent with the deleted tuple — found through the
     /// store's inverted index, O(consistent candidates) — and retracts
     /// answers whose support reaches zero, confirming each retraction with
@@ -930,7 +929,7 @@ mod tests {
 
         let victim = [Value::int(0), Value::int(3)];
         let mut deleted = db.clone();
-        assert!(deleted.delete_maintained("friends", &victim).unwrap());
+        assert!(deleted.delete("friends", &victim).unwrap().is_some());
 
         let mut by_index = base.clone();
         let s1 = by_index.on_delete(&deleted, RelId(0), &victim).unwrap();

@@ -3,6 +3,7 @@
 
 use crate::baseline::{baseline, BaselineMode, BaselineOptions};
 use bcq_core::error::{CoreError, Result};
+use bcq_core::prelude::Value;
 use bcq_core::views::ViewExpansion;
 use bcq_storage::Database;
 
@@ -35,12 +36,9 @@ pub fn materialize_views(db: &mut Database, exp: &ViewExpansion) -> Result<Vec<u
             .expect("materialization runs without a budget")
             .rows()
             .to_vec();
-        let rel = exp.view_rel(vi);
-        let mut loader = db.loader(rel);
-        for row in &rows {
-            loader.push(row);
-        }
         sizes.push(rows.len());
+        let flat: Vec<Value> = rows.into_iter().flatten().collect();
+        db.bulk_loader(exp.view_rel(vi)).push_rows(&flat);
     }
     Ok(sizes)
 }

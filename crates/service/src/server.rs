@@ -39,13 +39,15 @@
 //!    swap that installs a prepared shard and refreshes the epoch
 //!    mirrors, never across index maintenance or I/O.
 //!
-//! When snapshots are outstanding the writer prepares the new shard *off*
-//! the commit lock ([`Database::prepare_insert_maintained`]); otherwise it
-//! mutates in place (uniquely owned shard — cheapest path). Either way
-//! the WAL record is appended inside the commit section, so log order
-//! equals commit order; the **fsync happens after every lock is
-//! released**, shared between concurrently committing writers (group
-//! commit — see [`Server::insert`] and `WalWriter::ack`).
+//! [`Server::insert`] and [`Server::delete`] are one body (`write_row`)
+//! that takes those locks in that order. When snapshots are outstanding
+//! the writer prepares the new shard *off* the commit lock
+//! ([`Database::prepare`]); otherwise it mutates in place (uniquely owned
+//! shard — cheapest path). Either way every index of the relation is
+//! maintained and the WAL record is appended inside the commit section,
+//! so log order equals commit order; the **fsync happens after every lock
+//! is released**, shared between concurrently committing writers (group
+//! commit — see `WalWriter::ack`).
 //!
 //! The plan cache is sharded by key hash, so concurrent prepares on
 //! different templates never serialize on one mutex, and cache
@@ -68,7 +70,7 @@ use bcq_exec::{
     baseline, eval_dq_profiled, eval_dq_with, BaselineMode, BaselineOptions, BaselineOutcome,
     IncrementalAnswer, ParamEnv, PreparedRa, ResultSet,
 };
-use bcq_storage::{BulkLoader, Database, IngestStats, Meter, WalSink};
+use bcq_storage::{BulkLoader, Database, IngestStats, Meter, Prepare, RowOp, WalSink};
 use bcq_telemetry::{LaneKind, MetricsRegistry, MetricsSnapshot, OpProfile, Phase};
 use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
@@ -453,8 +455,7 @@ impl View {
 /// [`IncrementalAnswer::on_delete`]) instead of a post-hoc recompute.
 /// A view goes `dirty` — and is re-initialized against the final recovered
 /// state — only when replay crosses an event its delta path cannot absorb:
-/// a bulk load, a non-maintained write to a relation it reads, or a delta
-/// error.
+/// a bulk load of a relation it reads, or a delta error.
 struct ViewReplay<'a> {
     access: &'a AccessSchema,
     queries: &'a [SpcQuery],
@@ -475,11 +476,18 @@ impl<'a> ViewReplay<'a> {
         }
     }
 
-    /// Marks every view reading `rel` dirty.
-    fn soil(&mut self, rel: RelId) {
+    /// Applies one replayed row delta (`true` = absorbed) to every clean
+    /// view reading `rel`; a view whose delta fails goes dirty.
+    fn ride(&mut self, rel: RelId, mut delta: impl FnMut(&mut IncrementalAnswer) -> bool) {
         for (ans, dirty) in &mut self.answers {
-            if ans.as_ref().is_some_and(|a| a.reads(rel)) {
-                *dirty = true;
+            if let Some(a) = ans {
+                if !*dirty && a.reads(rel) {
+                    if delta(a) {
+                        self.deltas += 1;
+                    } else {
+                        *dirty = true;
+                    }
+                }
             }
         }
     }
@@ -504,43 +512,22 @@ impl ReplayObserver for ViewReplay<'_> {
 
     fn applied(&mut self, db: &Database, event: ReplayEvent) {
         match event {
-            ReplayEvent::Inserted {
-                rel,
-                row,
-                maintained: true,
-            } => {
+            ReplayEvent::Inserted { rel, row } => {
+                self.ride(rel, |a| a.on_insert(db, rel, &row).is_ok())
+            }
+            ReplayEvent::Deleted { rel, row } => {
+                self.ride(rel, |a| a.on_delete(db, rel, &row).is_ok())
+            }
+            // A bulk load rewrites the shard wholesale and clears its
+            // indices: the delta path cannot absorb that, so every view
+            // reading `rel` recomputes at the end.
+            ReplayEvent::BulkLoaded { rel } => {
                 for (ans, dirty) in &mut self.answers {
-                    if let Some(a) = ans {
-                        if !*dirty && a.reads(rel) {
-                            match a.on_insert(db, rel, &row) {
-                                Ok(_) => self.deltas += 1,
-                                Err(_) => *dirty = true,
-                            }
-                        }
+                    if ans.as_ref().is_some_and(|a| a.reads(rel)) {
+                        *dirty = true;
                     }
                 }
             }
-            ReplayEvent::Deleted {
-                rel,
-                row,
-                maintained: true,
-            } => {
-                for (ans, dirty) in &mut self.answers {
-                    if let Some(a) = ans {
-                        if !*dirty && a.reads(rel) {
-                            match a.on_delete(db, rel, &row) {
-                                Ok(_) => self.deltas += 1,
-                                Err(_) => *dirty = true,
-                            }
-                        }
-                    }
-                }
-            }
-            // Non-maintained writes drop the relation's indices mid-replay
-            // and bulk loads rewrite the shard wholesale: the delta path
-            // cannot absorb either, so the view recomputes at the end.
-            ReplayEvent::Inserted { rel, .. } | ReplayEvent::Deleted { rel, .. } => self.soil(rel),
-            ReplayEvent::BulkLoaded { rel } => self.soil(rel),
             // An index (re)build changes no rows.
             ReplayEvent::IndexBuilt { .. } => {}
         }
@@ -596,8 +583,8 @@ impl Server {
     /// from the latest consistent snapshot plus WAL replay, re-registers
     /// `views` (brought back to consistency *during* replay through their
     /// incremental delta paths wherever possible), and attaches a WAL
-    /// writer so every subsequent write — maintained single-row writes,
-    /// bulk updates, index builds — is logged before it is acknowledged.
+    /// writer so every subsequent write — single-row writes, bulk
+    /// updates, index builds — is logged before it is acknowledged.
     ///
     /// Returns the server, the [`RecoveryReport`] (what was restored,
     /// replayed and discarded), and the ids of the re-registered views in
@@ -953,8 +940,8 @@ impl Server {
                     });
                 }
                 // A read relation moved under the entry: confirm the plan's
-                // indices still exist (writes through the server keep them
-                // maintained; bulk loads rebuild them — either way this
+                // indices still exist (row writes keep them maintained; bulk
+                // loads through the server rebuild them — either way this
                 // usually succeeds and costs a few hash lookups). The
                 // stored entry — compiled operator program included — is
                 // reused as-is; only its stamps are refreshed.
@@ -1260,19 +1247,45 @@ impl Server {
         Ok((resp, profile))
     }
 
-    /// Inserts one row through the **concurrent** maintained write path
-    /// (see the module docs' lock order). The writer latches only
-    /// `rel_name`'s relation, so writers on disjoint relations proceed in
-    /// parallel end to end: when snapshots are outstanding, the new shard
-    /// — indices maintained — is prepared *off* the commit lock
-    /// ([`Database::prepare_insert_maintained`]) and the commit section is
-    /// one pointer swap plus the epoch-mirror refresh. Affected views
-    /// apply their bounded deltas under their own slot locks; the WAL
-    /// fsync (group commit, shared with concurrent writers) is waited on
-    /// only after every lock is released. Cached plans stay valid (their
-    /// indices were maintained, which the next prepare's relation-scoped
-    /// revalidation confirms).
+    /// Inserts one row and returns its id. Every index of the relation is
+    /// maintained, so cached plans stay valid (the next prepare's
+    /// relation-scoped revalidation confirms them) and every view reading
+    /// the relation applies its bounded delta. See `write_row` for the
+    /// locks taken and when the write is durable.
     pub fn insert(&self, rel_name: &str, row: &[Value]) -> crate::Result<u32> {
+        let rid = self.write_row(RowOp::Insert, rel_name, row)?;
+        Ok(rid.expect("an insert always lands"))
+    }
+
+    /// Deletes one copy of `row` (tombstone-free swap-remove + posting
+    /// fix-up, indices maintained): the epoch advances and a new snapshot
+    /// is published — readers holding snapshots taken before the delete
+    /// still see the old rows — and every view reading the relation
+    /// applies its support-counted retraction delta. Returns `false` —
+    /// with no epoch bump and no WAL traffic — if no copy of `row` is
+    /// stored.
+    pub fn delete(&self, rel_name: &str, row: &[Value]) -> crate::Result<bool> {
+        Ok(self.write_row(RowOp::Delete, rel_name, row)?.is_some())
+    }
+
+    /// The one served row write (see the module docs' lock order): latch
+    /// → affected view slots → stale check → commit → view deltas →
+    /// `wal_ack` → metrics. Returns the row id the storage layer reported
+    /// (the appended row's for an insert, the removed copy's pre-swap id
+    /// for a delete), or `None` when nothing changed (a delete that found
+    /// no copy), in which case nothing was logged or recorded.
+    ///
+    /// The writer latches only `rel_name`'s relation, so writers on
+    /// disjoint relations proceed in parallel end to end. When snapshots
+    /// are outstanding the new shard — indices maintained — is prepared
+    /// *off* the commit lock ([`Database::prepare`]) and the commit section
+    /// is one pointer swap plus the epoch-mirror refresh; otherwise the
+    /// uniquely owned shard is mutated in place, the cheapest path. The
+    /// latch and the shared view registry together exclude every other
+    /// writer that could touch this shard in between. The WAL fsync (group
+    /// commit, shared with concurrent writers) is waited on only after
+    /// every lock is released.
+    fn write_row(&self, op: RowOp, rel_name: &str, row: &[Value]) -> crate::Result<Option<u32>> {
         let write_start = Instant::now();
         let rel = self.access.catalog().require_rel(rel_name)?;
         // Shared on the view registry: excludes bulk writes/checkpoints,
@@ -1299,100 +1312,40 @@ impl Server {
             let pre = self.shared.snapshot();
             slots.iter().map(|v| v.stale(&pre)).collect()
         };
-        let rid = self.commit_insert(rel_name, row)?;
-        let mut deltas = 0u64;
-        if !slots.is_empty() {
-            let snap = self.shared.snapshot();
-            for (v, was_stale) in slots.iter_mut().zip(stale_before) {
-                if was_stale {
-                    continue;
-                }
-                v.answer.on_insert(&snap, rel, row)?;
-                v.refresh_stamps(&snap);
-                deltas += 1;
-            }
-        }
-        drop(slots);
-        drop(latch);
-        drop(views);
-        // The WAL record was appended inside the commit section (log
-        // order = commit order); the fsync that makes it durable is
-        // shared with concurrent writers and waited on lock-free.
-        self.wal_ack()?;
-        self.metrics
-            .record_write(true, dur_ns(write_start.elapsed()), deltas);
-        Ok(rid)
-    }
-
-    /// The commit half of [`Server::insert`]: prepared off the commit
-    /// lock when snapshots are outstanding, in place (uniquely owned
-    /// shard — cheapest) otherwise. The caller holds `rel_name`'s latch
-    /// and the view registry shared, which together exclude every other
-    /// writer that could touch this shard.
-    fn commit_insert(&self, rel_name: &str, row: &[Value]) -> crate::Result<u32> {
-        if self.shared.has_snapshots() {
-            let base = self.shared.snapshot();
-            if let Some(prep) = base.prepare_insert_maintained(rel_name, row)? {
-                drop(base);
-                let hold = Instant::now();
-                let rid = self.shared.write(|db| db.commit_prepared(prep));
-                self.metrics.record_commit_hold(dur_ns(hold.elapsed()));
-                return Ok(rid);
-            }
-            // A row value missed the interner: encoding needs `&mut
-            // SymbolTable`, so this (first-appearance) write runs in
-            // place under the commit lock like the uncontended path.
-        }
-        let hold = Instant::now();
-        let rid = self
-            .shared
-            .write(|db| db.insert_maintained(rel_name, row))?;
-        self.metrics.record_commit_hold(dur_ns(hold.elapsed()));
-        Ok(rid)
-    }
-
-    /// Deletes one copy of `row` through the concurrent maintained write
-    /// path (same lock order as [`Server::insert`]): the index-fresh
-    /// replacement shard (tombstone-free swap-remove + posting fix-up) is
-    /// prepared off the commit lock when snapshots are outstanding, the
-    /// epoch advances and a new snapshot is published — readers holding
-    /// snapshots taken before the delete still see the old rows — and
-    /// every view reading the relation applies its support-counted
-    /// retraction delta under its slot lock. Cached plans stay valid
-    /// (their indices were maintained; the next prepare's epoch
-    /// revalidation confirms them). Returns `false` — with no epoch bump
-    /// and no WAL traffic — if no copy of `row` is stored.
-    pub fn delete(&self, rel_name: &str, row: &[Value]) -> crate::Result<bool> {
-        let write_start = Instant::now();
-        let rel = self.access.catalog().require_rel(rel_name)?;
-        let views = read_recovered(&self.views);
-        let latch = self.shared.lock_rel(rel);
-        self.metrics
-            .record_lock_wait(latch.wait_ns, latch.contended);
-        let mut slots: Vec<MutexGuard<'_, View>> = views
-            .iter()
-            .filter(|s| s.rels.contains(&rel))
-            .map(|s| lock_recovered(&s.state))
-            .collect();
-        // As in [`Self::insert`]: a view already stale from an out-of-band
-        // write keeps its stale stamps and recomputes on the next read
-        // (checked pre-write, so it must run before we know whether the
-        // delete finds a row; skipped when no affected views exist).
-        let stale_before: Vec<bool> = if slots.is_empty() {
-            Vec::new()
+        // `None`: no snapshot is outstanding, the shard is uniquely owned.
+        let prepared = if self.shared.has_snapshots() {
+            Some(self.shared.snapshot().prepare(op, rel_name, row)?)
         } else {
-            let pre = self.shared.snapshot();
-            slots.iter().map(|v| v.stale(&pre)).collect()
+            None
         };
-        let deleted = self.commit_delete(rel_name, row)?;
+        let rid = if matches!(prepared, Some(Prepare::Absent)) {
+            // The latch is still held, so a concurrent same-relation
+            // writer cannot invalidate this verdict.
+            None
+        } else {
+            let hold = Instant::now();
+            let rid = self.shared.write(|db| match (prepared, op) {
+                (Some(Prepare::Ready(p)), _) => Ok(Some(db.commit_prepared(p))),
+                // Nothing to copy, or a row value missed the interner
+                // (encoding needs `&mut SymbolTable`): in place under the
+                // commit lock.
+                (_, RowOp::Insert) => db.insert(rel_name, row).map(Some),
+                (_, RowOp::Delete) => db.delete(rel_name, row),
+            })?;
+            self.metrics.record_commit_hold(dur_ns(hold.elapsed()));
+            rid
+        };
         let mut deltas = 0u64;
-        if deleted && !slots.is_empty() {
+        if rid.is_some() && !slots.is_empty() {
             let snap = self.shared.snapshot();
             for (v, was_stale) in slots.iter_mut().zip(stale_before) {
                 if was_stale {
                     continue;
                 }
-                v.answer.on_delete(&snap, rel, row)?;
+                match op {
+                    RowOp::Insert => v.answer.on_insert(&snap, rel, row)?,
+                    RowOp::Delete => v.answer.on_delete(&snap, rel, row)?,
+                };
                 v.refresh_stamps(&snap);
                 deltas += 1;
             }
@@ -1400,38 +1353,15 @@ impl Server {
         drop(slots);
         drop(latch);
         drop(views);
-        if deleted {
+        if rid.is_some() {
+            // The WAL record was appended inside the commit section (log
+            // order = commit order); the fsync that makes it durable is
+            // shared with concurrent writers and waited on lock-free.
             self.wal_ack()?;
             self.metrics
-                .record_write(false, dur_ns(write_start.elapsed()), deltas);
+                .record_write(op == RowOp::Insert, dur_ns(write_start.elapsed()), deltas);
         }
-        Ok(deleted)
-    }
-
-    /// The commit half of [`Server::delete`] — see [`Server::commit_insert`].
-    /// A prepared delete that finds no copy of `row` commits nothing and
-    /// bumps no epoch (the relation latch keeps that answer stable).
-    fn commit_delete(&self, rel_name: &str, row: &[Value]) -> crate::Result<bool> {
-        if self.shared.has_snapshots() {
-            let base = self.shared.snapshot();
-            if let Some(prep) = base.prepare_delete_maintained(rel_name, row)? {
-                drop(base);
-                let hold = Instant::now();
-                self.shared.write(|db| db.commit_prepared(prep));
-                self.metrics.record_commit_hold(dur_ns(hold.elapsed()));
-                return Ok(true);
-            }
-            // Absent row (an uninterned value can't be stored either):
-            // nothing to commit. The latch is still held, so this verdict
-            // can't be invalidated by a concurrent same-relation writer.
-            return Ok(false);
-        }
-        let hold = Instant::now();
-        let deleted = self
-            .shared
-            .write(|db| db.delete_maintained(rel_name, row))?;
-        self.metrics.record_commit_hold(dur_ns(hold.elapsed()));
-        Ok(deleted)
+        Ok(rid)
     }
 
     /// Runs an arbitrary batch mutation (bulk load, manual index work) and
@@ -1633,7 +1563,7 @@ impl Session {
         result
     }
 
-    /// Inserts one row through the server's maintained write path
+    /// Inserts one row through the server's write path
     /// ([`Server::insert`]).
     pub fn insert(&mut self, rel_name: &str, row: &[Value]) -> crate::Result<u32> {
         let rid = self.server.insert(rel_name, row)?;
@@ -1641,8 +1571,8 @@ impl Session {
         Ok(rid)
     }
 
-    /// Deletes one copy of a row through the server's maintained write
-    /// path ([`Server::delete`]). Returns `false` if no copy was stored.
+    /// Deletes one copy of a row through the server's write path
+    /// ([`Server::delete`]). Returns `false` if no copy was stored.
     pub fn delete(&mut self, rel_name: &str, row: &[Value]) -> crate::Result<bool> {
         let deleted = self.server.delete(rel_name, row)?;
         self.stats.deletes += u64::from(deleted);
@@ -1843,14 +1773,14 @@ mod tests {
             2
         );
 
-        // A maintained write to a relation the shape never reads: pure hit.
+        // A row write to a relation the shape never reads: pure hit.
         server.insert("in_album", &row("p9", "a9")).unwrap();
         let r = s.query_sql("q", &friends_of("u9"), &none).unwrap();
         assert!(r.stats.cache_hit);
         assert_eq!(server.cache_stats().revalidations, 0);
 
-        // Maintained writes to the relation it reads: revalidated (the
-        // index was maintained), never recompiled.
+        // Row writes to the relation it reads: revalidated (the index was
+        // maintained), never recompiled.
         server.insert("friends", &row("u9", "u4")).unwrap();
         let r = s.query_sql("q", &friends_of("u9"), &none).unwrap();
         assert!(r.stats.cache_hit);
@@ -1861,13 +1791,14 @@ mod tests {
         let cs = server.cache_stats();
         assert_eq!((cs.misses, cs.revalidations, cs.invalidations), (1, 2, 0));
 
-        // The index its plan probes is swept away (an out-of-band write
+        // The index its plan probes is swept away (an out-of-band bulk load
         // that `bulk_update` has not yet followed with its rebuild): the
         // entry is dropped and the shape recompiled, and the request fails
         // loudly instead of answering from a plan without its index.
-        server
-            .shared
-            .write(|db| db.insert("friends", &row("u9", "u5")).unwrap());
+        server.shared.write(|db| {
+            let friends = db.catalog().require_rel("friends").unwrap();
+            db.bulk_loader(friends).push_rows(&row("u9", "u5"));
+        });
         assert!(s.query_sql("q", &friends_of("u9"), &none).is_err());
         assert_eq!(server.cache_stats().invalidations, 1);
         server.bulk_update(|_| ());
@@ -2073,8 +2004,8 @@ mod tests {
         let mut s = server.session();
         s.query(&q1, &bind("a0", "u0")).unwrap();
 
-        // A bulk write goes around insert_maintained: indices are dropped
-        // and rebuilt inside the same write; cached plans revalidate.
+        // A bulk write goes around `Server::insert`: no view delta, but the
+        // epoch moves inside the write and cached plans revalidate.
         server.bulk_update(|db| {
             db.insert(
                 "tagging",
@@ -2956,9 +2887,9 @@ mod tests {
         // Out-of-band bulk load of tagging: logged as a bracketed bulk.
         server.bulk_update(|db| {
             let rel = db.catalog().require_rel("tagging").unwrap();
-            let mut l = db.loader(rel);
-            l.push(&[Value::str("p1"), Value::str("u1"), Value::str("u0")]);
-            l.push(&[Value::str("p9"), Value::str("u1"), Value::str("u5")]);
+            let mut l = db.bulk_loader(rel);
+            l.push_rows(&[Value::str("p1"), Value::str("u1"), Value::str("u0")]);
+            l.push_rows(&[Value::str("p9"), Value::str("u1"), Value::str("u5")]);
         });
         assert_eq!(server.view_result(view).unwrap().len(), 1);
         let epoch = server.epoch();

@@ -28,7 +28,7 @@
 //! write latch ([`SharedDb::lock_rel`]): a row writer latches only the
 //! relation it touches, prepares the new shard off the commit section
 //! (encode, copy-on-write clone, index maintenance — see
-//! [`bcq_storage::Database::prepare_insert_maintained`]), and then enters
+//! [`bcq_storage::Database::prepare`]), and then enters
 //! `write` just long enough to swap one shard pointer and refresh the
 //! epoch mirrors. Writers on disjoint relations overlap everywhere except
 //! those few pointer stores; the latch serializes same-relation writers

@@ -1,12 +1,14 @@
-//! The chunked bulk-ingest fast path: [`BulkLoader`], returned by
-//! [`crate::Database::bulk_loader`].
+//! The bulk loader: [`BulkLoader`], returned by
+//! [`crate::Database::bulk_loader`] — the only way to put more than one row
+//! into a table under one commit.
 //!
-//! The row-at-a-time [`crate::Loader`] pays four per-row costs that
-//! dominate at the tens-of-millions-of-rows scale: a per-cell
-//! encode/intern decision against the copy-on-write symbol table, a
-//! per-row `Vec` append, a per-row WAL record (framing + sequencing +
-//! crc), and — once indices are rebuilt — a per-row hash-map insertion.
-//! `BulkLoader` amortizes the first three over whole chunks:
+//! A load that paid per row would pay four costs that dominate at the
+//! tens-of-millions-of-rows scale: a per-cell encode/intern decision
+//! against the copy-on-write symbol table, a per-row `Vec` append, a
+//! per-row WAL record (framing + sequencing + crc), and a per-row hash-map
+//! insertion into every index. `BulkLoader` amortizes the first three over
+//! whole chunks, and a caller with a single row pushes a one-row chunk
+//! through the same code ([`BulkLoader::push_rows`]):
 //!
 //! * **Batch symbol interning.** Each chunk column is encoded with one
 //!   read-only [`SymbolTable::try_encode_into`] pass; only a suffix that
@@ -17,14 +19,15 @@
 //! * **Column-at-a-time appends.** The chunk lands in the row-major table
 //!   through [`crate::Table::append_columns`]: one exact reservation,
 //!   then one strided pass per column.
-//! * **Amortized WAL records.** One framed [`WalOp::BulkChunk`] per chunk
-//!   instead of one `BulkRow` per row; the record's payload is read
-//!   straight back out of the freshly appended table region, so no
-//!   row-major copy of the chunk is ever materialized.
+//! * **Amortized WAL records.** One framed [`WalOp::BulkChunk`] per chunk;
+//!   the record's payload is read straight back out of the freshly
+//!   appended table region, so no row-major copy of the chunk is ever
+//!   materialized.
 //!
-//! The fourth cost — index build — is addressed separately by the
-//! sort-based construction mode in [`crate::index`], which the deferred
-//! `build_indexes` call after a bulk load dispatches to on large tables.
+//! The fourth cost — index build — is deferred: the loader clears the
+//! relation's indices, and the `build_indexes` call after the load
+//! dispatches to the sort-based construction mode in [`crate::index`] on
+//! large tables.
 
 use crate::database::log_new_interns;
 use crate::table::Table;
@@ -49,7 +52,7 @@ pub struct IngestStats {
 
 /// Value-level chunked bulk loader returned by
 /// [`crate::Database::bulk_loader`]; see the [module docs](self) for what
-/// it amortizes over the row-at-a-time path.
+/// it amortizes over whole chunks.
 pub struct BulkLoader<'a> {
     table: &'a mut Table,
     symbols: &'a mut Arc<SymbolTable>,
@@ -143,9 +146,9 @@ impl BulkLoader<'_> {
     }
 
     /// Appends one chunk given as flat **row-major** values
-    /// (`flat.len()` must be a multiple of the arity) — the replay-side
-    /// and convenience path; same batch encoding and single WAL record as
-    /// [`Self::push_chunk_columns`].
+    /// (`flat.len()` must be a multiple of the arity; one row is a chunk
+    /// too) — the replay-side and convenience path; same batch encoding
+    /// and single WAL record as [`Self::push_chunk_columns`].
     pub fn push_rows(&mut self, flat: &[Value]) {
         let arity = self.table.arity();
         assert_eq!(flat.len() % arity, 0, "arity mismatch on chunk append");
@@ -192,16 +195,6 @@ impl BulkLoader<'_> {
     /// Counters accumulated so far (read them before dropping the loader).
     pub fn stats(&self) -> IngestStats {
         self.stats
-    }
-
-    /// Number of rows currently in the table.
-    pub fn len(&self) -> usize {
-        self.table.len()
-    }
-
-    /// `true` if the table has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.table.is_empty()
     }
 }
 
@@ -260,12 +253,12 @@ mod tests {
         ]
     }
 
-    /// The ground truth: the same rows through the per-row loader.
+    /// The ground truth: the same rows pushed one at a time.
     fn via_loader(rows: &[Vec<Value>]) -> Database {
         let mut db = Database::new(catalog());
-        let mut l = db.loader(RelId(0));
+        let mut l = db.bulk_loader(RelId(0));
         for r in rows {
-            l.push(r);
+            l.push_rows(r);
         }
         drop(l);
         db
@@ -320,8 +313,7 @@ mod tests {
                 let flat: Vec<Value> = chunk.iter().flatten().cloned().collect();
                 b.push_rows(&flat);
             }
-            assert_eq!(b.len(), 60);
-            assert!(!b.is_empty());
+            assert_eq!(b.stats().rows, 60);
         }
         let a: Vec<_> = via_cols.value_rows(RelId(0)).collect();
         let b: Vec<_> = via_flat.value_rows(RelId(0)).collect();
@@ -360,7 +352,7 @@ mod tests {
     }
 
     #[test]
-    fn bulk_loader_invalidates_indices_like_the_row_loader() {
+    fn bulk_loader_invalidates_indices() {
         let cat = catalog();
         let mut a = AccessSchema::new(cat.clone());
         a.add("r", &["a"], &["b"], 100).unwrap();
@@ -370,7 +362,7 @@ mod tests {
         assert_eq!(db.num_indexes(), 1);
         {
             let mut b = db.bulk_loader(RelId(0));
-            b.push_rows(&row(2).into_iter().collect::<Vec<_>>());
+            b.push_rows(&row(2));
         }
         assert_eq!(db.num_indexes(), 0, "bulk load drops the indices");
         db.build_indexes(&a);

@@ -25,7 +25,7 @@
 //!   the serving layer's plan cache and registered views key on.
 
 use crate::index::HashIndex;
-use crate::shard::RelationShard;
+use crate::shard::{RelationShard, RowOp};
 use crate::table::Table;
 use crate::wal::{WalOp, WalSink};
 use bcq_core::access::{AccessConstraint, AccessSchema};
@@ -212,7 +212,7 @@ impl Database {
     /// order **before** re-encoding the rows that referenced them, so the
     /// rebuilt cells reuse the original symbol ids no matter what encode
     /// order produced them — the bulk-ingest fast path interns
-    /// column-at-a-time, while replay pushes whole rows.
+    /// column-at-a-time, while replay pushes row-major chunks.
     ///
     /// Recovery-only: calling this on a WAL-attached database would create
     /// an unlogged symbol.
@@ -269,48 +269,31 @@ impl Database {
     /// Encodes a row for storage, interning unseen values. The symbol table
     /// is copy-on-write too: a row whose values are all already interned —
     /// the steady state of a serving workload — never clones it, even with
-    /// snapshots outstanding. Newly interned values are delivered to the
-    /// WAL sink (before the op record that carries the encoded cells).
+    /// snapshots outstanding (one `try_encode_row`, no records). Newly
+    /// interned values are delivered to the WAL sink as intern records, in
+    /// id order, before the op record that carries the encoded cells.
     fn encode_row_interning(&mut self, row: &[Value]) -> RowBuf {
-        encode_interning_logged(&mut self.symbols, self.wal.as_deref(), row)
+        if let Some(cells) = self.symbols.try_encode_row(row) {
+            return cells;
+        }
+        let (strings_before, wides_before) = (self.symbols.len(), self.symbols.num_wide_ints());
+        let cells = Arc::make_mut(&mut self.symbols).encode_row(row);
+        if let Some(sink) = self.wal.as_deref() {
+            log_new_interns(&self.symbols, sink, strings_before, wides_before);
+        }
+        cells
     }
 
-    /// A value-level bulk loader for `rel`: encodes [`Value`] rows through
-    /// this database's symbol table. Invalidates the relation's indices
-    /// (bulk-load path): call [`Self::build_indexes`] when loading is done.
-    pub fn loader(&mut self, rel: RelId) -> Loader<'_> {
+    /// The chunked bulk loader for `rel` — the only way to load more than
+    /// one row per commit: one commit bump for the whole load, the
+    /// relation's indices cleared, WAL bracket `BulkBegin … BulkEnd`. Rows
+    /// arrive **chunk-at-a-time** (a single row is a one-row chunk): each
+    /// chunk is symbol-encoded in batch passes, appended, and logged as one
+    /// [`WalOp::BulkChunk`] record. Call [`Self::build_indexes`] when
+    /// loading is done.
+    pub fn bulk_loader(&mut self, rel: RelId) -> crate::bulk::BulkLoader<'_> {
         // The loader also borrows the symbol table, so the funnel is the
         // free `cow_shard` over field-disjoint borrows.
-        self.commit += 1;
-        let commit = self.commit;
-        let shard = cow_shard(
-            &mut self.shards[rel.0],
-            commit,
-            &mut self.cow_cells,
-            &mut self.cow_clones,
-        );
-        shard.indexes.clear();
-        let wal = self.wal.as_deref();
-        if let Some(sink) = wal {
-            sink.record(WalOp::BulkBegin { commit, rel });
-        }
-        Loader {
-            table: &mut shard.table,
-            symbols: &mut self.symbols,
-            wal,
-            rel,
-        }
-    }
-
-    /// The chunked bulk-ingest fast path for `rel`: like [`Self::loader`]
-    /// (one commit bump for the whole load, indices invalidated, WAL
-    /// bracket `BulkBegin … BulkEnd`) but rows arrive **chunk-at-a-time**:
-    /// each chunk is symbol-encoded in batch passes, appended column at a
-    /// time, and logged as a single [`WalOp::BulkChunk`] record instead of
-    /// one record per row. Call [`Self::build_indexes`] when loading is
-    /// done. Loads the final state identically to pushing the same rows
-    /// through [`Self::loader`] one at a time.
-    pub fn bulk_loader(&mut self, rel: RelId) -> crate::bulk::BulkLoader<'_> {
         self.commit += 1;
         let commit = self.commit;
         let shard = cow_shard(
@@ -341,206 +324,79 @@ impl Database {
             .map(|r| self.symbols.decode_row(r))
     }
 
-    /// Inserts one row into the relation called `rel_name`.
-    ///
-    /// Drops the relation's registered indices (bulk-load path): call
-    /// [`Self::build_indexes`] when loading is done, or use
-    /// [`Self::insert_maintained`] for live updates. Other relations'
-    /// shards — tables, indices, epochs — are untouched.
-    pub fn insert(&mut self, rel_name: &str, row: &[Value]) -> Result<()> {
-        let rel = self.catalog.require_rel(rel_name)?;
-        if row.len() != self.catalog.relation(rel).arity() {
-            return Err(CoreError::Invalid(format!(
-                "arity mismatch inserting into `{rel_name}`"
-            )));
-        }
-        let cells = self.encode_row_interning(row);
-        let shard = self.shard_mut(rel);
-        shard.indexes.clear();
-        shard.table.push(&cells);
-        self.emit(WalOp::Insert {
-            commit: self.commit,
-            rel,
-            cells: &cells,
-        });
-        Ok(())
+    /// Inserts one row into the relation called `rel_name`, in place, and
+    /// maintains every registered index of the relation (amortized
+    /// O(columns) per index; with no index registered this is a plain
+    /// append). Returns the new row's id. Other relations' shards —
+    /// tables, indices, epochs — are untouched.
+    pub fn insert(&mut self, rel_name: &str, row: &[Value]) -> Result<u32> {
+        let rid = self.write_in_place(RowOp::Insert, rel_name, row)?;
+        Ok(rid.expect("an insert always has a slot"))
     }
 
-    /// Inserts one row and **maintains** every registered index of the
-    /// relation in place (amortized O(columns) per index) — the live-update
-    /// path used by incremental maintenance. Returns the new row's id.
-    pub fn insert_maintained(&mut self, rel_name: &str, row: &[Value]) -> Result<u32> {
-        let rel = self.catalog.require_rel(rel_name)?;
-        if row.len() != self.catalog.relation(rel).arity() {
-            return Err(CoreError::Invalid(format!(
-                "arity mismatch inserting into `{rel_name}`"
-            )));
-        }
-        let cells = self.encode_row_interning(row);
-        let shard = self.shard_mut(rel);
-        let rid = shard.table.len() as u32;
-        shard.table.push(&cells);
-        for (_, idx) in shard.indexes.iter_mut() {
-            idx.insert_row(rid, &cells);
-        }
-        self.emit(WalOp::InsertMaintained {
-            commit: self.commit,
-            rel,
-            cells: &cells,
-        });
-        Ok(rid)
+    /// Deletes **one copy** of `row` from the relation called `rel_name`,
+    /// in place, maintaining every registered index (bag storage:
+    /// duplicates are removed one at a time; see [`crate::table::Table`]
+    /// for the semantics). Returns the removed copy's (pre-swap) row id,
+    /// or `None` — leaving the database untouched, epochs included — if no
+    /// copy is stored.
+    pub fn delete(&mut self, rel_name: &str, row: &[Value]) -> Result<Option<u32>> {
+        self.write_in_place(RowOp::Delete, rel_name, row)
     }
 
-    /// Deletes **one copy** of `row` from the relation called `rel_name`
-    /// (bag storage: duplicates are removed one at a time; see
-    /// [`crate::table::Table`] for the semantics). Returns `false` — and
-    /// leaves the database untouched, epochs included — if no copy is
-    /// stored.
-    ///
-    /// Drops the relation's registered indices (bulk-unload path): call
-    /// [`Self::build_indexes`] when done, or use
-    /// [`Self::delete_maintained`] for live updates.
-    pub fn delete(&mut self, rel_name: &str, row: &[Value]) -> Result<bool> {
-        let (rel, cells) = match self.locate(rel_name, row)? {
-            Some(hit) => hit,
-            None => return Ok(false),
+    /// The in-place body of [`Self::insert`] / [`Self::delete`]: the row id
+    /// the op acted on, or `None` if it changed nothing (a delete that
+    /// found no copy — a never-interned value cannot be stored either).
+    fn write_in_place(&mut self, op: RowOp, rel_name: &str, row: &[Value]) -> Result<Option<u32>> {
+        let rel = self.check_row(op, rel_name, row)?;
+        let cells = match op {
+            RowOp::Insert => self.encode_row_interning(row),
+            RowOp::Delete => match self.symbols.try_encode_row(row) {
+                Some(cells) => cells,
+                None => return Ok(None),
+            },
         };
-        let rid = match self.shards[rel.0].table.find_row(&cells) {
-            Some(rid) => rid,
-            None => return Ok(false),
-        };
-        let shard = self.shard_mut(rel);
-        shard.indexes.clear();
-        shard.table.swap_remove(rid);
-        self.emit(WalOp::Delete {
-            commit: self.commit,
-            rel,
-            cells: &cells,
-        });
-        Ok(true)
-    }
-
-    /// Deletes one copy of `row` and **maintains** every registered index of
-    /// the relation in place — the live-update path used by incremental
-    /// maintenance, mirror of [`Self::insert_maintained`]. The row is
-    /// located through a registered index when one exists (O(postings)),
-    /// falling back to a table scan. Tombstone-free: the table's last row is
-    /// swapped into the hole and its postings re-pointed. Returns `false` —
-    /// with no epoch bump — if no copy is stored.
-    pub fn delete_maintained(&mut self, rel_name: &str, row: &[Value]) -> Result<bool> {
-        let (rel, cells) = match self.locate(rel_name, row)? {
-            Some(hit) => hit,
-            None => return Ok(false),
-        };
-        let rid = match self.locate_rid(rel, &cells) {
-            Some(rid) => rid,
-            None => return Ok(false),
-        };
-        let RelationShard { table, indexes, .. } = self.shard_mut(rel);
-        for (_, idx) in indexes.iter_mut() {
-            idx.remove_row(rid as u32, &cells, table);
-        }
-        if let Some(moved_from) = table.swap_remove(rid) {
-            let moved: Vec<Cell> = table.row(rid).to_vec();
-            for (_, idx) in indexes.iter_mut() {
-                idx.reindex_row(moved_from as u32, rid as u32, &moved);
-            }
-        }
-        self.emit(WalOp::DeleteMaintained {
-            commit: self.commit,
-            rel,
-            cells: &cells,
-        });
-        Ok(true)
-    }
-
-    /// Prepares an [`Self::insert_maintained`] **off the commit lock**: all
-    /// the expensive work — row encoding, the shard's copy-on-write clone,
-    /// the table append and index maintenance — happens against `&self`
-    /// (any snapshot of the relation's latest state), leaving only the
-    /// pointer-swap [`Self::commit_prepared`] for the exclusive section.
-    ///
-    /// Returns `Ok(None)` when the row contains a not-yet-interned value:
-    /// interning mutates the shared symbol table, so the caller must fall
-    /// back to the in-place path under exclusion. The caller must hold the
-    /// relation's write latch from before calling this until after
-    /// `commit_prepared`, so no other writer can move the shard's epoch in
-    /// between (`commit_prepared` panics if one did).
-    pub fn prepare_insert_maintained(
-        &self,
-        rel_name: &str,
-        row: &[Value],
-    ) -> Result<Option<PreparedWrite>> {
-        let rel = self.catalog.require_rel(rel_name)?;
-        if row.len() != self.catalog.relation(rel).arity() {
-            return Err(CoreError::Invalid(format!(
-                "arity mismatch inserting into `{rel_name}`"
-            )));
-        }
-        let Some(cells) = self.symbols.try_encode_row(row) else {
+        let Some(rid) = self.shards[rel.0].slot_for(op, &cells) else {
             return Ok(None);
         };
-        let base = &self.shards[rel.0];
-        let cloned_cells = base.clone_cells();
-        let mut shard = (**base).clone();
-        let rid = shard.table.len() as u32;
-        shard.table.push(&cells);
-        for (_, idx) in shard.indexes.iter_mut() {
-            idx.insert_row(rid, &cells);
-        }
-        Ok(Some(PreparedWrite {
-            rel,
-            base_epoch: base.epoch,
-            shard,
-            cloned_cells,
-            cells: cells.to_vec(),
-            kind: PreparedKind::Insert,
-            rid,
-        }))
+        self.shard_mut(rel).apply_row(op, rid, &cells);
+        self.emit(op.wal_op(self.commit, rel, &cells));
+        Ok(Some(rid))
     }
 
-    /// Prepares a [`Self::delete_maintained`] off the commit lock; the
-    /// mirror of [`Self::prepare_insert_maintained`] (same latch contract).
+    /// Prepares a row write **off the commit lock**: all the expensive
+    /// work — row encoding, the shard's copy-on-write clone, the table
+    /// change and index maintenance — happens against `&self` (any
+    /// snapshot of the relation's latest state), leaving only the
+    /// pointer-swap [`Self::commit_prepared`] for the exclusive section.
+    /// [`Prepare`] says what the caller does next.
     ///
-    /// Returns `Ok(None)` when no copy of the row is stored — including
-    /// rows with never-interned values, which cannot be stored — in which
-    /// case the delete is a no-op (`false`) and nothing needs committing:
-    /// unlike the insert side there is no interning fallback, because the
-    /// caller's latch keeps the relation's contents stable until commit.
-    pub fn prepare_delete_maintained(
-        &self,
-        rel_name: &str,
-        row: &[Value],
-    ) -> Result<Option<PreparedWrite>> {
-        let (rel, cells) = match self.locate(rel_name, row)? {
-            Some(hit) => hit,
-            None => return Ok(None),
-        };
-        let rid = match self.locate_rid(rel, &cells) {
-            Some(rid) => rid,
-            None => return Ok(None),
+    /// The caller must hold the relation's write latch from before calling
+    /// this until after `commit_prepared`, so no other writer can move the
+    /// shard's epoch — or, for [`Prepare::Absent`], its contents — in
+    /// between (`commit_prepared` panics if one did).
+    pub fn prepare(&self, op: RowOp, rel_name: &str, row: &[Value]) -> Result<Prepare> {
+        let rel = self.check_row(op, rel_name, row)?;
+        let Some(cells) = self.symbols.try_encode_row(row) else {
+            return Ok(match op {
+                RowOp::Insert => Prepare::NeedsIntern,
+                RowOp::Delete => Prepare::Absent,
+            });
         };
         let base = &self.shards[rel.0];
-        let cloned_cells = base.clone_cells();
+        let Some(rid) = base.slot_for(op, &cells) else {
+            return Ok(Prepare::Absent);
+        };
         let mut shard = (**base).clone();
-        let RelationShard { table, indexes, .. } = &mut shard;
-        for (_, idx) in indexes.iter_mut() {
-            idx.remove_row(rid as u32, &cells, table);
-        }
-        if let Some(moved_from) = table.swap_remove(rid) {
-            let moved: Vec<Cell> = table.row(rid).to_vec();
-            for (_, idx) in indexes.iter_mut() {
-                idx.reindex_row(moved_from as u32, rid as u32, &moved);
-            }
-        }
-        Ok(Some(PreparedWrite {
+        shard.apply_row(op, rid, &cells);
+        Ok(Prepare::Ready(PreparedWrite {
             rel,
             base_epoch: base.epoch,
             shard,
-            cloned_cells,
-            cells,
-            kind: PreparedKind::Delete,
-            rid: rid as u32,
+            cloned_cells: base.clone_cells(),
+            cells: cells.to_vec(),
+            op,
+            rid,
         }))
     }
 
@@ -562,7 +418,7 @@ impl Database {
             mut shard,
             cloned_cells,
             cells,
-            kind,
+            op,
             rid,
         } = prepared;
         assert_eq!(
@@ -575,18 +431,7 @@ impl Database {
         self.cow_clones += 1;
         shard.epoch = self.commit;
         self.shards[rel.0] = Arc::new(shard);
-        match kind {
-            PreparedKind::Insert => self.emit(WalOp::InsertMaintained {
-                commit: self.commit,
-                rel,
-                cells: &cells,
-            }),
-            PreparedKind::Delete => self.emit(WalOp::DeleteMaintained {
-                commit: self.commit,
-                rel,
-                cells: &cells,
-            }),
-        }
+        self.emit(op.wal_op(self.commit, rel, &cells));
         rid
     }
 
@@ -601,40 +446,23 @@ impl Database {
         let Some(cells) = self.symbols.try_encode_row(row) else {
             return Ok(false); // a never-interned value was never stored
         };
-        Ok(self.locate_rid(rel, &cells).is_some())
+        Ok(self.shards[rel.0].find_copy(&cells).is_some())
     }
 
-    /// Shared head of the delete paths: resolves the relation, checks the
-    /// arity, and encodes the row read-only (a never-interned value proves
-    /// no copy is stored).
-    fn locate(&self, rel_name: &str, row: &[Value]) -> Result<Option<(RelId, Vec<Cell>)>> {
+    /// Shared head of the row-write paths: resolves the relation and
+    /// checks the arity.
+    fn check_row(&self, op: RowOp, rel_name: &str, row: &[Value]) -> Result<RelId> {
         let rel = self.catalog.require_rel(rel_name)?;
         if row.len() != self.catalog.relation(rel).arity() {
+            let doing = match op {
+                RowOp::Insert => "inserting into",
+                RowOp::Delete => "deleting from",
+            };
             return Err(CoreError::Invalid(format!(
-                "arity mismatch deleting from `{rel_name}`"
+                "arity mismatch {doing} `{rel_name}`"
             )));
         }
-        match self.symbols.try_encode_row(row) {
-            Some(cells) => Ok(Some((rel, cells.to_vec()))),
-            None => Ok(None),
-        }
-    }
-
-    /// The row id of one stored copy of `cells`: probes the posting list of
-    /// a registered index on the relation when one exists (any index works —
-    /// its key is a projection of the row being looked up), else scans.
-    fn locate_rid(&self, rel: RelId, cells: &[Cell]) -> Option<usize> {
-        let shard = &self.shards[rel.0];
-        if let Some((_, idx)) = shard.indexes.first() {
-            let key: RowBuf = idx.x().iter().map(|&c| cells[c]).collect();
-            return idx
-                .all(&key)
-                .iter()
-                .copied()
-                .map(|rid| rid as usize)
-                .find(|&rid| shard.table.row(rid) == cells);
-        }
-        shard.table.find_row(cells)
+        Ok(rel)
     }
 
     /// Total number of tuples across all tables — the paper's `|D|`.
@@ -694,9 +522,23 @@ impl Database {
     }
 }
 
-/// A maintained single-row write prepared against a snapshot of one
-/// relation's latest state, ready for its short exclusive commit; see
-/// [`Database::prepare_insert_maintained`] / [`Database::commit_prepared`].
+/// What [`Database::prepare`] found.
+#[derive(Debug)]
+pub enum Prepare {
+    /// The new shard is built; install it with
+    /// [`Database::commit_prepared`].
+    Ready(PreparedWrite),
+    /// An insert whose row holds a value not interned yet: interning
+    /// mutates the shared symbol table, so this (first-appearance) write
+    /// must run in place under exclusion ([`Database::insert`]).
+    NeedsIntern,
+    /// A delete of a row with no stored copy: nothing to commit.
+    Absent,
+}
+
+/// A single-row write prepared against a snapshot of one relation's latest
+/// state, ready for its short exclusive commit; see [`Database::prepare`] /
+/// [`Database::commit_prepared`].
 #[derive(Debug)]
 pub struct PreparedWrite {
     rel: RelId,
@@ -706,34 +548,15 @@ pub struct PreparedWrite {
     shard: RelationShard,
     cloned_cells: u64,
     cells: Vec<Cell>,
-    kind: PreparedKind,
+    op: RowOp,
     rid: u32,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PreparedKind {
-    Insert,
-    Delete,
-}
-
-impl PreparedWrite {
-    /// The relation this write touches.
-    pub fn rel(&self) -> RelId {
-        self.rel
-    }
-
-    /// The row id the commit will report: the appended row's id for an
-    /// insert, the removed copy's (pre-swap) id for a delete.
-    pub fn rid(&self) -> u32 {
-        self.rid
-    }
-}
-
 /// The copy-on-write funnel shared by [`Database::shard_mut`] and
-/// [`Database::loader`]: clones the shard iff something else still
+/// [`Database::bulk_loader`]: clones the shard iff something else still
 /// references it (feeding the cow diagnostics the write-amplification
 /// bench reads) and stamps it with the new commit number. A free function
-/// over disjoint fields so the loader can borrow the symbol table
+/// over disjoint fields so the bulk loader can borrow the symbol table
 /// alongside.
 fn cow_shard<'a>(
     arc: &'a mut Arc<RelationShard>,
@@ -748,34 +571,6 @@ fn cow_shard<'a>(
     let shard = Arc::make_mut(arc);
     shard.epoch = commit;
     shard
-}
-
-/// Copy-on-write encoding against the shared symbol table: rows whose
-/// values are all already interned never clone it.
-fn encode_interning(symbols: &mut Arc<SymbolTable>, row: &[Value]) -> RowBuf {
-    match symbols.try_encode_row(row) {
-        Some(cells) => cells,
-        None => Arc::make_mut(symbols).encode_row(row),
-    }
-}
-
-/// [`encode_interning`] with WAL emission: any entries the encode added to
-/// the symbol table are delivered as intern records, in id order, before
-/// the caller emits the op record that carries the encoded cells. The
-/// steady state (everything already interned) is one `try_encode_row` and
-/// no records.
-fn encode_interning_logged(
-    symbols: &mut Arc<SymbolTable>,
-    wal: Option<&dyn WalSink>,
-    row: &[Value],
-) -> RowBuf {
-    let Some(sink) = wal else {
-        return encode_interning(symbols, row);
-    };
-    let (strings_before, wides_before) = (symbols.len(), symbols.num_wide_ints());
-    let cells = encode_interning(symbols, row);
-    log_new_interns(symbols, sink, strings_before, wides_before);
-    cells
 }
 
 /// Emits intern records for every symbol added past the given watermarks,
@@ -815,56 +610,6 @@ pub struct ShardState {
     pub indexes: Vec<(Vec<usize>, Vec<usize>)>,
 }
 
-/// Value-level bulk loader returned by [`Database::loader`]: pairs a
-/// mutable table with the database's symbol table so callers keep pushing
-/// plain [`Value`] rows.
-pub struct Loader<'a> {
-    table: &'a mut Table,
-    symbols: &'a mut Arc<SymbolTable>,
-    wal: Option<&'a dyn WalSink>,
-    rel: RelId,
-}
-
-impl Loader<'_> {
-    /// Appends a row (must match the relation's arity). Values already
-    /// interned never touch the shared symbol table.
-    pub fn push(&mut self, row: &[Value]) {
-        let cells = encode_interning_logged(self.symbols, self.wal, row);
-        self.table.push(&cells);
-        if let Some(sink) = self.wal {
-            sink.record(WalOp::BulkRow {
-                rel: self.rel,
-                cells: &cells,
-            });
-        }
-    }
-
-    /// Reserves space for `additional` more rows.
-    pub fn reserve_rows(&mut self, additional: usize) {
-        self.table.reserve_rows(additional);
-    }
-
-    /// Number of rows currently in the table.
-    pub fn len(&self) -> usize {
-        self.table.len()
-    }
-
-    /// `true` if the table has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.table.is_empty()
-    }
-}
-
-impl Drop for Loader<'_> {
-    fn drop(&mut self) {
-        // Close the WAL bracket: recovery discards a bulk load whose end
-        // record never made it to the log (torn mid-load).
-        if let Some(sink) = self.wal {
-            sink.record(WalOp::BulkEnd { rel: self.rel });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -898,15 +643,13 @@ mod tests {
         db.build_indexes(&a);
         assert_eq!(db.epoch(), e2);
 
-        db.insert_maintained("friends", &[Value::int(1), Value::int(3)])
+        db.insert("friends", &[Value::int(1), Value::int(3)])
             .unwrap();
         let e3 = db.epoch();
         assert!(e3 > e2);
 
-        {
-            let mut l = db.loader(RelId(1));
-            l.push(&[Value::int(4), Value::int(5)]);
-        }
+        db.bulk_loader(RelId(1))
+            .push_rows(&[Value::int(4), Value::int(5)]);
         assert!(db.epoch() > e3, "bulk load advances the epoch");
         // Reads never advance it.
         let frozen = db.epoch();
@@ -950,7 +693,7 @@ mod tests {
         // A clone plays the role of an outstanding snapshot.
         let snap = db.clone();
         assert_eq!(db.cow_clones(), 0, "no shard cloned yet");
-        db.insert_maintained("friends", &[Value::int(1), Value::int(3)])
+        db.insert("friends", &[Value::int(1), Value::int(3)])
             .unwrap();
 
         let (albums, friends, tagging) = (RelId(0), RelId(1), RelId(2));
@@ -973,88 +716,166 @@ mod tests {
         // With the snapshot dropped, further writes mutate in place.
         drop(snap);
         let before = db.cow_clones();
-        db.insert_maintained("friends", &[Value::int(2), Value::int(4)])
+        db.insert("friends", &[Value::int(2), Value::int(4)])
             .unwrap();
         assert_eq!(db.cow_clones(), before, "no reference, no copy");
     }
 
+    /// Unwraps a [`Prepare::Ready`].
+    fn ready(p: Prepare) -> PreparedWrite {
+        match p {
+            Prepare::Ready(w) => w,
+            other => panic!("expected a prepared write, got {other:?}"),
+        }
+    }
+
+    /// Everything a row write can change in one relation: table cells,
+    /// epoch, and per index its max witness count plus every key's
+    /// (sorted) posting and witness sets.
+    type IndexImage = (usize, Vec<(Vec<Cell>, Vec<u32>, Vec<u32>)>);
+    fn image(db: &Database, rel: RelId) -> (Vec<Cell>, u64, u64, Vec<IndexImage>) {
+        let shard = db.shard(rel);
+        let indexes = shard
+            .index_specs()
+            .map(|(x, y)| {
+                let idx = shard.index(x, y).unwrap();
+                let mut keys: Vec<_> = idx
+                    .entries()
+                    .map(|(k, p)| {
+                        let (mut all, mut wit) = (p.all.clone(), p.witnesses.clone());
+                        all.sort_unstable();
+                        wit.sort_unstable();
+                        (k.to_vec(), all, wit)
+                    })
+                    .collect();
+                keys.sort();
+                (idx.max_witnesses(), keys)
+            })
+            .collect();
+        (
+            shard.table().cells().to_vec(),
+            shard.epoch(),
+            db.epoch(),
+            indexes,
+        )
+    }
+
     #[test]
-    fn prepared_writes_match_in_place_maintained_writes() {
+    fn prepared_row_writes_match_in_place_row_writes() {
         let cat = photos();
         let mut a = AccessSchema::new(cat.clone());
         a.add("friends", &["user_id"], &["friend_id"], 10).unwrap();
+        a.add("friends", &[], &["user_id"], 10).unwrap();
+        let friends = RelId(1);
+        let seed = [(1, 2), (1, 3), (2, 4), (1, 2)];
 
-        // Oracle: the classic in-place maintained path.
-        let mut oracle = Database::new(cat.clone());
-        oracle.build_indexes(&a);
-        oracle
-            .insert_maintained("friends", &[Value::int(1), Value::int(2)])
-            .unwrap();
-        oracle
-            .insert_maintained("friends", &[Value::int(1), Value::int(3)])
-            .unwrap();
-        assert!(oracle
-            .delete_maintained("friends", &[Value::int(1), Value::int(2)])
-            .unwrap());
+        for (op, row) in [
+            (RowOp::Insert, [Value::int(1), Value::int(5)]),
+            (RowOp::Insert, [Value::int(1), Value::int(3)]),
+            (RowOp::Delete, [Value::int(1), Value::int(2)]),
+            (RowOp::Delete, [Value::int(2), Value::int(4)]),
+        ] {
+            let build = || {
+                let mut db = Database::new(cat.clone());
+                db.build_indexes(&a);
+                for (u, f) in seed {
+                    db.insert("friends", &[Value::int(u), Value::int(f)])
+                        .unwrap();
+                }
+                let rec = Arc::new(Recorder::default());
+                db.set_wal(Some(rec.clone()));
+                (db, rec)
+            };
 
-        // Same ops through prepare + commit.
+            let (mut in_place, rec_in_place) = build();
+            let rid_in_place = in_place.write_in_place(op, "friends", &row).unwrap();
+
+            let (mut prepared, rec_prepared) = build();
+            let p = ready(prepared.prepare(op, "friends", &row).unwrap());
+            let rid_prepared = prepared.commit_prepared(p);
+
+            assert_eq!(Some(rid_prepared), rid_in_place, "{op:?} {row:?}: rid");
+            assert_eq!(
+                image(&prepared, friends),
+                image(&in_place, friends),
+                "{op:?} {row:?}: cells, epochs, indices"
+            );
+            assert_eq!(image(&in_place, friends).3.len(), 2, "both indices kept");
+            let ops = rec_in_place.take_full();
+            assert_eq!(ops.len(), 1, "one record per commit");
+            assert_eq!(rec_prepared.take_full(), ops, "{op:?} {row:?}: WAL records");
+            // The prepared path counts its (unconditional) shard clone.
+            assert_eq!((in_place.cow_clones(), prepared.cow_clones()), (0, 1));
+        }
+    }
+
+    #[test]
+    fn prepare_says_why_there_is_nothing_to_commit() {
+        let mut db = Database::new(photos());
+        db.insert("friends", &[Value::int(1), Value::int(2)])
+            .unwrap();
+        // Absent rows — never-interned values included — have no copy.
+        for ghost in [
+            [Value::int(9), Value::int(9)],
+            [Value::str("ghost"), Value::int(1)],
+        ] {
+            let p = db.prepare(RowOp::Delete, "friends", &ghost).unwrap();
+            assert!(matches!(p, Prepare::Absent), "{p:?}");
+        }
+        // Un-interned insert values defer to the in-place path.
+        let p = db
+            .prepare(
+                RowOp::Insert,
+                "friends",
+                &[Value::str("new"), Value::int(1)],
+            )
+            .unwrap();
+        assert!(matches!(p, Prepare::NeedsIntern), "{p:?}");
+        for op in [RowOp::Insert, RowOp::Delete] {
+            assert!(db.prepare(op, "friends", &[Value::int(1)]).is_err());
+            assert!(db.prepare(op, "ghost", &[Value::int(1)]).is_err());
+        }
+        assert_eq!(db.cow_clones(), 0, "nothing was cloned");
+    }
+
+    #[test]
+    fn row_writes_keep_every_index_and_build_indexes_is_a_noop() {
+        let cat = photos();
+        let mut a = AccessSchema::new(cat.clone());
+        a.add("friends", &["user_id"], &["friend_id"], 10).unwrap();
+        a.add("in_album", &["album_id"], &["photo_id"], 10).unwrap();
         let mut db = Database::new(cat);
         db.build_indexes(&a);
-        // First insert interns nothing new (ints are inline) so prepare
-        // succeeds immediately.
-        let p = db
-            .prepare_insert_maintained("friends", &[Value::int(1), Value::int(2)])
-            .unwrap()
-            .unwrap();
-        assert_eq!((p.rel(), p.rid()), (RelId(1), 0));
-        assert_eq!(db.commit_prepared(p), 0);
-        let p = db
-            .prepare_insert_maintained("friends", &[Value::int(1), Value::int(3)])
-            .unwrap()
-            .unwrap();
-        db.commit_prepared(p);
-        let p = db
-            .prepare_delete_maintained("friends", &[Value::int(1), Value::int(2)])
-            .unwrap()
-            .unwrap();
-        db.commit_prepared(p);
+        let rec = Arc::new(Recorder::default());
+        db.set_wal(Some(rec.clone()));
 
-        assert_eq!(db.epoch(), oracle.epoch());
-        assert_eq!(db.epoch_of(RelId(1)), oracle.epoch_of(RelId(1)));
-        let got: Vec<_> = db.value_rows(RelId(1)).collect();
-        let want: Vec<_> = oracle.value_rows(RelId(1)).collect();
-        assert_eq!(got, want);
-        assert_eq!(db.num_indexes(), 1);
+        db.insert("friends", &[Value::int(1), Value::int(2)])
+            .unwrap();
+        db.insert("friends", &[Value::int(1), Value::int(3)])
+            .unwrap();
+        assert!(db
+            .delete("friends", &[Value::int(1), Value::int(2)])
+            .unwrap()
+            .is_some());
+        assert_eq!(db.num_indexes(), 2, "no row write dropped an index");
+        assert_eq!(rec.take().len(), 3, "one record per row write");
 
-        // Absent rows and never-interned values prepare to None.
-        assert!(db
-            .prepare_delete_maintained("friends", &[Value::int(9), Value::int(9)])
-            .unwrap()
-            .is_none());
-        assert!(db
-            .prepare_delete_maintained("friends", &[Value::str("ghost"), Value::int(1)])
-            .unwrap()
-            .is_none());
-        // Un-interned insert values defer to the in-place path.
-        assert!(db
-            .prepare_insert_maintained("friends", &[Value::str("new"), Value::int(1)])
-            .unwrap()
-            .is_none());
-        // The prepared path counts its (unconditional) shard clones.
-        assert_eq!(db.cow_clones(), 3);
+        let e = db.epoch();
+        db.build_indexes(&a);
+        assert_eq!(db.epoch(), e, "nothing to rebuild: no commit");
+        assert!(rec.take().is_empty(), "and nothing logged");
     }
 
     #[test]
     fn prepared_writes_leave_untouched_shards_pointer_equal() {
         let mut db = Database::new(photos());
-        db.insert_maintained("in_album", &[Value::int(7), Value::int(8)])
+        db.insert("in_album", &[Value::int(7), Value::int(8)])
             .unwrap();
         let snap = db.clone();
         let p = db
-            .prepare_insert_maintained("friends", &[Value::int(1), Value::int(2)])
-            .unwrap()
+            .prepare(RowOp::Insert, "friends", &[Value::int(1), Value::int(2)])
             .unwrap();
-        db.commit_prepared(p);
+        db.commit_prepared(ready(p));
         assert!(Arc::ptr_eq(snap.shard(RelId(0)), db.shard(RelId(0))));
         assert!(Arc::ptr_eq(snap.shard(RelId(2)), db.shard(RelId(2))));
         assert!(!Arc::ptr_eq(snap.shard(RelId(1)), db.shard(RelId(1))));
@@ -1068,14 +889,13 @@ mod tests {
     fn commit_prepared_detects_latch_violations() {
         let mut db = Database::new(photos());
         let p = db
-            .prepare_insert_maintained("friends", &[Value::int(1), Value::int(2)])
-            .unwrap()
+            .prepare(RowOp::Insert, "friends", &[Value::int(1), Value::int(2)])
             .unwrap();
         // Another write to the same relation lands between prepare and
         // commit — exactly what the per-relation latch must prevent.
-        db.insert_maintained("friends", &[Value::int(3), Value::int(4)])
+        db.insert("friends", &[Value::int(3), Value::int(4)])
             .unwrap();
-        db.commit_prepared(p);
+        db.commit_prepared(ready(p));
     }
 
     #[test]
@@ -1086,14 +906,14 @@ mod tests {
         let snap = db.clone();
         // Re-inserting already-interned values must not copy the symbol
         // table even though the snapshot still references it.
-        db.insert_maintained("friends", &[Value::str("u0"), Value::str("u1")])
+        db.insert("friends", &[Value::str("u0"), Value::str("u1")])
             .unwrap();
         assert!(
             std::ptr::eq(snap.symbols(), db.symbols()),
             "steady-state write shares the symbol table"
         );
         // A brand-new string forces the copy-on-write.
-        db.insert_maintained("friends", &[Value::str("u0"), Value::str("brand-new")])
+        db.insert("friends", &[Value::str("u0"), Value::str("brand-new")])
             .unwrap();
         assert!(!std::ptr::eq(snap.symbols(), db.symbols()));
         assert_eq!(
@@ -1117,22 +937,6 @@ mod tests {
             db.value_rows(RelId(0)).next().unwrap(),
             vec![Value::str("p1"), Value::str("a0")]
         );
-    }
-
-    #[test]
-    fn loader_encodes_values() {
-        let mut db = Database::new(photos());
-        {
-            let mut l = db.loader(RelId(1));
-            l.reserve_rows(2);
-            l.push(&[Value::str("u0"), Value::str("u1")]);
-            l.push(&[Value::int(7), Value::Null]);
-            assert_eq!(l.len(), 2);
-            assert!(!l.is_empty());
-        }
-        let rows: Vec<Vec<Value>> = db.value_rows(RelId(1)).collect();
-        assert_eq!(rows[0], vec![Value::str("u0"), Value::str("u1")]);
-        assert_eq!(rows[1], vec![Value::int(7), Value::Null]);
     }
 
     #[test]
@@ -1171,7 +975,7 @@ mod tests {
     }
 
     #[test]
-    fn mutation_invalidates_only_the_relations_indexes() {
+    fn bulk_load_invalidates_only_the_relations_indexes() {
         let cat = photos();
         let mut a = AccessSchema::new(cat.clone());
         a.add("in_album", &["album_id"], &["photo_id"], 1000)
@@ -1182,9 +986,9 @@ mod tests {
             .unwrap();
         db.build_indexes(&a);
         assert_eq!(db.num_indexes(), 2);
-        db.insert("friends", &[Value::int(1), Value::int(3)])
-            .unwrap();
-        // The bulk path drops the touched relation's indices only:
+        db.bulk_loader(RelId(1))
+            .push_rows(&[Value::int(1), Value::int(3)]);
+        // The bulk loader drops the touched relation's indices only:
         // relation-scoped invalidation.
         assert_eq!(db.num_indexes(), 1, "friends' index dropped");
         assert_eq!(db.shard(RelId(0)).num_indexes(), 1, "in_album's survives");
@@ -1192,7 +996,7 @@ mod tests {
     }
 
     #[test]
-    fn maintained_insert_keeps_indexes_fresh() {
+    fn insert_keeps_indexes_fresh() {
         let cat = photos();
         let mut a = AccessSchema::new(cat.clone());
         let cid = a.add("friends", &["user_id"], &["friend_id"], 10).unwrap();
@@ -1202,7 +1006,7 @@ mod tests {
         db.build_indexes(&a);
 
         let rid = db
-            .insert_maintained("friends", &[Value::int(1), Value::int(3)])
+            .insert("friends", &[Value::int(1), Value::int(3)])
             .unwrap();
         assert_eq!(rid, 1);
         assert_eq!(db.num_indexes(), 1, "index survived the insert");
@@ -1220,7 +1024,7 @@ mod tests {
         assert_eq!(idx.max_witnesses(), rebuilt.max_witnesses());
 
         // Duplicate Y values extend `all` but not the witnesses.
-        db.insert_maintained("friends", &[Value::int(1), Value::int(3)])
+        db.insert("friends", &[Value::int(1), Value::int(3)])
             .unwrap();
         let idx = db.index_for(a.constraint(cid)).unwrap();
         assert_eq!(idx.witnesses(&key).len(), 2);
@@ -1228,41 +1032,7 @@ mod tests {
     }
 
     #[test]
-    fn delete_bulk_drops_indexes_and_rows() {
-        let cat = photos();
-        let mut a = AccessSchema::new(cat.clone());
-        a.add("friends", &["user_id"], &["friend_id"], 10).unwrap();
-        let mut db = Database::new(cat);
-        db.insert("friends", &[Value::int(1), Value::int(2)])
-            .unwrap();
-        db.insert("friends", &[Value::int(1), Value::int(3)])
-            .unwrap();
-        db.build_indexes(&a);
-        let e = db.epoch();
-
-        assert!(db
-            .delete("friends", &[Value::int(1), Value::int(2)])
-            .unwrap());
-        assert!(db.epoch() > e, "delete bumps the epoch");
-        assert_eq!(db.num_indexes(), 0, "bulk delete drops indices");
-        assert_eq!(db.table(RelId(1)).len(), 1);
-
-        // A row that is not stored (or never interned) deletes nothing and
-        // leaves the epoch alone.
-        let e = db.epoch();
-        assert!(!db
-            .delete("friends", &[Value::int(1), Value::int(2)])
-            .unwrap());
-        assert!(!db
-            .delete("friends", &[Value::str("ghost"), Value::int(2)])
-            .unwrap());
-        assert_eq!(db.epoch(), e);
-        assert!(db.delete("ghost", &[Value::int(1)]).is_err());
-        assert!(db.delete("friends", &[Value::int(1)]).is_err());
-    }
-
-    #[test]
-    fn maintained_delete_keeps_indexes_fresh() {
+    fn delete_keeps_indexes_fresh() {
         let cat = photos();
         let mut a = AccessSchema::new(cat.clone());
         let cid = a.add("friends", &["user_id"], &["friend_id"], 10).unwrap();
@@ -1277,8 +1047,9 @@ mod tests {
         // Deleting one copy of the duplicated (1, 2) keeps the value
         // present: witnesses still cover {2, 3}.
         assert!(db
-            .delete_maintained("friends", &[Value::int(1), Value::int(2)])
-            .unwrap());
+            .delete("friends", &[Value::int(1), Value::int(2)])
+            .unwrap()
+            .is_some());
         assert!(db.epoch() > e);
         assert_eq!(db.num_indexes(), 1, "index survived the delete");
         let key = db.symbols().try_encode_row(&[Value::int(1)]).unwrap();
@@ -1291,8 +1062,9 @@ mod tests {
 
         // Deleting the last copy retracts the Y-value from the witnesses.
         assert!(db
-            .delete_maintained("friends", &[Value::int(1), Value::int(2)])
-            .unwrap());
+            .delete("friends", &[Value::int(1), Value::int(2)])
+            .unwrap()
+            .is_some());
         let idx = db.index_for(a.constraint(cid)).unwrap();
         assert_eq!(idx.witnesses(&key).len(), 1);
         assert!(!db
@@ -1322,16 +1094,24 @@ mod tests {
             );
         }
 
-        // A miss deletes nothing and does not bump the epoch.
+        // A row that is not stored (or never interned) deletes nothing and
+        // leaves the epoch alone.
         let e = db.epoch();
-        assert!(!db
-            .delete_maintained("friends", &[Value::int(9), Value::int(9)])
-            .unwrap());
+        assert!(db
+            .delete("friends", &[Value::int(9), Value::int(9)])
+            .unwrap()
+            .is_none());
+        assert!(db
+            .delete("friends", &[Value::str("ghost"), Value::int(2)])
+            .unwrap()
+            .is_none());
         assert_eq!(db.epoch(), e);
+        assert!(db.delete("ghost", &[Value::int(1)]).is_err());
+        assert!(db.delete("friends", &[Value::int(1)]).is_err());
     }
 
     #[test]
-    fn maintained_delete_repoints_moved_row_postings() {
+    fn delete_repoints_moved_row_postings() {
         let cat = photos();
         let mut a = AccessSchema::new(cat.clone());
         let cid = a.add("friends", &["user_id"], &["friend_id"], 10).unwrap();
@@ -1344,8 +1124,9 @@ mod tests {
         // Deleting row 0 swaps row 2 (user 3) into slot 0; its postings
         // must point at the new id.
         assert!(db
-            .delete_maintained("friends", &[Value::int(1), Value::int(2)])
-            .unwrap());
+            .delete("friends", &[Value::int(1), Value::int(2)])
+            .unwrap()
+            .is_some());
         let key = db.symbols().try_encode_row(&[Value::int(3)]).unwrap();
         let idx = db.index_for(a.constraint(cid)).unwrap();
         assert_eq!(idx.witnesses(&key), &[0], "moved row re-pointed");
@@ -1355,10 +1136,11 @@ mod tests {
         );
     }
 
-    /// A recording sink: captures each record's kind, commit stamp, and a
-    /// value-free shape summary, so tests can assert emission order.
+    /// A recording sink: captures each record's kind and commit stamp (a
+    /// value-free shape summary, so tests can assert emission order) plus
+    /// its full `Debug` rendering, cells included.
     #[derive(Debug, Default)]
-    struct Recorder(std::sync::Mutex<Vec<(String, Option<u64>)>>);
+    struct Recorder(std::sync::Mutex<Vec<(String, Option<u64>, String)>>);
 
     impl crate::wal::WalSink for Recorder {
         fn record(&self, op: crate::wal::WalOp<'_>) {
@@ -1367,22 +1149,27 @@ mod tests {
                 W::InternStr { text, .. } => format!("intern:{text}"),
                 W::InternWide { value, .. } => format!("wide:{value}"),
                 W::Insert { rel, .. } => format!("insert:{}", rel.0),
-                W::InsertMaintained { rel, .. } => format!("insert_m:{}", rel.0),
                 W::Delete { rel, .. } => format!("delete:{}", rel.0),
-                W::DeleteMaintained { rel, .. } => format!("delete_m:{}", rel.0),
                 W::BulkBegin { rel, .. } => format!("bulk:{}", rel.0),
-                W::BulkRow { rel, .. } => format!("row:{}", rel.0),
                 W::BulkChunk { rel, rows, .. } => format!("chunk:{}x{rows}", rel.0),
                 W::BulkEnd { rel } => format!("bulk_end:{}", rel.0),
                 W::EnsureIndex { rel, .. } => format!("index:{}", rel.0),
             };
-            self.0.lock().unwrap().push((kind, op.commit()));
+            let full = format!("{op:?}");
+            self.0.lock().unwrap().push((kind, op.commit(), full));
         }
     }
 
     impl Recorder {
         fn take(&self) -> Vec<(String, Option<u64>)> {
-            std::mem::take(&mut self.0.lock().unwrap())
+            let taken = std::mem::take(&mut *self.0.lock().unwrap());
+            taken.into_iter().map(|(k, c, _)| (k, c)).collect()
+        }
+
+        /// The records taken in full (every field, cells included).
+        fn take_full(&self) -> Vec<String> {
+            let taken = std::mem::take(&mut *self.0.lock().unwrap());
+            taken.into_iter().map(|(_, _, full)| full).collect()
         }
     }
 
@@ -1410,9 +1197,9 @@ mod tests {
 
         // Steady state: already-interned values emit only the op record,
         // stamped with the commit the shard epoch got.
-        db.insert_maintained("friends", &[Value::str("u0"), Value::str("u1")])
+        db.insert("friends", &[Value::str("u0"), Value::str("u1")])
             .unwrap();
-        assert_eq!(rec.take(), vec![("insert_m:1".into(), Some(2))]);
+        assert_eq!(rec.take(), vec![("insert:1".into(), Some(2))]);
         assert_eq!(db.epoch_of(RelId(1)), 2);
 
         // Index build logs once; re-ensuring is silent like the no-op it is.
@@ -1423,28 +1210,31 @@ mod tests {
 
         // Effective deletes log; misses do not.
         assert!(db
-            .delete_maintained("friends", &[Value::str("u0"), Value::str("u1")])
-            .unwrap());
-        assert_eq!(rec.take(), vec![("delete_m:1".into(), Some(4))]);
-        assert!(!db
+            .delete("friends", &[Value::str("u0"), Value::str("u1")])
+            .unwrap()
+            .is_some());
+        assert_eq!(rec.take(), vec![("delete:1".into(), Some(4))]);
+        assert_eq!(db.num_indexes(), 1, "and the index is still there");
+        assert!(db
             .delete("friends", &[Value::str("ghost"), Value::str("u1")])
-            .unwrap());
+            .unwrap()
+            .is_none());
         assert!(rec.take().is_empty());
 
-        // Bulk loads: one BulkBegin for the single commit bump, then a row
-        // record per push, with a wide-int intern where needed.
+        // Bulk loads: one BulkBegin for the single commit bump, then a
+        // chunk record per push, with a wide-int intern where needed.
         {
-            let mut l = db.loader(RelId(0));
-            l.push(&[Value::int(1), Value::int(i64::MAX)]);
-            l.push(&[Value::int(2), Value::int(3)]);
+            let mut l = db.bulk_loader(RelId(0));
+            l.push_rows(&[Value::int(1), Value::int(i64::MAX)]);
+            l.push_rows(&[Value::int(2), Value::int(3), Value::int(4), Value::int(5)]);
         }
         assert_eq!(
             rec.take(),
             vec![
                 ("bulk:0".into(), Some(5)),
                 (format!("wide:{}", i64::MAX), None),
-                ("row:0".into(), None),
-                ("row:0".into(), None),
+                ("chunk:0x1".into(), None),
+                ("chunk:0x2".into(), None),
                 ("bulk_end:0".into(), None),
             ]
         );
@@ -1518,22 +1308,13 @@ mod tests {
     }
 
     #[test]
-    fn maintained_insert_checks_arity() {
-        let mut db = Database::new(photos());
-        assert!(db.insert_maintained("friends", &[Value::int(1)]).is_err());
-        assert!(db
-            .insert_maintained("ghost", &[Value::int(1), Value::int(2)])
-            .is_err());
-    }
-
-    #[test]
-    fn maintained_insert_interns_new_strings() {
+    fn insert_interns_new_strings_into_the_index() {
         let cat = photos();
         let mut a = AccessSchema::new(cat.clone());
         let cid = a.add("friends", &["user_id"], &["friend_id"], 10).unwrap();
         let mut db = Database::new(cat);
         db.build_indexes(&a);
-        db.insert_maintained(
+        db.insert(
             "friends",
             &[Value::str("new-user"), Value::str("new-friend")],
         )
@@ -1541,7 +1322,7 @@ mod tests {
         let key = db
             .symbols()
             .try_encode_row(&[Value::str("new-user")])
-            .expect("string interned by the maintained insert");
+            .expect("string interned by the insert");
         assert_eq!(
             db.index_for(a.constraint(cid))
                 .unwrap()

@@ -31,10 +31,10 @@ pub mod wal;
 
 pub use bulk::{BulkLoader, IngestStats};
 pub use csv::{dump_csv, load_csv};
-pub use database::{Database, Loader, PreparedWrite, ShardState};
+pub use database::{Database, Prepare, PreparedWrite, ShardState};
 pub use index::{HashIndex, Postings};
 pub use meter::Meter;
-pub use shard::RelationShard;
+pub use shard::{RelationShard, RowOp};
 pub use table::Table;
 pub use validate::{discover_bound, validate, Violation};
 pub use wal::{WalOp, WalSink};

@@ -10,10 +10,34 @@
 //!
 //! Shards are read-only outside the storage crate; all mutation funnels
 //! through [`crate::Database`], which is what keeps the vector clock and
-//! the global commit counter coherent.
+//! the global commit counter coherent. A single row enters or leaves a
+//! table in exactly one place, `RelationShard::apply_row`, whichever way
+//! the write reached it (in place or prepared against a clone).
 
 use crate::index::HashIndex;
 use crate::table::Table;
+use crate::wal::WalOp;
+use bcq_core::prelude::{Cell, RelId, RowBuf};
+
+/// Which way a single-row write moves its row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RowOp {
+    /// Append the row.
+    Insert,
+    /// Remove one stored copy of the row (bag storage: duplicates leave
+    /// one at a time; see [`Table`]).
+    Delete,
+}
+
+impl RowOp {
+    /// The WAL record of this op applied to `cells` of `rel` at `commit`.
+    pub(crate) fn wal_op(self, commit: u64, rel: RelId, cells: &[Cell]) -> WalOp<'_> {
+        match self {
+            RowOp::Insert => WalOp::Insert { commit, rel, cells },
+            RowOp::Delete => WalOp::Delete { commit, rel, cells },
+        }
+    }
+}
 
 /// Structural identity of an index within its shard: key columns + value
 /// columns. Indices are shared across access schemas that declare the same
@@ -80,6 +104,62 @@ impl RelationShard {
             .iter()
             .find(|((ix, iy), _)| ix.as_slice() == x && iy.as_slice() == y)
             .map(|(_, idx)| idx)
+    }
+
+    /// The row id of one stored copy of `cells`: probes the posting list of
+    /// a registered index when one exists (any index works — its key is a
+    /// projection of the row being looked up), else scans.
+    pub(crate) fn find_copy(&self, cells: &[Cell]) -> Option<u32> {
+        let Some((_, idx)) = self.indexes.first() else {
+            return self.table.find_row(cells).map(|rid| rid as u32);
+        };
+        let key: RowBuf = idx.x().iter().map(|&c| cells[c]).collect();
+        idx.all(&key)
+            .iter()
+            .copied()
+            .find(|&rid| self.table.row(rid as usize) == cells)
+    }
+
+    /// The row id `op` will act on: the append position for an insert, one
+    /// stored copy of `cells` for a delete (`None` if no copy is stored).
+    pub(crate) fn slot_for(&self, op: RowOp, cells: &[Cell]) -> Option<u32> {
+        match op {
+            RowOp::Insert => Some(self.table.len() as u32),
+            RowOp::Delete => self.find_copy(cells),
+        }
+    }
+
+    /// The one place a single row enters or leaves the table: applies `op`
+    /// to `cells` at `rid` (from [`Self::slot_for`] on this same state) and
+    /// maintains every registered index in place — amortized O(columns)
+    /// per index for an insert; a delete is tombstone-free: the table's
+    /// last row is swapped into the hole and its postings re-pointed.
+    pub(crate) fn apply_row(&mut self, op: RowOp, rid: u32, cells: &[Cell]) {
+        let RelationShard { table, indexes, .. } = self;
+        match op {
+            RowOp::Insert => {
+                debug_assert_eq!(
+                    rid as usize,
+                    table.len(),
+                    "insert slot is the append position"
+                );
+                table.push(cells);
+                for (_, idx) in indexes.iter_mut() {
+                    idx.insert_row(rid, cells);
+                }
+            }
+            RowOp::Delete => {
+                for (_, idx) in indexes.iter_mut() {
+                    idx.remove_row(rid, cells, table);
+                }
+                if let Some(moved_from) = table.swap_remove(rid as usize) {
+                    let moved: Vec<Cell> = table.row(rid as usize).to_vec();
+                    for (_, idx) in indexes.iter_mut() {
+                        idx.reindex_row(moved_from as u32, rid, &moved);
+                    }
+                }
+            }
+        }
     }
 
     /// Approximate payload of a copy-on-write clone of this shard, in table

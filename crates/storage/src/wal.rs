@@ -2,7 +2,7 @@
 //! layer what just happened, without depending on one.
 //!
 //! Every effective mutation of a [`crate::Database`] funnels through
-//! `shard_mut` (or the loader's equivalent), bumps the global commit
+//! `shard_mut` (or the bulk loader's equivalent), bumps the global commit
 //! counter exactly once, and stamps the touched shard's epoch. This module
 //! exposes that funnel as a stream of logical [`WalOp`] records delivered
 //! to an injected [`WalSink`]: one op record per commit bump, preceded by
@@ -25,12 +25,20 @@
 //!   ids, and the intern records replay in emission order, so the raw
 //!   `u64` cell words stored in op records decode against the replayed
 //!   table to the original values.
-//! * **Bulk loads are bracketed.** [`Database::loader`](crate::Database::loader)
-//!   bumps the commit once for the whole load; the stream mirrors that
-//!   with one [`WalOp::BulkBegin`] followed by per-row [`WalOp::BulkRow`]
-//!   records that carry no commit of their own, closed by a
-//!   [`WalOp::BulkEnd`] when the loader drops — recovery's proof that the
-//!   load was not torn mid-way.
+//! * **Bulk loads are bracketed.**
+//!   [`Database::bulk_loader`](crate::Database::bulk_loader) bumps the
+//!   commit once for the whole load; the stream mirrors that with one
+//!   [`WalOp::BulkBegin`] followed by one [`WalOp::BulkChunk`] per pushed
+//!   chunk (a single row pushed on its own is a one-row chunk), none of
+//!   which carries a commit of its own, closed by a [`WalOp::BulkEnd`]
+//!   when the loader drops — recovery's proof that the load was not torn
+//!   mid-way. Replay folds the load's intern records in first, in logged
+//!   order, and hands each chunk's decoded values back to
+//!   [`BulkLoader::push_rows`](crate::BulkLoader::push_rows).
+//! * **Indices never leave on a row write.** There is one insert and one
+//!   delete record; both maintain every registered index, live and on
+//!   replay, so an index logged by [`WalOp::EnsureIndex`] stays built
+//!   until a bulk load clears it.
 //!
 //! The sink is called *after* the in-memory mutation succeeds, under the
 //! same `&mut self` that performed it, so the record order equals the
@@ -61,8 +69,9 @@ pub enum WalOp<'a> {
         /// The pooled integer.
         value: i64,
     },
-    /// A bulk-path insert ([`crate::Database::insert`]): row appended, the
-    /// relation's indices dropped.
+    /// A row insert ([`crate::Database::insert`], or a prepared one
+    /// installed by [`crate::Database::commit_prepared`]): row appended,
+    /// the relation's indices updated in place.
     Insert {
         /// Commit number this mutation was stamped with.
         commit: u64,
@@ -71,17 +80,8 @@ pub enum WalOp<'a> {
         /// The stored row, as interned cells.
         cells: &'a [Cell],
     },
-    /// A maintained insert ([`crate::Database::insert_maintained`]): row
-    /// appended, the relation's indices updated in place.
-    InsertMaintained {
-        /// Commit number this mutation was stamped with.
-        commit: u64,
-        /// The touched relation.
-        rel: RelId,
-        /// The stored row, as interned cells.
-        cells: &'a [Cell],
-    },
-    /// A bulk-path delete of one copy ([`crate::Database::delete`]).
+    /// A delete of one copy ([`crate::Database::delete`], in place or
+    /// prepared), the relation's indices updated in place.
     Delete {
         /// Commit number this mutation was stamped with.
         commit: u64,
@@ -90,39 +90,19 @@ pub enum WalOp<'a> {
         /// The deleted row, as interned cells.
         cells: &'a [Cell],
     },
-    /// A maintained delete of one copy
-    /// ([`crate::Database::delete_maintained`]).
-    DeleteMaintained {
-        /// Commit number this mutation was stamped with.
-        commit: u64,
-        /// The touched relation.
-        rel: RelId,
-        /// The deleted row, as interned cells.
-        cells: &'a [Cell],
-    },
-    /// A bulk load began ([`crate::Database::loader`]): one commit bump
-    /// covering every following [`WalOp::BulkRow`] for `rel`, and the
-    /// relation's indices dropped.
+    /// A bulk load began ([`crate::Database::bulk_loader`]): one commit
+    /// bump covering every following [`WalOp::BulkChunk`] for `rel`, and
+    /// the relation's indices dropped.
     BulkBegin {
         /// Commit number the whole load was stamped with.
         commit: u64,
         /// The relation being loaded.
         rel: RelId,
     },
-    /// One row appended under the preceding [`WalOp::BulkBegin`] (no
-    /// commit bump of its own).
-    BulkRow {
-        /// The relation being loaded.
-        rel: RelId,
-        /// The appended row, as interned cells.
-        cells: &'a [Cell],
-    },
     /// A whole chunk of rows appended under the preceding
     /// [`WalOp::BulkBegin`] (no commit bump of its own): `cells` holds
-    /// `rows` row-major rows back to back. The bulk-ingest fast path emits
-    /// one of these per chunk instead of one [`WalOp::BulkRow`] per row,
-    /// amortizing framing, sequencing and fsync accounting over thousands
-    /// of rows.
+    /// `rows` row-major rows back to back. One record per chunk amortizes
+    /// framing, sequencing and fsync accounting over thousands of rows.
     BulkChunk {
         /// The relation being loaded.
         rel: RelId,
@@ -154,19 +134,16 @@ pub enum WalOp<'a> {
 
 impl WalOp<'_> {
     /// The commit number this record was stamped with, if it represents a
-    /// commit bump (intern and bulk-row records ride under a neighbouring
+    /// commit bump (intern and bulk-chunk records ride under a neighbouring
     /// op's commit).
     pub fn commit(&self) -> Option<u64> {
         match *self {
             WalOp::Insert { commit, .. }
-            | WalOp::InsertMaintained { commit, .. }
             | WalOp::Delete { commit, .. }
-            | WalOp::DeleteMaintained { commit, .. }
             | WalOp::BulkBegin { commit, .. }
             | WalOp::EnsureIndex { commit, .. } => Some(commit),
             WalOp::InternStr { .. }
             | WalOp::InternWide { .. }
-            | WalOp::BulkRow { .. }
             | WalOp::BulkChunk { .. }
             | WalOp::BulkEnd { .. } => None,
         }
@@ -178,11 +155,8 @@ impl WalOp<'_> {
         match *self {
             WalOp::InternStr { .. } | WalOp::InternWide { .. } => None,
             WalOp::Insert { rel, .. }
-            | WalOp::InsertMaintained { rel, .. }
             | WalOp::Delete { rel, .. }
-            | WalOp::DeleteMaintained { rel, .. }
             | WalOp::BulkBegin { rel, .. }
-            | WalOp::BulkRow { rel, .. }
             | WalOp::BulkChunk { rel, .. }
             | WalOp::BulkEnd { rel }
             | WalOp::EnsureIndex { rel, .. } => Some(rel),

@@ -52,11 +52,8 @@ fn main() -> Result<()> {
     let mut db = Database::new(exp.catalog().clone());
     for i in 0..base.len() {
         let rel = RelId(i);
-        let rows: Vec<Vec<Value>> = src.value_rows(rel).collect();
-        let mut t = db.loader(rel);
-        for r in &rows {
-            t.push(r);
-        }
+        let flat: Vec<Value> = src.value_rows(rel).flatten().collect();
+        db.bulk_loader(rel).push_rows(&flat);
     }
     let sizes = materialize_views(&mut db, &exp)?;
     println!("\nmaterialized v_accident_stops: {} rows", sizes[0]);

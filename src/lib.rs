@@ -94,8 +94,8 @@ pub mod prelude {
         SyncPolicy, ViewId, WalStats,
     };
     pub use bcq_storage::{
-        discover_bound, dump_csv, load_csv, validate, Database, HashIndex, Loader, Meter,
-        RelationShard, Table,
+        discover_bound, dump_csv, load_csv, validate, Database, HashIndex, Meter, RelationShard,
+        Table,
     };
     pub use bcq_workload::{
         all_datasets, load_par, load_range_par, Dataset, ParLoadOptions, WorkloadQuery,

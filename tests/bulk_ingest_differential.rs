@@ -1,18 +1,19 @@
 //! Differential proof of the chunked bulk-ingest fast path: the final
 //! state a [`Database::bulk_loader`] load reaches — tables, index
 //! postings (down to rids and witness lists), symbol table contents and
-//! the epoch vector — must be indistinguishable from the slow paths it
-//! replaces:
+//! the epoch vector — must be indistinguishable from the slow ways of
+//! loading the same rows:
 //!
-//! * vs. row-at-a-time [`Database::insert_maintained`]: same decoded
-//!   rows in the same rid order, same decoded index postings and witness
-//!   promotion, same interned values. (Epoch *magnitudes* legitimately
-//!   differ — that is the point of the fast path: one commit per load
-//!   instead of one per row — but the vector-clock shape must agree:
-//!   untouched relations' components stay put in both.)
-//! * vs. the per-row [`Database::loader`] bulk path: bit-for-bit
+//! * vs. row-at-a-time [`Database::insert`] (the independent reference:
+//!   it shares no code with the loader past the table append): same
+//!   decoded rows in the same rid order, same decoded index postings and
+//!   witness promotion, same interned values. (Epoch *magnitudes*
+//!   legitimately differ — that is the point of the fast path: one commit
+//!   per load instead of one per row — but the vector-clock shape must
+//!   agree: untouched relations' components stay put in both.)
+//! * vs. the same loader fed one row per `push_rows`: bit-for-bit
 //!   identical epochs and decoded state — both are one-commit bulk
-//!   brackets, so nothing may distinguish them.
+//!   brackets, so chunking may not be observable.
 //! * across a WAL crash: replaying a large chunked load (big enough to
 //!   dispatch the sort-based index build) reproduces the live database
 //!   exactly — raw cells included, because replay re-applies the logged
@@ -138,17 +139,17 @@ const N: i64 = 10_000;
 const CHUNK: usize = 1_024;
 
 #[test]
-fn chunked_bulk_load_matches_row_at_a_time_insert_maintained() {
+fn chunked_bulk_load_matches_row_at_a_time_insert() {
     let a = access();
     let rows: Vec<Vec<Value>> = (0..N).map(row).collect();
 
-    // Slow path: indices first, then N maintained inserts (each one a
-    // commit, each one maintaining every index in place).
+    // Slow path: indices first, then N row inserts (each one a commit,
+    // each one maintaining every index in place).
     let mut slow = Database::new(catalog());
     slow.build_indexes(&a);
     let untouched_epoch = slow.epoch_of(RelId(1));
     for r in &rows {
-        slow.insert_maintained("r", r).unwrap();
+        slow.insert("r", r).unwrap();
     }
 
     // Fast path: one chunked bulk bracket, then one deferred index build.
@@ -193,9 +194,9 @@ fn chunked_bulk_load_is_indistinguishable_from_the_per_row_loader() {
 
     let mut per_row = Database::new(catalog());
     {
-        let mut l = per_row.loader(RelId(0));
+        let mut l = per_row.bulk_loader(RelId(0));
         for r in &rows {
-            l.push(r);
+            l.push_rows(r);
         }
     }
     per_row.build_indexes(&a);

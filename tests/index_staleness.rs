@@ -1,19 +1,16 @@
 //! Audit: can a `HashIndex` ever serve stale postings after inserts — or
 //! ghost rows after deletes?
 //!
-//! The two write paths behave differently by design:
-//!
-//! * [`Database::insert`] / [`Database::delete`] (bulk paths) **drop** all
-//!   registered indices, so a plan that runs before `build_indexes` fails
+//! * [`Database::insert`] / [`Database::delete`] update every posting list
+//!   in place; the maintained index must be indistinguishable from a
+//!   from-scratch rebuild (as posting *sets* — tombstone-free swap-remove
+//!   permutes row ids), a prepared bounded query must see rows inserted
+//!   after the index was first built, and a delete-then-probe must never
+//!   surface the deleted row — the regressions this file pins down.
+//! * [`Database::bulk_loader`] is the only path that still **clears** the
+//!   relation's indices, so a plan that runs before `build_indexes` fails
 //!   loudly ("index … not built") instead of silently missing rows —
-//!   verified here.
-//! * [`Database::insert_maintained`] / [`Database::delete_maintained`]
-//!   update every posting list in place; a maintained index must be
-//!   indistinguishable from a from-scratch rebuild (as posting *sets* —
-//!   tombstone-free swap-remove permutes row ids), a prepared bounded
-//!   query must see rows inserted after the index was first built, and a
-//!   delete-then-probe must never surface the deleted row — the
-//!   regressions this file pins down.
+//!   verified here, for rows loaded and for rows deleted in that window.
 
 use bounded_cq::prelude::*;
 use std::collections::BTreeMap;
@@ -41,8 +38,8 @@ fn friends_of(catalog: &Arc<Catalog>, user: i64) -> SpcQuery {
         .unwrap()
 }
 
-/// A bounded plan must see rows that `insert_maintained` added after the
-/// index build — no stale postings, no missed answers.
+/// A bounded plan must see rows that `insert` added after the index
+/// build — no stale postings, no missed answers.
 #[test]
 fn maintained_inserts_are_visible_to_bounded_plans() {
     let (mut db, a, catalog) = setup();
@@ -51,7 +48,7 @@ fn maintained_inserts_are_visible_to_bounded_plans() {
     let before = eval_dq(&db, &plan, &a).unwrap();
     assert_eq!(before.result.len(), 4); // 2, 7, 12, 17
 
-    db.insert_maintained("friends", &[Value::int(2), Value::int(999)])
+    db.insert("friends", &[Value::int(2), Value::int(999)])
         .unwrap();
     let after = eval_dq(&db, &plan, &a).unwrap();
     assert_eq!(after.result.len(), 5, "new row visible without a rebuild");
@@ -74,8 +71,8 @@ fn maintained_inserts_are_visible_to_bounded_plans() {
     }
 }
 
-/// The bulk `insert` path cannot serve stale data: it drops the indices,
-/// and the bounded executor refuses to run without them.
+/// The bulk loader cannot serve stale data: it clears the indices, and
+/// the bounded executor refuses to run without them.
 #[test]
 fn bulk_insert_fails_loudly_rather_than_serving_stale_postings() {
     let (mut db, a, catalog) = setup();
@@ -83,8 +80,8 @@ fn bulk_insert_fails_loudly_rather_than_serving_stale_postings() {
     let plan = qplan(&q, &a).unwrap();
     assert!(eval_dq(&db, &plan, &a).is_ok());
 
-    db.insert("friends", &[Value::int(2), Value::int(999)])
-        .unwrap();
+    db.bulk_loader(RelId(0))
+        .push_rows(&[Value::int(2), Value::int(999)]);
     let err = eval_dq(&db, &plan, &a).unwrap_err();
     assert!(err.to_string().contains("not built"), "{err}");
 
@@ -93,8 +90,8 @@ fn bulk_insert_fails_loudly_rather_than_serving_stale_postings() {
     assert_eq!(after.result.len(), 5);
 }
 
-/// A bounded plan must not see rows that `delete_maintained` removed —
-/// no ghost postings — and the maintained index must stay equivalent to a
+/// A bounded plan must not see rows that `delete` removed — no ghost
+/// postings — and the maintained index must stay equivalent to a
 /// from-scratch rebuild after interleaved inserts and deletes.
 #[test]
 fn maintained_deletes_leave_no_ghost_rows() {
@@ -105,23 +102,26 @@ fn maintained_deletes_leave_no_ghost_rows() {
 
     // Delete-then-probe: the deleted row must be gone immediately.
     assert!(db
-        .delete_maintained("friends", &[Value::int(2), Value::int(7)])
-        .unwrap());
+        .delete("friends", &[Value::int(2), Value::int(7)])
+        .unwrap()
+        .is_some());
     let after = eval_dq(&db, &plan, &a).unwrap();
     assert_eq!(after.result.len(), 3, "no rebuild needed, no ghost row");
     assert!(!after.result.contains(&[Value::int(7)]));
 
     // Interleave: insert two, delete one of them and one original.
-    db.insert_maintained("friends", &[Value::int(2), Value::int(100)])
+    db.insert("friends", &[Value::int(2), Value::int(100)])
         .unwrap();
-    db.insert_maintained("friends", &[Value::int(2), Value::int(101)])
+    db.insert("friends", &[Value::int(2), Value::int(101)])
         .unwrap();
     assert!(db
-        .delete_maintained("friends", &[Value::int(2), Value::int(100)])
-        .unwrap());
+        .delete("friends", &[Value::int(2), Value::int(100)])
+        .unwrap()
+        .is_some());
     assert!(db
-        .delete_maintained("friends", &[Value::int(2), Value::int(17)])
-        .unwrap());
+        .delete("friends", &[Value::int(2), Value::int(17)])
+        .unwrap()
+        .is_some());
     let rs = eval_dq(&db, &plan, &a).unwrap().result;
     assert_eq!(rs.len(), 3); // 2, 12, 101
     assert!(rs.contains(&[Value::int(101)]));
@@ -163,8 +163,9 @@ fn maintained_deletes_leave_no_ghost_rows() {
     }
 }
 
-/// The bulk `delete` path cannot serve ghosts either: it drops the
-/// indices, and the bounded executor refuses to run without them.
+/// A delete between a bulk load and its `build_indexes` cannot serve
+/// ghosts either: the loader cleared the indices, the delete has none to
+/// maintain, and the bounded executor refuses to run without them.
 #[test]
 fn bulk_delete_fails_loudly_rather_than_serving_ghost_postings() {
     let (mut db, a, catalog) = setup();
@@ -172,19 +173,22 @@ fn bulk_delete_fails_loudly_rather_than_serving_ghost_postings() {
     let plan = qplan(&q, &a).unwrap();
     assert!(eval_dq(&db, &plan, &a).is_ok());
 
+    drop(db.bulk_loader(RelId(0))); // even an empty load clears them
     assert!(db
         .delete("friends", &[Value::int(2), Value::int(7)])
-        .unwrap());
+        .unwrap()
+        .is_some());
     let err = eval_dq(&db, &plan, &a).unwrap_err();
     assert!(err.to_string().contains("not built"), "{err}");
 
     db.build_indexes(&a);
     let after = eval_dq(&db, &plan, &a).unwrap();
     assert_eq!(after.result.len(), 3);
+    assert!(!after.result.contains(&[Value::int(7)]));
 }
 
 /// End to end through the service: a prepared (cached) bounded query sees
-/// rows inserted after the index build, on both write paths.
+/// rows inserted after the index build, by a row write and by a bulk load.
 #[test]
 fn prepared_query_sees_rows_inserted_after_index_build() {
     let (db, a, catalog) = setup();
@@ -212,7 +216,7 @@ fn prepared_query_sees_rows_inserted_after_index_build() {
         4
     );
 
-    // Maintained path.
+    // Row write.
     server
         .insert("friends", &[Value::int(2), Value::int(999)])
         .unwrap();
@@ -220,24 +224,24 @@ fn prepared_query_sees_rows_inserted_after_index_build() {
     assert_eq!(r.rows().unwrap().len(), 5);
     assert!(r.stats.cache_hit, "served by the cached plan");
 
-    // Bulk path (indices dropped and rebuilt inside the write).
+    // Bulk load (indices cleared and rebuilt inside the write).
     server.bulk_update(|db| {
-        db.insert("friends", &[Value::int(2), Value::int(1000)])
-            .unwrap();
+        db.bulk_loader(RelId(0))
+            .push_rows(&[Value::int(2), Value::int(1000)]);
     });
     let r = session.query(&template, &bind(2)).unwrap();
     assert_eq!(r.rows().unwrap().len(), 6);
 
-    // Maintained delete: the cached plan must not see the ghost row.
+    // Served delete: the cached plan must not see the ghost row.
     assert!(server
         .delete("friends", &[Value::int(2), Value::int(999)])
         .unwrap());
     let r = session.query(&template, &bind(2)).unwrap();
     assert_eq!(r.rows().unwrap().len(), 5);
-    assert!(r.stats.cache_hit, "plan survived the maintained delete");
+    assert!(r.stats.cache_hit, "plan survived the delete");
     assert!(!r.rows().unwrap().contains(&[Value::int(999)]));
 
-    // Bulk delete: indices rebuilt inside the write, plan revalidates.
+    // Out-of-band delete: the epoch moves, the plan revalidates.
     server.bulk_update(|db| {
         db.delete("friends", &[Value::int(2), Value::int(1000)])
             .unwrap();

@@ -324,11 +324,8 @@ fn answers_survive_reinterning() {
     let mut db2 = Database::new(ds.catalog.clone());
     for (i, _) in ds.catalog.relations().iter().enumerate().rev() {
         let rel = RelId(i);
-        let rows: Vec<Vec<Value>> = db.value_rows(rel).collect();
-        let mut loader = db2.loader(rel);
-        for row in &rows {
-            loader.push(row);
-        }
+        let flat: Vec<Value> = db.value_rows(rel).flatten().collect();
+        db2.bulk_loader(rel).push_rows(&flat);
     }
     db2.build_indexes(&ds.access);
 

@@ -1,8 +1,8 @@
 //! Crash-point differential proof of the durability layer: random
-//! interleavings of maintained inserts/deletes, out-of-band writes and
-//! bulk loads — row-at-a-time and chunked columnar, so cuts land inside
-//! encoded `BulkChunk` records too — are applied to a WAL-attached
-//! database, the log is cut at a
+//! interleavings of row inserts/deletes and bulk loads — one-row chunks
+//! and multi-row columnar chunks, so cuts land inside encoded `BulkChunk`
+//! records too — are applied to a WAL-attached database, the log is cut
+//! at a
 //! **random byte offset** — including mid-record and mid-bulk — and
 //! recovery must land on exactly the state the never-crashed oracle had at
 //! some commit boundary at or before the cut: same rows, same epoch
@@ -127,6 +127,24 @@ fn mot_access() -> AccessSchema {
 /// mixed in so symbol-interning replay is exercised alongside small ints.
 type Op = (i64, bool, [i64; 3]);
 
+/// Op kinds [`crash_and_check`] knows: 0–1 insert, 2–3 delete, 4 a bulk
+/// load of one-row chunks, 5 a bulk load of one three-row columnar chunk.
+/// Its `match` is exhaustive over exactly this range — no modulus — so
+/// the generator and the arms cannot drift apart.
+const STORAGE_OP_KINDS: i64 = 6;
+
+/// The op vectors both storage-level properties (and the coverage test)
+/// draw from; `v0` / `v1` bound the first two row values.
+fn storage_ops(
+    v0: std::ops::Range<i64>,
+    v1: std::ops::Range<i64>,
+) -> impl Strategy<Value = Vec<Op>> {
+    prop::collection::vec(
+        (0..STORAGE_OP_KINDS, any::<bool>(), [v0, v1, 0..3i64]),
+        1..12,
+    )
+}
+
 fn tfacc_row(into_accident: bool, vals: &[i64; 3]) -> (&'static str, Vec<Value>) {
     if into_accident {
         (
@@ -158,13 +176,14 @@ fn mot_row(_into: bool, vals: &[i64; 3]) -> (&'static str, Vec<Value>) {
 /// at every commit boundary), cuts the log at `cut_seed % (bytes + 1)`,
 /// recovers, and asserts the recovered state equals the oracle boundary
 /// recovery reports — then recovers again and asserts idempotence.
+/// Returns how many ops ran per kind: insert, delete, row load, chunk load.
 fn crash_and_check(
     catalog: Arc<Catalog>,
     access: &AccessSchema,
     ops: &[Op],
     row_of: fn(bool, &[i64; 3]) -> (&'static str, Vec<Value>),
     cut_seed: u32,
-) {
+) -> [usize; 4] {
     let log = Arc::new(MemLog::new());
     let writer = Arc::new(WalWriter::new(
         Arc::clone(&log) as Arc<dyn LogStorage>,
@@ -181,33 +200,32 @@ fn crash_and_check(
         db.ensure_index(c);
         boundaries.push((writer.last_seq(), dump(&db)));
     }
+    let mut ran = [0usize; 4];
     for (kind, flip, vals) in ops {
         let (rel_name, row) = row_of(*flip, vals);
-        match kind.rem_euclid(6) {
+        match kind {
             0 | 1 => {
-                db.insert_maintained(rel_name, &row).unwrap();
-            }
-            2 => {
-                // Out-of-band insert: drops the relation's indices.
+                ran[0] += 1;
                 db.insert(rel_name, &row).unwrap();
             }
-            3 => {
-                db.delete_maintained(rel_name, &row).unwrap();
-            }
-            4 => {
+            2 | 3 => {
+                ran[1] += 1;
                 db.delete(rel_name, &row).unwrap();
             }
-            5 => {
-                // Bulk load of two rows (BulkBegin..rows..BulkEnd bracket).
+            4 => {
+                // Bulk load of two one-row chunks (BulkBegin .. chunks ..
+                // BulkEnd bracket); clears the relation's indices.
+                ran[2] += 1;
                 let rel = db.catalog().require_rel(rel_name).unwrap();
                 let (_, row2) = row_of(!*flip, vals);
-                let mut l = db.loader(rel);
-                l.push(&row);
+                let mut l = db.bulk_loader(rel);
+                l.push_rows(&row);
                 if row2.len() == row.len() {
-                    l.push(&row2);
+                    l.push_rows(&row2);
                 }
             }
-            _ => {
+            5 => {
+                ran[3] += 1;
                 // Chunked columnar bulk load: three rows land in a single
                 // WAL BulkChunk record, so the cut can fall inside the
                 // encoded chunk and replay must still intern/append
@@ -225,6 +243,7 @@ fn crash_and_check(
                 let mut l = db.bulk_loader(rel);
                 l.push_chunk_columns(&cols);
             }
+            _ => unreachable!("storage_ops() generates 0..{STORAGE_OP_KINDS}, got {kind}"),
         }
         boundaries.push((writer.last_seq(), dump(&db)));
     }
@@ -237,7 +256,7 @@ fn crash_and_check(
     let (recovered, report) = recover(&*log, Arc::clone(&catalog)).unwrap();
     // The recovered state must be the oracle's state at the last commit
     // boundary the report says was applied. (Recovery may stop mid-op on a
-    // non-commit record — a symbol intern, a bulk row — but the *state* is
+    // non-commit record — a symbol intern, a bulk chunk — but the *state* is
     // then exactly the previous boundary's.)
     let (boundary_seq, oracle) = boundaries
         .iter()
@@ -261,6 +280,7 @@ fn crash_and_check(
     assert_eq!(report2.last_seq, report.last_seq);
     assert_eq!(report2.torn_bytes, 0);
     assert_eq!(report2.discarded, 0);
+    ran
 }
 
 proptest! {
@@ -269,7 +289,7 @@ proptest! {
 
     #[test]
     fn tfacc_shaped_crash_points_recover_to_an_oracle_boundary(
-        ops in prop::collection::vec((0..7i64, any::<bool>(), [0..4i64, 0..3i64, 0..3i64]), 1..12),
+        ops in storage_ops(0..4, 0..3),
         cut_seed in any::<u32>(),
     ) {
         crash_and_check(tfacc_catalog(), &tfacc_access(), &ops, tfacc_row, cut_seed);
@@ -277,11 +297,29 @@ proptest! {
 
     #[test]
     fn mot_shaped_crash_points_recover_to_an_oracle_boundary(
-        ops in prop::collection::vec((0..7i64, any::<bool>(), [0..6i64, 0..4i64, 0..3i64]), 1..12),
+        ops in storage_ops(0..6, 0..4),
         cut_seed in any::<u32>(),
     ) {
         crash_and_check(mot_catalog(), &mot_access(), &ops, mot_row, cut_seed);
     }
+}
+
+/// The columnar-chunk arm went unexercised for as long as the generator's
+/// range and the match's modulus disagreed; this pins, for a fixed seed,
+/// that the shared generator reaches every arm.
+#[test]
+fn every_storage_op_kind_runs_for_a_fixed_seed() {
+    let mut rng = proptest::test_runner::TestRng::deterministic("storage-op-coverage");
+    let mut ran = [0usize; 4];
+    for cut_seed in 0..32 {
+        let ops = storage_ops(0..4, 0..3).generate(&mut rng);
+        let n = crash_and_check(tfacc_catalog(), &tfacc_access(), &ops, tfacc_row, cut_seed);
+        ran.iter_mut().zip(n).for_each(|(total, n)| *total += n);
+    }
+    assert!(
+        ran.iter().all(|&n| n > 0),
+        "insert / delete / row load / chunk load ran {ran:?}"
+    );
 }
 
 // --- the serving-level crash harness -------------------------------------
@@ -295,7 +333,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The same interleavings end to end through [`Server::open`]: writes
-    /// go through the maintained serving paths (plus occasional bulk
+    /// go through the served row-write path (plus occasional bulk
     /// loads), the log is cut at a random offset past the setup prefix,
     /// and the reopened server's registered view must equal a fresh
     /// recompute over whatever prefix survived. When the cut lands exactly
@@ -335,7 +373,9 @@ proptest! {
         record(&server);
         for (kind, into_accident, vals) in &ops {
             let (rel_name, row) = tfacc_row(*into_accident, vals);
-            match kind.rem_euclid(9) {
+            // Exhaustive over the generator's `0..9`, no modulus: see
+            // `STORAGE_OP_KINDS`.
+            match kind {
                 0..=3 => {
                     server.insert(rel_name, &row).unwrap();
                 }
@@ -345,11 +385,10 @@ proptest! {
                 6 | 7 => {
                     server.bulk_update(|db| {
                         let rel = db.catalog().require_rel(rel_name).unwrap();
-                        let mut l = db.loader(rel);
-                        l.push(&row);
+                        db.bulk_loader(rel).push_rows(&row);
                     });
                 }
-                _ => {
+                8 => {
                     // The serving-tier chunked fast path: a two-row
                     // columnar chunk (one WAL BulkChunk record).
                     let mut v = *vals;
@@ -364,6 +403,7 @@ proptest! {
                         .bulk_load(rel_name, |l| l.push_chunk_columns(&cols))
                         .unwrap();
                 }
+                _ => unreachable!("the strategy above generates 0..9, got {kind}"),
             }
             record(&server);
         }

@@ -67,14 +67,14 @@ proptest! {
         let shared = SharedDb::new(db);
 
         let mut snapshots: Vec<Arc<Database>> = vec![shared.snapshot()];
-        for &(rel, maintained, x, y) in &writes {
+        for &(rel, row_write, x, y) in &writes {
             let before: Vec<u64> = (0..3).map(|i| shared.epoch_of(RelId(i))).collect();
             let row = row_for(rel, x, y);
             shared.write(|d| {
-                if maintained {
-                    d.insert_maintained(RELS[rel], &row).map(|_| ()).unwrap();
-                } else {
+                if row_write {
                     d.insert(RELS[rel], &row).unwrap();
+                } else {
+                    d.bulk_loader(RelId(rel)).push_rows(&row);
                     d.build_indexes(&a);
                 }
             });
@@ -146,7 +146,7 @@ proptest! {
         for &(rel, bulk, x, y) in &writes {
             let row = row_for(rel, x, y);
             if bulk {
-                server.bulk_update(|d| d.insert(RELS[rel], &row).unwrap());
+                server.bulk_update(|d| d.bulk_loader(RelId(rel)).push_rows(&row));
             } else {
                 server.insert(RELS[rel], &row).unwrap();
             }
@@ -168,7 +168,7 @@ proptest! {
 }
 
 /// Threaded stress: one writer per relation hammers its own shard through
-/// the maintained single-writer path while reader threads take snapshots
+/// the served row-write path while reader threads take snapshots
 /// and assert (a) the snapshot's vector clock and row counts are frozen,
 /// (b) cross-relation reads are mutually consistent — the edge writer
 /// inserts an `edge` row and a matching `audit` row under one
