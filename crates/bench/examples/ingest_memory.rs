@@ -15,6 +15,12 @@
 //! must not overshoot — the peak of the load stays within a sliver of the
 //! bytes still live when it finishes, so there is no doubling-growth spike
 //! and no row-major staging copy of the stream.
+//!
+//! A third check bounds what the indices cost beside the data: the live
+//! bytes `build_indexes` adds over a whole TPCH instance (SF 32, or SF 8
+//! in smoke mode), per stored row, and how far `HashIndex::approx_bytes` —
+//! the number a running server exports as `bcq_index_bytes` — is from what
+//! the allocator counted.
 
 use bcq_core::prelude::Value;
 use bcq_storage::Database;
@@ -137,6 +143,36 @@ fn main() {
     assert!(
         load_peak <= load_live + load_live / 8 + 4 * 1024 * 1024,
         "bulk load overshot its final footprint: peak {load_peak} vs kept {load_live}"
+    );
+
+    // Index-side: an entry costs what it holds. 61 indices over eight
+    // tables; two posting lists and a Y-set per key cost ≈ 1,210 B per row
+    // here before the lists were folded into one inline list (283 now).
+    let mut db = tpch::generate(if smoke { 8.0 } else { 32.0 }, 0xBC0);
+    let access = tpch::access_schema();
+    let (_, _, index_live) = deltas_during(|| db.build_indexes(&access));
+    let rows = db.total_tuples();
+    let (keys, reported) = db.index_footprint();
+    println!(
+        "index build: {} indices, {keys} keys over {rows} rows; {:.2} MB live = {} B per row, \
+         {} B per key; approx_bytes reports {:.2} MB; tables {:.2} MB",
+        db.num_indexes(),
+        index_live as f64 / 1e6,
+        index_live as usize / rows,
+        index_live as usize / keys,
+        reported as f64 / 1e6,
+        db.table_bytes() as f64 / 1e6,
+    );
+    assert!(
+        index_live as usize / rows <= 450,
+        "indices cost {} B per row",
+        index_live as usize / rows
+    );
+    let off = (reported as f64 - index_live as f64).abs() / index_live as f64;
+    assert!(
+        off <= 0.10,
+        "approx_bytes is {:.0}% off the allocator's count",
+        off * 100.0
     );
     println!("ingest_memory: OK");
 }

@@ -245,6 +245,14 @@ impl RowBuf {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Bytes this row owns on the heap: 0 while it fits inline.
+    pub fn heap_bytes(&self) -> usize {
+        match &self.0 {
+            Repr::Inline { .. } => 0,
+            Repr::Heap(v) => v.capacity() * std::mem::size_of::<Cell>(),
+        }
+    }
 }
 
 impl Default for RowBuf {

@@ -810,6 +810,10 @@ impl Server {
         snap.gauges.relations = db.num_relations() as u64;
         snap.gauges.total_tuples = db.total_tuples() as u64;
         snap.gauges.interner_symbols = db.symbols().len() as u64;
+        let (index_keys, index_bytes) = db.index_footprint();
+        snap.gauges.index_keys = index_keys as u64;
+        snap.gauges.index_bytes = index_bytes as u64;
+        snap.gauges.table_bytes = db.table_bytes() as u64;
         snap.gauges.epoch = db.epoch();
         snap
     }
@@ -2548,6 +2552,9 @@ mod tests {
         assert_eq!(snap.gauges.relations, 3);
         assert!(snap.gauges.total_tuples > 0);
         assert!(snap.gauges.interner_symbols > 0);
+        assert!(snap.gauges.index_keys > 0);
+        assert!(snap.gauges.index_bytes > 0);
+        assert!(snap.gauges.table_bytes > 0);
         assert!(snap.gauges.epoch > 0);
         let json = snap.to_json();
         assert!(json.contains("\"plan_cache\""), "{json}");

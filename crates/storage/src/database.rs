@@ -512,6 +512,22 @@ impl Database {
         self.shards.iter().map(|s| s.indexes.len()).sum()
     }
 
+    /// Distinct keys and resident bytes ([`HashIndex::approx_bytes`]) summed
+    /// over every registered index. O(indices).
+    pub fn index_footprint(&self) -> (usize, usize) {
+        self.shards
+            .iter()
+            .flat_map(|s| &s.indexes)
+            .fold((0, 0), |(keys, bytes), (_, idx)| {
+                (keys + idx.num_keys(), bytes + idx.approx_bytes())
+            })
+    }
+
+    /// Resident bytes of every table's cell storage.
+    pub fn table_bytes(&self) -> usize {
+        self.shards.iter().map(|s| s.table.approx_bytes()).sum()
+    }
+
     /// Approximate resident size in tuples-of-values (tables only), for
     /// reporting dataset scale.
     pub fn total_values(&self) -> usize {
@@ -742,7 +758,7 @@ mod tests {
                 let mut keys: Vec<_> = idx
                     .entries()
                     .map(|(k, p)| {
-                        let (mut all, mut wit) = (p.all.clone(), p.witnesses.clone());
+                        let (mut all, mut wit) = (p.all().to_vec(), p.witnesses().to_vec());
                         all.sort_unstable();
                         wit.sort_unstable();
                         (k.to_vec(), all, wit)

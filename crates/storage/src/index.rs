@@ -2,7 +2,7 @@
 //!
 //! The index mandated by `X → (Y, N)` must, given an `X`-value `ā`, return a
 //! witness set `D' ⊆ D` with `|D'| ≤ N` covering all distinct `Y`-values
-//! `D_Y(X = ā)`, at a cost measured in `N` (Section 2). [`HashIndex`] keeps
+//! `D_Y(X = ā)`, at a cost measured in `N` (Section 2). [`HashIndex`] shows
 //! two posting lists per key:
 //!
 //! * **witnesses** — one row id per distinct `Y`-projection: what the
@@ -12,6 +12,18 @@
 //!   a secondary index (it fetches whole rows, duplicates included — the
 //!   behaviour the paper observed in MySQL's logs), used by the baseline.
 //!
+//! Two lists are the *view*, not the storage. While every row of a key has
+//! its own `Y`-projection the two lists are the same list, and a
+//! [`Postings`] entry keeps it once — inline in the entry up to
+//! `INLINE_RIDS` (7) row ids, so a key with one row allocates nothing. On the
+//! TPCH instance 99.96% of the keys never leave that state. A separate
+//! witness list, and the set of `Y`-projections that decides membership in
+//! it, exist only for a key that has seen the same `Y`-projection twice (the
+//! `X = ∅` bounded-domain indices, a few hundred `partsupp` keys) or whose
+//! list has grown past `SCAN_LIMIT` (32 rows); below the limit "is this
+//! `Y`-projection new?" is answered by comparing `Y` cells with the rows
+//! already listed, read from the [`Table`].
+//!
 //! Keys and `Y`-projections are interned [`Cell`] rows, so probing hashes a
 //! handful of `u64` words — never string bytes — regardless of the value
 //! types in the indexed columns.
@@ -19,17 +31,221 @@
 use crate::table::Table;
 use bcq_core::fx::{FxHashMap, FxHashSet};
 use bcq_core::prelude::{Cell, RowBuf};
+use std::mem::size_of;
+
+/// Row ids a [`Postings`] entry holds without a heap block. Seven `u32`s, a
+/// length byte and the variant tag fill the 32 bytes the `Vec<u32>` spill
+/// variant (24 bytes, 8-aligned, plus the tag) occupies anyway, so the
+/// inline form costs nothing extra; on TPCH it covers every key of the key
+/// indices (one row) and every `l_orderkey` group (1–7 lineitems).
+pub(crate) const INLINE_RIDS: usize = 7;
+
+/// Longest row-id list for which a new row's `Y`-projection is checked
+/// against the listed rows themselves rather than against a per-key hash
+/// set of projections.
+///
+/// Measured with [`HashIndex::insert_row`] on 4,096 keys of `n` rows each,
+/// interleaved through the table so that every listed row is a cache line
+/// of its own (2 cores, this sandbox; ns per insert, scan / set). One `Y`
+/// column — n = 4: 79 / 259, 10: 167 / 356, 20: 214 / 327, 40: 534 / 569,
+/// 60: 782 / 707, 100: 1,344 / 884; eight `Y` columns, a heap `RowBuf`
+/// per stored projection — 10: 293 / 408, 20: 456 / 467, 40: 798 / 835,
+/// 60: 1,600 / 1,263. The scan wins up to about 40 rows whatever the
+/// width, and below that the set costs ≈ 3 KB for a 32-row key against
+/// 168 B for the bare list; 32 is the power of two under the crossing. The
+/// benchmark's data sits on both sides: `orders`' `o_custkey` keys list
+/// ≈ 10 rows and its key indices one, its `∅`-keyed domains list every
+/// row of the relation.
+pub(crate) const SCAN_LIMIT: usize = 32;
+
+/// A row-id list: inline up to [`INLINE_RIDS`], a `Vec` beyond.
+#[derive(Debug, Clone)]
+enum Rids {
+    Inline { len: u8, rids: [u32; INLINE_RIDS] },
+    Heap(Vec<u32>),
+}
+
+impl Default for Rids {
+    fn default() -> Rids {
+        Rids::Inline {
+            len: 0,
+            rids: [0; INLINE_RIDS],
+        }
+    }
+}
+
+impl Rids {
+    fn with_capacity(n: usize) -> Rids {
+        if n <= INLINE_RIDS {
+            Rids::default()
+        } else {
+            Rids::Heap(Vec::with_capacity(n))
+        }
+    }
+
+    #[inline]
+    fn as_slice(&self) -> &[u32] {
+        match self {
+            Rids::Inline { len, rids } => &rids[..usize::from(*len)],
+            Rids::Heap(v) => v,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [u32] {
+        match self {
+            Rids::Inline { len, rids } => &mut rids[..usize::from(*len)],
+            Rids::Heap(v) => v,
+        }
+    }
+
+    fn push(&mut self, rid: u32) {
+        match self {
+            Rids::Inline { len, rids } => {
+                if usize::from(*len) < INLINE_RIDS {
+                    rids[usize::from(*len)] = rid;
+                    *len += 1;
+                } else {
+                    let mut v = Vec::with_capacity(INLINE_RIDS * 2);
+                    v.extend_from_slice(&rids[..]);
+                    v.push(rid);
+                    *self = Rids::Heap(v);
+                }
+            }
+            Rids::Heap(v) => v.push(rid),
+        }
+    }
+
+    /// Removes the id at `pos`, keeping the order of the rest; a spilled
+    /// list that fits inline again gives its heap block back.
+    fn remove(&mut self, pos: usize) {
+        match self {
+            Rids::Inline { len, rids } => {
+                rids.copy_within(pos + 1..usize::from(*len), pos);
+                *len -= 1;
+            }
+            Rids::Heap(v) => {
+                v.remove(pos);
+                if v.len() <= INLINE_RIDS {
+                    let mut rids = [0; INLINE_RIDS];
+                    rids[..v.len()].copy_from_slice(v);
+                    *self = Rids::Inline {
+                        len: v.len() as u8,
+                        rids,
+                    };
+                }
+            }
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        match self {
+            Rids::Inline { .. } => 0,
+            Rids::Heap(v) => v.capacity() * size_of::<u32>(),
+        }
+    }
+}
+
+/// What a key keeps once its witness list is no longer its row-id list.
+#[derive(Debug, Clone)]
+struct Dups {
+    /// One row per distinct `Y`-projection, in first-seen order.
+    witnesses: Vec<u32>,
+    /// The distinct `Y`-projections behind `witnesses`.
+    y_seen: FxHashSet<RowBuf>,
+}
 
 /// Posting lists for one `X`-value.
 #[derive(Debug, Clone, Default)]
 pub struct Postings {
+    /// Every row with this key, in insertion order — and, while `dups` is
+    /// `None`, the witness list as well: every listed row has a
+    /// `Y`-projection of its own.
+    rids: Rids,
+    /// Present once the key has seen a `Y`-projection twice or its list
+    /// has grown past [`SCAN_LIMIT`]; stays until the key is dropped.
+    dups: Option<Box<Dups>>,
+}
+
+impl Postings {
+    fn with_capacity(n: usize) -> Postings {
+        Postings {
+            rids: Rids::with_capacity(n),
+            dups: None,
+        }
+    }
+
     /// Every row with this key, in insertion order.
-    pub all: Vec<u32>,
+    #[inline]
+    pub fn all(&self) -> &[u32] {
+        self.rids.as_slice()
+    }
+
     /// One row per distinct `Y`-projection, in first-seen order.
-    pub witnesses: Vec<u32>,
-    /// The distinct `Y`-projections behind `witnesses` (kept so
-    /// [`HashIndex::insert_row`] can maintain witness semantics in O(1)).
-    pub(crate) y_seen: FxHashSet<RowBuf>,
+    #[inline]
+    pub fn witnesses(&self) -> &[u32] {
+        match &self.dups {
+            None => self.rids.as_slice(),
+            Some(d) => &d.witnesses,
+        }
+    }
+
+    /// Lists `rid`, whose cells are `row`, and promotes it to witness iff
+    /// its projection on `y` is new for this key — the one routine every
+    /// builder and the maintained insert go through. `table` must hold the
+    /// rows already listed.
+    fn add(&mut self, rid: u32, row: &[Cell], y: &[usize], table: &Table) {
+        if self.dups.is_none() {
+            let listed = self.rids.as_slice();
+            if listed.len() < SCAN_LIMIT
+                && !listed
+                    .iter()
+                    .any(|&r| same_projection(table.row(r as usize), row, y))
+            {
+                self.rids.push(rid);
+                return;
+            }
+            self.dups = Some(Box::new(Dups {
+                witnesses: listed.to_vec(),
+                y_seen: listed
+                    .iter()
+                    .map(|&r| project(table.row(r as usize), y))
+                    .collect(),
+            }));
+        }
+        self.rids.push(rid);
+        let dups = self.dups.as_mut().expect("set above");
+        if dups.y_seen.insert(project(row, y)) {
+            dups.witnesses.push(rid);
+        }
+    }
+
+    /// What [`HashIndex::book`] keeps totals of: the size of the witness
+    /// set and the heap bytes behind this entry, where one stored
+    /// `Y`-projection owns `y_spill` of them.
+    fn footprint(&self, y_spill: usize) -> (usize, usize) {
+        let heap = self.rids.heap_bytes()
+            + self.dups.as_ref().map_or(0, |d| {
+                size_of::<Dups>()
+                    + d.witnesses.capacity() * size_of::<u32>()
+                    + hash_table_bytes(d.y_seen.capacity(), size_of::<RowBuf>())
+                    + d.y_seen.len() * y_spill
+            });
+        (self.witnesses().len(), heap)
+    }
+}
+
+fn project(row: &[Cell], cols: &[usize]) -> RowBuf {
+    cols.iter().map(|&c| row[c]).collect()
+}
+
+fn same_projection(a: &[Cell], b: &[Cell], cols: &[usize]) -> bool {
+    cols.iter().all(|&c| a[c] == b[c])
+}
+
+/// Bytes of a std hash table with room for `capacity` entries of `entry`
+/// bytes: eight buckets per seven entries, one control byte per bucket.
+fn hash_table_bytes(capacity: usize, entry: usize) -> usize {
+    (capacity * 8).div_ceil(7) * (entry + 1)
 }
 
 /// A hash index on key columns `x` exposing value columns `y`.
@@ -39,6 +255,17 @@ pub struct HashIndex {
     y: Vec<usize>,
     map: FxHashMap<RowBuf, Postings>,
     max_witnesses: usize,
+    /// `witness_sizes[n]` counts the keys whose witness set holds `n` rows
+    /// (`n ≥ 1`), so `max_witnesses` steps down without a walk over keys.
+    witness_sizes: Vec<u32>,
+    /// Heap bytes behind the entries (the sum of [`Postings::footprint`]'s
+    /// second half), kept as they change so [`Self::approx_bytes`] needs no
+    /// walk either.
+    entry_heap_bytes: usize,
+    /// Heap bytes one key / one `Y`-projection owns (0 while it fits a
+    /// `RowBuf` inline).
+    key_spill: usize,
+    y_spill: usize,
 }
 
 static EMPTY: &[u32] = &[];
@@ -51,6 +278,20 @@ static EMPTY: &[u32] = &[];
 const SORT_BUILD_THRESHOLD: usize = 1 << 13;
 
 impl HashIndex {
+    fn empty(x: &[usize], y: &[usize]) -> HashIndex {
+        let spill = |width| std::iter::repeat_n(Cell::NULL, width).collect::<RowBuf>();
+        HashIndex {
+            x: x.to_vec(),
+            y: y.to_vec(),
+            map: FxHashMap::default(),
+            max_witnesses: 0,
+            witness_sizes: Vec::new(),
+            entry_heap_bytes: 0,
+            key_spill: spill(x.len()).heap_bytes(),
+            y_spill: spill(y.len()).heap_bytes(),
+        }
+    }
+
     /// Builds the index for key columns `x` and value columns `y` (both
     /// sorted column index lists, as stored in an
     /// [`bcq_core::access::AccessConstraint`]).
@@ -71,14 +312,9 @@ impl HashIndex {
     /// per row — the incremental-maintenance code path replayed over the
     /// whole table.
     pub fn build_rowwise(table: &Table, x: &[usize], y: &[usize]) -> HashIndex {
-        let mut idx = HashIndex {
-            x: x.to_vec(),
-            y: y.to_vec(),
-            map: FxHashMap::default(),
-            max_witnesses: 0,
-        };
+        let mut idx = HashIndex::empty(x, y);
         for (rid, row) in table.rows().enumerate() {
-            idx.insert_row(rid as u32, row);
+            idx.insert_row(rid as u32, row, table);
         }
         idx
     }
@@ -94,12 +330,7 @@ impl HashIndex {
     /// witness promotion order, everything — are identical to
     /// [`Self::build_rowwise`]'s.
     pub fn build_sorted(table: &Table, x: &[usize], y: &[usize]) -> HashIndex {
-        let mut idx = HashIndex {
-            x: x.to_vec(),
-            y: y.to_vec(),
-            map: FxHashMap::default(),
-            max_witnesses: 0,
-        };
+        let mut idx = HashIndex::empty(x, y);
         let n = table.len();
         u32::try_from(n).expect("table too large");
         // X = ∅ (bounded-domain constraints) needs no sort at all: every
@@ -113,7 +344,7 @@ impl HashIndex {
         let mut keyed: Vec<(RowBuf, u32)> = table
             .rows()
             .enumerate()
-            .map(|(rid, row)| (x.iter().map(|&c| row[c]).collect(), rid as u32))
+            .map(|(rid, row)| (project(row, x), rid as u32))
             .collect();
         keyed.sort_unstable_by(|(ka, a), (kb, b)| {
             for (ca, cb) in ka.iter().zip(kb.iter()) {
@@ -124,15 +355,14 @@ impl HashIndex {
             }
             a.cmp(b)
         });
+        // One table allocation at its final size instead of a rehash per
+        // doubling.
+        let groups = keyed.chunk_by(|(ka, _), (kb, _)| ka == kb);
+        idx.map.reserve(groups.clone().count());
         let mut group: Vec<u32> = Vec::new();
-        let mut i = 0;
-        while i < n {
-            let key = &keyed[i].0;
+        for pairs in groups {
             group.clear();
-            while i < n && keyed[i].0 == *key {
-                group.push(keyed[i].1);
-                i += 1;
-            }
+            group.extend(pairs.iter().map(|&(_, rid)| rid));
             idx.emit_group(table, &group);
         }
         idx
@@ -142,20 +372,12 @@ impl HashIndex {
     /// key) as a postings entry, promoting first-seen `Y`-projections to
     /// witnesses exactly as the row-wise build would.
     fn emit_group(&mut self, table: &Table, rids: &[u32]) {
-        let first = table.row(rids[0] as usize);
-        let key: RowBuf = self.x.iter().map(|&c| first[c]).collect();
-        let mut postings = Postings {
-            all: rids.to_vec(),
-            ..Postings::default()
-        };
+        let key = project(table.row(rids[0] as usize), &self.x);
+        let mut postings = Postings::with_capacity(rids.len());
         for &rid in rids {
-            let row = table.row(rid as usize);
-            let yproj: RowBuf = self.y.iter().map(|&c| row[c]).collect();
-            if postings.y_seen.insert(yproj) {
-                postings.witnesses.push(rid);
-            }
+            postings.add(rid, table.row(rid as usize), &self.y, table);
         }
-        self.max_witnesses = self.max_witnesses.max(postings.witnesses.len());
+        self.book((0, 0), postings.footprint(self.y_spill));
         self.map.insert(key, postings);
     }
 
@@ -171,12 +393,12 @@ impl HashIndex {
 
     /// Witness rows for `key`: at most one per distinct `Y`-value.
     pub fn witnesses(&self, key: &[Cell]) -> &[u32] {
-        self.map.get(key).map_or(EMPTY, |p| &p.witnesses)
+        self.map.get(key).map_or(EMPTY, Postings::witnesses)
     }
 
     /// All rows matching `key` (what a conventional index scan returns).
     pub fn all(&self, key: &[Cell]) -> &[u32] {
-        self.map.get(key).map_or(EMPTY, |p| &p.all)
+        self.map.get(key).map_or(EMPTY, Postings::all)
     }
 
     /// Number of distinct keys.
@@ -191,26 +413,58 @@ impl HashIndex {
         self.max_witnesses
     }
 
+    /// Resident bytes of the index, to within the allocator's rounding: the
+    /// hash table at its current capacity plus what keys and entries own
+    /// on the heap. O(1) — nothing is walked.
+    pub fn approx_bytes(&self) -> usize {
+        hash_table_bytes(self.map.capacity(), size_of::<(RowBuf, Postings)>())
+            + self.map.len() * self.key_spill
+            + self.entry_heap_bytes
+            + self.witness_sizes.capacity() * size_of::<u32>()
+    }
+
     /// Iterates over `(key, postings)` pairs (unspecified order).
     pub fn entries(&self) -> impl Iterator<Item = (&[Cell], &Postings)> + '_ {
         self.map.iter().map(|(k, p)| (k.as_slice(), p))
     }
 
-    /// Maintains the index for a newly appended row (`rid` must be the
-    /// row's id in the table the index was built from). Amortized
-    /// O(|X| + |Y|).
+    /// Books one entry's change of [`Postings::footprint`]; `(0, 0)` stands
+    /// for a key that is not (or no longer) there.
+    fn book(&mut self, before: (usize, usize), now: (usize, usize)) {
+        self.entry_heap_bytes = self.entry_heap_bytes - before.1 + now.1;
+        let (before, now) = (before.0, now.0);
+        if now == before {
+            return;
+        }
+        if before > 0 {
+            self.witness_sizes[before] -= 1;
+        }
+        if now > 0 {
+            if self.witness_sizes.len() <= now {
+                self.witness_sizes.resize(now + 1, 0);
+            }
+            self.witness_sizes[now] += 1;
+            self.max_witnesses = self.max_witnesses.max(now);
+        }
+        while self.max_witnesses > 0 && self.witness_sizes[self.max_witnesses] == 0 {
+            self.max_witnesses -= 1;
+        }
+    }
+
+    /// Maintains the index for a newly appended row: `rid` is its id in
+    /// `table`, the table the index was built from, which already holds
+    /// it. O(|X| + |Y|) amortized for a key past `SCAN_LIMIT` or with a
+    /// repeated `Y`-projection, at most `SCAN_LIMIT · |Y|` cell compares
+    /// otherwise.
     ///
     /// Witness semantics are preserved: the row becomes a witness only if
     /// its `Y`-projection is new for its key.
-    pub fn insert_row(&mut self, rid: u32, row: &[Cell]) {
-        let key: RowBuf = self.x.iter().map(|&c| row[c]).collect();
-        let yproj: RowBuf = self.y.iter().map(|&c| row[c]).collect();
-        let entry = self.map.entry(key).or_default();
-        entry.all.push(rid);
-        if entry.y_seen.insert(yproj) {
-            entry.witnesses.push(rid);
-            self.max_witnesses = self.max_witnesses.max(entry.witnesses.len());
-        }
+    pub fn insert_row(&mut self, rid: u32, row: &[Cell], table: &Table) {
+        let entry = self.map.entry(project(row, &self.x)).or_default();
+        let before = entry.footprint(self.y_spill);
+        entry.add(rid, row, &self.y, table);
+        let now = entry.footprint(self.y_spill);
+        self.book(before, now);
     }
 
     /// Maintains the index for a row about to be removed: drops `rid` from
@@ -221,76 +475,66 @@ impl HashIndex {
     /// witness set shrinks — witness coverage of all distinct remaining
     /// `Y`-values is preserved either way.
     ///
-    /// Cost: O(|postings of the key|), plus an O(keys) `max_witnesses`
-    /// recomputation only when the largest witness set shrank.
+    /// Cost: O(|postings of the key|).
     pub fn remove_row(&mut self, rid: u32, row: &[Cell], table: &Table) {
-        let key: RowBuf = self.x.iter().map(|&c| row[c]).collect();
+        let key = project(row, &self.x);
         let Some(entry) = self.map.get_mut(&key) else {
             return;
         };
-        let Some(pos) = entry.all.iter().position(|&r| r == rid) else {
+        let Some(pos) = entry.all().iter().position(|&r| r == rid) else {
             return;
         };
-        entry.all.remove(pos);
-        if entry.all.is_empty() {
-            let was_max = entry.witnesses.len() == self.max_witnesses;
+        let before = entry.footprint(self.y_spill);
+        entry.rids.remove(pos);
+        if entry.all().is_empty() {
             self.map.remove(&key);
-            if was_max {
-                self.recompute_max_witnesses();
-            }
+            self.book(before, (0, 0));
             return;
         }
-        let Some(wpos) = entry.witnesses.iter().position(|&r| r == rid) else {
-            return; // a duplicate copy was the witness; nothing else changes
-        };
-        let was_max = entry.witnesses.len() == self.max_witnesses;
-        let yproj: RowBuf = self.y.iter().map(|&c| row[c]).collect();
-        // Promote another copy of the same Y-projection, if one survives.
-        let replacement = entry.all.iter().copied().find(|&r| {
-            self.y
-                .iter()
-                .zip(yproj.iter())
-                .all(|(&c, &y)| table.row(r as usize)[c] == y)
-        });
-        match replacement {
-            Some(r) => entry.witnesses[wpos] = r,
-            None => {
-                entry.witnesses.remove(wpos);
-                entry.y_seen.remove(&yproj);
-                if was_max {
-                    self.recompute_max_witnesses();
+        // With no `dups` the list just shortened *is* the witness list: the
+        // row's `Y`-projection was its own and left with it.
+        if let Some(dups) = &mut entry.dups {
+            if let Some(wpos) = dups.witnesses.iter().position(|&r| r == rid) {
+                // Promote another copy of the same Y-projection, if one
+                // survives.
+                let replacement = entry
+                    .rids
+                    .as_slice()
+                    .iter()
+                    .copied()
+                    .find(|&r| same_projection(table.row(r as usize), row, &self.y));
+                match replacement {
+                    Some(r) => dups.witnesses[wpos] = r,
+                    None => {
+                        dups.witnesses.remove(wpos);
+                        dups.y_seen.remove(&project(row, &self.y));
+                    }
                 }
             }
         }
+        let now = entry.footprint(self.y_spill);
+        self.book(before, now);
     }
 
     /// Re-points the posting entries of the row whose id changed from
     /// `old_rid` to `new_rid` (the table's [`Table::swap_remove`] moved it);
     /// `row` is its cell content. O(|postings of its key|).
     pub fn reindex_row(&mut self, old_rid: u32, new_rid: u32, row: &[Cell]) {
-        let key: RowBuf = self.x.iter().map(|&c| row[c]).collect();
-        if let Some(entry) = self.map.get_mut(&key) {
-            for r in entry.all.iter_mut().chain(entry.witnesses.iter_mut()) {
+        if let Some(entry) = self.map.get_mut(&project(row, &self.x)) {
+            let witnesses = entry.dups.iter_mut().flat_map(|d| d.witnesses.iter_mut());
+            for r in entry.rids.as_mut_slice().iter_mut().chain(witnesses) {
                 if *r == old_rid {
                     *r = new_rid;
                 }
             }
         }
     }
-
-    fn recompute_max_witnesses(&mut self) {
-        self.max_witnesses = self
-            .map
-            .values()
-            .map(|p| p.witnesses.len())
-            .max()
-            .unwrap_or(0);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::tests::cells;
     use bcq_core::prelude::{RelId, SymbolTable, Value};
 
     fn table_and_symbols() -> (Table, SymbolTable) {
@@ -326,17 +570,17 @@ mod tests {
         let idx = HashIndex::build(&t, &[0], &[1]);
         for (k, postings) in idx.entries() {
             let witness_y: FxHashSet<RowBuf> = postings
-                .witnesses
+                .witnesses()
                 .iter()
-                .map(|&rid| idx.y().iter().map(|&c| t.row(rid as usize)[c]).collect())
+                .map(|&rid| project(t.row(rid as usize), idx.y()))
                 .collect();
             let all_y: FxHashSet<RowBuf> = postings
-                .all
+                .all()
                 .iter()
-                .map(|&rid| idx.y().iter().map(|&c| t.row(rid as usize)[c]).collect())
+                .map(|&rid| project(t.row(rid as usize), idx.y()))
                 .collect();
             assert_eq!(witness_y, all_y, "key {:?}", s.decode_row(k));
-            assert_eq!(postings.witnesses.len(), witness_y.len(), "no duplicates");
+            assert_eq!(postings.witnesses().len(), witness_y.len(), "no duplicates");
         }
     }
 
@@ -445,8 +689,8 @@ mod tests {
         assert_eq!(idx.max_witnesses(), 0);
     }
 
-    /// One [`dump`] entry: raw key words, rids, witnesses, y_seen size.
-    type DumpEntry = (Vec<u64>, Vec<u32>, Vec<u32>, usize);
+    /// One [`dump`] entry: raw key words, rids, witnesses.
+    type DumpEntry = (Vec<u64>, Vec<u32>, Vec<u32>);
 
     /// Canonical comparable form: entries sorted by raw key words.
     fn dump(idx: &HashIndex) -> Vec<DumpEntry> {
@@ -455,9 +699,8 @@ mod tests {
             .map(|(k, p)| {
                 (
                     k.iter().map(|c| c.raw()).collect(),
-                    p.all.clone(),
-                    p.witnesses.clone(),
-                    p.y_seen.len(),
+                    p.all().to_vec(),
+                    p.witnesses().to_vec(),
                 )
             })
             .collect();
@@ -468,8 +711,8 @@ mod tests {
     #[test]
     fn sorted_build_is_indistinguishable_from_rowwise() {
         // A skewed bag: few keys, many duplicate rows and repeated
-        // Y-values, plus nulls and strings — every posting, witness slot
-        // and y_seen set must come out bit-identical from both modes.
+        // Y-values, plus nulls and strings — every posting and witness
+        // slot must come out bit-identical from both modes.
         let mut symbols = SymbolTable::new();
         let mut t = Table::new(RelId(0), 3);
         let mut state = 0x9E37u64;
@@ -504,5 +747,118 @@ mod tests {
         // And the empty table through the sorted mode explicitly.
         let empty = Table::new(RelId(0), 3);
         assert_eq!(HashIndex::build_sorted(&empty, &[0], &[1]).num_keys(), 0);
+    }
+
+    #[test]
+    fn an_entry_is_forty_bytes_and_a_dup_free_key_keeps_one_list() {
+        assert!(size_of::<Rids>() <= 32);
+        assert!(size_of::<Postings>() <= 40);
+        // One key, SCAN_LIMIT rows of distinct Y: one list serves as both.
+        let mut t = Table::new(RelId(0), 2);
+        for i in 0..SCAN_LIMIT as i64 {
+            t.push(&cells(&[7, i]));
+        }
+        let mut idx = HashIndex::build(&t, &[0], &[1]);
+        let p = idx.entries().next().unwrap().1;
+        assert!(p.dups.is_none());
+        assert_eq!(p.all(), p.witnesses());
+        assert_eq!(p.all().len(), SCAN_LIMIT);
+        // One more row crosses the scan limit: the lists part, the views
+        // stay what they were.
+        t.push(&cells(&[7, -1]));
+        idx.insert_row(SCAN_LIMIT as u32, t.row(SCAN_LIMIT), &t);
+        let p = idx.entries().next().unwrap().1;
+        assert!(p.dups.is_some());
+        assert_eq!(p.all(), p.witnesses());
+        assert_eq!(idx.max_witnesses(), SCAN_LIMIT + 1);
+    }
+
+    #[test]
+    fn max_witnesses_tracks_the_largest_key_through_refills() {
+        // Keys 0..4 with Y drawn from a small domain; key 0 is driven to be
+        // the largest, emptied, and refilled, over and over.
+        let mut t = Table::new(RelId(0), 2);
+        let mut idx = HashIndex::build(&t, &[0], &[1]);
+        let mut state = 0xBC0u64;
+        let mut next = |n: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % n
+        };
+        let check = |idx: &HashIndex, step: &str| {
+            let scratch = idx.entries().map(|(_, p)| p.witnesses().len()).max();
+            assert_eq!(idx.max_witnesses(), scratch.unwrap_or(0), "{step}");
+        };
+        let insert = |t: &mut Table, idx: &mut HashIndex, row: &[Cell]| {
+            t.push(row);
+            idx.insert_row(t.len() as u32 - 1, row, t);
+        };
+        let delete = |t: &mut Table, idx: &mut HashIndex, rid: usize| {
+            let row = t.row(rid).to_vec();
+            idx.remove_row(rid as u32, &row, t);
+            if let Some(from) = t.swap_remove(rid) {
+                idx.reindex_row(from as u32, rid as u32, t.row(rid));
+            }
+        };
+        for round in 0..6 {
+            for _ in 0..40 {
+                let row = cells(&[next(4) as i64 + 1, next(6) as i64]);
+                insert(&mut t, &mut idx, &row);
+                check(&idx, "background insert");
+            }
+            // Fill key 0 past every other key (and past the scan limit on
+            // odd rounds).
+            let fill = if round % 2 == 0 { 12 } else { SCAN_LIMIT + 5 };
+            for y in 0..fill as i64 {
+                insert(&mut t, &mut idx, &cells(&[0, y]));
+                check(&idx, "fill");
+            }
+            assert_eq!(idx.max_witnesses(), fill);
+            // Empty it again, one row at a time.
+            let zero = Cell::from_small_int(0).unwrap();
+            while let Some(&rid) = idx.all(&[zero]).first() {
+                delete(&mut t, &mut idx, rid as usize);
+                check(&idx, "drain");
+            }
+            for _ in 0..10 {
+                if !t.is_empty() {
+                    let rid = next(t.len() as u64) as usize;
+                    delete(&mut t, &mut idx, rid);
+                    check(&idx, "background delete");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_unique_key_costs_what_it_holds() {
+        let mut t = Table::new(RelId(0), 3);
+        for i in 0..100_000 {
+            t.push(&cells(&[i, i % 13, i % 7]));
+        }
+        let idx = HashIndex::build(&t, &[0], &[1, 2]);
+        assert_eq!(idx.num_keys(), 100_000);
+        // No entry owns a heap block: every list is inline, no key has a
+        // witness list or Y-set of its own.
+        assert_eq!(idx.entry_heap_bytes, 0);
+        let per_key = idx.approx_bytes() / idx.num_keys();
+        assert!(per_key <= 128, "{per_key} B per key");
+        // The maintained totals are the sums a walk gives: 13 keys of 385
+        // rows, spilled and past the scan limit, then thinned to inline.
+        let mut small = Table::new(RelId(0), 3);
+        for rid in 0..5_000 {
+            small.push(t.row(rid));
+        }
+        let mut idx = HashIndex::build(&small, &[1], &[0]);
+        let walk = |idx: &HashIndex| -> usize {
+            idx.entries().map(|(_, p)| p.footprint(idx.y_spill).1).sum()
+        };
+        assert!(idx.entry_heap_bytes > 0);
+        assert_eq!(idx.entry_heap_bytes, walk(&idx));
+        for rid in (50..5_000u32).rev() {
+            idx.remove_row(rid, small.row(rid as usize), &small);
+        }
+        assert_eq!(idx.entry_heap_bytes, walk(&idx));
     }
 }

@@ -23,6 +23,8 @@ pub mod bulk;
 pub mod csv;
 pub mod database;
 pub mod index;
+#[cfg(test)]
+mod index_proptest;
 pub mod meter;
 pub mod shard;
 pub mod table;

@@ -106,11 +106,24 @@ impl RelationShard {
             .map(|(_, idx)| idx)
     }
 
-    /// The row id of one stored copy of `cells`: probes the posting list of
-    /// a registered index when one exists (any index works — its key is a
-    /// projection of the row being looked up), else scans.
+    /// The registered index whose posting lists are shortest on average —
+    /// the one with the most keys (ties: the first registered). Any index
+    /// can locate a row, its key being a projection of the row, but an
+    /// `X = ∅` index lists the whole relation under its one key.
+    pub(crate) fn lookup_index(&self) -> Option<&HashIndex> {
+        // `max_by_key` keeps the last of equal maxima, hence `rev`.
+        self.indexes
+            .iter()
+            .rev()
+            .max_by_key(|(_, idx)| idx.num_keys())
+            .map(|(_, idx)| idx)
+    }
+
+    /// The row id of one stored copy of `cells`: probes one posting list of
+    /// [`Self::lookup_index`], or scans the table when no index is
+    /// registered.
     pub(crate) fn find_copy(&self, cells: &[Cell]) -> Option<u32> {
-        let Some((_, idx)) = self.indexes.first() else {
+        let Some(idx) = self.lookup_index() else {
             return self.table.find_row(cells).map(|rid| rid as u32);
         };
         let key: RowBuf = idx.x().iter().map(|&c| cells[c]).collect();
@@ -145,7 +158,7 @@ impl RelationShard {
                 );
                 table.push(cells);
                 for (_, idx) in indexes.iter_mut() {
-                    idx.insert_row(rid, cells);
+                    idx.insert_row(rid, cells, table);
                 }
             }
             RowOp::Delete => {
@@ -162,9 +175,45 @@ impl RelationShard {
         }
     }
 
-    /// Approximate payload of a copy-on-write clone of this shard, in table
-    /// cells (index postings excluded — they are roughly proportional).
+    /// Payload of a copy-on-write clone of this shard, in table cells. The
+    /// clone copies the indices too ([`HashIndex::approx_bytes`] each): on
+    /// the TPCH instance they come to 2.6× the bytes of the cells counted
+    /// here (149 MB beside 58 MB at SF 32).
     pub fn clone_cells(&self) -> u64 {
         (self.table.len() * self.table.arity()) as u64
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::table::tests::cells;
+
+    #[test]
+    fn find_copy_probes_the_index_with_the_most_keys_not_the_first() {
+        // 10K rows, three per key; the `X = ∅` index is registered first.
+        let mut shard = RelationShard::new(Table::new(RelId(0), 2));
+        for i in 0..10_000 {
+            shard.table.push(&cells(&[i / 3, i % 5]));
+        }
+        for (x, y) in [(vec![], vec![1]), (vec![0], vec![1])] {
+            let idx = HashIndex::build(&shard.table, &x, &y);
+            shard.indexes.push(((x, y), idx));
+        }
+        let chosen = shard.lookup_index().expect("two indices registered");
+        assert_eq!(chosen.x(), &[0], "the ∅ index lists all 10K rows");
+        let probe = cells(&[1_000, 1]);
+        assert_eq!(chosen.all(&probe[..1]), &[3_000, 3_001, 3_002]);
+        assert_eq!(shard.find_copy(&probe), Some(3_001));
+        assert_eq!(shard.find_copy(&cells(&[1_000, 4])), None);
+
+        // Ties go to the first registered; no index means the table scan.
+        shard.indexes.swap(0, 1);
+        let same_keys = HashIndex::build(&shard.table, &[0], &[0]);
+        shard.indexes.push(((vec![0], vec![0]), same_keys));
+        assert_eq!(shard.lookup_index().unwrap().y(), &[1]);
+        shard.indexes.clear();
+        assert!(shard.lookup_index().is_none());
+        assert_eq!(shard.find_copy(&probe), Some(3_001));
     }
 }

@@ -115,6 +115,11 @@ impl Table {
         &self.data
     }
 
+    /// Resident bytes of the cell storage, reserved room included.
+    pub fn approx_bytes(&self) -> usize {
+        self.data.capacity() * std::mem::size_of::<Cell>()
+    }
+
     /// The `i`-th row.
     pub fn row(&self, i: usize) -> &[Cell] {
         let start = i * self.arity;
@@ -172,10 +177,10 @@ impl Table {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn cells(vals: &[i64]) -> Vec<Cell> {
+    pub(crate) fn cells(vals: &[i64]) -> Vec<Cell> {
         vals.iter()
             .map(|&v| Cell::from_small_int(v).unwrap())
             .collect()

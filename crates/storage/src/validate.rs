@@ -56,11 +56,11 @@ pub fn validate(db: &mut Database, a: &AccessSchema) -> Vec<Violation> {
             continue;
         }
         for (key, postings) in idx.entries() {
-            if postings.witnesses.len() as u64 > c.n() {
+            if postings.witnesses().len() as u64 > c.n() {
                 violations.push(Violation {
                     constraint: ConstraintId(i),
                     key: db.symbols().decode_row(key),
-                    distinct_y: postings.witnesses.len(),
+                    distinct_y: postings.witnesses().len(),
                     n: c.n(),
                 });
             }

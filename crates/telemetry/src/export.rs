@@ -153,6 +153,12 @@ pub struct GaugeSnapshot {
     pub total_tuples: u64,
     /// Interned symbols in the shared symbol table.
     pub interner_symbols: u64,
+    /// Distinct keys across all hash indices.
+    pub index_keys: u64,
+    /// Resident bytes of all hash indices (`HashIndex::approx_bytes`).
+    pub index_bytes: u64,
+    /// Resident bytes of all tables' cell storage.
+    pub table_bytes: u64,
     /// Global database epoch.
     pub epoch: u64,
 }
@@ -301,6 +307,9 @@ impl MetricsSnapshot {
             .gauges
             .interner_symbols
             .max(other.gauges.interner_symbols);
+        self.gauges.index_keys = self.gauges.index_keys.max(other.gauges.index_keys);
+        self.gauges.index_bytes = self.gauges.index_bytes.max(other.gauges.index_bytes);
+        self.gauges.table_bytes = self.gauges.table_bytes.max(other.gauges.table_bytes);
         self.gauges.epoch = self.gauges.epoch.max(other.gauges.epoch);
     }
 
@@ -394,8 +403,14 @@ impl MetricsSnapshot {
         let g = self.gauges;
         let _ = write!(
             s,
-            "  \"gauges\": {{\"relations\": {}, \"total_tuples\": {}, \"interner_symbols\": {}, \"epoch\": {}}}\n}}",
-            g.relations, g.total_tuples, g.interner_symbols, g.epoch,
+            "  \"gauges\": {{\"relations\": {}, \"total_tuples\": {}, \"interner_symbols\": {}, \"index_keys\": {}, \"index_bytes\": {}, \"table_bytes\": {}, \"epoch\": {}}}\n}}",
+            g.relations,
+            g.total_tuples,
+            g.interner_symbols,
+            g.index_keys,
+            g.index_bytes,
+            g.table_bytes,
+            g.epoch,
         );
         s
     }
@@ -554,6 +569,9 @@ impl MetricsSnapshot {
             ("bcq_relations", g.relations),
             ("bcq_total_tuples", g.total_tuples),
             ("bcq_interner_symbols", g.interner_symbols),
+            ("bcq_index_keys", g.index_keys),
+            ("bcq_index_bytes", g.index_bytes),
+            ("bcq_table_bytes", g.table_bytes),
             ("bcq_epoch", g.epoch),
         ] {
             let _ = writeln!(s, "# TYPE {name} gauge\n{name} {v}");
@@ -609,6 +627,9 @@ mod tests {
         snap.cache.misses = 1;
         snap.gauges.total_tuples = 11;
         snap.gauges.interner_symbols = 7;
+        snap.gauges.index_keys = 3;
+        snap.gauges.index_bytes = 420;
+        snap.gauges.table_bytes = 96;
         snap.wal.records = 5;
         snap.wal.fsyncs = 2;
         snap.wal.last_seq = 5;
@@ -629,6 +650,7 @@ mod tests {
             "\"view_deltas\"",
             "\"gauges\"",
             "\"interner_symbols\": 7",
+            "\"index_keys\": 3, \"index_bytes\": 420, \"table_bytes\": 96",
             "\"wal\"",
             "\"fsyncs\": 2",
             "\"ingest\"",
@@ -657,6 +679,9 @@ mod tests {
         assert!(p.contains("bcq_plan_cache_hits_total 2"), "{p}");
         assert!(p.contains("bcq_writes_inserts_total 1"), "{p}");
         assert!(p.contains("bcq_total_tuples 11"), "{p}");
+        assert!(p.contains("bcq_index_keys 3"), "{p}");
+        assert!(p.contains("bcq_index_bytes 420"), "{p}");
+        assert!(p.contains("bcq_table_bytes 96"), "{p}");
         assert!(p.contains("bcq_wal_records_total 5"), "{p}");
         assert!(p.contains("bcq_wal_last_seq 5"), "{p}");
         assert!(p.contains("bcq_ingest_rows_total 1000"), "{p}");
@@ -700,6 +725,14 @@ mod tests {
         assert_eq!(a.wal.records, 10);
         // Gauges are point-in-time: max, not sum.
         assert_eq!(a.gauges.total_tuples, 11);
+        assert_eq!(
+            (
+                a.gauges.index_keys,
+                a.gauges.index_bytes,
+                a.gauges.table_bytes
+            ),
+            (3, 420, 96)
+        );
         assert_eq!(a.wal.last_seq, 5);
     }
 }

@@ -228,6 +228,17 @@ fn main() -> core::result::Result<(), Box<dyn std::error::Error>> {
         snap.writes.cow_shard_clones,
         snap.writes.inserts + snap.writes.deletes,
     );
+    // What the store holds, readable without a bench harness: the indices
+    // next to the tables they index.
+    let g = snap.gauges;
+    assert!(g.index_keys > 0 && g.index_bytes > 0 && g.table_bytes > 0);
+    println!(
+        "resident: {} index keys in {} B ({} B per key) beside {} B of table cells\n",
+        g.index_keys,
+        g.index_bytes,
+        g.index_bytes / g.index_keys,
+        g.table_bytes,
+    );
     // Every maintained write passes through the exclusive commit section,
     // and its hold time is measured (latch waits show up only when two
     // writers actually collide on a relation, so that series may be empty

@@ -92,7 +92,7 @@ fn decoded(db: &Database, rel: RelId) -> DecodedRel {
             let idx = shard.index(x, y).expect("spec lists a built index");
             let mut entries: Vec<(Vec<Value>, Vec<u32>, Vec<u32>)> = idx
                 .entries()
-                .map(|(k, p)| (db.decode_row(k), p.all.clone(), p.witnesses.clone()))
+                .map(|(k, p)| (db.decode_row(k), p.all().to_vec(), p.witnesses().to_vec()))
                 .collect();
             entries.sort_by_key(|(k, _, _)| format!("{k:?}"));
             (x.to_vec(), y.to_vec(), entries)

@@ -53,8 +53,8 @@ fn dump(db: &Database) -> (u64, Vec<RelDump>) {
                         .map(|(k, p)| {
                             (
                                 k.iter().map(|c| c.raw()).collect(),
-                                p.all.clone(),
-                                p.witnesses.clone(),
+                                p.all().to_vec(),
+                                p.witnesses().to_vec(),
                             )
                         })
                         .collect();
