@@ -8,6 +8,10 @@
 //!   quantifying how much of the gap comes from index use vs boundedness.
 //! * `complexity_scaling` — `BCheck`/`EBCheck` runtime on synthetically
 //!   grown `|Q|` and `|A|` (the quadratic-time claim of Theorems 5/6).
+//! * `views` — a registered view's read, fresh and stale, and a served
+//!   insert with 0, 1 and 8 views registered over the written relation.
+
+mod common;
 
 use bcq_core::bcheck::bcheck;
 use bcq_core::dominating::{find_dp, find_dp_exact, DominatingConfig};
@@ -15,10 +19,12 @@ use bcq_core::ebcheck::ebcheck;
 use bcq_core::mbounded::{min_dq_bound_exact, min_dq_bound_greedy};
 use bcq_core::prelude::*;
 use bcq_exec::{baseline, BaselineMode, BaselineOptions};
+use bcq_service::{Server, ServerConfig};
 use bcq_workload::{mot, tfacc};
+use common::summarize;
 use criterion::{criterion_group, criterion_main, smoke_mode, Criterion};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn dp_ablation(c: &mut Criterion) {
     let ds = tfacc::dataset();
@@ -190,194 +196,116 @@ fn complexity_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-fn incremental_vs_full(c: &mut Criterion) {
-    use bcq_exec::{eval_dq, IncrementalAnswer};
-    let ds = bcq_workload::tpch::dataset();
-    let wq = ds
-        .queries
-        .iter()
-        .find(|w| w.query.name() == "tpch_cust_parts")
-        .expect("workload query exists");
-    let mut db = ds.build(4.0);
-
-    // Pre-insert the delta tuple so both paths see the same database.
-    let orderkey = {
-        let rel = ds.catalog.rel_id("orders").unwrap();
-        db.value_rows(rel)
-            .find(|r| r[1] == Value::int(42) && r[2] == Value::int(1))
-            .map(|r| r[0].clone())
-            .expect("customer 42 has an open order")
+/// What a registered view costs, now that it is a prepared bounded plan
+/// and a cached answer. `view_result/fresh` is a read that finds its
+/// stamps current; `view_result/stale` is the first read after a row write
+/// to a relation the view reads (the write itself untimed), i.e. one run
+/// of the plan. The `insert` lanes time a served `Server::insert` into a
+/// relation that 0, 1 and 8 registered views read — a write looks at no
+/// view, so `insert_8_views_over_0` should sit at 1.0.
+fn views(_c: &mut Criterion) {
+    let (samples, iters) = if smoke_mode() { (1, 1) } else { (31, 500) };
+    let tpch = bcq_workload::tpch::dataset();
+    let tfacc = tfacc::dataset();
+    let tpch_db = tpch.build(if smoke_mode() { 0.25 } else { 4.0 });
+    let tfacc_db = tfacc.build(0.125);
+    let query = |ds: &bcq_workload::Dataset, name: &str| {
+        let wq = ds.queries.iter().find(|w| w.query.name() == name);
+        wq.expect("workload query exists").query.clone()
     };
-    let row: Vec<Value> = vec![
-        orderkey,
-        Value::int(13),
-        Value::int(2),
-        Value::int(6),
-        Value::int(1),
-        Value::int(10),
-        Value::int(0),
-        Value::int(0),
-        Value::int(0),
-        Value::int(0),
-        Value::int(100),
-        Value::int(114),
-        Value::int(121),
-        Value::int(0),
-        Value::int(3),
-        Value::int(0),
-    ];
-    db.insert("lineitem", &row).unwrap();
-    db.build_indexes(&ds.access);
-    let rel = ds.catalog.rel_id("lineitem").unwrap();
-    let base_answer = IncrementalAnswer::initialize(&db, &wq.query, &ds.access).unwrap();
-    let full_plan = bcq_core::qplan::qplan(&wq.query, &ds.access).unwrap();
+    // A stored row of the first relation `q` reads, to delete and re-insert.
+    let toggle_row = |server: &Server, q: &SpcQuery| {
+        let rel = q.read_rels()[0];
+        let snap = server.snapshot();
+        let row = snap.value_rows(rel).next().expect("relation is loaded");
+        (snap.catalog().relation(rel).name().to_string(), row)
+    };
 
-    let mut group = c.benchmark_group("ablation/incremental");
-    group
-        .sample_size(20)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_secs(1));
-    group.bench_function("delta_apply", |b| {
-        b.iter(|| {
-            let mut inc = base_answer.clone();
-            let stats = inc.on_insert(&db, rel, &row).unwrap();
-            std::hint::black_box(stats.tuples_fetched);
-        })
-    });
-    group.bench_function("full_reeval", |b| {
-        b.iter(|| {
-            let out = eval_dq(&db, &full_plan, &ds.access).unwrap();
-            std::hint::black_box(out.dq_tuples());
-        })
-    });
-    // Delete path: remove the tuple once through the maintained path; each
-    // iteration replays the support-counted retraction delta on a clone of
-    // the pre-delete answer. Two candidate-generation ablations:
-    // `delta_delete_indexed` probes the derivation store's inverted index
-    // (O(consistent candidates)); `delta_delete_scan` is the pre-index
-    // full scan (O(|store|) per deleted atom) — identical retractions,
-    // counted and asserted below.
-    let mut deleted_db = db.clone();
-    assert!(deleted_db.delete("lineitem", &row).unwrap().is_some());
-    group.bench_function("delta_delete_indexed", |b| {
-        b.iter(|| {
-            let mut inc = base_answer.clone();
-            let stats = inc.on_delete(&deleted_db, rel, &row).unwrap();
-            std::hint::black_box(stats.derivations_removed);
-        })
-    });
-    group.bench_function("delta_delete_scan", |b| {
-        b.iter(|| {
-            let mut inc = base_answer.clone();
-            let stats = inc.on_delete_by_scan(&deleted_db, rel, &row).unwrap();
-            std::hint::black_box(stats.derivations_removed);
-        })
-    });
-    // Semantic check: both candidate-generation paths retract the same
-    // derivations (the probe-count axis is measured on a large store in
-    // `retraction_index_scaling`, where it matters).
-    let mut by_index = base_answer.clone();
-    let s1 = by_index.on_delete(&deleted_db, rel, &row).unwrap();
-    let mut by_scan = base_answer.clone();
-    let s2 = by_scan.on_delete_by_scan(&deleted_db, rel, &row).unwrap();
-    assert_eq!(s1.derivations_removed, s2.derivations_removed);
-    assert_eq!(by_index.result(), by_scan.result());
-    group.finish();
-}
-
-/// The retraction-index ablation on a store large enough to show the
-/// asymptotics: a maintained answer with one derivation per matching row
-/// (thousands), then a **batch** of deletions per timed iteration (the
-/// one-time answer clone is amortized across the batch, so the timing
-/// isolates retraction itself). The pre-index full scan examines every
-/// stored derivation per delete; the inverted index walks the smallest
-/// posting union — here a single candidate — so the probe count drops by
-/// ~|store| and the wall clock follows.
-fn retraction_index_scaling(c: &mut Criterion) {
-    use bcq_exec::IncrementalAnswer;
-    let n: i64 = if smoke_mode() { 64 } else { 8192 };
-    let batch: i64 = if smoke_mode() { 4 } else { 256 };
-    let cat = Arc::new(Catalog::new([RelationSchema::new("r", ["a", "b"]).unwrap()]).unwrap());
-    let mut a = AccessSchema::new(cat.clone());
-    a.add("r", &["a"], &["b"], n as u64 + 1).unwrap();
-    let q = SpcQuery::builder(cat.clone(), "b_of_0")
-        .atom("r", "r")
-        .eq_const(("r", "a"), 0)
-        .project(("r", "b"))
-        .build()
-        .unwrap();
-    let mut db = bcq_storage::Database::new(cat);
-    for k in 0..n {
-        db.insert("r", &[Value::int(0), Value::int(k)]).unwrap();
+    for (ds, db, name) in [
+        (&tpch, &tpch_db, "tpch_cust_parts"),
+        (&tpch, &tpch_db, "tpch_five_way"),
+        (&tfacc, &tfacc_db, "tfacc_five_way"),
+    ] {
+        let q = query(ds, name);
+        let server = Server::new(db.clone(), ds.access.clone(), ServerConfig::default());
+        let view = server.register_view(&q).unwrap();
+        server.view_result(view).unwrap(); // the first read computes the answer
+        let (rel, row) = toggle_row(&server, &q);
+        for stale in [false, true] {
+            let per_sample = (0..samples)
+                .map(|_| {
+                    let mut timed = Duration::ZERO;
+                    for _ in 0..iters {
+                        if stale {
+                            assert!(server.delete(&rel, &row).unwrap());
+                            server.insert(&rel, &row).unwrap();
+                        }
+                        let start = Instant::now();
+                        std::hint::black_box(server.view_result(view).unwrap().len());
+                        timed += start.elapsed();
+                    }
+                    timed.as_nanos() as f64 / iters as f64
+                })
+                .collect();
+            let lane = if stale { "stale" } else { "fresh" };
+            summarize(per_sample, iters)
+                .record(format!("ablation/views/view_result/{lane}/{name}"));
+        }
+        let recomputes = server.metrics_snapshot().writes.view_recomputes;
+        assert_eq!(
+            recomputes,
+            1 + (samples * iters) as u64,
+            "every stale read ran the plan once"
+        );
     }
-    db.build_indexes(&a);
-    let base = IncrementalAnswer::initialize(&db, &q, &a).unwrap();
-    assert_eq!(base.num_derivations() as i64, n);
 
-    // Victims spread across the store, all removed from the post-state
-    // database (retraction deltas for distinct rows are independent).
-    let rel = RelId(0);
-    let victims: Vec<[Value; 2]> = (0..batch)
-        .map(|j| [Value::int(0), Value::int(j * (n / batch))])
+    let q = query(&tpch, "tpch_cust_parts");
+    let counts = [0usize, 1, 8];
+    let servers: Vec<Server> = counts
+        .iter()
+        .map(|&n| {
+            let server = Server::new(
+                tpch_db.clone(),
+                tpch.access.clone(),
+                ServerConfig::default(),
+            );
+            for _ in 0..n {
+                let view = server.register_view(&q).unwrap();
+                server.view_result(view).unwrap();
+            }
+            server
+        })
         .collect();
-    let mut deleted_db = db.clone();
-    for v in &victims {
-        assert!(deleted_db.delete("r", v).unwrap().is_some());
+    let (rel, row) = toggle_row(&servers[0], &q);
+    // Sample windows interleave across the three servers so ambient drift
+    // hits every lane equally.
+    let mut per_sample = vec![Vec::new(); counts.len()];
+    for _ in 0..samples {
+        for (server, out) in servers.iter().zip(&mut per_sample) {
+            let mut timed = Duration::ZERO;
+            for _ in 0..iters {
+                assert!(server.delete(&rel, &row).unwrap());
+                let start = Instant::now();
+                server.insert(&rel, &row).unwrap();
+                timed += start.elapsed();
+            }
+            out.push(timed.as_nanos() as f64 / iters as f64);
+        }
     }
-
-    let mut group = c.benchmark_group("ablation/retraction_index");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_secs(1));
-    group.bench_function(format!("indexed/{n}x{batch}"), |b| {
-        b.iter(|| {
-            let mut inc = base.clone();
-            let mut removed = 0;
-            for v in &victims {
-                removed += inc.on_delete(&deleted_db, rel, v).unwrap().removed_rows;
-            }
-            std::hint::black_box(removed);
+    let medians: Vec<f64> = counts
+        .iter()
+        .zip(per_sample)
+        .map(|(n, ns)| {
+            let m = summarize(ns, iters);
+            m.record(format!("ablation/views/insert/{n}_views"));
+            m.ns
         })
-    });
-    group.bench_function(format!("scan/{n}x{batch}"), |b| {
-        b.iter(|| {
-            let mut inc = base.clone();
-            let mut removed = 0;
-            for v in &victims {
-                removed += inc
-                    .on_delete_by_scan(&deleted_db, rel, v)
-                    .unwrap()
-                    .removed_rows;
-            }
-            std::hint::black_box(removed);
-        })
-    });
-    group.finish();
-
-    // Per-delete probe counts behind the timings, plus the semantic check
-    // that both candidate-generation paths retract identically.
-    let mut by_index = base.clone();
-    let s1 = by_index.on_delete(&deleted_db, rel, &victims[0]).unwrap();
-    let mut by_scan = base.clone();
-    let s2 = by_scan
-        .on_delete_by_scan(&deleted_db, rel, &victims[0])
-        .unwrap();
-    assert_eq!(s1.removed_rows, 1);
-    assert_eq!(s1.derivations_removed, s2.derivations_removed);
-    assert_eq!(by_index.result(), by_scan.result());
-    criterion::record_derived(
-        "delta_delete_candidates_probed_indexed",
-        s1.derivations_probed as f64,
-    );
-    criterion::record_derived(
-        "delta_delete_candidates_probed_scan",
-        s2.derivations_probed as f64,
-    );
-    criterion::record_derived(
-        "delta_delete_probe_reduction_scan_over_indexed",
-        s2.derivations_probed as f64 / (s1.derivations_probed as f64).max(1.0),
-    );
+        .collect();
+    criterion::record_derived("insert_8_views_over_0", medians[2] / medians[0]);
+    for (server, n) in servers.iter().zip(counts) {
+        let recomputes = server.metrics_snapshot().writes.view_recomputes;
+        assert_eq!(recomputes, n as u64, "no write evaluated a view");
+    }
 }
 
 criterion_group!(
@@ -386,7 +314,6 @@ criterion_group!(
     bound_ablation,
     baseline_modes,
     complexity_scaling,
-    incremental_vs_full,
-    retraction_index_scaling
+    views
 );
 criterion_main!(benches);

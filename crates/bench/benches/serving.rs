@@ -72,6 +72,8 @@
 //!
 //! `BENCH_SMOKE=1` shrinks the dataset and runs every lane once (CI).
 
+mod common;
+
 use bcq_core::prelude::*;
 use bcq_exec::eval_dq;
 use bcq_service::{
@@ -79,6 +81,7 @@ use bcq_service::{
     ServerConfig, SyncPolicy,
 };
 use bcq_storage::Database;
+use common::summarize;
 use criterion::{
     criterion_group, criterion_main, measure_median_ns, record_derived, record_metric_sampled,
     smoke_mode,
@@ -177,24 +180,6 @@ fn bindings(users: i64, n: usize) -> Vec<BTreeMap<String, Value>> {
             b
         })
         .collect()
-}
-
-/// Folds hand-collected per-sample ns/op windows into a [`Measured`]
-/// (same statistics `measure_median_ns` computes, for loops it cannot
-/// express — here, A/B windows that must interleave).
-fn summarize(mut per_sample: Vec<f64>, iters: usize) -> criterion::Measured {
-    per_sample.sort_by(|a, b| a.total_cmp(b));
-    let n = per_sample.len();
-    let pct = |q: f64| per_sample[((n - 1) as f64 * q).round() as usize];
-    criterion::Measured {
-        ns: per_sample[n / 2],
-        min_ns: per_sample[0],
-        mean_ns: per_sample.iter().sum::<f64>() / n as f64,
-        p90_ns: pct(0.90),
-        p99_ns: pct(0.99),
-        samples: n,
-        iters: iters as u64,
-    }
 }
 
 fn bench_serving(_c: &mut criterion::Criterion) {

@@ -246,10 +246,6 @@ pub struct OpProgram {
     pub atom_cols: Vec<Vec<usize>>,
     /// `Σ_Q` class of each batch column, aligned with `atom_cols`.
     pub col_classes: Vec<Vec<usize>>,
-    /// `Σ_Q` class of every query attribute, by flat id — the full
-    /// attribute→class map (incremental maintenance canonicalizes
-    /// derivation patterns with it).
-    pub flat_classes: Vec<usize>,
     /// Deduplicated pins (constants and parameter slots).
     pub pins: Vec<PinSource>,
     /// Compiled filter per atom.
@@ -263,8 +259,7 @@ pub struct OpProgram {
     /// Semijoin prefilter passes — built lazily on first
     /// [`OpProgram::semijoins`] access, since only the baseline's
     /// `IndexJoin` mode ever reads them and the `O(atoms² · cols²)` layout
-    /// scan would otherwise tax every prepare and every incremental delta
-    /// plan for nothing.
+    /// scan would otherwise tax every prepare for nothing.
     semijoins: OnceLock<Vec<SemiJoinPass>>,
     /// Parameter slots the program requires bound, in first-use order.
     pub slots: Vec<String>,
@@ -381,7 +376,6 @@ impl OpProgram {
             num_classes,
             atom_cols: atom_cols.to_vec(),
             col_classes,
-            flat_classes,
             pins,
             filters,
             seeds,
@@ -437,13 +431,6 @@ impl OpProgram {
             }
             semijoins
         })
-    }
-
-    /// The `Σ_Q` class of a query attribute by flat id — the precompiled
-    /// attribute→class map.
-    #[inline]
-    pub fn class_of_flat(&self, flat: usize) -> usize {
-        self.flat_classes[flat]
     }
 
     /// Parameter slots the interpreter requires bound, in first-use order.
@@ -589,16 +576,6 @@ mod tests {
             let mut mirrored = mirror.pairs.clone();
             mirrored.sort_unstable();
             assert_eq!(transposed, mirrored);
-        }
-    }
-
-    #[test]
-    fn flat_class_map_matches_sigma() {
-        let q = q0();
-        let plan = qplan(&q, &a0()).unwrap();
-        let prog = plan.program();
-        for flat in 0..q.total_attrs() {
-            assert_eq!(prog.class_of_flat(flat), plan.sigma().class_of_flat(flat).0);
         }
     }
 }

@@ -124,15 +124,21 @@ pub fn measure_median_ns(samples: usize, iters: usize, mut f: impl FnMut(usize))
             start.elapsed().as_nanos() as f64 / iters as f64
         })
         .collect();
+    summarize(&mut per_sample, iters as u64)
+}
+
+/// The distribution summary of per-sample ns/op timings (sorted in place;
+/// at least one), each sample having run `iters` iterations.
+fn summarize(per_sample: &mut [f64], iters: u64) -> Measured {
     per_sample.sort_by(|a, b| a.total_cmp(b));
     Measured {
         ns: per_sample[per_sample.len() / 2],
         min_ns: per_sample[0],
         mean_ns: per_sample.iter().sum::<f64>() / per_sample.len() as f64,
-        p90_ns: pct(&per_sample, 0.90),
-        p99_ns: pct(&per_sample, 0.99),
-        samples,
-        iters: iters as u64,
+        p90_ns: pct(per_sample, 0.90),
+        p99_ns: pct(per_sample, 0.99),
+        samples: per_sample.len(),
+        iters,
     }
 }
 
@@ -470,23 +476,24 @@ fn run_bench(
         eprintln!("{id:<50} (no samples)");
         return;
     }
-    samples.sort_unstable();
-    let min = samples[0];
-    let median = samples[samples.len() / 2];
-    let mean = samples.iter().sum::<Duration>() / samples.len() as u32;
+    let mut ns: Vec<f64> = samples.iter().map(|d| d.as_nanos() as f64).collect();
+    let m = summarize(&mut ns, iters);
+    let d = |ns: f64| Duration::from_nanos(ns as u64);
     eprintln!(
-        "{id:<50} min {min:>10.2?}  median {median:>10.2?}  mean {mean:>10.2?}  ({} samples x {iters} iters)",
-        samples.len()
+        "{id:<50} min {:>10.2?}  median {:>10.2?}  mean {:>10.2?}  ({} samples x {iters} iters)",
+        d(m.min_ns),
+        d(m.ns),
+        d(m.mean_ns),
+        m.samples
     );
-    let ns: Vec<f64> = samples.iter().map(|d| d.as_nanos() as f64).collect();
     RESULTS.lock().unwrap().push(Record {
         id: id.to_string(),
-        min_ns: min.as_nanos() as f64,
-        median_ns: median.as_nanos() as f64,
-        mean_ns: mean.as_nanos() as f64,
-        p90_ns: pct(&ns, 0.90),
-        p99_ns: pct(&ns, 0.99),
-        samples: samples.len(),
+        min_ns: m.min_ns,
+        median_ns: m.ns,
+        mean_ns: m.mean_ns,
+        p90_ns: m.p90_ns,
+        p99_ns: m.p99_ns,
+        samples: m.samples,
         iters_per_sample: iters,
     });
 }
@@ -540,25 +547,31 @@ mod tests {
 
     #[test]
     fn measure_median_keeps_the_sample_distribution() {
-        // Work that grows with the sample index spreads the per-sample
-        // timings, so the summary statistics must come apart: min from the
-        // fastest sample, median from the middle, mean pulled up by the
-        // slow tail.
-        let m = measure_median_ns(5, 50, |i| {
-            let mut acc = 0u64;
-            for j in 0..(i as u64 + 1) * 200 {
-                acc = acc.wrapping_add(black_box(j));
-            }
-            black_box(acc);
-        });
-        assert_eq!(m.samples, 5);
-        assert_eq!(m.iters, 50);
-        assert!(m.min_ns <= m.ns, "min {} > median {}", m.min_ns, m.ns);
-        assert!(m.ns <= m.p90_ns, "median {} > p90 {}", m.ns, m.p90_ns);
-        assert!(m.p90_ns <= m.p99_ns, "p90 {} > p99 {}", m.p90_ns, m.p99_ns);
-        assert!(m.ns <= m.mean_ns * 2.0, "median wildly above mean");
-        assert!(m.min_ns < m.mean_ns, "distribution collapsed: {m:?}");
-        assert_ne!(m.min_ns, m.ns, "per-sample spread lost");
+        // Every sample runs every iteration, with the global call index.
+        let mut calls = Vec::new();
+        let m = measure_median_ns(5, 50, |i| calls.push(i));
+        assert_eq!((m.samples, m.iters), (5, 50));
+        assert_eq!(calls, (0..250).collect::<Vec<_>>());
+
+        // The summary, on fixed unsorted samples with a slow tail: min
+        // from the fastest, median from the middle, mean pulled up, the
+        // percentiles by nearest rank.
+        let mut ns = [40.0, 10.0, 1000.0, 20.0, 30.0];
+        let m = summarize(&mut ns, 7);
+        assert_eq!((m.min_ns, m.ns, m.mean_ns), (10.0, 30.0, 220.0));
+        assert_eq!((m.p90_ns, m.p99_ns), (1000.0, 1000.0));
+        assert_eq!((m.samples, m.iters), (5, 7));
+
+        let mut ns: Vec<f64> = (1..=100).rev().map(f64::from).collect();
+        let m = summarize(&mut ns, 1);
+        assert_eq!((m.min_ns, m.ns, m.mean_ns), (1.0, 51.0, 50.5));
+        assert_eq!((m.p90_ns, m.p99_ns), (90.0, 99.0));
+
+        let m = summarize(&mut [5.0], 1);
+        assert_eq!(
+            (m.min_ns, m.ns, m.mean_ns, m.p90_ns, m.p99_ns),
+            (5.0, 5.0, 5.0, 5.0, 5.0)
+        );
     }
 
     #[test]

@@ -21,9 +21,7 @@
 //!   vector; [`checkpoint`] writes sync-before/sync-after and retains the
 //!   previous snapshot as fallback against torn checkpoints.
 //! * [`recover()`] — snapshot restore + longest-gap-free-run log replay
-//!   through the public `Database` API, with a [`ReplayObserver`] hook the
-//!   serving tier uses to drive registered incremental views back to
-//!   consistency.
+//!   through the public `Database` API.
 //!
 //! ## Guarantees
 //!
@@ -45,9 +43,7 @@ pub mod writer;
 
 pub use frame::{crc32, decode_frames, DecodedFrames, FrameError};
 pub use record::{DecodeError, RecordBody, WalRecord};
-pub use recover::{
-    recover, recover_with, RecoverError, RecoveryReport, ReplayEvent, ReplayObserver,
-};
+pub use recover::{recover, RecoverError, RecoveryReport};
 pub use snapshot::{
     checkpoint, decode_snapshot, encode_snapshot, restore_snapshot, snapshot_name, DecodedSnapshot,
     SNAP_PREFIX,

@@ -29,10 +29,6 @@
 //!    discarded suffix can never resurface and a writer restarted at
 //!    `last_seq + 1` never collides. This is also what makes recovery
 //!    idempotent: recovering twice equals recovering once.
-//!
-//! [`ReplayObserver`] lets the serving tier watch replayed mutations (to
-//! drive registered incremental views back to consistency through the
-//! same delta paths used live).
 
 use crate::frame::{decode_frames, FrameError};
 use crate::record::{RecordBody, WalRecord};
@@ -113,56 +109,6 @@ pub struct RecoveryReport {
     pub truncated_streams: usize,
 }
 
-/// One replayed mutation, as seen by a [`ReplayObserver`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReplayEvent {
-    /// A row was inserted (indices maintained in place).
-    Inserted {
-        /// Touched relation.
-        rel: RelId,
-        /// The inserted row.
-        row: Vec<Value>,
-    },
-    /// One copy of a row was deleted (indices maintained in place).
-    Deleted {
-        /// Touched relation.
-        rel: RelId,
-        /// The deleted row.
-        row: Vec<Value>,
-    },
-    /// A complete bulk load was re-applied (the relation's indices
-    /// cleared).
-    BulkLoaded {
-        /// Loaded relation.
-        rel: RelId,
-    },
-    /// An index build was re-applied.
-    IndexBuilt {
-        /// Indexed relation.
-        rel: RelId,
-    },
-}
-
-/// Watches recovery so higher layers (registered views in `bcq-service`)
-/// can ride replay back to consistency through their live delta paths.
-pub trait ReplayObserver {
-    /// The snapshot (or empty database) is restored; replay starts now.
-    fn snapshot_loaded(&mut self, _db: &Database) {}
-    /// One mutation was re-applied; `db` already reflects it.
-    fn applied(&mut self, _db: &Database, _event: ReplayEvent) {}
-}
-
-struct NoopObserver;
-impl ReplayObserver for NoopObserver {}
-
-/// Recovers a database from `storage` (see the [module docs](self)).
-pub fn recover(
-    storage: &dyn LogStorage,
-    catalog: Arc<Catalog>,
-) -> Result<(Database, RecoveryReport), RecoverError> {
-    recover_with(storage, catalog, &mut NoopObserver)
-}
-
 /// A record staged for replay: where it sits, so the stream can be
 /// truncated behind it.
 #[derive(Debug)]
@@ -192,11 +138,10 @@ enum Intern {
     Wide(i64),
 }
 
-/// [`recover`], with an observer watching each replayed mutation.
-pub fn recover_with(
+/// Recovers a database from `storage` (see the [module docs](self)).
+pub fn recover(
     storage: &dyn LogStorage,
     catalog: Arc<Catalog>,
-    observer: &mut dyn ReplayObserver,
 ) -> Result<(Database, RecoveryReport), RecoverError> {
     let mut report = RecoveryReport::default();
 
@@ -231,7 +176,6 @@ pub fn recover_with(
         }
     }
     let mut db = db.unwrap_or_else(|| Database::new(catalog.clone()));
-    observer.snapshot_loaded(&db);
 
     // 2. Decode every stream and merge records by sequence number.
     let mut streams: Vec<String> = storage
@@ -328,7 +272,6 @@ pub fn recover_with(
                     }
                     drop(loader);
                     check_commit(&db, bulk.commit, seq)?;
-                    observer.applied(&db, ReplayEvent::BulkLoaded { rel });
                 }
                 other => {
                     return Err(RecoverError::Replay(format!(
@@ -355,7 +298,6 @@ pub fn recover_with(
                 db.insert(cat.relation(rel).name(), &row)
                     .map_err(|e| RecoverError::Replay(format!("insert at seq {seq}: {e}")))?;
                 check_commit(&db, *commit, seq)?;
-                observer.applied(&db, ReplayEvent::Inserted { rel, row });
             }
             RecordBody::Delete { commit, rel, cells } => {
                 let rel = rel_id(&db, *rel, seq)?;
@@ -369,7 +311,6 @@ pub fn recover_with(
                     )));
                 }
                 check_commit(&db, *commit, seq)?;
-                observer.applied(&db, ReplayEvent::Deleted { rel, row });
             }
             RecordBody::BulkBegin { commit, rel } => {
                 rel_id(&db, *rel, seq)?;
@@ -392,7 +333,6 @@ pub fn recover_with(
                 let y: Vec<usize> = y.iter().map(|&c| c as usize).collect();
                 db.ensure_index_cols(rel, &x, &y);
                 check_commit(&db, *commit, seq)?;
-                observer.applied(&db, ReplayEvent::IndexBuilt { rel });
             }
         }
         applied_through = seq;

@@ -242,69 +242,6 @@ fn eval_dq_scratch<P: Probe>(
     })
 }
 
-/// Outcome of a bounded evaluation stopped **before projection**: the
-/// surviving `Σ_Q` class assignments — the interpreter's flat partial
-/// buffer, re-boxed one slice per derivation — plus the access accounting.
-#[derive(Debug, Clone)]
-pub struct PartialsOutcome {
-    /// One entry per derivation: a cell per `Σ_Q` class (`None` = class
-    /// not bound by any fetched column).
-    pub partials: Vec<Box<[Option<Cell>]>>,
-    /// Access accounting.
-    pub meter: Meter,
-}
-
-/// Executes a bounded plan but returns the pre-projection class
-/// assignments — the **derivations** support-counted incremental
-/// maintenance stores — instead of the projected answer.
-pub fn eval_dq_partials(
-    db: &Database,
-    plan: &QueryPlan,
-    a: &AccessSchema,
-) -> Result<PartialsOutcome> {
-    let params = ParamEnv::empty_ref();
-    validate_bindings(plan, params)?;
-    EVAL_SCRATCH.with(|cell| {
-        let mut fresh;
-        let mut borrowed;
-        let scratch: &mut EvalScratch = match cell.try_borrow_mut() {
-            Ok(s) => {
-                borrowed = s;
-                &mut borrowed
-            }
-            Err(_) => {
-                fresh = EvalScratch::default();
-                &mut fresh
-            }
-        };
-        let mut ctx = ExecContext::with_params(db, None, params);
-        let num_atoms = plan.query().num_atoms();
-        let partials = if !fetch_anchors(db, plan, a, &mut ctx, scratch, &mut NoProbe)? {
-            Vec::new()
-        } else {
-            let EvalScratch {
-                anchors, interp, ..
-            } = scratch;
-            let flat = run_program_columnar_impl(
-                plan.program(),
-                &mut anchors[..num_atoms],
-                &mut ctx,
-                true,
-                interp,
-                &mut NoProbe,
-            )
-            .expect("bounded evaluation has no budget");
-            flat.chunks_exact(plan.program().num_classes)
-                .map(|p| p.to_vec().into_boxed_slice())
-                .collect()
-        };
-        Ok(PartialsOutcome {
-            partials,
-            meter: ctx.meter,
-        })
-    })
-}
-
 /// Allocation-free validation on the happy path: the plan's slot names
 /// were collected once at plan time ([`QueryPlan::param_slots`]), and
 /// names are only cloned if something is actually missing.

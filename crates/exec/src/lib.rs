@@ -23,7 +23,6 @@
 
 pub mod baseline;
 pub mod eval_dq;
-pub mod incremental;
 pub mod pipeline;
 pub mod ra;
 mod reference;
@@ -36,10 +35,9 @@ pub use baseline::{
     baseline, baseline_interpreted, BaselineMode, BaselineOptions, BaselineOutcome,
 };
 pub use eval_dq::{
-    eval_dq, eval_dq_interpreted, eval_dq_partials, eval_dq_profiled, eval_dq_with,
-    eval_dq_with_interpreted, ExecOutcome, PartialsOutcome,
+    eval_dq, eval_dq_interpreted, eval_dq_profiled, eval_dq_with, eval_dq_with_interpreted,
+    ExecOutcome,
 };
-pub use incremental::{DeltaStats, IncrementalAnswer};
 pub use pipeline::{BudgetExhausted, ExecContext, ParamEnv};
 pub use ra::{eval_ra, eval_ra_prepared, PreparedRa, RaOutcome};
 pub use results::ResultSet;

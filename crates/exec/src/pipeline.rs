@@ -3,8 +3,8 @@
 //! The paper's `evalDQ` (§6) is one algorithm — run the plan `ξ` to fetch
 //! `D_Q`, then evaluate `Q` on `D_Q` — and that second half (filter → join
 //! → project over per-atom candidate batches) is the same job for the
-//! bounded executor, the conventional baseline, RA evaluation and the
-//! incremental delta plans. This module implements it once:
+//! bounded executor, the conventional baseline and RA evaluation. This
+//! module implements it once:
 //!
 //! ```text
 //!   fetch  →  filter sweeps  →  [semijoin prefilter]  →  join schedule  →  project

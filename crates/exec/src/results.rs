@@ -44,30 +44,6 @@ impl ResultSet {
         self.rows.binary_search_by(|r| r.as_ref().cmp(row)).is_ok()
     }
 
-    /// Inserts one row in sorted position (no-op if already present);
-    /// `true` if the set grew. Incremental maintenance patches its
-    /// materialized answer with this instead of re-sorting everything.
-    pub(crate) fn insert_sorted(&mut self, row: Box<[Value]>) -> bool {
-        match self.rows.binary_search(&row) {
-            Ok(_) => false,
-            Err(i) => {
-                self.rows.insert(i, row);
-                true
-            }
-        }
-    }
-
-    /// Removes one row (no-op if absent); `true` if the set shrank.
-    pub(crate) fn remove_sorted(&mut self, row: &[Value]) -> bool {
-        match self.rows.binary_search_by(|r| r.as_ref().cmp(row)) {
-            Ok(i) => {
-                self.rows.remove(i);
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
     /// Boolean-query reading: `true` iff the result is non-empty.
     pub fn as_bool(&self) -> bool {
         !self.rows.is_empty()

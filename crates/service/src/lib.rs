@@ -28,7 +28,7 @@
 //!   touched relation's shard and advance its component of the epoch
 //!   **vector clock** (lock-free to read via [`SharedDb::epoch`] /
 //!   [`SharedDb::epoch_of`]), which drives relation-scoped invalidation
-//!   of cached plans and registered incremental views.
+//!   of cached plans and registered views.
 //! * [`Server`] / [`Session`] — the request API, with per-request
 //!   [`RequestStats`] (lane taken, cache hit, tuples fetched, budget
 //!   verdict, epoch served).

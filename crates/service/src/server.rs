@@ -1,6 +1,6 @@
 //! The serving front door: [`Server`] owns the shared database, the plan
-//! cache and the registered incremental views; [`Session`] is a per-client
-//! handle that aggregates request statistics.
+//! cache and the registered views; [`Session`] is a per-client handle that
+//! aggregates request statistics.
 //!
 //! ## Request lifecycle
 //!
@@ -31,11 +31,11 @@
 //! Row writers on **disjoint relations proceed in parallel**. The lock
 //! order, invariant everywhere in this module, is:
 //!
-//! 1. the view registry ([`Server`]'s `views` `RwLock`) — shared for row
-//!    writers, exclusive for bulk writes / checkpoints / registration;
+//! 1. the bulk gate ([`Server`]'s `gate` `RwLock`) — shared for row
+//!    writers, exclusive for bulk writes / checkpoints / view
+//!    registration;
 //! 2. the written relation's write latch ([`SharedDb::lock_rel`]);
-//! 3. the state locks of the views reading that relation, in slot order;
-//! 4. the commit lock ([`SharedDb::write`]) — held only for the pointer
+//! 3. the commit lock ([`SharedDb::write`]) — held only for the pointer
 //!    swap that installs a prepared shard and refreshes the epoch
 //!    mirrors, never across index maintenance or I/O.
 //!
@@ -59,16 +59,14 @@ use crate::shared::SharedDb;
 use bcq_core::access::AccessSchema;
 use bcq_core::error::CoreError;
 use bcq_core::parser::{lifted_slot_name, SqlShape, LIFTED_SLOT_PREFIX};
+use bcq_core::plan::QueryPlan;
 use bcq_core::prelude::{RaExpr, RelId, SpcQuery, Value};
-use bcq_core::qplan::qplan_template;
-use bcq_durability::{
-    recover_with, LogStorage, RecoveryReport, ReplayEvent, ReplayObserver, SyncPolicy, WalStats,
-    WalWriter,
-};
+use bcq_core::qplan::{qplan, qplan_template};
+use bcq_durability::{recover, LogStorage, RecoveryReport, SyncPolicy, WalStats, WalWriter};
 use bcq_exec::ra::eval_ra_prepared;
 use bcq_exec::{
     baseline, eval_dq_profiled, eval_dq_with, BaselineMode, BaselineOptions, BaselineOutcome,
-    IncrementalAnswer, ParamEnv, PreparedRa, ResultSet,
+    ParamEnv, PreparedRa, ResultSet,
 };
 use bcq_storage::{BulkLoader, Database, IngestStats, Meter, Prepare, RowOp, WalSink};
 use bcq_telemetry::{LaneKind, MetricsRegistry, MetricsSnapshot, OpProfile, Phase};
@@ -415,123 +413,27 @@ impl SqlScratch {
     }
 }
 
-/// Identifier of a registered incremental view.
+/// Identifier of a registered view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ViewId(pub usize);
 
-/// One registered view: the relations it reads (immutable after
-/// registration, consulted to find affected slots without touching the
-/// state lock) and its independently locked maintained state. A row
-/// writer locks only the slots whose `rels` contain the written relation,
-/// so views over disjoint relations maintain in parallel.
-struct ViewSlot {
-    rels: Vec<RelId>,
-    state: Mutex<View>,
-}
-
+/// One registered view: the bounded plan prepared for its query and the
+/// last answer that plan produced. Evaluating the plan costs at most its
+/// `Σ Mᵢ` whatever `|D|` is, so nothing is maintained under writes: a
+/// read that finds the answer behind re-runs the plan.
 struct View {
-    answer: IncrementalAnswer,
-    /// The slice of the vector clock the maintained answer is current at:
-    /// one stamp per relation the view's atoms read. A view goes stale —
-    /// and recomputes lazily — only when one of *those* relations advances;
-    /// writes elsewhere leave it untouched.
-    stamps: Vec<(RelId, u64)>,
+    plan: QueryPlan,
+    /// The relations the query's atoms read.
+    read_rels: Vec<RelId>,
+    cached: Mutex<CachedAnswer>,
 }
 
-impl View {
-    fn refresh_stamps(&mut self, db: &Database) {
-        for (rel, e) in &mut self.stamps {
-            *e = db.epoch_of(*rel);
-        }
-    }
-
-    fn stale(&self, db: &Database) -> bool {
-        self.stamps.iter().any(|&(rel, e)| db.epoch_of(rel) != e)
-    }
-}
-
-/// Rides WAL replay to bring requested views back to consistency through
-/// their live delta paths ([`IncrementalAnswer::on_insert`] /
-/// [`IncrementalAnswer::on_delete`]) instead of a post-hoc recompute.
-/// A view goes `dirty` — and is re-initialized against the final recovered
-/// state — only when replay crosses an event its delta path cannot absorb:
-/// a bulk load of a relation it reads, or a delta error.
-struct ViewReplay<'a> {
-    access: &'a AccessSchema,
-    queries: &'a [SpcQuery],
-    /// One slot per requested view: the maintained answer (None until the
-    /// snapshot loads or if initialization failed) and its dirty flag.
-    answers: Vec<(Option<IncrementalAnswer>, bool)>,
-    /// Deltas applied through replay (telemetry).
-    deltas: u64,
-}
-
-impl<'a> ViewReplay<'a> {
-    fn new(access: &'a AccessSchema, queries: &'a [SpcQuery]) -> Self {
-        ViewReplay {
-            access,
-            queries,
-            answers: Vec::new(),
-            deltas: 0,
-        }
-    }
-
-    /// Applies one replayed row delta (`true` = absorbed) to every clean
-    /// view reading `rel`; a view whose delta fails goes dirty.
-    fn ride(&mut self, rel: RelId, mut delta: impl FnMut(&mut IncrementalAnswer) -> bool) {
-        for (ans, dirty) in &mut self.answers {
-            if let Some(a) = ans {
-                if !*dirty && a.reads(rel) {
-                    if delta(a) {
-                        self.deltas += 1;
-                    } else {
-                        *dirty = true;
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl ReplayObserver for ViewReplay<'_> {
-    fn snapshot_loaded(&mut self, db: &Database) {
-        self.answers = self
-            .queries
-            .iter()
-            .map(
-                |q| match IncrementalAnswer::initialize(db, q, self.access) {
-                    Ok(a) => (Some(a), false),
-                    // Initialization against the snapshot failed (e.g. an index
-                    // the delta plan needs is not in the snapshot yet): defer to
-                    // the final-state recompute in [`Server::open`].
-                    Err(_) => (None, true),
-                },
-            )
-            .collect();
-    }
-
-    fn applied(&mut self, db: &Database, event: ReplayEvent) {
-        match event {
-            ReplayEvent::Inserted { rel, row } => {
-                self.ride(rel, |a| a.on_insert(db, rel, &row).is_ok())
-            }
-            ReplayEvent::Deleted { rel, row } => {
-                self.ride(rel, |a| a.on_delete(db, rel, &row).is_ok())
-            }
-            // A bulk load rewrites the shard wholesale and clears its
-            // indices: the delta path cannot absorb that, so every view
-            // reading `rel` recomputes at the end.
-            ReplayEvent::BulkLoaded { rel } => {
-                for (ans, dirty) in &mut self.answers {
-                    if ans.as_ref().is_some_and(|a| a.reads(rel)) {
-                        *dirty = true;
-                    }
-                }
-            }
-            // An index (re)build changes no rows.
-            ReplayEvent::IndexBuilt { .. } => {}
-        }
-    }
+struct CachedAnswer {
+    answer: ResultSet,
+    /// The slice of the vector clock `answer` was computed at: one stamp
+    /// per relation the view's atoms read (`None` until the first read).
+    /// Writes to any other relation leave the answer current.
+    stamps: Option<Vec<(RelId, u64)>>,
 }
 
 /// The query-serving server: shared database, plan cache, admission
@@ -543,12 +445,12 @@ pub struct Server {
     config: ServerConfig,
     access_fp: String,
     cache: CacheShards,
-    /// The view registry. Row writers hold it **shared** (they touch only
-    /// the per-slot state locks of affected views); bulk writes,
-    /// checkpoints and registration hold it **exclusively** — it is the
-    /// global gate that keeps out-of-band mutations from racing latched
-    /// prepared commits. See the module docs for the full lock order.
-    views: RwLock<Vec<ViewSlot>>,
+    /// The bulk gate, which also guards the list of registered views. Row
+    /// writers and view reads hold it **shared**; bulk writes, checkpoints
+    /// and view registration hold it **exclusively** — it keeps
+    /// out-of-band mutations from racing latched prepared commits. See
+    /// the module docs for the full lock order.
+    gate: RwLock<Vec<View>>,
     metrics: MetricsRegistry,
     /// Keys this server's slot in the thread-local profile store (see
     /// [`Server::explain_last`]).
@@ -572,7 +474,7 @@ impl Server {
             config,
             access_fp,
             cache: CacheShards::new(config.plan_cache_capacity),
-            views: RwLock::new(Vec::new()),
+            gate: RwLock::new(Vec::new()),
             metrics,
             server_id: NEXT_SERVER_ID.fetch_add(1, Ordering::Relaxed),
             durability: None,
@@ -580,11 +482,11 @@ impl Server {
     }
 
     /// Opens a **durable** server over `storage`: recovers the database
-    /// from the latest consistent snapshot plus WAL replay, re-registers
-    /// `views` (brought back to consistency *during* replay through their
-    /// incremental delta paths wherever possible), and attaches a WAL
+    /// from the latest consistent snapshot plus WAL replay, attaches a WAL
     /// writer so every subsequent write — single-row writes, bulk
-    /// updates, index builds — is logged before it is acknowledged.
+    /// updates, index builds — is logged before it is acknowledged, and
+    /// re-registers `views` (each evaluates against the recovered state on
+    /// its first read).
     ///
     /// Returns the server, the [`RecoveryReport`] (what was restored,
     /// replayed and discarded), and the ids of the re-registered views in
@@ -604,10 +506,8 @@ impl Server {
         views: &[SpcQuery],
     ) -> crate::Result<(Server, RecoveryReport, Vec<ViewId>)> {
         let catalog = Arc::clone(access.catalog());
-        let mut replay = ViewReplay::new(&access, views);
-        let (mut db, report) = recover_with(&*storage, catalog, &mut replay)
-            .map_err(|e| ServiceError::Durability(e.to_string()))?;
-        let (answers, replay_deltas) = (std::mem::take(&mut replay.answers), replay.deltas);
+        let (mut db, report) =
+            recover(&*storage, catalog).map_err(|e| ServiceError::Durability(e.to_string()))?;
 
         // Attach the writer before `Server::new`: its `build_indexes` runs
         // through the WAL-emitting funnel, so an index built fresh here is
@@ -631,34 +531,10 @@ impl Server {
             checkpoints: AtomicU64::new(0),
         });
 
-        // Install the replayed views. A view that rode replay cleanly is
-        // already current; a dirty (or never-initialized) one recomputes
-        // against the final recovered state.
-        let snap = server.shared.snapshot();
-        let mut installed = Vec::with_capacity(views.len());
-        let mut ids = Vec::with_capacity(views.len());
-        let mut recomputes = 0u64;
-        for (q, (ans, dirty)) in views.iter().zip(answers) {
-            let answer = match (ans, dirty) {
-                (Some(a), false) => a,
-                _ => {
-                    recomputes += 1;
-                    IncrementalAnswer::initialize(&snap, q, &server.access)?
-                }
-            };
-            let stamps = Self::read_stamps(&snap, answer.read_rels());
-            let rels = answer.read_rels().to_vec();
-            ids.push(ViewId(installed.len()));
-            installed.push(ViewSlot {
-                rels,
-                state: Mutex::new(View { answer, stamps }),
-            });
-        }
-        server.views = RwLock::new(installed);
-        if server.metrics.is_enabled() {
-            server.metrics.view_deltas.add(replay_deltas);
-            server.metrics.view_recomputes.add(recomputes);
-        }
+        let ids = views
+            .iter()
+            .map(|q| server.register_view(q))
+            .collect::<crate::Result<Vec<_>>>()?;
         // Barrier: recovery realignment and this boot's index builds are
         // durable before the first request is served.
         server.wal_sync()?;
@@ -696,10 +572,10 @@ impl Server {
             .durability
             .as_ref()
             .ok_or_else(|| ServiceError::Durability("server opened without durability".into()))?;
-        // Exclusive on the view registry: every row writer (holding it
+        // Exclusive on the bulk gate: every row writer (holding it
         // shared) has drained, so the snapshot and its WAL position are
         // exactly consistent.
-        let _views = write_recovered(&self.views);
+        let _gate = write_recovered(&self.gate);
         let name = self
             .shared
             .write(|db| {
@@ -1253,8 +1129,8 @@ impl Server {
 
     /// Inserts one row and returns its id. Every index of the relation is
     /// maintained, so cached plans stay valid (the next prepare's
-    /// relation-scoped revalidation confirms them) and every view reading
-    /// the relation applies its bounded delta. See `write_row` for the
+    /// relation-scoped revalidation confirms them); a view reading the
+    /// relation re-evaluates on its next read. See `write_row` for the
     /// locks taken and when the write is durable.
     pub fn insert(&self, rel_name: &str, row: &[Value]) -> crate::Result<u32> {
         let rid = self.write_row(RowOp::Insert, rel_name, row)?;
@@ -1264,20 +1140,18 @@ impl Server {
     /// Deletes one copy of `row` (tombstone-free swap-remove + posting
     /// fix-up, indices maintained): the epoch advances and a new snapshot
     /// is published — readers holding snapshots taken before the delete
-    /// still see the old rows — and every view reading the relation
-    /// applies its support-counted retraction delta. Returns `false` —
-    /// with no epoch bump and no WAL traffic — if no copy of `row` is
-    /// stored.
+    /// still see the old rows. Returns `false` — with no epoch bump and no
+    /// WAL traffic — if no copy of `row` is stored.
     pub fn delete(&self, rel_name: &str, row: &[Value]) -> crate::Result<bool> {
         Ok(self.write_row(RowOp::Delete, rel_name, row)?.is_some())
     }
 
-    /// The one served row write (see the module docs' lock order): latch
-    /// → affected view slots → stale check → commit → view deltas →
-    /// `wal_ack` → metrics. Returns the row id the storage layer reported
-    /// (the appended row's for an insert, the removed copy's pre-swap id
-    /// for a delete), or `None` when nothing changed (a delete that found
-    /// no copy), in which case nothing was logged or recorded.
+    /// The one served row write (see the module docs' lock order): gate →
+    /// latch → commit → `wal_ack` → metrics. Returns the row id the
+    /// storage layer reported (the appended row's for an insert, the
+    /// removed copy's pre-swap id for a delete), or `None` when nothing
+    /// changed (a delete that found no copy), in which case nothing was
+    /// logged or recorded.
     ///
     /// The writer latches only `rel_name`'s relation, so writers on
     /// disjoint relations proceed in parallel end to end. When snapshots
@@ -1285,37 +1159,19 @@ impl Server {
     /// *off* the commit lock ([`Database::prepare`]) and the commit section
     /// is one pointer swap plus the epoch-mirror refresh; otherwise the
     /// uniquely owned shard is mutated in place, the cheapest path. The
-    /// latch and the shared view registry together exclude every other
+    /// latch and the shared bulk gate together exclude every other
     /// writer that could touch this shard in between. The WAL fsync (group
     /// commit, shared with concurrent writers) is waited on only after
     /// every lock is released.
     fn write_row(&self, op: RowOp, rel_name: &str, row: &[Value]) -> crate::Result<Option<u32>> {
         let write_start = Instant::now();
         let rel = self.access.catalog().require_rel(rel_name)?;
-        // Shared on the view registry: excludes bulk writes/checkpoints,
-        // not other row writers.
-        let views = read_recovered(&self.views);
+        // Shared on the bulk gate: excludes bulk writes/checkpoints, not
+        // other row writers.
+        let gate = read_recovered(&self.gate);
         let latch = self.shared.lock_rel(rel);
         self.metrics
             .record_lock_wait(latch.wait_ns, latch.contended);
-        // Relation-scoped maintenance: only views reading `rel` can
-        // change; all other slots stay untouched and unlocked.
-        let mut slots: Vec<MutexGuard<'_, View>> = views
-            .iter()
-            .filter(|s| s.rels.contains(&rel))
-            .map(|s| lock_recovered(&s.state))
-            .collect();
-        // Staleness is judged against the pre-write state: a view left
-        // behind by an earlier out-of-band write must stay stale (and
-        // recompute lazily) — applying this delta and stamping it current
-        // would mask the rows it never saw. (Skipped entirely when no
-        // affected views exist: the common serving write path.)
-        let stale_before: Vec<bool> = if slots.is_empty() {
-            Vec::new()
-        } else {
-            let pre = self.shared.snapshot();
-            slots.iter().map(|v| v.stale(&pre)).collect()
-        };
         // `None`: no snapshot is outstanding, the shard is uniquely owned.
         let prepared = if self.shared.has_snapshots() {
             Some(self.shared.snapshot().prepare(op, rel_name, row)?)
@@ -1339,45 +1195,28 @@ impl Server {
             self.metrics.record_commit_hold(dur_ns(hold.elapsed()));
             rid
         };
-        let mut deltas = 0u64;
-        if rid.is_some() && !slots.is_empty() {
-            let snap = self.shared.snapshot();
-            for (v, was_stale) in slots.iter_mut().zip(stale_before) {
-                if was_stale {
-                    continue;
-                }
-                match op {
-                    RowOp::Insert => v.answer.on_insert(&snap, rel, row)?,
-                    RowOp::Delete => v.answer.on_delete(&snap, rel, row)?,
-                };
-                v.refresh_stamps(&snap);
-                deltas += 1;
-            }
-        }
-        drop(slots);
         drop(latch);
-        drop(views);
+        drop(gate);
         if rid.is_some() {
             // The WAL record was appended inside the commit section (log
             // order = commit order); the fsync that makes it durable is
             // shared with concurrent writers and waited on lock-free.
             self.wal_ack()?;
             self.metrics
-                .record_write(op == RowOp::Insert, dur_ns(write_start.elapsed()), deltas);
+                .record_write(op == RowOp::Insert, dur_ns(write_start.elapsed()));
         }
         Ok(rid)
     }
 
     /// Runs an arbitrary batch mutation (bulk load, manual index work) and
     /// then rebuilds all declared indices, so readers and cached plans are
-    /// consistent again afterwards. Registered views are *not* updated in
-    /// place — their epochs fall behind and they recompute lazily on the
-    /// next [`Server::view_result`] (epoch-driven invalidation).
+    /// consistent again afterwards. Registered views whose relations it
+    /// wrote re-evaluate on the next [`Server::view_result`].
     pub fn bulk_update<R>(&self, f: impl FnOnce(&mut Database) -> R) -> R {
-        // Exclusive on the view registry: every row writer holds it
-        // shared, so none can have a prepared-but-uncommitted shard in
-        // flight while this arbitrary mutation rewrites state.
-        let _views = write_recovered(&self.views);
+        // Exclusive on the bulk gate: every row writer holds it shared,
+        // so none can have a prepared-but-uncommitted shard in flight
+        // while this arbitrary mutation rewrites state.
+        let _gate = write_recovered(&self.gate);
         if self.metrics.is_enabled() {
             self.metrics.bulk_updates.inc();
         }
@@ -1397,8 +1236,8 @@ impl Server {
     /// fast path: `f` drives a [`BulkLoader`] (batch symbol interning, one
     /// WAL record per chunk), then all declared indices are rebuilt in the
     /// same write — readers never observe the loaded rows without their
-    /// indices. Like [`Server::bulk_update`], registered views recompute
-    /// lazily afterwards. Returns `f`'s result and the load's
+    /// indices. Like [`Server::bulk_update`], registered views re-evaluate
+    /// on their next read. Returns `f`'s result and the load's
     /// [`IngestStats`]; ingest counters and the index-rebuild time land in
     /// the metrics registry.
     pub fn bulk_load<R>(
@@ -1407,7 +1246,7 @@ impl Server {
         f: impl FnOnce(&mut BulkLoader<'_>) -> R,
     ) -> crate::Result<(R, IngestStats)> {
         let rel = self.access.catalog().require_rel(rel_name)?;
-        let _views = write_recovered(&self.views);
+        let _gate = write_recovered(&self.gate);
         let mut build_ns = 0u64;
         let (r, stats) = self.shared.write(|db| {
             let mut loader = db.bulk_loader(rel);
@@ -1433,50 +1272,51 @@ impl Server {
         Ok((r, stats))
     }
 
-    /// Registers a continuously maintained bounded answer for `q`
-    /// (requires `q` effectively bounded under the server's access
-    /// schema). Maintained incrementally by [`Server::insert`]; recomputed
-    /// after out-of-band writes.
+    /// Registers `q` as a view: a ground query that must be effectively
+    /// bounded under the server's access schema. Its bounded plan is
+    /// generated here, once; the answer is computed by the first
+    /// [`Server::view_result`].
     pub fn register_view(&self, q: &SpcQuery) -> crate::Result<ViewId> {
-        let snap = self.shared.snapshot();
-        let answer = IncrementalAnswer::initialize(&snap, q, &self.access)?;
-        let stamps = Self::read_stamps(&snap, answer.read_rels());
-        let rels = answer.read_rels().to_vec();
-        // A write racing between the snapshot above and this exclusive
-        // acquisition leaves the stamps behind the committed clock: the
-        // view is installed stale and recomputes on its first read.
-        let mut views = write_recovered(&self.views);
-        views.push(ViewSlot {
-            rels,
-            state: Mutex::new(View { answer, stamps }),
-        });
+        let view = View {
+            plan: qplan(q, &self.access)?,
+            read_rels: q.read_rels(),
+            cached: Mutex::new(CachedAnswer {
+                answer: ResultSet::empty(),
+                stamps: None,
+            }),
+        };
+        let mut views = write_recovered(&self.gate);
+        views.push(view);
         Ok(ViewId(views.len() - 1))
     }
 
-    /// The maintained answer of a registered view, recomputing first if a
-    /// relation one of its atoms reads advanced past the view's stamps
-    /// (out-of-band writes to *other* relations never force a recompute).
+    /// The answer of a registered view. Re-runs the view's bounded plan
+    /// first if a relation one of its atoms reads advanced past the
+    /// cached answer's stamps (writes to *other* relations never do);
+    /// otherwise returns the cached answer.
     pub fn view_result(&self, id: ViewId) -> crate::Result<ResultSet> {
-        let views = read_recovered(&self.views);
-        let slot = views
+        let views = read_recovered(&self.gate);
+        let view = views
             .get(id.0)
             .ok_or_else(|| ServiceError::Core(CoreError::Invalid("unknown view id".into())))?;
-        // Slot lock first, snapshot second: writers hold the slot lock
-        // across their commit *and* delta, so state observed under the
-        // lock is fully pre- or fully post- any maintained write — and a
-        // snapshot taken before the lock could predate a write that
-        // already advanced this view's stamps, which would read as
-        // staleness and waste a full recompute against the older state.
-        let mut v = lock_recovered(&slot.state);
+        // Answer lock first, snapshot second: a snapshot taken before the
+        // lock could predate the state a concurrent read of this view
+        // just cached, and would replace it with an older answer.
+        let mut cached = lock_recovered(&view.cached);
         let snap = self.shared.snapshot();
-        if v.stale(&snap) {
-            v.answer = IncrementalAnswer::initialize(&snap, v.answer.query(), &self.access)?;
-            v.refresh_stamps(&snap);
+        let current = cached
+            .stamps
+            .as_ref()
+            .is_some_and(|s| s.iter().all(|&(rel, e)| snap.epoch_of(rel) == e));
+        if !current {
+            let out = eval_dq_with(&snap, &view.plan, &self.access, ParamEnv::empty_ref())?;
+            cached.answer = out.result;
+            cached.stamps = Some(Self::read_stamps(&snap, &view.read_rels));
             if self.metrics.is_enabled() {
                 self.metrics.view_recomputes.inc();
             }
         }
-        Ok(v.answer.result().clone())
+        Ok(cached.answer.clone())
     }
 }
 
@@ -2008,8 +1848,8 @@ mod tests {
         let mut s = server.session();
         s.query(&q1, &bind("a0", "u0")).unwrap();
 
-        // A bulk write goes around `Server::insert`: no view delta, but the
-        // epoch moves inside the write and cached plans revalidate.
+        // A bulk write goes around `Server::insert`, but the epoch moves
+        // inside the write and cached plans revalidate.
         server.bulk_update(|db| {
             db.insert(
                 "tagging",
@@ -2076,7 +1916,7 @@ mod tests {
         let view = server.register_view(&q0).unwrap();
         assert_eq!(server.view_result(view).unwrap().len(), 1);
 
-        // Maintained path: bounded delta per insert.
+        // A row write to a read relation: the next read re-evaluates.
         server
             .insert(
                 "tagging",
@@ -2085,7 +1925,7 @@ mod tests {
             .unwrap();
         assert_eq!(server.view_result(view).unwrap().len(), 2);
 
-        // Out-of-band path: view goes stale, recomputes on read.
+        // So does an out-of-band write.
         server.bulk_update(|db| {
             db.insert(
                 "tagging",
@@ -2181,7 +2021,7 @@ mod tests {
             .unwrap();
         assert_eq!(server.view_result(view).unwrap().len(), 2);
 
-        // Support-counted retraction through the maintained delete path.
+        // A delete retracts the answer it supported.
         server
             .delete(
                 "tagging",
@@ -2198,7 +2038,7 @@ mod tests {
             .unwrap();
         assert!(server.view_result(view).unwrap().is_empty());
 
-        // Out-of-band bulk delete: the view goes stale and recomputes.
+        // Out-of-band bulk delete: the view re-evaluates.
         server.bulk_update(|db| {
             db.delete("in_album", &[Value::str("p2"), Value::str("a0")])
                 .unwrap();
@@ -2298,6 +2138,73 @@ mod tests {
     }
 
     #[test]
+    fn row_writes_touch_no_view_and_a_stale_read_recomputes_once() {
+        let server = setup(AdmissionPolicy::Strict);
+        let catalog = Arc::clone(server.access().catalog());
+        let views: Vec<ViewId> = (0..8)
+            .map(|k| {
+                let q = SpcQuery::builder(Arc::clone(&catalog), format!("friends_of_u{k}"))
+                    .atom("friends", "f")
+                    .eq_const(("f", "user_id"), format!("u{k}").as_str())
+                    .project(("f", "friend_id"))
+                    .build()
+                    .unwrap();
+                server.register_view(&q).unwrap()
+            })
+            .collect();
+        let scan = SpcQuery::builder(catalog, "scan")
+            .atom("tagging", "t")
+            .project(("t", "photo_id"))
+            .build()
+            .unwrap();
+        assert!(server.register_view(&scan).is_err(), "not bounded: refused");
+        let recomputes = || server.metrics_snapshot().writes.view_recomputes;
+
+        // Writers run while this thread holds a view's answer lock: one
+        // that still locked the views it writes under would never return.
+        {
+            let gate = server.gate.read().unwrap();
+            let _held = gate[0].cached.lock().unwrap();
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    for i in 0..16 {
+                        server
+                            .insert("friends", &[Value::str("u0"), Value::int(i)])
+                            .unwrap();
+                    }
+                    for i in 0..8 {
+                        assert!(server
+                            .delete("friends", &[Value::str("u0"), Value::int(i)])
+                            .unwrap());
+                    }
+                });
+            });
+        }
+        assert_eq!(recomputes(), 0, "no write evaluated a view");
+
+        for (k, &view) in views.iter().enumerate() {
+            let rs = server.view_result(view).unwrap();
+            assert_eq!(recomputes(), k as u64 + 1, "first read evaluates");
+            assert_eq!(server.view_result(view).unwrap(), rs);
+            assert_eq!(recomputes(), k as u64 + 1, "second read is cached");
+        }
+        assert_eq!(server.view_result(views[0]).unwrap().len(), 2 + 8);
+
+        // Writes to relations no view reads leave every answer current.
+        server
+            .insert("in_album", &[Value::str("p9"), Value::str("a9")])
+            .unwrap();
+        server.bulk_update(|db| {
+            db.delete("in_album", &[Value::str("p9"), Value::str("a9")])
+                .unwrap();
+        });
+        for &view in &views {
+            server.view_result(view).unwrap();
+        }
+        assert_eq!(recomputes(), 8);
+    }
+
+    #[test]
     fn views_ignore_writes_to_unread_relations() {
         let server = setup(AdmissionPolicy::Strict);
         let q = SpcQuery::builder(Arc::clone(server.access().catalog()), "friends_of_u0")
@@ -2310,8 +2217,7 @@ mod tests {
         assert_eq!(server.view_result(view).unwrap().len(), 2);
 
         // An out-of-band bulk write to a relation the view does not read:
-        // under the old global-epoch rule this forced a recompute; the
-        // vector clock keeps the maintained answer current as-is.
+        // the vector clock keeps the cached answer current as-is.
         server.bulk_update(|db| {
             db.insert(
                 "tagging",
@@ -2321,7 +2227,7 @@ mod tests {
         });
         assert_eq!(server.view_result(view).unwrap().len(), 2);
 
-        // A bulk write to the read relation still recomputes lazily.
+        // A bulk write to the read relation re-evaluates on read.
         server.bulk_update(|db| {
             db.insert("friends", &[Value::str("u0"), Value::str("u6")])
                 .unwrap();
@@ -2332,8 +2238,7 @@ mod tests {
     #[test]
     fn maintained_write_does_not_mask_prior_out_of_band_staleness() {
         // A view stale from a bulk write to one read relation must stay
-        // stale across a maintained write to *another* read relation —
-        // stamping it current there would hide the bulk row forever.
+        // stale across a row write to *another* read relation.
         let server = setup(AdmissionPolicy::Strict);
         let q = SpcQuery::builder(Arc::clone(server.access().catalog()), "Q0")
             .atom("in_album", "ia")
@@ -2356,20 +2261,18 @@ mod tests {
             db.insert("friends", &[Value::str("u0"), Value::str("u3")])
                 .unwrap();
         });
-        // Maintained write to another of the view's read relations: its
-        // delta covers p3 but can never rediscover p2 — the view must
-        // stay stale instead of being stamped current.
+        // Row write to another of the view's read relations.
         server
             .insert(
                 "tagging",
                 &[Value::str("p3"), Value::str("u1"), Value::str("u0")],
             )
             .unwrap();
-        // The next read recomputes and sees both new answers.
+        // The next read re-evaluates and sees both new answers.
         let rs = server.view_result(view).unwrap();
         assert_eq!(rs.len(), 3, "{rs:?}");
         assert!(rs.contains(&[Value::str("p2")]), "bulk-written row seen");
-        assert!(rs.contains(&[Value::str("p3")]), "maintained row seen");
+        assert!(rs.contains(&[Value::str("p3")]), "row-written row seen");
     }
 
     #[test]
@@ -2508,7 +2411,7 @@ mod tests {
         s.query(&q1, &bind("a0", "u0")).unwrap();
         s.query(&q1, &bind("a1", "u0")).unwrap();
 
-        // A budgeted request and a write with a maintained view delta.
+        // A budgeted request and a write under a registered view.
         let scan = SpcQuery::builder(Arc::clone(server.access().catalog()), "scan")
             .atom("tagging", "t")
             .project(("t", "photo_id"))
@@ -2546,7 +2449,6 @@ mod tests {
         assert_eq!(snap.cache.hits, 1);
         assert_eq!(snap.writes.inserts, 1);
         assert_eq!(snap.writes.bulk_updates, 1);
-        assert_eq!(snap.writes.view_deltas, 1, "maintained insert hit the view");
         assert_eq!(snap.writes.view_recomputes, 1, "bulk update forced one");
         assert!(snap.writes.cow_shard_clones > 0);
         assert_eq!(snap.gauges.relations, 3);
@@ -2664,7 +2566,7 @@ mod tests {
         let q1 = template(&server);
         server.session().query(&q1, &bind("a0", "u0")).unwrap();
 
-        // Poison every cache shard and the view registry by panicking
+        // Poison every cache shard and the bulk gate by panicking
         // while holding them all.
         {
             let server = Arc::clone(&server);
@@ -2675,13 +2577,13 @@ mod tests {
                     .iter()
                     .map(|s| s.lock().unwrap())
                     .collect();
-                let _views = server.views.write().unwrap();
+                let _gate = server.gate.write().unwrap();
                 panic!("poison every serving lock");
             })
             .join();
         }
         assert!(server.cache.shards.iter().all(|s| s.is_poisoned()));
-        assert!(server.views.is_poisoned());
+        assert!(server.gate.is_poisoned());
 
         // Serving still works end to end: cached prepare, execute, writes,
         // views, and the metrics snapshot (which reads the cache lock).
@@ -2814,7 +2716,7 @@ mod tests {
         assert_eq!(server.view_result(view).unwrap().len(), 1);
         let name = server.checkpoint().unwrap();
 
-        // One more maintained write past the checkpoint, then "crash".
+        // One more write past the checkpoint, then "crash".
         server
             .insert(
                 "tagging",
@@ -2840,12 +2742,9 @@ mod tests {
             let recovered: Vec<Vec<Value>> = snap.value_rows(rel).collect();
             assert_eq!(recovered, rows);
         }
-        // The view rode replay through its delta path: correct answer, no
-        // recompute.
+        // The re-registered view evaluates against the recovered state.
         assert_eq!(server2.view_result(view2).unwrap().len(), 2);
         let m = server2.metrics_snapshot();
-        assert_eq!(m.writes.view_recomputes, 0, "delta replay, not recompute");
-        assert!(m.writes.view_deltas >= 1);
         assert!(m.wal.replayed > 0);
         assert_eq!(m.wal.last_seq, report2.last_seq);
 
@@ -2905,8 +2804,7 @@ mod tests {
         let (server2, report, view2) = open_durable(&log, SyncPolicy::Always);
         assert_eq!(server2.epoch(), epoch);
         assert!(report.replayed > 0);
-        // The bulk load cannot ride the delta path: the view recomputed
-        // against the final recovered state — and is still correct.
+        // The view evaluates against the final recovered state.
         assert_eq!(server2.view_result(view2).unwrap().len(), 1);
         assert!(server2.metrics_snapshot().writes.view_recomputes >= 1);
     }

@@ -436,9 +436,8 @@ impl Database {
     }
 
     /// `true` if at least one copy of `row` is stored in `rel` — the
-    /// value-level presence test incremental maintenance uses to decide
-    /// whether a deletion removed the *last* copy. Served by a registered
-    /// index when one exists, else a scan.
+    /// value-level presence test (after a delete: was that the *last*
+    /// copy?). Served by a registered index when one exists, else a scan.
     pub fn contains_row(&self, rel: RelId, row: &[Value]) -> Result<bool> {
         if row.len() != self.catalog.relation(rel).arity() {
             return Err(CoreError::Invalid("arity mismatch in contains_row".into()));

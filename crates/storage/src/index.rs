@@ -309,7 +309,7 @@ impl HashIndex {
     }
 
     /// Per-row build: one hash-map entry lookup (and one key allocation)
-    /// per row — the incremental-maintenance code path replayed over the
+    /// per row — what a row write does to the index, replayed over the
     /// whole table.
     pub fn build_rowwise(table: &Table, x: &[usize], y: &[usize]) -> HashIndex {
         let mut idx = HashIndex::empty(x, y);

@@ -50,7 +50,7 @@ pub(crate) type IndexKey = (Vec<usize>, Vec<usize>);
 /// The epoch is this shard's component of the database's **vector clock**:
 /// it records the global commit number of the last mutation that touched
 /// this relation. Layers that cache anything derived from a *subset* of
-/// relations (compiled plans, maintained views) compare per-shard epochs
+/// relations (compiled plans, registered views) compare per-shard epochs
 /// and ignore commits that only advanced other shards.
 #[derive(Debug, Clone)]
 pub struct RelationShard {

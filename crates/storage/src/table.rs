@@ -14,8 +14,7 @@
 //! are sets (`bcq-exec`'s `ResultSet` deduplicates), so the answer
 //! depends only on the **distinct** rows present. Deletion follows the bag:
 //! [`Table::swap_remove`] removes **one copy**; the answer set can only
-//! change when the *last* copy of a row value disappears — the invariant
-//! support-counted incremental maintenance is built on.
+//! change when the *last* copy of a row value disappears.
 
 use bcq_core::prelude::{Cell, RelId};
 

@@ -89,9 +89,7 @@ pub struct WriteSnapshot {
     /// Time spent inside the exclusive commit section (shard swap + epoch
     /// publication; excludes encoding, index maintenance, fsyncs).
     pub commit_hold: HistSnapshot,
-    /// Incremental view deltas applied under maintained writes.
-    pub view_deltas: u64,
-    /// Full view recomputes forced by staleness.
+    /// View re-evaluations forced by a stale cached answer.
     pub view_recomputes: u64,
     /// Relation shards cloned by copy-on-write since startup.
     pub cow_shard_clones: u64,
@@ -221,7 +219,6 @@ pub(crate) fn snapshot_of(reg: &MetricsRegistry) -> MetricsSnapshot {
             lock_wait: reg.writer_lock_wait_hist().snapshot(),
             conflicts: reg.write_conflicts.get(),
             commit_hold: reg.commit_hold_hist().snapshot(),
-            view_deltas: reg.view_deltas.get(),
             view_recomputes: reg.view_recomputes.get(),
             cow_shard_clones: 0,
             cow_cells_cloned: 0,
@@ -281,7 +278,6 @@ impl MetricsSnapshot {
         self.writes.lock_wait.merge(&other.writes.lock_wait);
         self.writes.conflicts += other.writes.conflicts;
         self.writes.commit_hold.merge(&other.writes.commit_hold);
-        self.writes.view_deltas += other.writes.view_deltas;
         self.writes.view_recomputes += other.writes.view_recomputes;
         self.writes.cow_shard_clones += other.writes.cow_shard_clones;
         self.writes.cow_cells_cloned += other.writes.cow_cells_cloned;
@@ -367,11 +363,10 @@ impl MetricsSnapshot {
         let w = &self.writes;
         let _ = writeln!(
             s,
-            "  \"writes\": {{\"inserts\": {}, \"deletes\": {}, \"bulk_updates\": {}, \"view_deltas\": {}, \"view_recomputes\": {}, \"cow_shard_clones\": {}, \"cow_cells_cloned\": {}, \"lock_conflicts\": {}, \"latency_ns\": {}, \"lock_wait_ns\": {}, \"commit_hold_ns\": {}}},",
+            "  \"writes\": {{\"inserts\": {}, \"deletes\": {}, \"bulk_updates\": {}, \"view_recomputes\": {}, \"cow_shard_clones\": {}, \"cow_cells_cloned\": {}, \"lock_conflicts\": {}, \"latency_ns\": {}, \"lock_wait_ns\": {}, \"commit_hold_ns\": {}}},",
             w.inserts,
             w.deletes,
             w.bulk_updates,
-            w.view_deltas,
             w.view_recomputes,
             w.cow_shard_clones,
             w.cow_cells_cloned,
@@ -489,7 +484,6 @@ impl MetricsSnapshot {
             ("bcq_writes_inserts_total", w.inserts),
             ("bcq_writes_deletes_total", w.deletes),
             ("bcq_writes_bulk_updates_total", w.bulk_updates),
-            ("bcq_view_deltas_total", w.view_deltas),
             ("bcq_view_recomputes_total", w.view_recomputes),
             ("bcq_cow_shard_clones_total", w.cow_shard_clones),
             ("bcq_cow_cells_cloned_total", w.cow_cells_cloned),
@@ -616,7 +610,7 @@ mod tests {
         r.record_budget_verdict(true);
         r.record_sql(2);
         r.record_sql(1);
-        r.record_write(true, 4_000, 1);
+        r.record_write(true, 4_000);
         r.record_ingest(1_000, 2, 48_000, 1, 7_500);
         r.record_lock_wait(250, true);
         r.record_lock_wait(0, false); // uncontended: not recorded
@@ -647,7 +641,7 @@ mod tests {
             "\"admission\"",
             "\"sql\": {\"requests\": 2, \"literals_lifted\": 3}",
             "\"writes\"",
-            "\"view_deltas\"",
+            "\"view_recomputes\"",
             "\"gauges\"",
             "\"interner_symbols\": 7",
             "\"index_keys\": 3, \"index_bytes\": 420, \"table_bytes\": 96",

@@ -6,7 +6,7 @@
 //! record_request`]: an enabled load, one histogram `fetch_add`, and one
 //! sharded-counter `fetch_add` — a handful of nanoseconds against a
 //! sub-microsecond request. Everything else (write path, admission
-//! verdicts, view maintenance) records off the latency-critical path.
+//! verdicts, view re-evaluation) records off the latency-critical path.
 
 use crate::hist::Histogram;
 use crate::span::Phase;
@@ -173,9 +173,8 @@ pub struct MetricsRegistry {
     /// Commits made durable per group-commit fsync batch (recorded by the
     /// flush leader with the batch size).
     group_commit_batch: Histogram,
-    /// Incremental view deltas applied on the maintained write path.
-    pub view_deltas: Counter,
-    /// Full view recomputes forced by staleness.
+    /// View re-evaluations: reads that found the cached answer behind a
+    /// relation the view reads.
     pub view_recomputes: Counter,
     /// Traced phase timings (admit → … → respond); populated only while
     /// tracing is enabled.
@@ -223,7 +222,6 @@ impl MetricsRegistry {
             write_conflicts: Counter::new(),
             commit_hold: Histogram::new(),
             group_commit_batch: Histogram::new(),
-            view_deltas: Counter::new(),
             view_recomputes: Counter::new(),
             phases: Default::default(),
         }
@@ -321,9 +319,9 @@ impl MetricsRegistry {
         self.index_build_ns.add(index_build_ns);
     }
 
-    /// Records one maintained write (insert or delete) with its end-to-end
-    /// latency and the number of view deltas applied under it.
-    pub fn record_write(&self, insert: bool, latency_ns: u64, view_deltas: u64) {
+    /// Records one row write (insert or delete) with its end-to-end
+    /// latency.
+    pub fn record_write(&self, insert: bool, latency_ns: u64) {
         if !self.is_enabled() {
             return;
         }
@@ -333,9 +331,6 @@ impl MetricsRegistry {
             self.deletes.inc();
         }
         self.write_latency.record(latency_ns);
-        if view_deltas > 0 {
-            self.view_deltas.add(view_deltas);
-        }
     }
 
     /// Records one per-relation write-latch acquisition: the wait (only
@@ -444,7 +439,7 @@ mod tests {
         r.record_budget_verdict(true);
         r.record_rejected();
         r.record_sql(2);
-        r.record_write(true, 1000, 2);
+        r.record_write(true, 1000);
         assert_eq!(r.sql_requests.get(), 0);
         assert_eq!(r.sql_literals_lifted.get(), 0);
         assert_eq!(r.lane_latency(LaneKind::Bounded).snapshot().count(), 0);

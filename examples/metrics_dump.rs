@@ -106,8 +106,8 @@ fn chain_server() -> core::result::Result<(Arc<Server>, SpcQuery), Box<dyn std::
 fn main() -> core::result::Result<(), Box<dyn std::error::Error>> {
     let (server, catalog) = social_server()?;
 
-    // --- Mixed traffic: bounded template hits, budgeted scans, view
-    // maintenance, maintained writes and deletes. ---
+    // --- Mixed traffic: bounded template hits, budgeted scans, a
+    // registered view, row writes and deletes. ---
     let q1 = SpcQuery::builder(catalog.clone(), "Q1")
         .atom("in_album", "ia")
         .atom("friends", "f")
@@ -128,7 +128,8 @@ fn main() -> core::result::Result<(), Box<dyn std::error::Error>> {
         .eq_const(("f", "user_id"), "u0")
         .project(("f", "friend_id"))
         .build()?;
-    server.register_view(&friends_view)?;
+    let view = server.register_view(&friends_view)?;
+    let friends = server.view_result(view)?.len(); // the first read evaluates
 
     let mut session = server.session();
     for i in 0..2_000i64 {
@@ -155,6 +156,8 @@ fn main() -> core::result::Result<(), Box<dyn std::error::Error>> {
     for k in 0..16 {
         server.insert("friends", &[Value::str("u0"), Value::str(format!("w{k}"))])?;
     }
+    // A stale read: one re-evaluation for the 16 inserts before it.
+    assert_eq!(server.view_result(view)?.len(), friends + 16);
     for k in 0..4 {
         server.delete("friends", &[Value::str("u0"), Value::str(format!("w{k}"))])?;
     }
@@ -173,7 +176,10 @@ fn main() -> core::result::Result<(), Box<dyn std::error::Error>> {
         loader.push_chunk_columns(&[photos, albums]);
     })?;
     assert_eq!(ingest.rows, 256);
-    server.view_result(ViewId(0))?;
+    // Stale again (four deletes and the bulk update): one more. Then a
+    // read with nothing new in `friends` returns the cached answer.
+    assert_eq!(server.view_result(view)?.len(), friends + 12 + 1);
+    server.view_result(view)?;
 
     // --- Request tracing: opt-in, per-server; phases show up only for
     // the traced requests. ---
@@ -209,13 +215,9 @@ fn main() -> core::result::Result<(), Box<dyn std::error::Error>> {
     assert_eq!(snap.ingest.rows, 256);
     assert_eq!(snap.ingest.chunks, 1);
     assert!(snap.ingest.bytes > 0, "cell payload bytes were accounted");
-    assert!(
-        snap.writes.view_deltas >= 16,
-        "view saw every maintained write"
-    );
-    assert!(
-        snap.writes.view_recomputes >= 1,
-        "bulk update forced a recompute"
+    assert_eq!(
+        snap.writes.view_recomputes, 3,
+        "the first read, then one per stale read, however many writes came in between"
     );
     assert!(
         snap.writes.cow_shard_clones > 0,

@@ -81,10 +81,9 @@ pub use bcq_workload as workload;
 pub mod prelude {
     pub use bcq_core::prelude::*;
     pub use bcq_exec::{
-        baseline, baseline_interpreted, eval_dq, eval_dq_interpreted, eval_dq_partials,
-        eval_dq_with, eval_dq_with_interpreted, eval_ra, materialize_views, BaselineMode,
-        BaselineOptions, BaselineOutcome, DeltaStats, ExecOutcome, IncrementalAnswer, ParamEnv,
-        PartialsOutcome, RaOutcome, ResultSet,
+        baseline, baseline_interpreted, eval_dq, eval_dq_interpreted, eval_dq_with,
+        eval_dq_with_interpreted, eval_ra, materialize_views, BaselineMode, BaselineOptions,
+        BaselineOutcome, ExecOutcome, ParamEnv, RaOutcome, ResultSet,
     };
     pub use bcq_service::{
         trace_thread, AdmissionPolicy, BudgetVerdict, DirLog, DurabilityConfig, Lane, LaneKind,

@@ -11,10 +11,9 @@
 //! public `Database` API). Recovering twice must equal recovering once.
 //!
 //! A second layer drives the same interleavings end to end through the
-//! serving tier ([`Server::open`] with a registered incremental view):
-//! after the crash, the reopened view must equal a fresh recompute over
-//! the recovered snapshot — whether it rode replay through its delta path
-//! or was forced to recompute by a bulk load in the surviving prefix.
+//! serving tier ([`Server::open`] with a registered view): after the
+//! crash, the reopened view must equal a fresh recompute over the
+//! recovered snapshot.
 //!
 //! Runs 256 interleavings per schema by default (the shim's deterministic
 //! per-test seeding keeps the normal CI job reproducible);
@@ -432,7 +431,7 @@ proptest! {
         if let Some((_, oracle)) = boundaries.iter().rev().find(|(s, _)| *s == report.last_seq) {
             prop_assert_eq!(&dump(&snap), oracle);
         }
-        // And the recovered server keeps serving writes + view deltas.
+        // And the recovered server keeps serving writes and view reads.
         server2.insert("vehicle", &[Value::int(0), Value::int(1)]).unwrap();
         prop_assert_eq!(
             &server2.view_result(ids2[0]).unwrap(),
