@@ -1,71 +1,46 @@
-//! The plan cache: an LRU of [`PreparedQuery`]s keyed on
-//! query + access-schema fingerprints, or on the shape of a query text.
+//! The plan cache: an LRU of [`PreparedQuery`]s keyed on a query
+//! fingerprint, or on the shape of a query text.
 //!
-//! Entries remember a **relation-scoped validation stamp**: the epoch of
-//! each relation the prepared query's access schema actually reads (its
-//! slice of the database's vector clock), as of the last validation. The
-//! server compares those stamps against the current snapshot — writes to
-//! relations a plan never reads leave its stamps current, so the lookup is
-//! a pure hit with no revalidation work; only when a *read* relation's
-//! epoch advanced does the server revalidate (cheaply — an index-existence
-//! check) or drop the entry, so a cached plan can never silently execute
-//! against indices that a bulk load swept away. Every movement is counted
-//! in [`CacheStats`] — the service's observability surface.
+//! A plan is a function of the query and the access schema, never of the
+//! data (`EBCheck` and `QPlan` take no database), and one server has one
+//! immutable access schema — so an entry is never stale. The cache is a
+//! key → `Arc<PreparedQuery>` map with LRU eviction and nothing else;
+//! what an entry *needs* from the data — that the indices its plan names
+//! exist — is the server's invariant (see [`crate::Server`]), and the
+//! executor's own "index … not built" error is the one guard behind it.
+//! Every movement is counted in [`CacheStats`].
 
 use crate::prepared::PreparedQuery;
-use bcq_core::prelude::RelId;
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// The vector-clock slice a cache entry was last validated against: the
-/// epoch of each relation the plan reads, in the prepared query's
-/// (sorted) read-set order.
-pub type RelStamps = Vec<(RelId, u64)>;
-
-/// [`RelStamps`] as stored in (and handed out by) the cache: shared, so a
-/// hit costs a refcount bump instead of a `Vec` clone.
-pub type SharedStamps = Arc<[(RelId, u64)]>;
 
 /// Cache movement counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups that found a live entry.
+    /// Lookups that found an entry.
     pub hits: u64,
     /// Lookups that found nothing (a prepare followed).
     pub misses: u64,
     /// Entries evicted by capacity pressure (LRU order).
     pub evictions: u64,
-    /// Entries dropped because epoch revalidation failed.
-    pub invalidations: u64,
-    /// Entries whose stamps were refreshed after a successful revalidation
-    /// (a relation the plan reads had advanced and its indices were
-    /// confirmed present).
+    /// Always zero: no write costs a cached plan anything, so nothing
+    /// increments this. The field stays only because the frozen benchmark
+    /// harness reads it (`benchmark/src/workloads.rs`, behind
+    /// `service.cache.revalidations_per_req`); a `benchmark`-archetype PR
+    /// retires the metric and this field together.
     pub revalidations: u64,
 }
 
-/// `fresh` with every stamp clamped to at least the matching relation's
-/// stamp in `current` — validations move forward only, even when prepares
-/// racing on older snapshots apply out of order.
-fn merge_stamps(current: &[(RelId, u64)], fresh: RelStamps) -> SharedStamps {
-    fresh
-        .into_iter()
-        .map(|(rel, epoch)| {
-            let prev = current
-                .iter()
-                .find(|&&(r, _)| r == rel)
-                .map_or(0, |&(_, e)| e);
-            (rel, epoch.max(prev))
-        })
-        .collect()
-}
-
+/// Aligned to a cache line: `last_used` is written on every hit, and the
+/// table's control bytes and the neighbouring keys, which every lookup
+/// reads, must not share a line with it — nor may how many lines a hit
+/// moves between two clients' cores depend on where the allocator put
+/// the table.
 #[derive(Debug)]
+#[repr(align(64))]
 struct Entry {
     prepared: Arc<PreparedQuery>,
     last_used: u64,
-    /// Shared so the hot-path lookup hands stamps out by refcount bump,
-    /// not by cloning a `Vec` per hit.
-    stamps: SharedStamps,
 }
 
 /// An LRU cache of prepared queries.
@@ -103,16 +78,14 @@ impl PlanCache {
         self.map.is_empty()
     }
 
-    /// Looks `key` up, bumping recency and the hit/miss counters. Returns
-    /// the entry and the read-relation stamps it was last validated at
-    /// (shared — no per-hit allocation).
-    pub fn get(&mut self, key: &str) -> Option<(Arc<PreparedQuery>, SharedStamps)> {
+    /// Looks `key` up, bumping recency and the hit/miss counters.
+    pub fn get(&mut self, key: &str) -> Option<Arc<PreparedQuery>> {
         self.tick += 1;
         match self.map.get_mut(key) {
             Some(e) => {
                 e.last_used = self.tick;
                 self.stats.hits += 1;
-                Some((Arc::clone(&e.prepared), Arc::clone(&e.stamps)))
+                Some(Arc::clone(&e.prepared))
             }
             None => {
                 self.stats.misses += 1;
@@ -121,39 +94,16 @@ impl PlanCache {
         }
     }
 
-    /// Marks `key` as revalidated at `stamps` (indices confirmed present
-    /// after a read relation advanced). Concurrent prepares can race in
-    /// with stamps taken from an older snapshot; a stamp never moves
-    /// backward (componentwise max), so a losing racer cannot re-stale an
-    /// entry a newer validation already confirmed.
-    pub fn revalidate(&mut self, key: &str, stamps: RelStamps) {
-        if let Some(e) = self.map.get_mut(key) {
-            e.stamps = merge_stamps(&e.stamps, stamps);
-            self.stats.revalidations += 1;
-        }
-    }
-
-    /// Drops `key` after a failed revalidation.
-    pub fn invalidate(&mut self, key: &str) {
-        if self.map.remove(key).is_some() {
-            self.stats.invalidations += 1;
-        }
-    }
-
-    /// Inserts a freshly prepared entry validated at `stamps`, evicting the
-    /// least-recently-used entry if the cache is full. Re-inserting an
-    /// existing key keeps the newest validation per relation (see
-    /// [`Self::revalidate`] for the race this guards against).
+    /// Inserts a freshly prepared entry, evicting the least-recently-used
+    /// entry if the cache is full. Two misses on one key may both compile
+    /// and both insert; the second replaces the first (equal plans — same
+    /// query, same access schema) in the same slot.
     ///
     /// The LRU victim is found by a scan of every entry, under the shard
     /// lock. That is paid per insert at capacity, and inserts happen once
     /// per compiled template or query *shape* — texts that differ only in
     /// their constants share one entry — never once per request.
-    pub fn insert(&mut self, key: String, prepared: Arc<PreparedQuery>, stamps: RelStamps) {
-        let stamps = match self.map.get(&key) {
-            Some(e) => merge_stamps(&e.stamps, stamps),
-            None => stamps.into(),
-        };
+    pub fn insert(&mut self, key: String, prepared: Arc<PreparedQuery>) {
         if !self.map.contains_key(&key) && self.map.len() >= self.capacity {
             if let Some(lru) = self
                 .map
@@ -171,7 +121,6 @@ impl PlanCache {
             Entry {
                 prepared,
                 last_used: self.tick,
-                stamps,
             },
         );
     }
@@ -189,16 +138,16 @@ mod tests {
             .eq_const(("r", "a"), tag)
             .build()
             .unwrap();
-        Arc::new(PreparedQuery::unbounded(q, format!("fp{tag}")))
+        Arc::new(PreparedQuery::unbounded(q))
     }
 
     #[test]
     fn lru_evicts_least_recently_used() {
         let mut c = PlanCache::new(2);
-        c.insert("a".into(), prepared(1), vec![]);
-        c.insert("b".into(), prepared(2), vec![]);
+        c.insert("a".into(), prepared(1));
+        c.insert("b".into(), prepared(2));
         assert!(c.get("a").is_some()); // "b" is now LRU
-        c.insert("c".into(), prepared(3), vec![]);
+        c.insert("c".into(), prepared(3));
         assert!(c.get("b").is_none(), "b evicted");
         assert!(c.get("a").is_some());
         assert!(c.get("c").is_some());
@@ -209,45 +158,23 @@ mod tests {
     }
 
     #[test]
-    fn revalidate_and_invalidate_are_counted() {
-        let mut c = PlanCache::new(4);
-        c.insert("a".into(), prepared(1), vec![(RelId(0), 7)]);
-        let (_, stamps) = c.get("a").unwrap();
-        assert_eq!(&*stamps, &[(RelId(0), 7)]);
-        c.revalidate("a", vec![(RelId(0), 9)]);
-        let (_, stamps) = c.get("a").unwrap();
-        assert_eq!(&*stamps, &[(RelId(0), 9)]);
-        c.invalidate("a");
-        assert!(c.get("a").is_none());
-        let s = c.stats();
-        assert_eq!(s.revalidations, 1);
-        assert_eq!(s.invalidations, 1);
-        assert!(c.is_empty());
-    }
-
-    #[test]
-    fn revalidation_stamps_never_move_backward() {
-        let mut c = PlanCache::new(4);
-        c.insert("a".into(), prepared(1), vec![(RelId(0), 5), (RelId(1), 5)]);
-        // A racer validating against an older snapshot cannot regress a
-        // component another prepare already advanced.
-        c.revalidate("a", vec![(RelId(0), 9), (RelId(1), 9)]);
-        c.revalidate("a", vec![(RelId(0), 7), (RelId(1), 12)]);
-        let (_, stamps) = c.get("a").unwrap();
-        assert_eq!(&*stamps, &[(RelId(0), 9), (RelId(1), 12)]);
-        // Same rule when a lost prepare re-inserts over a newer entry.
-        c.insert("a".into(), prepared(1), vec![(RelId(0), 3), (RelId(1), 3)]);
-        let (_, stamps) = c.get("a").unwrap();
-        assert_eq!(&*stamps, &[(RelId(0), 9), (RelId(1), 12)]);
-    }
-
-    #[test]
-    fn reinserting_same_key_does_not_evict_others() {
+    fn racing_misses_on_one_key_leave_one_entry() {
+        // Two prepares miss on the same key, both compile off the lock,
+        // both insert: one entry, one LRU slot, nothing evicted.
         let mut c = PlanCache::new(2);
-        c.insert("a".into(), prepared(1), vec![]);
-        c.insert("b".into(), prepared(2), vec![]);
-        c.insert("a".into(), prepared(3), vec![(RelId(0), 1)]); // overwrite, no eviction
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.stats().evictions, 0);
+        c.insert("other".into(), prepared(0));
+        assert!(c.get("a").is_none());
+        assert!(c.get("a").is_none());
+        let (first, second) = (prepared(1), prepared(1));
+        c.insert("a".into(), first);
+        c.insert("a".into(), Arc::clone(&second));
+        assert_eq!(c.len(), 2, "`other` and one `a`");
+        assert!(Arc::ptr_eq(&c.get("a").unwrap(), &second));
+        assert!(
+            c.get("other").is_some(),
+            "the re-insert took no second slot"
+        );
+        let s = c.stats();
+        assert_eq!((s.misses, s.hits, s.evictions), (2, 2, 0));
     }
 }

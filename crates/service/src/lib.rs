@@ -16,19 +16,18 @@
 //!   (certified RA expressions via `eval_ra`), or [`Lane::Unbounded`]
 //!   (admitted onto the budgeted baseline, or rejected outright under
 //!   [`AdmissionPolicy::Strict`]).
-//! * [`PlanCache`] — an LRU keyed on the normalized query + access-schema
-//!   fingerprint (or, for query texts, on the text's **shape**: the text
-//!   with its `WHERE` constants lifted into slots), with
-//!   hit/miss/invalidation counters. Entries are validated
-//!   **relation-scoped**: each remembers the epochs of the relations its
-//!   plan reads, so writes elsewhere are pure hits.
+//! * [`PlanCache`] — an LRU keyed on the normalized query fingerprint
+//!   (or, for query texts, on the text's **shape**: the text with its
+//!   `WHERE` constants lifted into slots), with hit/miss/eviction
+//!   counters. A plan depends on the query and the access schema, never
+//!   on the data, so an entry is never stale and no write touches the
+//!   cache.
 //! * [`SharedDb`] — single-writer/multi-reader **epoch snapshots** over
 //!   the relation-sharded [`bcq_storage::Database`]: readers grab an
 //!   `Arc` snapshot and never block; writers copy-on-write only the
 //!   touched relation's shard and advance its component of the epoch
-//!   **vector clock** (lock-free to read via [`SharedDb::epoch`] /
-//!   [`SharedDb::epoch_of`]), which drives relation-scoped invalidation
-//!   of cached plans and registered views.
+//!   **vector clock**, which a snapshot freezes and a registered view's
+//!   cached *answer* is stamped with.
 //! * [`Server`] / [`Session`] — the request API, with per-request
 //!   [`RequestStats`] (lane taken, cache hit, tuples fetched, budget
 //!   verdict, epoch served).
@@ -79,9 +78,9 @@ pub mod prepared;
 pub mod server;
 pub mod shared;
 
-pub use cache::{CacheStats, PlanCache, RelStamps, SharedStamps};
+pub use cache::{CacheStats, PlanCache};
 pub use net::{NetClient, NetError, NetServer};
-pub use prepared::{access_fingerprint, query_fingerprint, ra_fingerprint, Lane, PreparedQuery};
+pub use prepared::{query_fingerprint, ra_fingerprint, Lane, PreparedQuery};
 pub use server::{
     AdmissionPolicy, BudgetVerdict, DurabilityConfig, Outcome, Prepared, RequestStats, Response,
     Server, ServerConfig, ServiceError, Session, SessionStats, ViewId,

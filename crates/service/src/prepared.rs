@@ -12,12 +12,11 @@
 //!
 //! Fingerprints are the cache keys: a canonical, name-independent rendering
 //! of the query (two templates that differ only in their display name or in
-//! predicate order collide on purpose) concatenated with a fingerprint of
-//! the access schema the plan was compiled under.
+//! predicate order collide on purpose). The access schema is not part of
+//! the key: a server plans under one immutable schema for its lifetime.
 
-use bcq_core::access::AccessSchema;
 use bcq_core::plan::QueryPlan;
-use bcq_core::prelude::{OpProgram, Predicate, RaExpr, RelId, SpcQuery};
+use bcq_core::prelude::{OpProgram, Predicate, RaExpr, SpcQuery};
 use bcq_exec::PreparedRa;
 use std::fmt::Write as _;
 
@@ -50,7 +49,13 @@ impl std::fmt::Display for Lane {
 }
 
 /// A query compiled and classified at prepare time.
+///
+/// Aligned to a cache line so that, inside the plan cache's `Arc`, the
+/// reference counts every request writes sit on a line of their own and
+/// the fields every request reads on the next, wherever the allocator
+/// put the entry.
 #[derive(Debug, Clone)]
+#[repr(align(64))]
 pub struct PreparedQuery {
     template: SpcQuery,
     lane: Lane,
@@ -58,17 +63,14 @@ pub struct PreparedQuery {
     ra: Option<RaExpr>,
     prepared_ra: Option<PreparedRa>,
     slots: Vec<String>,
-    read_rels: Vec<RelId>,
-    fingerprint: String,
 }
 
 impl PreparedQuery {
-    pub(crate) fn bounded(template: SpcQuery, plan: QueryPlan, fingerprint: String) -> Self {
+    pub(crate) fn bounded(template: SpcQuery, plan: QueryPlan) -> Self {
         // Force the lazy operator-program compile here, at prepare time, so
         // the first request served from this entry pays execution only.
         plan.program();
         let slots = plan.param_slots().to_vec();
-        let read_rels = template.read_rels();
         PreparedQuery {
             template,
             lane: Lane::Bounded,
@@ -76,32 +78,20 @@ impl PreparedQuery {
             ra: None,
             prepared_ra: None,
             slots,
-            read_rels,
-            fingerprint,
         }
     }
 
-    pub(crate) fn bounded_ra(
-        template: SpcQuery,
-        ra: RaExpr,
-        compiled: PreparedRa,
-        fingerprint: String,
-    ) -> Self {
+    pub(crate) fn bounded_ra(template: SpcQuery, ra: RaExpr, compiled: PreparedRa) -> Self {
         // Slots are the union across all SPC blocks (a template can spread
-        // its placeholders over both sides of a set operation); likewise
-        // the read set.
+        // its placeholders over both sides of a set operation).
         let mut slots: Vec<String> = Vec::new();
-        let mut read_rels: Vec<RelId> = Vec::new();
         for q in ra.blocks() {
             for name in q.placeholder_names() {
                 if !slots.contains(&name) {
                     slots.push(name);
                 }
             }
-            read_rels.extend(q.read_rels());
         }
-        read_rels.sort_unstable();
-        read_rels.dedup();
         PreparedQuery {
             template,
             lane: Lane::BoundedRa,
@@ -109,14 +99,11 @@ impl PreparedQuery {
             ra: Some(ra),
             prepared_ra: Some(compiled),
             slots,
-            read_rels,
-            fingerprint,
         }
     }
 
-    pub(crate) fn unbounded(template: SpcQuery, fingerprint: String) -> Self {
+    pub(crate) fn unbounded(template: SpcQuery) -> Self {
         let slots = template.placeholder_names();
-        let read_rels = template.read_rels();
         PreparedQuery {
             template,
             lane: Lane::Unbounded,
@@ -124,8 +111,6 @@ impl PreparedQuery {
             ra: None,
             prepared_ra: None,
             slots,
-            read_rels,
-            fingerprint,
         }
     }
 
@@ -146,7 +131,7 @@ impl PreparedQuery {
 
     /// The compiled operator program the bounded lane interprets per
     /// request ([`Lane::Bounded`] only) — stored with the plan at prepare
-    /// time, revalidated (never recompiled) on epoch bumps.
+    /// time and never recompiled.
     pub fn program(&self) -> Option<&OpProgram> {
         self.plan.as_ref().map(QueryPlan::program)
     }
@@ -168,23 +153,10 @@ impl PreparedQuery {
         &self.slots
     }
 
-    /// The relations this query reads (sorted, deduplicated): the slice of
-    /// the database's vector clock its cache entry is validated against.
-    /// Writes to relations outside this set cannot change the answer and
-    /// never trigger revalidation.
-    pub fn read_rels(&self) -> &[RelId] {
-        &self.read_rels
-    }
-
     /// The static `Σ M_i` bound on tuples fetched per execution
     /// ([`Lane::Bounded`] only) — the paper's `|D_Q|` guarantee.
     pub fn cost_bound(&self) -> Option<u128> {
         self.plan.as_ref().map(QueryPlan::cost_bound)
-    }
-
-    /// The cache key this entry is stored under.
-    pub fn fingerprint(&self) -> &str {
-        &self.fingerprint
     }
 }
 
@@ -235,25 +207,6 @@ pub fn ra_fingerprint(expr: &RaExpr) -> String {
         RaExpr::Intersect(l, r) => format!("I({},{})", ra_fingerprint(l), ra_fingerprint(r)),
         RaExpr::Difference(l, r) => format!("D({},{})", ra_fingerprint(l), ra_fingerprint(r)),
     }
-}
-
-/// Fingerprint of an access schema: every constraint's relation, key and
-/// value columns, and bound, in declaration order. Plans compiled under
-/// different access schemas never share a cache slot.
-pub fn access_fingerprint(a: &AccessSchema) -> String {
-    let mut s = String::with_capacity(32);
-    for c in a.constraints() {
-        let _ = write!(s, "{}:", c.relation().0);
-        for x in c.x() {
-            let _ = write!(s, "{x},");
-        }
-        s.push_str("->");
-        for y in c.y() {
-            let _ = write!(s, "{y},");
-        }
-        let _ = write!(s, "@{};", c.n());
-    }
-    s
 }
 
 #[cfg(test)]
@@ -315,20 +268,5 @@ mod tests {
             .build()
             .unwrap();
         assert_ne!(query_fingerprint(&proj_a), query_fingerprint(&proj_b));
-    }
-
-    #[test]
-    fn access_fingerprint_tracks_constraints() {
-        let cat = catalog();
-        let mut a1 = AccessSchema::new(cat.clone());
-        a1.add("r", &["a"], &["b"], 10).unwrap();
-        let mut a2 = AccessSchema::new(cat.clone());
-        a2.add("r", &["a"], &["b"], 10).unwrap();
-        assert_eq!(access_fingerprint(&a1), access_fingerprint(&a2));
-        a2.add("s", &["c"], &["d"], 5).unwrap();
-        assert_ne!(access_fingerprint(&a1), access_fingerprint(&a2));
-        let mut a3 = AccessSchema::new(cat);
-        a3.add("r", &["a"], &["b"], 11).unwrap(); // different bound
-        assert_ne!(access_fingerprint(&a1), access_fingerprint(&a3));
     }
 }

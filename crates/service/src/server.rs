@@ -36,8 +36,8 @@
 //!    registration;
 //! 2. the written relation's write latch ([`SharedDb::lock_rel`]);
 //! 3. the commit lock ([`SharedDb::write`]) — held only for the pointer
-//!    swap that installs a prepared shard and refreshes the epoch
-//!    mirrors, never across index maintenance or I/O.
+//!    swap that installs a prepared shard, never across index
+//!    maintenance or I/O.
 //!
 //! [`Server::insert`] and [`Server::delete`] are one body (`write_row`)
 //! that takes those locks in that order. When snapshots are outstanding
@@ -50,11 +50,12 @@
 //! commit — see `WalWriter::ack`).
 //!
 //! The plan cache is sharded by key hash, so concurrent prepares on
-//! different templates never serialize on one mutex, and cache
-//! invalidation stays relation-scoped (stamp revalidation per entry).
+//! different templates never serialize on one mutex. No write touches
+//! it: a plan depends on the query and the access schema, never on the
+//! data (see the invariant on [`Server`]).
 
 use crate::cache::{CacheStats, PlanCache};
-use crate::prepared::{access_fingerprint, query_fingerprint, ra_fingerprint, Lane, PreparedQuery};
+use crate::prepared::{query_fingerprint, ra_fingerprint, Lane, PreparedQuery};
 use crate::shared::SharedDb;
 use bcq_core::access::AccessSchema;
 use bcq_core::error::CoreError;
@@ -259,9 +260,9 @@ pub struct RequestStats {
     pub budget: BudgetVerdict,
     /// Wall-clock time spent compiling this request's prepared query —
     /// classification, plan generation and the operator-program compile.
-    /// Zero on a cache hit (the stored program is reused; revalidation
-    /// refreshes stamps without recompiling), so compile vs execute cost
-    /// is directly comparable per request.
+    /// Zero on a cache hit (the stored program is reused whatever was
+    /// written since), so compile vs execute cost is directly comparable
+    /// per request.
     pub compile_elapsed: Duration,
     /// Wall-clock time spent executing: binding encode plus the lane
     /// executor (excludes prepare/compile).
@@ -320,14 +321,20 @@ const CACHE_SHARDS: usize = 8;
 /// dividing it across shards would evict hot templates that merely hash
 /// together.
 struct CacheShards {
-    shards: Vec<Mutex<PlanCache>>,
+    shards: Vec<Shard>,
 }
+
+/// One shard on cache lines of its own: every hit writes its lock word,
+/// tick and counters, so two shards must not share a line, and what a
+/// hit costs must not depend on where the allocator put the `Vec`.
+#[repr(align(64))]
+struct Shard(Mutex<PlanCache>);
 
 impl CacheShards {
     fn new(capacity: usize) -> Self {
         CacheShards {
             shards: (0..CACHE_SHARDS)
-                .map(|_| Mutex::new(PlanCache::new(capacity)))
+                .map(|_| Shard(Mutex::new(PlanCache::new(capacity))))
                 .collect(),
         }
     }
@@ -336,33 +343,29 @@ impl CacheShards {
     fn shard(&self, key: &str) -> &Mutex<PlanCache> {
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % CACHE_SHARDS]
+        &self.shards[(h.finish() as usize) % CACHE_SHARDS].0
     }
 
     /// Movement counters summed across shards.
     fn stats(&self) -> CacheStats {
         let mut sum = CacheStats::default();
         for s in &self.shards {
-            let cs = lock_recovered(s).stats();
+            let cs = lock_recovered(&s.0).stats();
             sum.hits += cs.hits;
             sum.misses += cs.misses;
             sum.evictions += cs.evictions;
-            sum.invalidations += cs.invalidations;
-            sum.revalidations += cs.revalidations;
         }
         sum
     }
 
     /// Live entries summed across shards.
     fn len(&self) -> usize {
-        self.shards.iter().map(|s| lock_recovered(s).len()).sum()
+        self.shards.iter().map(|s| lock_recovered(&s.0).len()).sum()
     }
 }
 
 /// Prefix of the plan-cache keys of query texts, which keeps them apart
-/// from the fingerprint keys of [`Server::prepare`]. (They carry no access
-/// fingerprint: a server's cache only ever holds plans compiled under its
-/// one, fixed access schema.)
+/// from the fingerprint keys of [`Server::prepare`].
 const SQL_KEY_PREFIX: &str = "sql:";
 
 /// A session's reusable buffers for the text path ([`Server::prepare_sql`]):
@@ -439,11 +442,20 @@ struct CachedAnswer {
 /// The query-serving server: shared database, plan cache, admission
 /// control, registered views. `Server` is `Sync` — share it behind an
 /// `Arc` and open one [`Session`] per client/thread.
+///
+/// **Invariant:** every snapshot this server publishes has every index
+/// `access` declares; a cached plan is therefore valid for the server's
+/// lifetime. [`Server::new`] builds them before the first request, a row
+/// write maintains every index of its relation, and
+/// [`Server::bulk_update`] / [`Server::bulk_load`] rebuild inside the
+/// commit section that publishes their rows. (The one way out is a
+/// `bulk_update` closure that panics after dropping an index: reads of
+/// that relation then fail with the executor's "index … not built" error
+/// until the next bulk write rebuilds it.)
 pub struct Server {
     shared: SharedDb,
     access: AccessSchema,
     config: ServerConfig,
-    access_fp: String,
     cache: CacheShards,
     /// The bulk gate, which also guards the list of registered views. Row
     /// writers and view reads hold it **shared**; bulk writes, checkpoints
@@ -465,14 +477,12 @@ impl Server {
     /// `access` exists before the first request.
     pub fn new(mut db: Database, access: AccessSchema, config: ServerConfig) -> Self {
         db.build_indexes(&access);
-        let access_fp = access_fingerprint(&access);
         let metrics = MetricsRegistry::new();
         metrics.set_enabled(config.metrics_enabled);
         Server {
             shared: SharedDb::new(db),
             access,
             config,
-            access_fp,
             cache: CacheShards::new(config.plan_cache_capacity),
             gate: RwLock::new(Vec::new()),
             metrics,
@@ -603,15 +613,15 @@ impl Server {
         self.shared.snapshot()
     }
 
-    /// The current global database epoch (a lock-free atomic load).
+    /// The current global database epoch.
     pub fn epoch(&self) -> u64 {
-        self.shared.epoch()
+        self.shared.snapshot().epoch()
     }
 
     /// The current epoch of one relation — its component of the vector
-    /// clock (a lock-free atomic load).
+    /// clock.
     pub fn epoch_of(&self, rel: RelId) -> u64 {
-        self.shared.epoch_of(rel)
+        self.shared.snapshot().epoch_of(rel)
     }
 
     /// Plan-cache movement counters (summed across cache shards).
@@ -665,8 +675,6 @@ impl Server {
             snap.cache.hits = cs.hits;
             snap.cache.misses = cs.misses;
             snap.cache.evictions = cs.evictions;
-            snap.cache.invalidations = cs.invalidations;
-            snap.cache.revalidations = cs.revalidations;
             snap.cache.entries = self.cache.len() as u64;
         }
         if let Some(d) = &self.durability {
@@ -732,21 +740,19 @@ impl Server {
 
     /// Prepares (or fetches from cache) a query template: classification
     /// into a lane, and for the bounded lane the compiled parameterized
-    /// plan. Epoch-stale cache entries are revalidated against the current
-    /// snapshot's indices, or dropped and re-prepared.
+    /// plan. A cached entry is returned as stored, whatever was written
+    /// since it was compiled.
     pub fn prepare(&self, q: &SpcQuery) -> crate::Result<Prepared> {
-        let fp = query_fingerprint(q);
-        let key = format!("{fp}#{}", self.access_fp);
-        self.prepare_keyed(&key, || self.classify_spc(q, fp))
+        self.prepare_keyed(&query_fingerprint(q), || self.classify_spc(q))
     }
 
     /// Prepares (or fetches from cache) a query **text** by its shape.
     ///
     /// One scan of `sql` ([`SqlShape::scan`]) lifts every literal to the
     /// right of an `=` into a slot and yields the shape key the plan cache
-    /// is looked up under — so staleness stamps, revalidation and eviction
-    /// work exactly as for [`Server::prepare`]. On a hit nothing is
-    /// parsed, fingerprinted or planned. On a miss the scanned tokens are
+    /// is looked up under — one cache, one eviction order, shared with
+    /// [`Server::prepare`]. On a hit nothing is parsed, fingerprinted or
+    /// planned. On a miss the scanned tokens are
     /// parsed into the shape's template (one placeholder per lifted
     /// literal) and classified like any other template; a text that does
     /// not parse, or that the admission policy refuses, caches nothing.
@@ -774,8 +780,7 @@ impl Server {
         self.metrics.record_sql(scratch.values.len() as u64);
         let prepared = self.prepare_keyed(&scratch.key, || {
             let template = shape.template(Arc::clone(self.access.catalog()), name)?;
-            let fp = query_fingerprint(&template);
-            self.classify_spc(&template, fp)
+            self.classify_spc(&template)
         })?;
         scratch.bind(bindings);
         Ok(prepared)
@@ -786,17 +791,7 @@ impl Server {
     /// the budgeted baseline like [`Server::prepare`]; uncertified set
     /// expressions are rejected (the baseline evaluates SPC only).
     pub fn prepare_ra(&self, expr: &RaExpr) -> crate::Result<Prepared> {
-        let key = format!("{}#{}", ra_fingerprint(expr), self.access_fp);
-        self.prepare_keyed(&key, || self.classify_ra(expr))
-    }
-
-    /// The current stamps of a prepared query's read relations — the slice
-    /// of `snap`'s vector clock its cache entry is validated against.
-    fn read_stamps(snap: &Database, read_rels: &[RelId]) -> Vec<(RelId, u64)> {
-        read_rels
-            .iter()
-            .map(|&rel| (rel, snap.epoch_of(rel)))
-            .collect()
+        self.prepare_keyed(&ra_fingerprint(expr), || self.classify_ra(expr))
     }
 
     fn prepare_keyed(
@@ -804,48 +799,23 @@ impl Server {
         key: &str,
         build: impl FnOnce() -> crate::Result<PreparedQuery>,
     ) -> crate::Result<Prepared> {
-        let snap = self.shared.snapshot();
         {
             let _lookup = self.metrics.span(Phase::CacheLookup);
-            let mut cache = lock_recovered(self.cache.shard(key));
-            if let Some((prepared, stamps)) = cache.get(key) {
-                // Relation-scoped staleness: only the epochs of relations
-                // the plan's access schema actually reads matter. Writes
-                // anywhere else leave the entry current — a pure hit.
-                if stamps.iter().all(|&(rel, e)| snap.epoch_of(rel) == e) {
-                    return Ok(Prepared {
-                        query: prepared,
-                        cache_hit: true,
-                        compile_elapsed: Duration::ZERO,
-                    });
-                }
-                // A read relation moved under the entry: confirm the plan's
-                // indices still exist (row writes keep them maintained; bulk
-                // loads through the server rebuild them — either way this
-                // usually succeeds and costs a few hash lookups). The
-                // stored entry — compiled operator program included — is
-                // reused as-is; only its stamps are refreshed.
-                if self.plan_indexes_built(&snap, &prepared) {
-                    let fresh = Self::read_stamps(&snap, prepared.read_rels());
-                    cache.revalidate(key, fresh);
-                    return Ok(Prepared {
-                        query: prepared,
-                        cache_hit: true,
-                        compile_elapsed: Duration::ZERO,
-                    });
-                }
-                cache.invalidate(key);
+            if let Some(query) = lock_recovered(self.cache.shard(key)).get(key) {
+                return Ok(Prepared {
+                    query,
+                    cache_hit: true,
+                    compile_elapsed: Duration::ZERO,
+                });
             }
         }
-        // Miss (or invalidated): compile outside the cache lock.
+        // Miss: compile outside the cache lock.
         let compile_span = self.metrics.span(Phase::Compile);
         let compile_start = Instant::now();
         let prepared = Arc::new(build()?);
         let compile_elapsed = compile_start.elapsed();
         drop(compile_span);
-        let stamps = Self::read_stamps(&snap, prepared.read_rels());
-        let mut cache = lock_recovered(self.cache.shard(key));
-        cache.insert(key.to_owned(), Arc::clone(&prepared), stamps);
+        lock_recovered(self.cache.shard(key)).insert(key.to_owned(), Arc::clone(&prepared));
         Ok(Prepared {
             query: prepared,
             cache_hit: false,
@@ -853,23 +823,11 @@ impl Server {
         })
     }
 
-    fn plan_indexes_built(&self, db: &Database, p: &PreparedQuery) -> bool {
-        match p.plan() {
-            Some(plan) => plan.steps().iter().all(|s| match s.constraint {
-                Some(cid) => db.index_for(self.access.constraint(cid)).is_some(),
-                None => true,
-            }),
-            // RA and baseline lanes hold no compiled index references.
-            None => true,
-        }
-    }
-
-    /// Classifies `q` into its lane; `fp` is its [`query_fingerprint`],
-    /// which the caller has already built for the cache key.
-    fn classify_spc(&self, q: &SpcQuery, fp: String) -> crate::Result<PreparedQuery> {
+    /// Classifies `q` into its lane.
+    fn classify_spc(&self, q: &SpcQuery) -> crate::Result<PreparedQuery> {
         let _admit = self.metrics.span(Phase::Admit);
         match qplan_template(q, &self.access) {
-            Ok(plan) => Ok(PreparedQuery::bounded(q.clone(), plan, fp)),
+            Ok(plan) => Ok(PreparedQuery::bounded(q.clone(), plan)),
             Err(CoreError::NotEffectivelyBounded(why)) => match self.config.policy {
                 AdmissionPolicy::Strict => {
                     self.metrics.record_rejected();
@@ -877,7 +835,7 @@ impl Server {
                         "query is not effectively bounded and the policy is strict: {why}"
                     )))
                 }
-                AdmissionPolicy::Budgeted(_) => Ok(PreparedQuery::unbounded(q.clone(), fp)),
+                AdmissionPolicy::Budgeted(_) => Ok(PreparedQuery::unbounded(q.clone())),
             },
             Err(e) => Err(e.into()),
         }
@@ -886,7 +844,7 @@ impl Server {
     fn classify_ra(&self, expr: &RaExpr) -> crate::Result<PreparedQuery> {
         expr.validate()?;
         if let RaExpr::Spc(q) = expr {
-            return self.classify_spc(q, query_fingerprint(q));
+            return self.classify_spc(q);
         }
         let _admit = self.metrics.span(Phase::Admit);
         // Certification and per-block plan compilation happen here, once:
@@ -905,12 +863,7 @@ impl Server {
                     Some(q) => (*q).clone(),
                     None => return Err(ServiceError::Rejected("empty RA expression".into())),
                 };
-                Ok(PreparedQuery::bounded_ra(
-                    template,
-                    expr.clone(),
-                    compiled,
-                    ra_fingerprint(expr),
-                ))
+                Ok(PreparedQuery::bounded_ra(template, expr.clone(), compiled))
             }
             Err(CoreError::NotEffectivelyBounded(why)) => {
                 self.metrics.record_rejected();
@@ -1128,8 +1081,7 @@ impl Server {
     }
 
     /// Inserts one row and returns its id. Every index of the relation is
-    /// maintained, so cached plans stay valid (the next prepare's
-    /// relation-scoped revalidation confirms them); a view reading the
+    /// maintained, so cached plans stay valid; a view reading the
     /// relation re-evaluates on its next read. See `write_row` for the
     /// locks taken and when the write is durable.
     pub fn insert(&self, rel_name: &str, row: &[Value]) -> crate::Result<u32> {
@@ -1157,8 +1109,8 @@ impl Server {
     /// disjoint relations proceed in parallel end to end. When snapshots
     /// are outstanding the new shard — indices maintained — is prepared
     /// *off* the commit lock ([`Database::prepare`]) and the commit section
-    /// is one pointer swap plus the epoch-mirror refresh; otherwise the
-    /// uniquely owned shard is mutated in place, the cheapest path. The
+    /// is one pointer swap; otherwise the uniquely owned shard is mutated
+    /// in place, the cheapest path. The
     /// latch and the shared bulk gate together exclude every other
     /// writer that could touch this shard in between. The WAL fsync (group
     /// commit, shared with concurrent writers) is waited on only after
@@ -1311,7 +1263,8 @@ impl Server {
         if !current {
             let out = eval_dq_with(&snap, &view.plan, &self.access, ParamEnv::empty_ref())?;
             cached.answer = out.result;
-            cached.stamps = Some(Self::read_stamps(&snap, &view.read_rels));
+            let stamps = view.read_rels.iter().map(|&rel| (rel, snap.epoch_of(rel)));
+            cached.stamps = Some(stamps.collect());
             if self.metrics.is_enabled() {
                 self.metrics.view_recomputes.inc();
             }
@@ -1607,49 +1560,64 @@ mod tests {
         let none = BTreeMap::new();
         let friends_of =
             |u: &str| format!("SELECT f.friend_id FROM friends f WHERE f.user_id = '{u}'");
+        let photos_in =
+            |a: &str| format!("SELECT ia.photo_id FROM in_album ia WHERE ia.album_id = '{a}'");
         let row = |u: &str, f: &str| [Value::str(u), Value::str(f)];
-        assert_eq!(
-            s.query_sql("q", &friends_of("u0"), &none)
-                .unwrap()
-                .rows()
-                .unwrap()
-                .len(),
-            2
-        );
+        let rows_of = |s: &mut Session, sql: &str| {
+            let r = s.query_sql("q", sql, &none).unwrap();
+            (r.stats.cache_hit, r.rows().unwrap().len())
+        };
+        assert_eq!(rows_of(&mut s, &friends_of("u0")), (false, 2));
+        assert_eq!(rows_of(&mut s, &photos_in("a0")), (false, 3));
+        let friends_template = SpcQuery::builder(Arc::clone(server.access().catalog()), "fr")
+            .atom("friends", "f")
+            .eq_param(("f", "user_id"), "uid")
+            .project(("f", "friend_id"))
+            .build()
+            .unwrap();
+        let before = server.prepare(&friends_template).unwrap().query;
+        let misses = server.cache_stats().misses;
+        assert_eq!(misses, 3);
 
-        // A row write to a relation the shape never reads: pure hit.
+        // Row writes, to a relation the shape reads or not: hits, and the
+        // answers follow the data.
         server.insert("in_album", &row("p9", "a9")).unwrap();
-        let r = s.query_sql("q", &friends_of("u9"), &none).unwrap();
-        assert!(r.stats.cache_hit);
-        assert_eq!(server.cache_stats().revalidations, 0);
-
-        // Row writes to the relation it reads: revalidated (the index was
-        // maintained), never recompiled.
+        assert_eq!(rows_of(&mut s, &friends_of("u9")), (true, 1));
         server.insert("friends", &row("u9", "u4")).unwrap();
-        let r = s.query_sql("q", &friends_of("u9"), &none).unwrap();
-        assert!(r.stats.cache_hit);
-        assert_eq!(r.rows().unwrap().len(), 2);
+        assert_eq!(rows_of(&mut s, &friends_of("u9")), (true, 2));
         assert!(server.delete("friends", &row("u9", "u4")).unwrap());
-        let r = s.query_sql("q", &friends_of("u9"), &none).unwrap();
-        assert_eq!(r.rows().unwrap().len(), 1);
-        let cs = server.cache_stats();
-        assert_eq!((cs.misses, cs.revalidations, cs.invalidations), (1, 2, 0));
+        assert_eq!(rows_of(&mut s, &friends_of("u9")), (true, 1));
 
-        // The index its plan probes is swept away (an out-of-band bulk load
-        // that `bulk_update` has not yet followed with its rebuild): the
-        // entry is dropped and the shape recompiled, and the request fails
-        // loudly instead of answering from a plan without its index.
-        server.shared.write(|db| {
-            let friends = db.catalog().require_rel("friends").unwrap();
-            db.bulk_loader(friends).push_rows(&row("u9", "u5"));
-        });
-        assert!(s.query_sql("q", &friends_of("u9"), &none).is_err());
-        assert_eq!(server.cache_stats().invalidations, 1);
+        // The one reachable way to publish a snapshot without an index: a
+        // `bulk_update` closure that opens a bulk loader (which clears the
+        // relation's indices) and panics before the rebuild. Reads of that
+        // relation fail on the executor's own check — no wrong answer, no
+        // panic — and every other relation keeps answering.
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            server.bulk_update(|db| {
+                let friends = db.catalog().require_rel("friends").unwrap();
+                db.bulk_loader(friends).push_rows(&row("u9", "u5"));
+                panic!("closure dies before the index rebuild");
+            })
+        }));
+        assert!(panicked.is_err());
+        let err = s.query_sql("q", &friends_of("u9"), &none).unwrap_err();
+        assert!(err.to_string().contains("not built"), "{err}");
+        assert_eq!(rows_of(&mut s, &photos_in("a0")), (true, 3));
+
+        // The next bulk write heals it; the entries compiled before the
+        // panic were never dropped.
         server.bulk_update(|_| ());
-        let r = s.query_sql("q", &friends_of("u9"), &none).unwrap();
-        assert!(r.stats.cache_hit);
-        assert_eq!(r.rows().unwrap().len(), 2, "u3 and the out-of-band u5");
-        assert_eq!(server.cache.len(), 1);
+        assert_eq!(
+            rows_of(&mut s, &friends_of("u9")),
+            (true, 2),
+            "u3 and the panicked closure's u5"
+        );
+        let after = server.prepare(&friends_template).unwrap();
+        assert!(after.cache_hit);
+        assert!(Arc::ptr_eq(&before, &after.query));
+        assert_eq!(server.cache_stats().misses, misses);
+        assert_eq!(server.cache.len(), 3);
     }
 
     #[test]
@@ -1848,8 +1816,8 @@ mod tests {
         let mut s = server.session();
         s.query(&q1, &bind("a0", "u0")).unwrap();
 
-        // A bulk write goes around `Server::insert`, but the epoch moves
-        // inside the write and cached plans revalidate.
+        // A bulk write goes around `Server::insert`; the indices are
+        // rebuilt inside the write and the cached plan keeps serving.
         server.bulk_update(|db| {
             db.insert(
                 "tagging",
@@ -1859,9 +1827,8 @@ mod tests {
         });
         let r = s.query(&q1, &bind("a0", "u0")).unwrap();
         assert_eq!(r.rows().unwrap().len(), 2, "p1 and now p3");
-        let cs = server.cache_stats();
-        assert_eq!(cs.revalidations, 1, "epoch moved, indices confirmed");
-        assert_eq!(cs.invalidations, 0);
+        assert!(r.stats.cache_hit);
+        assert_eq!(server.cache_stats().misses, 1);
     }
 
     #[test]
@@ -1958,8 +1925,6 @@ mod tests {
         assert!(after.stats.epoch > e0, "delete bumps the epoch");
         assert!(after.stats.cache_hit, "plan survived the maintained delete");
         assert!(after.rows().unwrap().is_empty());
-        assert_eq!(server.cache_stats().revalidations, 1);
-        assert_eq!(server.cache_stats().invalidations, 0);
 
         // A snapshot taken before the delete still sees the old row.
         assert_eq!(old_snap.epoch(), e0);
@@ -2044,64 +2009,6 @@ mod tests {
                 .unwrap();
         });
         assert!(server.view_result(view).unwrap().is_empty());
-    }
-
-    #[test]
-    fn writes_to_unread_relations_never_revalidate_cached_plans() {
-        let server = setup(AdmissionPolicy::Strict);
-        // A plan whose access schema reads only `friends`.
-        let q = SpcQuery::builder(Arc::clone(server.access().catalog()), "friends_of")
-            .atom("friends", "f")
-            .eq_param(("f", "user_id"), "uid")
-            .project(("f", "friend_id"))
-            .build()
-            .unwrap();
-        let mut s = server.session();
-        let mut b = BTreeMap::new();
-        b.insert("uid".to_string(), Value::str("u0"));
-        s.query(&q, &b).unwrap();
-        let friends_epoch = server.epoch_of(RelId(1));
-
-        // Writes to other relations: maintained insert, maintained delete,
-        // even an out-of-band bulk update. None reads `friends`.
-        server
-            .insert("in_album", &[Value::str("p9"), Value::str("a9")])
-            .unwrap();
-        server
-            .delete("in_album", &[Value::str("p9"), Value::str("a9")])
-            .unwrap();
-        server.bulk_update(|db| {
-            db.insert(
-                "tagging",
-                &[Value::str("p1"), Value::str("u2"), Value::str("u5")],
-            )
-            .unwrap();
-        });
-        assert_eq!(
-            server.epoch_of(RelId(1)),
-            friends_epoch,
-            "friends' vector-clock component is frozen"
-        );
-
-        let r = s.query(&q, &b).unwrap();
-        assert!(r.stats.cache_hit);
-        let cs = server.cache_stats();
-        assert_eq!(cs.misses, 1);
-        assert_eq!(
-            cs.revalidations, 0,
-            "no read relation moved: pure hits, no revalidation"
-        );
-        assert_eq!(cs.invalidations, 0);
-
-        // A write that *does* touch friends triggers exactly one
-        // revalidation on the next prepare.
-        server
-            .insert("friends", &[Value::str("u0"), Value::str("u8")])
-            .unwrap();
-        let r = s.query(&q, &b).unwrap();
-        assert!(r.stats.cache_hit);
-        assert_eq!(server.cache_stats().revalidations, 1);
-        assert_eq!(r.rows().unwrap().len(), 3, "and the new row is visible");
     }
 
     #[test]
@@ -2276,50 +2183,10 @@ mod tests {
     }
 
     #[test]
-    fn revalidation_reuses_the_stored_compiled_program() {
-        // After a read-relation epoch bump, the next prepare revalidates
-        // the cache entry: stamps are refreshed, the stored PreparedQuery —
-        // compiled plan and operator program included — is handed back by
-        // pointer, and nothing is recompiled (misses stay at 1).
-        let server = setup(AdmissionPolicy::Strict);
-        let q1 = template(&server);
-
-        let first = server.prepare(&q1).unwrap();
-        assert!(!first.cache_hit);
-        let program = first.query.plan().expect("bounded lane").program();
-        assert_eq!(program.slots(), ["aid", "uid"]);
-
-        // A maintained write to a relation the plan reads: its vector-clock
-        // component advances, so the next prepare must revalidate.
-        server
-            .insert("friends", &[Value::str("u0"), Value::str("u7")])
-            .unwrap();
-        let second = server.prepare(&q1).unwrap();
-        assert!(second.cache_hit, "revalidation is still a hit");
-        assert_eq!(second.compile_elapsed, Duration::ZERO);
-        assert!(
-            Arc::ptr_eq(&first.query, &second.query),
-            "the stored entry (and its compiled program) is reused verbatim"
-        );
-        let cs = server.cache_stats();
-        assert_eq!(cs.misses, 1, "exactly one compile ever happened");
-        assert_eq!(cs.revalidations, 1, "stamp refresh only");
-        assert_eq!(cs.invalidations, 0);
-
-        // A third prepare with no interleaving write is a pure hit: no
-        // further revalidation.
-        let third = server.prepare(&q1).unwrap();
-        assert!(third.cache_hit);
-        assert_eq!(server.cache_stats().revalidations, 1);
-    }
-
-    #[test]
-    fn ra_revalidation_reuses_the_stored_compiled_skeleton() {
-        // Mirror of revalidation_reuses_the_stored_compiled_program for the
-        // bounded-RA lane: after a read-relation epoch bump, prepare_ra
-        // revalidates the cache entry — the stored PreparedQuery (compiled
-        // PreparedRa skeleton included) is handed back by pointer, and the
-        // certification + per-block plans are never redone (misses stay 1).
+    fn no_write_ever_costs_a_cached_plan() {
+        // One entry per kind of key — template, SQL shape, RA expression —
+        // all reading only `friends`. Whatever is written, and wherever,
+        // each prepare hands back the entry compiled first, by pointer.
         let server = setup(AdmissionPolicy::Strict);
         let cat = Arc::clone(server.access().catalog());
         let friends_tpl = |name: &str, slot: &str| {
@@ -2330,40 +2197,105 @@ mod tests {
                 .build()
                 .unwrap()
         };
+        let template = friends_tpl("t", "uid");
+        let sql = "SELECT f.friend_id FROM friends f WHERE f.user_id = 'u0'";
+        // friends(u0) − friends(u9); u9's only friend is u3, never u0's.
         let expr = RaExpr::difference(
-            RaExpr::Spc(friends_tpl("l", "a")),
-            RaExpr::Spc(friends_tpl("r", "b")),
+            RaExpr::Spc(friends_tpl("l", "uid")),
+            RaExpr::Spc(friends_tpl("r", "other")),
         );
+        let mut b = BTreeMap::new();
+        b.insert("uid".to_string(), Value::str("u0"));
+        b.insert("other".to_string(), Value::str("u9"));
+        let none = BTreeMap::new();
+        let mut scratch = SqlScratch::default();
+        let prepare_all = |scratch: &mut SqlScratch| {
+            [
+                server.prepare(&template).unwrap(),
+                server.prepare_sql("q", sql, &none, scratch).unwrap(),
+                server.prepare_ra(&expr).unwrap(),
+            ]
+        };
 
-        let first = server.prepare_ra(&expr).unwrap();
-        assert!(!first.cache_hit);
-        assert_eq!(first.query.lane(), Lane::BoundedRa);
-        assert!(
-            first.query.prepared_ra().is_some(),
-            "the compiled RA skeleton is stored with the cache entry"
-        );
+        let first = prepare_all(&mut scratch);
+        assert!(first
+            .iter()
+            .all(|p| !p.cache_hit && p.compile_elapsed > Duration::ZERO));
+        assert_eq!(first[0].query.program().unwrap().slots(), ["uid"]);
+        assert_eq!(first[1].query.lane(), Lane::Bounded);
+        assert!(first[2].query.prepared_ra().is_some());
 
-        // A maintained write to a relation the expression reads: its
-        // vector-clock component advances, so the next prepare revalidates.
-        server
-            .insert("friends", &[Value::str("u0"), Value::str("u7")])
-            .unwrap();
-        let second = server.prepare_ra(&expr).unwrap();
-        assert!(second.cache_hit, "revalidation is still a hit");
-        assert_eq!(second.compile_elapsed, Duration::ZERO);
-        assert!(
-            Arc::ptr_eq(&first.query, &second.query),
-            "the stored entry (and its compiled RA skeleton) is reused verbatim"
-        );
-        let cs = server.cache_stats();
-        assert_eq!(cs.misses, 1, "exactly one certification ever happened");
-        assert_eq!(cs.revalidations, 1, "stamp refresh only");
-        assert_eq!(cs.invalidations, 0);
-
-        // A third prepare with no interleaving write is a pure hit.
-        let third = server.prepare_ra(&expr).unwrap();
-        assert!(third.cache_hit);
-        assert_eq!(server.cache_stats().revalidations, 1);
+        let row = |a: &str, b: &str| [Value::str(a), Value::str(b)];
+        // Each write, and how many friends u0 has after it.
+        let writes: [(&str, &dyn Fn(), usize); 8] = [
+            (
+                "insert, read",
+                &|| drop(server.insert("friends", &row("u0", "u7"))),
+                3,
+            ),
+            (
+                "delete, read",
+                &|| drop(server.delete("friends", &row("u0", "u7"))),
+                2,
+            ),
+            (
+                "bulk_update, read",
+                &|| server.bulk_update(|db| drop(db.insert("friends", &row("u0", "u8")))),
+                3,
+            ),
+            (
+                "bulk_load, read",
+                &|| drop(server.bulk_load("friends", |l| l.push_rows(&row("u0", "u6")))),
+                4,
+            ),
+            (
+                "insert, unread",
+                &|| drop(server.insert("in_album", &row("p9", "a9"))),
+                4,
+            ),
+            (
+                "delete, unread",
+                &|| drop(server.delete("in_album", &row("p9", "a9"))),
+                4,
+            ),
+            (
+                "bulk_update, unread",
+                &|| server.bulk_update(|db| drop(db.insert("in_album", &row("p8", "a8")))),
+                4,
+            ),
+            (
+                "bulk_load, unread",
+                &|| drop(server.bulk_load("in_album", |l| l.push_rows(&row("p7", "a7")))),
+                4,
+            ),
+        ];
+        for (what, write, friends_of_u0) in writes {
+            let epoch = server.epoch();
+            write();
+            assert!(server.epoch() > epoch, "{what}: the write landed");
+            let again = prepare_all(&mut scratch);
+            for (p, q) in first.iter().zip(&again) {
+                assert!(q.cache_hit, "{what}");
+                assert_eq!(q.compile_elapsed, Duration::ZERO, "{what}");
+                assert!(
+                    Arc::ptr_eq(&p.query, &q.query),
+                    "{what}: stored entry reused"
+                );
+            }
+            assert_eq!(
+                server.cache_stats().misses,
+                3,
+                "{what}: one compile per shape"
+            );
+            for (p, bindings) in [
+                (&again[0], &b),
+                (&again[1], &scratch.bindings),
+                (&again[2], &b),
+            ] {
+                let r = server.execute(&p.query, bindings).unwrap();
+                assert_eq!(r.rows().unwrap().len(), friends_of_u0, "{what}");
+            }
+        }
     }
 
     #[test]
@@ -2575,14 +2507,14 @@ mod tests {
                     .cache
                     .shards
                     .iter()
-                    .map(|s| s.lock().unwrap())
+                    .map(|s| s.0.lock().unwrap())
                     .collect();
                 let _gate = server.gate.write().unwrap();
                 panic!("poison every serving lock");
             })
             .join();
         }
-        assert!(server.cache.shards.iter().all(|s| s.is_poisoned()));
+        assert!(server.cache.shards.iter().all(|s| s.0.is_poisoned()));
         assert!(server.gate.is_poisoned());
 
         // Serving still works end to end: cached prepare, execute, writes,

@@ -17,10 +17,6 @@
 //! many other relations the database holds. Writers that batch (see
 //! `Server::bulk_update`) amortize even that.
 //!
-//! Epoch reads never touch the lock: [`SharedDb::epoch`] and
-//! [`SharedDb::epoch_of`] are plain atomic loads mirroring the committed
-//! state, so staleness checks on the hot path cost nanoseconds.
-//!
 //! ## Per-relation write concurrency
 //!
 //! `write` is the exclusive **commit section** — short by construction —
@@ -29,14 +25,13 @@
 //! relation it touches, prepares the new shard off the commit section
 //! (encode, copy-on-write clone, index maintenance — see
 //! [`bcq_storage::Database::prepare`]), and then enters
-//! `write` just long enough to swap one shard pointer and refresh the
-//! epoch mirrors. Writers on disjoint relations overlap everywhere except
-//! those few pointer stores; the latch serializes same-relation writers
-//! so a prepared shard can never race another writer's commit.
+//! `write` just long enough to swap one shard pointer. Writers on
+//! disjoint relations overlap everywhere except that pointer store; the
+//! latch serializes same-relation writers so a prepared shard can never
+//! race another writer's commit.
 
 use bcq_core::prelude::RelId;
 use bcq_storage::Database;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, TryLockError};
 use std::time::Instant;
 
@@ -44,11 +39,6 @@ use std::time::Instant;
 #[derive(Debug)]
 pub struct SharedDb {
     inner: RwLock<Arc<Database>>,
-    /// Lock-free mirror of the committed global epoch.
-    epoch: AtomicU64,
-    /// Lock-free mirror of the committed vector clock (one slot per
-    /// relation, indexed by `RelId`).
-    rel_epochs: Box<[AtomicU64]>,
     /// Per-relation write latches (indexed by `RelId`); see the module
     /// docs and [`SharedDb::lock_rel`].
     latches: Box<[Mutex<()>]>,
@@ -70,13 +60,8 @@ pub struct RelLatch<'a> {
 impl SharedDb {
     /// Wraps a database for shared access.
     pub fn new(db: Database) -> Self {
-        let rel_epochs = (0..db.num_relations())
-            .map(|i| AtomicU64::new(db.epoch_of(RelId(i))))
-            .collect();
         let latches = (0..db.num_relations()).map(|_| Mutex::new(())).collect();
         SharedDb {
-            epoch: AtomicU64::new(db.epoch()),
-            rel_epochs,
             latches,
             inner: RwLock::new(Arc::new(db)),
         }
@@ -135,18 +120,6 @@ impl SharedDb {
         Arc::clone(&self.inner.read().unwrap_or_else(|e| e.into_inner()))
     }
 
-    /// The current global epoch — a lock-free atomic load (no read lock,
-    /// no `Arc` traffic).
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    /// The current epoch of one relation — its component of the vector
-    /// clock, also a lock-free atomic load.
-    pub fn epoch_of(&self, rel: RelId) -> u64 {
-        self.rel_epochs[rel.0].load(Ordering::Acquire)
-    }
-
     /// Runs `f` against the database with exclusive write access — the
     /// **commit section** of the concurrent write protocol (callers doing
     /// more than installing prepared state must provide their own
@@ -154,9 +127,8 @@ impl SharedDb {
     /// view-registry write lock). The mutation copy-on-writes only the
     /// shards it touches; every other shard is pointer-shared with
     /// outstanding snapshots. All mutations advance the commit counter and
-    /// stamp the touched shards (enforced by [`Database`] itself); the
-    /// epoch mirrors are refreshed before the new state is visible to
-    /// readers. Returns `f`'s result.
+    /// stamp the touched shards (enforced by [`Database`] itself). Returns
+    /// `f`'s result.
     pub fn write<R>(&self, f: impl FnOnce(&mut Database) -> R) -> R {
         // Poison recovery mirrors [`SharedDb::snapshot`]: storage mutations
         // keep the database structurally valid at every step, so a writer
@@ -166,13 +138,7 @@ impl SharedDb {
         let mut guard = self.inner.write().unwrap_or_else(|e| e.into_inner());
         // Shallow clone when snapshots are outstanding: O(relations)
         // pointer bumps, never table data.
-        let db = Arc::make_mut(&mut guard);
-        let r = f(db);
-        self.epoch.store(db.epoch(), Ordering::Release);
-        for (i, slot) in self.rel_epochs.iter().enumerate() {
-            slot.store(db.epoch_of(RelId(i)), Ordering::Release);
-        }
-        r
+        f(Arc::make_mut(&mut guard))
     }
 }
 
@@ -198,30 +164,7 @@ mod tests {
         assert_eq!(snap.total_tuples(), 1);
         assert_eq!(snap.epoch(), e);
         assert_eq!(shared.snapshot().total_tuples(), 2);
-        assert!(shared.epoch() > e);
-    }
-
-    #[test]
-    fn epoch_mirrors_track_the_vector_clock() {
-        let shared = SharedDb::new(db());
-        let (r, s) = (RelId(0), RelId(1));
-        assert_eq!(shared.epoch(), 0);
-        assert_eq!(shared.epoch_of(r), 0);
-
-        shared.write(|d| d.insert("r", &[Value::int(1), Value::int(2)]).unwrap());
-        let er = shared.epoch_of(r);
-        assert_eq!(er, shared.epoch());
-        assert_eq!(shared.epoch_of(s), 0, "untouched relation's clock frozen");
-
-        shared.write(|d| d.insert("s", &[Value::int(3), Value::int(4)]).unwrap());
-        assert_eq!(shared.epoch_of(r), er, "r's component unchanged");
-        assert_eq!(shared.epoch_of(s), shared.epoch());
-        // The mirrors agree with the committed snapshot exactly.
-        let snap = shared.snapshot();
-        assert_eq!(snap.epoch(), shared.epoch());
-        for rel in [r, s] {
-            assert_eq!(snap.epoch_of(rel), shared.epoch_of(rel));
-        }
+        assert!(shared.snapshot().epoch() > e);
     }
 
     #[test]

@@ -21,8 +21,9 @@
 //!   "did *anything* change?"
 //! * [`Database::epoch_of`] — the vector clock, one component per relation,
 //!   stamped with the commit number of the relation's last mutation: "did
-//!   anything *this plan reads* change?" — the relation-scoped invalidation
-//!   the serving layer's plan cache and registered views key on.
+//!   anything *this query reads* change?" — what the serving layer stamps
+//!   a registered view's cached answer with. (Cached *plans* depend on no
+//!   epoch: a plan is a function of the query and the access schema.)
 
 use crate::index::HashIndex;
 use crate::shard::{RelationShard, RowOp};
@@ -41,7 +42,13 @@ use std::sync::Arc;
 /// advances the monotone global **commit counter** and stamps the touched
 /// relation's shard with it, so `epoch()` answers "anything changed?" and
 /// `epoch_of(rel)` answers "did `rel` change?" by comparing integers.
+///
+/// Aligned to a cache line: a server publishes its database behind an
+/// `Arc` whose counts every reader's snapshot writes, and those must not
+/// share a line with the fields every probe reads — which of them did
+/// would otherwise depend on where the allocator put the instance.
 #[derive(Debug, Clone)]
+#[repr(align(64))]
 pub struct Database {
     catalog: Arc<Catalog>,
     symbols: Arc<SymbolTable>,

@@ -62,10 +62,6 @@ pub struct PlanCacheSnapshot {
     pub misses: u64,
     /// Capacity evictions.
     pub evictions: u64,
-    /// Entries dropped after failed revalidation.
-    pub invalidations: u64,
-    /// Successful stamp refreshes.
-    pub revalidations: u64,
     /// Live entries right now (gauge).
     pub entries: u64,
 }
@@ -268,8 +264,6 @@ impl MetricsSnapshot {
         self.cache.hits += other.cache.hits;
         self.cache.misses += other.cache.misses;
         self.cache.evictions += other.cache.evictions;
-        self.cache.invalidations += other.cache.invalidations;
-        self.cache.revalidations += other.cache.revalidations;
         self.cache.entries = self.cache.entries.max(other.cache.entries);
         self.writes.inserts += other.writes.inserts;
         self.writes.deletes += other.writes.deletes;
@@ -357,8 +351,8 @@ impl MetricsSnapshot {
         let c = self.cache;
         let _ = writeln!(
             s,
-            "  \"plan_cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \"invalidations\": {}, \"revalidations\": {}, \"entries\": {}}},",
-            c.hits, c.misses, c.evictions, c.invalidations, c.revalidations, c.entries,
+            "  \"plan_cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \"entries\": {}}},",
+            c.hits, c.misses, c.evictions, c.entries,
         );
         let w = &self.writes;
         let _ = writeln!(
@@ -469,8 +463,6 @@ impl MetricsSnapshot {
             ("bcq_plan_cache_hits_total", c.hits),
             ("bcq_plan_cache_misses_total", c.misses),
             ("bcq_plan_cache_evictions_total", c.evictions),
-            ("bcq_plan_cache_invalidations_total", c.invalidations),
-            ("bcq_plan_cache_revalidations_total", c.revalidations),
         ] {
             let _ = writeln!(s, "# TYPE {name} counter\n{name} {v}");
         }

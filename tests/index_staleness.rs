@@ -241,7 +241,7 @@ fn prepared_query_sees_rows_inserted_after_index_build() {
     assert!(r.stats.cache_hit, "plan survived the delete");
     assert!(!r.rows().unwrap().contains(&[Value::int(999)]));
 
-    // Out-of-band delete: the epoch moves, the plan revalidates.
+    // Out-of-band delete: the indices are rebuilt, the plan keeps serving.
     server.bulk_update(|db| {
         db.delete("friends", &[Value::int(2), Value::int(1000)])
             .unwrap();

@@ -91,13 +91,11 @@ fn check_dataset(ds: &Dataset, scale: f64) {
     );
     check_all(&mut session, "after maintained delete");
 
-    // The cache compiled each query once; every later request hit (or
-    // revalidated, after the bulk update's index rebuild).
+    // The cache compiled each query once; every later request hit.
     let cs = server.cache_stats();
     let queries = ds.effectively_bounded_queries().count() as u64;
     assert_eq!(cs.misses, queries, "one compile per distinct query");
     assert_eq!(cs.hits, 3 * queries, "subsequent epochs served from cache");
-    assert_eq!(cs.invalidations, 0);
 }
 
 #[test]

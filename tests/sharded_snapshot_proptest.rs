@@ -2,16 +2,16 @@
 //! **frozen vector clock** — its global epoch, every per-relation epoch,
 //! and every cross-relation invariant stay exactly as they were when the
 //! snapshot was taken, while writers advance other shards underneath —
-//! and the plan cache revalidates a cached plan **iff** a relation its
-//! access schema reads advanced.
+//! and no write, to a relation a cached plan reads or to any other, costs
+//! the plan cache anything but a hit.
 //!
 //! Three layers of evidence:
 //!
 //! * a property test driving random per-relation write schedules against
 //!   snapshots taken at random points;
 //! * a property test driving random writes against a server with two
-//!   cached plans of disjoint read sets, checking the revalidation
-//!   counters move exactly when a read relation does;
+//!   cached plans of disjoint read sets, checking every later lookup is
+//!   a hit and nothing is ever recompiled;
 //! * a threaded stress test (run in release mode in CI) with writers
 //!   pinned to disjoint relations and readers asserting cross-relation
 //!   consistency of a paired-row invariant.
@@ -68,7 +68,8 @@ proptest! {
 
         let mut snapshots: Vec<Arc<Database>> = vec![shared.snapshot()];
         for &(rel, row_write, x, y) in &writes {
-            let before: Vec<u64> = (0..3).map(|i| shared.epoch_of(RelId(i))).collect();
+            let clock = |i: usize| shared.snapshot().epoch_of(RelId(i));
+            let before: Vec<u64> = (0..3).map(clock).collect();
             let row = row_for(rel, x, y);
             shared.write(|d| {
                 if row_write {
@@ -81,12 +82,11 @@ proptest! {
             // The vector clock advanced on the touched relation only.
             for (i, &prev) in before.iter().enumerate() {
                 if i == rel {
-                    prop_assert!(shared.epoch_of(RelId(i)) > prev);
+                    prop_assert!(clock(i) > prev);
                 } else {
-                    prop_assert_eq!(shared.epoch_of(RelId(i)), prev, "untouched component");
+                    prop_assert_eq!(clock(i), prev, "untouched component");
                 }
             }
-            prop_assert_eq!(shared.epoch(), shared.snapshot().epoch());
             snapshots.push(shared.snapshot());
         }
 
@@ -110,9 +110,10 @@ proptest! {
     }
 
     /// Two cached plans with disjoint read sets (edge-only and label-only):
-    /// each random write revalidates at most the plan that reads the
-    /// written relation; the other's counters must not move. `audit`
-    /// writes revalidate neither.
+    /// whichever relation a random write lands on — `edge`, `label`, or
+    /// `audit`, which neither plan reads — both plans stay cached and both
+    /// lookups are hits. (The name dates from when a write to a read
+    /// relation cost its plans an index re-check.)
     #[test]
     fn cache_revalidates_iff_a_read_relation_moved(
         writes in prop::collection::vec((0..3usize, any::<bool>(), 0..10i64, 0..10i64), 1..25),
@@ -142,26 +143,18 @@ proptest! {
         session.query(&label_q, &bind).unwrap();
         prop_assert_eq!(server.cache_stats().misses, 2);
 
-        let mut expected_revalidations = 0u64;
-        for &(rel, bulk, x, y) in &writes {
+        for (i, &(rel, bulk, x, y)) in writes.iter().enumerate() {
             let row = row_for(rel, x, y);
             if bulk {
                 server.bulk_update(|d| d.bulk_loader(RelId(rel)).push_rows(&row));
             } else {
                 server.insert(RELS[rel], &row).unwrap();
             }
-            // Re-prepare both plans: only the one whose read set contains
-            // the written relation may revalidate — audit writes touch
-            // neither read set, so both lookups are pure hits.
+            // Re-prepare both plans: pure hits, whatever was written.
             session.query(&edge_q, &bind).unwrap();
             session.query(&label_q, &bind).unwrap();
-            if rel < 2 {
-                expected_revalidations += 1;
-            }
             let cs = server.cache_stats();
-            prop_assert_eq!(cs.revalidations, expected_revalidations,
-                "write to {} must revalidate {} plan(s)", RELS[rel], u64::from(rel < 2));
-            prop_assert_eq!(cs.invalidations, 0);
+            prop_assert_eq!(cs.hits, 2 * (i as u64 + 1), "write to {}", RELS[rel]);
             prop_assert_eq!(cs.misses, 2, "plans never recompiled");
         }
     }
@@ -232,7 +225,9 @@ fn threaded_snapshot_consistency_stress() {
         readers.push(std::thread::spawn(move || {
             let mut session = server.session();
             let mut served = 0u64;
-            while !stop.load(Ordering::Relaxed) {
+            // At least one pass: on a loaded two-core host the writers can
+            // be done before this thread is first scheduled.
+            loop {
                 let snap = server.snapshot();
                 let clock: Vec<u64> = (0..3).map(|i| snap.epoch_of(RelId(i))).collect();
                 let (e, l, au) = (
@@ -255,6 +250,9 @@ fn threaded_snapshot_consistency_stress() {
                 let resp = session.query(&edge_q, &bind).unwrap();
                 assert!(resp.stats.cache_hit, "reader rides the cached plan");
                 served += 1;
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
             }
             served
         }));
@@ -276,5 +274,4 @@ fn threaded_snapshot_consistency_stress() {
         1,
         "one compile served everyone"
     );
-    assert_eq!(server.cache_stats().invalidations, 0);
 }
