@@ -129,7 +129,7 @@ pub fn measure_median_ns(samples: usize, iters: usize, mut f: impl FnMut(usize))
 
 /// The distribution summary of per-sample ns/op timings (sorted in place;
 /// at least one), each sample having run `iters` iterations.
-fn summarize(per_sample: &mut [f64], iters: u64) -> Measured {
+pub fn summarize(per_sample: &mut [f64], iters: u64) -> Measured {
     per_sample.sort_by(|a, b| a.total_cmp(b));
     Measured {
         ns: per_sample[per_sample.len() / 2],

@@ -228,7 +228,9 @@ pub fn recover(
     let cat = db.catalog().clone();
     let mut pending: Option<PendingBulk> = None;
     let mut applied_through = snap_seq;
-    for s in &run {
+    let mut rest = run.as_slice();
+    while let Some((s, after)) = rest.split_first() {
+        rest = after;
         let seq = s.record.seq;
         if let Some(bulk) = &mut pending {
             match &s.record.body {
@@ -271,7 +273,7 @@ pub fn recover(
                         loader.push_rows(chunk);
                     }
                     drop(loader);
-                    check_commit(&db, bulk.commit, seq)?;
+                    check_commit(db.epoch(), bulk.commit, seq)?;
                 }
                 other => {
                     return Err(RecoverError::Replay(format!(
@@ -297,7 +299,7 @@ pub fn recover(
                 let row = decode_cells(&side, cells, seq)?;
                 db.insert(cat.relation(rel).name(), &row)
                     .map_err(|e| RecoverError::Replay(format!("insert at seq {seq}: {e}")))?;
-                check_commit(&db, *commit, seq)?;
+                check_commit(db.epoch(), *commit, seq)?;
             }
             RecordBody::Delete { commit, rel, cells } => {
                 let rel = rel_id(&db, *rel, seq)?;
@@ -310,7 +312,7 @@ pub fn recover(
                         "logged delete at seq {seq} found no row on replay"
                     )));
                 }
-                check_commit(&db, *commit, seq)?;
+                check_commit(db.epoch(), *commit, seq)?;
             }
             RecordBody::BulkBegin { commit, rel } => {
                 rel_id(&db, *rel, seq)?;
@@ -327,12 +329,33 @@ pub fn recover(
                     "bulk record at seq {seq} outside any bulk load"
                 )));
             }
-            RecordBody::EnsureIndex { commit, rel, x, y } => {
-                let rel = rel_id(&db, *rel, seq)?;
-                let x: Vec<usize> = x.iter().map(|&c| c as usize).collect();
-                let y: Vec<usize> = y.iter().map(|&c| c as usize).collect();
-                db.ensure_index_cols(rel, &x, &y);
-                check_commit(&db, *commit, seq)?;
+            RecordBody::EnsureIndex { .. } => {
+                // The run of index records starting here (a load's
+                // `build_indexes` logs one per index) is one batch, so its
+                // builds share every core; each record is still held to
+                // its own commit stamp.
+                let mut specs = Vec::new();
+                let mut stamps = Vec::new();
+                for s in std::iter::once(s).chain(after) {
+                    let RecordBody::EnsureIndex { commit, rel, x, y } = &s.record.body else {
+                        break;
+                    };
+                    let widen = |cols: &[u32]| cols.iter().map(|&c| c as usize).collect();
+                    let (x, y): (Vec<usize>, Vec<usize>) = (widen(x), widen(y));
+                    specs.push((rel_id(&db, *rel, s.record.seq)?, x, y));
+                    stamps.push((*commit, s.record.seq));
+                }
+                let batch: Vec<_> = specs
+                    .iter()
+                    .map(|(rel, x, y)| (*rel, x.as_slice(), y.as_slice()))
+                    .collect();
+                let arrived = db.ensure_indexes_cols(&batch);
+                for (arrived, (commit, seq)) in arrived.into_iter().zip(stamps) {
+                    check_commit(arrived, commit, seq)?;
+                    applied_through = seq;
+                }
+                rest = &after[batch.len() - 1..];
+                continue;
             }
         }
         applied_through = seq;
@@ -430,13 +453,12 @@ fn rel_id(db: &Database, rel: u32, seq: u64) -> Result<RelId, RecoverError> {
     }
 }
 
-fn check_commit(db: &Database, commit: u64, seq: u64) -> Result<(), RecoverError> {
-    if db.epoch() == commit {
+fn check_commit(arrived: u64, commit: u64, seq: u64) -> Result<(), RecoverError> {
+    if arrived == commit {
         Ok(())
     } else {
         Err(RecoverError::Replay(format!(
-            "record at seq {seq} was stamped commit {commit}, replay arrived at {}",
-            db.epoch()
+            "record at seq {seq} was stamped commit {commit}, replay arrived at {arrived}"
         )))
     }
 }

@@ -7,7 +7,7 @@
 use bcq_core::prelude::*;
 use bcq_durability::{
     checkpoint, frame::append_frame, recover, snapshot_name, LogStorage, MemLog, RecordBody,
-    RecoverError, SyncPolicy, WalRecord, WalWriter,
+    RecoverError, RecoveryReport, SyncPolicy, WalRecord, WalWriter,
 };
 use bcq_storage::{Database, Prepare, RowOp};
 use std::sync::Arc;
@@ -329,6 +329,104 @@ fn bulk_chunk_of_the_wrong_width_is_a_replay_error_not_a_panic() {
             }
         }
         other => panic!("expected a replay error, got {other:?}"),
+    }
+}
+
+/// [`state`] plus every index: per relation, in registration order, its
+/// columns, tightest bound and key → (rows, witnesses) in key order.
+type IndexState = (
+    Vec<usize>,
+    Vec<usize>,
+    usize,
+    Vec<(Vec<Cell>, Vec<u32>, Vec<u32>)>,
+);
+fn indexed_state(db: &Database) -> ((u64, Vec<RelState>), Vec<Vec<IndexState>>) {
+    let indexes = (0..db.num_relations())
+        .map(|i| {
+            let shard = db.shard(RelId(i));
+            let specs = shard.index_specs();
+            specs
+                .map(|(x, y)| {
+                    let idx = shard.index(x, y).unwrap();
+                    let mut keys: Vec<_> = idx
+                        .entries()
+                        .map(|(k, p)| (k.to_vec(), p.all().to_vec(), p.witnesses().to_vec()))
+                        .collect();
+                    keys.sort();
+                    (x.to_vec(), y.to_vec(), idx.max_witnesses(), keys)
+                })
+                .collect()
+        })
+        .collect();
+    (state(db), indexes)
+}
+
+#[test]
+fn index_record_runs_replay_to_the_one_at_a_time_state() {
+    // No snapshot. The live side builds its indices one `ensure_index_cols`
+    // at a time; replay meets the same records as runs — one spanning both
+    // relations, a lone record between row writes, a second run, and an
+    // unsynced run that the crash cuts anywhere — and builds each run as
+    // one batch. `r` is large enough for the sorted, threaded build.
+    let (r, s) = (RelId(0), RelId(1));
+    let tail: [(RelId, &[usize], &[usize]); 3] =
+        [(r, &[1], &[0, 1]), (s, &[0], &[0]), (r, &[0, 1], &[1])];
+    // The log, the live state after each tail record (none, one, ...), the
+    // unsynced bytes up to the end of each, and the last synced sequence.
+    let scenario = || {
+        let log = Arc::new(MemLog::new());
+        let (mut db, w) = wired(&log, SyncPolicy::Manual);
+        let rows: Vec<Value> = (0..(1 << 13) + 100)
+            .flat_map(|i| [Value::int(i % 300), Value::int(i % 7)])
+            .collect();
+        db.bulk_loader(r).push_rows(&rows);
+        let rows: Vec<Value> = (0..40).map(|i| Value::int(i % 5)).collect();
+        db.bulk_loader(s).push_rows(&rows);
+        db.ensure_index_cols(r, &[0], &[1]);
+        db.ensure_index_cols(s, &[], &[0]);
+        db.ensure_index_cols(r, &[], &[1]);
+        db.ensure_index_cols(r, &[1], &[0]);
+        db.insert("r", &[Value::int(3), Value::int(4)]).unwrap();
+        db.ensure_index_cols(r, &[0, 1], &[0]);
+        assert!(db.delete("s", &[Value::int(2)]).unwrap().is_some());
+        db.ensure_index_cols(r, &[0], &[0, 1]);
+        db.ensure_index_cols(r, &[], &[0]);
+        log.sync().unwrap();
+        let synced_seq = w.last_seq();
+        let mut oracles = vec![indexed_state(&db)];
+        let mut ends = vec![0];
+        for (rel, x, y) in tail {
+            db.ensure_index_cols(rel, x, y);
+            oracles.push(indexed_state(&db));
+            ends.push(log.unsynced_bytes());
+        }
+        (log, oracles, ends, synced_seq)
+    };
+    let (_, _, ends, _) = scenario();
+    let mut crash_points: Vec<usize> = ends
+        .windows(2)
+        .flat_map(|w| [w[0], w[0] + 1, (w[0] + w[1]) / 2, w[1] - 1])
+        .collect();
+    crash_points.push(ends[3]);
+    for keep in crash_points {
+        let (log, oracles, ends, synced_seq) = scenario();
+        log.crash(keep);
+        let (recovered, report) = recover(&*log, catalog()).unwrap();
+        let whole = ends.iter().rposition(|&end| end <= keep).unwrap();
+        assert_eq!(indexed_state(&recovered), oracles[whole], "crash at {keep}");
+        let torn = (keep - ends[whole]) as u64;
+        let want = RecoveryReport {
+            replayed: synced_seq + whole as u64,
+            last_seq: synced_seq + whole as u64,
+            torn_bytes: torn,
+            truncated_streams: usize::from(torn > 0),
+            ..RecoveryReport::default()
+        };
+        assert_eq!(report, want, "crash at {keep}");
+        // And the cut log recovers to the same place again.
+        let (again, report) = recover(&*log, catalog()).unwrap();
+        assert_eq!(indexed_state(&again), oracles[whole]);
+        assert_eq!((report.last_seq, report.torn_bytes), (want.last_seq, 0));
     }
 }
 

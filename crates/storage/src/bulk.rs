@@ -25,9 +25,12 @@
 //!   materialized.
 //!
 //! The fourth cost — index build — is deferred: the loader clears the
-//! relation's indices, and the `build_indexes` call after the load
-//! dispatches to the sort-based construction mode in [`crate::index`] on
-//! large tables.
+//! relation's indices, and the `build_indexes` call after the load builds
+//! every missing index in one batch: large tables through the sort-based
+//! construction mode in [`crate::index`], spread over every core (the
+//! calling thread allocates each hash table, workers sort and fill), then
+//! installed one by one in declaration order, so commits and log records
+//! are those of a one-at-a-time loop.
 
 use crate::database::log_new_interns;
 use crate::table::Table;

@@ -25,7 +25,7 @@
 //!   a registered view's cached answer with. (Cached *plans* depend on no
 //!   epoch: a plan is a function of the query and the access schema.)
 
-use crate::index::HashIndex;
+use crate::index::{build_many, host_workers, BuildJob, HashIndex};
 use crate::shard::{RelationShard, RowOp};
 use crate::table::Table;
 use crate::wal::{WalOp, WalSink};
@@ -96,7 +96,7 @@ impl Database {
     pub fn restore(
         catalog: Arc<Catalog>,
         symbols: SymbolTable,
-        shards: Vec<ShardState>,
+        mut shards: Vec<ShardState>,
         commit: u64,
     ) -> Result<Database> {
         if shards.len() != catalog.relations().len() {
@@ -106,42 +106,50 @@ impl Database {
                 catalog.relations().len()
             )));
         }
-        let shards = shards
-            .into_iter()
-            .enumerate()
-            .map(|(i, state)| {
-                let arity = catalog.relation(RelId(i)).arity();
-                if state.cells.len() % arity != 0 {
-                    return Err(CoreError::Invalid(format!(
-                        "restore: relation {i} cell count {} not a multiple of arity {arity}",
-                        state.cells.len()
-                    )));
-                }
-                if state.epoch > commit {
-                    return Err(CoreError::Invalid(format!(
-                        "restore: relation {i} epoch {} beyond commit {commit}",
-                        state.epoch
-                    )));
-                }
-                let mut table = Table::new(RelId(i), arity);
-                table.reserve_rows(state.cells.len() / arity);
-                for row in state.cells.chunks_exact(arity) {
-                    table.push(row);
-                }
-                let indexes = state
-                    .indexes
-                    .into_iter()
-                    .map(|(x, y)| {
-                        let idx = HashIndex::build(&table, &x, &y);
-                        ((x, y), idx)
-                    })
-                    .collect();
-                let mut shard = RelationShard::new(table);
-                shard.indexes = indexes;
-                shard.epoch = state.epoch;
-                Ok(Arc::new(shard))
+        let mut restored = Vec::with_capacity(shards.len());
+        for (i, state) in shards.iter_mut().enumerate() {
+            let arity = catalog.relation(RelId(i)).arity();
+            if state.cells.len() % arity != 0 {
+                return Err(CoreError::Invalid(format!(
+                    "restore: relation {i} cell count {} not a multiple of arity {arity}",
+                    state.cells.len()
+                )));
+            }
+            if state.epoch > commit {
+                return Err(CoreError::Invalid(format!(
+                    "restore: relation {i} epoch {} beyond commit {commit}",
+                    state.epoch
+                )));
+            }
+            let mut table = Table::new(RelId(i), arity);
+            table.reserve_rows(state.cells.len() / arity);
+            // Taken, so each relation's flat copy goes as its table is built.
+            for row in std::mem::take(&mut state.cells).chunks_exact(arity) {
+                table.push(row);
+            }
+            let mut shard = RelationShard::new(table);
+            shard.epoch = state.epoch;
+            restored.push(shard);
+        }
+        // Every shard's declared indices in one batch.
+        let jobs: Vec<BuildJob<'_>> = restored
+            .iter()
+            .zip(&shards)
+            .flat_map(|(shard, state)| {
+                let specs = state.indexes.iter();
+                specs.map(|(x, y)| (&shard.table, x.as_slice(), y.as_slice()))
             })
-            .collect::<Result<Vec<_>>>()?;
+            .collect();
+        let mut built = build_many(&jobs, host_workers()).into_iter();
+        let shards = restored
+            .into_iter()
+            .zip(shards)
+            .map(|(mut shard, state)| {
+                let specs = state.indexes.into_iter();
+                shard.indexes = specs.zip(built.by_ref()).collect();
+                Arc::new(shard)
+            })
+            .collect();
         Ok(Database {
             catalog,
             symbols: Arc::new(symbols),
@@ -482,30 +490,72 @@ impl Database {
     }
 
     /// Builds (or reuses) the index on key columns `x` exposing value
-    /// columns `y` of `rel` — the column-level form [`Self::ensure_index`]
-    /// delegates to, also used by log replay to rebuild indices from
-    /// [`WalOp::EnsureIndex`] records.
+    /// columns `y` of `rel` — the column-level form of
+    /// [`Self::ensure_index`].
     pub fn ensure_index_cols(&mut self, rel: RelId, x: &[usize], y: &[usize]) {
-        if self.shards[rel.0].index(x, y).is_some() {
-            return;
-        }
-        let shard = self.shard_mut(rel);
-        let idx = HashIndex::build(&shard.table, x, y);
-        shard.indexes.push(((x.to_vec(), y.to_vec()), idx));
-        self.emit(WalOp::EnsureIndex {
-            commit: self.commit,
-            rel,
-            x,
-            y,
-        });
+        self.ensure_indexes_cols(&[(rel, x, y)]);
     }
 
     /// Builds every index declared by `a` (the paper's setup step: "for each
     /// X → (Y, N) extracted, we built an index").
     pub fn build_indexes(&mut self, a: &AccessSchema) {
-        for c in a.constraints() {
-            self.ensure_index(c);
-        }
+        let specs: Vec<IndexSpec<'_>> = a
+            .constraints()
+            .iter()
+            .map(|c| (c.relation(), c.x(), c.y()))
+            .collect();
+        self.ensure_indexes_cols(&specs);
+    }
+
+    /// Builds (or reuses) one index per spec — a batch of
+    /// [`Self::ensure_index_cols`] calls, which is how log replay rebuilds
+    /// a run of [`WalOp::EnsureIndex`] records. The missing indices are
+    /// built together on every core (`index::build_many`), then
+    /// installed one by one in spec order, each with its own commit bump
+    /// and `EnsureIndex` record, so epochs and log are those of the
+    /// one-at-a-time loop. Returns the commit counter as it stood after
+    /// each spec (unmoved by a spec already built or listed twice), for
+    /// replay to hold against each record's stamp.
+    pub fn ensure_indexes_cols(&mut self, specs: &[IndexSpec<'_>]) -> Vec<u64> {
+        self.ensure_indexes_on(specs, host_workers())
+    }
+
+    /// [`Self::ensure_indexes_cols`] with the builder's worker count given,
+    /// for tests that compare worker counts.
+    pub(crate) fn ensure_indexes_on(
+        &mut self,
+        specs: &[IndexSpec<'_>],
+        workers: usize,
+    ) -> Vec<u64> {
+        // Each missing index once, at its first mention.
+        let missing: Vec<bool> = specs
+            .iter()
+            .enumerate()
+            .map(|(i, &(rel, x, y))| {
+                self.shards[rel.0].index(x, y).is_none() && !specs[..i].contains(&specs[i])
+            })
+            .collect();
+        let jobs: Vec<BuildJob<'_>> = specs
+            .iter()
+            .zip(&missing)
+            .filter(|(_, &missing)| missing)
+            .map(|(&(rel, x, y), _)| (&self.shards[rel.0].table, x, y))
+            .collect();
+        let mut built = build_many(&jobs, workers).into_iter();
+        specs
+            .iter()
+            .zip(missing)
+            .map(|(&(rel, x, y), missing)| {
+                if missing {
+                    let idx = built.next().expect("one index per missing spec");
+                    let shard = self.shard_mut(rel);
+                    shard.indexes.push(((x.to_vec(), y.to_vec()), idx));
+                    let commit = self.commit;
+                    self.emit(WalOp::EnsureIndex { commit, rel, x, y });
+                }
+                self.commit
+            })
+            .collect()
     }
 
     /// The index backing constraint `c`, if built.
@@ -543,6 +593,9 @@ impl Database {
             .sum()
     }
 }
+
+/// One index to ensure: the relation, key columns `x`, value columns `y`.
+pub type IndexSpec<'a> = (RelId, &'a [usize], &'a [usize]);
 
 /// What [`Database::prepare`] found.
 #[derive(Debug)]
@@ -1315,6 +1368,112 @@ mod tests {
         let key = restored.symbols().try_encode_row(&[Value::int(1)]).unwrap();
         let idx = restored.index_for(a.constraint(cid)).unwrap();
         assert_eq!(idx.witnesses(&key).len(), 2);
+    }
+
+    #[test]
+    fn parallel_build_keeps_log_epochs_and_restore() {
+        // Two relations past the sorted-build threshold (skewed keys,
+        // repeated `Y`s), one small; the spec list names one index twice
+        // and one that is already there.
+        let cat = photos();
+        let (albums, friends, tagging) = (RelId(0), RelId(1), RelId(2));
+        let load = |db: &mut Database| {
+            let mut state = 0xBC0u64;
+            let mut next = |n: u64| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                Value::int(((state >> 33) % n) as i64)
+            };
+            let mut rows = Vec::new();
+            for _ in 0..(1 << 13) + 500 {
+                rows.extend([next(40), next(6)]);
+            }
+            db.bulk_loader(friends).push_rows(&rows);
+            rows.clear();
+            for i in 0..3 << 13 {
+                rows.extend([Value::int(i / 3), next(900), next(4)]);
+            }
+            db.bulk_loader(tagging).push_rows(&rows);
+            db.bulk_loader(albums).push_rows(&[
+                Value::int(1),
+                Value::int(2),
+                Value::int(3),
+                Value::int(2),
+            ]);
+            db.ensure_index_cols(tagging, &[1], &[2]);
+        };
+        let specs: Vec<IndexSpec<'_>> = vec![
+            (friends, &[0], &[1]),
+            (tagging, &[0, 1], &[2]),
+            (tagging, &[1], &[2]), // already built
+            (albums, &[1], &[0]),
+            (friends, &[], &[1]),
+            (tagging, &[0], &[1, 2]),
+            (friends, &[0], &[1]), // declared twice
+            (tagging, &[], &[2]),
+        ];
+        let run = |workers: usize| {
+            let mut db = Database::new(cat.clone());
+            load(&mut db);
+            let rec = Arc::new(Recorder::default());
+            db.set_wal(Some(rec.clone()));
+            let stamps = db.ensure_indexes_on(&specs, workers);
+            (db, stamps, rec.take_full())
+        };
+        let (serial, serial_stamps, serial_log) = run(1);
+        let e0 = serial_stamps[0] - 1;
+        assert_eq!(
+            serial_stamps,
+            [1, 2, 2, 3, 4, 5, 5, 6].map(|bumps| e0 + bumps),
+            "one bump per index built, none for the built and the repeated"
+        );
+        assert_eq!(serial_log.len(), 6);
+        for workers in [2, 4] {
+            let (parallel, stamps, log) = run(workers);
+            assert_eq!(stamps, serial_stamps);
+            assert_eq!(log, serial_log, "WAL records, every field");
+            assert_eq!(parallel.epoch(), serial.epoch());
+            for rel in [albums, friends, tagging] {
+                assert_eq!(image(&parallel, rel), image(&serial, rel));
+                let specs = |db: &Database| -> Vec<crate::shard::IndexKey> {
+                    let specs = db.shard(rel).index_specs();
+                    specs.map(|(x, y)| (x.to_vec(), y.to_vec())).collect()
+                };
+                assert_eq!(specs(&parallel), specs(&serial), "installed in spec order");
+            }
+        }
+
+        // `restore` (every shard in one batch, on this host's cores) gives
+        // what one `HashIndex::build` per declared index gives.
+        let states: Vec<ShardState> = (0..serial.num_relations())
+            .map(|i| {
+                let shard = serial.shard(RelId(i));
+                ShardState {
+                    epoch: shard.epoch(),
+                    cells: shard.table().cells().to_vec(),
+                    indexes: shard
+                        .index_specs()
+                        .map(|(x, y)| (x.to_vec(), y.to_vec()))
+                        .collect(),
+                }
+            })
+            .collect();
+        let symbols = (*serial.symbols()).clone();
+        let restored = Database::restore(cat, symbols, states, serial.epoch()).unwrap();
+        assert_eq!(restored.num_indexes(), 7);
+        for rel in [albums, friends, tagging] {
+            assert_eq!(image(&restored, rel), image(&serial, rel));
+            let shard = restored.shard(rel);
+            for (x, y) in shard.index_specs() {
+                let (batch, alone) = (
+                    shard.index(x, y).unwrap(),
+                    HashIndex::build(shard.table(), x, y),
+                );
+                assert_eq!(batch.approx_bytes(), alone.approx_bytes());
+                assert_eq!(batch.num_keys(), alone.num_keys());
+            }
+        }
     }
 
     #[test]

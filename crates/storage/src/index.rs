@@ -32,6 +32,8 @@ use crate::table::Table;
 use bcq_core::fx::{FxHashMap, FxHashSet};
 use bcq_core::prelude::{Cell, RowBuf};
 use std::mem::size_of;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 
 /// Row ids a [`Postings`] entry holds without a heap block. Seven `u32`s, a
 /// length byte and the variant tag fill the 32 bytes the `Vec<u32>` spill
@@ -320,52 +322,46 @@ impl HashIndex {
     }
 
     /// Sort-based build, for the deferred index build after a bulk load:
-    /// extracts each row's key **once** into a contiguous `(key, rid)`
-    /// pair vector with one sequential table pass, sorts the pairs (every
-    /// comparison touches only the pair being moved — no random row
-    /// fetches through the rid indirection, which is what made the naive
-    /// rid-sort fall off a cliff once the table outgrew the cache), then
-    /// emits each key group in one shot. Ties sort by rid, so groups come
-    /// out in ascending-rid order and the resulting postings — `all`,
-    /// witness promotion order, everything — are identical to
-    /// [`Self::build_rowwise`]'s.
+    /// keys extracted and sorted (`SortedKeys::extract`: one sequential
+    /// table pass, one sort), one table allocation at its final size
+    /// instead of a rehash per doubling, then each key group emitted in one
+    /// shot. Groups come out in ascending-rid order, so the resulting
+    /// postings — `all`, witness promotion order, everything — are
+    /// identical to [`Self::build_rowwise`]'s. The batch builder
+    /// (`build_many`) runs the same three steps with the first and the
+    /// last on a worker thread.
     pub fn build_sorted(table: &Table, x: &[usize], y: &[usize]) -> HashIndex {
+        let sorted = SortedKeys::extract(table, x);
+        let mut idx = HashIndex::with_keys(x, y, sorted.num_keys());
+        idx.fill(table, &sorted);
+        idx
+    }
+
+    /// An empty index whose hash table has room for `keys` entries.
+    fn with_keys(x: &[usize], y: &[usize], keys: usize) -> HashIndex {
         let mut idx = HashIndex::empty(x, y);
-        let n = table.len();
-        u32::try_from(n).expect("table too large");
-        // X = ∅ (bounded-domain constraints) needs no sort at all: every
-        // row is one group in rid order already.
-        if x.is_empty() {
-            if n > 0 {
-                idx.emit_group(table, &(0..n as u32).collect::<Vec<u32>>());
-            }
-            return idx;
+        idx.map.reserve(keys);
+        idx
+    }
+
+    /// Emits every key group of `sorted` (extracted from `table` on this
+    /// index's key columns) into the map.
+    fn fill(&mut self, table: &Table, sorted: &SortedKeys) {
+        match sorted {
+            SortedKeys::All(0) => {}
+            SortedKeys::All(n) => self.emit_group(table, &(0..*n).collect::<Vec<u32>>()),
+            SortedKeys::Narrow(pairs) => self.emit_groups(table, pairs),
+            SortedKeys::Wide(pairs) => self.emit_groups(table, pairs),
         }
-        let mut keyed: Vec<(RowBuf, u32)> = table
-            .rows()
-            .enumerate()
-            .map(|(rid, row)| (project(row, x), rid as u32))
-            .collect();
-        keyed.sort_unstable_by(|(ka, a), (kb, b)| {
-            for (ca, cb) in ka.iter().zip(kb.iter()) {
-                match ca.raw().cmp(&cb.raw()) {
-                    std::cmp::Ordering::Equal => continue,
-                    other => return other,
-                }
-            }
-            a.cmp(b)
-        });
-        // One table allocation at its final size instead of a rehash per
-        // doubling.
-        let groups = keyed.chunk_by(|(ka, _), (kb, _)| ka == kb);
-        idx.map.reserve(groups.clone().count());
+    }
+
+    fn emit_groups<K: PartialEq>(&mut self, table: &Table, pairs: &[(K, u32)]) {
         let mut group: Vec<u32> = Vec::new();
-        for pairs in groups {
+        for pairs in key_groups(pairs) {
             group.clear();
             group.extend(pairs.iter().map(|&(_, rid)| rid));
-            idx.emit_group(table, &group);
+            self.emit_group(table, &group);
         }
-        idx
     }
 
     /// Emits one sorted-build key group (`rids` ascending, all sharing a
@@ -529,6 +525,170 @@ impl HashIndex {
             }
         }
     }
+}
+
+/// The first half of a sorted build, the half that needs no hash table:
+/// each row's key extracted **once** into a contiguous `(key, rid)` pair
+/// vector with one sequential table pass, then sorted (every comparison
+/// touches only the pair being moved — no random row fetches through the
+/// rid indirection, which is what made the naive rid-sort fall off a cliff
+/// once the table outgrew the cache). Ties sort by rid, so each key's rows
+/// come out in ascending-rid order.
+enum SortedKeys {
+    /// `X = ∅` (bounded-domain constraints) needs no sort at all: all `n`
+    /// rows are one group in rid order already.
+    All(u32),
+    /// `|X| = 1`: the key cell's raw word beside the rid, 16 bytes a pair
+    /// against [`Self::Wide`]'s 48 — 6.1 MB instead of 18.4 MB of transient
+    /// for `lineitem` at SF 32. Raw order is the order `RowBuf` keys sort
+    /// in, so the groups are the same groups.
+    Narrow(Vec<(u64, u32)>),
+    Wide(Vec<(RowBuf, u32)>),
+}
+
+impl SortedKeys {
+    fn extract(table: &Table, x: &[usize]) -> SortedKeys {
+        let n = u32::try_from(table.len()).expect("table too large");
+        match *x {
+            [] => SortedKeys::All(n),
+            [c] => SortedKeys::Narrow(sorted_pairs(table, |row| row[c].raw())),
+            _ => SortedKeys::Wide(sorted_pairs(table, |row| project(row, x))),
+        }
+    }
+
+    /// Distinct keys: what the index's hash table must have room for.
+    fn num_keys(&self) -> usize {
+        match self {
+            SortedKeys::All(n) => usize::from(*n > 0),
+            SortedKeys::Narrow(pairs) => key_groups(pairs).count(),
+            SortedKeys::Wide(pairs) => key_groups(pairs).count(),
+        }
+    }
+}
+
+fn sorted_pairs<K: Ord>(table: &Table, key: impl Fn(&[Cell]) -> K) -> Vec<(K, u32)> {
+    let mut pairs: Vec<(K, u32)> = table
+        .rows()
+        .enumerate()
+        .map(|(rid, row)| (key(row), rid as u32))
+        .collect();
+    pairs.sort_unstable();
+    pairs
+}
+
+fn key_groups<K: PartialEq>(pairs: &[(K, u32)]) -> impl Iterator<Item = &[(K, u32)]> {
+    pairs.chunk_by(|(a, _), (b, _)| a == b)
+}
+
+/// One index to build: the table, key columns `x`, value columns `y`.
+pub(crate) type BuildJob<'a> = (&'a Table, &'a [usize], &'a [usize]);
+
+/// The worker count every caller of [`build_many`] outside a test passes:
+/// this host's cores.
+pub(crate) fn host_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Builds one index per job and returns them in job order — the builder
+/// behind `Database::build_indexes`, `Database::restore` and log replay.
+/// Each index is exactly what [`HashIndex::build`] gives for its job. Runs
+/// on at most `workers` threads, and is the serial loop when that is 1 or
+/// fewer than two tables are large enough for a sorted build; the count is
+/// a parameter so tests can compare worker counts, not a knob.
+///
+/// Builds are independent (each reads a `&Table` and yields one index) and
+/// their time is memory latency, not work — a sorted build is extract 12%,
+/// sort 2%, hash-table fill 80%, ≈ 300–380 ns per key of random writes into
+/// a 10–42 MB table — which is what a second core hides. Sorted builds go
+/// to the workers largest table first; the few row-wise ones (tables under
+/// [`SORT_BUILD_THRESHOLD`] rows, a millisecond each) run on this thread
+/// while the workers extract and sort their first keys.
+///
+/// **Every hash table is allocated by the calling thread; workers only
+/// extract, sort, count keys and fill.** A worker that allocates the table
+/// it fills strands that memory in its own allocator arena once the
+/// database is dropped or the server restarted, and the next load cannot
+/// reuse it. Measured on the benchmark (2 cores, this sandbox, alternating
+/// parent/change pairs, `--seconds 10 --trace 0`; seconds and MB, lowest –
+/// highest run; the two middle rows are prototypes that were not kept):
+///
+/// | design | `setup_s` `embedded-join` | `peak_rss_mb` `embedded-join` | `peak_rss_mb` `net-point` |
+/// |---|---|---|---|
+/// | serial loop (16 + 7 runs) | 1.30 – 1.55 and one 2.33, median 1.38 | 431 – 442, median 435 | 174 – 200, median 180 |
+/// | workers build whole indices, `build_indexes` only | 0.90 – 1.00 | 508 – 524 (+16…19%) | — |
+/// | the same plus `restore` | 0.89 | 434 – 442 | 209 – 251 (+14…39%); 149 – 151 with the C library held to one arena |
+/// | this thread allocates, workers fill (16 + 7 runs) | 0.78 – 0.94, median 0.89 | 434 – 442, median 440 (+1%) | 172 – 196, median 183 (+2%) |
+///
+/// So do not move the `with_keys` call into the worker to save the round
+/// trip: that saves two channel messages per index and costs 15–40% of
+/// resident memory.
+///
+/// One job is not split: `lineitem`'s `(l_orderkey, l_linenumber)` build is
+/// 181 of the 697 ms the 61 TPCH builds take at SF 32, so largest-first
+/// scheduling on two cores ends at 338 ms against an ideal 328, and no
+/// number of cores takes the batch below that one build — a 3.8× cap.
+/// Splitting it by key-hash range is what a wider host would need.
+pub(crate) fn build_many(jobs: &[BuildJob<'_>], workers: usize) -> Vec<HashIndex> {
+    let sorted_build = |job: &BuildJob<'_>| job.0.len() >= SORT_BUILD_THRESHOLD;
+    let mut queue: Vec<usize> = (0..jobs.len())
+        .filter(|&j| sorted_build(&jobs[j]))
+        .collect();
+    queue.sort_by_key(|&j| std::cmp::Reverse(jobs[j].0.len()));
+    let workers = workers.min(queue.len());
+    if workers <= 1 {
+        return jobs
+            .iter()
+            .map(|&(table, x, y)| HashIndex::build(table, x, y))
+            .collect();
+    }
+    // A ticket counter: it publishes nothing but which job is taken.
+    let next = AtomicUsize::new(0);
+    let (ask, asked) = mpsc::channel::<(usize, usize, mpsc::Sender<HashIndex>)>();
+    let mut built: Vec<Option<HashIndex>> = jobs.iter().map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                let (ask, next, queue) = (ask.clone(), &next, &queue);
+                scope.spawn(move || {
+                    let mut filled = Vec::new();
+                    while let Some(&job) = queue.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        let (table, x, _) = jobs[job];
+                        let sorted = SortedKeys::extract(table, x);
+                        let (give, given) = mpsc::channel();
+                        ask.send((job, sorted.num_keys(), give))
+                            .expect("the caller serves until every worker is done");
+                        let mut idx: HashIndex = given.recv().expect("the caller answers");
+                        idx.fill(table, &sorted);
+                        filled.push((job, idx));
+                    }
+                    filled
+                })
+            })
+            .collect();
+        drop(ask);
+        for (slot, job) in built.iter_mut().zip(jobs) {
+            if !sorted_build(job) {
+                *slot = Some(HashIndex::build_rowwise(job.0, job.1, job.2));
+            }
+        }
+        for (job, keys, give) in asked {
+            let (_, x, y) = jobs[job];
+            // A worker that died is reported by its `join` below.
+            let _ = give.send(HashIndex::with_keys(x, y, keys));
+        }
+        for handle in handles {
+            match handle.join() {
+                Ok(filled) => filled
+                    .into_iter()
+                    .for_each(|(job, idx)| built[job] = Some(idx)),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+    });
+    built
+        .into_iter()
+        .map(|idx| idx.expect("every job was built"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -747,6 +907,70 @@ mod tests {
         // And the empty table through the sorted mode explicitly.
         let empty = Table::new(RelId(0), 3);
         assert_eq!(HashIndex::build_sorted(&empty, &[0], &[1]).num_keys(), 0);
+    }
+
+    #[test]
+    fn parallel_build_is_indistinguishable_from_serial() {
+        // Three columns: a skewed key (some keys past the inline capacity
+        // and the scan limit), a small domain (repeated `Y`-projections),
+        // a near-unique value.
+        let skewed = |rows: u64, seed: u64| {
+            let mut t = Table::new(RelId(0), 3);
+            let mut state = seed;
+            for i in 0..rows {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let k = (state >> 33) % 1_500;
+                let k = if k < 1_000 { k % 20 } else { k };
+                t.push(&cells(&[
+                    k as i64,
+                    ((state >> 20) % 5) as i64,
+                    (i / 2) as i64,
+                ]));
+            }
+            t
+        };
+        let big = skewed((SORT_BUILD_THRESHOLD + 1_000) as u64, 0xBC0);
+        let bigger = skewed(3 * SORT_BUILD_THRESHOLD as u64, 0x5EED);
+        let small = skewed(700, 7);
+        let empty = Table::new(RelId(0), 3);
+        let jobs: Vec<BuildJob<'_>> = vec![
+            (&big, &[0], &[1]),
+            (&small, &[0], &[1, 2]),
+            (&bigger, &[0, 2], &[1]),
+            (&big, &[], &[1]),
+            (&big, &[2], &[0]),
+            (&empty, &[0], &[1]),
+            (&bigger, &[1], &[0, 2]),
+            (&big, &[0, 1], &[2]),
+            (&bigger, &[], &[0, 1]),
+        ];
+        // Map order included: same capacity, same insertion order.
+        let in_map_order = |idx: &HashIndex| -> Vec<DumpEntry> {
+            idx.entries()
+                .map(|(k, p)| {
+                    let key = k.iter().map(|c| c.raw()).collect();
+                    (key, p.all().to_vec(), p.witnesses().to_vec())
+                })
+                .collect()
+        };
+        let alone: Vec<HashIndex> = jobs
+            .iter()
+            .map(|&(table, x, y)| HashIndex::build(table, x, y))
+            .collect();
+        assert!(alone[0].max_witnesses() == 5 && alone[3].num_keys() == 1);
+        for workers in [1, 2, 4] {
+            let batch = build_many(&jobs, workers);
+            assert_eq!(batch.len(), jobs.len());
+            for (job, (a, b)) in alone.iter().zip(&batch).enumerate() {
+                assert_eq!((b.x(), b.y()), (jobs[job].1, jobs[job].2));
+                assert_eq!(in_map_order(a), in_map_order(b), "job {job}");
+                assert_eq!(a.num_keys(), b.num_keys(), "job {job}");
+                assert_eq!(a.max_witnesses(), b.max_witnesses(), "job {job}");
+                assert_eq!(a.approx_bytes(), b.approx_bytes(), "job {job}");
+            }
+        }
     }
 
     #[test]
