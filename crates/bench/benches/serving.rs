@@ -16,6 +16,16 @@
 //!   on the same request sequence, measured in interleaved windows that
 //!   do not collapse under `BENCH_SMOKE` — CI gates the smoke run's
 //!   ratio at ≤ 3.0 (text keyed with its constants sat at ~6).
+//! * **Does anything plan per request on the RA lane?**
+//!   `serving/ra_difference` serves `album(?aid) \ tagged(?uid)` — ten
+//!   candidates per request, each a membership probe — interleaved with
+//!   windows of the base block alone and of the probe block served as its
+//!   own cached template. `derived.ra_probe_over_cached` = (RA request −
+//!   base-block request) ÷ candidates ÷ that template's request: what one
+//!   probe costs in units of a cached request. A probe is one run of a
+//!   plan compiled at prepare and skips the session's cache lookup, so it
+//!   sits below 1 (0.39); planning per candidate tuple sat at 3.2 (4.9 at
+//!   smoke size). CI gates the smoke run's ratio at ≤ 3.0.
 //! * **Do concurrent readers scale?** `serving/threads/N` hammers one
 //!   shared server from N sessions on N threads; `ops_per_sec` is the
 //!   aggregate QPS — read it against the `cores` field: snapshot reads
@@ -406,7 +416,98 @@ fn bench_serving(_c: &mut criterion::Criterion) {
         "cores",
         std::thread::available_parallelism().map_or(1, |n| n.get()) as f64,
     );
+    sink += bench_ra_difference(&server, &cat, users);
     std::hint::black_box(sink);
+}
+
+/// The bounded-RA lane against its own parts. Runs after the bounded
+/// lane's histogram has been read, so the one-atom requests issued here
+/// stay out of `derived.serving_bounded_*`.
+fn bench_ra_difference(server: &Arc<Server>, cat: &Arc<Catalog>, users: i64) -> usize {
+    // Photos of ?aid in which ?uid is not tagged. `social_db` files ten
+    // photos per album and tags user `u<p>` in photo `p<p>`.
+    let base = SpcQuery::builder(Arc::clone(cat), "album")
+        .atom("in_album", "ia")
+        .eq_param(("ia", "album_id"), "aid")
+        .project(("ia", "photo_id"))
+        .build()
+        .unwrap();
+    let probed = SpcQuery::builder(Arc::clone(cat), "tagged")
+        .atom("tagging", "t")
+        .eq_param(("t", "taggee_id"), "uid")
+        .project(("t", "photo_id"))
+        .build()
+        .unwrap();
+    // What a probe runs, as a template anyone could prepare.
+    let probe_tpl = probed.with_params(&[(probed.projection()[0], "photo")]);
+    let expr = RaExpr::difference(RaExpr::Spc(base.clone()), RaExpr::Spc(probed));
+
+    let (samples, iters) = if smoke_mode() { (3, 150) } else { (15, 2000) };
+    let albums = users / 20;
+    let bind = |pairs: [(&str, String); 2]| -> BTreeMap<String, Value> {
+        pairs
+            .into_iter()
+            .map(|(slot, v)| (slot.to_string(), Value::str(v)))
+            .collect()
+    };
+    // Per request: the RA bindings (the user tagged in the album's first
+    // photo, so one candidate in ten is a member), and one of the ten
+    // probes that request issues.
+    let requests: Vec<[BTreeMap<String, Value>; 2]> = (0..(samples * iters) as i64)
+        .map(|i| {
+            let album = (i * 7 + 1) % albums;
+            let photo = album + (i % 10) * albums;
+            [
+                bind([("aid", format!("a{album}")), ("uid", format!("u{album}"))]),
+                bind([("photo", format!("p{photo}")), ("uid", format!("u{album}"))]),
+            ]
+        })
+        .collect();
+
+    let mut session = server.session();
+    let misses = server.cache_stats().misses;
+    let [ra_bind, probe_bind] = &requests[0];
+    let answer = session.query_ra(&expr, ra_bind).unwrap();
+    assert_eq!(answer.rows().unwrap().len(), 9, "ten photos, one tagged");
+    session.query(&base, ra_bind).unwrap();
+    session.query(&probe_tpl, probe_bind).unwrap();
+
+    let mut sink = 0usize;
+    let (mut ra_ns, mut base_ns, mut probe_ns) = (Vec::new(), Vec::new(), Vec::new());
+    let mut candidates = 0usize;
+    for window in requests.chunks(iters) {
+        let start = Instant::now();
+        for [ra_bind, _] in window {
+            let resp = session.query_ra(&expr, ra_bind).unwrap();
+            sink += resp.rows().map_or(0, |r| r.len());
+        }
+        ra_ns.push(start.elapsed().as_nanos() as f64 / iters as f64);
+        let start = Instant::now();
+        for [ra_bind, _] in window {
+            let resp = session.query(&base, ra_bind).unwrap();
+            candidates += resp.rows().map_or(0, |r| r.len());
+        }
+        base_ns.push(start.elapsed().as_nanos() as f64 / iters as f64);
+        let start = Instant::now();
+        for [_, probe_bind] in window {
+            let resp = session.query(&probe_tpl, probe_bind).unwrap();
+            sink += resp.rows().map_or(0, |r| r.len());
+        }
+        probe_ns.push(start.elapsed().as_nanos() as f64 / iters as f64);
+    }
+    // One compile each for the expression and the two templates: no
+    // request, and no candidate tuple, reached the planner.
+    assert_eq!(server.cache_stats().misses, misses + 3);
+
+    let ra = summarize(ra_ns, iters);
+    ra.record("serving/ra_difference");
+    let per_request = candidates as f64 / requests.len() as f64;
+    record_derived("ra_candidates_per_request", per_request);
+    record_derived(
+        "ra_probe_over_cached",
+        (ra.ns - summarize(base_ns, iters).ns) / per_request / summarize(probe_ns, iters).ns,
+    );
+    sink + candidates
 }
 
 /// A social catalog padded with `ballast` extra relations (never queried,

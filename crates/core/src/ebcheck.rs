@@ -15,7 +15,7 @@
 //! (Theorem 6).
 
 use crate::access::{AccessSchema, ConstraintId};
-use crate::deduce::{actualize, Closure};
+use crate::deduce::{actualize, Closure, GammaEntry};
 use crate::query::{QAttr, SpcQuery};
 use crate::sigma::{ClassId, Sigma};
 
@@ -102,7 +102,20 @@ pub fn ebcheck_with_seeds(
             per_atom: Vec::new(),
         };
     }
+    analyze(q, sigma, a, extra_seeds).0
+}
 
+/// The analysis behind [`ebcheck_with_seeds`] for a satisfiable `sigma`:
+/// the verdict together with the proof it was read off — the actualized
+/// constraints `Γ` and the access closure of `X_C ∪ extra_seeds`. `QPlan`
+/// materializes exactly this proof, so it takes all three from here.
+pub(crate) fn analyze(
+    q: &SpcQuery,
+    sigma: &Sigma,
+    a: &AccessSchema,
+    extra_seeds: &[ClassId],
+) -> (EffectiveBoundednessReport, Vec<GammaEntry>, Closure) {
+    debug_assert!(sigma.is_satisfiable());
     let mut seeds = sigma.xc_classes();
     seeds.extend_from_slice(extra_seeds);
     seeds.sort_unstable();
@@ -151,11 +164,12 @@ pub fn ebcheck_with_seeds(
         });
     }
 
-    EffectiveBoundednessReport {
+    let report = EffectiveBoundednessReport {
         effectively_bounded: all_ok,
         satisfiable: true,
         per_atom,
-    }
+    };
+    (report, gamma, closure)
 }
 
 #[cfg(test)]

@@ -21,8 +21,8 @@
 //! constraints per atom — comfortably within the paper's `O(|Q|^2 |A|^3)`.
 
 use crate::access::{AccessSchema, ConstraintId};
-use crate::deduce::{actualize, Closure, GammaEntry, Provenance};
-use crate::ebcheck::{ebcheck_with_seeds, xq_cols};
+use crate::deduce::{Closure, GammaEntry, Provenance};
+use crate::ebcheck::analyze;
 use crate::error::{CoreError, Result};
 use crate::plan::{FetchKind, FetchStep, KeySource, QueryPlan, StepId};
 use crate::query::{QAttr, SpcQuery};
@@ -82,18 +82,15 @@ fn plan_inner(q: &SpcQuery, a: &AccessSchema) -> Result<QueryPlan> {
         })
         .collect();
 
-    let report = ebcheck_with_seeds(q, &sigma, a, &param_classes);
+    // EBCheck's proof — `Γ`, the closure of `X_C` and the placeholder
+    // classes, each atom's `X^i_Q` — is the object the plan materializes.
+    let (report, gamma, closure) = analyze(q, &sigma, a, &param_classes);
     if !report.effectively_bounded {
         let why = report
             .first_failure(q)
             .unwrap_or_else(|| "effective boundedness check failed".to_string());
         return Err(CoreError::NotEffectivelyBounded(why));
     }
-
-    let gamma = actualize(q, &sigma, a);
-    let mut seeds = sigma.xc_classes();
-    seeds.extend_from_slice(&param_classes);
-    let closure = Closure::compute(sigma.num_classes(), &seeds, &gamma);
 
     let mut b = PlanBuilder {
         q,
@@ -106,23 +103,14 @@ fn plan_inner(q: &SpcQuery, a: &AccessSchema) -> Result<QueryPlan> {
     };
 
     let mut anchors = Vec::with_capacity(q.num_atoms());
-    for atom in 0..q.num_atoms() {
-        let mut xq = xq_cols(q, &sigma, atom);
-        // Placeholder-pinned columns are parameters of the instantiated
-        // query (mirrors `extra_is_param` in `ebcheck_with_seeds`).
-        for col in 0..q.arity_of(atom) {
-            let cls = sigma.class_of_flat(q.flat_id(QAttr::new(atom, col)));
-            if param_classes.contains(&cls) && !xq.contains(&col) {
-                xq.push(col);
-            }
-        }
-        xq.sort_unstable();
+    for (atom, diagnosis) in report.per_atom.iter().enumerate() {
+        let xq = &diagnosis.xq;
         let sid = if xq.is_empty() {
             b.any_step(atom)
         } else {
             let rel = q.relation_of(atom);
             let mut best: Option<(u128, ConstraintId)> = None;
-            for cid in a.covering_constraints(rel, &xq) {
+            for cid in a.covering_constraints(rel, xq) {
                 let est = b.estimate(atom, cid);
                 if best.is_none_or(|(e, _)| est < e) {
                     best = Some((est, cid));

@@ -254,6 +254,17 @@ impl SpcQuery {
         q
     }
 
+    /// [`Self::with_constants`] with the values left open: adds
+    /// `attr = ?name` for each pair, so one template stands for
+    /// `Q(X_P = ā)` at every `ā`.
+    pub fn with_params(&self, params: &[(QAttr, &str)]) -> SpcQuery {
+        let mut q = self.clone();
+        for (a, name) in params {
+            q.predicates.push(Predicate::Param(*a, name.to_string()));
+        }
+        q
+    }
+
     /// Errors if any placeholder is unbound.
     pub fn require_ground(&self) -> Result<()> {
         let names = self.placeholder_names();
@@ -553,6 +564,13 @@ mod tests {
         let q1 = q1();
         let q = q1.with_constants(&[(QAttr::new(0, 1), Value::str("a9"))]);
         assert_eq!(q.num_sel(), q1.num_sel() + 1);
+    }
+
+    #[test]
+    fn with_params_appends_placeholders() {
+        let q = q0().with_params(&[(QAttr::new(0, 0), "z0")]);
+        assert_eq!(q.num_sel(), q0().num_sel() + 1);
+        assert_eq!(q.placeholder_names(), vec!["z0"]);
     }
 
     #[test]

@@ -6,8 +6,12 @@
 //! * [`baseline()`] is the conventional-DBMS competitor (the paper's MySQL):
 //!   constant-key index access, full scans elsewhere, whole-tuple fetching,
 //!   and a work budget reproducing the 2 500 s cap.
-//! * [`eval_ra`] evaluates certified RA expressions boundedly on top of
-//!   [`eval_dq()`].
+//! * [`PreparedRa`] compiles a certified RA expression to a skeleton of
+//!   bounded plans — one per SPC block, a probed block's with its
+//!   projection pinned to reserved slots — and [`eval_ra_prepared`] is the
+//!   one RA evaluator: [`eval_dq_with()`] per enumerated block, and per
+//!   membership probe with the candidate row bound to those slots.
+//!   [`eval_ra`] is the same path for a ground expression.
 //! * [`pipeline`] is the **one engine** all of the above share: the
 //!   columnar interpreter of compiled [`bcq_core::program::OpProgram`]s
 //!   (fetch / filter sweeps / join schedule / project over
@@ -29,6 +33,13 @@ mod reference;
 pub mod results;
 #[cfg(test)]
 mod test_fixtures;
+// The RA suites' full-scan oracle and fixture, shared with the workspace's
+// integration tests; it names this crate the way they do.
+#[cfg(test)]
+extern crate self as bcq_exec;
+#[cfg(test)]
+#[path = "../../../tests/common/ra_oracle.rs"]
+mod ra_oracle;
 pub mod views;
 
 pub use baseline::{

@@ -115,12 +115,12 @@ impl ParamEnv {
         }
     }
 
-    /// Binds one already-encoded cell.
-    pub fn bind(&mut self, name: impl Into<String>, cell: Option<Cell>) {
-        let name = name.into();
-        match self.entries.iter_mut().find(|(n, _)| *n == name) {
+    /// Binds one already-encoded cell, allocating only for a name not
+    /// bound before.
+    pub fn bind(&mut self, name: &str, cell: Option<Cell>) {
+        match self.entries.iter_mut().find(|(n, _)| n == name) {
             Some((_, c)) => *c = cell,
-            None => self.entries.push((name, cell)),
+            None => self.entries.push((name.to_owned(), cell)),
         }
     }
 

@@ -1,22 +1,39 @@
 //! Bounded evaluation of certified RA expressions (see [`bcq_core::ra`]).
 //!
-//! Enumerable subexpressions run through their bounded plans; set
-//! operations combine results; the non-enumerable side of a difference or
-//! intersection is answered by **per-tuple membership probes**: for each
-//! candidate `t`, the query with its projection pinned to `t` is planned
-//! and executed — effectively bounded by the certification, so each probe
-//! touches a bounded set.
+//! One evaluator, and it plans nothing per request.
+//! [`PreparedRa::prepare`] certifies the expression and compiles it to a
+//! skeleton in which **every** SPC block is a bounded plan, operator
+//! program included:
+//!
+//! * an *enumerable* block compiles to its (parameterized) plan as is;
+//! * a block on the *probe* side of a difference or intersection compiles
+//!   to the plan of the block with each projection attribute pinned to a
+//!   reserved slot, `z_i = ?⟨probe-i⟩`. Whether `Q(Z = t)` is effectively
+//!   bounded depends on which attributes are pinned, never on `t`
+//!   (Section 4.3), so that one plan answers membership for every
+//!   candidate — and it exists exactly when the certification's
+//!   [`membership_checkable`] holds, both seeding the closure with the
+//!   projection classes.
+//!
+//! [`eval_ra_prepared`] walks the skeleton: enumerable blocks run through
+//! [`eval_dq_with`], set operations combine rows, and a **membership
+//! probe** binds the candidate row's cells to the probe slots of the
+//! request's [`ParamEnv`], runs the probe block's plan and tests the answer
+//! for emptiness. A class pinned by a constant (or a second projection of
+//! the same attribute) as well as by a probe slot must agree with it or the
+//! probe answers "not a member" — the template semantics every plan has.
+//! [`eval_ra`] is the same path for a ground expression.
 
-use crate::eval_dq::{eval_dq, eval_dq_with};
+use crate::eval_dq::eval_dq_with;
 use crate::pipeline::ParamEnv;
 use crate::results::ResultSet;
 use bcq_core::access::AccessSchema;
 use bcq_core::error::{CoreError, Result};
 use bcq_core::plan::QueryPlan;
-use bcq_core::prelude::{QAttr, SpcQuery, Value};
-use bcq_core::qplan::{qplan, qplan_template};
+use bcq_core::prelude::{SpcQuery, Value};
+use bcq_core::qplan::qplan_template;
 use bcq_core::ra::{membership_checkable, ra_effectively_bounded, RaExpr};
-use bcq_storage::Database;
+use bcq_storage::{Database, Meter};
 use std::collections::BTreeMap;
 
 /// Result of a bounded RA evaluation.
@@ -24,110 +41,98 @@ use std::collections::BTreeMap;
 pub struct RaOutcome {
     /// The exact answer.
     pub result: ResultSet,
-    /// Tuples fetched across all plans and probes.
-    pub tuples_fetched: u64,
-    /// Membership probes issued.
+    /// Access accounting summed over every plan run — enumerated blocks
+    /// and membership probes alike.
+    pub meter: Meter,
+    /// Membership probes issued (one per candidate per probe block
+    /// reached).
     pub probes: u64,
 }
 
-/// Evaluates a certified RA expression boundedly. Fails with
-/// [`CoreError::NotEffectivelyBounded`] if the sufficient condition does
-/// not certify `expr`.
+/// Evaluates a ground certified RA expression boundedly:
+/// [`PreparedRa::prepare`], then one [`eval_ra_prepared`] with nothing
+/// bound. Fails with [`CoreError::NotEffectivelyBounded`] if the
+/// sufficient condition does not certify `expr`, and with
+/// [`CoreError::UnboundParameters`] if a block still has placeholders.
 pub fn eval_ra(db: &Database, expr: &RaExpr, a: &AccessSchema) -> Result<RaOutcome> {
-    let report = ra_effectively_bounded(expr, a);
-    if !report.effectively_bounded {
-        return Err(CoreError::NotEffectivelyBounded(
-            report.failure.unwrap_or_default(),
-        ));
-    }
-    enumerate(db, expr, a)
+    let prepared = PreparedRa::prepare(expr, a)?;
+    eval_ra_prepared(db, &prepared, a, &mut ParamEnv::new())
 }
 
-fn enumerate(db: &Database, expr: &RaExpr, a: &AccessSchema) -> Result<RaOutcome> {
-    match expr {
-        RaExpr::Spc(q) => {
-            let plan = qplan(q, a)?;
-            let out = eval_dq(db, &plan, a)?;
-            Ok(RaOutcome {
-                result: out.result,
-                tuples_fetched: out.meter.tuples_fetched,
-                probes: 0,
-            })
-        }
-        RaExpr::Union(l, r) => {
-            let lo = enumerate(db, l, a)?;
-            let ro = enumerate(db, r, a)?;
-            let mut rows = lo.result.rows().to_vec();
-            rows.extend(ro.result.rows().iter().cloned());
-            Ok(RaOutcome {
-                result: ResultSet::from_rows(rows),
-                tuples_fetched: lo.tuples_fetched + ro.tuples_fetched,
-                probes: lo.probes + ro.probes,
-            })
-        }
-        RaExpr::Intersect(l, r) => {
-            // Enumerate whichever side is enumerable with the other
-            // probeable (mirror of the checker's orientation logic).
-            let l_ok = ra_effectively_bounded(l, a).effectively_bounded && probeable(r, a);
-            if l_ok {
-                filter_by_membership(db, l, r, a, true)
-            } else {
-                filter_by_membership(db, r, l, a, true)
-            }
-        }
-        RaExpr::Difference(l, r) => filter_by_membership(db, l, r, a, false),
-    }
-}
+/// Prefix of the reserved slot names membership probes bind candidate rows
+/// under; no placeholder of a prepared expression may start with it.
+const PROBE_SLOT_PREFIX: &str = "⟨probe-";
 
-/// A certified RA expression compiled for repeated execution — the
-/// serving-layer counterpart of [`eval_ra`].
-///
-/// Preparation certifies the expression **once** (templates via a sentinel
-/// instantiation: certification depends only on *which* attributes are
-/// pinned, never on the pinned values, and a binding that repeats a value
-/// across slots only merges `Σ_Q` classes, which can never un-certify) and
-/// compiles every enumerable SPC block to its parameterized bounded plan —
-/// operator program included — plus a fixed evaluation skeleton with the
-/// intersection orientation resolved. Execution
-/// ([`eval_ra_prepared`]) walks the skeleton with zero certification or
-/// per-block planning work. Only membership probes still plan per probe:
-/// each one pins the candidate tuple as constants, so its plan depends on
-/// the probed value.
+/// A certified RA expression compiled for repeated execution: the
+/// evaluation skeleton with the intersection orientation resolved and a
+/// parameterized bounded plan for every SPC block, enumerated or probed.
+/// Execution ([`eval_ra_prepared`]) walks it with zero certification or
+/// planning work.
 #[derive(Debug, Clone)]
 pub struct PreparedRa {
-    root: PreparedRaNode,
+    root: Node,
+    /// The placeholders of every block, in first-use order.
+    slots: Vec<String>,
+    /// The reserved slots a probe binds the candidate row under, one per
+    /// output column.
+    probe_slots: Vec<String>,
 }
 
+/// The enumerated part of the skeleton. Plans are boxed: a `QueryPlan`
+/// (with its compiled program) dwarfs the other variants.
 #[derive(Debug, Clone)]
-enum PreparedRaNode {
-    /// An enumerable block with its bounded plan compiled at prepare time.
-    /// Boxed: a `QueryPlan` (with its compiled program) dwarfs the other
-    /// variants, and nodes are cloned when cache entries are shared.
-    Enum { plan: Box<QueryPlan> },
-    /// Union of two prepared sides.
-    Union(Box<PreparedRaNode>, Box<PreparedRaNode>),
+enum Node {
+    /// An enumerable block.
+    Enum(Box<QueryPlan>),
+    /// Union of two enumerated sides.
+    Union(Box<Node>, Box<Node>),
     /// Enumerate `base`; keep rows whose membership in `probe` matches
     /// `keep_members` (intersection with the orientation already chosen,
     /// or difference).
     Filter {
-        base: Box<PreparedRaNode>,
-        probe: RaExpr,
-        probe_has_params: bool,
+        base: Box<Node>,
+        probe: Probe,
         keep_members: bool,
     },
 }
 
+/// The probed part: membership of one candidate row, combined per the set
+/// operators.
+#[derive(Debug, Clone)]
+enum Probe {
+    /// A block with its projection pinned to the probe slots: the
+    /// candidate is a member iff the plan's answer is non-empty.
+    Spc(Box<QueryPlan>),
+    Union(Box<Probe>, Box<Probe>),
+    Intersect(Box<Probe>, Box<Probe>),
+    Difference(Box<Probe>, Box<Probe>),
+}
+
 impl PreparedRa {
     /// Certifies and compiles `expr` under `a`. Fails with
-    /// [`CoreError::NotEffectivelyBounded`] exactly when [`eval_ra`] would
-    /// reject the (instantiated) expression.
+    /// [`CoreError::NotEffectivelyBounded`] if the sufficient condition of
+    /// [`ra_effectively_bounded`] does not certify the (instantiated)
+    /// expression.
     pub fn prepare(expr: &RaExpr, a: &AccessSchema) -> Result<Self> {
         expr.validate()?;
-        let slots = placeholder_names(expr);
+        let mut slots: Vec<String> = Vec::new();
+        for name in expr.blocks().iter().flat_map(|q| q.placeholder_names()) {
+            if !slots.contains(&name) {
+                slots.push(name);
+            }
+        }
+        if let Some(reserved) = slots.iter().find(|n| n.starts_with(PROBE_SLOT_PREFIX)) {
+            return Err(CoreError::Invalid(format!(
+                "parameter name `{reserved}` is reserved for membership probes"
+            )));
+        }
         // Analysis (certification + orientation) runs on a ground shape:
         // the expression itself when it has no slots, else a sentinel
-        // instantiation with a distinct value per slot — the conservative
-        // case whose certificate covers every future binding.
+        // instantiation with a distinct value per slot. Certification
+        // depends only on *which* attributes are pinned, never on the
+        // values, and a binding that repeats a value across slots only
+        // merges `Σ_Q` classes, which can never un-certify — so that
+        // certificate covers every future binding.
         let sentinel_ground = (!slots.is_empty()).then(|| {
             let sentinels: BTreeMap<String, Value> = slots
                 .iter()
@@ -143,130 +148,185 @@ impl PreparedRa {
                 report.failure.unwrap_or_default(),
             ));
         }
+        let probe_slots: Vec<String> = (0..expr.arity())
+            .map(|i| format!("{PROBE_SLOT_PREFIX}{i}⟩"))
+            .collect();
         Ok(PreparedRa {
-            root: prepare_node(expr, analyzed, a)?,
+            root: prepare_node(expr, analyzed, a, &probe_slots)?,
+            slots,
+            probe_slots,
         })
+    }
+
+    /// Parameter slots a request must bind: the placeholders of every
+    /// block (a template can spread them over both sides of a set
+    /// operation), in first-use order.
+    pub fn param_slots(&self) -> &[String] {
+        &self.slots
     }
 }
 
-/// Builds the evaluation skeleton, walking the template and its analyzed
+/// The bounded plan of one block, operator program compiled.
+fn compile(q: &SpcQuery, a: &AccessSchema) -> Result<Box<QueryPlan>> {
+    let plan = qplan_template(q, a)?;
+    plan.program();
+    Ok(Box::new(plan))
+}
+
+/// Builds the enumerated skeleton, walking the template and its analyzed
 /// (ground) shape in lockstep: plans are compiled from the template
 /// (placeholders become plan slots), orientation decisions are made on the
-/// ground shape — mirroring what [`enumerate`] decides per request.
-fn prepare_node(expr: &RaExpr, ground: &RaExpr, a: &AccessSchema) -> Result<PreparedRaNode> {
-    let has_params = |e: &RaExpr| e.blocks().iter().any(|q| q.has_placeholders());
+/// ground shape.
+fn prepare_node(
+    expr: &RaExpr,
+    ground: &RaExpr,
+    a: &AccessSchema,
+    probe_slots: &[String],
+) -> Result<Node> {
     match (expr, ground) {
-        (RaExpr::Spc(q), RaExpr::Spc(_)) => Ok(PreparedRaNode::Enum {
-            plan: Box::new(qplan_template(q, a)?),
-        }),
-        (RaExpr::Union(l, r), RaExpr::Union(gl, gr)) => Ok(PreparedRaNode::Union(
-            Box::new(prepare_node(l, gl, a)?),
-            Box::new(prepare_node(r, gr, a)?),
+        (RaExpr::Spc(q), RaExpr::Spc(_)) => Ok(Node::Enum(compile(q, a)?)),
+        (RaExpr::Union(l, r), RaExpr::Union(gl, gr)) => Ok(Node::Union(
+            Box::new(prepare_node(l, gl, a, probe_slots)?),
+            Box::new(prepare_node(r, gr, a, probe_slots)?),
         )),
         (RaExpr::Intersect(l, r), RaExpr::Intersect(gl, gr)) => {
-            let l_ok = ra_effectively_bounded(gl, a).effectively_bounded && probeable(gr, a);
+            // Enumerate whichever side is enumerable with every block of
+            // the other probeable (mirror of the checker's orientation
+            // logic).
+            let probeable = |q: &&SpcQuery| membership_checkable(q, a).effectively_bounded;
+            let l_ok = ra_effectively_bounded(gl, a).effectively_bounded
+                && gr.blocks().iter().all(probeable);
             let (base, gbase, probe) = if l_ok { (l, gl, r) } else { (r, gr, l) };
-            Ok(PreparedRaNode::Filter {
-                base: Box::new(prepare_node(base, gbase, a)?),
-                probe: (**probe).clone(),
-                probe_has_params: has_params(probe),
+            Ok(Node::Filter {
+                base: Box::new(prepare_node(base, gbase, a, probe_slots)?),
+                probe: prepare_probe(probe, a, probe_slots)?,
                 keep_members: true,
             })
         }
-        (RaExpr::Difference(l, r), RaExpr::Difference(gl, _gr)) => Ok(PreparedRaNode::Filter {
-            base: Box::new(prepare_node(l, gl, a)?),
-            probe: (**r).clone(),
-            probe_has_params: has_params(r),
+        (RaExpr::Difference(l, r), RaExpr::Difference(gl, _gr)) => Ok(Node::Filter {
+            base: Box::new(prepare_node(l, gl, a, probe_slots)?),
+            probe: prepare_probe(r, a, probe_slots)?,
             keep_members: false,
         }),
         _ => unreachable!("template and its instantiation share one shape"),
     }
 }
 
-/// Executes a prepared RA expression against per-request bindings.
+/// Compiles a probe side: every block planned with its `i`-th projection
+/// attribute pinned to the `i`-th probe slot.
+fn prepare_probe(expr: &RaExpr, a: &AccessSchema, probe_slots: &[String]) -> Result<Probe> {
+    let sub = |e: &RaExpr| prepare_probe(e, a, probe_slots).map(Box::new);
+    Ok(match expr {
+        RaExpr::Spc(q) => {
+            let pins: Vec<_> = q
+                .projection()
+                .iter()
+                .copied()
+                .zip(probe_slots.iter().map(String::as_str))
+                .collect();
+            Probe::Spc(compile(&q.with_params(&pins), a)?)
+        }
+        RaExpr::Union(l, r) => Probe::Union(sub(l)?, sub(r)?),
+        RaExpr::Intersect(l, r) => Probe::Intersect(sub(l)?, sub(r)?),
+        RaExpr::Difference(l, r) => Probe::Difference(sub(l)?, sub(r)?),
+    })
+}
+
+/// Executes a prepared RA expression with the request's bindings.
 ///
-/// `params` carries the bindings interned against `db`'s symbol table (the
-/// enumerable blocks' plans consume them directly, like
-/// [`crate::eval_dq::eval_dq_with`]); `bindings` carries the same values
-/// un-encoded, for probe sides — a probe pins the candidate tuple as
-/// constants, so its query is instantiated per request, not per prepare.
+/// `params` carries the bindings interned against `db`'s symbol table, as
+/// for [`eval_dq_with`]; every slot of [`PreparedRa::param_slots`] must be
+/// bound or the call fails with [`CoreError::UnboundParameters`]. The
+/// environment is mutable because membership probes bind their reserved
+/// slots in it, once per candidate row.
 pub fn eval_ra_prepared(
     db: &Database,
     prepared: &PreparedRa,
     a: &AccessSchema,
-    params: &ParamEnv,
-    bindings: &BTreeMap<String, Value>,
+    params: &mut ParamEnv,
 ) -> Result<RaOutcome> {
-    eval_prepared_node(db, &prepared.root, a, params, bindings)
+    let missing: Vec<String> = prepared
+        .slots
+        .iter()
+        .filter(|name| params.get(name).is_none())
+        .cloned()
+        .collect();
+    if !missing.is_empty() {
+        return Err(CoreError::UnboundParameters(missing));
+    }
+    let mut walk = Walk {
+        db,
+        a,
+        probe_slots: &prepared.probe_slots,
+        meter: Meter::new(),
+        probes: 0,
+    };
+    let result = walk.enumerate(&prepared.root, params)?;
+    Ok(RaOutcome {
+        result,
+        meter: walk.meter,
+        probes: walk.probes,
+    })
 }
 
-fn eval_prepared_node(
-    db: &Database,
-    node: &PreparedRaNode,
-    a: &AccessSchema,
-    params: &ParamEnv,
-    bindings: &BTreeMap<String, Value>,
-) -> Result<RaOutcome> {
-    match node {
-        PreparedRaNode::Enum { plan } => {
-            let out = eval_dq_with(db, plan, a, params)?;
-            Ok(RaOutcome {
-                result: out.result,
-                tuples_fetched: out.meter.tuples_fetched,
-                probes: 0,
-            })
-        }
-        PreparedRaNode::Union(l, r) => {
-            let lo = eval_prepared_node(db, l, a, params, bindings)?;
-            let ro = eval_prepared_node(db, r, a, params, bindings)?;
-            let mut rows = lo.result.rows().to_vec();
-            rows.extend(ro.result.rows().iter().cloned());
-            Ok(RaOutcome {
-                result: ResultSet::from_rows(rows),
-                tuples_fetched: lo.tuples_fetched + ro.tuples_fetched,
-                probes: lo.probes + ro.probes,
-            })
-        }
-        PreparedRaNode::Filter {
-            base,
-            probe,
-            probe_has_params,
-            keep_members,
-        } => {
-            let mut out = eval_prepared_node(db, base, a, params, bindings)?;
-            let ground;
-            let probe = if *probe_has_params {
-                ground = instantiate(probe, bindings);
-                &ground
-            } else {
-                probe
-            };
-            let mut kept = Vec::new();
-            for row in out.result.rows() {
-                let (is_member, fetched, probes) = probe_membership(db, probe, a, row)?;
-                out.tuples_fetched += fetched;
-                out.probes += probes;
-                if is_member == *keep_members {
-                    kept.push(row.clone());
+/// One request's walk of the skeleton: what every plan run needs, and the
+/// accounting every plan run adds to.
+struct Walk<'a> {
+    db: &'a Database,
+    a: &'a AccessSchema,
+    probe_slots: &'a [String],
+    meter: Meter,
+    probes: u64,
+}
+
+impl Walk<'_> {
+    fn run(&mut self, plan: &QueryPlan, params: &ParamEnv) -> Result<ResultSet> {
+        let out = eval_dq_with(self.db, plan, self.a, params)?;
+        self.meter.merge(&out.meter);
+        Ok(out.result)
+    }
+
+    fn enumerate(&mut self, node: &Node, params: &mut ParamEnv) -> Result<ResultSet> {
+        match node {
+            Node::Enum(plan) => self.run(plan, params),
+            Node::Union(l, r) => {
+                let mut rows = self.enumerate(l, params)?.rows().to_vec();
+                rows.extend_from_slice(self.enumerate(r, params)?.rows());
+                Ok(ResultSet::from_rows(rows))
+            }
+            Node::Filter {
+                base,
+                probe,
+                keep_members,
+            } => {
+                let candidates = self.enumerate(base, params)?;
+                let mut kept = Vec::new();
+                for row in candidates.rows() {
+                    for (slot, v) in self.probe_slots.iter().zip(row.iter()) {
+                        params.bind(slot, self.db.symbols().try_encode(v));
+                    }
+                    if self.is_member(probe, params)? == *keep_members {
+                        kept.push(row.clone());
+                    }
                 }
+                Ok(ResultSet::from_rows(kept))
             }
-            out.result = ResultSet::from_rows(kept);
-            Ok(out)
         }
     }
-}
 
-/// Placeholder names across every SPC block, in first-use order.
-fn placeholder_names(expr: &RaExpr) -> Vec<String> {
-    let mut names: Vec<String> = Vec::new();
-    for q in expr.blocks() {
-        for name in q.placeholder_names() {
-            if !names.contains(&name) {
-                names.push(name);
+    /// Does the candidate bound to the probe slots belong to `probe`'s
+    /// answer? Bounded per certification.
+    fn is_member(&mut self, probe: &Probe, params: &ParamEnv) -> Result<bool> {
+        Ok(match probe {
+            Probe::Spc(plan) => {
+                self.probes += 1;
+                !self.run(plan, params)?.is_empty()
             }
-        }
+            Probe::Union(l, r) => self.is_member(l, params)? || self.is_member(r, params)?,
+            Probe::Intersect(l, r) => self.is_member(l, params)? && self.is_member(r, params)?,
+            Probe::Difference(l, r) => self.is_member(l, params)? && !self.is_member(r, params)?,
+        })
     }
-    names
 }
 
 /// Instantiates every block's placeholders from `bindings`.
@@ -283,93 +343,13 @@ fn instantiate(expr: &RaExpr, bindings: &BTreeMap<String, Value>) -> RaExpr {
     }
 }
 
-/// `true` if membership in every SPC block of `expr` (combined per its set
-/// operators) can be probed boundedly.
-fn probeable(expr: &RaExpr, a: &AccessSchema) -> bool {
-    match expr {
-        RaExpr::Spc(q) => membership_checkable(q, a).effectively_bounded,
-        RaExpr::Union(l, r) | RaExpr::Intersect(l, r) | RaExpr::Difference(l, r) => {
-            probeable(l, a) && probeable(r, a)
-        }
-    }
-}
-
-/// Enumerates `base`, keeping tuples whose membership in `probe` matches
-/// `keep_members` (true = intersection, false = difference).
-fn filter_by_membership(
-    db: &Database,
-    base: &RaExpr,
-    probe: &RaExpr,
-    a: &AccessSchema,
-    keep_members: bool,
-) -> Result<RaOutcome> {
-    let mut out = enumerate(db, base, a)?;
-    let mut kept = Vec::new();
-    for row in out.result.rows() {
-        let (is_member, fetched, probes) = probe_membership(db, probe, a, row)?;
-        out.tuples_fetched += fetched;
-        out.probes += probes;
-        if is_member == keep_members {
-            kept.push(row.clone());
-        }
-    }
-    out.result = ResultSet::from_rows(kept);
-    Ok(out)
-}
-
-/// Does `t` belong to `expr`'s answer? Bounded per certification.
-fn probe_membership(
-    db: &Database,
-    expr: &RaExpr,
-    a: &AccessSchema,
-    t: &[Value],
-) -> Result<(bool, u64, u64)> {
-    match expr {
-        RaExpr::Spc(q) => {
-            if q.projection().len() != t.len() {
-                return Err(CoreError::Invalid("probe arity mismatch".into()));
-            }
-            let consts: Vec<(QAttr, Value)> = q
-                .projection()
-                .iter()
-                .zip(t.iter())
-                .map(|(z, v)| (*z, v.clone()))
-                .collect();
-            let probe_q: SpcQuery = q.with_constants(&consts);
-            let plan = qplan(&probe_q, a)?;
-            let out = eval_dq(db, &plan, a)?;
-            Ok((!out.result.is_empty(), out.meter.tuples_fetched, 1))
-        }
-        RaExpr::Union(l, r) => {
-            let (lm, lf, lp) = probe_membership(db, l, a, t)?;
-            if lm {
-                return Ok((true, lf, lp));
-            }
-            let (rm, rf, rp) = probe_membership(db, r, a, t)?;
-            Ok((rm, lf + rf, lp + rp))
-        }
-        RaExpr::Intersect(l, r) => {
-            let (lm, lf, lp) = probe_membership(db, l, a, t)?;
-            if !lm {
-                return Ok((false, lf, lp));
-            }
-            let (rm, rf, rp) = probe_membership(db, r, a, t)?;
-            Ok((rm, lf + rf, lp + rp))
-        }
-        RaExpr::Difference(l, r) => {
-            let (lm, lf, lp) = probe_membership(db, l, a, t)?;
-            if !lm {
-                return Ok((false, lf, lp));
-            }
-            let (rm, rf, rp) = probe_membership(db, r, a, t)?;
-            Ok((!rm, lf + rf, lp + rp))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval_dq::eval_dq;
+    use crate::ra_oracle::{
+        self as fixture, cases, expected_probes, full_scan, photos, ra_oracle, Bindings,
+    };
     use bcq_core::prelude::*;
     use std::sync::Arc;
 
@@ -460,70 +440,216 @@ mod tests {
         assert!(out.probes > 0);
     }
 
+    /// Ground expressions, one-shot and prepared, against the full-scan
+    /// oracle: answers, and the probe count the oracle's answers imply.
     #[test]
     fn prepared_expression_matches_eval_ra() {
-        let (db, a) = setup();
-        let exprs = [
-            RaExpr::union(
-                RaExpr::Spc(album_photos("a", "a0", &db)),
-                RaExpr::Spc(album_photos("b", "a1", &db)),
-            ),
-            RaExpr::difference(
-                RaExpr::Spc(album_photos("a", "a0", &db)),
-                RaExpr::Spc(tagged_photos("t", "u0", &db)),
-            ),
-            RaExpr::intersect(
-                RaExpr::Spc(tagged_photos("t", "u0", &db)),
-                RaExpr::Spc(album_photos("a", "a0", &db)),
-            ),
-        ];
-        for e in &exprs {
-            let fresh = eval_ra(&db, e, &a).unwrap();
-            let prepared = PreparedRa::prepare(e, &a).unwrap();
-            let served = eval_ra_prepared(
-                &db,
-                &prepared,
-                &a,
-                crate::pipeline::ParamEnv::empty_ref(),
-                &BTreeMap::new(),
-            )
-            .unwrap();
-            assert_eq!(served.result, fresh.result);
-            assert_eq!(served.tuples_fetched, fresh.tuples_fetched);
-            assert_eq!(served.probes, fresh.probes);
+        let (db, a) = photos();
+        let cases = cases(db.catalog());
+        let none = Bindings::new();
+        let mut ground = 0;
+        for case in cases.iter().filter(|c| c.bindings == [Bindings::new()]) {
+            ground += 1;
+            let want = ra_oracle(&db, &case.expr, &a, &none);
+            let probes = expected_probes(&db, &case.filters, &a, &none);
+            let fresh = eval_ra(&db, &case.expr, &a).unwrap();
+            let prepared = PreparedRa::prepare(&case.expr, &a).unwrap();
+            assert!(prepared.param_slots().is_empty(), "{}", case.name);
+            let served = eval_ra_prepared(&db, &prepared, &a, &mut ParamEnv::new()).unwrap();
+            for out in [&fresh, &served] {
+                assert_eq!(out.result, want, "{}", case.name);
+                assert_eq!(out.probes, probes, "{}", case.name);
+            }
+        }
+        assert!(ground >= 15, "{ground} ground cases");
+
+        // The four basic shapes also fix the fetch count: an album block
+        // fetches one tuple per photo, a `tagged` probe (N = 1) one per
+        // member.
+        for case in &cases[..4] {
+            let enumerated = match case.filters.first() {
+                Some((base, _)) => base.blocks(),
+                None => case.expr.blocks(),
+            };
+            let mut fetched: usize = enumerated.iter().map(|q| full_scan(&db, q, &a).len()).sum();
+            for (base, probe) in &case.filters {
+                let both = RaExpr::intersect(base.clone(), probe.clone());
+                fetched += ra_oracle(&db, &both, &a, &none).len();
+            }
+            let out = eval_ra(&db, &case.expr, &a).unwrap();
+            assert_eq!(out.meter.tuples_fetched, fetched as u64, "{}", case.name);
         }
     }
 
+    /// Templates: one prepared skeleton, one environment rebound in place
+    /// per binding (probe slots of the previous request still in it).
     #[test]
     fn prepared_template_serves_bindings() {
-        let (db, a) = setup();
-        let album_tpl = SpcQuery::builder(db.catalog().clone(), "al")
-            .atom("in_album", "ia")
-            .eq_param(("ia", "album_id"), "album")
-            .project(("ia", "photo_id"))
-            .build()
-            .unwrap();
-        let tagged_tpl = SpcQuery::builder(db.catalog().clone(), "tg")
-            .atom("tagging", "t")
-            .eq_param(("t", "taggee_id"), "user")
-            .project(("t", "photo_id"))
-            .build()
-            .unwrap();
-        // Photos of ?album in which ?user is NOT tagged.
-        let e = RaExpr::difference(RaExpr::Spc(album_tpl), RaExpr::Spc(tagged_tpl));
-        let prepared = PreparedRa::prepare(&e, &a).unwrap();
-        for (album, user, want) in [("a0", "u0", 2), ("a1", "u0", 0), ("a0", "u5", 3)] {
-            let mut bindings = BTreeMap::new();
-            bindings.insert("album".to_string(), Value::str(album));
-            bindings.insert("user".to_string(), Value::str(user));
-            let env = crate::pipeline::ParamEnv::encode(db.symbols(), &bindings);
-            let served = eval_ra_prepared(&db, &prepared, &a, &env, &bindings).unwrap();
-            assert_eq!(served.result.len(), want, "({album}, {user})");
-            // The ground expression through the one-shot evaluator agrees.
-            let ground = super::instantiate(&e, &bindings);
-            let fresh = eval_ra(&db, &ground, &a).unwrap();
-            assert_eq!(served.result, fresh.result, "({album}, {user})");
+        let (db, a) = photos();
+        let mut env = ParamEnv::new();
+        let mut templated = 0;
+        for case in cases(db.catalog()) {
+            if case.bindings == [Bindings::new()] {
+                continue;
+            }
+            templated += 1;
+            let prepared = PreparedRa::prepare(&case.expr, &a).unwrap();
+            let mut sizes = Vec::new();
+            for b in &case.bindings {
+                assert!(prepared.param_slots().iter().all(|s| b.contains_key(s)));
+                env.rebind(db.symbols(), b);
+                let served = eval_ra_prepared(&db, &prepared, &a, &mut env).unwrap();
+                assert_eq!(
+                    served.result,
+                    ra_oracle(&db, &case.expr, &a, b),
+                    "{} {b:?}",
+                    case.name
+                );
+                assert_eq!(
+                    served.probes,
+                    expected_probes(&db, &case.filters, &a, b),
+                    "{} {b:?}",
+                    case.name
+                );
+                sizes.push(served.result.len());
+            }
+            // Photos of ?album in which ?user is NOT tagged: (a0, u0),
+            // (a1, u0), (a0, u1), a never-loaded user, a never-loaded album.
+            if case.name == "template on both sides" {
+                assert_eq!(sizes, [1, 0, 1, 3, 0]);
+            }
         }
+        assert!(templated >= 4, "{templated} templated cases");
+    }
+
+    /// Every compiled probe plan, on every row any block of its expression
+    /// produces: it answers membership as a full scan of the pinned block
+    /// does, and fetches within its own `cost_bound()` (the fixture
+    /// satisfies its access schema).
+    #[test]
+    fn probe_plans_answer_membership_within_their_cost_bound() {
+        fn probe_plans<'p>(node: &'p Node, out: &mut Vec<&'p QueryPlan>) {
+            fn leaves<'p>(probe: &'p Probe, out: &mut Vec<&'p QueryPlan>) {
+                match probe {
+                    Probe::Spc(plan) => out.push(plan),
+                    Probe::Union(l, r) | Probe::Intersect(l, r) | Probe::Difference(l, r) => {
+                        leaves(l, out);
+                        leaves(r, out);
+                    }
+                }
+            }
+            match node {
+                Node::Enum(_) => {}
+                Node::Union(l, r) => {
+                    probe_plans(l, out);
+                    probe_plans(r, out);
+                }
+                Node::Filter { base, probe, .. } => {
+                    probe_plans(base, out);
+                    leaves(probe, out);
+                }
+            }
+        }
+
+        let (db, a) = photos();
+        let mut checked = 0;
+        for case in cases(db.catalog()) {
+            let prepared = PreparedRa::prepare(&case.expr, &a).unwrap();
+            let mut plans = Vec::new();
+            probe_plans(&prepared.root, &mut plans);
+            for b in &case.bindings {
+                let candidates: Vec<Box<[Value]>> = case
+                    .expr
+                    .blocks()
+                    .iter()
+                    .flat_map(|q| full_scan(&db, &q.instantiate(b), &a).rows().to_vec())
+                    .collect();
+                for (plan, t) in plans
+                    .iter()
+                    .flat_map(|p| candidates.iter().map(move |t| (p, t)))
+                {
+                    let mut env = ParamEnv::encode(db.symbols(), b);
+                    let mut pinned = b.clone();
+                    for (slot, v) in prepared.probe_slots.iter().zip(t.iter()) {
+                        env.bind(slot, db.symbols().try_encode(v));
+                        pinned.insert(slot.clone(), v.clone());
+                    }
+                    let out = eval_dq_with(&db, plan, &a, &env).unwrap();
+                    assert!(
+                        u128::from(out.meter.tuples_fetched) <= plan.cost_bound(),
+                        "{} {t:?}: fetched {} > {}",
+                        case.name,
+                        out.meter.tuples_fetched,
+                        plan.cost_bound()
+                    );
+                    let member = !full_scan(&db, &plan.query().instantiate(&pinned), &a).is_empty();
+                    assert_eq!(!out.result.is_empty(), member, "{} {t:?}", case.name);
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 100, "{checked} probes checked");
+    }
+
+    /// The outcome's meter is the sum over every plan the walk ran — here
+    /// one base fetch through one key and two candidates probing once each
+    /// — and `probes` counts the membership probes, not the index's.
+    #[test]
+    fn outcome_meters_every_plan_it_ran() {
+        let (db, a) = photos();
+        let friends_of = |user: &str| {
+            SpcQuery::builder(db.catalog().clone(), "friends")
+                .atom("friends", "f")
+                .eq_const(("f", "user_id"), user)
+                .project(("f", "friend_id"))
+                .build()
+                .unwrap()
+        };
+        let (base, probe) = (friends_of("u0"), friends_of("u9"));
+        let run = |q: &SpcQuery| eval_dq(&db, &qplan(q, &a).unwrap(), &a).unwrap();
+        let enumerated = run(&base);
+        assert_eq!(enumerated.result.len(), 2, "u1 and u2");
+        let mut want = enumerated.meter;
+        for t in enumerated.result.rows() {
+            let pinned = probe.with_constants(&[(probe.projection()[0], t[0].clone())]);
+            want.merge(&run(&pinned).meter);
+        }
+        assert_eq!(want.index_probes, 3);
+
+        let e = RaExpr::difference(RaExpr::Spc(base), RaExpr::Spc(probe));
+        let out = eval_ra(&db, &e, &a).unwrap();
+        assert_eq!(out.probes, 2);
+        assert_eq!(out.meter, want);
+    }
+
+    #[test]
+    fn missing_and_reserved_slots_are_refused() {
+        let (db, a) = photos();
+        let cat = db.catalog();
+        let e = RaExpr::difference(
+            RaExpr::Spc(fixture::album_photos(cat, fixture::Pin::Param("album"))),
+            RaExpr::Spc(fixture::tagged_photos(cat, fixture::Pin::Param("user"))),
+        );
+        // The one-shot entry serves ground expressions only.
+        let err = eval_ra(&db, &e, &a).unwrap_err();
+        assert_eq!(
+            err,
+            CoreError::UnboundParameters(vec!["album".into(), "user".into()])
+        );
+        // A probe-side slot is missed up front, not when a candidate
+        // happens to reach its plan (album a2 holds no tagged photo).
+        let prepared = PreparedRa::prepare(&e, &a).unwrap();
+        let mut env = ParamEnv::new();
+        env.bind(
+            "album",
+            db.symbols().try_encode(&Value::str("never-loaded")),
+        );
+        let err = eval_ra_prepared(&db, &prepared, &a, &mut env).unwrap_err();
+        assert_eq!(err, CoreError::UnboundParameters(vec!["user".into()]));
+
+        let reserved = RaExpr::Spc(fixture::album_photos(cat, fixture::Pin::Param("⟨probe-0⟩")));
+        let err = PreparedRa::prepare(&reserved, &a).unwrap_err();
+        assert!(matches!(err, CoreError::Invalid(_)), "{err}");
     }
 
     #[test]
@@ -558,6 +684,10 @@ mod tests {
         assert!(!out.result.contains(&[Value::str("p1")]));
         assert!(!out.result.contains(&[Value::str("p4")]));
         // Work stays bounded: photos of two albums + one probe each.
-        assert!(out.tuples_fetched <= 16, "{}", out.tuples_fetched);
+        assert!(
+            out.meter.tuples_fetched <= 16,
+            "{}",
+            out.meter.tuples_fetched
+        );
     }
 }

@@ -13,7 +13,8 @@
 //!   ([`bcq_core::qplan::qplan_template`]) so one plan serves many
 //!   bindings, and classified into a [`Lane`]:
 //!   [`Lane::Bounded`] (the `eval_dq` fast path), [`Lane::BoundedRa`]
-//!   (certified RA expressions via `eval_ra`), or [`Lane::Unbounded`]
+//!   (certified RA expressions: a skeleton with a compiled plan per SPC
+//!   block, membership probes included), or [`Lane::Unbounded`]
 //!   (admitted onto the budgeted baseline, or rejected outright under
 //!   [`AdmissionPolicy::Strict`]).
 //! * [`PlanCache`] — an LRU keyed on the normalized query fingerprint

@@ -1,14 +1,15 @@
 //! Prepared queries: compile once, classify, execute many times.
 //!
-//! A [`PreparedQuery`] is the unit the [`crate::PlanCache`] stores. It
-//! bundles the query template, its execution [`Lane`], and — for the
-//! bounded lane — the parameterized plan compiled by
+//! A [`PreparedQuery`] is the unit the [`crate::PlanCache`] stores: an
+//! execution [`Lane`] together with what that lane executes — for the
+//! bounded lane the parameterized plan compiled by
 //! [`bcq_core::qplan::qplan_template`], which carries the plan's compiled
 //! [`OpProgram`] (filter checks, join schedule, key permutations and
-//! projection map resolved to positions). Preparation is the expensive
-//! step (`Σ_Q` closure, `ebcheck`, plan generation, program compile);
-//! execution interprets the compiled artifact against per-request bindings
-//! with zero planning-shaped work.
+//! projection map resolved to positions); for the bounded-RA lane the
+//! [`PreparedRa`] skeleton, a plan per SPC block. Preparation is the
+//! expensive step (`Σ_Q` closure, `ebcheck`, plan generation, program
+//! compile); execution interprets the compiled artifact against
+//! per-request bindings with zero planning-shaped work.
 //!
 //! Fingerprints are the cache keys: a canonical, name-independent rendering
 //! of the query (two templates that differ only in their display name or in
@@ -28,10 +29,11 @@ pub enum Lane {
     Bounded,
     /// A certified RA expression: evaluated boundedly through the
     /// compiled [`PreparedRa`] skeleton. Preparation caches the
-    /// certification **and** every enumerable block's parameterized plan
-    /// (operator program included) plus the resolved set-operation
-    /// orientation; per request only membership probes still plan, since
-    /// each probe pins the candidate tuple as constants.
+    /// certification, the resolved set-operation orientation and a
+    /// parameterized plan (operator program included) for **every** block:
+    /// an enumerable block's own, and a probed block's with its projection
+    /// pinned to the probe slots. A request binds and interprets; a
+    /// membership probe is one more run of a compiled plan.
     BoundedRa,
     /// Not effectively bounded: admitted onto the conventional baseline
     /// under a hard work budget (never under a strict admission policy).
@@ -57,106 +59,81 @@ impl std::fmt::Display for Lane {
 #[derive(Debug, Clone)]
 #[repr(align(64))]
 pub struct PreparedQuery {
-    template: SpcQuery,
-    lane: Lane,
-    plan: Option<QueryPlan>,
-    ra: Option<RaExpr>,
-    prepared_ra: Option<PreparedRa>,
-    slots: Vec<String>,
+    pub(crate) compiled: Compiled,
+}
+
+/// A lane with what it executes. The plan stays inline: one of these
+/// exists per cache entry, and every bounded request reads it.
+#[derive(Debug, Clone)]
+#[allow(clippy::large_enum_variant)]
+pub(crate) enum Compiled {
+    Bounded(QueryPlan),
+    BoundedRa(PreparedRa),
+    /// The template the baseline instantiates per request, with its
+    /// placeholder names.
+    Unbounded(SpcQuery, Vec<String>),
 }
 
 impl PreparedQuery {
-    pub(crate) fn bounded(template: SpcQuery, plan: QueryPlan) -> Self {
+    pub(crate) fn bounded(plan: QueryPlan) -> Self {
         // Force the lazy operator-program compile here, at prepare time, so
         // the first request served from this entry pays execution only.
         plan.program();
-        let slots = plan.param_slots().to_vec();
         PreparedQuery {
-            template,
-            lane: Lane::Bounded,
-            plan: Some(plan),
-            ra: None,
-            prepared_ra: None,
-            slots,
+            compiled: Compiled::Bounded(plan),
         }
     }
 
-    pub(crate) fn bounded_ra(template: SpcQuery, ra: RaExpr, compiled: PreparedRa) -> Self {
-        // Slots are the union across all SPC blocks (a template can spread
-        // its placeholders over both sides of a set operation).
-        let mut slots: Vec<String> = Vec::new();
-        for q in ra.blocks() {
-            for name in q.placeholder_names() {
-                if !slots.contains(&name) {
-                    slots.push(name);
-                }
-            }
-        }
+    pub(crate) fn bounded_ra(compiled: PreparedRa) -> Self {
         PreparedQuery {
-            template,
-            lane: Lane::BoundedRa,
-            plan: None,
-            ra: Some(ra),
-            prepared_ra: Some(compiled),
-            slots,
+            compiled: Compiled::BoundedRa(compiled),
         }
     }
 
     pub(crate) fn unbounded(template: SpcQuery) -> Self {
         let slots = template.placeholder_names();
         PreparedQuery {
-            template,
-            lane: Lane::Unbounded,
-            plan: None,
-            ra: None,
-            prepared_ra: None,
-            slots,
+            compiled: Compiled::Unbounded(template, slots),
         }
     }
 
     /// The lane this query executes on.
     pub fn lane(&self) -> Lane {
-        self.lane
-    }
-
-    /// The prepared template (placeholders intact).
-    pub fn template(&self) -> &SpcQuery {
-        &self.template
+        match self.compiled {
+            Compiled::Bounded(_) => Lane::Bounded,
+            Compiled::BoundedRa(_) => Lane::BoundedRa,
+            Compiled::Unbounded(..) => Lane::Unbounded,
+        }
     }
 
     /// The compiled parameterized plan ([`Lane::Bounded`] only).
     pub fn plan(&self) -> Option<&QueryPlan> {
-        self.plan.as_ref()
+        match &self.compiled {
+            Compiled::Bounded(plan) => Some(plan),
+            _ => None,
+        }
     }
 
     /// The compiled operator program the bounded lane interprets per
     /// request ([`Lane::Bounded`] only) — stored with the plan at prepare
     /// time and never recompiled.
     pub fn program(&self) -> Option<&OpProgram> {
-        self.plan.as_ref().map(QueryPlan::program)
-    }
-
-    /// The certified RA expression ([`Lane::BoundedRa`] only).
-    pub fn ra(&self) -> Option<&RaExpr> {
-        self.ra.as_ref()
-    }
-
-    /// The compiled RA evaluation skeleton — per-block plans and resolved
-    /// orientation — the bounded-RA lane executes per request
-    /// ([`Lane::BoundedRa`] only).
-    pub fn prepared_ra(&self) -> Option<&PreparedRa> {
-        self.prepared_ra.as_ref()
+        self.plan().map(QueryPlan::program)
     }
 
     /// Parameter slots a request must bind, in first-use order.
     pub fn param_slots(&self) -> &[String] {
-        &self.slots
+        match &self.compiled {
+            Compiled::Bounded(plan) => plan.param_slots(),
+            Compiled::BoundedRa(ra) => ra.param_slots(),
+            Compiled::Unbounded(_, slots) => slots,
+        }
     }
 
     /// The static `Σ M_i` bound on tuples fetched per execution
     /// ([`Lane::Bounded`] only) — the paper's `|D_Q|` guarantee.
     pub fn cost_bound(&self) -> Option<u128> {
-        self.plan.as_ref().map(QueryPlan::cost_bound)
+        self.plan().map(QueryPlan::cost_bound)
     }
 }
 

@@ -55,7 +55,7 @@
 //! data (see the invariant on [`Server`]).
 
 use crate::cache::{CacheStats, PlanCache};
-use crate::prepared::{query_fingerprint, ra_fingerprint, Lane, PreparedQuery};
+use crate::prepared::{query_fingerprint, ra_fingerprint, Compiled, Lane, PreparedQuery};
 use crate::shared::SharedDb;
 use bcq_core::access::AccessSchema;
 use bcq_core::error::CoreError;
@@ -111,7 +111,7 @@ fn dur_ns(d: Duration) -> u64 {
 }
 
 thread_local! {
-    /// The bounded lane's per-request parameter environment, rebound in
+    /// The bounded lanes' per-request parameter environment, rebound in
     /// place per request (see [`ParamEnv::rebind`]).
     static REQUEST_ENV: RefCell<ParamEnv> = RefCell::new(ParamEnv::new());
 
@@ -283,6 +283,32 @@ pub struct Response {
 }
 
 impl Response {
+    /// A response as [`Server::execute`] builds it: the cache and compile
+    /// fields are [`Session`]'s to fill, `total_elapsed` the caller's once
+    /// it stops its clock.
+    fn served(
+        lane: Lane,
+        epoch: u64,
+        outcome: Outcome,
+        meter: Meter,
+        budget: BudgetVerdict,
+        exec_elapsed: Duration,
+    ) -> Self {
+        Response {
+            outcome,
+            stats: RequestStats {
+                lane,
+                cache_hit: false,
+                epoch,
+                meter,
+                budget,
+                compile_elapsed: Duration::ZERO,
+                exec_elapsed,
+                total_elapsed: Duration::ZERO,
+            },
+        }
+    }
+
     /// The answer, if the request finished.
     pub fn rows(&self) -> Option<&ResultSet> {
         match &self.outcome {
@@ -827,7 +853,7 @@ impl Server {
     fn classify_spc(&self, q: &SpcQuery) -> crate::Result<PreparedQuery> {
         let _admit = self.metrics.span(Phase::Admit);
         match qplan_template(q, &self.access) {
-            Ok(plan) => Ok(PreparedQuery::bounded(q.clone(), plan)),
+            Ok(plan) => Ok(PreparedQuery::bounded(plan)),
             Err(CoreError::NotEffectivelyBounded(why)) => match self.config.policy {
                 AdmissionPolicy::Strict => {
                     self.metrics.record_rejected();
@@ -847,24 +873,17 @@ impl Server {
             return self.classify_spc(q);
         }
         let _admit = self.metrics.span(Phase::Admit);
-        // Certification and per-block plan compilation happen here, once:
+        // Certification and plan compilation happen here, once:
         // [`PreparedRa::prepare`] certifies the expression (templates via a
         // sentinel instantiation — certification depends only on *which*
         // attributes are pinned, and a binding that repeats a value across
         // slots only merges `Σ_Q` classes, which can never un-certify),
-        // compiles every enumerable block's parameterized plan, and
-        // resolves the set-operation orientation. The cache stores the
-        // whole skeleton; requests only bind and interpret.
+        // compiles every block's parameterized plan — a probed block's with
+        // its projection pinned to the probe slots — and resolves the
+        // set-operation orientation. The cache stores the whole skeleton;
+        // requests only bind and interpret.
         match PreparedRa::prepare(expr, &self.access) {
-            Ok(compiled) => {
-                // The template stored is the first block (for slot
-                // metadata); evaluation walks the whole expression.
-                let template = match expr.blocks().first() {
-                    Some(q) => (*q).clone(),
-                    None => return Err(ServiceError::Rejected("empty RA expression".into())),
-                };
-                Ok(PreparedQuery::bounded_ra(template, expr.clone(), compiled))
-            }
+            Ok(compiled) => Ok(PreparedQuery::bounded_ra(compiled)),
             Err(CoreError::NotEffectivelyBounded(why)) => {
                 self.metrics.record_rejected();
                 Err(ServiceError::Rejected(format!(
@@ -873,6 +892,27 @@ impl Server {
             }
             Err(e) => Err(e.into()),
         }
+    }
+
+    /// Runs `exec` on this thread's request environment rebound to
+    /// `bindings`: the Value boundary is crossed exactly once per request,
+    /// in place (steady state: same parameter names every request, zero
+    /// allocations).
+    fn with_request_env<T>(
+        &self,
+        snap: &Database,
+        bindings: &BTreeMap<String, Value>,
+        exec: impl FnOnce(&mut ParamEnv) -> T,
+    ) -> T {
+        REQUEST_ENV.with(|cell| {
+            let mut env = cell.borrow_mut();
+            {
+                let _bind = self.metrics.span(Phase::Bind);
+                env.rebind(snap.symbols(), bindings);
+            }
+            let _exec = self.metrics.span(Phase::Execute);
+            exec(&mut env)
+        })
     }
 
     /// Executes a prepared query against the current snapshot with the
@@ -886,79 +926,28 @@ impl Server {
         let snap = self.shared.snapshot();
         let epoch = snap.epoch();
         let start = Instant::now();
-        let mut resp = match p.lane() {
-            Lane::Bounded => {
-                let plan = p.plan().expect("bounded lane has a plan");
-                // The Value boundary is crossed exactly once per request,
-                // into a per-thread environment rebound in place (steady
-                // state: same parameter names every request, zero
-                // allocations).
-                let out = REQUEST_ENV.with(|cell| {
-                    let mut env = cell.borrow_mut();
-                    {
-                        let _bind = self.metrics.span(Phase::Bind);
-                        env.rebind(snap.symbols(), bindings);
-                    }
-                    let _exec = self.metrics.span(Phase::Execute);
-                    eval_dq_with(&snap, plan, &self.access, &env)
+        let (outcome, meter, budget) = match &p.compiled {
+            Compiled::Bounded(plan) => {
+                let out = self.with_request_env(&snap, bindings, |env| {
+                    eval_dq_with(&snap, plan, &self.access, env)
                 })?;
-                Response {
-                    outcome: Outcome::Answer(out.result),
-                    stats: RequestStats {
-                        lane: Lane::Bounded,
-                        cache_hit: false,
-                        epoch,
-                        meter: out.meter,
-                        budget: BudgetVerdict::Unlimited,
-                        compile_elapsed: Duration::ZERO,
-                        exec_elapsed: start.elapsed(),
-                        total_elapsed: Duration::ZERO,
-                    },
-                }
+                (
+                    Outcome::Answer(out.result),
+                    out.meter,
+                    BudgetVerdict::Unlimited,
+                )
             }
-            Lane::BoundedRa => {
-                let compiled = p
-                    .prepared_ra()
-                    .expect("bounded-ra lane has a compiled skeleton");
-                let missing: Vec<String> = p
-                    .param_slots()
-                    .iter()
-                    .filter(|name| !bindings.contains_key(*name))
-                    .cloned()
-                    .collect();
-                if !missing.is_empty() {
-                    return Err(CoreError::UnboundParameters(missing).into());
-                }
-                // No per-request certification or block planning: the
-                // cached skeleton is interpreted directly against the
-                // bindings (probe sides still plan per probed tuple).
-                let env = {
-                    let _bind = self.metrics.span(Phase::Bind);
-                    ParamEnv::encode(snap.symbols(), bindings)
-                };
-                let exec_span = self.metrics.span(Phase::Execute);
-                let out = eval_ra_prepared(&snap, compiled, &self.access, &env, bindings)?;
-                drop(exec_span);
-                let meter = Meter {
-                    tuples_fetched: out.tuples_fetched,
-                    index_probes: out.probes,
-                    ..Meter::default()
-                };
-                Response {
-                    outcome: Outcome::Answer(out.result),
-                    stats: RequestStats {
-                        lane: Lane::BoundedRa,
-                        cache_hit: false,
-                        epoch,
-                        meter,
-                        budget: BudgetVerdict::Unlimited,
-                        compile_elapsed: Duration::ZERO,
-                        exec_elapsed: start.elapsed(),
-                        total_elapsed: Duration::ZERO,
-                    },
-                }
+            Compiled::BoundedRa(compiled) => {
+                let out = self.with_request_env(&snap, bindings, |env| {
+                    eval_ra_prepared(&snap, compiled, &self.access, env)
+                })?;
+                (
+                    Outcome::Answer(out.result),
+                    out.meter,
+                    BudgetVerdict::Unlimited,
+                )
             }
-            Lane::Unbounded => {
+            Compiled::Unbounded(template, _) => {
                 let cap = match self.config.policy {
                     AdmissionPolicy::Budgeted(cap) => cap,
                     AdmissionPolicy::Strict => {
@@ -970,7 +959,7 @@ impl Server {
                 };
                 let ground = {
                     let _bind = self.metrics.span(Phase::Bind);
-                    p.template().instantiate(bindings)
+                    template.instantiate(bindings)
                 };
                 ground.require_ground()?;
                 let exec_span = self.metrics.span(Phase::Execute);
@@ -984,7 +973,7 @@ impl Server {
                     },
                 )?;
                 drop(exec_span);
-                let (outcome, meter, budget) = match out {
+                match out {
                     BaselineOutcome::Completed { result, meter, .. } => (
                         Outcome::Answer(result),
                         meter,
@@ -995,22 +984,10 @@ impl Server {
                         meter,
                         BudgetVerdict::Exhausted { cap },
                     ),
-                };
-                Response {
-                    outcome,
-                    stats: RequestStats {
-                        lane: Lane::Unbounded,
-                        cache_hit: false,
-                        epoch,
-                        meter,
-                        budget,
-                        compile_elapsed: Duration::ZERO,
-                        exec_elapsed: start.elapsed(),
-                        total_elapsed: Duration::ZERO,
-                    },
                 }
             }
         };
+        let mut resp = Response::served(p.lane(), epoch, outcome, meter, budget, start.elapsed());
         resp.stats.total_elapsed = start.elapsed();
         // The latency recorded is the total already measured above: the
         // metrics path adds no clock read of its own — one enabled check,
@@ -1047,7 +1024,7 @@ impl Server {
         p: &PreparedQuery,
         bindings: &BTreeMap<String, Value>,
     ) -> crate::Result<(Response, OpProfile)> {
-        if p.lane() != Lane::Bounded {
+        let Compiled::Bounded(plan) = &p.compiled else {
             let resp = self.execute(p, bindings)?;
             let profile = OpProfile {
                 steps: Vec::new(),
@@ -1055,26 +1032,20 @@ impl Server {
             };
             self.store_profile(&profile);
             return Ok((resp, profile));
-        }
+        };
         let snap = self.shared.snapshot();
         let epoch = snap.epoch();
         let start = Instant::now();
-        let plan = p.plan().expect("bounded lane has a plan");
         let env = ParamEnv::encode(snap.symbols(), bindings);
         let (out, profile) = eval_dq_profiled(&snap, plan, &self.access, &env)?;
-        let mut resp = Response {
-            outcome: Outcome::Answer(out.result),
-            stats: RequestStats {
-                lane: Lane::Bounded,
-                cache_hit: false,
-                epoch,
-                meter: out.meter,
-                budget: BudgetVerdict::Unlimited,
-                compile_elapsed: Duration::ZERO,
-                exec_elapsed: out.elapsed,
-                total_elapsed: Duration::ZERO,
-            },
-        };
+        let mut resp = Response::served(
+            Lane::Bounded,
+            epoch,
+            Outcome::Answer(out.result),
+            out.meter,
+            BudgetVerdict::Unlimited,
+            out.elapsed,
+        );
         resp.stats.total_elapsed = start.elapsed();
         self.store_profile(&profile);
         Ok((resp, profile))
@@ -1757,6 +1728,20 @@ mod tests {
         let resp = s.query_ra(&expr, &b).unwrap();
         // u0's friends {u1, u2} minus u9's friends {u3}.
         assert_eq!(resp.rows().unwrap().len(), 2);
+        // The meter is the sum over the plans the request ran, as on the
+        // other lanes: the base fetch through one key plus one index probe
+        // per candidate — each block served on its own says how much that
+        // is. (It used to hold the number of membership probes, 2.)
+        let mut want = s.query(&friends_tpl("l", "a"), &b).unwrap().stats.meter;
+        let probed =
+            friends_tpl("r", "b").with_params(&[(bcq_core::prelude::QAttr::new(0, 1), "x")]);
+        for candidate in ["u1", "u2"] {
+            let mut pinned = b.clone();
+            pinned.insert("x".to_string(), Value::str(candidate));
+            want.merge(&s.query(&probed, &pinned).unwrap().stats.meter);
+        }
+        assert_eq!(want.index_probes, 3);
+        assert_eq!(resp.stats.meter, want);
 
         // Same slot value on both sides: classes merge, answer is empty.
         b.insert("b".to_string(), Value::str("u0"));
@@ -2250,7 +2235,8 @@ mod tests {
             .all(|p| !p.cache_hit && p.compile_elapsed > Duration::ZERO));
         assert_eq!(first[0].query.program().unwrap().slots(), ["uid"]);
         assert_eq!(first[1].query.lane(), Lane::Bounded);
-        assert!(first[2].query.prepared_ra().is_some());
+        assert_eq!(first[2].query.lane(), Lane::BoundedRa);
+        assert_eq!(first[2].query.param_slots(), ["uid", "other"]);
 
         let row = |a: &str, b: &str| [Value::str(a), Value::str(b)];
         // Each write, and how many friends u0 has after it.

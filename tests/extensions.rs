@@ -2,9 +2,15 @@
 //! views) against the real workloads.
 
 use bounded_cq::core::advisor::advise;
+use bounded_cq::core::qplan::qplan_template;
 use bounded_cq::core::ra::{ra_effectively_bounded, RaExpr};
 use bounded_cq::exec::eval_ra;
 use bounded_cq::prelude::*;
+use std::collections::BTreeMap;
+
+#[path = "common/ra_oracle.rs"]
+mod ra_oracle;
+use ra_oracle::{full_scan, ra_oracle};
 
 /// The advisor repairs every non-effectively-bounded workload query when
 /// allowed to extend the dataset's access schema.
@@ -77,31 +83,22 @@ fn ra_difference_on_tpch() {
 
     let out = eval_ra(&db, &e, &ds.access).unwrap();
 
-    // Manual check via full scans.
-    let run = |q: &SpcQuery| {
-        baseline(
-            &db,
-            q,
-            &ds.access,
-            BaselineOptions {
-                mode: BaselineMode::FullScan,
-                work_budget: None,
-            },
-        )
-        .unwrap()
-        .result()
-        .unwrap()
-        .clone()
-    };
-    let lhs = run(&all_parts);
-    let rhs = run(&returned);
-    let expected: Vec<_> = lhs
-        .rows()
-        .iter()
-        .filter(|r| !rhs.contains(r))
-        .cloned()
-        .collect();
-    assert_eq!(out.result.rows(), expected.as_slice());
+    // Full scans and plain set algebra agree.
+    let none = BTreeMap::new();
+    assert_eq!(out.result, ra_oracle(&db, &e, &ds.access, &none));
+
+    // One probe per candidate, each within the bound of the probe block's
+    // plan (TPCH satisfies its access schema).
+    let candidates = full_scan(&db, &all_parts, &ds.access).len() as u64;
+    assert_eq!(out.probes, candidates);
+    let pinned = returned.with_params(&[(returned.projection()[0], "part")]);
+    let probe_bound = qplan_template(&pinned, &ds.access).unwrap().cost_bound();
+    let base_bound = qplan(&all_parts, &ds.access).unwrap().cost_bound();
+    assert!(
+        u128::from(out.meter.tuples_fetched) <= base_bound + u128::from(candidates) * probe_bound,
+        "{} fetched",
+        out.meter.tuples_fetched
+    );
 }
 
 /// CSV round-trip: dumping and reloading a dataset preserves query
@@ -155,5 +152,5 @@ fn ra_union_of_bounded_blocks() {
     // Sanity: union size bounded by the sides' static bounds.
     let b0 = qplan(blocks[0], &ds.access).unwrap().cost_bound();
     let b1 = qplan(blocks[1], &ds.access).unwrap().cost_bound();
-    assert!(u128::from(out.tuples_fetched) <= b0 + b1);
+    assert!(u128::from(out.meter.tuples_fetched) <= b0 + b1);
 }

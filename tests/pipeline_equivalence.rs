@@ -99,8 +99,8 @@ fn check_dataset(ds: &Dataset, scale: f64) {
             wq.query.name()
         );
         assert_eq!(
-            ra.tuples_fetched,
-            bounded.dq_tuples(),
+            ra.meter,
+            bounded.meter,
             "{}: eval_ra meters differently",
             wq.query.name()
         );

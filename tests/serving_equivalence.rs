@@ -1,12 +1,16 @@
 //! Service-level equivalence: answers served through the prepared-query
 //! layer (plan cache, parameter slots, epoch snapshots) must be identical
-//! to fresh evaluation — `eval_dq`, `eval_ra`, and the baseline — on every
-//! workload, and must stay identical across epoch bumps (maintained
-//! inserts and bulk updates alike).
+//! to fresh evaluation — `eval_dq`, the baseline, and for RA expressions a
+//! full-scan oracle — on every workload, and must stay identical across
+//! epoch bumps (maintained inserts and bulk updates alike).
 
 use bounded_cq::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
+
+#[path = "common/ra_oracle.rs"]
+mod ra_oracle;
+use ra_oracle::{cases, photos, ra_oracle, Bindings};
 
 /// Serves every effectively bounded workload query through the service and
 /// checks the answers against fresh `eval_dq` and the baseline, before and
@@ -210,68 +214,118 @@ fn prepared_template_equals_instantiated_plans_across_epochs() {
     assert_eq!(server.cache_stats().misses, 1, "one plan served everything");
 }
 
-/// RA expressions served through the bounded-RA lane match fresh `eval_ra`.
+/// RA expressions served through the bounded-RA lane match the full-scan
+/// oracle on the snapshot they ran at — the whole expression matrix, ground
+/// and templated, before and after an insert and a delete, the later rounds
+/// served from the plan cache.
 #[test]
 fn served_ra_equals_fresh_eval_ra() {
+    let (db, access) = photos();
+    let cases = cases(db.catalog());
+    let server = Arc::new(Server::new(db, access.clone(), ServerConfig::default()));
+    let mut session = server.session();
+    let mut check_all = |tag: &str, cached: bool| {
+        let snapshot = server.snapshot();
+        for case in &cases {
+            for b in &case.bindings {
+                let served = session
+                    .query_ra(&case.expr, b)
+                    .unwrap_or_else(|e| panic!("{} [{tag}]: {e}", case.name));
+                assert_eq!(served.stats.lane, Lane::BoundedRa, "{}", case.name);
+                assert_eq!(
+                    served.rows().unwrap(),
+                    &ra_oracle(&snapshot, &case.expr, &access, b),
+                    "{} {b:?} [{tag}]",
+                    case.name
+                );
+                assert!(
+                    served.stats.cache_hit || (!cached && b == &case.bindings[0]),
+                    "{} {b:?} [{tag}]: one compile per expression",
+                    case.name
+                );
+            }
+        }
+    };
+
+    check_all("initial epoch", false);
+    let compiled = server.cache_stats().misses;
+
+    // u0 is now tagged in p2 as well: answers on both sides of every
+    // filter move.
+    server
+        .insert(
+            "tagging",
+            &[Value::str("p2"), Value::str("u9"), Value::str("u0")],
+        )
+        .unwrap();
+    check_all("after the insert", true);
+
+    // p3 leaves album a0, and u1 unfriends u0: candidates disappear.
+    for (rel, row) in [("in_album", ["p3", "a0"]), ("friends", ["u1", "u0"])] {
+        let row = row.map(Value::str);
+        assert!(server.delete(rel, &row).unwrap(), "{rel} row was stored");
+    }
+    check_all("after the deletes", true);
+    assert_eq!(
+        server.cache_stats().misses,
+        compiled,
+        "nothing compiled after the first round"
+    );
+}
+
+/// One prepared difference serves 1,000 distinct bindings from one cache
+/// entry, every answer equal to the oracle's: nothing about a request —
+/// not its bindings, not its candidate rows — reaches the planner.
+#[test]
+fn one_ra_cache_entry_serves_a_thousand_bindings() {
+    const USERS: i64 = 1000;
     let catalog = Catalog::from_names(&[("friends", &["user_id", "friend_id"])]).unwrap();
     let mut access = AccessSchema::new(Arc::clone(&catalog));
     access
-        .add("friends", &["user_id"], &["friend_id"], 100)
+        .add("friends", &["user_id"], &["friend_id"], 3)
         .unwrap();
     let mut db = Database::new(Arc::clone(&catalog));
-    for i in 0..60i64 {
-        db.insert(
-            "friends",
-            &[
-                Value::str(format!("u{}", i % 10)),
-                Value::str(format!("u{}", (i * 3 + 1) % 20)),
-            ],
-        )
-        .unwrap();
+    for u in 0..USERS {
+        for k in 1..=3 {
+            db.insert("friends", &[Value::int(u), Value::int((u + k) % USERS)])
+                .unwrap();
+        }
     }
-    let friends_of = |name: &str, user: &str| {
-        SpcQuery::builder(Arc::clone(&catalog), name)
+    let friends_of = |slot: &str| {
+        let q = SpcQuery::builder(Arc::clone(&catalog), slot)
             .atom("friends", "f")
-            .eq_const(("f", "user_id"), user)
+            .eq_param(("f", "user_id"), slot)
             .project(("f", "friend_id"))
             .build()
-            .unwrap()
+            .unwrap();
+        bounded_cq::core::ra::RaExpr::Spc(q)
     };
-    let exprs = [
-        bounded_cq::core::ra::RaExpr::union(
-            bounded_cq::core::ra::RaExpr::Spc(friends_of("a", "u1")),
-            bounded_cq::core::ra::RaExpr::Spc(friends_of("b", "u2")),
-        ),
-        bounded_cq::core::ra::RaExpr::intersect(
-            bounded_cq::core::ra::RaExpr::Spc(friends_of("c", "u1")),
-            bounded_cq::core::ra::RaExpr::Spc(friends_of("d", "u3")),
-        ),
-        bounded_cq::core::ra::RaExpr::difference(
-            bounded_cq::core::ra::RaExpr::Spc(friends_of("e", "u1")),
-            bounded_cq::core::ra::RaExpr::Spc(friends_of("f", "u2")),
-        ),
-    ];
+    // Friends of ?a who are not friends of ?b.
+    let expr = bounded_cq::core::ra::RaExpr::difference(friends_of("a"), friends_of("b"));
 
     let server = Arc::new(Server::new(db, access.clone(), ServerConfig::default()));
     let mut session = server.session();
-    let no_bindings = BTreeMap::new();
-    for (i, expr) in exprs.iter().enumerate() {
-        let served = session.query_ra(expr, &no_bindings).unwrap();
-        assert_eq!(served.stats.lane, Lane::BoundedRa, "expr {i}");
-        let fresh = eval_ra(&server.snapshot(), expr, &access).unwrap();
-        assert_eq!(served.rows().unwrap(), &fresh.result, "expr {i}");
+    let snapshot = server.snapshot();
+    let mut sizes = [0usize; 4];
+    for u in 0..USERS {
+        // ?b is ?a itself, or one of the next three users: 0 to 3 of ?a's
+        // friends survive.
+        let b: Bindings = [("a", u), ("b", (u + u % 4) % USERS)]
+            .into_iter()
+            .map(|(slot, v)| (slot.to_string(), Value::int(v)))
+            .collect();
+        let served = session.query_ra(&expr, &b).unwrap();
+        let rows = served.rows().unwrap();
+        assert_eq!(rows, &ra_oracle(&snapshot, &expr, &access, &b), "{b:?}");
+        assert_eq!(served.stats.cache_hit, u > 0);
+        sizes[rows.len()] += 1;
     }
-
-    // Epoch bump, then again (cache hits this time).
-    server
-        .insert("friends", &[Value::str("u1"), Value::str("u99")])
-        .unwrap();
-    for (i, expr) in exprs.iter().enumerate() {
-        let served = session.query_ra(expr, &no_bindings).unwrap();
-        let fresh = eval_ra(&server.snapshot(), expr, &access).unwrap();
-        assert_eq!(served.rows().unwrap(), &fresh.result, "expr {i} after bump");
-        assert!(served.stats.cache_hit);
-    }
+    assert_eq!(sizes, [250; 4], "every answer size occurs");
+    assert_eq!(
+        server.cache_stats().misses,
+        1,
+        "one compile served them all"
+    );
 }
 
 /// Mixed insert/delete epochs: every mutation publishes a new snapshot;
