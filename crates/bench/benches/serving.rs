@@ -553,7 +553,6 @@ fn durable_write_server(users: i64) -> Arc<Server> {
     let log: Arc<dyn LogStorage> = Arc::new(MemLog::new());
     let durability = DurabilityConfig {
         policy: SyncPolicy::EveryOps(64),
-        keep_snapshots: 2,
     };
     let (server, _report, _views) =
         Server::open(log, access, ServerConfig::default(), durability, &[]).unwrap();
@@ -774,7 +773,6 @@ fn bench_write_path(_c: &mut criterion::Criterion) {
             ServerConfig::default(),
             DurabilityConfig {
                 policy: SyncPolicy::Always,
-                keep_snapshots: 2,
             },
             &[],
         )

@@ -234,7 +234,6 @@ fn main() {
         ServerConfig::default(),
         DurabilityConfig {
             policy: SyncPolicy::EveryOps(64),
-            keep_snapshots: 2,
         },
         &[],
     )

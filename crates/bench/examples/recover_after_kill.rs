@@ -13,12 +13,16 @@
 //!   stops at the first hole, never resurrects a torn suffix;
 //!
 //! then keeps writing on the recovered server, checkpoints, reopens, and
-//! checks the post-crash writes survived a clean restart too. CI runs
-//! this as the recover-after-kill step.
+//! checks the post-crash writes survived a clean restart too — and that
+//! the final checkpoint left one copy of the data: every `*.log` file
+//! empty, one `snap-*.blob`, and a reopen that reads and replays nothing.
+//! CI runs this as the recover-after-kill step.
 
 use bcq_core::access::AccessSchema;
 use bcq_core::prelude::*;
-use bcq_service::{DirLog, DurabilityConfig, LogStorage, Server, ServerConfig, SyncPolicy};
+use bcq_service::{
+    DirLog, DurabilityConfig, LogStorage, RecoveryReport, Server, ServerConfig, SyncPolicy,
+};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -26,9 +30,10 @@ use std::time::{Duration, Instant};
 const EVENTS: RelId = RelId(0);
 /// Acknowledged inserts the parent waits for before pulling the plug.
 const KILL_AFTER: u64 = 500;
-/// The writer checkpoints here, so recovery exercises snapshot + tail
-/// replay, not just a cold log scan.
-const CHECKPOINT_AT: u64 = 300;
+/// The writer checkpoints every this many inserts, so the kill can land
+/// inside a snapshot write, a log cut or a snapshot deletion, and
+/// recovery exercises snapshot + tail replay, not just a cold log scan.
+const CHECKPOINT_EVERY: u64 = 100;
 
 fn catalog() -> Arc<Catalog> {
     Catalog::from_names(&[("events", &["id", "v"])]).unwrap()
@@ -40,15 +45,27 @@ fn access() -> AccessSchema {
     a
 }
 
-fn open(dir: &Path) -> Server {
+fn open(dir: &Path) -> (Server, RecoveryReport) {
     let log: Arc<dyn LogStorage> = Arc::new(DirLog::open(dir).unwrap());
     let durability = DurabilityConfig {
         policy: SyncPolicy::Always,
-        keep_snapshots: 2,
     };
-    let (server, _report, _views) =
+    let (server, report, _views) =
         Server::open(log, access(), ServerConfig::default(), durability, &[]).unwrap();
-    server
+    (server, report)
+}
+
+/// The sizes of the files in `dir` whose names end in `suffix`.
+fn file_sizes(dir: &Path, suffix: &str) -> Vec<(String, u64)> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap())
+        .filter_map(|e| {
+            let name = e.file_name().into_string().ok()?;
+            name.ends_with(suffix)
+                .then(|| (name, e.metadata().unwrap().len()))
+        })
+        .collect()
 }
 
 fn row(i: u64) -> [Value; 2] {
@@ -69,7 +86,7 @@ fn read_acked(dir: &Path) -> u64 {
 /// The victim: write forever, acknowledge each durable insert, die by
 /// SIGKILL whenever the parent decides.
 fn writer(dir: &Path) -> ! {
-    let server = open(dir);
+    let (server, _) = open(dir);
     let tmp = dir.join("acked.tmp");
     for i in 0.. {
         server.insert("events", &row(i)).unwrap();
@@ -77,7 +94,7 @@ fn writer(dir: &Path) -> ! {
         // (`SyncPolicy::Always`) — only now may we acknowledge it.
         std::fs::write(&tmp, format!("{}", i + 1)).unwrap();
         std::fs::rename(&tmp, ack_path(dir)).unwrap();
-        if i + 1 == CHECKPOINT_AT {
+        if (i + 1) % CHECKPOINT_EVERY == 0 {
             server.checkpoint().unwrap();
         }
     }
@@ -145,9 +162,12 @@ fn main() {
     println!("killed writer with {acked} inserts acknowledged");
 
     // Recover: every acknowledged insert present, rows a gap-free prefix.
-    let server = open(&dir);
+    let (server, report) = open(&dir);
     let recovered = assert_prefix(&server, acked, "after kill");
-    println!("recovered {recovered} rows (>= {acked} acknowledged)");
+    println!(
+        "recovered {recovered} rows (>= {acked} acknowledged) from {:?} + {} replayed records",
+        report.snapshot, report.replayed
+    );
 
     // Life goes on: write past the crash, checkpoint, restart cleanly.
     for i in recovered..recovered + 50 {
@@ -155,7 +175,26 @@ fn main() {
     }
     server.checkpoint().unwrap();
     drop(server);
-    let reopened = open(&dir);
+
+    // The checkpoint left one copy of the data on the real directory.
+    let logs = file_sizes(&dir, ".log");
+    assert!(!logs.is_empty(), "the log streams exist");
+    assert!(
+        logs.iter().all(|(_, len)| *len == 0),
+        "every log stream is cut after the checkpoint: {logs:?}"
+    );
+    let snaps = file_sizes(&dir, ".blob");
+    assert!(
+        snaps.len() == 1 && snaps[0].0.starts_with("snap-"),
+        "exactly one snapshot after the checkpoint: {snaps:?}"
+    );
+
+    let (reopened, report) = open(&dir);
+    assert_eq!(
+        (report.replayed, report.log_bytes),
+        (0, 0),
+        "a reopen right after a checkpoint reads the snapshot alone"
+    );
     let final_rows = assert_prefix(&reopened, recovered + 50, "after clean restart");
     println!("clean restart serves {final_rows} rows — recover-after-kill OK");
 

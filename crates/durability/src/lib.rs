@@ -18,10 +18,13 @@
 //!   streams (`rel-<n>`, plus `meta` for symbol interning) with
 //!   group-commit fsync batching ([`SyncPolicy`]).
 //! * [`snapshot`] — full-state checkpoints keyed by the per-relation epoch
-//!   vector; [`checkpoint`] writes sync-before/sync-after and retains the
-//!   previous snapshot as fallback against torn checkpoints.
-//! * [`recover()`] — snapshot restore + longest-gap-free-run log replay
-//!   through the public `Database` API.
+//!   vector; [`checkpoint`] writes sync-before/sync-after and, once the
+//!   snapshot is durable, cuts every stream to 0 and deletes the older
+//!   snapshots, so the store keeps one copy of the data.
+//! * [`recover()`] — snapshot restore + longest-gap-free-run replay of the
+//!   log tail through the public `Database` API; it finishes a cut a
+//!   crash interrupted, and refuses when the snapshot it needs does not
+//!   decode and the log was already cut behind it.
 //!
 //! ## Guarantees
 //!
@@ -29,8 +32,10 @@
 //! crash; with `EveryOps(n)` (group commit), at most the last `n` writes
 //! are lost, and what is recovered is always a *prefix* of the committed
 //! history — never a gapped or reordered subset — at a consistent epoch
-//! vector. Recovery is idempotent: recovering twice equals recovering
-//! once.
+//! vector. A crash at any step of a checkpoint recovers to the same state
+//! as no crash; a snapshot that stops decoding after its cut is refused
+//! loudly, never papered over with an older state. Recovery is
+//! idempotent: recovering twice equals recovering once.
 
 #![warn(missing_docs)]
 

@@ -8,6 +8,12 @@
 //!    behind) and the previous one is used, falling back to an empty
 //!    database when none decodes. The snapshot fixes the replay start:
 //!    records with sequence numbers ≤ its `last_seq` are already folded in.
+//!    A skipped `snap-<s>` is only survivable while the log still holds
+//!    the records up to `s`: a checkpoint cuts the log only after its
+//!    snapshot is durable, so a snapshot torn mid-write never had its cut.
+//!    If the replayable run stops short of `s`, the log was cut behind that
+//!    snapshot and recovery refuses with [`RecoverError::SnapshotUnreadable`]
+//!    — changing nothing — rather than return a prefix of the history.
 //! 2. **Merge.** Every stream (`meta` + `rel-<n>`) is split into intact
 //!    frames — torn tails dropped, CRC mismatches loudly fatal — and the
 //!    decoded records are merged by global sequence number. The replayable
@@ -27,14 +33,18 @@
 //!    whole.
 //! 4. **Truncate.** Streams are cut back to the last kept record, so the
 //!    discarded suffix can never resurface and a writer restarted at
-//!    `last_seq + 1` never collides. This is also what makes recovery
+//!    `last_seq + 1` never collides. A stream with no kept record past the
+//!    snapshot is cut to 0 — the snapshot covers it, and a checkpoint that
+//!    crashed mid-cut left it behind — and every snapshot but the restored
+//!    one is deleted, so recovery finishes an interrupted checkpoint and
+//!    leaves one copy of the data. This is also what makes recovery
 //!    idempotent: recovering twice equals recovering once.
 
 use crate::frame::{decode_frames, FrameError};
 use crate::record::{RecordBody, WalRecord};
-use crate::snapshot::{decode_snapshot, restore_snapshot, SNAP_PREFIX};
+use crate::snapshot::{decode_snapshot, restore_snapshot, snapshots};
 use crate::storage::LogStorage;
-use crate::writer::{parse_rel_stream, META_STREAM};
+use crate::writer::log_streams;
 use bcq_core::prelude::{Catalog, Cell, CellKind, RelId, SymbolTable, Value};
 use bcq_storage::Database;
 use std::io;
@@ -64,6 +74,16 @@ pub enum RecoverError {
     /// The kept run does not replay cleanly (out-of-contract log, e.g. a
     /// logged delete that misses, or a commit-stamp mismatch).
     Replay(String),
+    /// A snapshot does not decode and the log no longer reaches the
+    /// sequence number it covers — a checkpoint cut the log behind it — so
+    /// any database recovery could build would silently miss committed
+    /// history. Nothing was truncated or deleted.
+    SnapshotUnreadable {
+        /// The blob that failed to decode.
+        snapshot: String,
+        /// The last sequence number it covers.
+        last_seq: u64,
+    },
 }
 
 impl std::fmt::Display for RecoverError {
@@ -77,6 +97,11 @@ impl std::fmt::Display for RecoverError {
                 write!(f, "stream `{stream}`: unparseable record: {msg}")
             }
             RecoverError::Replay(msg) => write!(f, "replay diverged: {msg}"),
+            RecoverError::SnapshotUnreadable { snapshot, last_seq } => write!(
+                f,
+                "snapshot `{snapshot}` does not decode and the log was cut behind it \
+                 (through seq {last_seq}): refusing to recover a prefix of the history"
+            ),
         }
     }
 }
@@ -94,8 +119,15 @@ impl From<io::Error> for RecoverError {
 pub struct RecoveryReport {
     /// Name of the snapshot blob restored from, if any.
     pub snapshot: Option<String>,
+    /// Size of that blob in bytes (0 without one).
+    pub snapshot_bytes: u64,
     /// Newer snapshot blobs skipped because they were torn or corrupt.
     pub snapshots_skipped: usize,
+    /// Log stream bytes recovery read and kept: the tail past the
+    /// snapshot that the reopened log holds. On a log that was closed
+    /// cleanly this is every byte it read; torn, discarded and
+    /// snapshot-covered bytes it cut away are not counted.
+    pub log_bytes: u64,
     /// Records re-applied from the log (op, intern, and bulk records).
     pub replayed: u64,
     /// Records discarded: beyond a sequence gap, or part of a torn bulk.
@@ -146,16 +178,13 @@ pub fn recover(
     let mut report = RecoveryReport::default();
 
     // 1. Newest usable snapshot, else empty database.
-    let mut snaps: Vec<String> = storage
-        .list_blobs()?
-        .into_iter()
-        .filter(|n| n.starts_with(SNAP_PREFIX))
-        .collect();
-    snaps.sort();
+    let snaps = snapshots(storage)?;
     let mut db = None;
     let mut side = SymbolTable::new();
     let mut snap_seq = 0;
-    for name in snaps.iter().rev() {
+    // Newer blobs that did not decode, newest first.
+    let mut skipped = Vec::new();
+    for (name_seq, name) in snaps.iter().rev() {
         let Some(bytes) = storage.read_blob(name)? else {
             continue;
         };
@@ -170,20 +199,17 @@ pub fn recover(
                 side = symbols;
                 snap_seq = seq;
                 report.snapshot = Some(name.clone());
+                report.snapshot_bytes = bytes.len() as u64;
                 break;
             }
-            Err(_) => report.snapshots_skipped += 1,
+            Err(_) => skipped.push((*name_seq, name)),
         }
     }
+    report.snapshots_skipped = skipped.len();
     let mut db = db.unwrap_or_else(|| Database::new(catalog.clone()));
 
     // 2. Decode every stream and merge records by sequence number.
-    let mut streams: Vec<String> = storage
-        .streams()?
-        .into_iter()
-        .filter(|s| s == META_STREAM || parse_rel_stream(s).is_some())
-        .collect();
-    streams.sort();
+    let streams = log_streams(storage)?;
     let mut staged = Vec::new();
     let mut stream_lens = Vec::with_capacity(streams.len());
     for (si, stream) in streams.iter().enumerate() {
@@ -367,6 +393,15 @@ pub fn recover(
         applied_through = bulk.begin_seq - 1;
     }
 
+    // A skipped snapshot the run does not reach had its log cut: refuse
+    // before truncating or deleting anything.
+    if let Some((last_seq, name)) = skipped.iter().find(|(seq, _)| *seq > applied_through) {
+        return Err(RecoverError::SnapshotUnreadable {
+            snapshot: name.to_string(),
+            last_seq: *last_seq,
+        });
+    }
+
     report.last_seq = applied_through;
     report.replayed = applied_through - snap_seq;
     report.discarded = staged
@@ -374,17 +409,26 @@ pub fn recover(
         .filter(|s| s.record.seq > applied_through)
         .count() as u64;
 
-    // 4. Truncate each stream behind the last kept record.
+    // 4. Truncate each stream behind its last kept record past the
+    // snapshot — to 0 when it has none — then drop every other snapshot.
     for (si, stream) in streams.iter().enumerate() {
         let keep = staged
             .iter()
-            .filter(|s| s.stream == si && s.record.seq <= applied_through)
+            .filter(|s| {
+                s.stream == si && s.record.seq > snap_seq && s.record.seq <= applied_through
+            })
             .map(|s| s.end_offset)
             .max()
             .unwrap_or(0);
         if keep < stream_lens[si] {
             storage.truncate(stream, keep as u64)?;
             report.truncated_streams += 1;
+        }
+        report.log_bytes += keep as u64;
+    }
+    for (_, name) in &snaps {
+        if report.snapshot.as_ref() != Some(name) {
+            storage.delete_blob(name)?;
         }
     }
 

@@ -8,17 +8,20 @@
 //! [`bcq_storage::Database::restore`] plus replay of every WAL record
 //! with a sequence number beyond [`DecodedSnapshot::last_seq`].
 //!
-//! [`checkpoint`] writes snapshots with a **sync-before, sync-after**
-//! discipline: the log is flushed first (a snapshot must never claim
-//! records the log doesn't durably hold), then the blob is written and
-//! flushed, then older snapshots beyond the retention count are pruned.
-//! Retention of ≥ 2 is what makes a torn snapshot recoverable: if the
-//! newest blob is partial (crash mid-checkpoint), recovery falls back to
-//! the previous one and replays further back in the same log.
+//! [`checkpoint`] writes a snapshot with a **sync-before, sync-after**
+//! discipline and then **cuts the log**: the log is flushed first (a
+//! snapshot must never claim records the log doesn't durably hold), then
+//! the blob is written and flushed, and only then is every stream
+//! truncated to 0 and every older snapshot deleted. The store then holds
+//! one copy of the data. A crash before the new blob is durable leaves
+//! the previous snapshot and the whole log since it, so a torn snapshot
+//! still falls back; a crash inside the cut leaves streams that the
+//! durable snapshot covers entirely, which recovery cuts in its turn.
 
 use crate::frame::{append_frame, decode_frames};
 use crate::record::Reader;
 use crate::storage::LogStorage;
+use crate::writer::{log_streams, WalWriter};
 use bcq_core::prelude::{Catalog, Cell, SymbolTable, Value};
 use bcq_storage::{Database, ShardState};
 use std::io;
@@ -34,6 +37,18 @@ const MAGIC: &[u8; 8] = b"BCQSNAP1";
 /// The blob name of a snapshot covering WAL records up to `last_seq`.
 pub fn snapshot_name(last_seq: u64) -> String {
     format!("{SNAP_PREFIX}{last_seq:020}")
+}
+
+/// Every snapshot blob in `storage` with the sequence number its name
+/// covers, oldest first.
+pub(crate) fn snapshots(storage: &dyn LogStorage) -> io::Result<Vec<(u64, String)>> {
+    let mut snaps: Vec<(u64, String)> = storage
+        .list_blobs()?
+        .into_iter()
+        .filter_map(|name| Some((name.strip_prefix(SNAP_PREFIX)?.parse().ok()?, name)))
+        .collect();
+    snaps.sort();
+    Ok(snaps)
 }
 
 /// A parsed snapshot, ready to restore.
@@ -180,38 +195,53 @@ pub fn restore_snapshot(catalog: Arc<Catalog>, snap: DecodedSnapshot) -> Result<
         .map_err(|e| format!("snapshot restore: {e}"))
 }
 
-/// Writes a checkpoint of `db` covering WAL records through `last_seq`,
-/// pruning snapshots beyond the newest `keep` (≥ 1; 2 is the default that
-/// keeps torn-snapshot fallback working). Returns the blob name.
+/// Checkpoints `db` into `writer`'s storage and cuts the log behind it:
+/// sync the log, write the snapshot blob, sync, then truncate every
+/// stream to 0 and delete every older snapshot. Returns the snapshot's
+/// name and the bytes written — 0 when a snapshot at this sequence number
+/// already exists, which is never rewritten in place (a torn rewrite
+/// would lose what the cut already removed).
 ///
-/// The caller must hold the database's write serialization while reading
-/// `(db, last_seq)` so the pair is atomic; see `Server::checkpoint` in
-/// `bcq-service`.
-pub fn checkpoint(
-    storage: &dyn LogStorage,
-    db: &Database,
-    last_seq: u64,
-    keep: usize,
-) -> io::Result<String> {
+/// `db` must be exactly the state `writer` has logged through
+/// `writer.last_seq()`, and nothing may append to `writer` until this
+/// returns: the cut to 0 is only sound if the log holds no record past
+/// the snapshot. `Server::checkpoint` in `bcq-service` guarantees both by
+/// running inside the commit section — the only place records are
+/// appended — with the bulk gate held exclusively. A `last_seq` that moved
+/// anyway is an error, returned before anything is cut.
+pub fn checkpoint(writer: &WalWriter, db: &Database) -> io::Result<(String, u64)> {
+    let storage = &**writer.storage();
+    let last_seq = writer.last_seq();
     // The log first: a snapshot must never cover records that are not
-    // durably in the log (fallback replay depends on them).
-    storage.sync()?;
+    // durably in the log (a torn snapshot's fallback replays them).
+    writer.sync()?;
     let name = snapshot_name(last_seq);
-    storage.write_blob(&name, &encode_snapshot(db, last_seq))?;
-    storage.sync()?;
-    let mut snaps: Vec<String> = storage
-        .list_blobs()?
-        .into_iter()
-        .filter(|n| n.starts_with(SNAP_PREFIX))
-        .collect();
-    snaps.sort();
-    let keep = keep.max(1);
-    if snaps.len() > keep {
-        for old in &snaps[..snaps.len() - keep] {
+    let snaps = snapshots(storage)?;
+    let mut written = 0;
+    if !snaps.iter().any(|(_, n)| *n == name) {
+        let bytes = encode_snapshot(db, last_seq);
+        storage.write_blob(&name, &bytes)?;
+        storage.sync()?;
+        written = bytes.len() as u64;
+    }
+    let moved = writer.last_seq();
+    if moved != last_seq {
+        return Err(io::Error::other(format!(
+            "checkpoint at seq {last_seq}: the log moved on to seq {moved} meanwhile; \
+             the snapshot is written but the log is not cut"
+        )));
+    }
+    // The snapshot is durable: it covers every record in the log, and an
+    // older snapshot could only be replayed forward through them.
+    for stream in log_streams(storage)? {
+        storage.truncate(&stream, 0)?;
+    }
+    for (seq, old) in &snaps {
+        if *seq < last_seq {
             storage.delete_blob(old)?;
         }
     }
-    Ok(name)
+    Ok((name, written))
 }
 
 #[cfg(test)]
@@ -285,14 +315,31 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_prunes_to_retention_keeping_newest() {
-        let (_, db) = sample_db();
-        let log = MemLog::new();
-        for seq in [10, 20, 30] {
-            checkpoint(&log, &db, seq, 2).unwrap();
+    fn checkpoint_cuts_the_log_and_keeps_only_the_newest_snapshot() {
+        let (_, mut db) = sample_db();
+        let log = Arc::new(MemLog::new());
+        let writer = Arc::new(WalWriter::new(
+            log.clone(),
+            crate::writer::SyncPolicy::Manual,
+            1,
+        ));
+        db.set_wal(Some(writer.clone()));
+        let mut names = Vec::new();
+        for i in 0..3 {
+            db.insert("s", &[Value::int(100 + i)]).unwrap();
+            let (name, written) = checkpoint(&writer, &db).unwrap();
+            assert_eq!(name, snapshot_name(writer.last_seq()));
+            assert_eq!(written, log.read_blob(&name).unwrap().unwrap().len() as u64);
+            assert_eq!(log.list_blobs().unwrap(), vec![name.clone()]);
+            assert!(log_streams(&*log)
+                .unwrap()
+                .iter()
+                .all(|s| log.read(s).unwrap().is_empty()));
+            names.push(name);
         }
-        let mut blobs = log.list_blobs().unwrap();
-        blobs.sort();
-        assert_eq!(blobs, vec![snapshot_name(20), snapshot_name(30)]);
+        // Nothing logged since: the same snapshot, not rewritten.
+        let syncs = log.syncs();
+        assert_eq!(checkpoint(&writer, &db).unwrap(), (names[2].clone(), 0));
+        assert_eq!(log.syncs(), syncs + 1, "only the log sync ran");
     }
 }

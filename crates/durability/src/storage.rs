@@ -17,12 +17,14 @@
 //! (partial blob), exactly the states a kernel panic leaves on a real
 //! disk. [`MemLog::set_fsync_lies`] makes `sync` claim success without
 //! advancing the watermark, modelling drives that acknowledge flushes
-//! from volatile cache.
+//! from volatile cache. [`MemLog::fail_after`] makes every mutating call
+//! past a count fail, so a test can stop a multi-step operation (a
+//! checkpoint) at any step and then `crash` there.
 
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// Byte-level storage for WAL streams and snapshot blobs.
 ///
@@ -39,7 +41,9 @@ pub trait LogStorage: Send + Sync + std::fmt::Debug {
     fn read(&self, stream: &str) -> io::Result<Vec<u8>>;
     /// Every stream that has been written, in unspecified order.
     fn streams(&self) -> io::Result<Vec<String>>;
-    /// Discards stream bytes beyond `len` (recovery's tail cleanup).
+    /// Durably discards stream bytes beyond `len`: recovery cuts torn and
+    /// discarded tails with it, and a checkpoint cuts every stream to 0
+    /// once its snapshot is durable.
     fn truncate(&self, stream: &str, len: u64) -> io::Result<()>;
     /// Writes a whole blob under `name`, replacing any previous one.
     fn write_blob(&self, name: &str, bytes: &[u8]) -> io::Result<()>;
@@ -85,6 +89,8 @@ struct MemInner {
     deleted_blobs: Vec<String>,
     fsync_lies: bool,
     syncs: u64,
+    /// Mutating calls left before every one fails ([`MemLog::fail_after`]).
+    fail_after: Option<u64>,
 }
 
 impl MemInner {
@@ -150,8 +156,10 @@ impl MemLog {
     /// `keep_unsynced` bytes of the unsynced suffix in write order — which
     /// can cut an append **mid-record** or a snapshot blob **mid-blob**.
     /// Everything written after the cut is gone, as after a power loss.
+    /// Disarms [`MemLog::fail_after`]: the restarted process writes again.
     pub fn crash(&self, keep_unsynced: usize) {
         let mut inner = self.inner.lock().unwrap();
+        inner.fail_after = None;
         let mut journal: Vec<Entry> = inner.journal[..inner.durable_entries].to_vec();
         let mut budget = keep_unsynced;
         for e in &inner.journal[inner.durable_entries..] {
@@ -175,6 +183,26 @@ impl MemLog {
     /// were safe.
     pub fn set_fsync_lies(&self, lies: bool) {
         self.inner.lock().unwrap().fsync_lies = lies;
+    }
+
+    /// Fault hook: the next `n` mutating calls (`append`, `sync`,
+    /// `truncate`, `write_blob`, `delete_blob`) succeed and every later
+    /// one fails without touching the log — the process died there. Follow
+    /// it with [`MemLog::crash`], which disarms the hook.
+    pub fn fail_after(&self, n: u64) {
+        self.inner.lock().unwrap().fail_after = Some(n);
+    }
+
+    /// Locks the log for one mutating call, charged against the fault hook.
+    fn mutate(&self) -> io::Result<MutexGuard<'_, MemInner>> {
+        let mut inner = self.inner.lock().unwrap();
+        if let Some(left) = inner.fail_after.as_mut() {
+            if *left == 0 {
+                return Err(io::Error::other("MemLog: injected failure (fail_after)"));
+            }
+            *left -= 1;
+        }
+        Ok(inner)
     }
 
     /// Flips one byte at `offset` of `stream` — in-place corruption for
@@ -215,7 +243,7 @@ impl MemLog {
 
 impl LogStorage for MemLog {
     fn append(&self, stream: &str, bytes: &[u8]) -> io::Result<()> {
-        self.inner.lock().unwrap().journal.push(Entry::Append {
+        self.mutate()?.journal.push(Entry::Append {
             stream: stream.to_string(),
             bytes: bytes.to_vec(),
         });
@@ -223,7 +251,7 @@ impl LogStorage for MemLog {
     }
 
     fn sync(&self) -> io::Result<()> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.mutate()?;
         inner.syncs += 1;
         if !inner.fsync_lies {
             inner.durable_entries = inner.journal.len();
@@ -250,7 +278,7 @@ impl LogStorage for MemLog {
 
     fn truncate(&self, stream: &str, len: u64) -> io::Result<()> {
         let len = len as usize;
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.mutate()?;
         let mut pos = 0;
         let mut journal = Vec::with_capacity(inner.journal.len());
         for e in inner.journal.drain(..) {
@@ -269,15 +297,15 @@ impl LogStorage for MemLog {
             }
             journal.push(e);
         }
-        // Recovery truncation finalizes the surviving bytes: treat the
-        // rewritten journal as durable (DirLog's set_len behaves the same).
+        // A truncation finalizes the surviving bytes: treat the rewritten
+        // journal as durable (DirLog's set_len + fsync behaves the same).
         inner.durable_entries = journal.len();
         inner.journal = journal;
         Ok(())
     }
 
     fn write_blob(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.mutate()?;
         inner.deleted_blobs.retain(|n| n != name);
         inner.journal.push(Entry::Blob {
             name: name.to_string(),
@@ -304,7 +332,7 @@ impl LogStorage for MemLog {
     }
 
     fn delete_blob(&self, name: &str) -> io::Result<()> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.mutate()?;
         let name_owned = name.to_string();
         inner
             .journal
@@ -319,8 +347,12 @@ impl LogStorage for MemLog {
 
 /// [`LogStorage`] over a real directory: streams are `<name>.log` files
 /// opened for append, blobs are `<name>.blob` files written via a temp
-/// file and an atomic rename. This is what production servers and the
-/// kill-recover CI smoke use; the unit-test matrix runs on [`MemLog`].
+/// file and an atomic rename. Every call that creates, renames or removes
+/// a file fsyncs the directory before it returns, so a name it reported
+/// written (or gone) stays so across a power loss — a checkpoint's cut
+/// must never outlive its snapshot's name. This is what production
+/// servers and the kill-recover CI smoke use; the unit-test matrix runs
+/// on [`MemLog`].
 #[derive(Debug)]
 pub struct DirLog {
     dir: PathBuf,
@@ -328,19 +360,39 @@ pub struct DirLog {
 }
 
 impl DirLog {
-    /// Opens (creating if needed) a log directory.
+    /// Opens (creating if needed) a log directory, removing any
+    /// `*.blob.tmp` a crash left behind: a blob write that never reached
+    /// its rename is not a snapshot, only dead bytes.
     pub fn open(dir: impl AsRef<Path>) -> io::Result<DirLog> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
-        Ok(DirLog {
+        let log = DirLog {
             dir,
             handles: Mutex::new(HashMap::new()),
-        })
+        };
+        let mut removed = false;
+        for entry in std::fs::read_dir(&log.dir)? {
+            let path = entry?.path();
+            if path.to_str().is_some_and(|p| p.ends_with(".blob.tmp")) {
+                std::fs::remove_file(&path)?;
+                removed = true;
+            }
+        }
+        if removed {
+            log.sync_dir()?;
+        }
+        Ok(log)
     }
 
     /// The directory backing this log.
     pub fn dir(&self) -> &Path {
         &self.dir
+    }
+
+    /// Makes the directory's entries durable: a file created, renamed or
+    /// unlinked is only certain to keep that name after this.
+    fn sync_dir(&self) -> io::Result<()> {
+        std::fs::File::open(&self.dir)?.sync_all()
     }
 
     fn stream_path(&self, stream: &str) -> PathBuf {
@@ -357,10 +409,17 @@ impl LogStorage for DirLog {
         use io::Write;
         let mut handles = self.handles.lock().unwrap();
         if !handles.contains_key(stream) {
-            let f = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(self.stream_path(stream))?;
+            let path = self.stream_path(stream);
+            let mut open = std::fs::OpenOptions::new();
+            open.append(true);
+            let f = match open.clone().create_new(true).open(&path) {
+                Ok(f) => {
+                    self.sync_dir()?;
+                    f
+                }
+                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => open.open(&path)?,
+                Err(e) => return Err(e),
+            };
             handles.insert(stream.to_string(), f);
         }
         handles.get_mut(stream).unwrap().write_all(bytes)
@@ -409,7 +468,8 @@ impl LogStorage for DirLog {
         let tmp = self.dir.join(format!("{name}.blob.tmp"));
         std::fs::write(&tmp, bytes)?;
         std::fs::File::open(&tmp)?.sync_all()?;
-        std::fs::rename(&tmp, self.blob_path(name))
+        std::fs::rename(&tmp, self.blob_path(name))?;
+        self.sync_dir()
     }
 
     fn read_blob(&self, name: &str) -> io::Result<Option<Vec<u8>>> {
@@ -435,7 +495,7 @@ impl LogStorage for DirLog {
 
     fn delete_blob(&self, name: &str) -> io::Result<()> {
         match std::fs::remove_file(self.blob_path(name)) {
-            Ok(()) => Ok(()),
+            Ok(()) => self.sync_dir(),
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
             Err(e) => Err(e),
         }
@@ -529,6 +589,26 @@ mod tests {
     }
 
     #[test]
+    fn fail_after_fails_every_later_mutation_until_a_crash() {
+        let log = MemLog::new();
+        log.fail_after(2);
+        log.append("s", b"one").unwrap();
+        log.sync().unwrap();
+        assert!(log.append("s", b"two").is_err());
+        assert!(log.write_blob("b", b"x").is_err());
+        assert!(log.truncate("s", 0).is_err());
+        assert!(log.delete_blob("b").is_err());
+        assert_eq!(
+            log.read("s").unwrap(),
+            b"one",
+            "a failed call wrote nothing"
+        );
+        log.crash(0);
+        log.append("s", b"two").unwrap();
+        assert_eq!(log.read("s").unwrap(), b"onetwo");
+    }
+
+    #[test]
     fn corrupt_byte_flips_in_place() {
         let log = MemLog::new();
         log.append("s", b"ab").unwrap();
@@ -551,9 +631,12 @@ mod tests {
             log.sync().unwrap();
             log.write_blob("snap-1", b"blobby").unwrap();
         }
+        // A blob write that died before its rename.
+        std::fs::write(dir.join("snap-2.blob.tmp"), b"half").unwrap();
         {
-            // Reopen: everything persisted.
+            // Reopen: everything persisted, the stale temp file is gone.
             let log = DirLog::open(&dir).unwrap();
+            assert!(!dir.join("snap-2.blob.tmp").exists());
             assert_eq!(log.read("rel-0").unwrap(), b"hello world");
             assert_eq!(log.read("absent").unwrap(), b"");
             let mut streams = log.streams().unwrap();

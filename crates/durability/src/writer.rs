@@ -59,6 +59,17 @@ pub fn parse_rel_stream(stream: &str) -> Option<u32> {
     stream.strip_prefix("rel-")?.parse().ok()
 }
 
+/// The log's streams (`meta` and every `rel-<n>`), sorted by name.
+pub(crate) fn log_streams(storage: &dyn LogStorage) -> io::Result<Vec<String>> {
+    let mut streams: Vec<String> = storage
+        .streams()?
+        .into_iter()
+        .filter(|s| s == META_STREAM || parse_rel_stream(s).is_some())
+        .collect();
+    streams.sort();
+    Ok(streams)
+}
+
 /// When the writer flushes appended records to durable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncPolicy {

@@ -1,8 +1,9 @@
 //! Fault-injection matrix for the durability layer, driven end-to-end
-//! through [`MemLog`]'s crash model: torn tails, partial snapshots, CRC
-//! corruption, lying fsyncs, torn bulk loads, and sequence gaps — each
-//! asserting recovery lands on a consistent committed prefix (or fails
-//! loudly when the log is damaged in a way a crash cannot produce).
+//! through [`MemLog`]'s crash model: torn tails, partial snapshots, a
+//! crash at every step of a checkpoint, CRC corruption, lying fsyncs,
+//! torn bulk loads, and sequence gaps — each asserting recovery lands on
+//! a consistent committed prefix (or fails loudly when the log is damaged
+//! in a way a crash cannot produce).
 
 use bcq_core::prelude::*;
 use bcq_durability::{
@@ -90,35 +91,193 @@ fn crc_corruption_fails_loudly_with_the_offending_offset() {
     }
 }
 
+/// Every stream's bytes and every blob name: what recovery must not touch
+/// when it refuses.
+fn stored(log: &MemLog) -> (Vec<(String, Vec<u8>)>, Vec<String>) {
+    let mut streams: Vec<_> = log
+        .streams()
+        .unwrap()
+        .into_iter()
+        .map(|s| {
+            let bytes = log.read(&s).unwrap();
+            (s, bytes)
+        })
+        .collect();
+    streams.sort();
+    let mut blobs = log.list_blobs().unwrap();
+    blobs.sort();
+    (streams, blobs)
+}
+
+/// Bytes the log streams hold.
+fn log_bytes(log: &MemLog) -> u64 {
+    stored(log).0.iter().map(|(_, b)| b.len() as u64).sum()
+}
+
 #[test]
 fn truncated_snapshot_falls_back_to_the_previous_one() {
+    // A crash inside the second checkpoint tears its blob: the cut never
+    // happened, so the first snapshot plus the log since it still hold
+    // everything.
     let log = Arc::new(MemLog::new());
     let (mut db, w) = wired(&log, SyncPolicy::Always);
     db.insert("r", &[Value::str("early"), Value::int(1)])
         .unwrap();
-    checkpoint(&*log, &db, w.last_seq(), 2).unwrap();
-    let older = snapshot_name(w.last_seq());
+    let (older, _) = checkpoint(&w, &db).unwrap();
 
     db.insert("r", &[Value::str("mid"), Value::int(2)]).unwrap();
-    checkpoint(&*log, &db, w.last_seq(), 2).unwrap();
-    let newer = snapshot_name(w.last_seq());
-
     db.insert("s", &[Value::int(9)]).unwrap();
     let oracle = state(&db);
+    // Log sync and blob write go through; the process dies in the sync
+    // that would have made the blob durable, and 5 of its bytes land.
+    log.fail_after(2);
+    assert!(checkpoint(&w, &db).is_err());
+    log.crash(5);
+    let newer = snapshot_name(w.last_seq());
+    assert_eq!(log.read_blob(&newer).unwrap().unwrap().len(), 5);
 
-    // The newest snapshot is torn (crash mid-checkpoint): fall back.
-    log.truncate_blob(&newer, 5);
     let (recovered, report) = recover(&*log, catalog()).unwrap();
     assert_eq!(report.snapshot.as_deref(), Some(older.as_str()));
     assert_eq!(report.snapshots_skipped, 1);
+    assert_eq!(report.replayed, 3, "the intern and both inserts since");
     assert_eq!(state(&recovered), oracle, "older snapshot + longer replay");
+    // The torn blob was replayed past, so recovery deleted it.
+    assert_eq!(log.list_blobs().unwrap(), vec![older.clone()]);
 
-    // Both snapshots torn: recovery starts empty and replays everything.
-    log.truncate_blob(&older, 3);
+    // Once a checkpoint completes its cut there is one snapshot, and
+    // losing it is a refusal, not a replay from genesis.
+    let log = Arc::new(MemLog::new());
+    let (mut db, w) = wired(&log, SyncPolicy::Always);
+    db.insert("r", &[Value::str("early"), Value::int(1)])
+        .unwrap();
+    checkpoint(&w, &db).unwrap();
+    db.insert("r", &[Value::str("mid"), Value::int(2)]).unwrap();
+    let (newest, _) = checkpoint(&w, &db).unwrap();
+    db.insert("s", &[Value::int(9)]).unwrap();
+    assert_eq!(log.list_blobs().unwrap(), vec![newest.clone()]);
+    log.truncate_blob(&newest, 5);
+    let before = stored(&log);
+    match recover(&*log, catalog()) {
+        Err(RecoverError::SnapshotUnreadable { snapshot, last_seq }) => {
+            assert_eq!(snapshot, newest);
+            assert_eq!(last_seq, w.last_seq() - 1);
+        }
+        other => panic!("expected a refusal, got {other:?}"),
+    }
+    assert_eq!(stored(&log), before, "a refusal changes nothing");
+}
+
+#[test]
+fn unreadable_snapshot_after_the_cut_is_refused_with_or_without_a_tail() {
+    for past in [0, 2] {
+        let log = Arc::new(MemLog::new());
+        let (mut db, w) = wired(&log, SyncPolicy::Always);
+        db.insert("r", &[Value::str("x"), Value::int(1)]).unwrap();
+        db.insert("s", &[Value::int(2)]).unwrap();
+        let (name, _) = checkpoint(&w, &db).unwrap();
+        let covered = w.last_seq();
+        for i in 0..past {
+            db.insert("s", &[Value::int(10 + i)]).unwrap();
+        }
+        log.truncate_blob(&name, 20);
+        let before = stored(&log);
+        assert_eq!(log_bytes(&log) > 0, past > 0);
+        match recover(&*log, catalog()) {
+            Err(RecoverError::SnapshotUnreadable { snapshot, last_seq }) => {
+                assert_eq!((snapshot, last_seq), (name, covered), "{past} past");
+            }
+            other => panic!("{past} past: expected a refusal, got {other:?}"),
+        }
+        assert_eq!(stored(&log), before, "{past} past: every byte in place");
+    }
+}
+
+#[test]
+fn recovery_after_a_checkpoint_reads_only_the_tail() {
+    let log = Arc::new(MemLog::new());
+    let (mut db, w) = wired(&log, SyncPolicy::Always);
+    for i in 0..50 {
+        db.insert("r", &[Value::int(i), Value::str(format!("v{i}"))])
+            .unwrap();
+    }
+    db.bulk_loader(RelId(1))
+        .push_rows(&(0..40).map(Value::int).collect::<Vec<_>>());
+    db.ensure_index_cols(RelId(0), &[0], &[1]);
+    let (name, _) = checkpoint(&w, &db).unwrap();
+    assert_eq!(log_bytes(&log), 0, "the checkpoint cut every stream");
+
+    let k = 3;
+    let bytes_before = w.stats().bytes;
+    for i in 0..k {
+        db.insert("s", &[Value::int(100 + i)]).unwrap();
+    }
+    let tail = w.stats().bytes - bytes_before;
     let (recovered, report) = recover(&*log, catalog()).unwrap();
-    assert_eq!(report.snapshot, None);
-    assert_eq!(report.snapshots_skipped, 2);
-    assert_eq!(state(&recovered), oracle, "full replay from genesis");
+    assert_eq!(state(&recovered), state(&db));
+    assert_eq!(report.snapshot, Some(name));
+    assert_eq!(report.replayed, k as u64);
+    assert_eq!(report.log_bytes, tail, "only the k records were read");
+    assert_eq!(report.log_bytes, log_bytes(&log));
+}
+
+#[test]
+fn a_crash_at_every_step_of_a_checkpoint_recovers_to_the_uncrashed_state() {
+    // One checkpoint behind, writes on all three streams since, then a
+    // second checkpoint whose mutating calls are: log sync, blob write,
+    // blob sync, one truncate per stream, one delete of the old snapshot.
+    let scenario = || {
+        let log = Arc::new(MemLog::new());
+        let (mut db, w) = wired(&log, SyncPolicy::Always);
+        db.insert("r", &[Value::str("a"), Value::int(1)]).unwrap();
+        db.insert("s", &[Value::int(2)]).unwrap();
+        checkpoint(&w, &db).unwrap();
+        db.insert("r", &[Value::str("b"), Value::int(3)]).unwrap();
+        db.insert("s", &[Value::int(4)]).unwrap();
+        db.ensure_index_cols(RelId(0), &[0], &[1]);
+        assert_eq!(log.streams().unwrap().len(), 3);
+        (log, db, w)
+    };
+    let steps = 3 + 3 + 1;
+    for n in 0..=steps {
+        // Where the blob write went through but its sync did not, the crash
+        // can keep any prefix of it; everything else was already durable.
+        let unsynced = {
+            let (log, db, w) = scenario();
+            log.fail_after(n);
+            assert_eq!(checkpoint(&w, &db).is_err(), n < steps, "step {n}");
+            log.unsynced_bytes()
+        };
+        assert_eq!(unsynced > 0, n == 2, "step {n}");
+        let mut keeps = vec![0, unsynced / 2, unsynced];
+        keeps.dedup();
+        for keep in keeps {
+            let (log, db, w) = scenario();
+            log.fail_after(n);
+            let _ = checkpoint(&w, &db);
+            log.crash(keep);
+            let at = format!("crash after {n} steps, {keep} blob bytes kept");
+            let (recovered, report) = recover(&*log, catalog()).unwrap();
+            assert_eq!(state(&recovered), state(&db), "{at}");
+            assert_eq!(report.last_seq, w.last_seq(), "{at}");
+            // The new snapshot is durable from the blob sync on (or when
+            // the crash happened to keep all of it).
+            let new_durable = n > 2 || (n == 2 && keep == unsynced);
+            let newest = snapshot_name(w.last_seq());
+            assert_eq!(
+                report.snapshot.as_deref() == Some(&newest),
+                new_durable,
+                "{at}"
+            );
+
+            let (again, report2) = recover(&*log, catalog()).unwrap();
+            assert_eq!(state(&again), state(&db), "{at}");
+            assert_eq!(report2.truncated_streams, 0, "{at}");
+            assert_eq!(log.list_blobs().unwrap().len(), 1, "{at}: one snapshot");
+            if new_durable {
+                assert_eq!((log_bytes(&log), report2.replayed), (0, 0), "{at}");
+            }
+        }
+    }
 }
 
 #[test]
@@ -249,15 +408,17 @@ fn delete_touches_only_its_shard_and_recovery_keeps_the_vector_clock() {
     );
     assert_eq!(db.shard(r).num_indexes(), 1, "the delete kept the index");
 
-    // A checkpoint taken across the delete carries the exact vector clock,
-    // and so does pure log replay.
-    checkpoint(&*log, &db, w.last_seq(), 2).unwrap();
-    let (from_snap, report) = recover(&*log, catalog()).unwrap();
-    assert!(report.snapshot.is_some());
-    assert_eq!(state(&from_snap), state(&db));
-    log.delete_blob(&snapshot_name(w.last_seq())).unwrap();
-    let (from_log, _) = recover(&*log, catalog()).unwrap();
+    // Pure log replay across the delete carries the exact vector clock
+    // (the log has never been checkpointed, so it holds everything), and
+    // so does a checkpoint taken across it.
+    let (from_log, report) = recover(&*log, catalog()).unwrap();
+    assert_eq!(report.snapshot, None);
     assert_eq!(state(&from_log), state(&db));
+    checkpoint(&w, &db).unwrap();
+    let (from_snap, report) = recover(&*log, catalog()).unwrap();
+    assert_eq!(report.snapshot, Some(snapshot_name(w.last_seq())));
+    assert_eq!(report.replayed, 0);
+    assert_eq!(state(&from_snap), state(&db));
 }
 
 #[test]
@@ -411,6 +572,7 @@ fn index_record_runs_replay_to_the_one_at_a_time_state() {
     for keep in crash_points {
         let (log, oracles, ends, synced_seq) = scenario();
         log.crash(keep);
+        let held = log_bytes(&log);
         let (recovered, report) = recover(&*log, catalog()).unwrap();
         let whole = ends.iter().rposition(|&end| end <= keep).unwrap();
         assert_eq!(indexed_state(&recovered), oracles[whole], "crash at {keep}");
@@ -419,6 +581,7 @@ fn index_record_runs_replay_to_the_one_at_a_time_state() {
             replayed: synced_seq + whole as u64,
             last_seq: synced_seq + whole as u64,
             torn_bytes: torn,
+            log_bytes: held - torn,
             truncated_streams: usize::from(torn > 0),
             ..RecoveryReport::default()
         };

@@ -75,7 +75,7 @@ use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
@@ -193,29 +193,29 @@ pub struct DurabilityConfig {
     /// write is ever lost; `EveryOps(n)` = group commit, at most the last
     /// `n` writes lost on a crash).
     pub policy: SyncPolicy,
-    /// How many snapshot blobs [`Server::checkpoint`] retains (≥ 1; the
-    /// previous snapshot is the fallback against a torn checkpoint).
-    pub keep_snapshots: usize,
 }
 
 impl Default for DurabilityConfig {
     fn default() -> Self {
         DurabilityConfig {
             policy: SyncPolicy::EveryOps(64),
-            keep_snapshots: 2,
         }
     }
 }
 
-/// The durable half of an opened server: log storage, the attached WAL
-/// writer, and recovery/checkpoint bookkeeping.
+/// The durable half of an opened server: the attached WAL writer (and
+/// through it the log storage), and recovery/checkpoint bookkeeping.
 struct DurabilityState {
-    storage: Arc<dyn LogStorage>,
     writer: Arc<WalWriter>,
-    keep_snapshots: usize,
     /// Records replayed by the recovery that opened this server.
     replayed: u64,
     checkpoints: AtomicU64,
+    /// Log bytes since the last cut are the writer's byte counter plus
+    /// this: the tail recovery kept at open, then minus the counter's
+    /// value at each checkpoint's cut. The record path never touches it.
+    retained_offset: AtomicI64,
+    /// Bytes of the last snapshot written or restored.
+    snapshot_bytes: AtomicU64,
 }
 
 /// Budget verdict of one request.
@@ -560,11 +560,11 @@ impl Server {
         db.set_wal(Some(Arc::clone(&writer) as Arc<dyn WalSink>));
         let mut server = Server::new(db, access, config);
         server.durability = Some(DurabilityState {
-            storage,
             writer,
-            keep_snapshots: durability.keep_snapshots.max(1),
             replayed: report.replayed,
             checkpoints: AtomicU64::new(0),
+            retained_offset: AtomicI64::new(report.log_bytes as i64),
+            snapshot_bytes: AtomicU64::new(report.snapshot_bytes),
         });
 
         let ids = views
@@ -597,29 +597,33 @@ impl Server {
         self.durability.as_ref().map(|d| d.writer.stats())
     }
 
-    /// Takes a snapshot checkpoint: flushes the WAL, then writes the full
+    /// Takes a snapshot checkpoint: flushes the WAL, writes the full
     /// database state (rows, epoch vector, symbols, index specs) as one
-    /// atomic blob, retaining the previous [`DurabilityConfig::keep_snapshots`]
-    /// blobs as fallback. Holds the write lock so the snapshot and its
-    /// WAL position are exactly consistent; recovery after this point
-    /// replays only records past the checkpoint. Returns the blob name.
+    /// atomic blob, and once it is durable cuts every log stream to 0 and
+    /// deletes the older snapshots ([`bcq_durability::checkpoint`]), so the
+    /// storage holds exactly one copy of the data and recovery after this
+    /// point reads the snapshot plus the records written since. Returns
+    /// the blob name.
     pub fn checkpoint(&self) -> crate::Result<String> {
         let d = self
             .durability
             .as_ref()
             .ok_or_else(|| ServiceError::Durability("server opened without durability".into()))?;
-        // Exclusive on the bulk gate: every row writer (holding it
-        // shared) has drained, so the snapshot and its WAL position are
-        // exactly consistent.
+        // The cut to 0 needs the log to hold no record past the snapshot.
+        // Every record is appended inside the commit section, which this
+        // holds; exclusive on the bulk gate, every row writer (holding it
+        // shared) has drained too, so the snapshot and its WAL position
+        // are exactly consistent.
         let _gate = write_recovered(&self.gate);
-        let name = self
+        let (name, written) = self
             .shared
-            .write(|db| {
-                d.writer.sync()?;
-                let seq = d.writer.last_seq();
-                bcq_durability::checkpoint(&*d.storage, db, seq, d.keep_snapshots)
-            })
+            .write(|db| bcq_durability::checkpoint(&d.writer, db))
             .map_err(|e| ServiceError::Durability(e.to_string()))?;
+        d.retained_offset
+            .store(-(d.writer.stats().bytes as i64), Ordering::Relaxed);
+        if written > 0 {
+            d.snapshot_bytes.store(written, Ordering::Relaxed);
+        }
         d.checkpoints.fetch_add(1, Ordering::Relaxed);
         Ok(name)
     }
@@ -713,6 +717,9 @@ impl Server {
             snap.wal.replayed = d.replayed;
             snap.wal.checkpoints = d.checkpoints.load(Ordering::Relaxed);
             snap.wal.last_seq = d.writer.last_seq();
+            let retained = ws.bytes as i64 + d.retained_offset.load(Ordering::Relaxed);
+            snap.wal.retained_bytes = retained.max(0) as u64;
+            snap.wal.snapshot_bytes = d.snapshot_bytes.load(Ordering::Relaxed);
         }
         let db = self.shared.snapshot();
         snap.writes.cow_shard_clones = db.cow_clones();
@@ -2624,10 +2631,7 @@ mod tests {
                 policy: AdmissionPolicy::Strict,
                 ..ServerConfig::default()
             },
-            DurabilityConfig {
-                policy,
-                keep_snapshots: 2,
-            },
+            DurabilityConfig { policy },
             &[view_query(&schema())],
         )
         .unwrap();
@@ -2660,6 +2664,17 @@ mod tests {
             .unwrap();
         assert_eq!(server.view_result(view).unwrap().len(), 1);
         let name = server.checkpoint().unwrap();
+        // One copy: the snapshot alone, every stream cut to 0.
+        assert_eq!(log.list_blobs().unwrap(), vec![name.clone()]);
+        for stream in log.streams().unwrap() {
+            assert!(log.read(&stream).unwrap().is_empty(), "{stream} was cut");
+        }
+        let m = server.metrics_snapshot();
+        assert_eq!(m.wal.retained_bytes, 0);
+        assert_eq!(
+            m.wal.snapshot_bytes,
+            log.read_blob(&name).unwrap().unwrap().len() as u64
+        );
 
         // One more write past the checkpoint, then "crash".
         server
@@ -2692,6 +2707,11 @@ mod tests {
         let m = server2.metrics_snapshot();
         assert!(m.wal.replayed > 0);
         assert_eq!(m.wal.last_seq, report2.last_seq);
+        // The reopened log holds the one post-checkpoint write and the
+        // gauges say so.
+        assert!(report2.log_bytes > 0);
+        assert_eq!(m.wal.retained_bytes, report2.log_bytes);
+        assert_eq!(m.wal.snapshot_bytes, report2.snapshot_bytes);
 
         // And the recovered server serves queries normally.
         let q1 = template(&server2);

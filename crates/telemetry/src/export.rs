@@ -136,6 +136,10 @@ pub struct WalSnapshot {
     pub checkpoints: u64,
     /// Highest durable sequence number (gauge).
     pub last_seq: u64,
+    /// Log bytes on storage since the last checkpoint cut (gauge).
+    pub retained_bytes: u64,
+    /// Bytes of the last snapshot written or restored (gauge).
+    pub snapshot_bytes: u64,
 }
 
 /// Point-in-time storage gauges, filled by the serving layer.
@@ -291,6 +295,8 @@ impl MetricsSnapshot {
         self.wal.replayed += other.wal.replayed;
         self.wal.checkpoints += other.wal.checkpoints;
         self.wal.last_seq = self.wal.last_seq.max(other.wal.last_seq);
+        self.wal.retained_bytes = self.wal.retained_bytes.max(other.wal.retained_bytes);
+        self.wal.snapshot_bytes = self.wal.snapshot_bytes.max(other.wal.snapshot_bytes);
         self.gauges.relations = self.gauges.relations.max(other.gauges.relations);
         self.gauges.total_tuples = self.gauges.total_tuples.max(other.gauges.total_tuples);
         self.gauges.interner_symbols = self
@@ -378,7 +384,7 @@ impl MetricsSnapshot {
         let wal = &self.wal;
         let _ = writeln!(
             s,
-            "  \"wal\": {{\"records\": {}, \"bytes\": {}, \"fsyncs\": {}, \"group_batches\": {}, \"group_records\": {}, \"replayed\": {}, \"checkpoints\": {}, \"last_seq\": {}, \"group_batch_size\": {}}},",
+            "  \"wal\": {{\"records\": {}, \"bytes\": {}, \"fsyncs\": {}, \"group_batches\": {}, \"group_records\": {}, \"replayed\": {}, \"checkpoints\": {}, \"last_seq\": {}, \"retained_bytes\": {}, \"snapshot_bytes\": {}, \"group_batch_size\": {}}},",
             wal.records,
             wal.bytes,
             wal.fsyncs,
@@ -387,6 +393,8 @@ impl MetricsSnapshot {
             wal.replayed,
             wal.checkpoints,
             wal.last_seq,
+            wal.retained_bytes,
+            wal.snapshot_bytes,
             json_hist(&wal.group_batch_sizes),
         );
         let g = self.gauges;
@@ -545,11 +553,13 @@ impl MetricsSnapshot {
                 &wal.group_batch_sizes,
             );
         }
-        let _ = writeln!(
-            s,
-            "# TYPE bcq_wal_last_seq gauge\nbcq_wal_last_seq {}",
-            wal.last_seq
-        );
+        for (name, v) in [
+            ("bcq_wal_last_seq", wal.last_seq),
+            ("bcq_wal_retained_bytes", wal.retained_bytes),
+            ("bcq_snapshot_bytes", wal.snapshot_bytes),
+        ] {
+            let _ = writeln!(s, "# TYPE {name} gauge\n{name} {v}");
+        }
         let g = self.gauges;
         for (name, v) in [
             ("bcq_relations", g.relations),
@@ -619,6 +629,8 @@ mod tests {
         snap.wal.records = 5;
         snap.wal.fsyncs = 2;
         snap.wal.last_seq = 5;
+        snap.wal.retained_bytes = 64;
+        snap.wal.snapshot_bytes = 4096;
         snap
     }
 
@@ -639,6 +651,7 @@ mod tests {
             "\"index_keys\": 3, \"index_bytes\": 420, \"table_bytes\": 96",
             "\"wal\"",
             "\"fsyncs\": 2",
+            "\"retained_bytes\": 64, \"snapshot_bytes\": 4096",
             "\"ingest\"",
             "\"intern_batch_hits\": 1",
             "\"index_build_ns\": 7500",
@@ -670,6 +683,14 @@ mod tests {
         assert!(p.contains("bcq_table_bytes 96"), "{p}");
         assert!(p.contains("bcq_wal_records_total 5"), "{p}");
         assert!(p.contains("bcq_wal_last_seq 5"), "{p}");
+        assert!(
+            p.contains("# TYPE bcq_wal_retained_bytes gauge\nbcq_wal_retained_bytes 64"),
+            "{p}"
+        );
+        assert!(
+            p.contains("# TYPE bcq_snapshot_bytes gauge\nbcq_snapshot_bytes 4096"),
+            "{p}"
+        );
         assert!(p.contains("bcq_ingest_rows_total 1000"), "{p}");
         assert!(p.contains("bcq_ingest_chunks_total 2"), "{p}");
         assert!(p.contains("bcq_ingest_bytes_total 48000"), "{p}");
@@ -720,5 +741,6 @@ mod tests {
             (3, 420, 96)
         );
         assert_eq!(a.wal.last_seq, 5);
+        assert_eq!((a.wal.retained_bytes, a.wal.snapshot_bytes), (64, 4096));
     }
 }

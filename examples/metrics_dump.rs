@@ -270,7 +270,6 @@ fn main() -> core::result::Result<(), Box<dyn std::error::Error>> {
         ServerConfig::default(),
         DurabilityConfig {
             policy: SyncPolicy::Always,
-            keep_snapshots: 2,
         },
         &[],
     )?;
@@ -310,6 +309,24 @@ fn main() -> core::result::Result<(), Box<dyn std::error::Error>> {
         dsnap.wal.group_batch_sizes.max(),
         dsnap.wal.fsyncs,
         dsnap.wal.records,
+    );
+
+    // --- Disk footprint: a checkpoint cuts the log, so right after it the
+    // store is the snapshot alone; the next write starts a new tail. ---
+    assert!(dsnap.wal.retained_bytes > 0, "the writes are in the log");
+    durable.checkpoint()?;
+    let cut = durable.metrics_snapshot();
+    assert_eq!(cut.wal.retained_bytes, 0, "the checkpoint cut the log");
+    assert!(cut.wal.snapshot_bytes > 0);
+    durable.insert("left", &[Value::int(-1), Value::int(-1)])?;
+    let tail = durable.metrics_snapshot();
+    assert!(
+        tail.wal.retained_bytes > 0,
+        "a write past the cut is retained"
+    );
+    println!(
+        "disk: snapshot {} B + log tail {} B after one write past the checkpoint\n",
+        tail.wal.snapshot_bytes, tail.wal.retained_bytes,
     );
 
     // --- Per-operator profiling: the 8-atom chain. ---

@@ -1,7 +1,8 @@
 //! Crash-point differential proof of the durability layer: random
-//! interleavings of row inserts/deletes and bulk loads — one-row chunks
+//! interleavings of row inserts/deletes, bulk loads — one-row chunks
 //! and multi-row columnar chunks, so cuts land inside encoded `BulkChunk`
-//! records too — are applied to a WAL-attached database, the log is cut
+//! records too — and checkpoints, which snapshot the state and cut the
+//! log behind it, are applied to a WAL-attached database, the log is cut
 //! at a
 //! **random byte offset** — including mid-record and mid-bulk — and
 //! recovery must land on exactly the state the never-crashed oracle had at
@@ -19,7 +20,7 @@
 //! per-test seeding keeps the normal CI job reproducible);
 //! `PROPTEST_CASES=512` is CI's scheduled deep-fuzz gate.
 
-use bounded_cq::durability::{recover, LogStorage, MemLog, SyncPolicy, WalWriter};
+use bounded_cq::durability::{checkpoint, recover, LogStorage, MemLog, SyncPolicy, WalWriter};
 use bounded_cq::prelude::*;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -127,10 +128,11 @@ fn mot_access() -> AccessSchema {
 type Op = (i64, bool, [i64; 3]);
 
 /// Op kinds [`crash_and_check`] knows: 0–1 insert, 2–3 delete, 4 a bulk
-/// load of one-row chunks, 5 a bulk load of one three-row columnar chunk.
+/// load of one-row chunks, 5 a bulk load of one three-row columnar chunk,
+/// 6 a checkpoint (snapshot, then the log cut behind it).
 /// Its `match` is exhaustive over exactly this range — no modulus — so
 /// the generator and the arms cannot drift apart.
-const STORAGE_OP_KINDS: i64 = 6;
+const STORAGE_OP_KINDS: i64 = 7;
 
 /// The op vectors both storage-level properties (and the coverage test)
 /// draw from; `v0` / `v1` bound the first two row values.
@@ -175,14 +177,15 @@ fn mot_row(_into: bool, vals: &[i64; 3]) -> (&'static str, Vec<Value>) {
 /// at every commit boundary), cuts the log at `cut_seed % (bytes + 1)`,
 /// recovers, and asserts the recovered state equals the oracle boundary
 /// recovery reports — then recovers again and asserts idempotence.
-/// Returns how many ops ran per kind: insert, delete, row load, chunk load.
+/// Returns how many ops ran per kind: insert, delete, row load, chunk
+/// load, checkpoint.
 fn crash_and_check(
     catalog: Arc<Catalog>,
     access: &AccessSchema,
     ops: &[Op],
     row_of: fn(bool, &[i64; 3]) -> (&'static str, Vec<Value>),
     cut_seed: u32,
-) -> [usize; 4] {
+) -> [usize; 5] {
     let log = Arc::new(MemLog::new());
     let writer = Arc::new(WalWriter::new(
         Arc::clone(&log) as Arc<dyn LogStorage>,
@@ -199,7 +202,7 @@ fn crash_and_check(
         db.ensure_index(c);
         boundaries.push((writer.last_seq(), dump(&db)));
     }
-    let mut ran = [0usize; 4];
+    let mut ran = [0usize; 5];
     for (kind, flip, vals) in ops {
         let (rel_name, row) = row_of(*flip, vals);
         match kind {
@@ -242,13 +245,21 @@ fn crash_and_check(
                 let mut l = db.bulk_loader(rel);
                 l.push_chunk_columns(&cols);
             }
+            6 => {
+                // Everything so far becomes durable in the snapshot and the
+                // log is cut to 0: the crash below can only land in the
+                // records written after it.
+                ran[4] += 1;
+                checkpoint(&writer, &db).unwrap();
+            }
             _ => unreachable!("storage_ops() generates 0..{STORAGE_OP_KINDS}, got {kind}"),
         }
         boundaries.push((writer.last_seq(), dump(&db)));
     }
 
-    // Crash at a random byte offset — nothing was ever synced, so the cut
-    // can land anywhere: mid-record, mid-bulk, between streams' records.
+    // Crash at a random byte offset — nothing past the last checkpoint was
+    // ever synced, so the cut can land anywhere in that tail: mid-record,
+    // mid-bulk, between streams' records.
     let total = log.unsynced_bytes();
     log.crash(cut_seed as usize % (total + 1));
 
@@ -279,6 +290,14 @@ fn crash_and_check(
     assert_eq!(report2.last_seq, report.last_seq);
     assert_eq!(report2.torn_bytes, 0);
     assert_eq!(report2.discarded, 0);
+    // A checkpoint leaves exactly one snapshot behind, and recovery keeps
+    // at most that one.
+    let snapshots = log.list_blobs().unwrap().len();
+    assert_eq!(
+        snapshots,
+        usize::from(ran[4] > 0),
+        "snapshots left: {snapshots}"
+    );
     ran
 }
 
@@ -309,7 +328,7 @@ proptest! {
 #[test]
 fn every_storage_op_kind_runs_for_a_fixed_seed() {
     let mut rng = proptest::test_runner::TestRng::deterministic("storage-op-coverage");
-    let mut ran = [0usize; 4];
+    let mut ran = [0usize; 5];
     for cut_seed in 0..32 {
         let ops = storage_ops(0..4, 0..3).generate(&mut rng);
         let n = crash_and_check(tfacc_catalog(), &tfacc_access(), &ops, tfacc_row, cut_seed);
@@ -317,7 +336,7 @@ fn every_storage_op_kind_runs_for_a_fixed_seed() {
     }
     assert!(
         ran.iter().all(|&n| n > 0),
-        "insert / delete / row load / chunk load ran {ran:?}"
+        "insert / delete / row load / chunk load / checkpoint ran {ran:?}"
     );
 }
 
@@ -333,13 +352,14 @@ proptest! {
 
     /// The same interleavings end to end through [`Server::open`]: writes
     /// go through the served row-write path (plus occasional bulk
-    /// loads), the log is cut at a random offset past the setup prefix,
+    /// loads and checkpoints), the log is cut at a random offset past the
+    /// setup prefix and the last checkpoint,
     /// and the reopened server's registered view must equal a fresh
     /// recompute over whatever prefix survived. When the cut lands exactly
     /// on a served commit boundary, the full state must match the oracle's.
     #[test]
     fn served_crash_points_keep_views_consistent_with_recompute(
-        ops in prop::collection::vec((0..9i64, any::<bool>(), [0..4i64, 0..3i64, 0..3i64]), 1..8),
+        ops in prop::collection::vec((0..10i64, any::<bool>(), [0..4i64, 0..3i64, 0..3i64]), 1..8),
         cut_seed in any::<u32>(),
     ) {
         let a = tfacc_access();
@@ -349,7 +369,7 @@ proptest! {
                 Arc::clone(log) as Arc<dyn LogStorage>,
                 a.clone(),
                 ServerConfig::default(),
-                DurabilityConfig { policy: SyncPolicy::Manual, keep_snapshots: 2 },
+                DurabilityConfig { policy: SyncPolicy::Manual },
                 std::slice::from_ref(&q),
             )
             .unwrap()
@@ -372,7 +392,7 @@ proptest! {
         record(&server);
         for (kind, into_accident, vals) in &ops {
             let (rel_name, row) = tfacc_row(*into_accident, vals);
-            // Exhaustive over the generator's `0..9`, no modulus: see
+            // Exhaustive over the generator's `0..10`, no modulus: see
             // `STORAGE_OP_KINDS`.
             match kind {
                 0..=3 => {
@@ -402,7 +422,12 @@ proptest! {
                         .bulk_load(rel_name, |l| l.push_chunk_columns(&cols))
                         .unwrap();
                 }
-                _ => unreachable!("the strategy above generates 0..9, got {kind}"),
+                9 => {
+                    // Snapshot and cut: the crash below can only land in
+                    // the writes after it.
+                    server.checkpoint().unwrap();
+                }
+                _ => unreachable!("the strategy above generates 0..10, got {kind}"),
             }
             record(&server);
         }
@@ -448,10 +473,7 @@ fn open_served(log: &Arc<MemLog>, policy: SyncPolicy) -> Arc<Server> {
         Arc::clone(log) as Arc<dyn LogStorage>,
         tfacc_access(),
         ServerConfig::default(),
-        DurabilityConfig {
-            policy,
-            keep_snapshots: 2,
-        },
+        DurabilityConfig { policy },
         &[],
     )
     .unwrap();

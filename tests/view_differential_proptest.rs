@@ -87,7 +87,7 @@ proptest! {
                 Arc::clone(&log) as Arc<dyn bounded_cq::durability::LogStorage>,
                 a.clone(),
                 ServerConfig::default(),
-                DurabilityConfig { policy: SyncPolicy::Always, keep_snapshots: 2 },
+                DurabilityConfig { policy: SyncPolicy::Always },
                 std::slice::from_ref(&q),
             )
             .unwrap();
