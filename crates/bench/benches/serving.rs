@@ -26,6 +26,10 @@
 //!   plan compiled at prepare and skips the session's cache lookup, so it
 //!   sits below 1 (0.39); planning per candidate tuple sat at 3.2 (4.9 at
 //!   smoke size). CI gates the smoke run's ratio at ≤ 3.0.
+//! * **What does a cold RA compile cost?** `serving/ra_prepare/*` time
+//!   `PreparedRa::prepare` from scratch: of `serving/ra_difference`'s
+//!   template, and of an intersection whose left side is an intersection
+//!   that can only be enumerated the other way round.
 //! * **Do concurrent readers scale?** `serving/threads/N` hammers one
 //!   shared server from N sessions on N threads; `ops_per_sec` is the
 //!   aggregate QPS — read it against the `cores` field: snapshot reads
@@ -83,7 +87,7 @@
 mod common;
 
 use bcq_core::prelude::*;
-use bcq_exec::eval_dq;
+use bcq_exec::{eval_dq, PreparedRa};
 use bcq_service::{
     DirLog, DurabilityConfig, LaneKind, LogStorage, MemLog, NetClient, NetServer, Server,
     ServerConfig, SyncPolicy,
@@ -417,7 +421,49 @@ fn bench_serving(_c: &mut criterion::Criterion) {
         std::thread::available_parallelism().map_or(1, |n| n.get()) as f64,
     );
     sink += bench_ra_difference(&server, &cat, users);
+    sink += bench_ra_prepare(server.access(), &cat);
     std::hint::black_box(sink);
+}
+
+/// What a cold compile costs on the bounded-RA lane: `PreparedRa::prepare`
+/// of `serving/ra_difference`'s template, and of an intersection whose
+/// left side is an intersection too — one whose own left side cannot be
+/// enumerated, so both of its orientations are tried. Nothing is cached
+/// between calls.
+fn bench_ra_prepare(access: &AccessSchema, cat: &Arc<Catalog>) -> usize {
+    let block = |rel: &str, alias: &str, attr: &str, slot: &str| {
+        RaExpr::Spc(
+            SpcQuery::builder(Arc::clone(cat), alias)
+                .atom(rel, alias)
+                .eq_param((alias, attr), slot)
+                .project((alias, "photo_id"))
+                .build()
+                .unwrap(),
+        )
+    };
+    let album = block("in_album", "ia", "album_id", "aid");
+    let tagged = |slot: &str| block("tagging", "t", "taggee_id", slot);
+    let lanes = [
+        (
+            "serving/ra_prepare/difference",
+            RaExpr::difference(album.clone(), tagged("uid")),
+        ),
+        (
+            "serving/ra_prepare/nested_intersection",
+            RaExpr::intersect(RaExpr::intersect(tagged("uid"), album), tagged("vid")),
+        ),
+    ];
+    let mut sink = 0;
+    for (lane, expr) in &lanes {
+        measure_median_ns(21, 400, |_| {
+            sink += PreparedRa::prepare(expr, access)
+                .unwrap()
+                .param_slots()
+                .len();
+        })
+        .record(*lane);
+    }
+    sink
 }
 
 /// The bounded-RA lane against its own parts. Runs after the bounded

@@ -1,32 +1,46 @@
 //! A heuristic effective-boundedness checker for **relational algebra** —
-//! the paper's conclusion item (1).
+//! the paper's conclusion item (1) — that compiles what it certifies.
 //!
 //! Deciding (effective) boundedness is undecidable for RA queries
 //! (Fan–Geerts–Libkin, cited as \[20\]), so no characterization like
 //! Theorems 3/4 exists. What the conclusion proposes — and this module
 //! implements — is an efficient *sufficient* condition over the RA
-//! operators layered on SPC:
+//! operators layered on SPC. Every SPC block is either **enumerated** (its
+//! answer is fetched) or **probed** (a candidate tuple `t` is tested for
+//! membership), and in either role the one question is whether an SPC
+//! template has a bounded plan ([`qplan_template`]: `EBCheck`, exact by
+//! Thm 4):
 //!
-//! * `Spc(q)` — effectively bounded iff `EBCheck` says so (exact, Thm 4).
-//! * `Union(l, r)` — effectively bounded if both sides are; the bounded
-//!   sets union (`Σ M_i` adds).
-//! * `Intersect(l, r)` — if one side is effectively bounded and the other
-//!   is **membership-checkable**: given an answer tuple `t`, the Boolean
-//!   query `q(Z = t)` is effectively bounded for every `t` — decided by
-//!   seeding `EBCheck` with the projection classes, exactly the
-//!   dominating-parameter machinery of Section 4.3.
-//! * `Difference(l, r)` — if `l` is effectively bounded and `r` is
-//!   membership-checkable (each candidate is probed boundedly).
+//! * an enumerated block's template is the block itself;
+//! * a probed block's is the block with its projection pinned to reserved
+//!   probe slots, `Q(Z = ?⟨probe-i⟩)`. Whether `Q(Z = t)` is effectively
+//!   bounded depends on which attributes are pinned, never on `t` (Section
+//!   4.3), so that one plan answers membership for every candidate.
 //!
-//! When the check fails the query may still be bounded — that is the
-//! undecidability tax; the report says which subexpression failed and why.
-//! Execution of certified expressions lives in `bcq_exec::ra`.
+//! A template's own placeholders seed the closure the same way, so a
+//! template is certified as it stands, for every binding. The set
+//! operators:
+//!
+//! * `Union(l, r)` — both sides in the union's role (the `Σ M_i` add);
+//! * `Difference(l, r)` — `l` in the difference's role, `r` probed;
+//! * `Intersect(l, r)` — enumerated: enumerate `l` and probe `r`, else
+//!   enumerate `r` and probe `l`; probed: both sides probed.
+//!
+//! [`PreparedRa::prepare`] is that walk: it certifies the expression and
+//! builds the plans of its skeleton in one pass, analysing each block at
+//! most once per role it tries. [`ra_effectively_bounded`] is the same
+//! walk with the plans dropped. When the check fails the query may still
+//! be bounded — that is the undecidability tax; the report says which
+//! subexpression failed and why. Evaluation of a [`PreparedRa`] lives in
+//! `bcq_exec::ra`.
 
 use crate::access::AccessSchema;
-use crate::ebcheck::{ebcheck_with_seeds, EffectiveBoundednessReport};
 use crate::error::{CoreError, Result};
+use crate::plan::QueryPlan;
+use crate::qplan::qplan_template;
 use crate::query::SpcQuery;
-use crate::sigma::Sigma;
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A relational-algebra expression over SPC blocks.
 ///
@@ -61,7 +75,7 @@ impl RaExpr {
     }
 
     /// Output arity of the expression.
-    pub fn arity(&self) -> usize {
+    fn arity(&self) -> usize {
         match self {
             RaExpr::Spc(q) => q.projection().len(),
             RaExpr::Union(l, _) | RaExpr::Intersect(l, _) | RaExpr::Difference(l, _) => l.arity(),
@@ -69,7 +83,7 @@ impl RaExpr {
     }
 
     /// Validates union-compatibility (equal arities through the tree).
-    pub fn validate(&self) -> Result<()> {
+    fn validate(&self) -> Result<()> {
         match self {
             RaExpr::Spc(_) => Ok(()),
             RaExpr::Union(l, r) | RaExpr::Intersect(l, r) | RaExpr::Difference(l, r) => {
@@ -100,15 +114,6 @@ impl RaExpr {
     }
 }
 
-/// How a subexpression participates in a certified bounded evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RaRole {
-    /// The subexpression's full answer is enumerated boundedly.
-    Enumerable,
-    /// Only per-tuple membership is probed boundedly.
-    MembershipProbe,
-}
-
 /// Outcome of [`ra_effectively_bounded`].
 #[derive(Debug, Clone)]
 pub struct RaReport {
@@ -118,118 +123,221 @@ pub struct RaReport {
     pub failure: Option<String>,
 }
 
-/// Is `q(Z = t)` effectively bounded for every tuple `t` — i.e. can answer
-/// membership be verified boundedly? Decided by seeding the closure with
-/// the projection classes (values never matter, only *which* attributes
-/// are fixed).
-pub fn membership_checkable(q: &SpcQuery, a: &AccessSchema) -> EffectiveBoundednessReport {
-    let sigma = Sigma::build(q);
-    let seeds: Vec<_> = q
-        .projection()
-        .iter()
-        .map(|z| sigma.class_of_flat(q.flat_id(*z)))
-        .collect();
-    ebcheck_with_seeds(q, &sigma, a, &seeds)
-}
-
 /// The sufficient condition: certifies that `expr` can be evaluated by
-/// accessing a bounded amount of data under `a`. A `false` verdict means
-/// "not certified", not "unbounded" (undecidable in general for RA).
+/// accessing a bounded amount of data under `a` — [`PreparedRa::prepare`]
+/// with the plans dropped, so a template is certified for every binding of
+/// its placeholders. A `false` verdict means "not certified", not
+/// "unbounded" (undecidable in general for RA).
 pub fn ra_effectively_bounded(expr: &RaExpr, a: &AccessSchema) -> RaReport {
-    if let Err(e) = expr.validate() {
-        return RaReport {
-            effectively_bounded: false,
-            failure: Some(e.to_string()),
-        };
+    let failure = match PreparedRa::prepare(expr, a) {
+        Ok(_) => None,
+        Err(CoreError::NotEffectivelyBounded(why)) => Some(why),
+        Err(e) => Some(e.to_string()),
+    };
+    RaReport {
+        effectively_bounded: failure.is_none(),
+        failure,
     }
-    check(expr, a, RaRole::Enumerable)
 }
 
-fn check(expr: &RaExpr, a: &AccessSchema, role: RaRole) -> RaReport {
-    let ok = RaReport {
-        effectively_bounded: true,
-        failure: None,
-    };
-    let fail = |msg: String| RaReport {
-        effectively_bounded: false,
-        failure: Some(msg),
-    };
-    match (expr, role) {
-        (RaExpr::Spc(q), RaRole::Enumerable) => {
-            if q.has_placeholders() {
-                return fail(format!("`{}` has unbound placeholders", q.name()));
-            }
-            let r = crate::ebcheck::ebcheck(q, a);
-            if r.effectively_bounded {
-                ok
-            } else {
-                fail(format!(
-                    "`{}` is not effectively bounded: {}",
-                    q.name(),
-                    r.first_failure(q).unwrap_or_default()
-                ))
+/// Prefix of the reserved slot names membership probes bind candidate rows
+/// under; no placeholder of a prepared expression may start with it.
+const PROBE_SLOT_PREFIX: &str = "⟨probe-";
+
+/// A certified RA expression compiled for repeated execution: the
+/// evaluation skeleton with every intersection's orientation chosen and a
+/// parameterized bounded plan, operator program compiled, for every SPC
+/// block, enumerated or probed. Executing it certifies and plans nothing.
+#[derive(Debug, Clone)]
+pub struct PreparedRa {
+    root: RaPlan,
+    /// The placeholders of every block, in first-use order.
+    slots: Vec<String>,
+    /// The reserved slots a probe binds the candidate row under, one per
+    /// output column.
+    probe_slots: Vec<String>,
+}
+
+/// A node of a [`PreparedRa`] skeleton. A node is *enumerated* (it yields
+/// its answer) or *probed* (it says whether the candidate row bound to the
+/// probe slots is in its answer): the root is enumerated, the `probe` side
+/// of a [`RaPlan::Filter`] is probed, and every other child takes its
+/// parent's role.
+#[derive(Debug, Clone)]
+pub enum RaPlan {
+    /// An SPC block's plan. Enumerated, it yields the block's answer;
+    /// probed, it is the plan of the block with its projection pinned to
+    /// the probe slots, and the candidate is a member iff the plan's answer
+    /// is non-empty.
+    Spc(Arc<QueryPlan>),
+    /// Union of the two sides.
+    Union(Box<RaPlan>, Box<RaPlan>),
+    /// The rows of `base` whose membership in `probe` equals
+    /// `keep_members`: an intersection or a difference.
+    Filter {
+        /// The side in the node's own role.
+        base: Box<RaPlan>,
+        /// The side that is always probed.
+        probe: Box<RaPlan>,
+        /// `true` keeps the members of `probe` (intersection), `false`
+        /// drops them (difference).
+        keep_members: bool,
+    },
+}
+
+impl PreparedRa {
+    /// Certifies `expr` under `a` and compiles it, in one walk. Fails with
+    /// [`CoreError::Invalid`] if the arities of a set operation's sides
+    /// differ or a placeholder takes a probe slot's reserved name, and with
+    /// [`CoreError::NotEffectivelyBounded`] if the sufficient condition
+    /// does not certify `expr`.
+    pub fn prepare(expr: &RaExpr, a: &AccessSchema) -> Result<Self> {
+        expr.validate()?;
+        let mut slots: Vec<String> = Vec::new();
+        for name in expr.blocks().iter().flat_map(|q| q.placeholder_names()) {
+            if !slots.contains(&name) {
+                slots.push(name);
             }
         }
-        (RaExpr::Spc(q), RaRole::MembershipProbe) => {
-            if q.has_placeholders() {
-                return fail(format!("`{}` has unbound placeholders", q.name()));
-            }
-            let r = membership_checkable(q, a);
-            if r.effectively_bounded {
-                ok
-            } else {
-                fail(format!(
-                    "membership in `{}` is not boundedly checkable: {}",
-                    q.name(),
-                    r.first_failure(q).unwrap_or_default()
-                ))
-            }
+        if let Some(reserved) = slots.iter().find(|n| n.starts_with(PROBE_SLOT_PREFIX)) {
+            return Err(CoreError::Invalid(format!(
+                "parameter name `{reserved}` is reserved for membership probes"
+            )));
         }
-        (RaExpr::Union(l, r), role) => {
-            // A union can be enumerated iff both sides can; a membership
-            // probe distributes over both sides.
-            let lr = check(l, a, role);
-            if !lr.effectively_bounded {
-                return lr;
+        let probe_slots: Vec<String> = (0..expr.arity())
+            .map(|i| format!("{PROBE_SLOT_PREFIX}{i}⟩"))
+            .collect();
+        let mut compiler = Compiler {
+            a,
+            probe_slots: &probe_slots,
+            plans: HashMap::new(),
+        };
+        let root = compiler
+            .enumerate(expr)
+            .map_err(CoreError::NotEffectivelyBounded)?;
+        Ok(PreparedRa {
+            root,
+            slots,
+            probe_slots,
+        })
+    }
+
+    /// Parameter slots a request must bind: the placeholders of every
+    /// block (a template can spread them over both sides of a set
+    /// operation), in first-use order.
+    pub fn param_slots(&self) -> &[String] {
+        &self.slots
+    }
+
+    /// The root of the skeleton (enumerated).
+    pub fn root(&self) -> &RaPlan {
+        &self.root
+    }
+
+    /// The reserved slots a membership probe binds the candidate row under,
+    /// one per output column.
+    pub fn probe_slots(&self) -> &[String] {
+        &self.probe_slots
+    }
+}
+
+/// A step of the walk: what it built, or the failure text of [`RaReport`].
+type Step<T> = std::result::Result<T, String>;
+
+/// The certification walk. A block's plan is built the first time the walk
+/// asks for it in a role and kept, verdict included, so trying both
+/// orientations of nested intersections analyses no block twice in one
+/// role.
+struct Compiler<'a> {
+    a: &'a AccessSchema,
+    probe_slots: &'a [String],
+    plans: HashMap<(*const SpcQuery, bool), Step<Arc<QueryPlan>>>,
+}
+
+impl Compiler<'_> {
+    /// `expr` compiled to be enumerated.
+    fn enumerate(&mut self, expr: &RaExpr) -> Step<RaPlan> {
+        Ok(match expr {
+            RaExpr::Spc(q) => RaPlan::Spc(
+                self.block(q, false)
+                    .map_err(|why| format!("`{}` is not effectively bounded: {why}", q.name()))?,
+            ),
+            RaExpr::Union(l, r) => {
+                RaPlan::Union(Box::new(self.enumerate(l)?), Box::new(self.enumerate(r)?))
             }
-            check(r, a, role)
-        }
-        (RaExpr::Intersect(l, r), RaRole::Enumerable) => {
-            // Enumerate the cheaper-certified side, probe the other.
-            let l_enum = check(l, a, RaRole::Enumerable);
-            if l_enum.effectively_bounded {
-                let rp = check(r, a, RaRole::MembershipProbe);
-                if rp.effectively_bounded {
-                    return rp;
+            // The orientation rule: enumerate the left side and probe the
+            // right, else the other way round.
+            RaExpr::Intersect(l, r) => match self.filter(l, r, true) {
+                Ok(node) => node,
+                Err(_) => self.filter(r, l, true).map_err(|_| {
+                    "neither side of the intersection is enumerable with the other probe-checkable"
+                        .to_string()
+                })?,
+            },
+            RaExpr::Difference(l, r) => self.filter(l, r, false)?,
+        })
+    }
+
+    /// `base` enumerated and filtered by membership in `probe`.
+    fn filter(&mut self, base: &RaExpr, probe: &RaExpr, keep_members: bool) -> Step<RaPlan> {
+        Ok(RaPlan::Filter {
+            base: Box::new(self.enumerate(base)?),
+            probe: Box::new(self.probe(probe)?),
+            keep_members,
+        })
+    }
+
+    /// `expr` compiled to test the candidate bound to the probe slots for
+    /// membership.
+    fn probe(&mut self, expr: &RaExpr) -> Step<RaPlan> {
+        Ok(match expr {
+            RaExpr::Spc(q) => RaPlan::Spc(self.block(q, true).map_err(|why| {
+                format!(
+                    "membership in `{}` is not boundedly checkable: {why}",
+                    q.name()
+                )
+            })?),
+            RaExpr::Union(l, r) => {
+                RaPlan::Union(Box::new(self.probe(l)?), Box::new(self.probe(r)?))
+            }
+            RaExpr::Intersect(l, r) | RaExpr::Difference(l, r) => RaPlan::Filter {
+                base: Box::new(self.probe(l)?),
+                probe: Box::new(self.probe(r)?),
+                keep_members: matches!(expr, RaExpr::Intersect(..)),
+            },
+        })
+    }
+
+    /// The plan of block `q` — of `q` with its `i`-th projection attribute
+    /// pinned to the `i`-th probe slot if `probed` — or why there is none.
+    fn block(&mut self, q: &SpcQuery, probed: bool) -> Step<Arc<QueryPlan>> {
+        let (a, probe_slots) = (self.a, self.probe_slots);
+        self.plans
+            .entry((q as *const SpcQuery, probed))
+            .or_insert_with(|| {
+                let pinned;
+                let template = if probed {
+                    let pins: Vec<_> = q
+                        .projection()
+                        .iter()
+                        .copied()
+                        .zip(probe_slots.iter().map(String::as_str))
+                        .collect();
+                    pinned = q.with_params(&pins);
+                    &pinned
+                } else {
+                    q
+                };
+                match qplan_template(template, a) {
+                    Ok(plan) => {
+                        plan.program();
+                        Ok(Arc::new(plan))
+                    }
+                    Err(CoreError::NotEffectivelyBounded(why)) => Err(why),
+                    Err(e) => Err(e.to_string()),
                 }
-            }
-            let r_enum = check(r, a, RaRole::Enumerable);
-            if r_enum.effectively_bounded {
-                let lp = check(l, a, RaRole::MembershipProbe);
-                if lp.effectively_bounded {
-                    return lp;
-                }
-            }
-            fail(
-                "neither side of the intersection is enumerable with the other probe-checkable"
-                    .to_string(),
-            )
-        }
-        (RaExpr::Intersect(l, r), RaRole::MembershipProbe) => {
-            let lr = check(l, a, RaRole::MembershipProbe);
-            if !lr.effectively_bounded {
-                return lr;
-            }
-            check(r, a, RaRole::MembershipProbe)
-        }
-        (RaExpr::Difference(l, r), role) => {
-            // l \ r: enumerate (or probe) l; r is always only probed.
-            let lr = check(l, a, role);
-            if !lr.effectively_bounded {
-                return lr;
-            }
-            check(r, a, RaRole::MembershipProbe)
-        }
+            })
+            .clone()
     }
 }
 
@@ -320,6 +428,70 @@ mod tests {
             let rep = ra_effectively_bounded(&e, &a);
             assert!(rep.effectively_bounded, "{:?}", rep.failure);
         }
+    }
+
+    #[test]
+    fn the_skeleton_keeps_the_orientation_the_walk_chose() {
+        let a = a0();
+        // tagged(u0) cannot be enumerated: the album is, and the tagged
+        // block is planned with its photo pinned to the probe slot.
+        let e = RaExpr::intersect(
+            RaExpr::Spc(tagged_photos("t", "u0")),
+            RaExpr::Spc(album_photos("a", "a0")),
+        );
+        let prepared = PreparedRa::prepare(&e, &a).unwrap();
+        let RaPlan::Filter {
+            base,
+            probe,
+            keep_members: true,
+        } = prepared.root()
+        else {
+            panic!("{:?}", prepared.root());
+        };
+        let (RaPlan::Spc(base), RaPlan::Spc(probe)) = (&**base, &**probe) else {
+            panic!("two blocks");
+        };
+        assert_eq!(base.query().name(), "a");
+        assert_eq!(probe.query().name(), "t");
+        assert_eq!(probe.param_slots(), prepared.probe_slots());
+        assert_eq!(prepared.probe_slots(), ["⟨probe-0⟩"]);
+    }
+
+    #[test]
+    fn templates_are_certified_as_they_stand() {
+        let a = a0();
+        let with_slot = |rel: &str, alias: &str, attr: &str, slot: &str, proj: &str| {
+            RaExpr::Spc(
+                SpcQuery::builder(photos_catalog(), alias)
+                    .atom(rel, alias)
+                    .eq_param((alias, attr), slot)
+                    .project((alias, proj))
+                    .build()
+                    .unwrap(),
+            )
+        };
+        let album = with_slot("in_album", "ia", "album_id", "album", "photo_id");
+        let tagged = with_slot("tagging", "t", "taggee_id", "user", "photo_id");
+        // Placeholders seed the closure as constants do …
+        let e = RaExpr::difference(album.clone(), tagged.clone());
+        let r = ra_effectively_bounded(&e, &a);
+        assert!(r.effectively_bounded, "{:?}", r.failure);
+        let prepared = PreparedRa::prepare(&e, &a).unwrap();
+        assert_eq!(prepared.param_slots(), ["album", "user"]);
+        // … and no further: a taggee alone still enumerates nothing.
+        let r = ra_effectively_bounded(&tagged, &a);
+        assert!(!r.effectively_bounded);
+        assert!(r
+            .failure
+            .unwrap()
+            .contains("`t` is not effectively bounded"));
+        // A placeholder named like a probe slot is refused.
+        let reserved = with_slot("in_album", "ia", "album_id", "⟨probe-0⟩", "photo_id");
+        let r = ra_effectively_bounded(&reserved, &a);
+        assert!(r
+            .failure
+            .unwrap()
+            .contains("reserved for membership probes"));
     }
 
     #[test]

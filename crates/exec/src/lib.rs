@@ -6,12 +6,12 @@
 //! * [`baseline()`] is the conventional-DBMS competitor (the paper's MySQL):
 //!   constant-key index access, full scans elsewhere, whole-tuple fetching,
 //!   and a work budget reproducing the 2 500 s cap.
-//! * [`PreparedRa`] compiles a certified RA expression to a skeleton of
-//!   bounded plans — one per SPC block, a probed block's with its
-//!   projection pinned to reserved slots — and [`eval_ra_prepared`] is the
-//!   one RA evaluator: [`eval_dq_with()`] per enumerated block, and per
-//!   membership probe with the candidate row bound to those slots.
-//!   [`eval_ra`] is the same path for a ground expression.
+//! * [`eval_ra_prepared`] is the one RA evaluator. It walks the skeleton
+//!   [`PreparedRa`] (re-exported from [`bcq_core::ra`], whose one walk
+//!   certifies an expression and builds its plans): [`eval_dq_with()`] per
+//!   enumerated block, and per membership probe with the candidate row
+//!   bound to the probed block's reserved slots. [`eval_ra`] is the same
+//!   path for a ground expression.
 //! * [`pipeline`] is the **one engine** all of the above share: the
 //!   columnar interpreter of compiled [`bcq_core::program::OpProgram`]s
 //!   (fetch / filter sweeps / join schedule / project over

@@ -1,28 +1,20 @@
 //! Bounded evaluation of certified RA expressions (see [`bcq_core::ra`]).
 //!
-//! One evaluator, and it plans nothing per request.
-//! [`PreparedRa::prepare`] certifies the expression and compiles it to a
+//! One evaluator, and it plans nothing. [`PreparedRa::prepare`] — one walk
+//! in `bcq_core::ra` — certifies an expression and compiles it to a
 //! skeleton in which **every** SPC block is a bounded plan, operator
-//! program included:
+//! program included: an *enumerated* block's own, and a *probed* block's
+//! with each projection attribute pinned to a reserved slot,
+//! `z_i = ?⟨probe-i⟩`.
 //!
-//! * an *enumerable* block compiles to its (parameterized) plan as is;
-//! * a block on the *probe* side of a difference or intersection compiles
-//!   to the plan of the block with each projection attribute pinned to a
-//!   reserved slot, `z_i = ?⟨probe-i⟩`. Whether `Q(Z = t)` is effectively
-//!   bounded depends on which attributes are pinned, never on `t`
-//!   (Section 4.3), so that one plan answers membership for every
-//!   candidate — and it exists exactly when the certification's
-//!   [`membership_checkable`] holds, both seeding the closure with the
-//!   projection classes.
-//!
-//! [`eval_ra_prepared`] walks the skeleton: enumerable blocks run through
+//! [`eval_ra_prepared`] walks the skeleton: enumerated blocks run through
 //! [`eval_dq_with`], set operations combine rows, and a **membership
 //! probe** binds the candidate row's cells to the probe slots of the
-//! request's [`ParamEnv`], runs the probe block's plan and tests the answer
-//! for emptiness. A class pinned by a constant (or a second projection of
-//! the same attribute) as well as by a probe slot must agree with it or the
-//! probe answers "not a member" — the template semantics every plan has.
-//! [`eval_ra`] is the same path for a ground expression.
+//! request's [`ParamEnv`], runs the probed block's plan and tests the
+//! answer for emptiness. A class pinned by a constant (or a second
+//! projection of the same attribute) as well as by a probe slot must agree
+//! with it or the probe answers "not a member" — the template semantics
+//! every plan has. [`eval_ra`] is the same path for a ground expression.
 
 use crate::eval_dq::eval_dq_with;
 use crate::pipeline::ParamEnv;
@@ -30,11 +22,9 @@ use crate::results::ResultSet;
 use bcq_core::access::AccessSchema;
 use bcq_core::error::{CoreError, Result};
 use bcq_core::plan::QueryPlan;
-use bcq_core::prelude::{SpcQuery, Value};
-use bcq_core::qplan::qplan_template;
-use bcq_core::ra::{membership_checkable, ra_effectively_bounded, RaExpr};
+pub use bcq_core::ra::PreparedRa;
+use bcq_core::ra::{RaExpr, RaPlan};
 use bcq_storage::{Database, Meter};
-use std::collections::BTreeMap;
 
 /// Result of a bounded RA evaluation.
 #[derive(Debug, Clone)]
@@ -59,179 +49,6 @@ pub fn eval_ra(db: &Database, expr: &RaExpr, a: &AccessSchema) -> Result<RaOutco
     eval_ra_prepared(db, &prepared, a, &mut ParamEnv::new())
 }
 
-/// Prefix of the reserved slot names membership probes bind candidate rows
-/// under; no placeholder of a prepared expression may start with it.
-const PROBE_SLOT_PREFIX: &str = "⟨probe-";
-
-/// A certified RA expression compiled for repeated execution: the
-/// evaluation skeleton with the intersection orientation resolved and a
-/// parameterized bounded plan for every SPC block, enumerated or probed.
-/// Execution ([`eval_ra_prepared`]) walks it with zero certification or
-/// planning work.
-#[derive(Debug, Clone)]
-pub struct PreparedRa {
-    root: Node,
-    /// The placeholders of every block, in first-use order.
-    slots: Vec<String>,
-    /// The reserved slots a probe binds the candidate row under, one per
-    /// output column.
-    probe_slots: Vec<String>,
-}
-
-/// The enumerated part of the skeleton. Plans are boxed: a `QueryPlan`
-/// (with its compiled program) dwarfs the other variants.
-#[derive(Debug, Clone)]
-enum Node {
-    /// An enumerable block.
-    Enum(Box<QueryPlan>),
-    /// Union of two enumerated sides.
-    Union(Box<Node>, Box<Node>),
-    /// Enumerate `base`; keep rows whose membership in `probe` matches
-    /// `keep_members` (intersection with the orientation already chosen,
-    /// or difference).
-    Filter {
-        base: Box<Node>,
-        probe: Probe,
-        keep_members: bool,
-    },
-}
-
-/// The probed part: membership of one candidate row, combined per the set
-/// operators.
-#[derive(Debug, Clone)]
-enum Probe {
-    /// A block with its projection pinned to the probe slots: the
-    /// candidate is a member iff the plan's answer is non-empty.
-    Spc(Box<QueryPlan>),
-    Union(Box<Probe>, Box<Probe>),
-    Intersect(Box<Probe>, Box<Probe>),
-    Difference(Box<Probe>, Box<Probe>),
-}
-
-impl PreparedRa {
-    /// Certifies and compiles `expr` under `a`. Fails with
-    /// [`CoreError::NotEffectivelyBounded`] if the sufficient condition of
-    /// [`ra_effectively_bounded`] does not certify the (instantiated)
-    /// expression.
-    pub fn prepare(expr: &RaExpr, a: &AccessSchema) -> Result<Self> {
-        expr.validate()?;
-        let mut slots: Vec<String> = Vec::new();
-        for name in expr.blocks().iter().flat_map(|q| q.placeholder_names()) {
-            if !slots.contains(&name) {
-                slots.push(name);
-            }
-        }
-        if let Some(reserved) = slots.iter().find(|n| n.starts_with(PROBE_SLOT_PREFIX)) {
-            return Err(CoreError::Invalid(format!(
-                "parameter name `{reserved}` is reserved for membership probes"
-            )));
-        }
-        // Analysis (certification + orientation) runs on a ground shape:
-        // the expression itself when it has no slots, else a sentinel
-        // instantiation with a distinct value per slot. Certification
-        // depends only on *which* attributes are pinned, never on the
-        // values, and a binding that repeats a value across slots only
-        // merges `Σ_Q` classes, which can never un-certify — so that
-        // certificate covers every future binding.
-        let sentinel_ground = (!slots.is_empty()).then(|| {
-            let sentinels: BTreeMap<String, Value> = slots
-                .iter()
-                .enumerate()
-                .map(|(i, name)| (name.clone(), Value::str(format!("\u{1}slot-{i}"))))
-                .collect();
-            instantiate(expr, &sentinels)
-        });
-        let analyzed = sentinel_ground.as_ref().unwrap_or(expr);
-        let report = ra_effectively_bounded(analyzed, a);
-        if !report.effectively_bounded {
-            return Err(CoreError::NotEffectivelyBounded(
-                report.failure.unwrap_or_default(),
-            ));
-        }
-        let probe_slots: Vec<String> = (0..expr.arity())
-            .map(|i| format!("{PROBE_SLOT_PREFIX}{i}⟩"))
-            .collect();
-        Ok(PreparedRa {
-            root: prepare_node(expr, analyzed, a, &probe_slots)?,
-            slots,
-            probe_slots,
-        })
-    }
-
-    /// Parameter slots a request must bind: the placeholders of every
-    /// block (a template can spread them over both sides of a set
-    /// operation), in first-use order.
-    pub fn param_slots(&self) -> &[String] {
-        &self.slots
-    }
-}
-
-/// The bounded plan of one block, operator program compiled.
-fn compile(q: &SpcQuery, a: &AccessSchema) -> Result<Box<QueryPlan>> {
-    let plan = qplan_template(q, a)?;
-    plan.program();
-    Ok(Box::new(plan))
-}
-
-/// Builds the enumerated skeleton, walking the template and its analyzed
-/// (ground) shape in lockstep: plans are compiled from the template
-/// (placeholders become plan slots), orientation decisions are made on the
-/// ground shape.
-fn prepare_node(
-    expr: &RaExpr,
-    ground: &RaExpr,
-    a: &AccessSchema,
-    probe_slots: &[String],
-) -> Result<Node> {
-    match (expr, ground) {
-        (RaExpr::Spc(q), RaExpr::Spc(_)) => Ok(Node::Enum(compile(q, a)?)),
-        (RaExpr::Union(l, r), RaExpr::Union(gl, gr)) => Ok(Node::Union(
-            Box::new(prepare_node(l, gl, a, probe_slots)?),
-            Box::new(prepare_node(r, gr, a, probe_slots)?),
-        )),
-        (RaExpr::Intersect(l, r), RaExpr::Intersect(gl, gr)) => {
-            // Enumerate whichever side is enumerable with every block of
-            // the other probeable (mirror of the checker's orientation
-            // logic).
-            let probeable = |q: &&SpcQuery| membership_checkable(q, a).effectively_bounded;
-            let l_ok = ra_effectively_bounded(gl, a).effectively_bounded
-                && gr.blocks().iter().all(probeable);
-            let (base, gbase, probe) = if l_ok { (l, gl, r) } else { (r, gr, l) };
-            Ok(Node::Filter {
-                base: Box::new(prepare_node(base, gbase, a, probe_slots)?),
-                probe: prepare_probe(probe, a, probe_slots)?,
-                keep_members: true,
-            })
-        }
-        (RaExpr::Difference(l, r), RaExpr::Difference(gl, _gr)) => Ok(Node::Filter {
-            base: Box::new(prepare_node(l, gl, a, probe_slots)?),
-            probe: prepare_probe(r, a, probe_slots)?,
-            keep_members: false,
-        }),
-        _ => unreachable!("template and its instantiation share one shape"),
-    }
-}
-
-/// Compiles a probe side: every block planned with its `i`-th projection
-/// attribute pinned to the `i`-th probe slot.
-fn prepare_probe(expr: &RaExpr, a: &AccessSchema, probe_slots: &[String]) -> Result<Probe> {
-    let sub = |e: &RaExpr| prepare_probe(e, a, probe_slots).map(Box::new);
-    Ok(match expr {
-        RaExpr::Spc(q) => {
-            let pins: Vec<_> = q
-                .projection()
-                .iter()
-                .copied()
-                .zip(probe_slots.iter().map(String::as_str))
-                .collect();
-            Probe::Spc(compile(&q.with_params(&pins), a)?)
-        }
-        RaExpr::Union(l, r) => Probe::Union(sub(l)?, sub(r)?),
-        RaExpr::Intersect(l, r) => Probe::Intersect(sub(l)?, sub(r)?),
-        RaExpr::Difference(l, r) => Probe::Difference(sub(l)?, sub(r)?),
-    })
-}
-
 /// Executes a prepared RA expression with the request's bindings.
 ///
 /// `params` carries the bindings interned against `db`'s symbol table, as
@@ -246,7 +63,7 @@ pub fn eval_ra_prepared(
     params: &mut ParamEnv,
 ) -> Result<RaOutcome> {
     let missing: Vec<String> = prepared
-        .slots
+        .param_slots()
         .iter()
         .filter(|name| params.get(name).is_none())
         .cloned()
@@ -257,11 +74,11 @@ pub fn eval_ra_prepared(
     let mut walk = Walk {
         db,
         a,
-        probe_slots: &prepared.probe_slots,
+        probe_slots: prepared.probe_slots(),
         meter: Meter::new(),
         probes: 0,
     };
-    let result = walk.enumerate(&prepared.root, params)?;
+    let result = walk.enumerate(prepared.root(), params)?;
     Ok(RaOutcome {
         result,
         meter: walk.meter,
@@ -286,15 +103,16 @@ impl Walk<'_> {
         Ok(out.result)
     }
 
-    fn enumerate(&mut self, node: &Node, params: &mut ParamEnv) -> Result<ResultSet> {
+    /// The answer of an enumerated node.
+    fn enumerate(&mut self, node: &RaPlan, params: &mut ParamEnv) -> Result<ResultSet> {
         match node {
-            Node::Enum(plan) => self.run(plan, params),
-            Node::Union(l, r) => {
+            RaPlan::Spc(plan) => self.run(plan, params),
+            RaPlan::Union(l, r) => {
                 let mut rows = self.enumerate(l, params)?.rows().to_vec();
                 rows.extend_from_slice(self.enumerate(r, params)?.rows());
                 Ok(ResultSet::from_rows(rows))
             }
-            Node::Filter {
+            RaPlan::Filter {
                 base,
                 probe,
                 keep_members,
@@ -314,32 +132,21 @@ impl Walk<'_> {
         }
     }
 
-    /// Does the candidate bound to the probe slots belong to `probe`'s
-    /// answer? Bounded per certification.
-    fn is_member(&mut self, probe: &Probe, params: &ParamEnv) -> Result<bool> {
-        Ok(match probe {
-            Probe::Spc(plan) => {
+    /// Does the candidate bound to the probe slots belong to the answer of
+    /// the probed node? Bounded per certification.
+    fn is_member(&mut self, node: &RaPlan, params: &ParamEnv) -> Result<bool> {
+        Ok(match node {
+            RaPlan::Spc(plan) => {
                 self.probes += 1;
                 !self.run(plan, params)?.is_empty()
             }
-            Probe::Union(l, r) => self.is_member(l, params)? || self.is_member(r, params)?,
-            Probe::Intersect(l, r) => self.is_member(l, params)? && self.is_member(r, params)?,
-            Probe::Difference(l, r) => self.is_member(l, params)? && !self.is_member(r, params)?,
+            RaPlan::Union(l, r) => self.is_member(l, params)? || self.is_member(r, params)?,
+            RaPlan::Filter {
+                base,
+                probe,
+                keep_members,
+            } => self.is_member(base, params)? && self.is_member(probe, params)? == *keep_members,
         })
-    }
-}
-
-/// Instantiates every block's placeholders from `bindings`.
-fn instantiate(expr: &RaExpr, bindings: &BTreeMap<String, Value>) -> RaExpr {
-    match expr {
-        RaExpr::Spc(q) => RaExpr::Spc(q.instantiate(bindings)),
-        RaExpr::Union(l, r) => RaExpr::union(instantiate(l, bindings), instantiate(r, bindings)),
-        RaExpr::Intersect(l, r) => {
-            RaExpr::intersect(instantiate(l, bindings), instantiate(r, bindings))
-        }
-        RaExpr::Difference(l, r) => {
-            RaExpr::difference(instantiate(l, bindings), instantiate(r, bindings))
-        }
     }
 }
 
@@ -522,31 +329,138 @@ mod tests {
         assert!(templated >= 4, "{templated} templated cases");
     }
 
+    /// A template is certified once, with its placeholders as closure
+    /// seeds, and that certificate must cover every binding. A binding can
+    /// only add equalities — one value in two slots merges their `Σ_Q`
+    /// classes, a slot bound to the constant already on its class changes
+    /// nothing, a different constant empties the answer — and none of that
+    /// can take a certificate away. So for every templated case, under its
+    /// own bindings and under ones that repeat a value across slots or
+    /// repeat a class's constant: the instantiation is certified too, and
+    /// the template served with the binding answers what the oracle does.
+    #[test]
+    fn a_certified_template_certifies_every_instantiation() {
+        let (db, a) = photos();
+        let cat = db.catalog();
+        let block = |rel: &str, alias: &str, pins: &[(&str, &str)], proj: &str| {
+            let mut b = SpcQuery::builder(Arc::clone(cat), alias).atom(rel, alias);
+            for (attr, v) in pins {
+                b = match v.strip_prefix('?') {
+                    Some(slot) => b.eq_param((alias, *attr), slot),
+                    None => b.eq_const((alias, *attr), *v),
+                };
+            }
+            RaExpr::Spc(b.project((alias, proj)).build().unwrap())
+        };
+        let album = |pins: &[(&str, &str)]| block("in_album", "ia", pins, "photo_id");
+        let tagged = |pins: &[(&str, &str)]| block("tagging", "t", pins, "photo_id");
+        let bindings = |rows: &[&[(&str, &str)]]| -> Vec<Bindings> {
+            rows.iter()
+                .map(|row| {
+                    row.iter()
+                        .map(|(k, v)| (k.to_string(), Value::str(*v)))
+                        .collect()
+                })
+                .collect()
+        };
+
+        let mut templates: Vec<(String, RaExpr, Vec<Bindings>)> = Vec::new();
+        for case in cases(cat) {
+            if case.bindings == [Bindings::new()] {
+                continue;
+            }
+            // The case's own bindings, then every slot bound to one value.
+            let slots = PreparedRa::prepare(&case.expr, &a)
+                .unwrap()
+                .param_slots()
+                .to_vec();
+            let mut bs = case.bindings.clone();
+            for v in ["a0", "u0", "p1"] {
+                bs.push(slots.iter().map(|s| (s.clone(), Value::str(v))).collect());
+            }
+            templates.push((case.name.to_string(), case.expr, bs));
+        }
+        templates.push((
+            "slot on the class of a constant, enumerated".into(),
+            RaExpr::difference(
+                album(&[("album_id", "a0"), ("album_id", "?album")]),
+                tagged(&[("taggee_id", "?user")]),
+            ),
+            bindings(&[
+                &[("album", "a0"), ("user", "u0")],
+                &[("album", "a1"), ("user", "u0")],
+                &[("album", "a0"), ("user", "a0")],
+            ]),
+        ));
+        templates.push((
+            "slot on the class of a constant, probed".into(),
+            RaExpr::intersect(
+                album(&[("album_id", "?album")]),
+                tagged(&[("taggee_id", "u0"), ("taggee_id", "?user")]),
+            ),
+            bindings(&[
+                &[("album", "a0"), ("user", "u0")],
+                &[("album", "a0"), ("user", "u1")],
+                &[("album", "u0"), ("user", "u0")],
+            ]),
+        ));
+        templates.push((
+            "two probe slots, one value".into(),
+            RaExpr::difference(
+                album(&[("album_id", "?album")]),
+                RaExpr::difference(
+                    tagged(&[("taggee_id", "?user")]),
+                    tagged(&[("taggee_id", "?other")]),
+                ),
+            ),
+            bindings(&[
+                &[("album", "a0"), ("user", "u0"), ("other", "u0")],
+                &[("album", "a0"), ("user", "u0"), ("other", "u1")],
+                &[("album", "a0"), ("user", "u1"), ("other", "u0")],
+            ]),
+        ));
+
+        let mut checked = 0;
+        for (name, expr, bs) in &templates {
+            let report = ra_effectively_bounded(expr, &a);
+            assert!(report.effectively_bounded, "{name}: {:?}", report.failure);
+            let prepared = PreparedRa::prepare(expr, &a).unwrap();
+            for b in bs {
+                let ground = fixture::instantiate(expr, b);
+                let report = ra_effectively_bounded(&ground, &a);
+                assert!(
+                    report.effectively_bounded,
+                    "{name} {b:?}: {:?}",
+                    report.failure
+                );
+                let want = ra_oracle(&db, expr, &a, b);
+                let mut env = ParamEnv::encode(db.symbols(), b);
+                let served = eval_ra_prepared(&db, &prepared, &a, &mut env).unwrap();
+                assert_eq!(served.result, want, "{name} {b:?}");
+                assert_eq!(eval_ra(&db, &ground, &a).unwrap().result, want);
+                checked += 1;
+            }
+        }
+        assert!(checked >= 35, "{checked} bindings checked");
+    }
+
     /// Every compiled probe plan, on every row any block of its expression
     /// produces: it answers membership as a full scan of the pinned block
     /// does, and fetches within its own `cost_bound()` (the fixture
     /// satisfies its access schema).
     #[test]
     fn probe_plans_answer_membership_within_their_cost_bound() {
-        fn probe_plans<'p>(node: &'p Node, out: &mut Vec<&'p QueryPlan>) {
-            fn leaves<'p>(probe: &'p Probe, out: &mut Vec<&'p QueryPlan>) {
-                match probe {
-                    Probe::Spc(plan) => out.push(plan),
-                    Probe::Union(l, r) | Probe::Intersect(l, r) | Probe::Difference(l, r) => {
-                        leaves(l, out);
-                        leaves(r, out);
-                    }
-                }
-            }
+        fn probe_plans<'p>(node: &'p RaPlan, probed: bool, out: &mut Vec<&'p QueryPlan>) {
             match node {
-                Node::Enum(_) => {}
-                Node::Union(l, r) => {
-                    probe_plans(l, out);
-                    probe_plans(r, out);
+                RaPlan::Spc(plan) if probed => out.push(plan),
+                RaPlan::Spc(_) => {}
+                RaPlan::Union(l, r) => {
+                    probe_plans(l, probed, out);
+                    probe_plans(r, probed, out);
                 }
-                Node::Filter { base, probe, .. } => {
-                    probe_plans(base, out);
-                    leaves(probe, out);
+                RaPlan::Filter { base, probe, .. } => {
+                    probe_plans(base, probed, out);
+                    probe_plans(probe, true, out);
                 }
             }
         }
@@ -556,7 +470,7 @@ mod tests {
         for case in cases(db.catalog()) {
             let prepared = PreparedRa::prepare(&case.expr, &a).unwrap();
             let mut plans = Vec::new();
-            probe_plans(&prepared.root, &mut plans);
+            probe_plans(prepared.root(), false, &mut plans);
             for b in &case.bindings {
                 let candidates: Vec<Box<[Value]>> = case
                     .expr
@@ -570,7 +484,7 @@ mod tests {
                 {
                     let mut env = ParamEnv::encode(db.symbols(), b);
                     let mut pinned = b.clone();
-                    for (slot, v) in prepared.probe_slots.iter().zip(t.iter()) {
+                    for (slot, v) in prepared.probe_slots().iter().zip(t.iter()) {
                         env.bind(slot, db.symbols().try_encode(v));
                         pinned.insert(slot.clone(), v.clone());
                     }

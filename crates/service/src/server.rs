@@ -28,22 +28,24 @@
 //!
 //! ## Write concurrency
 //!
-//! Row writers on **disjoint relations proceed in parallel**. The lock
-//! order, invariant everywhere in this module, is:
+//! Row writers on **disjoint relations never share a latch**; they meet
+//! only in the commit section. The lock order, invariant everywhere in
+//! this module, is:
 //!
 //! 1. the bulk gate ([`Server`]'s `gate` `RwLock`) — shared for row
 //!    writers, exclusive for bulk writes / checkpoints / view
 //!    registration;
 //! 2. the written relation's write latch ([`SharedDb::lock_rel`]);
-//! 3. the commit lock ([`SharedDb::write`]) — held only for the pointer
-//!    swap that installs a prepared shard, never across index
-//!    maintenance or I/O.
+//! 3. the commit lock ([`SharedDb::write`]) — held for the pointer swap
+//!    that installs a prepared shard, or for an in-place row write when no
+//!    snapshot is outstanding; never across an fsync.
 //!
 //! [`Server::insert`] and [`Server::delete`] are one body (`write_row`)
 //! that takes those locks in that order. When snapshots are outstanding
 //! the writer prepares the new shard *off* the commit lock
-//! ([`Database::prepare`]); otherwise it mutates in place (uniquely owned
-//! shard — cheapest path). Either way every index of the relation is
+//! ([`Database::prepare`]); otherwise it mutates in place inside the
+//! commit section (uniquely owned shard — cheapest path, but disjoint
+//! writers serialize on it). Either way every index of the relation is
 //! maintained and the WAL record is appended inside the commit section,
 //! so log order equals commit order; the **fsync happens after every lock
 //! is released**, shared between concurrently committing writers (group
@@ -819,12 +821,15 @@ impl Server {
         Ok(prepared)
     }
 
-    /// Prepares an RA expression. Certified expressions ride the
-    /// [`Lane::BoundedRa`] lane; an uncertified bare SPC block degrades to
-    /// the budgeted baseline like [`Server::prepare`]; uncertified set
-    /// expressions are rejected (the baseline evaluates SPC only).
+    /// Prepares an RA expression. A bare SPC block is [`Server::prepare`]d
+    /// (one cache entry, whichever call compiled it first); certified set
+    /// expressions ride the [`Lane::BoundedRa`] lane; uncertified ones are
+    /// rejected (the baseline evaluates SPC only).
     pub fn prepare_ra(&self, expr: &RaExpr) -> crate::Result<Prepared> {
-        self.prepare_keyed(&ra_fingerprint(expr), || self.classify_ra(expr))
+        match expr {
+            RaExpr::Spc(q) => self.prepare(q),
+            _ => self.prepare_keyed(&ra_fingerprint(expr), || self.classify_ra(expr)),
+        }
     }
 
     fn prepare_keyed(
@@ -875,20 +880,15 @@ impl Server {
     }
 
     fn classify_ra(&self, expr: &RaExpr) -> crate::Result<PreparedQuery> {
-        expr.validate()?;
-        if let RaExpr::Spc(q) = expr {
-            return self.classify_spc(q);
-        }
         let _admit = self.metrics.span(Phase::Admit);
-        // Certification and plan compilation happen here, once:
-        // [`PreparedRa::prepare`] certifies the expression (templates via a
-        // sentinel instantiation — certification depends only on *which*
-        // attributes are pinned, and a binding that repeats a value across
-        // slots only merges `Σ_Q` classes, which can never un-certify),
-        // compiles every block's parameterized plan — a probed block's with
-        // its projection pinned to the probe slots — and resolves the
-        // set-operation orientation. The cache stores the whole skeleton;
-        // requests only bind and interpret.
+        // Certification is compilation, done here once: one walk of
+        // [`PreparedRa::prepare`] asks of every block whether its template
+        // has a bounded plan — the block itself if enumerated, the block
+        // with its projection pinned to the probe slots if probed, the
+        // template's own placeholders seeding the closure either way — and
+        // keeps the plans it built, intersection orientations chosen on the
+        // way. The cache stores the whole skeleton; requests only bind and
+        // interpret.
         match PreparedRa::prepare(expr, &self.access) {
             Ok(compiled) => Ok(PreparedQuery::bounded_ra(compiled)),
             Err(CoreError::NotEffectivelyBounded(why)) => {
@@ -1084,11 +1084,12 @@ impl Server {
     /// logged or recorded.
     ///
     /// The writer latches only `rel_name`'s relation, so writers on
-    /// disjoint relations proceed in parallel end to end. When snapshots
+    /// disjoint relations never wait on each other's latch. When snapshots
     /// are outstanding the new shard — indices maintained — is prepared
     /// *off* the commit lock ([`Database::prepare`]) and the commit section
     /// is one pointer swap; otherwise the uniquely owned shard is mutated
-    /// in place, the cheapest path. The
+    /// in place inside the commit section — the cheapest path for one
+    /// writer, and where disjoint writers serialize. The
     /// latch and the shared bulk gate together exclude every other
     /// writer that could touch this shard in between. The WAL fsync (group
     /// commit, shared with concurrent writers) is waited on only after
@@ -1705,6 +1706,26 @@ mod tests {
         let r2 = s.query_ra(&expr, &BTreeMap::new()).unwrap();
         assert!(r2.stats.cache_hit);
         assert_eq!(r2.rows().unwrap(), r.rows().unwrap());
+    }
+
+    #[test]
+    fn a_bare_block_is_one_cache_entry_whichever_way_it_is_prepared() {
+        for ra_first in [false, true] {
+            let server = setup(AdmissionPolicy::Strict);
+            let q1 = template(&server);
+            let bare = RaExpr::Spc(q1.clone());
+            let (first, second) = if ra_first {
+                (server.prepare_ra(&bare), server.prepare(&q1))
+            } else {
+                (server.prepare(&q1), server.prepare_ra(&bare))
+            };
+            let (first, second) = (first.unwrap(), second.unwrap());
+            assert!(!first.cache_hit && second.cache_hit, "ra first: {ra_first}");
+            assert!(Arc::ptr_eq(&first.query, &second.query));
+            assert_eq!(second.query.lane(), Lane::Bounded);
+            assert_eq!(server.cache.len(), 1);
+            assert_eq!(server.cache_stats().misses, 1);
+        }
     }
 
     #[test]

@@ -19,16 +19,16 @@
 //!
 //! ## Per-relation write concurrency
 //!
-//! `write` is the exclusive **commit section** — short by construction —
-//! but it is *not* the unit writers serialize on. Each relation has a
+//! `write` is the exclusive **commit section**. Each relation also has a
 //! write latch ([`SharedDb::lock_rel`]): a row writer latches only the
-//! relation it touches, prepares the new shard off the commit section
-//! (encode, copy-on-write clone, index maintenance — see
-//! [`bcq_storage::Database::prepare`]), and then enters
-//! `write` just long enough to swap one shard pointer. Writers on
-//! disjoint relations overlap everywhere except that pointer store; the
-//! latch serializes same-relation writers so a prepared shard can never
-//! race another writer's commit.
+//! relation it touches. While snapshots are outstanding it prepares the
+//! new shard off the commit section (encode, copy-on-write clone, index
+//! maintenance — see [`bcq_storage::Database::prepare`]) and enters
+//! `write` just long enough to swap one shard pointer; with none
+//! outstanding it mutates the uniquely owned shard in place inside
+//! `write`, so writers on disjoint relations serialize there. The latch
+//! serializes same-relation writers so a prepared shard can never race
+//! another writer's commit.
 
 use bcq_core::prelude::RelId;
 use bcq_storage::Database;

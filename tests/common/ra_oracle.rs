@@ -43,6 +43,17 @@ pub fn ra_oracle(db: &Database, expr: &RaExpr, a: &AccessSchema, bindings: &Bind
     }
 }
 
+/// `expr` with every block's placeholders bound from `bindings`.
+pub fn instantiate(expr: &RaExpr, bindings: &Bindings) -> RaExpr {
+    let sub = |e: &RaExpr| instantiate(e, bindings);
+    match expr {
+        RaExpr::Spc(q) => RaExpr::Spc(q.instantiate(bindings)),
+        RaExpr::Union(l, r) => RaExpr::union(sub(l), sub(r)),
+        RaExpr::Intersect(l, r) => RaExpr::intersect(sub(l), sub(r)),
+        RaExpr::Difference(l, r) => RaExpr::difference(sub(l), sub(r)),
+    }
+}
+
 /// One ground SPC block by full scans.
 pub fn full_scan(db: &Database, q: &SpcQuery, a: &AccessSchema) -> ResultSet {
     let opts = BaselineOptions {

@@ -172,19 +172,6 @@ proptest! {
         prop_assert_eq!(full.result().unwrap(), &bounded.result, "{}", q);
     }
 
-    /// The exact minimum `Σ M_i` never exceeds the greedy plan's bound.
-    #[test]
-    fn exact_bound_le_greedy(rq in query_strategy()) {
-        let q = rq.build();
-        let a = full_schema();
-        if let (Some(greedy), Some(exact)) = (
-            min_dq_bound_greedy(&q, &a),
-            min_dq_bound_exact(&q, &a, 22),
-        ) {
-            prop_assert!(exact <= greedy, "exact {exact} > greedy {greedy} for {q}");
-        }
-    }
-
     /// Lemma 1: the single-relation rewriting preserves both verdicts and
     /// answers.
     #[test]
@@ -235,5 +222,33 @@ proptest! {
         let ij = run(BaselineMode::IndexJoin);
         prop_assert_eq!(fs.result().unwrap(), ci.result().unwrap());
         prop_assert_eq!(fs.result().unwrap(), ij.result().unwrap());
+    }
+}
+
+/// Cases of [`exact_bound_le_greedy`]. Each runs an exact search over up
+/// to 2²² subsets, so `cargo test` runs seven — under a second in a debug
+/// build, where the eighth generated query alone takes about six — and
+/// `PROPTEST_CASES` widens the sweep (CI's nightly fuzz job runs 512).
+fn exact_cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(7)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(exact_cases()))]
+
+    /// The exact minimum `Σ M_i` never exceeds the greedy plan's bound.
+    #[test]
+    fn exact_bound_le_greedy(rq in query_strategy()) {
+        let q = rq.build();
+        let a = full_schema();
+        if let (Some(greedy), Some(exact)) = (
+            min_dq_bound_greedy(&q, &a),
+            min_dq_bound_exact(&q, &a, 22),
+        ) {
+            prop_assert!(exact <= greedy, "exact {exact} > greedy {greedy} for {q}");
+        }
     }
 }
