@@ -71,8 +71,10 @@ pub struct FetchStep {
     /// aligned with the constraint's `X` columns (empty for `Any` or for
     /// bounded-domain constraints with `X = ∅`).
     pub key: Vec<(usize, KeySource)>,
-    /// Relation columns materialized by the step (`X ∪ Y` of the
-    /// constraint), sorted.
+    /// Relation columns materialized by the step, sorted: the columns of
+    /// the constraint's `X ∪ Y` whose `Σ_Q` class later work reads — a
+    /// parameter of the query (in some atom's `X^i_Q`) or a probe key of
+    /// a later step. Empty for [`FetchKind::Any`].
     pub out_cols: Vec<usize>,
     /// `Σ_Q` class of each materialized column (aligned with `out_cols`).
     pub out_classes: Vec<ClassId>,

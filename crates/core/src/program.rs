@@ -41,6 +41,11 @@
 //!   hoisting the `O(cols²)` per-pair rediscovery out of the request path.
 //! * **Projection map**: the `Σ_Q` class of each output column.
 //!
+//! A partial assignment holds one cell per class the program touches — a
+//! class some batch column, pin or projection column belongs to —
+//! renumbered densely, never all of `Σ_Q`: classes of columns no batch
+//! carries would only be copied along with every partial.
+//!
 //! ## Contract
 //!
 //! The interpreter must be fed batches whose column layouts match the
@@ -240,7 +245,11 @@ pub struct SemiJoinPass {
 pub struct OpProgram {
     /// Number of atoms (= batches the interpreter expects).
     pub num_atoms: usize,
-    /// Number of `Σ_Q` classes (width of a partial assignment).
+    /// Width of a partial assignment: the `Σ_Q` classes the program
+    /// touches (a batch column's, a pin's or the projection's), numbered
+    /// densely in class order; at least one. Every class index below —
+    /// `col_classes`, seeds, join keys, binds, `proj_classes` — is in
+    /// this numbering.
     pub num_classes: usize,
     /// Expected batch column layout per atom (relation column ids).
     pub atom_cols: Vec<Vec<usize>>,
@@ -280,16 +289,43 @@ impl OpProgram {
     ) -> OpProgram {
         let n = q.num_atoms();
         debug_assert_eq!(atom_cols.len(), n);
-        let num_classes = sigma.num_classes();
 
-        let flat_classes: Vec<usize> = (0..q.total_attrs())
-            .map(|flat| sigma.class_of_flat(flat).0)
-            .collect();
+        // A partial carries one cell per `Σ_Q` class the program touches —
+        // a batch column's, a pin's or the projection's — renumbered
+        // densely in class order. Any other class would only be copied
+        // along with every partial, never read.
+        let sigma_class =
+            |atom: usize, col: usize| sigma.class_of_flat(q.flat_id(QAttr::new(atom, col))).0;
+        let mut touched = vec![false; sigma.num_classes()];
+        for (atom, cols) in atom_cols.iter().enumerate() {
+            for &col in cols {
+                touched[sigma_class(atom, col)] = true;
+            }
+        }
+        for (ci, cls) in sigma.classes().iter().enumerate() {
+            if cls.constant.is_some() || !cls.placeholders.is_empty() {
+                touched[ci] = true;
+            }
+        }
+        for z in q.projection() {
+            touched[sigma_class(z.atom, z.col)] = true;
+        }
+        let mut dense = vec![usize::MAX; touched.len()];
+        let mut num_classes = 0;
+        for (ci, _) in touched.iter().enumerate().filter(|(_, t)| **t) {
+            dense[ci] = num_classes;
+            num_classes += 1;
+        }
+        // A Boolean query over zero-width batches touches no class but
+        // still counts its partials: keep one slot nothing writes.
+        let num_classes = num_classes.max(1);
+        let class_of = |atom: usize, col: usize| dense[sigma_class(atom, col)];
+
         let col_classes: Vec<Vec<usize>> = (0..n)
             .map(|atom| {
                 atom_cols[atom]
                     .iter()
-                    .map(|&col| flat_classes[q.flat_id(QAttr::new(atom, col))])
+                    .map(|&col| class_of(atom, col))
                     .collect()
             })
             .collect();
@@ -357,7 +393,7 @@ impl OpProgram {
             }
             if !ids.is_empty() {
                 seeds.push(SeedPin {
-                    class: ci,
+                    class: dense[ci],
                     pins: ids,
                 });
             }
@@ -368,7 +404,7 @@ impl OpProgram {
         let proj_classes: Vec<usize> = q
             .projection()
             .iter()
-            .map(|z| flat_classes[q.flat_id(*z)])
+            .map(|z| class_of(z.atom, z.col))
             .collect();
 
         OpProgram {

@@ -22,7 +22,7 @@
 
 use crate::access::{AccessSchema, ConstraintId};
 use crate::deduce::{Closure, GammaEntry, Provenance};
-use crate::ebcheck::analyze;
+use crate::ebcheck::{analyze, AtomDiagnosis};
 use crate::error::{CoreError, Result};
 use crate::plan::{FetchKind, FetchStep, KeySource, QueryPlan, StepId};
 use crate::query::{QAttr, SpcQuery};
@@ -123,9 +123,72 @@ fn plan_inner(q: &SpcQuery, a: &AccessSchema) -> Result<QueryPlan> {
         anchors.push(sid);
     }
 
-    let steps = std::mem::take(&mut b.steps);
+    let mut steps = std::mem::take(&mut b.steps);
     drop(b);
+    keep_live_columns(q, &sigma, &report.per_atom, &mut steps);
     Ok(QueryPlan::new(q.clone(), sigma, steps, anchors, false))
+}
+
+/// Narrows every step to the columns later work reads. A class is *live*
+/// if it holds a column of some atom's `X^i_Q` — which covers every
+/// constant-pinned column and, since placeholder classes seed EBCheck as
+/// extra parameters, every placeholder-pinned one (a pin on a non-key
+/// column is a filter) — or if a step keys on it. Only live classes are
+/// filtered, joined, projected or used as probe keys; the rest of a
+/// constraint's `X ∪ Y` would be gathered for nothing. Which rids a step
+/// fetches, its bound and the plan's `Display` do not change:
+/// `KeySource::Column` positions are remapped to the narrowed layout.
+fn keep_live_columns(
+    q: &SpcQuery,
+    sigma: &Sigma,
+    per_atom: &[AtomDiagnosis],
+    steps: &mut [FetchStep],
+) {
+    let mut live = vec![false; sigma.num_classes()];
+    for d in per_atom {
+        for &col in &d.xq {
+            live[sigma.class_of_flat(q.flat_id(QAttr::new(d.atom, col))).0] = true;
+        }
+    }
+    for s in steps.iter() {
+        for (_, src) in &s.key {
+            if let KeySource::Column { step, col } = src {
+                live[steps[step.0].out_classes[*col].0] = true;
+            }
+        }
+    }
+    // Per step: old column position → new one (`None`: dropped).
+    let remap: Vec<Vec<Option<usize>>> = steps
+        .iter()
+        .map(|s| {
+            let mut kept = 0;
+            s.out_classes
+                .iter()
+                .map(|c| {
+                    live[c.0].then(|| {
+                        kept += 1;
+                        kept - 1
+                    })
+                })
+                .collect()
+        })
+        .collect();
+    for s in steps.iter_mut() {
+        for (_, src) in &mut s.key {
+            if let KeySource::Column { step, col } = src {
+                *col = remap[step.0][*col].expect("a keyed class is live");
+            }
+        }
+        let (cols, classes): (Vec<usize>, Vec<ClassId>) = s
+            .out_cols
+            .iter()
+            .zip(&s.out_classes)
+            .filter(|(_, c)| live[c.0])
+            .map(|(&col, &c)| (col, c))
+            .unzip();
+        s.out_cols = cols;
+        s.out_classes = classes;
+    }
 }
 
 struct PlanBuilder<'a> {
@@ -461,6 +524,70 @@ mod tests {
         assert_eq!(plan.steps().len(), 2);
         // 12 (domain fetch) + 12*2 (b probes).
         assert_eq!(plan.cost_bound(), 12 + 24);
+    }
+
+    #[test]
+    fn steps_keep_only_live_columns() {
+        // `a → (b, c, d)` covers the whole tuple, but only `a` (pinned)
+        // and `b` (projected) are read: `c` and `d` are not materialized,
+        // while the bound and the rendering stay those of the constraint.
+        let cat = Catalog::from_names(&[("r", &["a", "b", "c", "d"])]).unwrap();
+        let mut a = AccessSchema::new(cat.clone());
+        a.add("r", &["a"], &["b", "c", "d"], 5).unwrap();
+        let q = SpcQuery::builder(cat, "q")
+            .atom("r", "r")
+            .eq_const(("r", "a"), 1)
+            .project(("r", "b"))
+            .build()
+            .unwrap();
+        let plan = qplan(&q, &a).unwrap();
+        let step = plan.anchor_of_atom(0);
+        assert_eq!(step.out_cols, vec![0, 1]);
+        assert_eq!(step.bound, 5);
+        assert_eq!(plan.program().num_classes, 2, "of 4 classes in Σ_Q");
+        assert_eq!(
+            plan.to_string(),
+            "T0 := fetch r r via index where a = 1   (<= 5 tuples) [anchor]\n\
+             answer := project/join over anchors   (|DQ| <= 5)\n"
+        );
+    }
+
+    #[test]
+    fn a_class_a_later_step_keys_on_stays_live() {
+        // `s.w` is no parameter of the query, but the cheapest proof of
+        // `s.v` (which keys `t`) runs k → w → v, so the `k → w` step must
+        // keep `w` and the `w → v` step's key must point at it.
+        let cat = Catalog::from_names(&[("s", &["k", "v", "w"]), ("t", &["v2", "out"])]).unwrap();
+        let mut a = AccessSchema::new(cat.clone());
+        a.add("s", &["k"], &["w"], 2).unwrap();
+        a.add("s", &["w"], &["v"], 2).unwrap();
+        a.add("s", &["k"], &["v"], 100).unwrap();
+        a.add("t", &["v2"], &["out"], 3).unwrap();
+        let q = SpcQuery::builder(cat, "q")
+            .atom("s", "s")
+            .atom("t", "t")
+            .eq_const(("s", "k"), 1)
+            .eq(("s", "v"), ("t", "v2"))
+            .project(("t", "out"))
+            .build()
+            .unwrap();
+        let plan = qplan(&q, &a).unwrap();
+        let by_cid = |cid: usize| {
+            plan.steps()
+                .iter()
+                .find(|s| s.constraint == Some(ConstraintId(cid)))
+                .expect("step exists")
+        };
+        let (k_to_w, w_to_v) = (by_cid(0), by_cid(1));
+        assert_eq!(k_to_w.out_cols, vec![0, 2], "k, and w for the next key");
+        assert_eq!(w_to_v.out_cols, vec![1, 2], "liveness is per class");
+        match &w_to_v.key[..] {
+            [(2, KeySource::Column { step, col })] => {
+                assert_eq!(*step, k_to_w.id);
+                assert_eq!(k_to_w.out_cols[*col], 2);
+            }
+            other => panic!("unexpected key {other:?}"),
+        }
     }
 
     #[test]

@@ -30,6 +30,7 @@ use crate::pipeline::{run_query_columnar, BudgetExhausted, ExecContext, Fetch, F
 use crate::reference;
 use crate::results::ResultSet;
 use bcq_core::access::AccessSchema;
+use bcq_core::ebcheck::xq_cols;
 use bcq_core::error::Result;
 use bcq_core::prelude::{ColumnBatch, QAttr, RowBuf, SpcQuery, Value};
 use bcq_core::sigma::Sigma;
@@ -164,24 +165,14 @@ fn baseline_impl(
         });
     }
 
-    // Columns each atom actually needs downstream (joins + projection).
-    // Fetched rows are *charged* as whole tuples (rows_scanned /
-    // tuples_fetched count full rows) but materialized projected — the
-    // charge models MySQL, the projection keeps our harness's memory sane.
+    // Columns each atom needs downstream: its `X^i_Q` (joins, filters and
+    // projection). Fetched rows are *charged* as whole tuples
+    // (rows_scanned / tuples_fetched count full rows) but materialized
+    // projected — the charge models MySQL, the projection keeps our
+    // harness's memory sane. An atom without parameters is fetched
+    // zero-width: a batch counts its rows without any column.
     let needed_cols: Vec<Vec<usize>> = (0..q.num_atoms())
-        .map(|atom| {
-            let mut cols: Vec<usize> = (0..q.arity_of(atom))
-                .filter(|&col| {
-                    let flat = q.flat_id(QAttr::new(atom, col));
-                    sigma.occurs_in_condition(flat) || sigma.occurs_in_projection(flat)
-                })
-                .collect();
-            if cols.is_empty() {
-                // Keep one column so the row count survives projection.
-                cols.push(0);
-            }
-            cols
-        })
+        .map(|atom| xq_cols(q, &sigma, atom))
         .collect();
 
     let mut batches: Vec<ColumnBatch> = Vec::with_capacity(q.num_atoms());

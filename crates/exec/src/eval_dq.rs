@@ -2,7 +2,8 @@
 //!
 //! Follows the plan produced by [`bcq_core::qplan`]: each [`FetchStep`]
 //! probes one access-constraint index with keys assembled from constants and
-//! earlier steps' columns, materializing at most `bound` witness tuples.
+//! earlier steps' columns, materializing at most `bound` witness tuples —
+//! and of each only the columns later work reads (the step's `out_cols`).
 //! `D_Q` is the union of the fetched sets; the final join/filter/project is
 //! the shared interpreter in [`crate::pipeline`] and runs entirely on
 //! `D_Q`. Total data accessed is independent of `|D|`.
@@ -12,9 +13,7 @@
 //! string was never loaded can match nothing, so its probe keys simply
 //! never materialize.
 
-use crate::pipeline::{
-    project_program_flat, run_program_columnar_impl, ColumnarScratch, ExecContext, ParamEnv,
-};
+use crate::pipeline::{run_program_columnar_impl, ColumnarScratch, ExecContext, ParamEnv};
 use crate::reference;
 use crate::results::ResultSet;
 use bcq_core::access::AccessSchema;
@@ -200,9 +199,8 @@ fn eval_dq_scratch<P: Probe>(
             // The serving hot path stays flat end to end: anchors are
             // gathered column-major straight off the tables
             // ([`fetch_anchors`]), the compiled program is interpreted
-            // vectorized, and the surviving partials are projected
-            // without ever being re-boxed per derivation.
-            let flat = run_program_columnar_impl(
+            // vectorized, and only each distinct answer is decoded.
+            run_program_columnar_impl(
                 plan.program(),
                 &mut anchors[..num_atoms],
                 &mut ctx,
@@ -210,20 +208,7 @@ fn eval_dq_scratch<P: Probe>(
                 interp,
                 probe,
             )
-            .expect("bounded evaluation has no budget");
-            if P::ENABLED {
-                probe.begin();
-            }
-            let r = project_program_flat(plan.program(), db.symbols(), flat);
-            if P::ENABLED {
-                probe.step(
-                    StepKind::Project,
-                    &format!("project:cols={}", plan.program().proj_classes.len()),
-                    (flat.len() / plan.program().num_classes.max(1)) as u64,
-                    r.len() as u64,
-                );
-            }
-            r
+            .expect("bounded evaluation has no budget")
         } else {
             reference::join_project(
                 plan.query(),
@@ -693,6 +678,46 @@ mod tests {
             .unwrap();
         let plan = bcq_core::qplan::qplan(&q_false, &a).unwrap();
         assert!(!eval_dq(&db, &plan, &a).unwrap().result.as_bool());
+    }
+
+    /// A Boolean query whose atoms have no parameter: every batch is
+    /// zero-width and the program touches no `Σ_Q` class, yet partials
+    /// must still be counted — the compiled program keeps one slot. The
+    /// engine, the reference and the baseline (whose batches are
+    /// zero-width too) must agree, on a true and on a false instance.
+    #[test]
+    fn boolean_query_with_no_live_class() {
+        let (db, a, _) = example1();
+        let q = SpcQuery::builder(db.catalog().clone(), "both_nonempty")
+            .atom("friends", "f")
+            .atom("in_album", "ia")
+            .build()
+            .unwrap();
+        let plan = bcq_core::qplan::qplan(&q, &a).unwrap();
+        assert!(plan.steps().iter().all(|s| s.out_cols.is_empty()));
+        assert_eq!(plan.program().num_classes, 1);
+
+        let mut only_friends = Database::new(db.catalog().clone());
+        only_friends
+            .insert("friends", &[Value::str("u0"), Value::str("u1")])
+            .unwrap();
+        only_friends.build_indexes(&a);
+
+        for (db, answer) in [(&db, true), (&only_friends, false)] {
+            let bounded = eval_dq(db, &plan, &a).unwrap();
+            assert_eq!(bounded.result.as_bool(), answer);
+            assert_eq!(bounded.result.len(), usize::from(answer));
+            let reference = eval_dq_interpreted(db, &plan, &a).unwrap();
+            assert_eq!(reference.result, bounded.result);
+            assert_eq!(reference.meter, bounded.meter);
+            for run in [
+                crate::baseline::baseline,
+                crate::baseline::baseline_interpreted,
+            ] {
+                let out = run(db, &q, &a, Default::default()).unwrap();
+                assert_eq!(out.result(), Some(&bounded.result));
+            }
+        }
     }
 
     #[test]

@@ -23,8 +23,10 @@
 //!   fixed-width [`Cell`] words. Filters shrink a batch's selection vector
 //!   in place; a join step sweeps the packed key column once per partial
 //!   while the step is small and hashes the batch once it is large;
-//!   partial assignments live in one flat ping-pong buffer; only
-//!   projection touches anything row-shaped.
+//!   partial assignments — one cell per class the program touches — live
+//!   in one flat ping-pong buffer. Only projection touches anything
+//!   row-shaped, and it deduplicates the projected cell tuples before it
+//!   decodes: each distinct answer is decoded and boxed once.
 //! * The [`ExecContext`] carries the [`Meter`] and the optional work
 //!   budget, so *every* executor meters identically and aborts identically
 //!   on budget exhaustion — the paper's 2 500 s cap, deterministically.
@@ -419,34 +421,48 @@ fn semijoin_program_columnar(
     Ok(())
 }
 
-/// Decodes the flat columnar partial buffer (stride = `num_classes`)
-/// through the program's projection map.
-pub(crate) fn project_program_flat(
+/// Projects the surviving partials (stride = `num_classes`) through the
+/// program's projection map. The projected cell tuples are deduplicated
+/// before any is decoded: cells are interned, so two tuples decode to the
+/// same answer only if their cells are equal, and each distinct answer is
+/// decoded — and boxed — once. `cells` and `order` are scratch.
+fn project_distinct(
     prog: &OpProgram,
     symbols: &SymbolTable,
-    flat: &[Option<Cell>],
+    partials: &[Option<Cell>],
+    cells: &mut Vec<Cell>,
+    order: &mut Vec<u32>,
 ) -> ResultSet {
-    if flat.is_empty() {
+    if partials.is_empty() {
         return ResultSet::empty();
     }
-    let stride = prog.num_classes;
-    let mut out = Vec::with_capacity(flat.len() / stride);
-    for partial in flat.chunks_exact(stride) {
-        let row: Box<[Value]> = prog
-            .proj_classes
-            .iter()
-            .map(|&c| symbols.decode(partial[c].expect("projection class is bound")))
-            .collect();
-        out.push(row);
+    let width = prog.proj_classes.len();
+    cells.clear();
+    for partial in partials.chunks_exact(prog.num_classes) {
+        cells.extend(
+            prog.proj_classes
+                .iter()
+                .map(|&c| partial[c].expect("projection class is bound")),
+        );
     }
-    ResultSet::from_rows(out)
+    let tuple = |i: u32| &cells[i as usize * width..(i as usize + 1) * width];
+    order.clear();
+    order.extend(0..(partials.len() / prog.num_classes) as u32);
+    order.sort_unstable_by(|&a, &b| tuple(a).cmp(tuple(b)));
+    order.dedup_by(|a, b| tuple(*a) == tuple(*b));
+    ResultSet::from_rows(
+        order
+            .iter()
+            .map(|&i| tuple(i).iter().map(|&c| symbols.decode(c)).collect())
+            .collect(),
+    )
 }
 
 /// Reusable buffers for the columnar interpreter. The serving layer keeps
 /// one per thread (see `eval_dq`), so a steady-state request runs the whole
-/// join schedule without allocating; the ad-hoc entry
-/// ([`run_query_columnar`]) creates a fresh (empty) scratch per call
-/// instead.
+/// join schedule and the projection's dedup without allocating; the
+/// ad-hoc entry ([`run_query_columnar`]) creates a fresh (empty) scratch
+/// per call instead.
 #[derive(Debug, Default)]
 pub(crate) struct ColumnarScratch {
     resolved: Vec<Option<Cell>>,
@@ -455,6 +471,10 @@ pub(crate) struct ColumnarScratch {
     keys: Vec<Cell>,
     binds: Vec<(usize, usize)>,
     chain: Vec<u32>,
+    /// Projected cell tuples, one per surviving partial.
+    cells: Vec<Cell>,
+    /// Tuple indices, sorted and deduplicated on their cells.
+    order: Vec<u32>,
 }
 
 /// The ad-hoc entry: compiles `q` for batches laid out as `layouts` and
@@ -486,9 +506,7 @@ pub(crate) fn run_query_columnar(
     let sizes: Vec<u128> = batches.iter().map(|b| b.len() as u128).collect();
     prog.reschedule_joins(&sizes);
     let mut scratch = ColumnarScratch::default();
-    let flat =
-        run_program_columnar_impl(&prog, &mut batches, ctx, false, &mut scratch, &mut NoProbe)?;
-    Ok(project_program_flat(&prog, ctx.db.symbols(), flat))
+    run_program_columnar_impl(&prog, &mut batches, ctx, false, &mut scratch, &mut NoProbe)
 }
 
 /// Appends `partial` merged with the batch row `row` onto the flat output
@@ -515,20 +533,51 @@ fn emit_merged(
 /// `N`s), so the hot path is branch-free key sweeps over packed columns.
 const LINEAR_SWEEP_LIMIT: usize = 2048;
 
-/// The interpreter body, generic over the profiling [`Probe`]. The
-/// steady-state instantiation is [`NoProbe`] (`ENABLED = false`): every
-/// probe site — including the label `format!`s, which are guarded by
-/// `P::ENABLED` — is compiled out, so the serving path is byte-for-byte
-/// the unprofiled interpreter. A [`bcq_telemetry::Profiler`] instead
-/// times each operator step with its row movement.
-pub(crate) fn run_program_columnar_impl<'s, P: Probe>(
+/// The interpreter, generic over the profiling [`Probe`]: runs the program
+/// over `batches` and projects the answer. The steady-state instantiation
+/// is [`NoProbe`] (`ENABLED = false`): every probe site — including the
+/// label `format!`s, which are guarded by `P::ENABLED` — is compiled out,
+/// so the serving path is byte-for-byte the unprofiled interpreter. A
+/// [`bcq_telemetry::Profiler`] instead times each operator step with its
+/// row movement.
+pub(crate) fn run_program_columnar_impl<P: Probe>(
     prog: &OpProgram,
     batches: &mut [ColumnBatch],
     ctx: &mut ExecContext<'_>,
     apply_filters: bool,
-    scratch: &'s mut ColumnarScratch,
+    scratch: &mut ColumnarScratch,
     probe: &mut P,
-) -> Result<&'s [Option<Cell>], BudgetExhausted> {
+) -> Result<ResultSet, BudgetExhausted> {
+    let joined = join_program(prog, batches, ctx, apply_filters, scratch, probe)?;
+    if P::ENABLED {
+        probe.begin();
+    }
+    let ColumnarScratch {
+        cur, cells, order, ..
+    } = scratch;
+    let partials: &[Option<Cell>] = if joined { cur } else { &[] };
+    let result = project_distinct(prog, ctx.symbols(), partials, cells, order);
+    if P::ENABLED {
+        probe.step(
+            StepKind::Project,
+            &format!("project:cols={}", prog.proj_classes.len()),
+            (partials.len() / prog.num_classes) as u64,
+            result.len() as u64,
+        );
+    }
+    Ok(result)
+}
+
+/// Filters, seeds and joins: `Ok(true)` leaves the surviving partials in
+/// `scratch.cur`, `Ok(false)` means the answer is empty.
+fn join_program<P: Probe>(
+    prog: &OpProgram,
+    batches: &mut [ColumnBatch],
+    ctx: &mut ExecContext<'_>,
+    apply_filters: bool,
+    scratch: &mut ColumnarScratch,
+    probe: &mut P,
+) -> Result<bool, BudgetExhausted> {
     debug_assert_eq!(batches.len(), prog.num_atoms);
     debug_assert!(batches.iter().enumerate().all(|(i, b)| b.atom() == i));
     // All working buffers live in `scratch` (cleared here, capacity kept):
@@ -541,6 +590,7 @@ pub(crate) fn run_program_columnar_impl<'s, P: Probe>(
         keys,
         binds,
         chain,
+        ..
     } = scratch;
     if P::ENABLED {
         probe.begin();
@@ -579,7 +629,7 @@ pub(crate) fn run_program_columnar_impl<'s, P: Probe>(
             }
         }
         if batch.is_empty() {
-            return Ok(&[]);
+            return Ok(false);
         }
     }
 
@@ -598,9 +648,9 @@ pub(crate) fn run_program_columnar_impl<'s, P: Probe>(
                 Some(cell) => match pinned {
                     None => pinned = Some(cell),
                     Some(prev) if prev == cell => {}
-                    Some(_) => return Ok(&[]),
+                    Some(_) => return Ok(false),
                 },
-                None => return Ok(&[]),
+                None => return Ok(false),
             }
         }
         cur[sp.class] = pinned;
@@ -804,10 +854,10 @@ pub(crate) fn run_program_columnar_impl<'s, P: Probe>(
         }
         std::mem::swap(cur, nxt);
         if cur.is_empty() {
-            return Ok(&[]);
+            return Ok(false);
         }
     }
-    Ok(cur)
+    Ok(true)
 }
 
 #[cfg(test)]
@@ -844,9 +894,7 @@ mod tests {
         probe: &mut P,
     ) -> Result<ResultSet, BudgetExhausted> {
         let mut scratch = ColumnarScratch::default();
-        let flat =
-            run_program_columnar_impl(prog, &mut batches, ctx, apply_filters, &mut scratch, probe)?;
-        Ok(project_program_flat(prog, ctx.db.symbols(), flat))
+        run_program_columnar_impl(prog, &mut batches, ctx, apply_filters, &mut scratch, probe)
     }
 
     /// The engine (ad-hoc entry: filter, reschedule on the surviving sizes,
