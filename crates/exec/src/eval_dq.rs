@@ -4,6 +4,9 @@
 //! probes one access-constraint index with keys assembled from constants and
 //! earlier steps' columns, materializing at most `bound` witness tuples —
 //! and of each only the columns later work reads (the step's `out_cols`).
+//! A step's distinct keys are enumerated once into one flat cell buffer,
+//! `|X|` cells a key and no per-key row, and each is probed once: the
+//! index takes a key as a `&[Cell]` whatever width it stores it at.
 //! `D_Q` is the union of the fetched sets; the final join/filter/project is
 //! the shared interpreter in [`crate::pipeline`] and runs entirely on
 //! `D_Q`. Total data accessed is independent of `|D|`.
@@ -18,19 +21,21 @@ use crate::reference;
 use crate::results::ResultSet;
 use bcq_core::access::AccessSchema;
 use bcq_core::error::{CoreError, Result};
-use bcq_core::fx::FxHashSet;
+use bcq_core::fx::FxHasher;
 use bcq_core::plan::{FetchKind, FetchStep, KeySource, QueryPlan};
-use bcq_core::prelude::{Cell, ColumnBatch, RowBuf, SymbolTable};
+use bcq_core::prelude::{Cell, ColumnBatch, SymbolTable};
 use bcq_storage::{Database, Meter};
 use bcq_telemetry::{NoProbe, OpProfile, Probe, Profiler, StepKind};
 use std::cell::RefCell;
+use std::hash::Hasher;
 use std::time::{Duration, Instant};
 
 /// Per-thread reusable buffers for bounded evaluation: the fetch output
-/// batches (recycled via [`ColumnBatch::reset`]), the key/rid scratch of
-/// the fetch loop, and the columnar interpreter's working set. Bounded
-/// plans cap every buffer's size by the access schema's `N`s, so the pool
-/// stays small; steady-state serving requests allocate almost nothing.
+/// batches (recycled via [`ColumnBatch::reset`]), the fetch loop's flat
+/// probe keys, key-dedup table and witness rids, and the columnar
+/// interpreter's working set. Bounded plans cap every buffer's size by
+/// the access schema's `N`s, so the pool stays small; steady-state
+/// serving requests allocate almost nothing.
 #[derive(Default)]
 struct EvalScratch {
     /// One batch per plan step, indexed by step id (grown on demand).
@@ -39,8 +44,11 @@ struct EvalScratch {
     /// `fetched` after the fetch loop; buffers circulate between the two
     /// across requests).
     anchors: Vec<ColumnBatch>,
-    keys: Vec<RowBuf>,
-    seen: FxHashSet<RowBuf>,
+    /// The current step's distinct probe keys, flat: one stride of
+    /// `|X|` cells a key ([`enumerate_keys_into`]).
+    keys: Vec<Cell>,
+    key_scratch: KeyScratch,
+    /// The witnesses of the current step's keys, in key order.
     rids: Vec<u32>,
     interp: ColumnarScratch,
 }
@@ -267,7 +275,7 @@ fn fetch_anchors<P: Probe>(
         fetched,
         anchors,
         keys,
-        seen,
+        key_scratch,
         rids,
         ..
     } = scratch;
@@ -282,6 +290,7 @@ fn fetch_anchors<P: Probe>(
         if P::ENABLED {
             probe.begin();
         }
+        let mut probed = 0;
         match step.kind {
             FetchKind::Any => {
                 // Emptiness witness: one zero-width row if the relation is
@@ -309,21 +318,21 @@ fn fetch_anchors<P: Probe>(
                     ))
                 })?;
                 let table = db.table(c.relation());
-                enumerate_keys_into(step, prev, db.symbols(), ctx.params, keys, seen);
+                probed =
+                    enumerate_keys_into(step, prev, db.symbols(), ctx.params, keys, key_scratch);
                 // Contract note: when `D |= A`, each step fetches at most
                 // `step.bound` rows (tested across the workloads). When the
                 // data *violates* its declared constraints the fetch can
                 // exceed the bound, but the answer stays exact — witnesses
                 // are never truncated at N. See
                 // `eval_dq::tests::violating_data_still_yields_exact_answers`.
+                let w = step.key.len();
                 rids.clear();
-                for key in keys.iter() {
+                for i in 0..probed {
+                    let witnesses = index.witnesses(&keys[i * w..(i + 1) * w]);
                     ctx.meter.index_probes += 1;
-                    for &rid in index.witnesses(key) {
-                        ctx.charge_fetched()
-                            .expect("bounded evaluation has no budget");
-                        rids.push(rid);
-                    }
+                    ctx.meter.tuples_fetched += witnesses.len() as u64;
+                    rids.extend_from_slice(witnesses);
                 }
                 b.reset(step.atom, &step.out_cols);
                 b.extend_columns(rids.len(), |i, out| {
@@ -335,12 +344,8 @@ fn fetch_anchors<P: Probe>(
             let (label, nkeys) = match step.kind {
                 FetchKind::Any => (format!("fetch:step{sid}:atom{} any", step.atom), 0),
                 FetchKind::IndexLookup => (
-                    format!(
-                        "fetch:step{sid}:atom{} index keys={}",
-                        step.atom,
-                        keys.len()
-                    ),
-                    keys.len() as u64,
+                    format!("fetch:step{sid}:atom{} index keys={probed}", step.atom),
+                    probed as u64,
                 ),
             };
             probe.step(StepKind::Fetch, &label, nkeys, b.total_rows() as u64);
@@ -358,11 +363,77 @@ fn fetch_anchors<P: Probe>(
     Ok(true)
 }
 
-/// Enumerates the key tuples of a fetch step into `keys` (cleared first):
-/// constants and bound parameters are fixed; columns sourced from the same
-/// earlier step vary together (row-wise); distinct source steps combine by
-/// Cartesian product — mirroring the bound arithmetic of plan generation.
-/// `seen` is dedup scratch, reused across steps.
+/// Source rows up to which a new probe key is compared with every key kept
+/// before it; a larger source deduplicates through a hash table of key
+/// numbers ([`KeyScratch::slots`]). Bounded fetches are small, so a few
+/// dozen linear compares beat hashing every key.
+const LINEAR_DEDUP: usize = 48;
+
+/// The scratch [`enumerate_keys_into`] keeps across steps and requests.
+#[derive(Default)]
+struct KeyScratch {
+    /// The step's fixed cells (constants and bound parameters), `NULL` at
+    /// the positions a source column fills.
+    template: Vec<Cell>,
+    /// Open-addressing table of key numbers plus one (0 is an empty slot)
+    /// for [`keep_if_new`]; see [`dedup_slots`].
+    slots: Vec<u32>,
+}
+
+/// Readies `slots` to deduplicate the keys of a source of `rows` rows:
+/// empty up to [`LINEAR_DEDUP`] rows, else zeroed at a power of two at
+/// least twice `rows`.
+fn dedup_slots(slots: &mut Vec<u32>, rows: usize) {
+    slots.clear();
+    if rows > LINEAR_DEDUP {
+        slots.resize((2 * rows).next_power_of_two(), 0);
+    }
+}
+
+/// Keeps the key of width `w` just appended to the flat `keys` iff no
+/// earlier key equals it; drops it otherwise. Compares with every earlier
+/// key while `slots` is empty, looks the key up in `slots` else.
+fn keep_if_new(keys: &mut Vec<Cell>, w: usize, slots: &mut [u32]) {
+    let at = keys.len() - w;
+    let (kept, key) = keys.split_at(at);
+    let seen = if slots.is_empty() {
+        kept.chunks_exact(w).any(|k| k == key)
+    } else {
+        let mut hasher = FxHasher::default();
+        key.iter().for_each(|c| hasher.write_u64(c.raw()));
+        // Fx mixes upward: the top bits are the well-spread ones.
+        let shift = u64::BITS - slots.len().trailing_zeros();
+        let mask = slots.len() - 1;
+        let mut slot = (hasher.finish() >> shift) as usize;
+        loop {
+            match slots[slot] {
+                0 => {
+                    slots[slot] = (at / w + 1) as u32;
+                    break false;
+                }
+                n => {
+                    let n = n as usize - 1;
+                    if kept[n * w..(n + 1) * w] == *key {
+                        break true;
+                    }
+                }
+            }
+            slot = (slot + 1) & mask;
+        }
+    };
+    if seen {
+        keys.truncate(at);
+    }
+}
+
+/// Enumerates the distinct probe keys of a fetch step into `keys` (cleared
+/// first), flat and in first-seen order: key `i` is
+/// `keys[i * w..(i + 1) * w]` with `w = step.key.len()`. Returns how many
+/// there are — 1 for the single empty key of a bounded-domain probe
+/// (`w = 0`). Constants and bound parameters are fixed; columns sourced
+/// from the same earlier step vary together (row-wise); distinct source
+/// steps combine by Cartesian product — mirroring the bound arithmetic of
+/// plan generation.
 ///
 /// A constant (or parameter value) that was never interned yields no keys
 /// at all (nothing can match it), which collapses the step — and therefore
@@ -372,34 +443,33 @@ fn enumerate_keys_into(
     fetched: &[ColumnBatch],
     symbols: &SymbolTable,
     params: &ParamEnv,
-    keys: &mut Vec<RowBuf>,
-    seen: &mut FxHashSet<RowBuf>,
-) {
+    keys: &mut Vec<Cell>,
+    scratch: &mut KeyScratch,
+) -> usize {
     keys.clear();
-    if step.key.is_empty() {
-        // Bounded-domain probe: the single empty key.
-        keys.push(RowBuf::new());
-        return;
+    let w = step.key.len();
+    if w == 0 {
+        return 1;
     }
 
     // One pass decides the shape: fixed positions (constants and bound
-    // parameters) fill a key template; column sources are only classified
-    // (single vs multiple earlier steps) — nothing is allocated.
-    let key_len = step.key.len();
-    let mut template = RowBuf::with_capacity(key_len);
+    // parameters) fill the key template; column sources are only
+    // classified (single vs multiple earlier steps).
+    let KeyScratch { template, slots } = scratch;
+    template.clear();
     let mut src: Option<usize> = None;
     let mut multi_src = false;
     for (_col, source) in &step.key {
         match source {
             KeySource::Const(v) => match symbols.try_encode(v) {
                 Some(cell) => template.push(cell),
-                None => return,
+                None => return 0,
             },
             // Validated bound upstream (`eval_dq_with`); a never-interned
             // binding collapses the step like an uninterned constant.
             KeySource::Param(name) => match params.get(name) {
                 Some(Some(cell)) => template.push(cell),
-                _ => return,
+                _ => return 0,
             },
             KeySource::Column { step: sid, .. } => {
                 template.push(Cell::NULL);
@@ -412,124 +482,96 @@ fn enumerate_keys_into(
         }
     }
 
-    // Fast path 1: fully fixed key — the single template key.
+    // A fully fixed key: the template is the one key.
     let Some(src) = src else {
-        keys.push(template);
-        return;
+        keys.extend_from_slice(template);
+        return 1;
     };
 
-    // Fast path 2: one source step (the overwhelmingly common plan shape):
-    // fill the template per source row off the packed columns, dedup the
-    // finished keys directly. Bounded fetches are small, so up to a few
-    // dozen keys a linear probe of the output beats hashing every key.
+    // One source step (the overwhelmingly common plan shape): a key per
+    // source row, deduplicated as it is written.
     if !multi_src {
         let sb = &fetched[src];
-        let linear = sb.total_rows() <= 48;
-        if !linear {
-            seen.clear();
-        }
-        for r in 0..sb.total_rows() {
-            let mut key = RowBuf::with_capacity(key_len);
-            for (pos, (_c, source)) in step.key.iter().enumerate() {
-                match source {
-                    KeySource::Column { col, .. } => key.push(sb.column(*col)[r]),
-                    _ => key.push(template[pos]),
-                }
-            }
-            if linear {
-                if !keys.contains(&key) {
-                    keys.push(key);
-                }
-            } else if seen.insert(key.clone()) {
-                keys.push(key);
-            }
-        }
-        return;
-    }
-
-    // General case: distinct source steps combine by Cartesian product.
-    enum Group {
-        Const(Vec<(usize, Cell)>),
-        Step {
-            src: usize,
-            positions: Vec<(usize, usize)>, // (key position, src col)
-        },
-    }
-    let mut groups: Vec<Group> = Vec::new();
-    let consts: Vec<(usize, Cell)> = step
-        .key
-        .iter()
-        .enumerate()
-        .filter(|(_, (_, source))| !matches!(source, KeySource::Column { .. }))
-        .map(|(pos, _)| (pos, template[pos]))
-        .collect();
-    if !consts.is_empty() {
-        groups.push(Group::Const(consts));
-    }
-    let mut per_step: Vec<(usize, Vec<(usize, usize)>)> = Vec::new();
-    for (pos, (_col, source)) in step.key.iter().enumerate() {
-        if let KeySource::Column { step: sid, col } = source {
-            match per_step.iter_mut().find(|(s, _)| *s == sid.0) {
-                Some((_, positions)) => positions.push((pos, *col)),
-                None => per_step.push((sid.0, vec![(pos, *col)])),
-            }
-        }
-    }
-    for (src, positions) in per_step {
-        groups.push(Group::Step { src, positions });
-    }
-
-    // Distinct value combinations per group.
-    let mut group_values: Vec<Vec<Vec<(usize, Cell)>>> = Vec::with_capacity(groups.len());
-    for g in &groups {
-        match g {
-            Group::Const(pairs) => group_values.push(vec![pairs.clone()]),
-            Group::Step { src, positions } => {
-                let sb = &fetched[*src];
-                seen.clear();
-                let mut combos = Vec::new();
-                for r in 0..sb.total_rows() {
-                    let proj: RowBuf = positions.iter().map(|&(_, c)| sb.column(c)[r]).collect();
-                    if seen.insert(proj.clone()) {
-                        combos.push(
-                            positions
-                                .iter()
-                                .zip(proj.iter())
-                                .map(|(&(pos, _), &v)| (pos, v))
-                                .collect(),
-                        );
+        dedup_slots(slots, sb.total_rows());
+        if let [(_, KeySource::Column { col, .. })] = &step.key[..] {
+            // The key is one column of the source: its distinct cells.
+            let column = sb.column(*col);
+            if slots.is_empty() {
+                for &cell in column {
+                    if !keys.contains(&cell) {
+                        keys.push(cell);
                     }
                 }
-                group_values.push(combos);
+            } else {
+                for &cell in column {
+                    keys.push(cell);
+                    keep_if_new(keys, 1, slots);
+                }
+            }
+        } else {
+            for r in 0..sb.total_rows() {
+                let at = keys.len();
+                keys.extend_from_slice(template);
+                for (pos, (_c, source)) in step.key.iter().enumerate() {
+                    if let KeySource::Column { col, .. } = source {
+                        keys[at + pos] = sb.column(*col)[r];
+                    }
+                }
+                keep_if_new(keys, w, slots);
             }
         }
+        return keys.len() / w;
     }
 
-    // Cartesian product across groups.
-    let mut cursor = vec![0usize; group_values.len()];
-    if group_values.iter().any(|g| g.is_empty()) {
-        return;
-    }
-    loop {
-        let mut key = vec![Cell::NULL; key_len];
-        for (gi, g) in group_values.iter().enumerate() {
-            for &(pos, v) in &g[cursor[gi]] {
-                key[pos] = v;
+    // Distinct source steps combine by Cartesian product: the distinct
+    // projections of each step onto its key positions, then every
+    // combination written over the template, the first step varying
+    // fastest.
+    let mut steps: Vec<(usize, Vec<(usize, usize)>)> = Vec::new(); // (src, [(pos, col)])
+    for (pos, (_col, source)) in step.key.iter().enumerate() {
+        if let KeySource::Column { step: sid, col } = source {
+            match steps.iter_mut().find(|(s, _)| *s == sid.0) {
+                Some((_, positions)) => positions.push((pos, *col)),
+                None => steps.push((sid.0, vec![(pos, *col)])),
             }
         }
-        keys.push(key.into_iter().collect());
-        // Advance the mixed-radix cursor.
-        let mut i = 0;
-        loop {
-            if i == cursor.len() {
-                return;
+    }
+    let mut groups: Vec<Vec<Cell>> = Vec::with_capacity(steps.len());
+    for (src, positions) in &steps {
+        let sb = &fetched[*src];
+        dedup_slots(slots, sb.total_rows());
+        let mut group = Vec::new();
+        for r in 0..sb.total_rows() {
+            group.extend(positions.iter().map(|&(_, c)| sb.column(c)[r]));
+            keep_if_new(&mut group, positions.len(), slots);
+        }
+        if group.is_empty() {
+            return 0;
+        }
+        groups.push(group);
+    }
+    let mut cursor = vec![0usize; steps.len()];
+    loop {
+        let at = keys.len();
+        keys.extend_from_slice(template);
+        for (((_, positions), group), &i) in steps.iter().zip(&groups).zip(&cursor) {
+            let combo = &group[i * positions.len()..(i + 1) * positions.len()];
+            for (&(pos, _), &cell) in positions.iter().zip(combo) {
+                keys[at + pos] = cell;
             }
-            cursor[i] += 1;
-            if cursor[i] < group_values[i].len() {
+        }
+        // Advance the mixed-radix cursor.
+        let mut g = 0;
+        loop {
+            if g == cursor.len() {
+                return keys.len() / w;
+            }
+            cursor[g] += 1;
+            if cursor[g] * steps[g].1.len() < groups[g].len() {
                 break;
             }
-            cursor[i] = 0;
-            i += 1;
+            cursor[g] = 0;
+            g += 1;
         }
     }
 }
@@ -826,6 +868,177 @@ mod tests {
         // The uninterned uid kills the friends/tagging probes; only the
         // album fetch (keyed by the interned "a0") can touch data.
         assert!(out.meter.tuples_fetched <= 3, "{:?}", out.meter);
+    }
+
+    /// Relations whose fetches probe with every key shape
+    /// [`enumerate_keys_into`] tells apart: `r` lists under `a = 1` `n`
+    /// rows whose `b` (`i mod b_mod`) and `(b, c)` repeat, and under
+    /// `a = 2` ten rows over five `c`s; `s` is keyed on one column, `t` on
+    /// two. Constraints: 0 `r: a → (b, c, g)`, 1 `s: b → d`, 2
+    /// `t: (b, c) → e`.
+    fn key_shapes(n: i64, b_mod: i64) -> (Database, AccessSchema) {
+        let catalog = Catalog::from_names(&[
+            ("r", &["a", "b", "c", "g"]),
+            ("s", &["b", "d"]),
+            ("t", &["b", "c", "e"]),
+        ])
+        .unwrap();
+        let mut a = AccessSchema::new(Arc::clone(&catalog));
+        a.add("r", &["a"], &["b", "c", "g"], 1_000).unwrap();
+        a.add("s", &["b"], &["d"], 10).unwrap();
+        a.add("t", &["b", "c"], &["e"], 10).unwrap();
+        let mut db = Database::new(catalog);
+        let int = Value::int;
+        for i in 0..n {
+            db.insert("r", &[int(1), int(i % b_mod), int(i % 4), int(i)])
+                .unwrap();
+        }
+        for i in 0..10 {
+            db.insert("r", &[int(2), int(i % 3), int(i % 5), int(1_000 + i)])
+                .unwrap();
+        }
+        for b in 0..b_mod.max(5) {
+            for d in 0..=b % 3 {
+                db.insert("s", &[int(b), int(d)]).unwrap();
+            }
+            for c in 0..5 {
+                for e in 0..=(b + c) % 2 {
+                    db.insert("t", &[int(b), int(c), int(e)]).unwrap();
+                }
+            }
+        }
+        db.build_indexes(&a);
+        (db, a)
+    }
+
+    /// Runs `q` bounded and against the baseline: the answers agree, and
+    /// the fetch charged one probe per key of `keys` (constraint number,
+    /// key values — each step's distinct keys) and exactly their
+    /// witnesses.
+    fn probes_each_distinct_key_once(
+        db: &Database,
+        a: &AccessSchema,
+        q: &SpcQuery,
+        keys: &[(usize, Vec<Vec<i64>>)],
+    ) {
+        let plan = bcq_core::qplan::qplan(q, a).unwrap();
+        let out = eval_dq(db, &plan, a).unwrap();
+        let baseline = crate::baseline::baseline(db, q, a, Default::default()).unwrap();
+        assert_eq!(Some(&out.result), baseline.result(), "{}", q.name());
+        let (mut probes, mut fetched) = (0, 0);
+        for (cid, step_keys) in keys {
+            let index = db.index_for(a.constraint(ConstraintId(*cid))).unwrap();
+            for key in step_keys {
+                let key: Vec<Value> = key.iter().map(|&v| Value::int(v)).collect();
+                let key = db.symbols().try_encode_row(&key).unwrap();
+                probes += 1;
+                fetched += index.witnesses(&key).len() as u64;
+            }
+        }
+        assert_eq!(out.meter.index_probes, probes, "{}", q.name());
+        assert_eq!(out.meter.tuples_fetched, fetched, "{}", q.name());
+    }
+
+    /// The key sources of the plan step on constraint `cid`.
+    fn key_of(plan: &QueryPlan, cid: usize) -> &[(usize, KeySource)] {
+        let step = plan
+            .steps()
+            .iter()
+            .find(|s| s.constraint == Some(ConstraintId(cid)));
+        &step.expect("a step on the constraint").key
+    }
+
+    #[test]
+    fn a_fixed_key_is_probed_once() {
+        let (db, a) = key_shapes(10, 7);
+        let q = SpcQuery::builder(db.catalog().clone(), "fixed")
+            .atom("t", "t")
+            .eq_const(("t", "b"), 1)
+            .eq_const(("t", "c"), 2)
+            .project(("t", "e"))
+            .build()
+            .unwrap();
+        let plan = bcq_core::qplan::qplan(&q, &a).unwrap();
+        assert!(key_of(&plan, 2)
+            .iter()
+            .all(|(_, s)| matches!(s, KeySource::Const(_))));
+        probes_each_distinct_key_once(&db, &a, &q, &[(2, vec![vec![1, 2]])]);
+    }
+
+    #[test]
+    fn a_one_column_key_probes_the_distinct_cells_of_its_source() {
+        // 40 source rows compare keys linearly, 200 go through the hash
+        // table; both repeat `b`.
+        for (n, b_mod) in [(40, 7), (200, 60)] {
+            let (db, a) = key_shapes(n, b_mod);
+            let q = SpcQuery::builder(db.catalog().clone(), "one_column")
+                .atom("r", "r")
+                .atom("s", "s")
+                .eq_const(("r", "a"), 1)
+                .eq(("r", "b"), ("s", "b"))
+                .project(("s", "d"))
+                .build()
+                .unwrap();
+            let plan = bcq_core::qplan::qplan(&q, &a).unwrap();
+            assert!(matches!(key_of(&plan, 1), [(_, KeySource::Column { .. })]));
+            let distinct_b = (0..b_mod.min(n)).map(|b| vec![b]).collect();
+            probes_each_distinct_key_once(&db, &a, &q, &[(0, vec![vec![1]]), (1, distinct_b)]);
+        }
+    }
+
+    #[test]
+    fn a_two_column_key_of_one_step_probes_each_distinct_pair_once() {
+        for (n, b_mod) in [(40, 7), (200, 60)] {
+            let (db, a) = key_shapes(n, b_mod);
+            let q = SpcQuery::builder(db.catalog().clone(), "two_columns")
+                .atom("r", "r")
+                .atom("t", "t")
+                .eq_const(("r", "a"), 1)
+                .eq(("r", "b"), ("t", "b"))
+                .eq(("r", "c"), ("t", "c"))
+                .project(("t", "e"))
+                .build()
+                .unwrap();
+            let plan = bcq_core::qplan::qplan(&q, &a).unwrap();
+            let key = key_of(&plan, 2);
+            assert!(matches!(
+                key,
+                [(_, KeySource::Column { step: s0, .. }), (_, KeySource::Column { step: s1, .. })]
+                    if s0 == s1
+            ));
+            let mut pairs: Vec<Vec<i64>> = (0..n).map(|i| vec![i % b_mod, i % 4]).collect();
+            pairs.sort();
+            pairs.dedup();
+            assert!(pairs.len() < n as usize, "the source repeats pairs");
+            probes_each_distinct_key_once(&db, &a, &q, &[(0, vec![vec![1]]), (2, pairs)]);
+        }
+    }
+
+    #[test]
+    fn keys_from_two_steps_are_their_cartesian_product() {
+        let (db, a) = key_shapes(40, 7);
+        let q = SpcQuery::builder(db.catalog().clone(), "product")
+            .atom("r", "r1")
+            .atom("r", "r2")
+            .atom("t", "t")
+            .eq_const(("r1", "a"), 1)
+            .eq_const(("r2", "a"), 2)
+            .eq(("r1", "b"), ("t", "b"))
+            .eq(("r2", "c"), ("t", "c"))
+            .project(("t", "e"))
+            .build()
+            .unwrap();
+        let plan = bcq_core::qplan::qplan(&q, &a).unwrap();
+        assert!(matches!(
+            key_of(&plan, 2),
+            [(_, KeySource::Column { step: s0, .. }), (_, KeySource::Column { step: s1, .. })]
+                if s0 != s1
+        ));
+        let product = (0..7)
+            .flat_map(|b| (0..5).map(move |c| vec![b, c]))
+            .collect();
+        let r_keys = vec![vec![1], vec![2]];
+        probes_each_distinct_key_once(&db, &a, &q, &[(0, r_keys), (2, product)]);
     }
 
     #[test]

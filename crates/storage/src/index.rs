@@ -24,13 +24,19 @@
 //! `Y`-projection new?" is answered by comparing `Y` cells with the rows
 //! already listed, read from the [`Table`].
 //!
-//! Keys and `Y`-projections are interned [`Cell`] rows, so probing hashes a
+//! Keys are interned [`Cell`]s stored at their width: a one-column `X`
+//! keys the hash table by a bare `Cell` (a 48-byte entry), a two-column `X`
+//! by a `[Cell; 2]` (56 bytes), and only `X = ∅` and `|X| ≥ 3` by a
+//! [`RowBuf`] (80 bytes). On TPCH every key-heavy index is one or two
+//! columns wide. `Y`-projections are `RowBuf`s. Either way probing hashes a
 //! handful of `u64` words — never string bytes — regardless of the value
-//! types in the indexed columns.
+//! types in the indexed columns, and the width is private to this module:
+//! every probe and maintenance call takes the key as a `&[Cell]`.
 
 use crate::table::Table;
 use bcq_core::fx::{FxHashMap, FxHashSet};
 use bcq_core::prelude::{Cell, RowBuf};
+use std::hash::Hash;
 use std::mem::size_of;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -221,6 +227,50 @@ impl Postings {
         }
     }
 
+    /// Drops `rid`, whose cells are `row`, from the lists; `false` if it is
+    /// not listed. If `rid` was the witness of its `Y`-projection another
+    /// listed row with the same projection (looked up in `table`, which
+    /// still holds `rid`) takes its place, and if none is left the
+    /// projection leaves the witness set.
+    fn remove(&mut self, rid: u32, row: &[Cell], y: &[usize], table: &Table) -> bool {
+        let Some(pos) = self.all().iter().position(|&r| r == rid) else {
+            return false;
+        };
+        self.rids.remove(pos);
+        // With no `dups` the list just shortened *is* the witness list: the
+        // row's `Y`-projection was its own and left with it.
+        if let Some(dups) = &mut self.dups {
+            if let Some(wpos) = dups.witnesses.iter().position(|&r| r == rid) {
+                // Promote another copy of the same Y-projection, if one
+                // survives.
+                let replacement = self
+                    .rids
+                    .as_slice()
+                    .iter()
+                    .copied()
+                    .find(|&r| same_projection(table.row(r as usize), row, y));
+                match replacement {
+                    Some(r) => dups.witnesses[wpos] = r,
+                    None => {
+                        dups.witnesses.remove(wpos);
+                        dups.y_seen.remove(&project(row, y));
+                    }
+                }
+            }
+        }
+        true
+    }
+
+    /// Renames row `old_rid` to `new_rid` in both lists.
+    fn repoint(&mut self, old_rid: u32, new_rid: u32) {
+        let witnesses = self.dups.iter_mut().flat_map(|d| d.witnesses.iter_mut());
+        for r in self.rids.as_mut_slice().iter_mut().chain(witnesses) {
+            if *r == old_rid {
+                *r = new_rid;
+            }
+        }
+    }
+
     /// What [`HashIndex::book`] keeps totals of: the size of the witness
     /// set and the heap bytes behind this entry, where one stored
     /// `Y`-projection owns `y_spill` of them.
@@ -250,12 +300,101 @@ fn hash_table_bytes(capacity: usize, entry: usize) -> usize {
     (capacity * 8).div_ceil(7) * (entry + 1)
 }
 
-/// A hash index on key columns `x` exposing value columns `y`.
+/// An `X`-value as one [`KeyMap`] variant stores it.
+trait Key: Hash + Eq + Sized {
+    /// The key of `row` on columns `x` (as many as this type holds).
+    fn project(row: &[Cell], x: &[usize]) -> Self;
+    /// The key's cells, in `X` order.
+    fn cells(&self) -> &[Cell];
+    /// `map`'s entry for `key`; `None` as well for a key of another width.
+    fn find<'m>(map: &'m FxHashMap<Self, Postings>, key: &[Cell]) -> Option<&'m Postings>;
+}
+
+impl Key for Cell {
+    fn project(row: &[Cell], x: &[usize]) -> Cell {
+        row[x[0]]
+    }
+    fn cells(&self) -> &[Cell] {
+        std::slice::from_ref(self)
+    }
+    fn find<'m>(map: &'m FxHashMap<Cell, Postings>, key: &[Cell]) -> Option<&'m Postings> {
+        match key {
+            [cell] => map.get(cell),
+            _ => None,
+        }
+    }
+}
+
+impl Key for [Cell; 2] {
+    fn project(row: &[Cell], x: &[usize]) -> [Cell; 2] {
+        [row[x[0]], row[x[1]]]
+    }
+    fn cells(&self) -> &[Cell] {
+        self
+    }
+    fn find<'m>(map: &'m FxHashMap<[Cell; 2], Postings>, key: &[Cell]) -> Option<&'m Postings> {
+        map.get(<&[Cell; 2]>::try_from(key).ok()?)
+    }
+}
+
+impl Key for RowBuf {
+    fn project(row: &[Cell], x: &[usize]) -> RowBuf {
+        project(row, x)
+    }
+    fn cells(&self) -> &[Cell] {
+        self
+    }
+    fn find<'m>(map: &'m FxHashMap<RowBuf, Postings>, key: &[Cell]) -> Option<&'m Postings> {
+        map.get(key)
+    }
+}
+
+/// An index's hash table, keyed at the width of its `X`.
+#[derive(Debug, Clone)]
+enum KeyMap {
+    One(FxHashMap<Cell, Postings>),
+    Two(FxHashMap<[Cell; 2], Postings>),
+    /// `X = ∅` (one key at most) and `|X| ≥ 3`.
+    Row(FxHashMap<RowBuf, Postings>),
+}
+
+/// Evaluates `$body` with `$m` bound to the hash table of `$map`, whatever
+/// its key type ([`Key`] methods infer it from the table).
+macro_rules! each_map {
+    ($map:expr, $m:ident => $body:expr) => {
+        match $map {
+            KeyMap::One($m) => $body,
+            KeyMap::Two($m) => $body,
+            KeyMap::Row($m) => $body,
+        }
+    };
+}
+
+/// `row`'s key on columns `x`, of the type `map` is keyed by.
+fn key_in<K: Key>(_map: &FxHashMap<K, Postings>, row: &[Cell], x: &[usize]) -> K {
+    K::project(row, x)
+}
+
+/// Bytes of `map`'s table at its current capacity.
+fn table_bytes<K>(map: &FxHashMap<K, Postings>) -> usize {
+    hash_table_bytes(map.capacity(), size_of::<(K, Postings)>())
+}
+
+/// `map`'s entries with their keys as cells.
+fn entries_of<K: Key>(
+    map: Option<&FxHashMap<K, Postings>>,
+) -> impl Iterator<Item = (&[Cell], &Postings)> {
+    map.into_iter().flatten().map(|(k, p)| (k.cells(), p))
+}
+
+/// A hash index on key columns `x` exposing value columns `y`. Its hash
+/// table stores a key at the width of `x` (see the module doc); callers
+/// see every key as a `&[Cell]`.
 #[derive(Debug, Clone)]
 pub struct HashIndex {
     x: Vec<usize>,
     y: Vec<usize>,
-    map: FxHashMap<RowBuf, Postings>,
+    map: KeyMap,
     max_witnesses: usize,
     /// `witness_sizes[n]` counts the keys whose witness set holds `n` rows
     /// (`n ≥ 1`), so `max_witnesses` steps down without a walk over keys.
@@ -264,8 +403,8 @@ pub struct HashIndex {
     /// second half), kept as they change so [`Self::approx_bytes`] needs no
     /// walk either.
     entry_heap_bytes: usize,
-    /// Heap bytes one key / one `Y`-projection owns (0 while it fits a
-    /// `RowBuf` inline).
+    /// Heap bytes one key / one `Y`-projection owns (0 for a key stored
+    /// as cells and for a `RowBuf` that fits inline).
     key_spill: usize,
     y_spill: usize,
 }
@@ -285,7 +424,11 @@ impl HashIndex {
         HashIndex {
             x: x.to_vec(),
             y: y.to_vec(),
-            map: FxHashMap::default(),
+            map: match x.len() {
+                1 => KeyMap::One(FxHashMap::default()),
+                2 => KeyMap::Two(FxHashMap::default()),
+                _ => KeyMap::Row(FxHashMap::default()),
+            },
             max_witnesses: 0,
             witness_sizes: Vec::new(),
             entry_heap_bytes: 0,
@@ -340,7 +483,7 @@ impl HashIndex {
     /// An empty index whose hash table has room for `keys` entries.
     fn with_keys(x: &[usize], y: &[usize], keys: usize) -> HashIndex {
         let mut idx = HashIndex::empty(x, y);
-        idx.map.reserve(keys);
+        each_map!(&mut idx.map, m => m.reserve(keys));
         idx
     }
 
@@ -350,7 +493,8 @@ impl HashIndex {
         match sorted {
             SortedKeys::All(0) => {}
             SortedKeys::All(n) => self.emit_group(table, &(0..*n).collect::<Vec<u32>>()),
-            SortedKeys::Narrow(pairs) => self.emit_groups(table, pairs),
+            SortedKeys::One(pairs) => self.emit_groups(table, pairs),
+            SortedKeys::Two(pairs) => self.emit_groups(table, pairs),
             SortedKeys::Wide(pairs) => self.emit_groups(table, pairs),
         }
     }
@@ -368,13 +512,13 @@ impl HashIndex {
     /// key) as a postings entry, promoting first-seen `Y`-projections to
     /// witnesses exactly as the row-wise build would.
     fn emit_group(&mut self, table: &Table, rids: &[u32]) {
-        let key = project(table.row(rids[0] as usize), &self.x);
         let mut postings = Postings::with_capacity(rids.len());
         for &rid in rids {
             postings.add(rid, table.row(rid as usize), &self.y, table);
         }
         self.book((0, 0), postings.footprint(self.y_spill));
-        self.map.insert(key, postings);
+        let row = table.row(rids[0] as usize);
+        each_map!(&mut self.map, m => m.insert(Key::project(row, &self.x), postings));
     }
 
     /// Key columns.
@@ -389,17 +533,21 @@ impl HashIndex {
 
     /// Witness rows for `key`: at most one per distinct `Y`-value.
     pub fn witnesses(&self, key: &[Cell]) -> &[u32] {
-        self.map.get(key).map_or(EMPTY, Postings::witnesses)
+        self.postings(key).map_or(EMPTY, Postings::witnesses)
     }
 
     /// All rows matching `key` (what a conventional index scan returns).
     pub fn all(&self, key: &[Cell]) -> &[u32] {
-        self.map.get(key).map_or(EMPTY, Postings::all)
+        self.postings(key).map_or(EMPTY, Postings::all)
+    }
+
+    fn postings(&self, key: &[Cell]) -> Option<&Postings> {
+        each_map!(&self.map, m => Key::find(m, key))
     }
 
     /// Number of distinct keys.
     pub fn num_keys(&self) -> usize {
-        self.map.len()
+        each_map!(&self.map, m => m.len())
     }
 
     /// The largest witness set across keys — the smallest `N` for which the
@@ -410,18 +558,26 @@ impl HashIndex {
     }
 
     /// Resident bytes of the index, to within the allocator's rounding: the
-    /// hash table at its current capacity plus what keys and entries own
-    /// on the heap. O(1) — nothing is walked.
+    /// hash table at its current capacity, with entries of the size its key
+    /// width gives (48, 56 or 80 bytes), plus what keys and entries own on
+    /// the heap. O(1) — nothing is walked.
     pub fn approx_bytes(&self) -> usize {
-        hash_table_bytes(self.map.capacity(), size_of::<(RowBuf, Postings)>())
-            + self.map.len() * self.key_spill
+        each_map!(&self.map, m => table_bytes(m))
+            + self.num_keys() * self.key_spill
             + self.entry_heap_bytes
             + self.witness_sizes.capacity() * size_of::<u32>()
     }
 
     /// Iterates over `(key, postings)` pairs (unspecified order).
     pub fn entries(&self) -> impl Iterator<Item = (&[Cell], &Postings)> + '_ {
-        self.map.iter().map(|(k, p)| (k.as_slice(), p))
+        let (one, two, row) = match &self.map {
+            KeyMap::One(m) => (Some(m), None, None),
+            KeyMap::Two(m) => (None, Some(m), None),
+            KeyMap::Row(m) => (None, None, Some(m)),
+        };
+        entries_of(one)
+            .chain(entries_of(two))
+            .chain(entries_of(row))
     }
 
     /// Books one entry's change of [`Postings::footprint`]; `(0, 0)` stands
@@ -456,10 +612,13 @@ impl HashIndex {
     /// Witness semantics are preserved: the row becomes a witness only if
     /// its `Y`-projection is new for its key.
     pub fn insert_row(&mut self, rid: u32, row: &[Cell], table: &Table) {
-        let entry = self.map.entry(project(row, &self.x)).or_default();
-        let before = entry.footprint(self.y_spill);
-        entry.add(rid, row, &self.y, table);
-        let now = entry.footprint(self.y_spill);
+        let (x, y, y_spill) = (&self.x, &self.y, self.y_spill);
+        let (before, now) = each_map!(&mut self.map, m => {
+            let entry = m.entry(Key::project(row, x)).or_default();
+            let before = entry.footprint(y_spill);
+            entry.add(rid, row, y, table);
+            (before, entry.footprint(y_spill))
+        });
         self.book(before, now);
     }
 
@@ -473,42 +632,23 @@ impl HashIndex {
     ///
     /// Cost: O(|postings of the key|).
     pub fn remove_row(&mut self, rid: u32, row: &[Cell], table: &Table) {
-        let key = project(row, &self.x);
-        let Some(entry) = self.map.get_mut(&key) else {
-            return;
-        };
-        let Some(pos) = entry.all().iter().position(|&r| r == rid) else {
-            return;
-        };
-        let before = entry.footprint(self.y_spill);
-        entry.rids.remove(pos);
-        if entry.all().is_empty() {
-            self.map.remove(&key);
-            self.book(before, (0, 0));
-            return;
-        }
-        // With no `dups` the list just shortened *is* the witness list: the
-        // row's `Y`-projection was its own and left with it.
-        if let Some(dups) = &mut entry.dups {
-            if let Some(wpos) = dups.witnesses.iter().position(|&r| r == rid) {
-                // Promote another copy of the same Y-projection, if one
-                // survives.
-                let replacement = entry
-                    .rids
-                    .as_slice()
-                    .iter()
-                    .copied()
-                    .find(|&r| same_projection(table.row(r as usize), row, &self.y));
-                match replacement {
-                    Some(r) => dups.witnesses[wpos] = r,
-                    None => {
-                        dups.witnesses.remove(wpos);
-                        dups.y_seen.remove(&project(row, &self.y));
-                    }
-                }
+        let (x, y, y_spill) = (&self.x, &self.y, self.y_spill);
+        let (before, now) = each_map!(&mut self.map, m => {
+            let key = key_in(m, row, x);
+            let Some(entry) = m.get_mut(&key) else {
+                return;
+            };
+            let before = entry.footprint(y_spill);
+            if !entry.remove(rid, row, y, table) {
+                return;
             }
-        }
-        let now = entry.footprint(self.y_spill);
+            if entry.all().is_empty() {
+                m.remove(&key);
+                (before, (0, 0))
+            } else {
+                (before, entry.footprint(y_spill))
+            }
+        });
         self.book(before, now);
     }
 
@@ -516,14 +656,12 @@ impl HashIndex {
     /// `old_rid` to `new_rid` (the table's [`Table::swap_remove`] moved it);
     /// `row` is its cell content. O(|postings of its key|).
     pub fn reindex_row(&mut self, old_rid: u32, new_rid: u32, row: &[Cell]) {
-        if let Some(entry) = self.map.get_mut(&project(row, &self.x)) {
-            let witnesses = entry.dups.iter_mut().flat_map(|d| d.witnesses.iter_mut());
-            for r in entry.rids.as_mut_slice().iter_mut().chain(witnesses) {
-                if *r == old_rid {
-                    *r = new_rid;
-                }
+        let x = &self.x;
+        each_map!(&mut self.map, m => {
+            if let Some(entry) = m.get_mut(&key_in(m, row, x)) {
+                entry.repoint(old_rid, new_rid);
             }
-        }
+        });
     }
 }
 
@@ -538,11 +676,15 @@ enum SortedKeys {
     /// `X = ∅` (bounded-domain constraints) needs no sort at all: all `n`
     /// rows are one group in rid order already.
     All(u32),
-    /// `|X| = 1`: the key cell's raw word beside the rid, 16 bytes a pair
-    /// against [`Self::Wide`]'s 48 — 6.1 MB instead of 18.4 MB of transient
-    /// for `lineitem` at SF 32. Raw order is the order `RowBuf` keys sort
-    /// in, so the groups are the same groups.
-    Narrow(Vec<(u64, u32)>),
+    /// `|X| = 1` and `|X| = 2`: the key as the index stores it, beside the
+    /// rid — 16 and 24 bytes a pair against [`Self::Wide`]'s 48 (6.1 MB
+    /// instead of 18.4 MB of transient for `lineitem`'s `l_orderkey` at
+    /// SF 32). Cells and cell arrays sort as the `RowBuf`s of the same cells
+    /// do, so the groups, and the order they are emitted in, are the same
+    /// at every width.
+    One(Vec<(Cell, u32)>),
+    Two(Vec<([Cell; 2], u32)>),
+    /// `|X| ≥ 3`.
     Wide(Vec<(RowBuf, u32)>),
 }
 
@@ -551,8 +693,9 @@ impl SortedKeys {
         let n = u32::try_from(table.len()).expect("table too large");
         match *x {
             [] => SortedKeys::All(n),
-            [c] => SortedKeys::Narrow(sorted_pairs(table, |row| row[c].raw())),
-            _ => SortedKeys::Wide(sorted_pairs(table, |row| project(row, x))),
+            [_] => SortedKeys::One(sorted_pairs(table, |row| Key::project(row, x))),
+            [_, _] => SortedKeys::Two(sorted_pairs(table, |row| Key::project(row, x))),
+            _ => SortedKeys::Wide(sorted_pairs(table, |row| Key::project(row, x))),
         }
     }
 
@@ -560,7 +703,8 @@ impl SortedKeys {
     fn num_keys(&self) -> usize {
         match self {
             SortedKeys::All(n) => usize::from(*n > 0),
-            SortedKeys::Narrow(pairs) => key_groups(pairs).count(),
+            SortedKeys::One(pairs) => key_groups(pairs).count(),
+            SortedKeys::Two(pairs) => key_groups(pairs).count(),
             SortedKeys::Wide(pairs) => key_groups(pairs).count(),
         }
     }
@@ -897,6 +1041,7 @@ mod tests {
             (vec![0, 1], vec![2]),
             (vec![], vec![0, 1]),
             (vec![2], vec![0]),
+            (vec![0, 1, 2], vec![1]),
         ] {
             let rowwise = HashIndex::build_rowwise(&t, &x, &y);
             let sorted = HashIndex::build_sorted(&t, &x, &y);
@@ -977,6 +1122,9 @@ mod tests {
     fn an_entry_is_forty_bytes_and_a_dup_free_key_keeps_one_list() {
         assert!(size_of::<Rids>() <= 32);
         assert!(size_of::<Postings>() <= 40);
+        // A one- and a two-column key are stored as their cells.
+        assert_eq!(size_of::<(Cell, Postings)>(), 48);
+        assert_eq!(size_of::<([Cell; 2], Postings)>(), 56);
         // One key, SCAN_LIMIT rows of distinct Y: one list serves as both.
         let mut t = Table::new(RelId(0), 2);
         for i in 0..SCAN_LIMIT as i64 {
@@ -1066,8 +1214,9 @@ mod tests {
         // No entry owns a heap block: every list is inline, no key has a
         // witness list or Y-set of its own.
         assert_eq!(idx.entry_heap_bytes, 0);
+        // 131,072 buckets of a 48-byte entry and a control byte.
         let per_key = idx.approx_bytes() / idx.num_keys();
-        assert!(per_key <= 128, "{per_key} B per key");
+        assert!(per_key <= 72, "{per_key} B per key");
         // The maintained totals are the sums a walk gives: 13 keys of 385
         // rows, spilled and past the scan limit, then thinned to inline.
         let mut small = Table::new(RelId(0), 3);

@@ -3,7 +3,9 @@
 //! sets, from one built from scratch over the current table, and keeps the
 //! coverage contract — across every change of representation an entry can
 //! go through (inline ↔ spilled row ids, one list → two on the first
-//! repeated `Y`-projection or past the scan limit, the `X = ∅` key).
+//! repeated `Y`-projection or past the scan limit, the `X = ∅` key) and at
+//! every key width the index stores differently: `∅`, one cell, two cells,
+//! and a three-column `RowBuf`.
 
 use crate::index::{HashIndex, INLINE_RIDS, SCAN_LIMIT};
 use crate::shard::{RelationShard, RowOp};
@@ -54,9 +56,12 @@ fn run(arity: usize, steps: &[Step]) {
     let mut shard = RelationShard::new(Table::new(RelId(0), arity));
     let mut specs: Vec<(Vec<usize>, Vec<usize>)> =
         vec![(vec![0], vec![1]), (vec![], vec![0]), (vec![], vec![1])];
-    if arity == 3 {
+    if arity >= 3 {
         specs.push((vec![0, 1], vec![2]));
         specs.push((vec![2], vec![0, 1]));
+    }
+    if arity == 4 {
+        specs.push((vec![0, 1, 2], vec![3]));
     }
     for (x, y) in specs {
         let idx = HashIndex::build(&shard.table, &x, &y);
@@ -67,7 +72,7 @@ fn run(arity: usize, steps: &[Step]) {
     for (i, &(kind, k, v)) in steps.iter().enumerate() {
         // Skewed keys: three in four steps land on keys 0..3.
         let key = i64::from(if k % 4 == 0 { k % 24 } else { k % 3 });
-        let row = |y: i64| cells(&[key, y, y % 2][..arity]);
+        let row = |y: i64| cells(&[key, y, y % 2, y % 3][..arity]);
         match kind {
             // A row whose `Y` comes from a small domain: repeats are common.
             0..=4 => apply(&mut shard, RowOp::Insert, &row(i64::from(v % 5))),
@@ -125,13 +130,20 @@ proptest! {
     ) {
         run(3, &steps);
     }
+
+    #[test]
+    fn maintained_equals_rebuilt_on_four_columns(
+        steps in prop::collection::vec((0u8..10, 0u8..=255, 0u8..=255), 1..60),
+    ) {
+        run(4, &steps);
+    }
 }
 
 /// Every boundary once, in a fixed order, whatever the seeds above draw.
 #[test]
 fn each_boundary_is_crossed_both_ways() {
     run(
-        3,
+        4,
         &[
             (8, 1, 0),
             (8, 1, 1),
