@@ -179,11 +179,6 @@ impl AccessSchema {
         Ok(self.push(c))
     }
 
-    /// Adds an FD `X → Y` (with an index on `X`): the constraint `X → (Y, 1)`.
-    pub fn add_fd(&mut self, relation: &str, x: &[&str], y: &[&str]) -> Result<ConstraintId> {
-        self.add(relation, x, y, 1)
-    }
-
     /// Adds a key on `relation`: `X → (R, 1)` where `R` is all attributes.
     pub fn add_key(&mut self, relation: &str, x: &[&str]) -> Result<ConstraintId> {
         let rel_id = self.catalog.require_rel(relation)?;

@@ -180,11 +180,6 @@ impl Closure {
         self.in_closure[class.0]
     }
 
-    /// `true` if every class in `classes` is in the closure.
-    pub fn contains_all<'a>(&self, classes: impl IntoIterator<Item = &'a ClassId>) -> bool {
-        classes.into_iter().all(|c| self.contains(*c))
-    }
-
     /// Minimal derivable bound `N_y` for a class in the closure
     /// (`1` for seeds). `None` if the class is not in the closure.
     pub fn bound_of(&self, class: ClassId) -> Option<u128> {

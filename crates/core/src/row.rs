@@ -122,15 +122,6 @@ impl Cell {
         }
     }
 
-    /// The symbol payload, if this is an interned-string cell.
-    #[inline]
-    pub fn as_sym(self) -> Option<Sym> {
-        match self.kind() {
-            CellKind::Sym(s) => Some(s),
-            _ => None,
-        }
-    }
-
     /// The raw word (diagnostics / hashing experiments).
     #[inline]
     pub fn raw(self) -> u64 {

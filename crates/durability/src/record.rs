@@ -164,23 +164,9 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn put_cells(out: &mut Vec<u8>, cells: &[u64]) {
-    out.extend_from_slice(&(cells.len() as u32).to_le_bytes());
-    for &c in cells {
-        out.extend_from_slice(&c.to_le_bytes());
-    }
-}
-
 fn take_cells(r: &mut Reader<'_>) -> Result<Vec<u64>, DecodeError> {
     let n = r.u32()? as usize;
     (0..n).map(|_| r.u64()).collect()
-}
-
-fn put_cols(out: &mut Vec<u8>, cols: &[u32]) {
-    out.extend_from_slice(&(cols.len() as u32).to_le_bytes());
-    for &c in cols {
-        out.extend_from_slice(&c.to_le_bytes());
-    }
 }
 
 fn take_cols(r: &mut Reader<'_>) -> Result<Vec<u32>, DecodeError> {
@@ -188,10 +174,9 @@ fn take_cols(r: &mut Reader<'_>) -> Result<Vec<u32>, DecodeError> {
     (0..n).map(|_| r.u32()).collect()
 }
 
-/// Serializes `op` under sequence number `seq` straight onto `out` — the
-/// write path's allocation-free twin of [`WalRecord::encode`] on the
-/// owned mirror of `op`. Byte-for-byte parity between the two encoders is
-/// pinned by a test, so recovery decodes either identically.
+/// Serializes `op` under sequence number `seq` straight onto `out`: the
+/// one encoder of the record format, whose bytes [`WalRecord::decode`]
+/// reads back as the owned mirror of `op`.
 pub fn encode_op_into(seq: u64, op: &WalOp<'_>, out: &mut Vec<u8>) {
     let put_cell_slice = |out: &mut Vec<u8>, cells: &[bcq_core::prelude::Cell]| {
         out.extend_from_slice(&(cells.len() as u32).to_le_bytes());
@@ -256,60 +241,6 @@ pub fn encode_op_into(seq: u64, op: &WalOp<'_>, out: &mut Vec<u8>) {
 }
 
 impl WalRecord {
-    /// Serializes the record to the frame payload bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32);
-        out.extend_from_slice(&self.seq.to_le_bytes());
-        match &self.body {
-            RecordBody::InternStr { id, text } => {
-                out.push(KIND_INTERN_STR);
-                out.extend_from_slice(&id.to_le_bytes());
-                out.extend_from_slice(&(text.len() as u32).to_le_bytes());
-                out.extend_from_slice(text.as_bytes());
-            }
-            RecordBody::InternWide { id, value } => {
-                out.push(KIND_INTERN_WIDE);
-                out.extend_from_slice(&id.to_le_bytes());
-                out.extend_from_slice(&value.to_le_bytes());
-            }
-            RecordBody::Insert { commit, rel, cells } => {
-                out.push(KIND_INSERT);
-                out.extend_from_slice(&commit.to_le_bytes());
-                out.extend_from_slice(&rel.to_le_bytes());
-                put_cells(&mut out, cells);
-            }
-            RecordBody::Delete { commit, rel, cells } => {
-                out.push(KIND_DELETE);
-                out.extend_from_slice(&commit.to_le_bytes());
-                out.extend_from_slice(&rel.to_le_bytes());
-                put_cells(&mut out, cells);
-            }
-            RecordBody::BulkBegin { commit, rel } => {
-                out.push(KIND_BULK_BEGIN);
-                out.extend_from_slice(&commit.to_le_bytes());
-                out.extend_from_slice(&rel.to_le_bytes());
-            }
-            RecordBody::BulkChunk { rel, rows, cells } => {
-                out.push(KIND_BULK_CHUNK);
-                out.extend_from_slice(&rel.to_le_bytes());
-                out.extend_from_slice(&rows.to_le_bytes());
-                put_cells(&mut out, cells);
-            }
-            RecordBody::BulkEnd { rel } => {
-                out.push(KIND_BULK_END);
-                out.extend_from_slice(&rel.to_le_bytes());
-            }
-            RecordBody::EnsureIndex { commit, rel, x, y } => {
-                out.push(KIND_ENSURE_INDEX);
-                out.extend_from_slice(&commit.to_le_bytes());
-                out.extend_from_slice(&rel.to_le_bytes());
-                put_cols(&mut out, x);
-                put_cols(&mut out, y);
-            }
-        }
-        out
-    }
-
     /// Parses a frame payload back into a record.
     pub fn decode(bytes: &[u8]) -> Result<WalRecord, DecodeError> {
         let mut r = Reader::new(bytes);
@@ -369,51 +300,111 @@ impl WalRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bcq_core::prelude::{Cell, RelId};
+
+    /// The payload bytes of `op` under sequence number `seq`.
+    fn encode(seq: u64, op: &WalOp<'_>) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_op_into(seq, op, &mut out);
+        out
+    }
 
     #[test]
     fn every_record_kind_roundtrips() {
-        let records = vec![
-            RecordBody::InternStr {
-                id: 3,
-                text: "héllo".into(),
-            },
-            RecordBody::InternWide {
-                id: 0,
-                value: i64::MIN,
-            },
-            RecordBody::Insert {
-                commit: 9,
-                rel: 1,
-                cells: vec![0b1001, 0b0010],
-            },
-            RecordBody::Delete {
-                commit: 11,
-                rel: 2,
-                cells: vec![],
-            },
-            RecordBody::BulkBegin { commit: 13, rel: 7 },
-            RecordBody::BulkChunk {
-                rel: 7,
-                rows: 2,
-                cells: vec![1, 2, 3, 4, 5, 6],
-            },
-            RecordBody::BulkEnd { rel: 7 },
-            RecordBody::EnsureIndex {
-                commit: 14,
-                rel: 7,
-                x: vec![0, 2],
-                y: vec![1],
-            },
+        let cells = [
+            Cell::from_raw(0b1001).unwrap(),
+            Cell::from_raw(0b0010).unwrap(),
+        ];
+        let chunk: Vec<Cell> = (1..=6).map(|i| Cell::from_small_int(i).unwrap()).collect();
+        let records = [
+            (
+                WalOp::InternStr {
+                    id: 3,
+                    text: "héllo",
+                },
+                RecordBody::InternStr {
+                    id: 3,
+                    text: "héllo".into(),
+                },
+            ),
+            (
+                WalOp::InternWide {
+                    id: 0,
+                    value: i64::MIN,
+                },
+                RecordBody::InternWide {
+                    id: 0,
+                    value: i64::MIN,
+                },
+            ),
+            (
+                WalOp::Insert {
+                    commit: 9,
+                    rel: RelId(1),
+                    cells: &cells,
+                },
+                RecordBody::Insert {
+                    commit: 9,
+                    rel: 1,
+                    cells: vec![0b1001, 0b0010],
+                },
+            ),
+            (
+                WalOp::Delete {
+                    commit: 11,
+                    rel: RelId(2),
+                    cells: &[],
+                },
+                RecordBody::Delete {
+                    commit: 11,
+                    rel: 2,
+                    cells: vec![],
+                },
+            ),
+            (
+                WalOp::BulkBegin {
+                    commit: 13,
+                    rel: RelId(7),
+                },
+                RecordBody::BulkBegin { commit: 13, rel: 7 },
+            ),
+            (
+                WalOp::BulkChunk {
+                    rel: RelId(7),
+                    rows: 2,
+                    cells: &chunk,
+                },
+                RecordBody::BulkChunk {
+                    rel: 7,
+                    rows: 2,
+                    cells: chunk.iter().map(|c| c.raw()).collect(),
+                },
+            ),
+            (
+                WalOp::BulkEnd { rel: RelId(7) },
+                RecordBody::BulkEnd { rel: 7 },
+            ),
+            (
+                WalOp::EnsureIndex {
+                    commit: 14,
+                    rel: RelId(7),
+                    x: &[0, 2],
+                    y: &[1],
+                },
+                RecordBody::EnsureIndex {
+                    commit: 14,
+                    rel: 7,
+                    x: vec![0, 2],
+                    y: vec![1],
+                },
+            ),
         ];
         let mut tags = Vec::new();
-        for (i, body) in records.into_iter().enumerate() {
-            let rec = WalRecord {
-                seq: i as u64 + 100,
-                body,
-            };
-            let bytes = rec.encode();
+        for (i, (op, body)) in records.into_iter().enumerate() {
+            let seq = i as u64 + 100;
+            let bytes = encode(seq, &op);
             tags.push(bytes[8]);
-            assert_eq!(WalRecord::decode(&bytes).unwrap(), rec);
+            assert_eq!(WalRecord::decode(&bytes).unwrap(), WalRecord { seq, body });
         }
         assert_eq!(tags, [1, 2, 4, 6, 7, 11, 10, 9], "surviving tag bytes");
     }
@@ -422,15 +413,15 @@ mod tests {
     fn retired_record_kinds_are_refused_by_name() {
         // A well-formed body of the retired layouts (3 and 5 shared the
         // insert layout, 8 was `rel` + cells): the tag alone decides.
-        let mut row = WalRecord {
-            seq: 7,
-            body: RecordBody::Insert {
+        let cells = [Cell::from_raw(0b1001).unwrap()];
+        let mut row = encode(
+            7,
+            &WalOp::Insert {
                 commit: 1,
-                rel: 0,
-                cells: vec![0b1001],
+                rel: RelId(0),
+                cells: &cells,
             },
-        }
-        .encode();
+        );
         for (tag, name) in [(3u8, "Insert"), (5, "Delete"), (8, "BulkRow")] {
             row[8] = tag;
             let err = WalRecord::decode(&row).unwrap_err();
@@ -442,67 +433,14 @@ mod tests {
     }
 
     #[test]
-    fn direct_op_encoding_matches_the_owned_path() {
-        use bcq_core::prelude::{Cell, RelId};
-        let cells = [
-            Cell::from_raw(0b1001).unwrap(),
-            Cell::from_raw(0b0010).unwrap(),
-        ];
-        let ops = [
-            WalOp::InternStr {
-                id: 3,
-                text: "héllo",
-            },
-            WalOp::InternWide {
-                id: 0,
-                value: i64::MIN,
-            },
-            WalOp::Insert {
-                commit: 9,
-                rel: RelId(1),
-                cells: &cells,
-            },
-            WalOp::Delete {
-                commit: 11,
-                rel: RelId(2),
-                cells: &cells[1..],
-            },
-            WalOp::BulkBegin {
-                commit: 13,
-                rel: RelId(7),
-            },
-            WalOp::BulkChunk {
-                rel: RelId(7),
-                rows: 1,
-                cells: &cells,
-            },
-            WalOp::BulkEnd { rel: RelId(7) },
-            WalOp::EnsureIndex {
-                commit: 14,
-                rel: RelId(7),
-                x: &[0, 2],
-                y: &[1],
-            },
-        ];
-        for (i, op) in ops.iter().enumerate() {
-            let seq = i as u64 + 100;
-            let mut direct = Vec::new();
-            encode_op_into(seq, op, &mut direct);
-            let owned = WalRecord::decode(&direct).unwrap();
-            assert_eq!(owned.seq, seq);
-            assert_eq!(owned.encode(), direct, "op {i} diverged between encoders");
-        }
-    }
-
-    #[test]
     fn malformed_payloads_are_rejected() {
         assert!(WalRecord::decode(&[]).is_err(), "empty");
         assert!(WalRecord::decode(&[0; 9]).is_err(), "kind 0");
-        let mut bytes = WalRecord {
-            seq: 1,
-            body: RecordBody::BulkBegin { commit: 1, rel: 0 },
-        }
-        .encode();
+        let begin = WalOp::BulkBegin {
+            commit: 1,
+            rel: RelId(0),
+        };
+        let mut bytes = encode(1, &begin);
         bytes.push(0xFF);
         assert!(WalRecord::decode(&bytes).is_err(), "trailing bytes");
         bytes.truncate(bytes.len() - 3);

@@ -7,10 +7,10 @@
 
 use bcq_core::prelude::*;
 use bcq_durability::{
-    checkpoint, frame::append_frame, recover, snapshot_name, LogStorage, MemLog, RecordBody,
-    RecoverError, RecoveryReport, SyncPolicy, WalRecord, WalWriter,
+    checkpoint, frame::append_frame, record::encode_op_into, recover, snapshot_name, LogStorage,
+    MemLog, RecoverError, RecoveryReport, SyncPolicy, WalWriter,
 };
-use bcq_storage::{Database, Prepare, RowOp};
+use bcq_storage::{Database, Prepare, RowOp, WalOp};
 use std::sync::Arc;
 
 fn catalog() -> Arc<Catalog> {
@@ -202,7 +202,7 @@ fn recovery_after_a_checkpoint_reads_only_the_tail() {
     }
     db.bulk_loader(RelId(1))
         .push_rows(&(0..40).map(Value::int).collect::<Vec<_>>());
-    db.ensure_index_cols(RelId(0), &[0], &[1]);
+    db.ensure_indexes_cols(&[(RelId(0), &[0], &[1])]);
     let (name, _) = checkpoint(&w, &db).unwrap();
     assert_eq!(log_bytes(&log), 0, "the checkpoint cut every stream");
 
@@ -233,7 +233,7 @@ fn a_crash_at_every_step_of_a_checkpoint_recovers_to_the_uncrashed_state() {
         checkpoint(&w, &db).unwrap();
         db.insert("r", &[Value::str("b"), Value::int(3)]).unwrap();
         db.insert("s", &[Value::int(4)]).unwrap();
-        db.ensure_index_cols(RelId(0), &[0], &[1]);
+        db.ensure_indexes_cols(&[(RelId(0), &[0], &[1])]);
         assert_eq!(log.streams().unwrap().len(), 3);
         (log, db, w)
     };
@@ -387,7 +387,7 @@ fn delete_touches_only_its_shard_and_recovery_keeps_the_vector_clock() {
     db.insert("r", &[Value::int(1), Value::int(2)]).unwrap();
     db.insert("r", &[Value::int(3), Value::int(4)]).unwrap();
     db.insert("s", &[Value::int(9)]).unwrap();
-    db.ensure_index_cols(RelId(0), &[0], &[1]);
+    db.ensure_indexes_cols(&[(RelId(0), &[0], &[1])]);
     let pre = db.clone();
     let (r, s) = (RelId(0), RelId(1));
     let (r_epoch, s_epoch) = (db.epoch_of(r), db.epoch_of(s));
@@ -431,19 +431,16 @@ fn records_beyond_a_sequence_gap_are_discarded() {
     // Hand-append a valid record whose sequence number skips ahead — the
     // shape a reordering disk leaves. It must not replay.
     let mut syms = SymbolTable::new();
-    let rogue = WalRecord {
-        seq: 9,
-        body: RecordBody::Insert {
-            commit: 9,
-            rel: 0,
-            cells: vec![
-                syms.encode(&Value::int(7)).raw(),
-                syms.encode(&Value::int(8)).raw(),
-            ],
-        },
+    let cells = [syms.encode(&Value::int(7)), syms.encode(&Value::int(8))];
+    let rogue = WalOp::Insert {
+        commit: 9,
+        rel: RelId(0),
+        cells: &cells,
     };
+    let mut payload = Vec::new();
+    encode_op_into(9, &rogue, &mut payload);
     let mut framed = Vec::new();
-    append_frame(&mut framed, &rogue.encode());
+    append_frame(&mut framed, &payload);
     log.append("rel-0", &framed).unwrap();
     log.sync().unwrap();
 
@@ -465,20 +462,24 @@ fn bulk_chunk_of_the_wrong_width_is_a_replay_error_not_a_panic() {
     // table's arity assertion.
     let log = Arc::new(MemLog::new());
     let mut syms = SymbolTable::new();
-    let cell = syms.encode(&Value::int(7)).raw();
-    let bodies = [
-        RecordBody::BulkBegin { commit: 1, rel: 0 },
-        RecordBody::BulkChunk {
-            rel: 0,
-            rows: 2,
-            cells: vec![cell; 6],
+    let cells = [syms.encode(&Value::int(7)); 6];
+    let ops = [
+        WalOp::BulkBegin {
+            commit: 1,
+            rel: RelId(0),
         },
-        RecordBody::BulkEnd { rel: 0 },
+        WalOp::BulkChunk {
+            rel: RelId(0),
+            rows: 2,
+            cells: &cells,
+        },
+        WalOp::BulkEnd { rel: RelId(0) },
     ];
     let mut framed = Vec::new();
-    for (i, body) in bodies.into_iter().enumerate() {
-        let seq = i as u64 + 1;
-        append_frame(&mut framed, &WalRecord { seq, body }.encode());
+    for (i, op) in ops.iter().enumerate() {
+        let mut payload = Vec::new();
+        encode_op_into(i as u64 + 1, op, &mut payload);
+        append_frame(&mut framed, &payload);
     }
     log.append("rel-0", &framed).unwrap();
     log.sync().unwrap();
@@ -524,11 +525,11 @@ fn indexed_state(db: &Database) -> ((u64, Vec<RelState>), Vec<Vec<IndexState>>) 
 
 #[test]
 fn index_record_runs_replay_to_the_one_at_a_time_state() {
-    // No snapshot. The live side builds its indices one `ensure_index_cols`
-    // at a time; replay meets the same records as runs — one spanning both
-    // relations, a lone record between row writes, a second run, and an
-    // unsynced run that the crash cuts anywhere — and builds each run as
-    // one batch. `r` is large enough for the sorted, threaded build.
+    // No snapshot. The live side builds its indices one
+    // `ensure_indexes_cols` call each; replay meets the same records as
+    // runs — one spanning both relations, a lone record between row
+    // writes, a second run, and an unsynced run that the crash cuts
+    // anywhere — and builds each run as one threaded batch.
     let (r, s) = (RelId(0), RelId(1));
     let tail: [(RelId, &[usize], &[usize]); 3] =
         [(r, &[1], &[0, 1]), (s, &[0], &[0]), (r, &[0, 1], &[1])];
@@ -543,21 +544,21 @@ fn index_record_runs_replay_to_the_one_at_a_time_state() {
         db.bulk_loader(r).push_rows(&rows);
         let rows: Vec<Value> = (0..40).map(|i| Value::int(i % 5)).collect();
         db.bulk_loader(s).push_rows(&rows);
-        db.ensure_index_cols(r, &[0], &[1]);
-        db.ensure_index_cols(s, &[], &[0]);
-        db.ensure_index_cols(r, &[], &[1]);
-        db.ensure_index_cols(r, &[1], &[0]);
+        db.ensure_indexes_cols(&[(r, &[0], &[1])]);
+        db.ensure_indexes_cols(&[(s, &[], &[0])]);
+        db.ensure_indexes_cols(&[(r, &[], &[1])]);
+        db.ensure_indexes_cols(&[(r, &[1], &[0])]);
         db.insert("r", &[Value::int(3), Value::int(4)]).unwrap();
-        db.ensure_index_cols(r, &[0, 1], &[0]);
+        db.ensure_indexes_cols(&[(r, &[0, 1], &[0])]);
         assert!(db.delete("s", &[Value::int(2)]).unwrap().is_some());
-        db.ensure_index_cols(r, &[0], &[0, 1]);
-        db.ensure_index_cols(r, &[], &[0]);
+        db.ensure_indexes_cols(&[(r, &[0], &[0, 1])]);
+        db.ensure_indexes_cols(&[(r, &[], &[0])]);
         log.sync().unwrap();
         let synced_seq = w.last_seq();
         let mut oracles = vec![indexed_state(&db)];
         let mut ends = vec![0];
         for (rel, x, y) in tail {
-            db.ensure_index_cols(rel, x, y);
+            db.ensure_indexes_cols(&[(rel, x, y)]);
             oracles.push(indexed_state(&db));
             ends.push(log.unsynced_bytes());
         }
@@ -622,7 +623,7 @@ fn surviving_records_are_byte_identical_to_the_pre_retirement_format() {
     for prepared in [false, true] {
         let log = Arc::new(MemLog::new());
         let (mut db, _w) = wired(&log, SyncPolicy::Always);
-        db.ensure_index_cols(RelId(0), &[0], &[1]);
+        db.ensure_indexes_cols(&[(RelId(0), &[0], &[1])]);
         db.insert("r", &row).unwrap();
         if prepared {
             match db.prepare(RowOp::Delete, "r", &row).unwrap() {

@@ -96,8 +96,7 @@ pub use bcq_durability::{
 // [`Server::metrics_snapshot`] / [`Server::execute_profiled`] without
 // naming `bcq-telemetry` themselves.
 pub use bcq_telemetry::{
-    trace_thread, LaneKind, MetricsRegistry, MetricsSnapshot, OpProfile, Phase, StepKind,
-    StepProfile, ThreadTraceGuard,
+    LaneKind, MetricsRegistry, MetricsSnapshot, OpProfile, Phase, StepKind, StepProfile,
 };
 
 /// Convenient alias used across the crate.

@@ -143,10 +143,9 @@ impl Database {
         let mut built = build_many(&jobs, host_workers()).into_iter();
         let shards = restored
             .into_iter()
-            .zip(shards)
+            .zip(&shards)
             .map(|(mut shard, state)| {
-                let specs = state.indexes.into_iter();
-                shard.indexes = specs.zip(built.by_ref()).collect();
+                shard.indexes = built.by_ref().take(state.indexes.len()).collect();
                 Arc::new(shard)
             })
             .collect();
@@ -484,18 +483,6 @@ impl Database {
         self.shards.iter().map(|s| s.table.len()).sum()
     }
 
-    /// Builds (or reuses) the index for one access constraint.
-    pub fn ensure_index(&mut self, c: &AccessConstraint) {
-        self.ensure_index_cols(c.relation(), c.x(), c.y());
-    }
-
-    /// Builds (or reuses) the index on key columns `x` exposing value
-    /// columns `y` of `rel` — the column-level form of
-    /// [`Self::ensure_index`].
-    pub fn ensure_index_cols(&mut self, rel: RelId, x: &[usize], y: &[usize]) {
-        self.ensure_indexes_cols(&[(rel, x, y)]);
-    }
-
     /// Builds every index declared by `a` (the paper's setup step: "for each
     /// X → (Y, N) extracted, we built an index").
     pub fn build_indexes(&mut self, a: &AccessSchema) {
@@ -507,10 +494,11 @@ impl Database {
         self.ensure_indexes_cols(&specs);
     }
 
-    /// Builds (or reuses) one index per spec — a batch of
-    /// [`Self::ensure_index_cols`] calls, which is how log replay rebuilds
-    /// a run of [`WalOp::EnsureIndex`] records. The missing indices are
-    /// built together on every core (`index::build_many`), then
+    /// Builds (or reuses) one index per spec: the index on key columns `x`
+    /// exposing value columns `y` of relation `rel`. A one-element slice
+    /// builds one index; log replay passes a run of [`WalOp::EnsureIndex`]
+    /// records, and [`Self::build_indexes`] an access schema. The missing
+    /// indices are built together on every core (`index::build_many`), then
     /// installed one by one in spec order, each with its own commit bump
     /// and `EnsureIndex` record, so epochs and log are those of the
     /// one-at-a-time loop. Returns the commit counter as it stood after
@@ -549,7 +537,7 @@ impl Database {
                 if missing {
                     let idx = built.next().expect("one index per missing spec");
                     let shard = self.shard_mut(rel);
-                    shard.indexes.push(((x.to_vec(), y.to_vec()), idx));
+                    shard.indexes.push(idx);
                     let commit = self.commit;
                     self.emit(WalOp::EnsureIndex { commit, rel, x, y });
                 }
@@ -574,7 +562,7 @@ impl Database {
         self.shards
             .iter()
             .flat_map(|s| &s.indexes)
-            .fold((0, 0), |(keys, bytes), (_, idx)| {
+            .fold((0, 0), |(keys, bytes), idx| {
                 (keys + idx.num_keys(), bytes + idx.approx_bytes())
             })
     }
@@ -1401,7 +1389,7 @@ mod tests {
                 Value::int(3),
                 Value::int(2),
             ]);
-            db.ensure_index_cols(tagging, &[1], &[2]);
+            db.ensure_indexes_cols(&[(tagging, &[1], &[2])]);
         };
         let specs: Vec<IndexSpec<'_>> = vec![
             (friends, &[0], &[1]),
@@ -1436,7 +1424,7 @@ mod tests {
             assert_eq!(parallel.epoch(), serial.epoch());
             for rel in [albums, friends, tagging] {
                 assert_eq!(image(&parallel, rel), image(&serial, rel));
-                let specs = |db: &Database| -> Vec<crate::shard::IndexKey> {
+                let specs = |db: &Database| -> Vec<(Vec<usize>, Vec<usize>)> {
                     let specs = db.shard(rel).index_specs();
                     specs.map(|(x, y)| (x.to_vec(), y.to_vec())).collect()
                 };

@@ -32,6 +32,13 @@
 //! handful of `u64` words — never string bytes — regardless of the value
 //! types in the indexed columns, and the width is private to this module:
 //! every probe and maintenance call takes the key as a `&[Cell]`.
+//!
+//! An index is built one way, [`HashIndex::build`]: every row's key
+//! extracted and sorted, the hash table allocated at its final size, and
+//! each key's rows emitted as one entry (`build_many` runs a batch of
+//! these on the host's cores). From then on a write maintains it one row
+//! at a time ([`HashIndex::insert_row`], [`HashIndex::remove_row`]), and
+//! the two give the same postings in the same order.
 
 use crate::table::Table;
 use bcq_core::fx::{FxHashMap, FxHashSet};
@@ -198,8 +205,8 @@ impl Postings {
     }
 
     /// Lists `rid`, whose cells are `row`, and promotes it to witness iff
-    /// its projection on `y` is new for this key — the one routine every
-    /// builder and the maintained insert go through. `table` must hold the
+    /// its projection on `y` is new for this key — the one routine the
+    /// build and the maintained insert go through. `table` must hold the
     /// rows already listed.
     fn add(&mut self, rid: u32, row: &[Cell], y: &[usize], table: &Table) {
         if self.dups.is_none() {
@@ -411,13 +418,6 @@ pub struct HashIndex {
 
 static EMPTY: &[u32] = &[];
 
-/// Row count at or above which [`HashIndex::build`] switches from the
-/// per-row hash-map mode to the sort-based mode. Below this the per-row
-/// build's smaller constant wins; above it the sort-based build's one
-/// key allocation and one map insertion *per distinct key* (instead of
-/// per row) dominate.
-const SORT_BUILD_THRESHOLD: usize = 1 << 13;
-
 impl HashIndex {
     fn empty(x: &[usize], y: &[usize]) -> HashIndex {
         let spill = |width| std::iter::repeat_n(Cell::NULL, width).collect::<RowBuf>();
@@ -439,41 +439,15 @@ impl HashIndex {
 
     /// Builds the index for key columns `x` and value columns `y` (both
     /// sorted column index lists, as stored in an
-    /// [`bcq_core::access::AccessConstraint`]).
-    ///
-    /// Dispatches on table size between [`Self::build_rowwise`] and
-    /// [`Self::build_sorted`]; both produce identical indices (postings in
-    /// ascending-rid order, witnesses in first-seen `Y` order), so which
-    /// one ran is unobservable.
+    /// [`bcq_core::access::AccessConstraint`]): keys extracted and sorted
+    /// (`SortedKeys::extract`: one sequential table pass, one sort), one
+    /// table allocation at its final size instead of a rehash per doubling,
+    /// then each key group emitted in one shot. Groups come out in
+    /// ascending-rid order, so the postings — `all`, witness promotion
+    /// order, everything — are what [`Self::insert_row`] over the rows in
+    /// rid order gives. The batch builder (`build_many`) runs the same three
+    /// steps with the first and the last on a worker thread.
     pub fn build(table: &Table, x: &[usize], y: &[usize]) -> HashIndex {
-        if table.len() >= SORT_BUILD_THRESHOLD {
-            HashIndex::build_sorted(table, x, y)
-        } else {
-            HashIndex::build_rowwise(table, x, y)
-        }
-    }
-
-    /// Per-row build: one hash-map entry lookup (and one key allocation)
-    /// per row — what a row write does to the index, replayed over the
-    /// whole table.
-    pub fn build_rowwise(table: &Table, x: &[usize], y: &[usize]) -> HashIndex {
-        let mut idx = HashIndex::empty(x, y);
-        for (rid, row) in table.rows().enumerate() {
-            idx.insert_row(rid as u32, row, table);
-        }
-        idx
-    }
-
-    /// Sort-based build, for the deferred index build after a bulk load:
-    /// keys extracted and sorted (`SortedKeys::extract`: one sequential
-    /// table pass, one sort), one table allocation at its final size
-    /// instead of a rehash per doubling, then each key group emitted in one
-    /// shot. Groups come out in ascending-rid order, so the resulting
-    /// postings — `all`, witness promotion order, everything — are
-    /// identical to [`Self::build_rowwise`]'s. The batch builder
-    /// (`build_many`) runs the same three steps with the first and the
-    /// last on a worker thread.
-    pub fn build_sorted(table: &Table, x: &[usize], y: &[usize]) -> HashIndex {
         let sorted = SortedKeys::extract(table, x);
         let mut idx = HashIndex::with_keys(x, y, sorted.num_keys());
         idx.fill(table, &sorted);
@@ -508,9 +482,9 @@ impl HashIndex {
         }
     }
 
-    /// Emits one sorted-build key group (`rids` ascending, all sharing a
-    /// key) as a postings entry, promoting first-seen `Y`-projections to
-    /// witnesses exactly as the row-wise build would.
+    /// Emits one key group (`rids` ascending, all sharing a key) as a
+    /// postings entry, promoting first-seen `Y`-projections to witnesses
+    /// exactly as [`Self::insert_row`] does.
     fn emit_group(&mut self, table: &Table, rids: &[u32]) {
         let mut postings = Postings::with_capacity(rids.len());
         for &rid in rids {
@@ -665,7 +639,7 @@ impl HashIndex {
     }
 }
 
-/// The first half of a sorted build, the half that needs no hash table:
+/// The first half of a build, the half that needs no hash table:
 /// each row's key extracted **once** into a contiguous `(key, rid)` pair
 /// vector with one sequential table pass, then sorted (every comparison
 /// touches only the pair being moved — no random row fetches through the
@@ -736,17 +710,16 @@ pub(crate) fn host_workers() -> usize {
 /// Builds one index per job and returns them in job order — the builder
 /// behind `Database::build_indexes`, `Database::restore` and log replay.
 /// Each index is exactly what [`HashIndex::build`] gives for its job. Runs
-/// on at most `workers` threads, and is the serial loop when that is 1 or
-/// fewer than two tables are large enough for a sorted build; the count is
-/// a parameter so tests can compare worker counts, not a knob.
+/// on at most `workers` threads, and is the serial loop when that or the
+/// number of jobs is at most 1; the count is a parameter so tests can
+/// compare worker counts, not a knob.
 ///
 /// Builds are independent (each reads a `&Table` and yields one index) and
-/// their time is memory latency, not work — a sorted build is extract 12%,
-/// sort 2%, hash-table fill 80%, ≈ 300–380 ns per key of random writes into
-/// a 10–42 MB table — which is what a second core hides. Sorted builds go
-/// to the workers largest table first; the few row-wise ones (tables under
-/// [`SORT_BUILD_THRESHOLD`] rows, a millisecond each) run on this thread
-/// while the workers extract and sort their first keys.
+/// their time is memory latency, not work — a build is extract 12%, sort
+/// 2%, hash-table fill 80%, ≈ 300–380 ns per key of random writes into a
+/// 10–42 MB table — which is what a second core hides. Jobs go to the
+/// workers largest table first, so the small ones fill in behind the
+/// large.
 ///
 /// **Every hash table is allocated by the calling thread; workers only
 /// extract, sort, count keys and fill.** A worker that allocates the table
@@ -773,18 +746,15 @@ pub(crate) fn host_workers() -> usize {
 /// number of cores takes the batch below that one build — a 3.8× cap.
 /// Splitting it by key-hash range is what a wider host would need.
 pub(crate) fn build_many(jobs: &[BuildJob<'_>], workers: usize) -> Vec<HashIndex> {
-    let sorted_build = |job: &BuildJob<'_>| job.0.len() >= SORT_BUILD_THRESHOLD;
-    let mut queue: Vec<usize> = (0..jobs.len())
-        .filter(|&j| sorted_build(&jobs[j]))
-        .collect();
-    queue.sort_by_key(|&j| std::cmp::Reverse(jobs[j].0.len()));
-    let workers = workers.min(queue.len());
+    let workers = workers.min(jobs.len());
     if workers <= 1 {
         return jobs
             .iter()
             .map(|&(table, x, y)| HashIndex::build(table, x, y))
             .collect();
     }
+    let mut queue: Vec<usize> = (0..jobs.len()).collect();
+    queue.sort_by_key(|&j| std::cmp::Reverse(jobs[j].0.len()));
     // A ticket counter: it publishes nothing but which job is taken.
     let next = AtomicUsize::new(0);
     let (ask, asked) = mpsc::channel::<(usize, usize, mpsc::Sender<HashIndex>)>();
@@ -810,11 +780,6 @@ pub(crate) fn build_many(jobs: &[BuildJob<'_>], workers: usize) -> Vec<HashIndex
             })
             .collect();
         drop(ask);
-        for (slot, job) in built.iter_mut().zip(jobs) {
-            if !sorted_build(job) {
-                *slot = Some(HashIndex::build_rowwise(job.0, job.1, job.2));
-            }
-        }
         for (job, keys, give) in asked {
             let (_, x, y) = jobs[job];
             // A worker that died is reported by its `join` below.
@@ -1013,45 +978,53 @@ mod tests {
     }
 
     #[test]
-    fn sorted_build_is_indistinguishable_from_rowwise() {
+    fn build_is_indistinguishable_from_per_row_maintenance() {
         // A skewed bag: few keys, many duplicate rows and repeated
-        // Y-values, plus nulls and strings — every posting and witness
-        // slot must come out bit-identical from both modes.
+        // Y-values, plus nulls, strings and one unique column — every
+        // posting and witness slot must come out bit-identical from the
+        // build and from what a served insert does to the index, row by
+        // row. The sizes cross `INLINE_RIDS`, `SCAN_LIMIT` and 8,192 rows.
         let mut symbols = SymbolTable::new();
-        let mut t = Table::new(RelId(0), 3);
         let mut state = 0x9E37u64;
-        for i in 0..500 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let k = (state >> 33) % 7;
-            let row = [
-                Value::int(k as i64),
-                if k == 3 {
-                    Value::Null
-                } else {
-                    Value::str(["p", "q", "r"][(i % 3) as usize])
-                },
-                Value::int((state % 5) as i64),
-            ];
-            t.push(&symbols.encode_row(&row));
+        for rows in [0, 1, 7, 8, 32, 33, 8_191, 8_192, 10_000] {
+            let mut t = Table::new(RelId(0), 4);
+            for i in 0..rows {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let k = (state >> 33) % 7;
+                let row = [
+                    Value::int(k as i64),
+                    if k == 3 {
+                        Value::Null
+                    } else {
+                        Value::str(["p", "q", "r"][i % 3])
+                    },
+                    Value::int((state % 5) as i64),
+                    Value::int(i as i64),
+                ];
+                t.push(&symbols.encode_row(&row));
+            }
+            for (x, y) in [
+                (vec![], vec![3]),
+                (vec![], vec![0, 1]),
+                (vec![0], vec![1, 2]),
+                (vec![3], vec![0]),
+                (vec![2], vec![0]),
+                (vec![0, 1], vec![2]),
+                (vec![0, 1, 2], vec![1]),
+            ] {
+                let mut per_row = HashIndex::empty(&x, &y);
+                for (rid, row) in t.rows().enumerate() {
+                    per_row.insert_row(rid as u32, row, &t);
+                }
+                let built = HashIndex::build(&t, &x, &y);
+                let at = format!("rows={rows} x={x:?} y={y:?}");
+                assert_eq!(dump(&per_row), dump(&built), "{at}");
+                assert_eq!(per_row.max_witnesses(), built.max_witnesses(), "{at}");
+                assert_eq!(per_row.num_keys(), built.num_keys(), "{at}");
+            }
         }
-        for (x, y) in [
-            (vec![0], vec![1, 2]),
-            (vec![0, 1], vec![2]),
-            (vec![], vec![0, 1]),
-            (vec![2], vec![0]),
-            (vec![0, 1, 2], vec![1]),
-        ] {
-            let rowwise = HashIndex::build_rowwise(&t, &x, &y);
-            let sorted = HashIndex::build_sorted(&t, &x, &y);
-            assert_eq!(dump(&rowwise), dump(&sorted), "x={x:?} y={y:?}");
-            assert_eq!(rowwise.max_witnesses(), sorted.max_witnesses());
-            assert_eq!(rowwise.num_keys(), sorted.num_keys());
-        }
-        // And the empty table through the sorted mode explicitly.
-        let empty = Table::new(RelId(0), 3);
-        assert_eq!(HashIndex::build_sorted(&empty, &[0], &[1]).num_keys(), 0);
     }
 
     #[test]
@@ -1076,8 +1049,8 @@ mod tests {
             }
             t
         };
-        let big = skewed((SORT_BUILD_THRESHOLD + 1_000) as u64, 0xBC0);
-        let bigger = skewed(3 * SORT_BUILD_THRESHOLD as u64, 0x5EED);
+        let big = skewed(9_192, 0xBC0);
+        let bigger = skewed(24_576, 0x5EED);
         let small = skewed(700, 7);
         let empty = Table::new(RelId(0), 3);
         let jobs: Vec<BuildJob<'_>> = vec![

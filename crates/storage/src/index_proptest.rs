@@ -64,8 +64,7 @@ fn run(arity: usize, steps: &[Step]) {
         specs.push((vec![0, 1, 2], vec![3]));
     }
     for (x, y) in specs {
-        let idx = HashIndex::build(&shard.table, &x, &y);
-        shard.indexes.push(((x, y), idx));
+        shard.indexes.push(HashIndex::build(&shard.table, &x, &y));
     }
     // Values no random step draws, so a ramp's rows have `Y`s of their own.
     let mut fresh = 1_000i64;

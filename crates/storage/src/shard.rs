@@ -39,12 +39,6 @@ impl RowOp {
     }
 }
 
-/// Structural identity of an index within its shard: key columns + value
-/// columns. Indices are shared across access schemas that declare the same
-/// `(X, Y)` (e.g. the `‖A‖`-sweep subsets of Figure 5(b)); the relation is
-/// implied by the shard.
-pub(crate) type IndexKey = (Vec<usize>, Vec<usize>);
-
 /// One relation's slice of the database: table + indices + epoch.
 ///
 /// The epoch is this shard's component of the database's **vector clock**:
@@ -55,11 +49,14 @@ pub(crate) type IndexKey = (Vec<usize>, Vec<usize>);
 #[derive(Debug, Clone)]
 pub struct RelationShard {
     pub(crate) table: Table,
-    /// The built indices, keyed by their `(x, y)` column sets. A handful
-    /// per relation at most, and probed on every fetch step: a linear
-    /// scan with borrowed keys beats a hash map (whose owned tuple key
-    /// would cost two allocations per lookup).
-    pub(crate) indexes: Vec<(IndexKey, HashIndex)>,
+    /// The built indices, in registration order; each is identified by its
+    /// own `(x, y)` column sets ([`HashIndex::x`], [`HashIndex::y`]).
+    /// Indices are shared across access schemas that declare the same
+    /// `(X, Y)` (e.g. the `‖A‖`-sweep subsets of Figure 5(b)). A handful
+    /// per relation at most, and probed on every fetch step: a linear scan
+    /// with borrowed keys beats a hash map (whose owned tuple key would
+    /// cost two allocations per lookup).
+    pub(crate) indexes: Vec<HashIndex>,
     pub(crate) epoch: u64,
 }
 
@@ -93,17 +90,12 @@ impl RelationShard {
     /// registration order — what the durability layer records in a
     /// snapshot so recovery can rebuild the same indices.
     pub fn index_specs(&self) -> impl Iterator<Item = (&[usize], &[usize])> + '_ {
-        self.indexes
-            .iter()
-            .map(|((x, y), _)| (x.as_slice(), y.as_slice()))
+        self.indexes.iter().map(|idx| (idx.x(), idx.y()))
     }
 
     /// The index on key columns `x` exposing value columns `y`, if built.
     pub fn index(&self, x: &[usize], y: &[usize]) -> Option<&HashIndex> {
-        self.indexes
-            .iter()
-            .find(|((ix, iy), _)| ix.as_slice() == x && iy.as_slice() == y)
-            .map(|(_, idx)| idx)
+        self.indexes.iter().find(|idx| idx.x() == x && idx.y() == y)
     }
 
     /// The registered index whose posting lists are shortest on average —
@@ -112,11 +104,7 @@ impl RelationShard {
     /// `X = ∅` index lists the whole relation under its one key.
     pub(crate) fn lookup_index(&self) -> Option<&HashIndex> {
         // `max_by_key` keeps the last of equal maxima, hence `rev`.
-        self.indexes
-            .iter()
-            .rev()
-            .max_by_key(|(_, idx)| idx.num_keys())
-            .map(|(_, idx)| idx)
+        self.indexes.iter().rev().max_by_key(|idx| idx.num_keys())
     }
 
     /// The row id of one stored copy of `cells`: probes one posting list of
@@ -157,17 +145,17 @@ impl RelationShard {
                     "insert slot is the append position"
                 );
                 table.push(cells);
-                for (_, idx) in indexes.iter_mut() {
+                for idx in indexes.iter_mut() {
                     idx.insert_row(rid, cells, table);
                 }
             }
             RowOp::Delete => {
-                for (_, idx) in indexes.iter_mut() {
+                for idx in indexes.iter_mut() {
                     idx.remove_row(rid, cells, table);
                 }
                 if let Some(moved_from) = table.swap_remove(rid as usize) {
                     let moved: Vec<Cell> = table.row(rid as usize).to_vec();
-                    for (_, idx) in indexes.iter_mut() {
+                    for idx in indexes.iter_mut() {
                         idx.reindex_row(moved_from as u32, rid, &moved);
                     }
                 }
@@ -196,9 +184,8 @@ mod tests {
         for i in 0..10_000 {
             shard.table.push(&cells(&[i / 3, i % 5]));
         }
-        for (x, y) in [(vec![], vec![1]), (vec![0], vec![1])] {
-            let idx = HashIndex::build(&shard.table, &x, &y);
-            shard.indexes.push(((x, y), idx));
+        for x in [&[][..], &[0]] {
+            shard.indexes.push(HashIndex::build(&shard.table, x, &[1]));
         }
         let chosen = shard.lookup_index().expect("two indices registered");
         assert_eq!(chosen.x(), &[0], "the ∅ index lists all 10K rows");
@@ -210,7 +197,7 @@ mod tests {
         // Ties go to the first registered; no index means the table scan.
         shard.indexes.swap(0, 1);
         let same_keys = HashIndex::build(&shard.table, &[0], &[0]);
-        shard.indexes.push(((vec![0], vec![0]), same_keys));
+        shard.indexes.push(same_keys);
         assert_eq!(shard.lookup_index().unwrap().y(), &[1]);
         shard.indexes.clear();
         assert!(shard.lookup_index().is_none());

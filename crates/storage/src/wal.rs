@@ -118,7 +118,7 @@ pub enum WalOp<'a> {
         /// The relation that was being loaded.
         rel: RelId,
     },
-    /// An index was built ([`crate::Database::ensure_index`] on a
+    /// An index was built ([`crate::Database::ensure_indexes_cols`] on a
     /// previously-unindexed `(x, y)`).
     EnsureIndex {
         /// Commit number this build was stamped with.

@@ -13,9 +13,9 @@
 //!   2⁵, then 32 linear sub-buckets per power-of-two octave: ≤ 3.1 %
 //!   relative error), fixed layout so snapshots merge exactly.
 //! * [`Phase`] spans — request tracing (admit → cache-lookup → compile →
-//!   bind → execute → respond) over a thread-local span stack, enabled
-//!   per server ([`MetricsRegistry::set_tracing`]) or per thread
-//!   ([`span::trace_thread`]); one relaxed load and a branch when off.
+//!   bind → execute → respond), enabled per server
+//!   ([`MetricsRegistry::set_tracing`]); one relaxed load and a branch
+//!   when off.
 //! * [`Probe`] / [`OpProfile`] — per-operator profiling. The columnar
 //!   interpreter is generic over [`Probe`]; the [`NoProbe`]
 //!   monomorphization (`ENABLED = false`) compiles every probe site away,
@@ -46,4 +46,4 @@ pub use export::{
 pub use hist::{HistSnapshot, Histogram};
 pub use metrics::{Counter, LaneKind, MetricsRegistry, NUM_LANES};
 pub use profile::{NoProbe, OpProfile, Probe, Profiler, StepKind, StepProfile};
-pub use span::{trace_thread, Phase, SpanGuard, ThreadTraceGuard, NUM_PHASES};
+pub use span::{Phase, SpanGuard, NUM_PHASES};

@@ -1,28 +1,18 @@
-//! Request tracing: lightweight phase spans over a thread-local stack.
+//! Request tracing: lightweight phase spans.
 //!
 //! A request walks fixed phases — admit → cache-lookup → compile → bind →
 //! execute → respond — and a [`SpanGuard`] times one phase, recording its
 //! wall-clock into the matching registry histogram on drop. Spans nest
-//! (compile contains admit); the thread-local stack tracks the active
-//! nesting for introspection and tests.
+//! (compile contains admit), each timing its own phase.
 //!
 //! Tracing is strictly pay-for-what-you-enable: with tracing off (the
-//! default), [`MetricsRegistry::span`] is two relaxed loads and a branch
-//! — no clock read, no thread-local access, no allocation, no recording.
-//! Enable it server-wide with
-//! [`MetricsRegistry::set_tracing`], or for the calling thread only (one
-//! request, one replay) with [`trace_thread`].
+//! default), [`MetricsRegistry::span`] is one relaxed load and a branch —
+//! no clock read, no allocation, no recording. Enable it server-wide with
+//! [`MetricsRegistry::set_tracing`].
 
 use crate::metrics::MetricsRegistry;
-use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::time::Instant;
-
-/// Count of live [`trace_thread`] guards across all threads. Lets
-/// [`MetricsRegistry::span`] skip the thread-local read entirely on the
-/// (overwhelmingly common) no-tracer path: a relaxed load of zero proves
-/// no thread can have per-thread tracing on.
-static THREAD_TRACERS: AtomicUsize = AtomicUsize::new(0);
 
 /// The fixed request phases a span can time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,47 +65,6 @@ impl Phase {
     }
 }
 
-thread_local! {
-    /// Per-thread tracing override (see [`trace_thread`]).
-    static THREAD_TRACING: Cell<bool> = const { Cell::new(false) };
-    /// The active span stack of the calling thread (phases only; starts
-    /// live in the guards). Only touched while tracing is enabled.
-    static SPAN_STACK: RefCell<Vec<Phase>> = const { RefCell::new(Vec::new()) };
-}
-
-/// `true` if tracing is enabled for the calling thread via [`trace_thread`].
-#[inline]
-pub fn thread_tracing() -> bool {
-    THREAD_TRACING.with(Cell::get)
-}
-
-/// The calling thread's active span phases, outermost first. Empty unless
-/// called under live spans with tracing enabled.
-pub fn active_spans() -> Vec<Phase> {
-    SPAN_STACK.with(|s| s.borrow().clone())
-}
-
-/// Enables tracing for the calling thread until the guard drops —
-/// per-request tracing without flipping the server-wide switch.
-pub fn trace_thread() -> ThreadTraceGuard {
-    THREAD_TRACING.with(|c| c.set(true));
-    THREAD_TRACERS.fetch_add(1, Ordering::Relaxed);
-    ThreadTraceGuard { _private: () }
-}
-
-/// Guard returned by [`trace_thread`]; disables thread tracing on drop.
-#[derive(Debug)]
-pub struct ThreadTraceGuard {
-    _private: (),
-}
-
-impl Drop for ThreadTraceGuard {
-    fn drop(&mut self) {
-        THREAD_TRACING.with(|c| c.set(false));
-        THREAD_TRACERS.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
 /// An active (or disabled no-op) span; records its phase duration into
 /// the registry on drop.
 #[derive(Debug)]
@@ -126,16 +75,12 @@ pub struct SpanGuard<'a> {
 }
 
 impl MetricsRegistry {
-    /// Opens a span timing `phase`. With tracing disabled this is two
-    /// relaxed loads and a branch — the thread-local is consulted only
-    /// while some thread holds a [`trace_thread`] guard — and the
-    /// returned guard does nothing on drop.
+    /// Opens a span timing `phase`. With tracing disabled this is one
+    /// relaxed load and a branch, and the returned guard does nothing on
+    /// drop.
     #[inline]
     pub fn span(&self, phase: Phase) -> SpanGuard<'_> {
-        if self.tracing.load(Ordering::Relaxed)
-            || (THREAD_TRACERS.load(Ordering::Relaxed) != 0 && thread_tracing())
-        {
-            SPAN_STACK.with(|s| s.borrow_mut().push(phase));
+        if self.tracing.load(Ordering::Relaxed) {
             SpanGuard {
                 armed: Some((self, Instant::now())),
                 phase,
@@ -150,11 +95,6 @@ impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         if let Some((reg, start)) = self.armed {
             let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            SPAN_STACK.with(|s| {
-                let mut stack = s.borrow_mut();
-                debug_assert_eq!(stack.last(), Some(&self.phase), "spans drop LIFO");
-                stack.pop();
-            });
             reg.phase_hist(self.phase).record(ns);
         }
     }
@@ -167,13 +107,7 @@ mod tests {
     #[test]
     fn disabled_spans_record_nothing() {
         let r = MetricsRegistry::new();
-        {
-            let _s = r.span(Phase::Execute);
-            assert!(
-                active_spans().is_empty(),
-                "disabled span stays off the stack"
-            );
-        }
+        drop(r.span(Phase::Execute));
         assert_eq!(r.phase_hist(Phase::Execute).snapshot().count(), 0);
     }
 
@@ -184,28 +118,9 @@ mod tests {
         {
             let _outer = r.span(Phase::Compile);
             let _inner = r.span(Phase::Admit);
-            assert_eq!(active_spans(), vec![Phase::Compile, Phase::Admit]);
         }
-        assert!(active_spans().is_empty());
         assert_eq!(r.phase_hist(Phase::Compile).snapshot().count(), 1);
         assert_eq!(r.phase_hist(Phase::Admit).snapshot().count(), 1);
         assert_eq!(r.phase_hist(Phase::Execute).snapshot().count(), 0);
-    }
-
-    #[test]
-    fn thread_tracing_is_scoped_to_the_guard() {
-        let r = MetricsRegistry::new();
-        assert!(!thread_tracing());
-        {
-            let _t = trace_thread();
-            assert!(thread_tracing());
-            let _s = r.span(Phase::Bind);
-            assert_eq!(active_spans(), vec![Phase::Bind]);
-        }
-        assert!(!thread_tracing());
-        assert_eq!(r.phase_hist(Phase::Bind).snapshot().count(), 1);
-        // With the guard gone, spans are inert again.
-        drop(r.span(Phase::Bind));
-        assert_eq!(r.phase_hist(Phase::Bind).snapshot().count(), 1);
     }
 }

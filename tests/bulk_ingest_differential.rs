@@ -132,9 +132,9 @@ fn raw_dump(db: &Database) -> (u64, Vec<RelDump>) {
     (db.epoch(), rels)
 }
 
-// 10_000 rows: above the sort-build threshold (2^13 cells in the widest
-// index input), so the bulk side's deferred build dispatches to the
-// sort-based constructor while the maintained side built row by row.
+// 10_000 rows, indexed two ways: the bulk side's deferred build sorts
+// the keys of the whole table at once, while the maintained side built
+// its indices one insert at a time.
 const N: i64 = 10_000;
 const CHUNK: usize = 1_024;
 

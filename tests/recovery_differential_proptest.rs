@@ -199,7 +199,7 @@ fn crash_and_check(
     // Index builds are logged one record each, so each gets a boundary.
     let mut boundaries = vec![(0u64, dump(&db))];
     for c in access.constraints() {
-        db.ensure_index(c);
+        db.ensure_indexes_cols(&[(c.relation(), c.x(), c.y())]);
         boundaries.push((writer.last_seq(), dump(&db)));
     }
     let mut ran = [0usize; 5];
