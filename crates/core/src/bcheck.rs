@@ -46,12 +46,6 @@ impl BoundednessReport {
 /// characterization). Runs in `O(|Q|(|A| + |Q|))`.
 pub fn bcheck(q: &SpcQuery, a: &AccessSchema) -> BoundednessReport {
     let sigma = Sigma::build(q);
-    bcheck_with_sigma(q, &sigma, a)
-}
-
-/// [`bcheck`] with a precomputed `Σ_Q` (shared by callers that already built
-/// it).
-pub fn bcheck_with_sigma(q: &SpcQuery, sigma: &Sigma, a: &AccessSchema) -> BoundednessReport {
     if !sigma.is_satisfiable() {
         return BoundednessReport::trivially_bounded();
     }
@@ -62,7 +56,7 @@ pub fn bcheck_with_sigma(q: &SpcQuery, sigma: &Sigma, a: &AccessSchema) -> Bound
     seeds.sort_unstable();
     seeds.dedup();
 
-    let gamma = actualize(q, sigma, a);
+    let gamma = actualize(q, &sigma, a);
     let closure = Closure::compute(sigma.num_classes(), &seeds, &gamma);
 
     // Targets: X_B ∪ Z.

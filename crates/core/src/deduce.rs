@@ -99,7 +99,6 @@ pub struct Closure {
     in_closure: Vec<bool>,
     bound: Vec<u128>,
     provenance: Vec<Option<Provenance>>,
-    fired: Vec<usize>,
 }
 
 impl Closure {
@@ -109,7 +108,6 @@ impl Closure {
         let mut in_closure = vec![false; num_classes];
         let mut bound = vec![u128::MAX; num_classes];
         let mut provenance: Vec<Option<Provenance>> = vec![None; num_classes];
-        let mut fired = Vec::new();
 
         // watch[class] = entries having `class` among their premises.
         let mut watch: Vec<Vec<usize>> = vec![Vec::new(); num_classes];
@@ -131,7 +129,6 @@ impl Closure {
         for (ei, e) in gamma.iter().enumerate() {
             if e.premises.is_empty() {
                 entry_fired[ei] = true;
-                fired.push(ei);
                 for o in &e.outputs {
                     heap.push(Reverse((u128::from(e.n), o.0, ProvKey::Entry(ei))));
                 }
@@ -152,7 +149,6 @@ impl Closure {
                 remaining[ei] -= 1;
                 if remaining[ei] == 0 && !entry_fired[ei] {
                     entry_fired[ei] = true;
-                    fired.push(ei);
                     let e = &gamma[ei];
                     let mut cand = u128::from(e.n);
                     for p in &e.premises {
@@ -171,7 +167,6 @@ impl Closure {
             in_closure,
             bound,
             provenance,
-            fired,
         }
     }
 
@@ -189,12 +184,6 @@ impl Closure {
     /// Provenance of a class in the closure.
     pub fn provenance_of(&self, class: ClassId) -> Option<Provenance> {
         self.provenance[class.0]
-    }
-
-    /// `Γ` entry indices in firing order (premise-respecting topological
-    /// order — the derivation replayed by plan generation).
-    pub fn fired_entries(&self) -> &[usize] {
-        &self.fired
     }
 
     /// Classes in the closure.
@@ -306,9 +295,6 @@ mod tests {
             }
             other => panic!("unexpected provenance {other:?}"),
         }
-        // Firing order respects premises: the album entry fires first or
-        // second but always after its premise (a seed).
-        assert!(!closure.fired_entries().is_empty());
     }
 
     #[test]

@@ -9,13 +9,14 @@
 //!
 //! * [`frame`] — `[len][crc][payload]` framing with a hand-rolled CRC-32;
 //!   distinguishes torn tails (dropped) from corruption (fatal).
-//! * [`record`] — the owned, serialized form of each WAL op, carrying the
-//!   global sequence number recovery merges streams by.
+//! * [`record`] — the byte codec of each WAL op (and its decoded form),
+//!   carrying the global sequence number recovery merges streams by.
 //! * [`storage`] — the injectable [`LogStorage`] I/O boundary, with
 //!   [`MemLog`] (fault-injecting, crash-simulating, for tests) and
 //!   [`DirLog`] (real files + fsync) implementations.
 //! * [`writer`] — [`WalWriter`]: sequences records onto per-relation
-//!   streams (`rel-<n>`, plus `meta` for symbol interning) with
+//!   streams (`rel-<n>`, plus `meta` for symbol interning); a record is
+//!   durable at [`WalWriter::ack`] or [`WalWriter::sync`], with
 //!   group-commit fsync batching ([`SyncPolicy`]).
 //! * [`snapshot`] — full-state checkpoints keyed by the per-relation epoch
 //!   vector; [`checkpoint`] writes sync-before/sync-after and, once the
@@ -29,13 +30,15 @@
 //! ## Guarantees
 //!
 //! With `SyncPolicy::Always`, every acknowledged mutation survives any
-//! crash; with `EveryOps(n)` (group commit), at most the last `n` writes
-//! are lost, and what is recovered is always a *prefix* of the committed
-//! history — never a gapped or reordered subset — at a consistent epoch
-//! vector. A crash at any step of a checkpoint recovers to the same state
-//! as no crash; a snapshot that stops decoding after its cut is refused
-//! loudly, never papered over with an older state. Recovery is
-//! idempotent: recovering twice equals recovering once.
+//! crash, and an ack after a failed append returns the error instead of
+//! covering a record the log never got; with `EveryOps(n)` (group
+//! commit), at most the last `n` writes are lost, and what is recovered
+//! is always a *prefix* of the committed history — never a gapped or
+//! reordered subset — at a consistent epoch vector. A crash at any step
+//! of a checkpoint recovers to the same state as no crash; a snapshot
+//! that stops decoding after its cut is refused loudly, never papered
+//! over with an older state. Recovery is idempotent: recovering twice
+//! equals recovering once.
 
 #![warn(missing_docs)]
 

@@ -17,34 +17,32 @@
 //! keeping the write path free of per-op fsync stalls; `Manual` leaves
 //! flushing entirely to explicit [`WalWriter::sync`] / checkpoint calls.
 //!
-//! The policy is applied in one of two modes:
-//!
-//! * **Inline** (the default): [`WalSink::record`] itself fsyncs when the
-//!   policy says so — right for a single-threaded writer attached
-//!   directly to a database.
-//! * **Deferred** ([`WalWriter::set_deferred`]): `record` only appends —
-//!   it never blocks on an fsync — and the *serving tier* calls
-//!   [`WalWriter::ack`] after releasing its commit lock. Concurrent
-//!   writers that ack while a flush is in flight wait for it and share
-//!   it: one fsync durably covers every record appended before the
-//!   **leader** started it ([`WalWriter::sync_through`]), so under
-//!   [`SyncPolicy::Always`] an acknowledged write is always on disk
-//!   (fsync-before-ack) while the fsync cost amortizes across however
-//!   many writers raced into the batch.
+//! [`WalSink::record`] only appends — it never blocks on an fsync. A
+//! record becomes durable at [`WalWriter::ack`], which whoever
+//! acknowledges a write calls after it (the serving tier does so after
+//! releasing its commit lock), or at an explicit [`WalWriter::sync`].
+//! Concurrent writers that ack while a flush is in flight wait for it and
+//! share it: one fsync durably covers every record appended before the
+//! **leader** started it, so under [`SyncPolicy::Always`] an acknowledged
+//! write is always on disk (fsync-before-ack) while the fsync cost
+//! amortizes across however many writers raced into the batch.
 //!
 //! ## Errors
 //!
-//! `WalSink::record` is infallible by contract, so I/O failures are
-//! stashed ([`WalWriter::take_error`]) and surfaced on the next explicit
-//! `sync()`; the in-memory store keeps serving either way.
+//! `WalSink::record` is infallible by contract, so a failed append is
+//! kept instead: the first one **poisons** the writer, and from then on
+//! every `ack()` and `sync()` returns an error of its kind and message,
+//! under every policy. The record it lost leaves a sequence gap that
+//! recovery stops at, so no write after it may be acknowledged durable.
+//! The in-memory store keeps serving either way.
 
 use crate::frame::{crc32, FRAME_HEADER};
 use crate::record::encode_op_into;
 use crate::storage::LogStorage;
 use bcq_storage::{WalOp, WalSink};
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// The stream interning records are written to.
 pub const META_STREAM: &str = "meta";
@@ -55,7 +53,7 @@ pub fn rel_stream(rel: u32) -> String {
 }
 
 /// Parses a `rel-<n>` stream name back to the relation index.
-pub fn parse_rel_stream(stream: &str) -> Option<u32> {
+fn parse_rel_stream(stream: &str) -> Option<u32> {
     stream.strip_prefix("rel-")?.parse().ok()
 }
 
@@ -91,7 +89,7 @@ pub struct WalStats {
     pub bytes: u64,
     /// Fsync batches issued by the writer (policy-driven + explicit).
     pub fsyncs: u64,
-    /// Deferred-mode group flushes that covered ≥ 1 new commit.
+    /// Flushes led by [`WalWriter::ack`] that covered ≥ 1 new commit.
     pub group_batches: u64,
     /// Commit-bearing records covered by those group flushes.
     pub group_records: u64,
@@ -100,10 +98,6 @@ pub struct WalStats {
 #[derive(Debug)]
 struct WriterInner {
     next_seq: u64,
-    /// Commit-bearing records appended since the last fsync.
-    unsynced_ops: u64,
-    /// First I/O failure since the last `take_error`, if any.
-    error: Option<io::Error>,
     /// Reused frame-encoding buffer: the steady-state record path
     /// performs zero heap allocations of its own.
     scratch: Vec<u8>,
@@ -111,7 +105,7 @@ struct WriterInner {
     rel_streams: Vec<String>,
 }
 
-/// The flush-coordination state for deferred (group-commit) mode.
+/// The flush-coordination state for group commit.
 #[derive(Debug, Default)]
 struct GroupState {
     /// A leader's fsync is in flight; followers wait on the condvar.
@@ -124,10 +118,10 @@ struct GroupState {
 pub struct WalWriter {
     storage: Arc<dyn LogStorage>,
     policy: SyncPolicy,
-    /// When set, `record` never fsyncs; [`WalWriter::ack`] applies the
-    /// policy instead (see the module docs).
-    deferred: AtomicBool,
     inner: Mutex<WriterInner>,
+    /// The first failed append's kind and message (`io::Error` is not
+    /// `Clone`); once set, every `ack` and `sync` fails with it.
+    poison: OnceLock<(io::ErrorKind, String)>,
     records: AtomicU64,
     bytes: AtomicU64,
     fsyncs: AtomicU64,
@@ -151,14 +145,12 @@ impl WalWriter {
         WalWriter {
             storage,
             policy,
-            deferred: AtomicBool::new(false),
             inner: Mutex::new(WriterInner {
                 next_seq: start_seq,
-                unsynced_ops: 0,
-                error: None,
                 scratch: Vec::with_capacity(128),
                 rel_streams: Vec::new(),
             }),
+            poison: OnceLock::new(),
             records: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
             fsyncs: AtomicU64::new(0),
@@ -173,25 +165,9 @@ impl WalWriter {
         }
     }
 
-    /// Switches between inline policy application (`false`, the default)
-    /// and deferred group commit driven by [`WalWriter::ack`] (`true`).
-    pub fn set_deferred(&self, deferred: bool) {
-        self.deferred.store(deferred, Ordering::Release);
-    }
-
-    /// Whether deferred group-commit mode is on.
-    pub fn is_deferred(&self) -> bool {
-        self.deferred.load(Ordering::Acquire)
-    }
-
     /// The storage this writer appends to (checkpoints write here too).
     pub fn storage(&self) -> &Arc<dyn LogStorage> {
         &self.storage
-    }
-
-    /// The flush policy.
-    pub fn policy(&self) -> SyncPolicy {
-        self.policy
     }
 
     /// The last sequence number assigned (0 if none since `start_seq`
@@ -200,55 +176,50 @@ impl WalWriter {
         self.inner.lock().unwrap().next_seq - 1
     }
 
-    /// Flushes everything appended so far, surfacing any stashed write
-    /// error first.
+    /// Flushes everything appended so far. Fails without flushing once a
+    /// failed append has poisoned the writer (see the module docs).
     pub fn sync(&self) -> io::Result<()> {
-        let mut inner = self.inner.lock().unwrap();
-        if let Some(e) = inner.error.take() {
-            return Err(e);
-        }
+        self.check_poison()?;
         // Snapshot the watermarks while holding `inner`: no append can
         // race past them, so the fsync below certainly covers them.
+        let _inner = self.inner.lock().unwrap();
         let seq = self.appended_seq.load(Ordering::Acquire);
         let commits = self.commits.load(Ordering::Acquire);
         self.storage.sync()?;
-        inner.unsynced_ops = 0;
         self.fsyncs.fetch_add(1, Ordering::Relaxed);
         self.durable_seq.fetch_max(seq, Ordering::AcqRel);
         self.durable_commits.fetch_max(commits, Ordering::AcqRel);
         Ok(())
     }
 
-    /// Takes the first I/O error stashed by the infallible record path.
-    pub fn take_error(&self) -> Option<io::Error> {
-        self.inner.lock().unwrap().error.take()
+    /// `Err` with the poisoning append's kind and message once a failed
+    /// append has poisoned the writer.
+    fn check_poison(&self) -> io::Result<()> {
+        match self.poison.get() {
+            Some((kind, msg)) => Err(io::Error::new(*kind, msg.clone())),
+            None => Ok(()),
+        }
     }
 
     /// Commit-bearing records appended but not yet covered by an fsync.
-    pub fn pending_commits(&self) -> u64 {
+    fn pending_commits(&self) -> u64 {
         self.commits
             .load(Ordering::Acquire)
             .saturating_sub(self.durable_commits.load(Ordering::Acquire))
     }
 
-    /// Highest sequence number known durable (covered by an fsync).
-    pub fn durable_seq(&self) -> u64 {
-        self.durable_seq.load(Ordering::Acquire)
-    }
-
-    /// Deferred-mode durability point for one serving-tier write, called
-    /// *after* the caller released its commit lock. Applies the policy:
-    /// `Always` waits until everything appended so far is fsynced (joining
-    /// an in-flight flush when one exists — fsync-before-ack); `EveryOps(n)`
-    /// flushes only once `n` commits are pending and never waits behind
-    /// another leader; `Manual` does nothing. Returns the number of commits
-    /// this call's own flush(es) newly made durable (the group-commit batch
-    /// size), or `None` if it didn't lead a flush. No-op outside deferred
-    /// mode, where `record` already applied the policy inline.
+    /// The durability point for one acknowledged write, called after its
+    /// record was appended — by the serving tier *after* it released its
+    /// commit lock. Applies the policy: `Always` waits until everything
+    /// appended so far is fsynced (joining an in-flight flush when one
+    /// exists — fsync-before-ack); `EveryOps(n)` flushes only once `n`
+    /// commits are pending and never waits behind another leader; `Manual`
+    /// does nothing. Returns the number of commits this call's own
+    /// flush(es) newly made durable (the group-commit batch size), or
+    /// `None` if it didn't lead a flush. Fails under every policy once a
+    /// failed append has poisoned the writer (see the module docs).
     pub fn ack(&self) -> io::Result<Option<u64>> {
-        if !self.is_deferred() {
-            return Ok(None);
-        }
+        self.check_poison()?;
         match self.policy {
             SyncPolicy::Manual => Ok(None),
             SyncPolicy::Always => self.sync_through(self.appended_seq.load(Ordering::Acquire)),
@@ -273,7 +244,7 @@ impl WalWriter {
     /// the rest wait for its batch. Returns the total number of commits
     /// this thread's own leaderships newly made durable (`None` if it
     /// only followed).
-    pub fn sync_through(&self, seq: u64) -> io::Result<Option<u64>> {
+    fn sync_through(&self, seq: u64) -> io::Result<Option<u64>> {
         let mut led: Option<u64> = None;
         while self.durable_seq.load(Ordering::Acquire) < seq {
             let mut st = self.group.lock().unwrap_or_else(|e| e.into_inner());
@@ -357,9 +328,8 @@ impl WalSink for WalWriter {
             }
         };
         if let Err(e) = self.storage.append(stream, &inner.scratch) {
-            if inner.error.is_none() {
-                inner.error = Some(e);
-            }
+            // Only the first failure is kept (see the module docs).
+            let _ = self.poison.set((e.kind(), e.to_string()));
             return;
         }
         self.records.fetch_add(1, Ordering::Relaxed);
@@ -369,33 +339,6 @@ impl WalSink for WalWriter {
         self.appended_seq.store(seq, Ordering::Release);
         if op.commit().is_some() {
             self.commits.fetch_add(1, Ordering::Relaxed);
-            inner.unsynced_ops += 1;
-            if self.is_deferred() {
-                // Group-commit mode: the fsync happens in `ack`, off the
-                // caller's commit lock.
-                return;
-            }
-            let due = match self.policy {
-                SyncPolicy::Always => true,
-                SyncPolicy::EveryOps(n) => inner.unsynced_ops >= n.max(1),
-                SyncPolicy::Manual => false,
-            };
-            if due {
-                match self.storage.sync() {
-                    Ok(()) => {
-                        inner.unsynced_ops = 0;
-                        self.fsyncs.fetch_add(1, Ordering::Relaxed);
-                        self.durable_seq.fetch_max(seq, Ordering::AcqRel);
-                        self.durable_commits
-                            .fetch_max(self.commits.load(Ordering::Acquire), Ordering::AcqRel);
-                    }
-                    Err(e) => {
-                        if inner.error.is_none() {
-                            inner.error = Some(e);
-                        }
-                    }
-                }
-            }
         }
     }
 }
@@ -445,38 +388,9 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_batches_fsyncs() {
-        let log = Arc::new(MemLog::new());
-        let writer = Arc::new(WalWriter::new(log.clone(), SyncPolicy::EveryOps(4), 1));
-        let mut db = Database::new(catalog());
-        db.set_wal(Some(writer.clone()));
-        for i in 0..10 {
-            db.insert("s", &[Value::int(i)]).unwrap();
-        }
-        // 10 commits at one fsync per 4: two batches, 2 ops pending.
-        assert_eq!(writer.stats().fsyncs, 2);
-        assert_eq!(log.syncs(), 2);
-        writer.sync().unwrap();
-        assert_eq!(writer.stats().fsyncs, 3);
-
-        let always = Arc::new(WalWriter::new(
-            Arc::new(MemLog::new()),
-            SyncPolicy::Always,
-            1,
-        ));
-        let mut db2 = Database::new(catalog());
-        db2.set_wal(Some(always.clone()));
-        for i in 0..5 {
-            db2.insert("s", &[Value::int(i)]).unwrap();
-        }
-        assert_eq!(always.stats().fsyncs, 5);
-    }
-
-    #[test]
     fn deferred_mode_moves_fsyncs_from_record_to_ack() {
         let log = Arc::new(MemLog::new());
         let writer = Arc::new(WalWriter::new(log.clone(), SyncPolicy::Always, 1));
-        writer.set_deferred(true);
         let mut db = Database::new(catalog());
         db.set_wal(Some(writer.clone()));
         for i in 0..3 {
@@ -493,7 +407,10 @@ mod tests {
         assert_eq!(log.syncs(), 1);
         assert_eq!(log.unsynced_bytes(), 0);
         assert_eq!(writer.pending_commits(), 0);
-        assert_eq!(writer.durable_seq(), writer.last_seq());
+        assert_eq!(
+            writer.durable_seq.load(Ordering::Acquire),
+            writer.last_seq()
+        );
         let stats = writer.stats();
         assert_eq!((stats.group_batches, stats.group_records), (1, 3));
 
@@ -506,7 +423,6 @@ mod tests {
     fn deferred_every_ops_flushes_only_at_the_batch_boundary() {
         let log = Arc::new(MemLog::new());
         let writer = Arc::new(WalWriter::new(log.clone(), SyncPolicy::EveryOps(4), 1));
-        writer.set_deferred(true);
         let mut db = Database::new(catalog());
         db.set_wal(Some(writer.clone()));
         for i in 0..10 {
@@ -526,7 +442,6 @@ mod tests {
 
         let log = Arc::new(MemLog::new());
         let writer = Arc::new(WalWriter::new(log.clone(), SyncPolicy::Always, 1));
-        writer.set_deferred(true);
         let db = Mutex::new(Database::new(catalog()));
         db.lock().unwrap().set_wal(Some(writer.clone()));
 
@@ -564,7 +479,6 @@ mod tests {
     fn acked_commits_survive_a_crash_that_drops_all_unsynced_bytes() {
         let log = Arc::new(MemLog::new());
         let writer = Arc::new(WalWriter::new(log.clone(), SyncPolicy::Always, 1));
-        writer.set_deferred(true);
         let mut db = Database::new(catalog());
         db.set_wal(Some(writer.clone()));
         db.insert("s", &[Value::int(1)]).unwrap();
@@ -580,5 +494,26 @@ mod tests {
             vec![vec![Value::int(1)]],
             "acked row survives, unacked tail is gone"
         );
+    }
+
+    #[test]
+    fn a_failed_append_poisons_every_later_sync_and_ack() {
+        let log = Arc::new(MemLog::new());
+        let writer = Arc::new(WalWriter::new(log.clone(), SyncPolicy::Manual, 1));
+        let mut db = Database::new(catalog());
+        db.set_wal(Some(writer.clone()));
+        db.insert("s", &[Value::int(1)]).unwrap();
+        log.fail_after(0);
+        db.insert("s", &[Value::int(2)]).unwrap();
+        // The restart disarms the fault, so storage itself works again;
+        // the writer still refuses.
+        log.crash(0);
+        for _ in 0..2 {
+            let e = writer.sync().unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::Other);
+            assert!(e.to_string().contains("injected failure"), "{e}");
+        }
+        assert!(writer.ack().is_err(), "a Manual ack is refused too");
+        assert_eq!((log.syncs(), writer.stats().fsyncs), (0, 0));
     }
 }

@@ -229,11 +229,16 @@ fn a_crash_at_every_step_of_a_checkpoint_recovers_to_the_uncrashed_state() {
         let log = Arc::new(MemLog::new());
         let (mut db, w) = wired(&log, SyncPolicy::Always);
         db.insert("r", &[Value::str("a"), Value::int(1)]).unwrap();
+        w.ack().unwrap();
         db.insert("s", &[Value::int(2)]).unwrap();
+        w.ack().unwrap();
         checkpoint(&w, &db).unwrap();
         db.insert("r", &[Value::str("b"), Value::int(3)]).unwrap();
+        w.ack().unwrap();
         db.insert("s", &[Value::int(4)]).unwrap();
+        w.ack().unwrap();
         db.ensure_indexes_cols(&[(RelId(0), &[0], &[1])]);
+        w.ack().unwrap();
         assert_eq!(log.streams().unwrap().len(), 3);
         (log, db, w)
     };
@@ -328,6 +333,7 @@ fn lying_fsync_loses_acknowledged_writes_but_recovery_stays_sound() {
     let (mut db, w) = wired(&log, SyncPolicy::Always);
     for i in 0..3 {
         db.insert("s", &[Value::int(i)]).unwrap();
+        w.ack().unwrap();
     }
     assert_eq!(w.stats().fsyncs, 3, "the drive claimed three flushes");
     log.crash(0); // power loss: the volatile cache never hit the platter

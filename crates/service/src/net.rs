@@ -11,8 +11,8 @@
 //!   UTF-8 text. Small, inspectable, and trivially correct to parse.
 //! * **Threading model** — [`NetServer::bind`] spawns one accept thread;
 //!   each accepted connection gets its own thread owning a [`Session`],
-//!   so per-connection state (session stats, thread-keyed profiles, the
-//!   per-thread parameter environment) works exactly as it does for
+//!   so per-connection state (session stats, the per-thread parameter
+//!   environment) works exactly as it does for
 //!   embedded callers. No executor, no reactors: the kernel's scheduler
 //!   is the only scheduler.
 //! * **Commands** — a deliberately tiny text grammar (one line per

@@ -116,17 +116,7 @@ thread_local! {
     /// The bounded lanes' per-request parameter environment, rebound in
     /// place per request (see [`ParamEnv::rebind`]).
     static REQUEST_ENV: RefCell<ParamEnv> = RefCell::new(ParamEnv::new());
-
-    /// The last per-operator profile captured **on this thread**, one slot
-    /// per server (keyed by [`Server`]'s `server_id`). Replaces a
-    /// server-global mutex, which made every profiled request serialize on
-    /// — and stomp — a single slot: one connection's diagnostics call
-    /// could overwrite the profile another connection was about to read.
-    static LAST_PROFILE: RefCell<Vec<(u64, OpProfile)>> = const { RefCell::new(Vec::new()) };
 }
-
-/// Monotonic id source keying the thread-local profile slots per server.
-static NEXT_SERVER_ID: AtomicU64 = AtomicU64::new(0);
 
 /// Errors surfaced by the serving layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -492,9 +482,6 @@ pub struct Server {
     /// the module docs for the full lock order.
     gate: RwLock<Vec<View>>,
     metrics: MetricsRegistry,
-    /// Keys this server's slot in the thread-local profile store (see
-    /// [`Server::explain_last`]).
-    server_id: u64,
     /// Present iff the server was built by [`Server::open`]: the WAL the
     /// database writes through, and checkpoint state.
     durability: Option<DurabilityState>,
@@ -514,7 +501,6 @@ impl Server {
             cache: CacheShards::new(config.plan_cache_capacity),
             gate: RwLock::new(Vec::new()),
             metrics,
-            server_id: NEXT_SERVER_ID.fetch_add(1, Ordering::Relaxed),
             durability: None,
         }
     }
@@ -534,8 +520,10 @@ impl Server {
     /// the index builds declared by `access` are themselves logged, so the
     /// next `open` replays them. With group commit
     /// ([`SyncPolicy::EveryOps`]) the tail of unsynced writes is flushed by
-    /// [`Server::wal_sync`] or [`Server::checkpoint`]; WAL I/O errors are
-    /// stashed and surfaced by those same calls.
+    /// [`Server::wal_sync`] or [`Server::checkpoint`]. A failed WAL append
+    /// poisons the log: the write that hit it, every later write, and
+    /// `wal_sync` / `checkpoint` then return [`ServiceError::Durability`],
+    /// though each write's in-memory commit stays applied.
     pub fn open(
         storage: Arc<dyn LogStorage>,
         access: AccessSchema,
@@ -555,10 +543,6 @@ impl Server {
             durability.policy,
             report.last_seq + 1,
         ));
-        // Serving writes group-commit: records are appended inside the
-        // commit section, the policy fsync is paid in `Server::wal_ack`
-        // after the writer released its locks — shared across threads.
-        writer.set_deferred(true);
         db.set_wal(Some(Arc::clone(&writer) as Arc<dyn WalSink>));
         let mut server = Server::new(db, access, config);
         server.durability = Some(DurabilityState {
@@ -579,9 +563,9 @@ impl Server {
         Ok((server, report, ids))
     }
 
-    /// Flushes the WAL's group-commit tail and surfaces any stashed WAL
-    /// I/O error. A no-op on a server without durability. Call before
-    /// acknowledging a batch under [`SyncPolicy::EveryOps`] /
+    /// Flushes the WAL's group-commit tail; fails once a failed append
+    /// has poisoned the log. A no-op on a server without durability. Call
+    /// before acknowledging a batch under [`SyncPolicy::EveryOps`] /
     /// [`SyncPolicy::Manual`].
     pub fn wal_sync(&self) -> crate::Result<()> {
         match &self.durability {
@@ -633,11 +617,6 @@ impl Server {
     /// The access schema requests are planned under.
     pub fn access(&self) -> &AccessSchema {
         &self.access
-    }
-
-    /// The configured admission policy.
-    pub fn policy(&self) -> AdmissionPolicy {
-        self.config.policy
     }
 
     /// An immutable snapshot of the current database state.
@@ -735,32 +714,6 @@ impl Server {
         snap.gauges.table_bytes = db.table_bytes() as u64;
         snap.gauges.epoch = db.epoch();
         snap
-    }
-
-    /// The per-operator profile of the last [`Server::execute_profiled`]
-    /// call made **by this thread** on this server, if any — fetch steps,
-    /// filter sweeps, join steps and projection, each with wall time and
-    /// row movement ([`OpProfile::render`] formats it). Thread-scoped on
-    /// purpose: concurrent connections profiling at once each read back
-    /// their own run, never another connection's.
-    pub fn explain_last(&self) -> Option<OpProfile> {
-        LAST_PROFILE.with(|slot| {
-            slot.borrow()
-                .iter()
-                .find(|(id, _)| *id == self.server_id)
-                .map(|(_, p)| p.clone())
-        })
-    }
-
-    /// Stores `profile` in the calling thread's slot for this server.
-    fn store_profile(&self, profile: &OpProfile) {
-        LAST_PROFILE.with(|slot| {
-            let mut v = slot.borrow_mut();
-            match v.iter_mut().find(|(id, _)| *id == self.server_id) {
-                Some(entry) => entry.1 = profile.clone(),
-                None => v.push((self.server_id, profile.clone())),
-            }
-        });
     }
 
     /// Opens a session (per client/thread; sessions share the server's
@@ -1021,11 +974,11 @@ impl Server {
     /// compiled program with a recording probe and returns the
     /// per-operator breakdown — each fetch step, pin resolution, filter
     /// sweep, join step and the projection, with wall time and row counts
-    /// — alongside the response. The profile is also stored for
-    /// [`Server::explain_last`]. Non-bounded lanes execute normally and
-    /// yield an empty profile (only the compiled interpreter has operator
-    /// steps to attribute). A diagnostics path: the probe allocates per
-    /// step, so it is never the serving path.
+    /// — alongside the response ([`OpProfile::render`] formats it).
+    /// Non-bounded lanes execute normally and yield an empty profile (only
+    /// the compiled interpreter has operator steps to attribute). A
+    /// diagnostics path: the probe allocates per step, so it is never the
+    /// serving path.
     pub fn execute_profiled(
         &self,
         p: &PreparedQuery,
@@ -1037,7 +990,6 @@ impl Server {
                 steps: Vec::new(),
                 total_ns: dur_ns(resp.stats.total_elapsed),
             };
-            self.store_profile(&profile);
             return Ok((resp, profile));
         };
         let snap = self.shared.snapshot();
@@ -1054,7 +1006,6 @@ impl Server {
             out.elapsed,
         );
         resp.stats.total_elapsed = start.elapsed();
-        self.store_profile(&profile);
         Ok((resp, profile))
     }
 
@@ -1167,8 +1118,9 @@ impl Server {
             self.metrics.index_build_ns.add(build_ns);
         }
         // Best-effort group-commit wait (the signature has no error
-        // slot); a failed fsync stays stashed and surfaces to the next
-        // `wal_ack` / [`Server::wal_sync`] caller, which retries it.
+        // slot): a failed fsync is retried by the next `wal_ack` /
+        // [`Server::wal_sync`] caller, and a failed append poisoned the
+        // log, so every later write, `wal_sync` and checkpoint reports it.
         let _ = self.wal_ack();
         r
     }
@@ -2527,10 +2479,7 @@ mod tests {
             profile.step_sum_ns() <= profile.total_ns,
             "steps are disjoint slices of the run"
         );
-        // The profile is retained for explain_last.
-        let last = server.explain_last().expect("profile stored");
-        assert_eq!(last.steps.len(), profile.steps.len());
-        assert!(last.render().contains("join:"), "{}", last.render());
+        assert!(profile.render().contains("join:"), "{}", profile.render());
     }
 
     #[test]
@@ -2767,6 +2716,45 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_wal_append_fails_every_later_write_and_sync() {
+        let log = Arc::new(bcq_durability::MemLog::new());
+        let (server, _, _) = open_durable(&log, SyncPolicy::Always);
+        let row = |i: i64| [Value::str("u0"), Value::int(i)];
+        server.insert("friends", &row(0)).unwrap();
+        let before = server.snapshot();
+        log.fail_after(0);
+        for i in 1..=2 {
+            assert!(
+                matches!(
+                    server.insert("friends", &row(i)),
+                    Err(ServiceError::Durability(_))
+                ),
+                "insert {i} after the failed append"
+            );
+        }
+        assert!(matches!(
+            server.wal_sync(),
+            Err(ServiceError::Durability(_))
+        ));
+        // The failed commits stay applied in memory.
+        assert_eq!(server.epoch(), before.epoch() + 2);
+        drop(server);
+
+        log.crash(0);
+        let (server2, _, _) = open_durable(&log, SyncPolicy::Always);
+        let after = server2.snapshot();
+        assert_eq!(after.epoch(), before.epoch());
+        for rel in 0..after.num_relations() {
+            let rel = RelId(rel);
+            assert_eq!(after.epoch_of(rel), before.epoch_of(rel));
+            assert_eq!(
+                after.value_rows(rel).collect::<Vec<_>>(),
+                before.value_rows(rel).collect::<Vec<_>>()
+            );
+        }
+    }
+
+    #[test]
     fn bulk_updates_replay_and_force_view_recompute() {
         let log = Arc::new(bcq_durability::MemLog::new());
         let (server, _, view) = open_durable(&log, SyncPolicy::Always);
@@ -2848,29 +2836,6 @@ mod tests {
         // actually collided: the histograms are present, not negative.
         let snap = server.metrics_snapshot();
         assert_eq!(snap.writes.inserts, 3 * PER_THREAD as u64);
-    }
-
-    #[test]
-    fn explain_last_is_thread_scoped() {
-        let server = setup(AdmissionPolicy::Strict);
-        let q1 = template(&server);
-        let prepared = server.prepare(&q1).unwrap();
-        server
-            .execute_profiled(&prepared.query, &bind("a0", "u0"))
-            .unwrap();
-        assert!(server.explain_last().is_some(), "visible to this thread");
-        let other = Arc::clone(&server);
-        std::thread::spawn(move || {
-            assert!(
-                other.explain_last().is_none(),
-                "another thread never sees this thread's profile"
-            );
-        })
-        .join()
-        .unwrap();
-        // And two servers on one thread keep separate slots.
-        let second = setup(AdmissionPolicy::Strict);
-        assert!(second.explain_last().is_none());
     }
 
     #[test]

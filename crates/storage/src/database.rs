@@ -571,15 +571,6 @@ impl Database {
     pub fn table_bytes(&self) -> usize {
         self.shards.iter().map(|s| s.table.approx_bytes()).sum()
     }
-
-    /// Approximate resident size in tuples-of-values (tables only), for
-    /// reporting dataset scale.
-    pub fn total_values(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.table.len() * s.table.arity())
-            .sum()
-    }
 }
 
 /// One index to ensure: the relation, key columns `x`, value columns `y`.
@@ -994,7 +985,6 @@ mod tests {
             .unwrap();
         assert_eq!(db.total_tuples(), 2);
         assert_eq!(db.table(RelId(0)).len(), 1);
-        assert_eq!(db.total_values(), 4);
         // Round-trip through the symbol table.
         assert_eq!(
             db.value_rows(RelId(0)).next().unwrap(),

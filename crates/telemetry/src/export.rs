@@ -124,7 +124,7 @@ pub struct WalSnapshot {
     pub bytes: u64,
     /// fsync batches issued (group commit collapses many records into one).
     pub fsyncs: u64,
-    /// Deferred-mode group flushes that covered ≥ 1 new commit.
+    /// Group flushes led by an ack that covered ≥ 1 new commit.
     pub group_batches: u64,
     /// Commits covered by those group flushes.
     pub group_records: u64,

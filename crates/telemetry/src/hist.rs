@@ -192,16 +192,6 @@ impl HistSnapshot {
             .sum();
         sum / count as f64
     }
-
-    /// Non-empty buckets as `(lower_bound, width, count)` triples, in
-    /// ascending value order — the raw exposition format.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (bucket_lower(i), bucket_width(i), c))
-    }
 }
 
 #[cfg(test)]
@@ -346,6 +336,5 @@ mod tests {
         assert_eq!(s.quantile(0.5), 0);
         assert_eq!(s.max(), 0);
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.nonzero_buckets().count(), 0);
     }
 }
