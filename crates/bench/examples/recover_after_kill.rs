@@ -14,8 +14,8 @@
 //!
 //! then keeps writing on the recovered server, checkpoints, reopens, and
 //! checks the post-crash writes survived a clean restart too — and that
-//! the final checkpoint left one copy of the data: every `*.log` file
-//! empty, one `snap-*.blob`, and a reopen that reads and replays nothing.
+//! the final checkpoint left one copy of the data: one empty `wal.log`,
+//! one `snap-*.blob`, and a reopen that reads and replays nothing.
 //! CI runs this as the recover-after-kill step.
 
 use bcq_core::access::AccessSchema;
@@ -178,10 +178,10 @@ fn main() {
 
     // The checkpoint left one copy of the data on the real directory.
     let logs = file_sizes(&dir, ".log");
-    assert!(!logs.is_empty(), "the log streams exist");
-    assert!(
-        logs.iter().all(|(_, len)| *len == 0),
-        "every log stream is cut after the checkpoint: {logs:?}"
+    assert_eq!(
+        logs,
+        [("wal.log".to_string(), 0)],
+        "one log, cut after the checkpoint"
     );
     let snaps = file_sizes(&dir, ".blob");
     assert!(

@@ -3,7 +3,7 @@
 //!
 //! Decoding distinguishes the two ways a log can be damaged:
 //!
-//! * A **torn tail** — the stream ends mid-record (short header, or fewer
+//! * A **torn tail** — the log ends mid-record (short header, or fewer
 //!   than `len` payload bytes). That is what an interrupted append looks
 //!   like, so the partial record is silently dropped and everything before
 //!   it is used. [`decode_frames`] reports how many tail bytes were torn.
@@ -54,13 +54,13 @@ pub fn append_frame(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(payload);
 }
 
-/// A decoded stream damage that recovery must not replay through.
+/// Log damage that recovery must not replay through.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FrameError {
     /// A fully present record whose CRC does not match, at this byte
-    /// offset of the stream.
+    /// offset of the log.
     Corrupt {
-        /// Byte offset of the record's frame header within the stream.
+        /// Byte offset of the record's frame header within the log.
         offset: usize,
     },
 }
@@ -87,7 +87,7 @@ pub struct DecodedFrames<'a> {
     pub torn_bytes: usize,
 }
 
-/// Splits a stream into its intact frames, dropping a torn tail and
+/// Splits a log into its intact frames, dropping a torn tail and
 /// refusing corruption (see the module docs for the distinction).
 pub fn decode_frames(bytes: &[u8]) -> Result<DecodedFrames<'_>, FrameError> {
     let mut frames = Vec::new();

@@ -1,4 +1,4 @@
-//! # bcq-durability — per-relation WAL, vector-clock snapshots, crash recovery
+//! # bcq-durability — write-ahead log, vector-clock snapshots, crash recovery
 //!
 //! The durability layer for the bounded-conjunctive-query engine: it turns
 //! the storage engine's logical mutation stream ([`bcq_storage::WalOp`],
@@ -10,20 +10,20 @@
 //! * [`frame`] — `[len][crc][payload]` framing with a hand-rolled CRC-32;
 //!   distinguishes torn tails (dropped) from corruption (fatal).
 //! * [`record`] — the byte codec of each WAL op (and its decoded form),
-//!   carrying the global sequence number recovery merges streams by.
+//!   carrying the global sequence number recovery checks log order by.
 //! * [`storage`] — the injectable [`LogStorage`] I/O boundary, with
 //!   [`MemLog`] (fault-injecting, crash-simulating, for tests) and
 //!   [`DirLog`] (real files + fsync) implementations.
-//! * [`writer`] — [`WalWriter`]: sequences records onto per-relation
-//!   streams (`rel-<n>`, plus `meta` for symbol interning); a record is
-//!   durable at [`WalWriter::ack`] or [`WalWriter::sync`], with
-//!   group-commit fsync batching ([`SyncPolicy`]).
+//! * [`writer`] — [`WalWriter`]: appends every record to one log in
+//!   sequence order (`wal.log` on a [`DirLog`]); a record is durable at
+//!   [`WalWriter::ack`] or [`WalWriter::sync`], with group-commit fsync
+//!   batching ([`SyncPolicy`]).
 //! * [`snapshot`] — full-state checkpoints keyed by the per-relation epoch
 //!   vector; [`checkpoint`] writes sync-before/sync-after and, once the
-//!   snapshot is durable, cuts every stream to 0 and deletes the older
+//!   snapshot is durable, cuts the log to 0 and deletes the older
 //!   snapshots, so the store keeps one copy of the data.
-//! * [`recover()`] — snapshot restore + longest-gap-free-run replay of the
-//!   log tail through the public `Database` API; it finishes a cut a
+//! * [`recover()`] — snapshot restore + replay of the log tail's in-order
+//!   run through the public `Database` API; it finishes a cut a
 //!   crash interrupted, and refuses when the snapshot it needs does not
 //!   decode and the log was already cut behind it.
 //!
@@ -57,4 +57,4 @@ pub use snapshot::{
     SNAP_PREFIX,
 };
 pub use storage::{DirLog, LogStorage, MemLog};
-pub use writer::{rel_stream, SyncPolicy, WalStats, WalWriter, META_STREAM};
+pub use writer::{SyncPolicy, WalStats, WalWriter};

@@ -2,11 +2,10 @@
 //! plus the byte codec used inside log frames.
 //!
 //! Every record carries a global **sequence number** assigned by the
-//! [`crate::WalWriter`] at emission time. Records are spread across
-//! per-relation streams (plus the `meta` stream for interning), and the
-//! sequence numbers are what recovery merges them back together by: the
-//! replayable history is the longest gap-free run of sequence numbers
-//! after the snapshot boundary.
+//! [`crate::WalWriter`] at emission time. The log holds its records in
+//! sequence order, and the numbers are what recovery checks that order
+//! by: the replayable history is the run of records after the snapshot
+//! boundary up to the first whose number is not the next one.
 
 use bcq_storage::WalOp;
 
@@ -84,7 +83,7 @@ pub enum RecordBody {
 /// One log record: a globally sequenced [`RecordBody`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WalRecord {
-    /// Global sequence number (dense, ascending across all streams).
+    /// Global sequence number (dense, ascending through the log).
     pub seq: u64,
     /// The logical mutation.
     pub body: RecordBody,

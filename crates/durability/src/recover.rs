@@ -14,12 +14,13 @@
 //!    If the replayable run stops short of `s`, the log was cut behind that
 //!    snapshot and recovery refuses with [`RecoverError::SnapshotUnreadable`]
 //!    — changing nothing — rather than return a prefix of the history.
-//! 2. **Merge.** Every stream (`meta` + `rel-<n>`) is split into intact
-//!    frames — torn tails dropped, CRC mismatches loudly fatal — and the
-//!    decoded records are merged by global sequence number. The replayable
-//!    history is the **longest gap-free run** after the snapshot boundary:
-//!    a missing sequence number means every later record may depend on
-//!    un-synced state, so everything beyond the gap is discarded.
+//! 2. **Decode.** The log is split into intact frames — a torn tail
+//!    dropped, a CRC mismatch loudly fatal — whose records are already in
+//!    sequence order. The replayable history is the **in-order run**: the
+//!    records after the snapshot boundary up to the first whose number is
+//!    not the next one. A skipped number means every later record may
+//!    depend on un-synced state, and a repeat or a step back can only be
+//!    damage, so everything from there on is discarded.
 //! 3. **Replay.** The kept run is re-applied through the public
 //!    [`Database`] API. A side symbol table (snapshot dump + intern
 //!    records) decodes each record's raw cell words back to values; the
@@ -31,20 +32,19 @@
 //!    chunk then goes back through `BulkLoader::push_rows` as the flat
 //!    values it decoded to; an open bulk at the tail is torn and discarded
 //!    whole.
-//! 4. **Truncate.** Streams are cut back to the last kept record, so the
+//! 4. **Truncate.** The log is cut back to the last kept record, so the
 //!    discarded suffix can never resurface and a writer restarted at
-//!    `last_seq + 1` never collides. A stream with no kept record past the
-//!    snapshot is cut to 0 — the snapshot covers it, and a checkpoint that
-//!    crashed mid-cut left it behind — and every snapshot but the restored
-//!    one is deleted, so recovery finishes an interrupted checkpoint and
-//!    leaves one copy of the data. This is also what makes recovery
-//!    idempotent: recovering twice equals recovering once.
+//!    `last_seq + 1` never collides. With no kept record past the snapshot
+//!    it is cut to 0 — the snapshot covers it, and a checkpoint that
+//!    crashed before its cut left it behind — and every snapshot but the
+//!    restored one is deleted, so recovery finishes an interrupted
+//!    checkpoint and leaves one copy of the data. This is also what makes
+//!    recovery idempotent: recovering twice equals recovering once.
 
 use crate::frame::{decode_frames, FrameError};
 use crate::record::{RecordBody, WalRecord};
 use crate::snapshot::{decode_snapshot, restore_snapshot, snapshots};
 use crate::storage::LogStorage;
-use crate::writer::log_streams;
 use bcq_core::prelude::{Catalog, Cell, CellKind, RelId, SymbolTable, Value};
 use bcq_storage::Database;
 use std::io;
@@ -58,16 +58,14 @@ pub enum RecoverError {
     /// A fully-present record failed its CRC — stored bytes changed, which
     /// a crash cannot do, so replaying would mean replaying garbage.
     Corrupt {
-        /// Stream holding the damaged record.
-        stream: String,
-        /// Byte offset of the record's frame header within the stream.
+        /// Byte offset of the record's frame header within the log.
         offset: usize,
     },
     /// A frame passed its CRC but its payload does not parse (codec bug or
     /// version skew) — never silently skippable.
     Record {
-        /// Stream holding the unparseable record.
-        stream: String,
+        /// Byte offset of the record's frame header within the log.
+        offset: usize,
         /// Decoder diagnostic.
         msg: String,
     },
@@ -90,11 +88,11 @@ impl std::fmt::Display for RecoverError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RecoverError::Io(e) => write!(f, "log storage I/O: {e}"),
-            RecoverError::Corrupt { stream, offset } => {
-                write!(f, "stream `{stream}`: CRC mismatch at byte offset {offset}")
+            RecoverError::Corrupt { offset } => {
+                write!(f, "log: CRC mismatch at byte offset {offset}")
             }
-            RecoverError::Record { stream, msg } => {
-                write!(f, "stream `{stream}`: unparseable record: {msg}")
+            RecoverError::Record { offset, msg } => {
+                write!(f, "log: unparseable record at byte offset {offset}: {msg}")
             }
             RecoverError::Replay(msg) => write!(f, "replay diverged: {msg}"),
             RecoverError::SnapshotUnreadable { snapshot, last_seq } => write!(
@@ -123,29 +121,29 @@ pub struct RecoveryReport {
     pub snapshot_bytes: u64,
     /// Newer snapshot blobs skipped because they were torn or corrupt.
     pub snapshots_skipped: usize,
-    /// Log stream bytes recovery read and kept: the tail past the
-    /// snapshot that the reopened log holds. On a log that was closed
-    /// cleanly this is every byte it read; torn, discarded and
-    /// snapshot-covered bytes it cut away are not counted.
+    /// Log bytes recovery read and kept: the tail past the snapshot that
+    /// the reopened log holds. On a log that was closed cleanly this is
+    /// every byte it read; torn, discarded and snapshot-covered bytes it
+    /// cut away are not counted.
     pub log_bytes: u64,
     /// Records re-applied from the log (op, intern, and bulk records).
     pub replayed: u64,
-    /// Records discarded: beyond a sequence gap, or part of a torn bulk.
+    /// Records discarded: from the first out-of-order sequence number on,
+    /// or part of a torn bulk.
     pub discarded: u64,
-    /// Torn tail bytes dropped across all streams.
+    /// Torn tail bytes dropped from the log.
     pub torn_bytes: u64,
     /// Highest durable sequence number after recovery; a new writer starts
     /// at `last_seq + 1`.
     pub last_seq: u64,
-    /// Streams truncated to cut the discarded suffix.
-    pub truncated_streams: usize,
+    /// Whether the log was truncated to cut the discarded suffix.
+    pub truncated: bool,
 }
 
-/// A record staged for replay: where it sits, so the stream can be
+/// A record staged for replay: where it ends, so the log can be
 /// truncated behind it.
 #[derive(Debug)]
 struct Staged {
-    stream: usize,
     end_offset: usize,
     record: WalRecord,
 }
@@ -208,53 +206,40 @@ pub fn recover(
     report.snapshots_skipped = skipped.len();
     let mut db = db.unwrap_or_else(|| Database::new(catalog.clone()));
 
-    // 2. Decode every stream and merge records by sequence number.
-    let streams = log_streams(storage)?;
-    let mut staged = Vec::new();
-    let mut stream_lens = Vec::with_capacity(streams.len());
-    for (si, stream) in streams.iter().enumerate() {
-        let bytes = storage.read(stream)?;
-        stream_lens.push(bytes.len());
-        let decoded = decode_frames(&bytes).map_err(|FrameError::Corrupt { offset }| {
-            RecoverError::Corrupt {
-                stream: stream.clone(),
-                offset,
-            }
-        })?;
-        report.torn_bytes += decoded.torn_bytes as u64;
-        for (_, end, payload) in decoded.frames {
-            let record = WalRecord::decode(payload).map_err(|msg| RecoverError::Record {
-                stream: stream.clone(),
-                msg,
-            })?;
-            staged.push(Staged {
-                stream: si,
-                end_offset: end,
-                record,
-            });
-        }
+    // 2. Decode the log; its records are in sequence order.
+    let bytes = storage.read()?;
+    let decoded = decode_frames(&bytes)
+        .map_err(|FrameError::Corrupt { offset }| RecoverError::Corrupt { offset })?;
+    report.torn_bytes = decoded.torn_bytes as u64;
+    let mut staged = Vec::with_capacity(decoded.frames.len());
+    for (start, end, payload) in decoded.frames {
+        let record = WalRecord::decode(payload)
+            .map_err(|msg| RecoverError::Record { offset: start, msg })?;
+        staged.push(Staged {
+            end_offset: end,
+            record,
+        });
     }
-    staged.sort_by_key(|s| s.record.seq);
 
-    // The longest gap-free run after the snapshot boundary.
-    let mut run = Vec::new();
-    let mut next_seq = snap_seq + 1;
-    for s in &staged {
-        if s.record.seq <= snap_seq {
-            continue; // Folded into the snapshot already.
-        }
-        if s.record.seq != next_seq {
-            break; // Gap (or duplicate): nothing later is trustworthy.
-        }
-        next_seq += 1;
-        run.push(s);
-    }
+    // The in-order run: past the records the snapshot folded in, up to the
+    // first number that is not the next one — a gap, a repeat or a step
+    // back — beyond which nothing is trustworthy.
+    let first = staged
+        .iter()
+        .position(|s| s.record.seq > snap_seq)
+        .unwrap_or(staged.len());
+    let run_len = staged[first..]
+        .iter()
+        .zip(snap_seq + 1..)
+        .take_while(|(s, next)| s.record.seq == *next)
+        .count();
+    let run = &staged[first..first + run_len];
 
     // 3. Replay, buffering bulk loads until their end record.
     let cat = db.catalog().clone();
     let mut pending: Option<PendingBulk> = None;
     let mut applied_through = snap_seq;
-    let mut rest = run.as_slice();
+    let mut rest = run;
     while let Some((s, after)) = rest.split_first() {
         rest = after;
         let seq = s.record.seq;
@@ -402,30 +387,19 @@ pub fn recover(
         });
     }
 
+    let kept = (applied_through - snap_seq) as usize;
     report.last_seq = applied_through;
-    report.replayed = applied_through - snap_seq;
-    report.discarded = staged
-        .iter()
-        .filter(|s| s.record.seq > applied_through)
-        .count() as u64;
+    report.replayed = kept as u64;
+    report.discarded = (staged.len() - first - kept) as u64;
 
-    // 4. Truncate each stream behind its last kept record past the
-    // snapshot — to 0 when it has none — then drop every other snapshot.
-    for (si, stream) in streams.iter().enumerate() {
-        let keep = staged
-            .iter()
-            .filter(|s| {
-                s.stream == si && s.record.seq > snap_seq && s.record.seq <= applied_through
-            })
-            .map(|s| s.end_offset)
-            .max()
-            .unwrap_or(0);
-        if keep < stream_lens[si] {
-            storage.truncate(stream, keep as u64)?;
-            report.truncated_streams += 1;
-        }
-        report.log_bytes += keep as u64;
+    // 4. Truncate the log behind its last kept record past the snapshot —
+    // to 0 when it has none — then drop every other snapshot.
+    let keep = kept.checked_sub(1).map_or(0, |last| run[last].end_offset);
+    if keep < bytes.len() {
+        storage.truncate(keep as u64)?;
+        report.truncated = true;
     }
+    report.log_bytes = keep as u64;
     for (_, name) in &snaps {
         if report.snapshot.as_ref() != Some(name) {
             storage.delete_blob(name)?;

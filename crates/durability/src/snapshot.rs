@@ -11,17 +11,17 @@
 //! [`checkpoint`] writes a snapshot with a **sync-before, sync-after**
 //! discipline and then **cuts the log**: the log is flushed first (a
 //! snapshot must never claim records the log doesn't durably hold), then
-//! the blob is written and flushed, and only then is every stream
-//! truncated to 0 and every older snapshot deleted. The store then holds
-//! one copy of the data. A crash before the new blob is durable leaves
-//! the previous snapshot and the whole log since it, so a torn snapshot
-//! still falls back; a crash inside the cut leaves streams that the
-//! durable snapshot covers entirely, which recovery cuts in its turn.
+//! the blob is written and flushed, and only then is the log truncated
+//! to 0 and every older snapshot deleted. The store then holds one copy
+//! of the data. A crash before the new blob is durable leaves the
+//! previous snapshot and the whole log since it, so a torn snapshot still
+//! falls back; a crash before the cut leaves a log that the durable
+//! snapshot covers entirely, which recovery cuts in its turn.
 
 use crate::frame::{append_frame, decode_frames};
 use crate::record::Reader;
 use crate::storage::LogStorage;
-use crate::writer::{log_streams, WalWriter};
+use crate::writer::WalWriter;
 use bcq_core::prelude::{Catalog, Cell, SymbolTable, Value};
 use bcq_storage::{Database, ShardState};
 use std::io;
@@ -196,8 +196,8 @@ pub fn restore_snapshot(catalog: Arc<Catalog>, snap: DecodedSnapshot) -> Result<
 }
 
 /// Checkpoints `db` into `writer`'s storage and cuts the log behind it:
-/// sync the log, write the snapshot blob, sync, then truncate every
-/// stream to 0 and delete every older snapshot. Returns the snapshot's
+/// sync the log, write the snapshot blob, sync, then truncate the log to
+/// 0 and delete every older snapshot. Returns the snapshot's
 /// name and the bytes written — 0 when a snapshot at this sequence number
 /// already exists, which is never rewritten in place (a torn rewrite
 /// would lose what the cut already removed).
@@ -233,9 +233,7 @@ pub fn checkpoint(writer: &WalWriter, db: &Database) -> io::Result<(String, u64)
     }
     // The snapshot is durable: it covers every record in the log, and an
     // older snapshot could only be replayed forward through them.
-    for stream in log_streams(storage)? {
-        storage.truncate(&stream, 0)?;
-    }
+    storage.truncate(0)?;
     for (seq, old) in &snaps {
         if *seq < last_seq {
             storage.delete_blob(old)?;
@@ -331,10 +329,7 @@ mod tests {
             assert_eq!(name, snapshot_name(writer.last_seq()));
             assert_eq!(written, log.read_blob(&name).unwrap().unwrap().len() as u64);
             assert_eq!(log.list_blobs().unwrap(), vec![name.clone()]);
-            assert!(log_streams(&*log)
-                .unwrap()
-                .iter()
-                .all(|s| log.read(s).unwrap().is_empty()));
+            assert!(log.read().unwrap().is_empty());
             names.push(name);
         }
         // Nothing logged since: the same snapshot, not rewritten.

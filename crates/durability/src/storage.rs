@@ -2,14 +2,14 @@
 //! fault-injecting implementation ([`MemLog`]), and the real-directory
 //! implementation ([`DirLog`]).
 //!
-//! The trait is deliberately tiny — named append-only byte streams plus
-//! whole blobs (snapshots) — so the entire recovery path can be driven
-//! against [`MemLog`]'s simulated crashes in unit tests and proptests:
-//! no temp dirs, no real fsync, and byte-exact control over what survives.
+//! The trait is deliberately tiny — one append-only log plus whole blobs
+//! (snapshots) — so the entire recovery path can be driven against
+//! [`MemLog`]'s simulated crashes in unit tests and proptests: no temp
+//! dirs, no real fsync, and byte-exact control over what survives.
 //!
 //! ## The `MemLog` crash model
 //!
-//! `MemLog` keeps a single **journal** of every write (stream appends and
+//! `MemLog` keeps a single **journal** of every write (log appends and
 //! blob writes) in arrival order, with a durability watermark advanced by
 //! [`LogStorage::sync`]. [`MemLog::crash`] keeps everything below the
 //! watermark plus an arbitrary byte-prefix of the unsynced suffix — so a
@@ -21,30 +21,27 @@
 //! past a count fail, so a test can stop a multi-step operation (a
 //! checkpoint) at any step and then `crash` there.
 
-use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 
-/// Byte-level storage for WAL streams and snapshot blobs.
+/// Byte-level storage for the WAL and snapshot blobs.
 ///
-/// Streams are append-only named byte sequences; blobs are whole named
-/// byte arrays (snapshots), written atomically. All methods take `&self`:
+/// The log is one append-only byte sequence; blobs are whole named byte
+/// arrays (snapshots), written atomically. All methods take `&self`:
 /// implementations are internally synchronized, and the single-writer
 /// discipline lives above (the WAL writer serializes appends).
 pub trait LogStorage: Send + Sync + std::fmt::Debug {
-    /// Appends bytes to the named stream (created on first append).
-    fn append(&self, stream: &str, bytes: &[u8]) -> io::Result<()>;
-    /// Makes everything written so far durable (streams and blobs).
+    /// Appends bytes to the log (created on first append).
+    fn append(&self, bytes: &[u8]) -> io::Result<()>;
+    /// Makes everything written so far durable (log and blobs).
     fn sync(&self) -> io::Result<()>;
-    /// The full contents of a stream (empty if it was never written).
-    fn read(&self, stream: &str) -> io::Result<Vec<u8>>;
-    /// Every stream that has been written, in unspecified order.
-    fn streams(&self) -> io::Result<Vec<String>>;
-    /// Durably discards stream bytes beyond `len`: recovery cuts torn and
-    /// discarded tails with it, and a checkpoint cuts every stream to 0
-    /// once its snapshot is durable.
-    fn truncate(&self, stream: &str, len: u64) -> io::Result<()>;
+    /// The full contents of the log (empty if it was never written).
+    fn read(&self) -> io::Result<Vec<u8>>;
+    /// Durably discards log bytes beyond `len` (a no-op on a log never
+    /// written): recovery cuts torn and discarded tails with it, and a
+    /// checkpoint cuts the log to 0 once its snapshot is durable.
+    fn truncate(&self, len: u64) -> io::Result<()>;
     /// Writes a whole blob under `name`, replacing any previous one.
     fn write_blob(&self, name: &str, bytes: &[u8]) -> io::Result<()>;
     /// Reads a blob back; `None` if absent.
@@ -58,7 +55,7 @@ pub trait LogStorage: Send + Sync + std::fmt::Debug {
 /// One write in the `MemLog` journal.
 #[derive(Debug, Clone)]
 enum Entry {
-    Append { stream: String, bytes: Vec<u8> },
+    Append { bytes: Vec<u8> },
     Blob { name: String, bytes: Vec<u8> },
 }
 
@@ -94,14 +91,12 @@ struct MemInner {
 }
 
 impl MemInner {
-    /// Materializes the current byte content of one stream.
-    fn stream_bytes(&self, stream: &str) -> Vec<u8> {
+    /// Materializes the current byte content of the log.
+    fn log_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         for e in &self.journal {
-            if let Entry::Append { stream: s, bytes } = e {
-                if s == stream {
-                    out.extend_from_slice(bytes);
-                }
+            if let Entry::Append { bytes } = e {
+                out.extend_from_slice(bytes);
             }
         }
         out
@@ -205,23 +200,21 @@ impl MemLog {
         Ok(inner)
     }
 
-    /// Flips one byte at `offset` of `stream` — in-place corruption for
+    /// Flips one byte at `offset` of the log — in-place corruption for
     /// testing that recovery fails loudly instead of replaying garbage.
-    pub fn corrupt_byte(&self, stream: &str, offset: usize) {
+    pub fn corrupt_byte(&self, offset: usize) {
         let mut inner = self.inner.lock().unwrap();
         let mut pos = 0;
         for e in inner.journal.iter_mut() {
-            if let Entry::Append { stream: s, bytes } = e {
-                if s == stream {
-                    if offset < pos + bytes.len() {
-                        bytes[offset - pos] ^= 0x40;
-                        return;
-                    }
-                    pos += bytes.len();
+            if let Entry::Append { bytes } = e {
+                if offset < pos + bytes.len() {
+                    bytes[offset - pos] ^= 0x40;
+                    return;
                 }
+                pos += bytes.len();
             }
         }
-        panic!("corrupt_byte: offset {offset} beyond stream `{stream}` ({pos} bytes)");
+        panic!("corrupt_byte: offset {offset} beyond the log ({pos} bytes)");
     }
 
     /// Truncates the stored bytes of blob `name` to `len` — direct
@@ -242,9 +235,8 @@ impl MemLog {
 }
 
 impl LogStorage for MemLog {
-    fn append(&self, stream: &str, bytes: &[u8]) -> io::Result<()> {
+    fn append(&self, bytes: &[u8]) -> io::Result<()> {
         self.mutate()?.journal.push(Entry::Append {
-            stream: stream.to_string(),
             bytes: bytes.to_vec(),
         });
         Ok(())
@@ -259,40 +251,25 @@ impl LogStorage for MemLog {
         Ok(())
     }
 
-    fn read(&self, stream: &str) -> io::Result<Vec<u8>> {
-        Ok(self.inner.lock().unwrap().stream_bytes(stream))
+    fn read(&self) -> io::Result<Vec<u8>> {
+        Ok(self.inner.lock().unwrap().log_bytes())
     }
 
-    fn streams(&self) -> io::Result<Vec<String>> {
-        let inner = self.inner.lock().unwrap();
-        let mut names: Vec<String> = Vec::new();
-        for e in &inner.journal {
-            if let Entry::Append { stream, .. } = e {
-                if !names.contains(stream) {
-                    names.push(stream.clone());
-                }
-            }
-        }
-        Ok(names)
-    }
-
-    fn truncate(&self, stream: &str, len: u64) -> io::Result<()> {
+    fn truncate(&self, len: u64) -> io::Result<()> {
         let len = len as usize;
         let mut inner = self.mutate()?;
         let mut pos = 0;
         let mut journal = Vec::with_capacity(inner.journal.len());
         for e in inner.journal.drain(..) {
-            if let Entry::Append { stream: s, bytes } = &e {
-                if s == stream {
-                    let start = pos;
-                    pos += bytes.len();
-                    if start >= len {
-                        continue; // wholly beyond the cut
-                    }
-                    if pos > len {
-                        journal.push(e.truncated(len - start));
-                        continue;
-                    }
+            if let Entry::Append { bytes } = &e {
+                let start = pos;
+                pos += bytes.len();
+                if start >= len {
+                    continue; // wholly beyond the cut
+                }
+                if pos > len {
+                    journal.push(e.truncated(len - start));
+                    continue;
                 }
             }
             journal.push(e);
@@ -334,10 +311,15 @@ impl LogStorage for MemLog {
     fn delete_blob(&self, name: &str) -> io::Result<()> {
         let mut inner = self.mutate()?;
         let name_owned = name.to_string();
-        inner
-            .journal
-            .retain(|e| !matches!(e, Entry::Blob { name: n, .. } if *n == name_owned));
-        inner.durable_entries = inner.durable_entries.min(inner.journal.len());
+        let is_blob = |e: &Entry| matches!(e, Entry::Blob { name: n, .. } if *n == name_owned);
+        // The watermark drops by the durable entries removed, so an
+        // unsynced entry after the blob stays unsynced.
+        let removed_durable = inner.journal[..inner.durable_entries]
+            .iter()
+            .filter(|e| is_blob(e))
+            .count();
+        inner.durable_entries -= removed_durable;
+        inner.journal.retain(|e| !is_blob(e));
         if !inner.deleted_blobs.contains(&name_owned) {
             inner.deleted_blobs.push(name_owned);
         }
@@ -345,40 +327,59 @@ impl LogStorage for MemLog {
     }
 }
 
-/// [`LogStorage`] over a real directory: streams are `<name>.log` files
-/// opened for append, blobs are `<name>.blob` files written via a temp
-/// file and an atomic rename. Every call that creates, renames or removes
-/// a file fsyncs the directory before it returns, so a name it reported
-/// written (or gone) stays so across a power loss — a checkpoint's cut
-/// must never outlive its snapshot's name. This is what production
-/// servers and the kill-recover CI smoke use; the unit-test matrix runs
-/// on [`MemLog`].
+/// The file holding the log in a [`DirLog`] directory.
+const LOG_FILE: &str = "wal.log";
+
+/// [`LogStorage`] over a real directory: the log is `wal.log`, opened for
+/// append, and blobs are `<name>.blob` files written via a temp file and
+/// an atomic rename. Every call that creates, renames or removes a file
+/// fsyncs the directory before it returns, so a name it reported written
+/// (or gone) stays so across a power loss — a checkpoint's cut must never
+/// outlive its snapshot's name. This is what production servers and the
+/// kill-recover CI smoke use; the unit-test matrix runs on [`MemLog`].
 #[derive(Debug)]
 pub struct DirLog {
     dir: PathBuf,
-    handles: Mutex<HashMap<String, std::fs::File>>,
+    /// The log's append handle, opened on first use.
+    file: Mutex<Option<std::fs::File>>,
 }
 
 impl DirLog {
     /// Opens (creating if needed) a log directory, removing any
     /// `*.blob.tmp` a crash left behind: a blob write that never reached
     /// its rename is not a snapshot, only dead bytes.
+    ///
+    /// Refuses, touching nothing, a directory holding any `*.log` file but
+    /// `wal.log`: those are the per-relation streams of an older layout,
+    /// and recovering without them would silently drop logged history.
     pub fn open(dir: impl AsRef<Path>) -> io::Result<DirLog> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
-        let log = DirLog {
-            dir,
-            handles: Mutex::new(HashMap::new()),
-        };
-        let mut removed = false;
-        for entry in std::fs::read_dir(&log.dir)? {
+        let mut stale = Vec::new();
+        for entry in std::fs::read_dir(&dir)? {
             let path = entry?.path();
-            if path.to_str().is_some_and(|p| p.ends_with(".blob.tmp")) {
-                std::fs::remove_file(&path)?;
-                removed = true;
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            if name.ends_with(".log") && name != LOG_FILE {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "{}: a log stream of an older layout; this version reads only `{LOG_FILE}`",
+                        path.display()
+                    ),
+                ));
+            }
+            if name.ends_with(".blob.tmp") {
+                stale.push(path);
             }
         }
-        if removed {
+        let log = DirLog {
+            dir,
+            file: Mutex::new(None),
+        };
+        for path in &stale {
+            std::fs::remove_file(path)?;
+        }
+        if !stale.is_empty() {
             log.sync_dir()?;
         }
         Ok(log)
@@ -395,8 +396,8 @@ impl DirLog {
         std::fs::File::open(&self.dir)?.sync_all()
     }
 
-    fn stream_path(&self, stream: &str) -> PathBuf {
-        self.dir.join(format!("{stream}.log"))
+    fn log_path(&self) -> PathBuf {
+        self.dir.join(LOG_FILE)
     }
 
     fn blob_path(&self, name: &str) -> PathBuf {
@@ -405,61 +406,52 @@ impl DirLog {
 }
 
 impl LogStorage for DirLog {
-    fn append(&self, stream: &str, bytes: &[u8]) -> io::Result<()> {
+    fn append(&self, bytes: &[u8]) -> io::Result<()> {
         use io::Write;
-        let mut handles = self.handles.lock().unwrap();
-        if !handles.contains_key(stream) {
-            let path = self.stream_path(stream);
+        let mut file = self.file.lock().unwrap();
+        if file.is_none() {
+            let path = self.log_path();
             let mut open = std::fs::OpenOptions::new();
             open.append(true);
-            let f = match open.clone().create_new(true).open(&path) {
+            *file = Some(match open.clone().create_new(true).open(&path) {
                 Ok(f) => {
                     self.sync_dir()?;
                     f
                 }
                 Err(e) if e.kind() == io::ErrorKind::AlreadyExists => open.open(&path)?,
                 Err(e) => return Err(e),
-            };
-            handles.insert(stream.to_string(), f);
+            });
         }
-        handles.get_mut(stream).unwrap().write_all(bytes)
+        file.as_mut().unwrap().write_all(bytes)
     }
 
     fn sync(&self) -> io::Result<()> {
-        for f in self.handles.lock().unwrap().values() {
-            f.sync_all()?;
+        match &*self.file.lock().unwrap() {
+            Some(f) => f.sync_all(),
+            None => Ok(()),
         }
-        Ok(())
     }
 
-    fn read(&self, stream: &str) -> io::Result<Vec<u8>> {
-        match std::fs::read(self.stream_path(stream)) {
+    fn read(&self) -> io::Result<Vec<u8>> {
+        match std::fs::read(self.log_path()) {
             Ok(bytes) => Ok(bytes),
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),
             Err(e) => Err(e),
         }
     }
 
-    fn streams(&self) -> io::Result<Vec<String>> {
-        let mut names = Vec::new();
-        for entry in std::fs::read_dir(&self.dir)? {
-            let path = entry?.path();
-            if path.extension().and_then(|e| e.to_str()) == Some("log") {
-                if let Some(stem) = path.file_stem().and_then(|s| s.to_str()) {
-                    names.push(stem.to_string());
-                }
-            }
-        }
-        Ok(names)
-    }
-
-    fn truncate(&self, stream: &str, len: u64) -> io::Result<()> {
+    fn truncate(&self, len: u64) -> io::Result<()> {
         // Drop the cached append handle: append-mode offsets are managed
         // by the kernel, but a fresh handle keeps the bookkeeping simple.
-        self.handles.lock().unwrap().remove(stream);
-        let f = std::fs::OpenOptions::new()
+        *self.file.lock().unwrap() = None;
+        let f = match std::fs::OpenOptions::new()
             .write(true)
-            .open(self.stream_path(stream))?;
+            .open(self.log_path())
+        {
+            Ok(f) => f,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
+            Err(e) => return Err(e),
+        };
         f.set_len(len)?;
         f.sync_all()
     }
@@ -507,31 +499,27 @@ mod tests {
     use super::*;
 
     #[test]
-    fn memlog_appends_and_reads_across_streams() {
+    fn memlog_appends_and_reads_the_log_beside_a_blob() {
         let log = MemLog::new();
-        log.append("a", b"one").unwrap();
-        log.append("b", b"two").unwrap();
-        log.append("a", b"-more").unwrap();
-        assert_eq!(log.read("a").unwrap(), b"one-more");
-        assert_eq!(log.read("b").unwrap(), b"two");
-        assert_eq!(log.read("absent").unwrap(), b"");
-        let mut streams = log.streams().unwrap();
-        streams.sort();
-        assert_eq!(streams, vec!["a", "b"]);
+        assert_eq!(log.read().unwrap(), b"");
+        log.append(b"one").unwrap();
+        log.write_blob("b", b"two").unwrap();
+        log.append(b"-more").unwrap();
+        assert_eq!(log.read().unwrap(), b"one-more");
+        assert_eq!(log.read_blob("b").unwrap().unwrap(), b"two");
     }
 
     #[test]
     fn crash_discards_unsynced_suffix_by_byte() {
         let log = MemLog::new();
-        log.append("s", b"durable").unwrap();
+        log.append(b"durable").unwrap();
         log.sync().unwrap();
-        log.append("s", b"lost-soon").unwrap();
-        log.append("t", b"also-lost").unwrap();
+        log.append(b"lost-soon").unwrap();
+        log.append(b"also-lost").unwrap();
         assert_eq!(log.unsynced_bytes(), 18);
         // Keep 4 unsynced bytes: a mid-append cut of the first entry.
         log.crash(4);
-        assert_eq!(log.read("s").unwrap(), b"durablelost");
-        assert_eq!(log.read("t").unwrap(), b"");
+        assert_eq!(log.read().unwrap(), b"durablelost");
         assert_eq!(log.unsynced_bytes(), 0, "survivors are durable");
     }
 
@@ -539,10 +527,10 @@ mod tests {
     fn fsync_lies_lose_acknowledged_writes() {
         let log = MemLog::new();
         log.set_fsync_lies(true);
-        log.append("s", b"gone").unwrap();
+        log.append(b"gone").unwrap();
         log.sync().unwrap(); // claims success
         log.crash(0);
-        assert_eq!(log.read("s").unwrap(), b"");
+        assert_eq!(log.read().unwrap(), b"");
         assert_eq!(log.syncs(), 1);
     }
 
@@ -576,58 +564,75 @@ mod tests {
     }
 
     #[test]
-    fn truncate_cuts_one_stream_only() {
+    fn deleting_a_durable_blob_keeps_a_later_append_unsynced() {
         let log = MemLog::new();
-        log.append("a", b"0123").unwrap();
-        log.append("b", b"abcd").unwrap();
-        log.append("a", b"4567").unwrap();
-        log.truncate("a", 6).unwrap();
-        assert_eq!(log.read("a").unwrap(), b"012345");
-        assert_eq!(log.read("b").unwrap(), b"abcd");
-        log.truncate("a", 0).unwrap();
-        assert_eq!(log.read("a").unwrap(), b"");
+        log.append(b"a").unwrap();
+        log.sync().unwrap();
+        log.write_blob("x", b"blob").unwrap();
+        log.sync().unwrap();
+        log.append(b"b").unwrap();
+        log.delete_blob("x").unwrap();
+        assert_eq!(log.unsynced_bytes(), 1, "`b` was never synced");
+        log.crash(0);
+        assert_eq!(log.read().unwrap(), b"a");
+    }
+
+    #[test]
+    fn truncate_cuts_the_log_and_keeps_blobs() {
+        let log = MemLog::new();
+        log.append(b"0123").unwrap();
+        log.write_blob("b", b"abcd").unwrap();
+        log.append(b"4567").unwrap();
+        log.truncate(6).unwrap();
+        assert_eq!(log.read().unwrap(), b"012345");
+        assert_eq!(log.read_blob("b").unwrap().unwrap(), b"abcd");
+        log.truncate(0).unwrap();
+        assert_eq!(log.read().unwrap(), b"");
+        assert_eq!(log.read_blob("b").unwrap().unwrap(), b"abcd");
     }
 
     #[test]
     fn fail_after_fails_every_later_mutation_until_a_crash() {
         let log = MemLog::new();
         log.fail_after(2);
-        log.append("s", b"one").unwrap();
+        log.append(b"one").unwrap();
         log.sync().unwrap();
-        assert!(log.append("s", b"two").is_err());
+        assert!(log.append(b"two").is_err());
         assert!(log.write_blob("b", b"x").is_err());
-        assert!(log.truncate("s", 0).is_err());
+        assert!(log.truncate(0).is_err());
         assert!(log.delete_blob("b").is_err());
-        assert_eq!(
-            log.read("s").unwrap(),
-            b"one",
-            "a failed call wrote nothing"
-        );
+        assert_eq!(log.read().unwrap(), b"one", "a failed call wrote nothing");
         log.crash(0);
-        log.append("s", b"two").unwrap();
-        assert_eq!(log.read("s").unwrap(), b"onetwo");
+        log.append(b"two").unwrap();
+        assert_eq!(log.read().unwrap(), b"onetwo");
     }
 
     #[test]
     fn corrupt_byte_flips_in_place() {
         let log = MemLog::new();
-        log.append("s", b"ab").unwrap();
-        log.append("s", b"cd").unwrap();
-        log.corrupt_byte("s", 2);
-        let bytes = log.read("s").unwrap();
+        log.append(b"ab").unwrap();
+        log.append(b"cd").unwrap();
+        log.corrupt_byte(2);
+        let bytes = log.read().unwrap();
         assert_eq!(bytes[0], b'a');
         assert_ne!(bytes[2], b'c');
     }
 
+    /// A fresh, empty directory under the system temp dir.
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("bcq-dirlog-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
     #[test]
     fn dirlog_roundtrips_on_disk() {
-        let dir = std::env::temp_dir().join(format!("bcq-dirlog-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = temp_dir("roundtrip");
         {
             let log = DirLog::open(&dir).unwrap();
-            log.append("rel-0", b"hello ").unwrap();
-            log.append("rel-0", b"world").unwrap();
-            log.append("meta", b"m").unwrap();
+            log.truncate(0).unwrap(); // never written: a no-op
+            log.append(b"hello ").unwrap();
+            log.append(b"world").unwrap();
             log.sync().unwrap();
             log.write_blob("snap-1", b"blobby").unwrap();
         }
@@ -637,20 +642,37 @@ mod tests {
             // Reopen: everything persisted, the stale temp file is gone.
             let log = DirLog::open(&dir).unwrap();
             assert!(!dir.join("snap-2.blob.tmp").exists());
-            assert_eq!(log.read("rel-0").unwrap(), b"hello world");
-            assert_eq!(log.read("absent").unwrap(), b"");
-            let mut streams = log.streams().unwrap();
-            streams.sort();
-            assert_eq!(streams, vec!["meta", "rel-0"]);
+            assert_eq!(log.read().unwrap(), b"hello world");
             assert_eq!(log.read_blob("snap-1").unwrap().unwrap(), b"blobby");
             assert_eq!(log.list_blobs().unwrap(), vec!["snap-1"]);
-            log.truncate("rel-0", 5).unwrap();
-            assert_eq!(log.read("rel-0").unwrap(), b"hello");
-            log.append("rel-0", b"!").unwrap();
-            assert_eq!(log.read("rel-0").unwrap(), b"hello!");
+            log.truncate(5).unwrap();
+            assert_eq!(log.read().unwrap(), b"hello");
+            log.append(b"!").unwrap();
+            assert_eq!(log.read().unwrap(), b"hello!");
             log.delete_blob("snap-1").unwrap();
             assert_eq!(log.read_blob("snap-1").unwrap(), None);
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn dirlog_refuses_a_directory_of_per_relation_streams() {
+        // The older layout: an interning stream and one stream per relation.
+        let rel = 0;
+        for old in ["meta.log".to_string(), format!("rel-{rel}.log")] {
+            let dir = temp_dir("old-layout");
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(dir.join(&old), b"history").unwrap();
+            std::fs::write(dir.join("snap-2.blob.tmp"), b"half").unwrap();
+            let err = DirLog::open(&dir).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{old}");
+            assert!(err.to_string().contains(&old), "{err}");
+            assert_eq!(std::fs::read(dir.join(&old)).unwrap(), b"history");
+            assert!(
+                dir.join("snap-2.blob.tmp").exists(),
+                "{old}: a refusal removes nothing"
+            );
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 }

@@ -1,12 +1,12 @@
 //! The log writer: turns the storage engine's [`WalOp`] stream into
-//! framed, sequenced records on [`LogStorage`] streams, with group-commit
+//! framed, sequenced records on the [`LogStorage`] log, with group-commit
 //! fsync batching.
 //!
 //! One `WalWriter` is attached to exactly one writer lineage of a
-//! [`bcq_storage::Database`] (via `Database::set_wal`). Op records go to
-//! the touched relation's stream (`rel-<n>`); interning records go to the
-//! shared `meta` stream. Every record gets the next global sequence
-//! number — the merge key recovery sorts by.
+//! [`bcq_storage::Database`] (via `Database::set_wal`). Every record —
+//! row ops, bulk loads, index builds and symbol interning alike — gets
+//! the next sequence number and is appended under the same lock, so the
+//! log holds its records in sequence order.
 //!
 //! ## Group commit
 //!
@@ -44,30 +44,6 @@ use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
-/// The stream interning records are written to.
-pub const META_STREAM: &str = "meta";
-
-/// The stream name for one relation's records.
-pub fn rel_stream(rel: u32) -> String {
-    format!("rel-{rel}")
-}
-
-/// Parses a `rel-<n>` stream name back to the relation index.
-fn parse_rel_stream(stream: &str) -> Option<u32> {
-    stream.strip_prefix("rel-")?.parse().ok()
-}
-
-/// The log's streams (`meta` and every `rel-<n>`), sorted by name.
-pub(crate) fn log_streams(storage: &dyn LogStorage) -> io::Result<Vec<String>> {
-    let mut streams: Vec<String> = storage
-        .streams()?
-        .into_iter()
-        .filter(|s| s == META_STREAM || parse_rel_stream(s).is_some())
-        .collect();
-    streams.sort();
-    Ok(streams)
-}
-
 /// When the writer flushes appended records to durable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncPolicy {
@@ -85,7 +61,7 @@ pub enum SyncPolicy {
 pub struct WalStats {
     /// Records appended (op + intern + bulk-row records).
     pub records: u64,
-    /// Framed bytes appended across all streams.
+    /// Framed bytes appended to the log.
     pub bytes: u64,
     /// Fsync batches issued by the writer (policy-driven + explicit).
     pub fsyncs: u64,
@@ -101,8 +77,6 @@ struct WriterInner {
     /// Reused frame-encoding buffer: the steady-state record path
     /// performs zero heap allocations of its own.
     scratch: Vec<u8>,
-    /// Lazily built `rel-<n>` stream names, indexed by relation.
-    rel_streams: Vec<String>,
 }
 
 /// The flush-coordination state for group commit.
@@ -148,7 +122,6 @@ impl WalWriter {
             inner: Mutex::new(WriterInner {
                 next_seq: start_seq,
                 scratch: Vec::with_capacity(128),
-                rel_streams: Vec::new(),
             }),
             poison: OnceLock::new(),
             records: AtomicU64::new(0),
@@ -316,18 +289,7 @@ impl WalSink for WalWriter {
         inner.scratch[..4].copy_from_slice(&len.to_le_bytes());
         inner.scratch[4..8].copy_from_slice(&crc.to_le_bytes());
 
-        let stream: &str = match op.rel() {
-            None => META_STREAM,
-            Some(rel) => {
-                while inner.rel_streams.len() <= rel.0 {
-                    inner
-                        .rel_streams
-                        .push(rel_stream(inner.rel_streams.len() as u32));
-                }
-                &inner.rel_streams[rel.0]
-            }
-        };
-        if let Err(e) = self.storage.append(stream, &inner.scratch) {
+        if let Err(e) = self.storage.append(&inner.scratch) {
             // Only the first failure is kept (see the module docs).
             let _ = self.poison.set((e.kind(), e.to_string()));
             return;
@@ -356,7 +318,7 @@ mod tests {
     }
 
     #[test]
-    fn records_land_on_per_relation_streams_with_dense_seqs() {
+    fn records_land_on_the_log_in_dense_seq_order() {
         let log = Arc::new(MemLog::new());
         let writer = Arc::new(WalWriter::new(log.clone(), SyncPolicy::Manual, 1));
         let mut db = Database::new(catalog());
@@ -368,17 +330,14 @@ mod tests {
             .unwrap()
             .is_some());
 
-        // meta got the intern; rel streams got their ops; seqs are dense.
-        let mut seqs = Vec::new();
-        for stream in ["meta", "rel-0", "rel-1"] {
-            let bytes = log.read(stream).unwrap();
-            let frames = crate::frame::decode_frames(&bytes).unwrap();
-            assert!(!frames.frames.is_empty(), "{stream} has records");
-            for (_, _, payload) in frames.frames {
-                seqs.push(WalRecord::decode(payload).unwrap().seq);
-            }
-        }
-        seqs.sort_unstable();
+        // The intern and the three ops, dense and in file order.
+        let bytes = log.read().unwrap();
+        let frames = crate::frame::decode_frames(&bytes).unwrap();
+        let seqs: Vec<u64> = frames
+            .frames
+            .iter()
+            .map(|(_, _, payload)| WalRecord::decode(payload).unwrap().seq)
+            .collect();
         assert_eq!(seqs, vec![1, 2, 3, 4]);
         assert_eq!(writer.last_seq(), 4);
         let stats = writer.stats();

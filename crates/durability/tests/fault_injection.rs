@@ -1,14 +1,14 @@
 //! Fault-injection matrix for the durability layer, driven end-to-end
 //! through [`MemLog`]'s crash model: torn tails, partial snapshots, a
 //! crash at every step of a checkpoint, CRC corruption, lying fsyncs,
-//! torn bulk loads, and sequence gaps — each asserting recovery lands on
+//! torn bulk loads, and out-of-order sequence numbers — each asserting recovery lands on
 //! a consistent committed prefix (or fails loudly when the log is damaged
 //! in a way a crash cannot produce).
 
 use bcq_core::prelude::*;
 use bcq_durability::{
-    checkpoint, frame::append_frame, record::encode_op_into, recover, snapshot_name, LogStorage,
-    MemLog, RecoverError, RecoveryReport, SyncPolicy, WalWriter,
+    checkpoint, decode_frames, frame::append_frame, record::encode_op_into, recover, snapshot_name,
+    LogStorage, MemLog, RecoverError, RecoveryReport, SyncPolicy, WalRecord, WalWriter,
 };
 use bcq_storage::{Database, Prepare, RowOp, WalOp};
 use std::sync::Arc;
@@ -79,39 +79,28 @@ fn crc_corruption_fails_loudly_with_the_offending_offset() {
     let (mut db, _w) = wired(&log, SyncPolicy::Always);
     db.insert("r", &[Value::int(1), Value::int(2)]).unwrap();
     db.insert("r", &[Value::int(3), Value::int(4)]).unwrap();
-    // Flip a payload byte of the FIRST record on the relation stream: a
-    // fully-present record that fails its CRC is bit rot, not a crash.
-    log.corrupt_byte("rel-0", 10);
+    // Flip a payload byte of the FIRST record in the log: a fully-present
+    // record that fails its CRC is bit rot, not a crash.
+    log.corrupt_byte(10);
     match recover(&*log, catalog()) {
-        Err(RecoverError::Corrupt { stream, offset }) => {
-            assert_eq!(stream, "rel-0");
+        Err(RecoverError::Corrupt { offset }) => {
             assert_eq!(offset, 0, "first record's frame header offset");
         }
         other => panic!("expected loud corruption failure, got {other:?}"),
     }
 }
 
-/// Every stream's bytes and every blob name: what recovery must not touch
+/// The log's bytes and every blob name: what recovery must not touch
 /// when it refuses.
-fn stored(log: &MemLog) -> (Vec<(String, Vec<u8>)>, Vec<String>) {
-    let mut streams: Vec<_> = log
-        .streams()
-        .unwrap()
-        .into_iter()
-        .map(|s| {
-            let bytes = log.read(&s).unwrap();
-            (s, bytes)
-        })
-        .collect();
-    streams.sort();
+fn stored(log: &MemLog) -> (Vec<u8>, Vec<String>) {
     let mut blobs = log.list_blobs().unwrap();
     blobs.sort();
-    (streams, blobs)
+    (log.read().unwrap(), blobs)
 }
 
-/// Bytes the log streams hold.
+/// Bytes the log holds.
 fn log_bytes(log: &MemLog) -> u64 {
-    stored(log).0.iter().map(|(_, b)| b.len() as u64).sum()
+    stored(log).0.len() as u64
 }
 
 #[test]
@@ -204,7 +193,7 @@ fn recovery_after_a_checkpoint_reads_only_the_tail() {
         .push_rows(&(0..40).map(Value::int).collect::<Vec<_>>());
     db.ensure_indexes_cols(&[(RelId(0), &[0], &[1])]);
     let (name, _) = checkpoint(&w, &db).unwrap();
-    assert_eq!(log_bytes(&log), 0, "the checkpoint cut every stream");
+    assert_eq!(log_bytes(&log), 0, "the checkpoint cut the log");
 
     let k = 3;
     let bytes_before = w.stats().bytes;
@@ -222,9 +211,9 @@ fn recovery_after_a_checkpoint_reads_only_the_tail() {
 
 #[test]
 fn a_crash_at_every_step_of_a_checkpoint_recovers_to_the_uncrashed_state() {
-    // One checkpoint behind, writes on all three streams since, then a
+    // One checkpoint behind, writes on both relations since, then a
     // second checkpoint whose mutating calls are: log sync, blob write,
-    // blob sync, one truncate per stream, one delete of the old snapshot.
+    // blob sync, the log's truncate, one delete of the old snapshot.
     let scenario = || {
         let log = Arc::new(MemLog::new());
         let (mut db, w) = wired(&log, SyncPolicy::Always);
@@ -239,10 +228,9 @@ fn a_crash_at_every_step_of_a_checkpoint_recovers_to_the_uncrashed_state() {
         w.ack().unwrap();
         db.ensure_indexes_cols(&[(RelId(0), &[0], &[1])]);
         w.ack().unwrap();
-        assert_eq!(log.streams().unwrap().len(), 3);
         (log, db, w)
     };
-    let steps = 3 + 3 + 1;
+    let steps = 3 + 1 + 1;
     for n in 0..=steps {
         // Where the blob write went through but its sync did not, the crash
         // can keep any prefix of it; everything else was already durable.
@@ -276,7 +264,7 @@ fn a_crash_at_every_step_of_a_checkpoint_recovers_to_the_uncrashed_state() {
 
             let (again, report2) = recover(&*log, catalog()).unwrap();
             assert_eq!(state(&again), state(&db), "{at}");
-            assert_eq!(report2.truncated_streams, 0, "{at}");
+            assert!(!report2.truncated, "{at}");
             assert_eq!(log.list_blobs().unwrap().len(), 1, "{at}: one snapshot");
             if new_durable {
                 assert_eq!((log_bytes(&log), report2.replayed), (0, 0), "{at}");
@@ -309,7 +297,7 @@ fn recovery_is_idempotent_and_restartable() {
     assert_eq!(report2.last_seq, report1.last_seq);
     assert_eq!(report2.torn_bytes, 0);
     assert_eq!(report2.discarded, 0);
-    assert_eq!(report2.truncated_streams, 0);
+    assert!(!report2.truncated);
 
     // A writer restarted at last_seq + 1 continues the history cleanly.
     let w2 = Arc::new(WalWriter::new(
@@ -447,17 +435,102 @@ fn records_beyond_a_sequence_gap_are_discarded() {
     encode_op_into(9, &rogue, &mut payload);
     let mut framed = Vec::new();
     append_frame(&mut framed, &payload);
-    log.append("rel-0", &framed).unwrap();
+    log.append(&framed).unwrap();
     log.sync().unwrap();
 
     let (recovered, report) = recover(&*log, catalog()).unwrap();
     assert_eq!(state(&recovered), oracle);
     assert_eq!(report.last_seq, 2);
     assert_eq!(report.discarded, 1);
-    assert_eq!(report.truncated_streams, 1, "the gap suffix is cut away");
+    assert!(report.truncated, "the gap suffix is cut away");
     // And the cut is durable: a second recovery sees a clean log.
     let (_, report2) = recover(&*log, catalog()).unwrap();
     assert_eq!(report2.discarded, 0);
+}
+
+/// One framed insert of `value` into `s`, numbered `seq` and stamped
+/// commit `seq` — on a fresh log, the stamp replay arrives at when the
+/// records before it are the inserts numbered `1..seq`.
+fn insert_frame(seq: u64, value: i64) -> Vec<u8> {
+    let mut syms = SymbolTable::new();
+    let cells = [syms.encode(&Value::int(value))];
+    let op = WalOp::Insert {
+        commit: seq,
+        rel: RelId(1),
+        cells: &cells,
+    };
+    let mut payload = Vec::new();
+    encode_op_into(seq, &op, &mut payload);
+    let mut framed = Vec::new();
+    append_frame(&mut framed, &payload);
+    framed
+}
+
+#[test]
+fn a_record_whose_number_is_not_the_next_one_ends_the_run() {
+    // Skipping ahead, repeating and stepping back all end the run at the
+    // record that broke the order; a step back is damage too, not a
+    // reordering to undo.
+    for (seqs, kept) in [
+        (&[1, 2, 4, 3][..], 2),
+        (&[1, 2, 2, 3][..], 2),
+        (&[1, 3, 2][..], 1),
+    ] {
+        let log = MemLog::new();
+        for &seq in seqs {
+            log.append(&insert_frame(seq, 10 * seq as i64)).unwrap();
+        }
+        log.sync().unwrap();
+
+        let (recovered, report) = recover(&log, catalog()).unwrap();
+        let rows: Vec<_> = recovered.value_rows(RelId(1)).collect();
+        let want: Vec<_> = (1..=kept as i64)
+            .map(|seq| vec![Value::int(10 * seq)])
+            .collect();
+        assert_eq!(rows, want, "{seqs:?}");
+        assert_eq!(report.last_seq, kept, "{seqs:?}");
+        assert_eq!(report.discarded, seqs.len() as u64 - kept, "{seqs:?}");
+        assert!(report.truncated, "{seqs:?}: the rest is cut away");
+        // A second recovery sees a clean log.
+        let (_, report2) = recover(&log, catalog()).unwrap();
+        assert_eq!(report2.last_seq, kept, "{seqs:?}");
+        assert_eq!(report2.discarded, 0, "{seqs:?}");
+        assert!(!report2.truncated, "{seqs:?}");
+    }
+}
+
+#[test]
+fn a_retired_record_kind_is_refused_by_name_at_its_offset() {
+    let log = Arc::new(MemLog::new());
+    let (mut db, _w) = wired(&log, SyncPolicy::Always);
+    db.insert("r", &[Value::int(1), Value::int(2)]).unwrap();
+    let offset = log.read().unwrap().len();
+    // A CRC-valid frame of tag 3, an index-dropping insert: the tag byte
+    // follows the record's sequence number.
+    let mut syms = SymbolTable::new();
+    let cells = [syms.encode(&Value::int(3)), syms.encode(&Value::int(4))];
+    let op = WalOp::Insert {
+        commit: 2,
+        rel: RelId(0),
+        cells: &cells,
+    };
+    let mut payload = Vec::new();
+    encode_op_into(2, &op, &mut payload);
+    payload[8] = 3;
+    let mut framed = Vec::new();
+    append_frame(&mut framed, &payload);
+    log.append(&framed).unwrap();
+    log.sync().unwrap();
+
+    let before = stored(&log);
+    match recover(&*log, catalog()) {
+        Err(RecoverError::Record { offset: at, msg }) => {
+            assert_eq!(at, offset, "the frame's start");
+            assert!(msg.contains("index-dropping Insert"), "{msg}");
+        }
+        other => panic!("expected an unparseable record, got {other:?}"),
+    }
+    assert_eq!(stored(&log), before, "a refusal changes nothing");
 }
 
 #[test]
@@ -487,7 +560,7 @@ fn bulk_chunk_of_the_wrong_width_is_a_replay_error_not_a_panic() {
         encode_op_into(i as u64 + 1, op, &mut payload);
         append_frame(&mut framed, &payload);
     }
-    log.append("rel-0", &framed).unwrap();
+    log.append(&framed).unwrap();
     log.sync().unwrap();
 
     match recover(&*log, catalog()) {
@@ -589,7 +662,7 @@ fn index_record_runs_replay_to_the_one_at_a_time_state() {
             last_seq: synced_seq + whole as u64,
             torn_bytes: torn,
             log_bytes: held - torn,
-            truncated_streams: usize::from(torn > 0),
+            truncated: torn > 0,
             ..RecoveryReport::default()
         };
         assert_eq!(report, want, "crash at {keep}");
@@ -600,19 +673,19 @@ fn index_record_runs_replay_to_the_one_at_a_time_state() {
     }
 }
 
-/// Hex of the bytes `stream` holds.
-fn hex(log: &MemLog, stream: &str) -> String {
-    let bytes = log.read(stream).unwrap();
+/// Lower-case hex of `bytes`.
+fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
 #[test]
 fn surviving_records_are_byte_identical_to_the_pre_retirement_format() {
-    // Stream contents (frames included) captured at the commit before the
-    // index-dropping record kinds were retired, from this exact sequence:
-    // an index build, a served insert and delete on `r` (tags 9, 4, 6),
-    // then a one-chunk bulk load of `s` (tags 7, 11, 10) with a string and
-    // a wide-int intern (tags 1, 2).
+    // Frames captured at the commit before the index-dropping record kinds
+    // were retired, when the log was still split into an interning stream
+    // and one stream per relation, from this exact sequence: an index
+    // build, a served insert and delete on `r` (tags 9, 4, 6), then a
+    // one-chunk bulk load of `s` (tags 7, 11, 10) with a string and a
+    // wide-int intern (tags 1, 2).
     const META: &str = "12000000905e0d6a02000000000000000100000000010000006b\
         1500000053f6bb7e06000000000000000200000000ffffffffffffff7f";
     const REL_0: &str = "250000008a7f31b2010000000000000009010000000000000000\
@@ -623,6 +696,26 @@ fn surviving_records_are_byte_identical_to_the_pre_retirement_format() {
     const REL_1: &str = "15000000ec18ee0a050000000000000007040000000000000001\
         00000025000000e4a80ceb07000000000000000b0100000002000000020000005100\
         00000000000004000000000000000d0000002bea7ba708000000000000000a01000000";
+    // The one log holds those frames merged by sequence number.
+    let unhex = |h: &str| -> Vec<u8> {
+        (0..h.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&h[i..i + 2], 16).unwrap())
+            .collect()
+    };
+    let captured = [META, REL_0, REL_1].map(unhex);
+    let mut frames: Vec<(u64, &[u8])> = Vec::new();
+    for bytes in &captured {
+        let decoded = decode_frames(bytes).unwrap();
+        assert_eq!(decoded.torn_bytes, 0);
+        for (start, end, payload) in decoded.frames {
+            frames.push((WalRecord::decode(payload).unwrap().seq, &bytes[start..end]));
+        }
+    }
+    frames.sort_by_key(|&(seq, _)| seq);
+    let seqs: Vec<u64> = frames.iter().map(|&(seq, _)| seq).collect();
+    assert_eq!(seqs, (1..=8).collect::<Vec<u64>>());
+    let want = hex(&frames.iter().map(|&(_, f)| f).collect::<Vec<_>>().concat());
     let row = [Value::str("k"), Value::int(7)];
     // The row writes once in place and once prepared off the commit lock:
     // both must land the same bytes.
@@ -641,8 +734,6 @@ fn surviving_records_are_byte_identical_to_the_pre_retirement_format() {
         }
         db.bulk_loader(RelId(1))
             .push_rows(&[Value::int(10), Value::int(i64::MAX)]);
-        for (stream, want) in [("meta", META), ("rel-0", REL_0), ("rel-1", REL_1)] {
-            assert_eq!(hex(&log, stream), want, "{stream}, prepared = {prepared}");
-        }
+        assert_eq!(hex(&log.read().unwrap()), want, "prepared = {prepared}");
     }
 }

@@ -585,8 +585,8 @@ impl Server {
 
     /// Takes a snapshot checkpoint: flushes the WAL, writes the full
     /// database state (rows, epoch vector, symbols, index specs) as one
-    /// atomic blob, and once it is durable cuts every log stream to 0 and
-    /// deletes the older snapshots ([`bcq_durability::checkpoint`]), so the
+    /// atomic blob, and once it is durable cuts the log to 0 and deletes
+    /// the older snapshots ([`bcq_durability::checkpoint`]), so the
     /// storage holds exactly one copy of the data and recovery after this
     /// point reads the snapshot plus the records written since. Returns
     /// the blob name.
@@ -2634,11 +2634,9 @@ mod tests {
             .unwrap();
         assert_eq!(server.view_result(view).unwrap().len(), 1);
         let name = server.checkpoint().unwrap();
-        // One copy: the snapshot alone, every stream cut to 0.
+        // One copy: the snapshot alone, the log cut to 0.
         assert_eq!(log.list_blobs().unwrap(), vec![name.clone()]);
-        for stream in log.streams().unwrap() {
-            assert!(log.read(&stream).unwrap().is_empty(), "{stream} was cut");
-        }
+        assert!(log.read().unwrap().is_empty(), "the log was cut");
         let m = server.metrics_snapshot();
         assert_eq!(m.wal.retained_bytes, 0);
         assert_eq!(

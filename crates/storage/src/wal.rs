@@ -148,20 +148,6 @@ impl WalOp<'_> {
             | WalOp::BulkEnd { .. } => None,
         }
     }
-
-    /// The relation this op belongs to, or `None` for interning records
-    /// (which are global to the symbol table, not any one relation).
-    pub fn rel(&self) -> Option<RelId> {
-        match *self {
-            WalOp::InternStr { .. } | WalOp::InternWide { .. } => None,
-            WalOp::Insert { rel, .. }
-            | WalOp::Delete { rel, .. }
-            | WalOp::BulkBegin { rel, .. }
-            | WalOp::BulkChunk { rel, .. }
-            | WalOp::BulkEnd { rel }
-            | WalOp::EnsureIndex { rel, .. } => Some(rel),
-        }
-    }
 }
 
 /// Receiver of the storage engine's mutation record stream.
