@@ -21,8 +21,15 @@
 //! in smoke mode), per stored row, and how far `HashIndex::approx_bytes` —
 //! the number a running server exports as `bcq_index_bytes` — is from what
 //! the allocator counted.
+//!
+//! A fourth check covers the durable store: a checkpoint of that instance
+//! onto a `DirLog` in a temp directory must stream its snapshot — its
+//! peak stays within 2 MiB of the live bytes at entry, so no copy of the
+//! database as bytes exists — and recovering from it must stream the blob
+//! back, peaking within 2 MiB of what the recovered database keeps.
 
 use bcq_core::prelude::Value;
+use bcq_durability::{checkpoint, recover, DirLog, SyncPolicy, WalWriter};
 use bcq_storage::Database;
 use bcq_workload::{source, tpch, RowSource};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -174,5 +181,45 @@ fn main() {
         "approx_bytes is {:.0}% off the allocator's count",
         off * 100.0
     );
+
+    // Durable-store side: the snapshot streams to disk and back. The
+    // instance is the one just indexed, logged by nothing (the snapshot
+    // covers seq 0).
+    const SLACK: i64 = 2 * 1024 * 1024;
+    let dir = std::env::temp_dir().join(format!("bcq-ingest-memory-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let log = Arc::new(DirLog::open(&dir).expect("open log directory"));
+    let writer = WalWriter::new(log.clone(), SyncPolicy::Manual, 1);
+    let ((name, blob_bytes), ckpt_peak, _) =
+        deltas_during(|| checkpoint(&writer, &db).expect("checkpoint"));
+    let catalog = Arc::clone(db.catalog());
+    drop(db);
+    let ((recovered, report), rec_peak, rec_live) =
+        deltas_during(|| recover(&*log, catalog).expect("recover"));
+    println!(
+        "checkpoint: {:.2} MB blob; peak {:.2} MB above entry; recovery keeps {:.2} MB, \
+         peaks {:.2} MB above that",
+        blob_bytes as f64 / 1e6,
+        ckpt_peak as f64 / 1e6,
+        rec_live as f64 / 1e6,
+        (rec_peak - rec_live) as f64 / 1e6,
+    );
+    assert_eq!(report.snapshot, Some(name));
+    assert_eq!(
+        recovered.total_tuples(),
+        rows,
+        "recovery restored every row"
+    );
+    assert!(
+        ckpt_peak <= SLACK,
+        "the checkpoint held {ckpt_peak} bytes beyond the database"
+    );
+    assert!(
+        rec_peak - rec_live <= SLACK,
+        "recovery peaked {} bytes above the {rec_live} it keeps",
+        rec_peak - rec_live
+    );
+    drop(recovered);
+    std::fs::remove_dir_all(&dir).expect("remove log directory");
     println!("ingest_memory: OK");
 }

@@ -1,5 +1,6 @@
 //! Record framing: `[u32 len][u32 crc][payload]`, little-endian, with a
-//! hand-rolled CRC-32 (IEEE) over the payload.
+//! hand-rolled slicing-by-8 CRC-32 (IEEE) over the payload, also
+//! kept as a running checksum for streamed snapshot blobs.
 //!
 //! Decoding distinguishes the two ways a log can be damaged:
 //!
@@ -13,10 +14,13 @@
 //!   replay garbage. [`FrameError::Corrupt`] carries the byte offset of
 //!   the offending record.
 
-/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) lookup table,
-/// built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) slicing-by-8
+/// lookup tables, built at compile time. `CRC_TABLES[0]` is the classic
+/// byte-at-a-time table; `CRC_TABLES[k][i]` is the CRC of byte `i`
+/// followed by `k` zero bytes, so eight table lookups fold in eight input
+/// bytes at once.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -29,19 +33,71 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 };
+
+/// A running CRC-32 (IEEE): feed bytes in any split with
+/// [`Crc32::update`], read the checksum with [`Crc32::finish`]. The result
+/// equals [`crc32`] over the concatenation of every update.
+#[derive(Debug)]
+pub(crate) struct Crc32 {
+    state: u32,
+}
+
+impl Crc32 {
+    /// A CRC over no bytes yet.
+    pub(crate) fn new() -> Self {
+        Crc32 { state: u32::MAX }
+    }
+
+    /// Folds `bytes` into the checksum, eight at a time, then byte-wise
+    /// for the tail.
+    pub(crate) fn update(&mut self, bytes: &[u8]) {
+        let t = &CRC_TABLES;
+        let mut c = self.state;
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ c;
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            c = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &b in words.remainder() {
+            c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        self.state = c;
+    }
+
+    /// The CRC-32 of every byte fed so far.
+    pub(crate) fn finish(&self) -> u32 {
+        !self.state
+    }
+}
 
 /// The CRC-32 (IEEE) of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = u32::MAX;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
+    let mut crc = Crc32::new();
+    crc.update(bytes);
+    crc.finish()
 }
 
 /// Header bytes per frame: `u32` length + `u32` CRC.
@@ -135,6 +191,44 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    /// The byte-at-a-time CRC loop: the oracle the sliced one must match.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = u32::MAX;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    #[test]
+    fn sliced_crc32_equals_the_bytewise_loop_at_every_length_and_alignment() {
+        // A fixed-seed LCG: random lengths 0..100 at unaligned starts.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (x >> 33) as usize
+        };
+        let data: Vec<u8> = (0..256).map(|_| next() as u8).collect();
+        for _ in 0..2_000 {
+            let start = next() % 16;
+            let len = next() % 101;
+            let bytes = &data[start..start + len];
+            assert_eq!(crc32(bytes), crc32_bytewise(bytes), "{start}+{len}");
+            // Any split of the input gives the same running CRC.
+            let cut = next() % (len + 1);
+            let mut crc = Crc32::new();
+            crc.update(&bytes[..cut]);
+            crc.update(&bytes[cut..]);
+            assert_eq!(
+                crc.finish(),
+                crc32_bytewise(bytes),
+                "{start}+{len} cut {cut}"
+            );
+        }
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //!
 //! ## Architecture
 //!
-//! * [`frame`] — `[len][crc][payload]` framing with a hand-rolled CRC-32;
-//!   distinguishes torn tails (dropped) from corruption (fatal).
+//! * [`frame`] — `[len][crc][payload]` framing with a hand-rolled
+//!   slicing-by-8 CRC-32, also as a running checksum; distinguishes torn
+//!   tails (dropped) from corruption (fatal).
 //! * [`record`] — the byte codec of each WAL op (and its decoded form),
 //!   carrying the global sequence number recovery checks log order by.
 //! * [`storage`] — the injectable [`LogStorage`] I/O boundary, with
@@ -19,7 +20,8 @@
 //!   [`WalWriter::ack`] or [`WalWriter::sync`], with group-commit fsync
 //!   batching ([`SyncPolicy`]).
 //! * [`snapshot`] — full-state checkpoints keyed by the per-relation epoch
-//!   vector; [`checkpoint`] writes sync-before/sync-after and, once the
+//!   vector, streamed to and from their blob through one chunk buffer;
+//!   [`checkpoint`] writes sync-before/sync-after and, once the
 //!   snapshot is durable, cuts the log to 0 and deletes the older
 //!   snapshots, so the store keeps one copy of the data.
 //! * [`recover()`] — snapshot restore + replay of the log tail's in-order
@@ -53,8 +55,8 @@ pub use frame::{crc32, decode_frames, DecodedFrames, FrameError};
 pub use record::{DecodeError, RecordBody, WalRecord};
 pub use recover::{recover, RecoverError, RecoveryReport};
 pub use snapshot::{
-    checkpoint, decode_snapshot, encode_snapshot, restore_snapshot, snapshot_name, DecodedSnapshot,
+    checkpoint, read_snapshot, restore_snapshot, snapshot_name, write_snapshot, DecodedSnapshot,
     SNAP_PREFIX,
 };
-pub use storage::{DirLog, LogStorage, MemLog};
+pub use storage::{BlobReader, BlobSink, DirLog, LogStorage, MemLog};
 pub use writer::{SyncPolicy, WalStats, WalWriter};

@@ -43,7 +43,7 @@
 
 use crate::frame::{decode_frames, FrameError};
 use crate::record::{RecordBody, WalRecord};
-use crate::snapshot::{decode_snapshot, restore_snapshot, snapshots};
+use crate::snapshot::{read_snapshot, restore_snapshot, snapshots};
 use crate::storage::LogStorage;
 use bcq_core::prelude::{Catalog, Cell, CellKind, RelId, SymbolTable, Value};
 use bcq_storage::Database;
@@ -183,21 +183,26 @@ pub fn recover(
     // Newer blobs that did not decode, newest first.
     let mut skipped = Vec::new();
     for (name_seq, name) in snaps.iter().rev() {
-        let Some(bytes) = storage.read_blob(name)? else {
+        let Some((mut reader, blob_len)) = storage.read_blob(name)? else {
             continue;
         };
-        let restored = decode_snapshot(&bytes).and_then(|snap| {
-            let seq = snap.last_seq;
-            let symbols = snap.symbols.clone();
-            restore_snapshot(catalog.clone(), snap).map(|db| (db, symbols, seq))
-        });
+        // Damage skips the blob; a failing device fails recovery.
+        let restored = match read_snapshot(&mut reader, blob_len) {
+            Ok(snap) => {
+                let seq = snap.last_seq;
+                let symbols = snap.symbols.clone();
+                restore_snapshot(catalog.clone(), snap).map(|db| (db, symbols, seq))
+            }
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => Err(e.to_string()),
+            Err(e) => return Err(e.into()),
+        };
         match restored {
             Ok((restored_db, symbols, seq)) => {
                 db = Some(restored_db);
                 side = symbols;
                 snap_seq = seq;
                 report.snapshot = Some(name.clone());
-                report.snapshot_bytes = bytes.len() as u64;
+                report.snapshot_bytes = blob_len;
                 break;
             }
             Err(_) => skipped.push((*name_seq, name)),

@@ -7,6 +7,13 @@
 //! [`MemLog`]'s simulated crashes in unit tests and proptests: no temp
 //! dirs, no real fsync, and byte-exact control over what survives.
 //!
+//! Blobs are streamed both ways, never held as one buffer: a writer fills
+//! a [`BlobSink`] ([`LogStorage::write_blob`]) and a reader pulls from the
+//! blob's reader ([`LogStorage::read_blob`]), so a checkpoint or a
+//! recovery costs a chunk of memory beside the database, not a second
+//! copy of it. [`DirLog`] streams through a buffered file; [`MemLog`]
+//! collects a blob's bytes and journals them as one write.
+//!
 //! ## The `MemLog` crash model
 //!
 //! `MemLog` keeps a single **journal** of every write (log appends and
@@ -21,14 +28,24 @@
 //! past a count fail, so a test can stop a multi-step operation (a
 //! checkpoint) at any step and then `crash` there.
 
-use std::io;
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
+
+/// Where [`LogStorage::write_blob`] streams a blob: a byte sink that can
+/// seek back, so a writer can patch a header once the bytes behind it are
+/// out.
+pub trait BlobSink: Write + io::Seek {}
+
+impl<T: Write + io::Seek + ?Sized> BlobSink for T {}
+
+/// A blob's bytes, streamed, and how many there are.
+pub type BlobReader<'a> = (Box<dyn Read + 'a>, u64);
 
 /// Byte-level storage for the WAL and snapshot blobs.
 ///
 /// The log is one append-only byte sequence; blobs are whole named byte
-/// arrays (snapshots), written atomically. All methods take `&self`:
+/// streams (snapshots), written atomically. All methods take `&self`:
 /// implementations are internally synchronized, and the single-writer
 /// discipline lives above (the WAL writer serializes appends).
 pub trait LogStorage: Send + Sync + std::fmt::Debug {
@@ -42,10 +59,17 @@ pub trait LogStorage: Send + Sync + std::fmt::Debug {
     /// written): recovery cuts torn and discarded tails with it, and a
     /// checkpoint cuts the log to 0 once its snapshot is durable.
     fn truncate(&self, len: u64) -> io::Result<()>;
-    /// Writes a whole blob under `name`, replacing any previous one.
-    fn write_blob(&self, name: &str, bytes: &[u8]) -> io::Result<()>;
-    /// Reads a blob back; `None` if absent.
-    fn read_blob(&self, name: &str) -> io::Result<Option<Vec<u8>>>;
+    /// Writes a whole blob under `name`, replacing any previous one:
+    /// `fill` streams its bytes into the sink. If `fill` fails, so does
+    /// the write, and no blob appears under `name`.
+    fn write_blob(
+        &self,
+        name: &str,
+        fill: &mut dyn FnMut(&mut dyn BlobSink) -> io::Result<()>,
+    ) -> io::Result<()>;
+    /// Opens a blob for reading: a reader over its bytes and their count;
+    /// `None` if absent.
+    fn read_blob(&self, name: &str) -> io::Result<Option<BlobReader<'_>>>;
     /// Every blob name present, in unspecified order.
     fn list_blobs(&self) -> io::Result<Vec<String>>;
     /// Removes a blob (no-op if absent).
@@ -281,18 +305,28 @@ impl LogStorage for MemLog {
         Ok(())
     }
 
-    fn write_blob(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
+    fn write_blob(
+        &self,
+        name: &str,
+        fill: &mut dyn FnMut(&mut dyn BlobSink) -> io::Result<()>,
+    ) -> io::Result<()> {
+        let mut sink = io::Cursor::new(Vec::new());
+        fill(&mut sink)?;
         let mut inner = self.mutate()?;
         inner.deleted_blobs.retain(|n| n != name);
         inner.journal.push(Entry::Blob {
             name: name.to_string(),
-            bytes: bytes.to_vec(),
+            bytes: sink.into_inner(),
         });
         Ok(())
     }
 
-    fn read_blob(&self, name: &str) -> io::Result<Option<Vec<u8>>> {
-        Ok(self.inner.lock().unwrap().blob_bytes(name))
+    fn read_blob(&self, name: &str) -> io::Result<Option<BlobReader<'_>>> {
+        let bytes = self.inner.lock().unwrap().blob_bytes(name);
+        Ok(bytes.map(|b| {
+            let len = b.len() as u64;
+            (Box::new(io::Cursor::new(b)) as Box<dyn Read>, len)
+        }))
     }
 
     fn list_blobs(&self) -> io::Result<Vec<String>> {
@@ -331,8 +365,9 @@ impl LogStorage for MemLog {
 const LOG_FILE: &str = "wal.log";
 
 /// [`LogStorage`] over a real directory: the log is `wal.log`, opened for
-/// append, and blobs are `<name>.blob` files written via a temp file and
-/// an atomic rename. Every call that creates, renames or removes a file
+/// append, and blobs are `<name>.blob` files streamed through a buffered
+/// temp file, fsynced, and atomically renamed; a fill that fails removes
+/// its temp file. Every call that creates, renames or removes a file
 /// fsyncs the directory before it returns, so a name it reported written
 /// (or gone) stays so across a power loss — a checkpoint's cut must never
 /// outlive its snapshot's name. This is what production servers and the
@@ -456,17 +491,35 @@ impl LogStorage for DirLog {
         f.sync_all()
     }
 
-    fn write_blob(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
+    fn write_blob(
+        &self,
+        name: &str,
+        fill: &mut dyn FnMut(&mut dyn BlobSink) -> io::Result<()>,
+    ) -> io::Result<()> {
         let tmp = self.dir.join(format!("{name}.blob.tmp"));
-        std::fs::write(&tmp, bytes)?;
-        std::fs::File::open(&tmp)?.sync_all()?;
+        let written = std::fs::File::create(&tmp).and_then(|file| {
+            let mut sink = io::BufWriter::new(file);
+            fill(&mut sink)?;
+            sink.into_inner()
+                .map_err(io::IntoInnerError::into_error)?
+                .sync_all()
+        });
+        if let Err(e) = written {
+            // Best effort: a temp file left behind is also removed by the
+            // next `open`.
+            let _ = std::fs::remove_file(&tmp);
+            return Err(e);
+        }
         std::fs::rename(&tmp, self.blob_path(name))?;
         self.sync_dir()
     }
 
-    fn read_blob(&self, name: &str) -> io::Result<Option<Vec<u8>>> {
-        match std::fs::read(self.blob_path(name)) {
-            Ok(bytes) => Ok(Some(bytes)),
+    fn read_blob(&self, name: &str) -> io::Result<Option<BlobReader<'_>>> {
+        match std::fs::File::open(self.blob_path(name)) {
+            Ok(file) => {
+                let len = file.metadata()?.len();
+                Ok(Some((Box::new(io::BufReader::new(file)), len)))
+            }
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
             Err(e) => Err(e),
         }
@@ -498,15 +551,29 @@ impl LogStorage for DirLog {
 mod tests {
     use super::*;
 
+    /// Writes `bytes` as blob `name` in one fill.
+    fn put(log: &dyn LogStorage, name: &str, bytes: &[u8]) -> io::Result<()> {
+        log.write_blob(name, &mut |sink| sink.write_all(bytes))
+    }
+
+    /// Blob `name`'s bytes, read to the end; checks the reported length.
+    fn get(log: &dyn LogStorage, name: &str) -> Option<Vec<u8>> {
+        let (mut reader, len) = log.read_blob(name).unwrap()?;
+        let mut bytes = Vec::new();
+        reader.read_to_end(&mut bytes).unwrap();
+        assert_eq!(bytes.len() as u64, len, "blob `{name}` length");
+        Some(bytes)
+    }
+
     #[test]
     fn memlog_appends_and_reads_the_log_beside_a_blob() {
         let log = MemLog::new();
         assert_eq!(log.read().unwrap(), b"");
         log.append(b"one").unwrap();
-        log.write_blob("b", b"two").unwrap();
+        put(&log, "b", b"two").unwrap();
         log.append(b"-more").unwrap();
         assert_eq!(log.read().unwrap(), b"one-more");
-        assert_eq!(log.read_blob("b").unwrap().unwrap(), b"two");
+        assert_eq!(get(&log, "b").unwrap(), b"two");
     }
 
     #[test]
@@ -537,30 +604,39 @@ mod tests {
     #[test]
     fn crash_can_leave_partial_blob() {
         let log = MemLog::new();
-        log.write_blob("snap", b"0123456789").unwrap();
+        put(&log, "snap", b"0123456789").unwrap();
         log.crash(4);
-        assert_eq!(log.read_blob("snap").unwrap().unwrap(), b"0123");
+        assert_eq!(get(&log, "snap").unwrap(), b"0123");
         // A synced blob survives whole.
-        log.write_blob("snap2", b"abcdef").unwrap();
+        put(&log, "snap2", b"abcdef").unwrap();
         log.sync().unwrap();
         log.crash(0);
-        assert_eq!(log.read_blob("snap2").unwrap().unwrap(), b"abcdef");
+        assert_eq!(get(&log, "snap2").unwrap(), b"abcdef");
     }
 
     #[test]
     fn blob_overwrite_delete_and_list() {
         let log = MemLog::new();
-        log.write_blob("x", b"v1").unwrap();
-        log.write_blob("x", b"v2").unwrap();
-        log.write_blob("y", b"w").unwrap();
-        assert_eq!(log.read_blob("x").unwrap().unwrap(), b"v2");
+        put(&log, "x", b"v1").unwrap();
+        put(&log, "x", b"v2").unwrap();
+        put(&log, "y", b"w").unwrap();
+        assert_eq!(get(&log, "x").unwrap(), b"v2");
         let mut blobs = log.list_blobs().unwrap();
         blobs.sort();
         assert_eq!(blobs, vec!["x", "y"]);
         log.delete_blob("x").unwrap();
-        assert_eq!(log.read_blob("x").unwrap(), None);
+        assert_eq!(get(&log, "x"), None);
         assert_eq!(log.list_blobs().unwrap(), vec!["y"]);
         log.delete_blob("x").unwrap(); // idempotent
+
+        // A fill that fails journals nothing.
+        let failed = log.write_blob("z", &mut |sink| {
+            sink.write_all(b"part")?;
+            Err(io::Error::other("disk full"))
+        });
+        assert!(failed.is_err());
+        assert_eq!(log.list_blobs().unwrap(), vec!["y"]);
+        assert_eq!(log.unsynced_bytes(), 1, "only `y` is journaled");
     }
 
     #[test]
@@ -568,7 +644,7 @@ mod tests {
         let log = MemLog::new();
         log.append(b"a").unwrap();
         log.sync().unwrap();
-        log.write_blob("x", b"blob").unwrap();
+        put(&log, "x", b"blob").unwrap();
         log.sync().unwrap();
         log.append(b"b").unwrap();
         log.delete_blob("x").unwrap();
@@ -581,14 +657,14 @@ mod tests {
     fn truncate_cuts_the_log_and_keeps_blobs() {
         let log = MemLog::new();
         log.append(b"0123").unwrap();
-        log.write_blob("b", b"abcd").unwrap();
+        put(&log, "b", b"abcd").unwrap();
         log.append(b"4567").unwrap();
         log.truncate(6).unwrap();
         assert_eq!(log.read().unwrap(), b"012345");
-        assert_eq!(log.read_blob("b").unwrap().unwrap(), b"abcd");
+        assert_eq!(get(&log, "b").unwrap(), b"abcd");
         log.truncate(0).unwrap();
         assert_eq!(log.read().unwrap(), b"");
-        assert_eq!(log.read_blob("b").unwrap().unwrap(), b"abcd");
+        assert_eq!(get(&log, "b").unwrap(), b"abcd");
     }
 
     #[test]
@@ -598,7 +674,7 @@ mod tests {
         log.append(b"one").unwrap();
         log.sync().unwrap();
         assert!(log.append(b"two").is_err());
-        assert!(log.write_blob("b", b"x").is_err());
+        assert!(put(&log, "b", b"x").is_err());
         assert!(log.truncate(0).is_err());
         assert!(log.delete_blob("b").is_err());
         assert_eq!(log.read().unwrap(), b"one", "a failed call wrote nothing");
@@ -634,7 +710,7 @@ mod tests {
             log.append(b"hello ").unwrap();
             log.append(b"world").unwrap();
             log.sync().unwrap();
-            log.write_blob("snap-1", b"blobby").unwrap();
+            put(&log, "snap-1", b"blobby").unwrap();
         }
         // A blob write that died before its rename.
         std::fs::write(dir.join("snap-2.blob.tmp"), b"half").unwrap();
@@ -643,15 +719,41 @@ mod tests {
             let log = DirLog::open(&dir).unwrap();
             assert!(!dir.join("snap-2.blob.tmp").exists());
             assert_eq!(log.read().unwrap(), b"hello world");
-            assert_eq!(log.read_blob("snap-1").unwrap().unwrap(), b"blobby");
+            assert_eq!(get(&log, "snap-1").unwrap(), b"blobby");
             assert_eq!(log.list_blobs().unwrap(), vec!["snap-1"]);
             log.truncate(5).unwrap();
             assert_eq!(log.read().unwrap(), b"hello");
             log.append(b"!").unwrap();
             assert_eq!(log.read().unwrap(), b"hello!");
             log.delete_blob("snap-1").unwrap();
-            assert_eq!(log.read_blob("snap-1").unwrap(), None);
+            assert_eq!(get(&log, "snap-1"), None);
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn dirlog_blob_fill_that_fails_leaves_no_blob_and_no_temp_file() {
+        let dir = temp_dir("failed-fill");
+        let log = DirLog::open(&dir).unwrap();
+        put(&log, "snap-1", b"older").unwrap();
+        let err = log
+            .write_blob("snap-2", &mut |sink| {
+                sink.write_all(&[7; 100_000])?;
+                Err(io::Error::other("disk full"))
+            })
+            .unwrap_err();
+        assert_eq!(err.to_string(), "disk full");
+        assert!(!dir.join("snap-2.blob.tmp").exists());
+        assert_eq!(log.list_blobs().unwrap(), vec!["snap-1"]);
+        assert_eq!(get(&log, "snap-1").unwrap(), b"older");
+        // A fill that seeks back to patch its header streams through.
+        log.write_blob("snap-3", &mut |sink| {
+            sink.write_all(b"----body")?;
+            sink.seek(io::SeekFrom::Start(0))?;
+            sink.write_all(b"head")
+        })
+        .unwrap();
+        assert_eq!(get(&log, "snap-3").unwrap(), b"headbody");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

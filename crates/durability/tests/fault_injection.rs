@@ -123,7 +123,7 @@ fn truncated_snapshot_falls_back_to_the_previous_one() {
     assert!(checkpoint(&w, &db).is_err());
     log.crash(5);
     let newer = snapshot_name(w.last_seq());
-    assert_eq!(log.read_blob(&newer).unwrap().unwrap().len(), 5);
+    assert_eq!(log.read_blob(&newer).unwrap().unwrap().1, 5);
 
     let (recovered, report) = recover(&*log, catalog()).unwrap();
     assert_eq!(report.snapshot.as_deref(), Some(older.as_str()));

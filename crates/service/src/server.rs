@@ -2641,7 +2641,7 @@ mod tests {
         assert_eq!(m.wal.retained_bytes, 0);
         assert_eq!(
             m.wal.snapshot_bytes,
-            log.read_blob(&name).unwrap().unwrap().len() as u64
+            log.read_blob(&name).unwrap().unwrap().1
         );
 
         // One more write past the checkpoint, then "crash".
@@ -2685,6 +2685,151 @@ mod tests {
         let q1 = template(&server2);
         let r = server2.session().query(&q1, &bind("a0", "u0")).unwrap();
         assert_eq!(r.rows().unwrap().len(), 2);
+    }
+
+    /// A disk that fills up under blob writes: no blob grows past `cap`
+    /// bytes. Everything else is the wrapped `MemLog`'s.
+    #[derive(Debug)]
+    struct FullDisk {
+        log: Arc<bcq_durability::MemLog>,
+        cap: AtomicU64,
+    }
+
+    /// A blob sink on a [`FullDisk`]: a write past `cap` fails.
+    struct Capped<'a> {
+        sink: &'a mut dyn bcq_durability::BlobSink,
+        cap: u64,
+    }
+
+    impl std::io::Write for Capped<'_> {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let room = self.cap.saturating_sub(self.sink.stream_position()?);
+            if room == 0 && !buf.is_empty() {
+                return Err(std::io::ErrorKind::StorageFull.into());
+            }
+            self.sink.write(&buf[..buf.len().min(room as usize)])
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.sink.flush()
+        }
+    }
+
+    impl std::io::Seek for Capped<'_> {
+        fn seek(&mut self, pos: std::io::SeekFrom) -> std::io::Result<u64> {
+            self.sink.seek(pos)
+        }
+    }
+
+    impl LogStorage for FullDisk {
+        fn append(&self, bytes: &[u8]) -> std::io::Result<()> {
+            self.log.append(bytes)
+        }
+        fn sync(&self) -> std::io::Result<()> {
+            self.log.sync()
+        }
+        fn read(&self) -> std::io::Result<Vec<u8>> {
+            self.log.read()
+        }
+        fn truncate(&self, len: u64) -> std::io::Result<()> {
+            self.log.truncate(len)
+        }
+        fn write_blob(
+            &self,
+            name: &str,
+            fill: &mut dyn FnMut(&mut dyn bcq_durability::BlobSink) -> std::io::Result<()>,
+        ) -> std::io::Result<()> {
+            let cap = self.cap.load(Ordering::Relaxed);
+            self.log
+                .write_blob(name, &mut |sink| fill(&mut Capped { sink, cap }))
+        }
+        fn read_blob(&self, name: &str) -> std::io::Result<Option<bcq_durability::BlobReader<'_>>> {
+            self.log.read_blob(name)
+        }
+        fn list_blobs(&self) -> std::io::Result<Vec<String>> {
+            self.log.list_blobs()
+        }
+        fn delete_blob(&self, name: &str) -> std::io::Result<()> {
+            self.log.delete_blob(name)
+        }
+    }
+
+    #[test]
+    fn a_disk_full_mid_snapshot_fails_the_checkpoint_and_cuts_nothing() {
+        type State = (u64, Vec<Vec<Vec<Value>>>);
+        let state = |server: &Server| -> State {
+            let snap = server.snapshot();
+            let rels = (0..snap.num_relations()).map(|i| snap.value_rows(RelId(i)).collect());
+            (snap.epoch(), rels.collect())
+        };
+        let open = |disk: &Arc<FullDisk>| {
+            let storage = Arc::clone(disk) as Arc<dyn LogStorage>;
+            let policy = SyncPolicy::Always;
+            let config = ServerConfig {
+                policy: AdmissionPolicy::Strict,
+                ..ServerConfig::default()
+            };
+            Server::open(storage, schema(), config, DurabilityConfig { policy }, &[])
+                .unwrap()
+                .0
+        };
+        // An older snapshot, then writes the log alone holds.
+        let scenario = || {
+            let log = Arc::new(bcq_durability::MemLog::new());
+            let disk = Arc::new(FullDisk {
+                log,
+                cap: AtomicU64::new(u64::MAX),
+            });
+            let server = open(&disk);
+            server
+                .insert("friends", &[Value::str("u0"), Value::str("u1")])
+                .unwrap();
+            let older = server.checkpoint().unwrap();
+            for i in 0..50 {
+                server
+                    .insert(
+                        "tagging",
+                        &[Value::int(i), Value::str("u1"), Value::str("u0")],
+                    )
+                    .unwrap();
+            }
+            (disk, server, older)
+        };
+        let blob_len = {
+            let (_, server, _) = scenario();
+            let mut sink = std::io::Cursor::new(Vec::new());
+            bcq_durability::write_snapshot(&mut sink, &server.snapshot(), 0).unwrap()
+        };
+        // Nothing written, inside the frame header, mid-payload, and all
+        // but the last byte.
+        for cap in [0, 12, blob_len / 2, blob_len - 1] {
+            let (disk, server, older) = scenario();
+            let before = state(&server);
+            let log_before = disk.log.read().unwrap();
+            disk.cap.store(cap, Ordering::Relaxed);
+            assert!(
+                matches!(server.checkpoint(), Err(ServiceError::Durability(_))),
+                "cap {cap}"
+            );
+            assert_eq!(
+                disk.log.list_blobs().unwrap(),
+                vec![older.clone()],
+                "cap {cap}"
+            );
+            assert_eq!(
+                disk.log.read().unwrap(),
+                log_before,
+                "cap {cap}: the log is not cut"
+            );
+            drop(server);
+
+            disk.cap.store(u64::MAX, Ordering::Relaxed);
+            let reopened = open(&disk);
+            assert_eq!(state(&reopened), before, "cap {cap}");
+            // With room again, the checkpoint goes through.
+            let newer = reopened.checkpoint().unwrap();
+            assert_eq!(disk.log.list_blobs().unwrap(), vec![newer]);
+        }
     }
 
     #[test]

@@ -121,12 +121,8 @@ impl Database {
                     state.epoch
                 )));
             }
-            let mut table = Table::new(RelId(i), arity);
-            table.reserve_rows(state.cells.len() / arity);
-            // Taken, so each relation's flat copy goes as its table is built.
-            for row in std::mem::take(&mut state.cells).chunks_exact(arity) {
-                table.push(row);
-            }
+            // The decoded cells become the table: no second copy.
+            let table = Table::from_cells(RelId(i), arity, std::mem::take(&mut state.cells));
             let mut shard = RelationShard::new(table);
             shard.epoch = state.epoch;
             restored.push(shard);
