@@ -130,15 +130,19 @@ impl Cell {
 
     /// Reconstructs a cell from a raw word previously obtained via
     /// [`Cell::raw`] — the durability layer's deserialization path. Returns
-    /// `None` for words that are not a valid cell encoding (zero, or an
-    /// unknown tag), so corrupted log bytes surface as decode failures
-    /// instead of undefined cells.
+    /// `None` for words no encoder produces (zero, an unknown tag, a `Null`
+    /// with payload bits, or a symbol / wide-int id wider than 32 bits), so
+    /// corrupted log bytes surface as decode failures instead of cells
+    /// that compare unequal to the value they decode to.
     #[inline]
     pub fn from_raw(bits: u64) -> Option<Cell> {
-        match bits & TAG_MASK {
-            TAG_INT | TAG_SYM | TAG_NULL | TAG_WIDE => NonZeroU64::new(bits).map(Cell),
-            _ => None,
-        }
+        let canonical = match bits & TAG_MASK {
+            TAG_INT => true,
+            TAG_SYM | TAG_WIDE => bits >> 3 <= u64::from(u32::MAX),
+            TAG_NULL => bits == TAG_NULL,
+            _ => false,
+        };
+        canonical.then(|| Cell(NonZeroU64::new(bits).expect("tag bits are non-zero")))
     }
 }
 
@@ -374,6 +378,14 @@ mod tests {
         assert_eq!(Cell::from_raw(0), None, "zero word is never a cell");
         for bad_tag in [0b000u64, 0b101, 0b110, 0b111] {
             assert_eq!(Cell::from_raw((99 << 3) | bad_tag), None, "tag {bad_tag:b}");
+        }
+        // Words with a known tag that no encoder writes: they would decode
+        // to a value without comparing equal to its cell.
+        assert_eq!(Cell::from_raw((1 << 3) | TAG_NULL), None, "Null payload");
+        for tag in [TAG_SYM, TAG_WIDE] {
+            assert_eq!(Cell::from_raw((1 << 35) | tag), None, "33-bit id");
+            let widest = (u64::from(u32::MAX) << 3) | tag;
+            assert_eq!(Cell::from_raw(widest).map(Cell::raw), Some(widest));
         }
     }
 

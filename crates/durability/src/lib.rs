@@ -10,8 +10,10 @@
 //! * [`frame`] — `[len][crc][payload]` framing with a hand-rolled
 //!   slicing-by-8 CRC-32, also as a running checksum; distinguishes torn
 //!   tails (dropped) from corruption (fatal).
-//! * [`record`] — the byte codec of each WAL op (and its decoded form),
-//!   carrying the global sequence number recovery checks log order by.
+//! * [`record`] — the byte codec of each WAL op, one record type both
+//!   ways: the storage engine's own [`bcq_storage::WalOp`] is encoded and
+//!   decoded back, borrowing the frame payload, under the global sequence
+//!   number recovery checks log order by.
 //! * [`storage`] — the injectable [`LogStorage`] I/O boundary, with
 //!   [`MemLog`] (fault-injecting, crash-simulating, for tests) and
 //!   [`DirLog`] (real files + fsync) implementations.
@@ -25,9 +27,10 @@
 //!   snapshot is durable, cuts the log to 0 and deletes the older
 //!   snapshots, so the store keeps one copy of the data.
 //! * [`recover()`] — snapshot restore + replay of the log tail's in-order
-//!   run through the public `Database` API; it finishes a cut a
-//!   crash interrupted, and refuses when the snapshot it needs does not
-//!   decode and the log was already cut behind it.
+//!   run, each record handed to the storage engine's replay
+//!   (`Database::replay`, the inverse of emission) as the cells it logged;
+//!   it finishes a cut a crash interrupted, and refuses when the snapshot
+//!   it needs does not decode and the log was already cut behind it.
 //!
 //! ## Guarantees
 //!
@@ -52,7 +55,7 @@ pub mod storage;
 pub mod writer;
 
 pub use frame::{crc32, decode_frames, DecodedFrames, FrameError};
-pub use record::{DecodeError, RecordBody, WalRecord};
+pub use record::{decode_op, DecodeError, DecodeScratch};
 pub use recover::{recover, RecoverError, RecoveryReport};
 pub use snapshot::{
     checkpoint, read_snapshot, restore_snapshot, snapshot_name, write_snapshot, DecodedSnapshot,

@@ -1,5 +1,7 @@
-//! The owned, serializable form of the storage engine's [`WalOp`] records,
-//! plus the byte codec used inside log frames.
+//! The byte codec of the storage engine's [`WalOp`] records inside log
+//! frames — one record type both ways: [`encode_op_into`] writes an op,
+//! [`decode_op`] reads it back as a [`WalOp`] borrowing the payload (its
+//! cells and columns copied into a reused [`DecodeScratch`]).
 //!
 //! Every record carries a global **sequence number** assigned by the
 //! [`crate::WalWriter`] at emission time. The log holds its records in
@@ -7,87 +9,8 @@
 //! by: the replayable history is the run of records after the snapshot
 //! boundary up to the first whose number is not the next one.
 
+use bcq_core::prelude::{Cell, RelId};
 use bcq_storage::WalOp;
-
-/// Payload of one log record (the owned mirror of [`WalOp`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RecordBody {
-    /// String `text` was interned as `Sym(id)`.
-    InternStr {
-        /// Assigned symbol id.
-        id: u32,
-        /// Interned string.
-        text: String,
-    },
-    /// Integer `value` entered the wide-int pool at `id`.
-    InternWide {
-        /// Assigned pool index.
-        id: u32,
-        /// Pooled integer.
-        value: i64,
-    },
-    /// Row insert (indices maintained).
-    Insert {
-        /// Commit stamp.
-        commit: u64,
-        /// Touched relation index.
-        rel: u32,
-        /// Raw cell words of the row.
-        cells: Vec<u64>,
-    },
-    /// Delete of one copy (indices maintained).
-    Delete {
-        /// Commit stamp.
-        commit: u64,
-        /// Touched relation index.
-        rel: u32,
-        /// Raw cell words of the row.
-        cells: Vec<u64>,
-    },
-    /// A bulk load began (one commit for all following bulk chunks).
-    BulkBegin {
-        /// Commit stamp.
-        commit: u64,
-        /// Relation being loaded.
-        rel: u32,
-    },
-    /// One chunk of the in-progress bulk load: `rows` rows stored row-major
-    /// back to back in `cells` (one frame per chunk, however many rows).
-    BulkChunk {
-        /// Relation being loaded.
-        rel: u32,
-        /// Number of rows in the chunk.
-        rows: u32,
-        /// Raw cell words of all rows, row-major.
-        cells: Vec<u64>,
-    },
-    /// The bulk load finished (loader dropped); recovery's proof the load
-    /// was not torn.
-    BulkEnd {
-        /// Relation that was being loaded.
-        rel: u32,
-    },
-    /// An index was built.
-    EnsureIndex {
-        /// Commit stamp.
-        commit: u64,
-        /// Indexed relation.
-        rel: u32,
-        /// Key columns.
-        x: Vec<u32>,
-        /// Value columns.
-        y: Vec<u32>,
-    },
-}
-
-/// One log record: a globally sequenced [`RecordBody`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WalRecord {
-    /// Global sequence number (dense, ascending through the log).
-    pub seq: u64,
-    /// The logical mutation.
-    pub body: RecordBody,
-}
 
 const KIND_INTERN_STR: u8 = 1;
 const KIND_INTERN_WIDE: u8 = 2;
@@ -151,6 +74,10 @@ impl<'a> Reader<'a> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
     pub(crate) fn done(&self) -> Result<(), DecodeError> {
         if self.pos == self.bytes.len() {
             Ok(())
@@ -163,21 +90,11 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn take_cells(r: &mut Reader<'_>) -> Result<Vec<u64>, DecodeError> {
-    let n = r.u32()? as usize;
-    (0..n).map(|_| r.u64()).collect()
-}
-
-fn take_cols(r: &mut Reader<'_>) -> Result<Vec<u32>, DecodeError> {
-    let n = r.u32()? as usize;
-    (0..n).map(|_| r.u32()).collect()
-}
-
 /// Serializes `op` under sequence number `seq` straight onto `out`: the
-/// one encoder of the record format, whose bytes [`WalRecord::decode`]
-/// reads back as the owned mirror of `op`.
+/// one encoder of the record format, whose bytes [`decode_op`] reads back
+/// as `op`.
 pub fn encode_op_into(seq: u64, op: &WalOp<'_>, out: &mut Vec<u8>) {
-    let put_cell_slice = |out: &mut Vec<u8>, cells: &[bcq_core::prelude::Cell]| {
+    let put_cell_slice = |out: &mut Vec<u8>, cells: &[Cell]| {
         out.extend_from_slice(&(cells.len() as u32).to_le_bytes());
         for c in cells {
             out.extend_from_slice(&c.raw().to_le_bytes());
@@ -239,67 +156,101 @@ pub fn encode_op_into(seq: u64, op: &WalOp<'_>, out: &mut Vec<u8>) {
     }
 }
 
-impl WalRecord {
-    /// Parses a frame payload back into a record.
-    pub fn decode(bytes: &[u8]) -> Result<WalRecord, DecodeError> {
-        let mut r = Reader::new(bytes);
-        let seq = r.u64()?;
-        let kind = r.u8()?;
-        let body = match kind {
-            KIND_INTERN_STR => {
-                let id = r.u32()?;
-                let len = r.u32()? as usize;
-                let text = std::str::from_utf8(r.take(len)?)
-                    .map_err(|e| format!("intern record not UTF-8: {e}"))?
-                    .to_string();
-                RecordBody::InternStr { id, text }
-            }
-            KIND_INTERN_WIDE => RecordBody::InternWide {
-                id: r.u32()?,
-                value: r.i64()?,
-            },
-            KIND_INSERT => RecordBody::Insert {
-                commit: r.u64()?,
-                rel: r.u32()?,
-                cells: take_cells(&mut r)?,
-            },
-            KIND_DELETE => RecordBody::Delete {
-                commit: r.u64()?,
-                rel: r.u32()?,
-                cells: take_cells(&mut r)?,
-            },
-            KIND_BULK_BEGIN => RecordBody::BulkBegin {
-                commit: r.u64()?,
-                rel: r.u32()?,
-            },
-            KIND_BULK_CHUNK => RecordBody::BulkChunk {
-                rel: r.u32()?,
-                rows: r.u32()?,
-                cells: take_cells(&mut r)?,
-            },
-            KIND_BULK_END => RecordBody::BulkEnd { rel: r.u32()? },
-            KIND_ENSURE_INDEX => RecordBody::EnsureIndex {
-                commit: r.u64()?,
-                rel: r.u32()?,
-                x: take_cols(&mut r)?,
-                y: take_cols(&mut r)?,
-            },
-            other => {
-                return Err(match RETIRED_KINDS.iter().find(|(tag, _)| *tag == other) {
-                    Some((_, name)) => format!("retired record kind {other} ({name})"),
-                    None => format!("unknown record kind {other}"),
-                })
-            }
-        };
-        r.done()?;
-        Ok(WalRecord { seq, body })
+/// Reused buffers [`decode_op`] copies a record's cells and columns into:
+/// payload words are unaligned, so the borrowed op points here instead.
+#[derive(Debug, Default)]
+pub struct DecodeScratch {
+    cells: Vec<Cell>,
+    x: Vec<usize>,
+    y: Vec<usize>,
+}
+
+/// Parses a frame payload into its sequence number and the [`WalOp`] it
+/// encodes: strings borrowed from `bytes`, cells and columns from
+/// `scratch`. A word that is no valid cell encoding is a decode failure.
+pub fn decode_op<'a>(
+    bytes: &'a [u8],
+    scratch: &'a mut DecodeScratch,
+) -> Result<(u64, WalOp<'a>), DecodeError> {
+    let mut r = Reader::new(bytes);
+    let seq = r.u64()?;
+    let kind = r.u8()?;
+    let rel = |r: &mut Reader<'_>| Ok::<_, DecodeError>(RelId(r.u32()? as usize));
+    let DecodeScratch { cells, x, y } = scratch;
+    let op = match kind {
+        KIND_INTERN_STR => {
+            let id = r.u32()?;
+            let len = r.u32()? as usize;
+            let text = std::str::from_utf8(r.take(len)?)
+                .map_err(|e| format!("intern record not UTF-8: {e}"))?;
+            WalOp::InternStr { id, text }
+        }
+        KIND_INTERN_WIDE => WalOp::InternWide {
+            id: r.u32()?,
+            value: r.i64()?,
+        },
+        KIND_INSERT => WalOp::Insert {
+            commit: r.u64()?,
+            rel: rel(&mut r)?,
+            cells: take_cells(&mut r, cells)?,
+        },
+        KIND_DELETE => WalOp::Delete {
+            commit: r.u64()?,
+            rel: rel(&mut r)?,
+            cells: take_cells(&mut r, cells)?,
+        },
+        KIND_BULK_BEGIN => WalOp::BulkBegin {
+            commit: r.u64()?,
+            rel: rel(&mut r)?,
+        },
+        KIND_BULK_CHUNK => WalOp::BulkChunk {
+            rel: rel(&mut r)?,
+            rows: r.u32()?,
+            cells: take_cells(&mut r, cells)?,
+        },
+        KIND_BULK_END => WalOp::BulkEnd { rel: rel(&mut r)? },
+        KIND_ENSURE_INDEX => WalOp::EnsureIndex {
+            commit: r.u64()?,
+            rel: rel(&mut r)?,
+            x: take_cols(&mut r, x)?,
+            y: take_cols(&mut r, y)?,
+        },
+        other => {
+            return Err(match RETIRED_KINDS.iter().find(|(tag, _)| *tag == other) {
+                Some((_, name)) => format!("retired record kind {other} ({name})"),
+                None => format!("unknown record kind {other}"),
+            })
+        }
+    };
+    r.done()?;
+    Ok((seq, op))
+}
+
+/// A length-prefixed run of cell words, into `out`.
+fn take_cells<'a>(r: &mut Reader<'_>, out: &'a mut Vec<Cell>) -> Result<&'a [Cell], DecodeError> {
+    let n = r.u32()? as usize;
+    out.clear();
+    out.reserve(n.min(r.remaining() / 8));
+    for _ in 0..n {
+        let raw = r.u64()?;
+        out.push(Cell::from_raw(raw).ok_or_else(|| format!("invalid cell word {raw:#x}"))?);
     }
+    Ok(out)
+}
+
+/// A length-prefixed run of column numbers, into `out`.
+fn take_cols<'a>(r: &mut Reader<'_>, out: &'a mut Vec<usize>) -> Result<&'a [usize], DecodeError> {
+    let n = r.u32()? as usize;
+    out.clear();
+    for _ in 0..n {
+        out.push(r.u32()? as usize);
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bcq_core::prelude::{Cell, RelId};
 
     /// The payload bytes of `op` under sequence number `seq`.
     fn encode(seq: u64, op: &WalOp<'_>) -> Vec<u8> {
@@ -315,95 +266,49 @@ mod tests {
             Cell::from_raw(0b0010).unwrap(),
         ];
         let chunk: Vec<Cell> = (1..=6).map(|i| Cell::from_small_int(i).unwrap()).collect();
-        let records = [
-            (
-                WalOp::InternStr {
-                    id: 3,
-                    text: "héllo",
-                },
-                RecordBody::InternStr {
-                    id: 3,
-                    text: "héllo".into(),
-                },
-            ),
-            (
-                WalOp::InternWide {
-                    id: 0,
-                    value: i64::MIN,
-                },
-                RecordBody::InternWide {
-                    id: 0,
-                    value: i64::MIN,
-                },
-            ),
-            (
-                WalOp::Insert {
-                    commit: 9,
-                    rel: RelId(1),
-                    cells: &cells,
-                },
-                RecordBody::Insert {
-                    commit: 9,
-                    rel: 1,
-                    cells: vec![0b1001, 0b0010],
-                },
-            ),
-            (
-                WalOp::Delete {
-                    commit: 11,
-                    rel: RelId(2),
-                    cells: &[],
-                },
-                RecordBody::Delete {
-                    commit: 11,
-                    rel: 2,
-                    cells: vec![],
-                },
-            ),
-            (
-                WalOp::BulkBegin {
-                    commit: 13,
-                    rel: RelId(7),
-                },
-                RecordBody::BulkBegin { commit: 13, rel: 7 },
-            ),
-            (
-                WalOp::BulkChunk {
-                    rel: RelId(7),
-                    rows: 2,
-                    cells: &chunk,
-                },
-                RecordBody::BulkChunk {
-                    rel: 7,
-                    rows: 2,
-                    cells: chunk.iter().map(|c| c.raw()).collect(),
-                },
-            ),
-            (
-                WalOp::BulkEnd { rel: RelId(7) },
-                RecordBody::BulkEnd { rel: 7 },
-            ),
-            (
-                WalOp::EnsureIndex {
-                    commit: 14,
-                    rel: RelId(7),
-                    x: &[0, 2],
-                    y: &[1],
-                },
-                RecordBody::EnsureIndex {
-                    commit: 14,
-                    rel: 7,
-                    x: vec![0, 2],
-                    y: vec![1],
-                },
-            ),
+        let ops = [
+            WalOp::InternStr {
+                id: 3,
+                text: "héllo",
+            },
+            WalOp::InternWide {
+                id: 0,
+                value: i64::MIN,
+            },
+            WalOp::Insert {
+                commit: 9,
+                rel: RelId(1),
+                cells: &cells,
+            },
+            WalOp::Delete {
+                commit: 11,
+                rel: RelId(2),
+                cells: &[],
+            },
+            WalOp::BulkBegin {
+                commit: 13,
+                rel: RelId(7),
+            },
+            WalOp::BulkChunk {
+                rel: RelId(7),
+                rows: 2,
+                cells: &chunk,
+            },
+            WalOp::BulkEnd { rel: RelId(7) },
+            WalOp::EnsureIndex {
+                commit: 14,
+                rel: RelId(7),
+                x: &[0, 2],
+                y: &[1],
+            },
         ];
         let mut tags = Vec::new();
-        for (i, (op, body)) in records.into_iter().enumerate() {
+        let mut scratch = DecodeScratch::default();
+        for (i, op) in ops.into_iter().enumerate() {
             let seq = i as u64 + 100;
             let bytes = encode(seq, &op);
             tags.push(bytes[8]);
-            assert_eq!(WalRecord::decode(&bytes).unwrap(), WalRecord { seq, body });
+            assert_eq!(decode_op(&bytes, &mut scratch).unwrap(), (seq, op));
         }
         assert_eq!(tags, [1, 2, 4, 6, 7, 11, 10, 9], "surviving tag bytes");
     }
@@ -423,7 +328,7 @@ mod tests {
         );
         for (tag, name) in [(3u8, "Insert"), (5, "Delete"), (8, "BulkRow")] {
             row[8] = tag;
-            let err = WalRecord::decode(&row).unwrap_err();
+            let err = decode_op(&row, &mut DecodeScratch::default()).unwrap_err();
             assert!(
                 err.contains(&format!("retired record kind {tag}")) && err.contains(name),
                 "tag {tag}: {err}"
@@ -433,16 +338,30 @@ mod tests {
 
     #[test]
     fn malformed_payloads_are_rejected() {
-        assert!(WalRecord::decode(&[]).is_err(), "empty");
-        assert!(WalRecord::decode(&[0; 9]).is_err(), "kind 0");
+        let decode = |bytes: &[u8]| decode_op(bytes, &mut DecodeScratch::default()).is_err();
+        assert!(decode(&[]), "empty");
+        assert!(decode(&[0; 9]), "kind 0");
         let begin = WalOp::BulkBegin {
             commit: 1,
             rel: RelId(0),
         };
         let mut bytes = encode(1, &begin);
         bytes.push(0xFF);
-        assert!(WalRecord::decode(&bytes).is_err(), "trailing bytes");
+        assert!(decode(&bytes), "trailing bytes");
         bytes.truncate(bytes.len() - 3);
-        assert!(WalRecord::decode(&bytes).is_err(), "short body");
+        assert!(decode(&bytes), "short body");
+        // A cell word no encoder writes: an unknown tag.
+        let cells = [Cell::from_small_int(1).unwrap()];
+        let mut row = encode(
+            1,
+            &WalOp::Insert {
+                commit: 1,
+                rel: RelId(0),
+                cells: &cells,
+            },
+        );
+        let at = row.len() - 8;
+        row[at] = 0b101;
+        assert!(decode(&row), "bad tag");
     }
 }

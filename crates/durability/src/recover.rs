@@ -21,17 +21,20 @@
 //!    not the next one. A skipped number means every later record may
 //!    depend on un-synced state, and a repeat or a step back can only be
 //!    damage, so everything from there on is discarded.
-//! 3. **Replay.** The kept run is re-applied through the public
-//!    [`Database`] API. A side symbol table (snapshot dump + intern
-//!    records) decodes each record's raw cell words back to values; the
-//!    replaying database re-interns them in the original emission order,
-//!    so the rebuilt cells — and therefore rows, indices, and epochs — are
-//!    bit-identical. Each commit-bearing record asserts the database
-//!    arrived at exactly its commit stamp. A bulk load replays only if its
-//!    closing [`RecordBody::BulkEnd`] made it to the log — each buffered
-//!    chunk then goes back through `BulkLoader::push_rows` as the flat
-//!    values it decoded to; an open bulk at the tail is torn and discarded
-//!    whole.
+//! 3. **Replay.** The kept run is re-applied through the storage engine's
+//!    own replay — [`Database::replay`] per record, the inverse of its
+//!    emission — which applies each record's cells as logged against a
+//!    symbol table the intern records rebuild in id order, so rows,
+//!    indices and epochs come back bit-identical with nothing decoded to
+//!    values on the way. It holds every record to its relation, its width,
+//!    the ids its cells name and its commit stamp. A run of index records
+//!    is one [`Database::replay_indexes`] batch. A bulk load replays only
+//!    if its closing `BulkEnd` made it to the log: until then its records
+//!    stay payload slices of the log bytes already read, and at the end
+//!    [`Database::replay_bulk`] reserves the load's rows and its records
+//!    are decoded and applied in logged order; an open bulk at the tail is
+//!    torn and discarded whole, its interns never reaching the symbol
+//!    table.
 //! 4. **Truncate.** The log is cut back to the last kept record, so the
 //!    discarded suffix can never resurface and a writer restarted at
 //!    `last_seq + 1` never collides. With no kept record past the snapshot
@@ -42,11 +45,11 @@
 //!    recovery idempotent: recovering twice equals recovering once.
 
 use crate::frame::{decode_frames, FrameError};
-use crate::record::{RecordBody, WalRecord};
+use crate::record::{decode_op, DecodeScratch};
 use crate::snapshot::{read_snapshot, restore_snapshot, snapshots};
 use crate::storage::LogStorage;
-use bcq_core::prelude::{Catalog, Cell, CellKind, RelId, SymbolTable, Value};
-use bcq_storage::Database;
+use bcq_core::prelude::{Catalog, RelId};
+use bcq_storage::{Database, WalOp};
 use std::io;
 use std::sync::Arc;
 
@@ -140,32 +143,16 @@ pub struct RecoveryReport {
     pub truncated: bool,
 }
 
-/// A record staged for replay: where it ends, so the log can be
-/// truncated behind it.
-#[derive(Debug)]
-struct Staged {
-    end_offset: usize,
-    record: WalRecord,
-}
-
-/// An in-flight bulk load being buffered until its `BulkEnd` proves it
-/// complete. Interns are buffered alongside the chunks: a torn bulk is
-/// discarded whole, and its intern records are truncated away with it, so
-/// they must not leak into the recovered database's symbol table (a later
-/// writer would then skip re-logging them).
+/// A bulk load whose `BulkEnd` has not been read yet. Its records are
+/// the frames after its begin, left in the log bytes until the end proves
+/// the load complete: a torn load must not touch the database.
 struct PendingBulk {
-    rel: u32,
+    rel: RelId,
     commit: u64,
-    begin_seq: u64,
-    /// One entry per chunk record: its rows' values, flat row-major.
-    chunks: Vec<Vec<Value>>,
-    interns: Vec<Intern>,
-}
-
-/// One buffered intern record of an in-flight bulk load.
-enum Intern {
-    Str(String),
-    Wide(i64),
+    /// Index of its `BulkBegin` frame.
+    begin: usize,
+    /// Cells over all its chunks, whose rows are reserved up front.
+    cells: usize,
 }
 
 /// Recovers a database from `storage` (see the [module docs](self)).
@@ -178,7 +165,6 @@ pub fn recover(
     // 1. Newest usable snapshot, else empty database.
     let snaps = snapshots(storage)?;
     let mut db = None;
-    let mut side = SymbolTable::new();
     let mut snap_seq = 0;
     // Newer blobs that did not decode, newest first.
     let mut skipped = Vec::new();
@@ -190,16 +176,14 @@ pub fn recover(
         let restored = match read_snapshot(&mut reader, blob_len) {
             Ok(snap) => {
                 let seq = snap.last_seq;
-                let symbols = snap.symbols.clone();
-                restore_snapshot(catalog.clone(), snap).map(|db| (db, symbols, seq))
+                restore_snapshot(catalog.clone(), snap).map(|db| (db, seq))
             }
             Err(e) if e.kind() == io::ErrorKind::InvalidData => Err(e.to_string()),
             Err(e) => return Err(e.into()),
         };
         match restored {
-            Ok((restored_db, symbols, seq)) => {
+            Ok((restored_db, seq)) => {
                 db = Some(restored_db);
-                side = symbols;
                 snap_seq = seq;
                 report.snapshot = Some(name.clone());
                 report.snapshot_bytes = blob_len;
@@ -211,177 +195,116 @@ pub fn recover(
     report.snapshots_skipped = skipped.len();
     let mut db = db.unwrap_or_else(|| Database::new(catalog.clone()));
 
-    // 2. Decode the log; its records are in sequence order.
+    // 2. Decode the log; its records are in sequence order. Every frame
+    // must parse, whether or not it replays.
     let bytes = storage.read()?;
     let decoded = decode_frames(&bytes)
         .map_err(|FrameError::Corrupt { offset }| RecoverError::Corrupt { offset })?;
     report.torn_bytes = decoded.torn_bytes as u64;
-    let mut staged = Vec::with_capacity(decoded.frames.len());
-    for (start, end, payload) in decoded.frames {
-        let record = WalRecord::decode(payload)
-            .map_err(|msg| RecoverError::Record { offset: start, msg })?;
-        staged.push(Staged {
-            end_offset: end,
-            record,
-        });
+    let frames = decoded.frames;
+    let mut scratch = DecodeScratch::default();
+    let mut seqs = Vec::with_capacity(frames.len());
+    for frame in &frames {
+        seqs.push(decode(frame, &mut scratch)?.0);
     }
 
     // The in-order run: past the records the snapshot folded in, up to the
     // first number that is not the next one — a gap, a repeat or a step
     // back — beyond which nothing is trustworthy.
-    let first = staged
+    let first = seqs
         .iter()
-        .position(|s| s.record.seq > snap_seq)
-        .unwrap_or(staged.len());
-    let run_len = staged[first..]
+        .position(|&seq| seq > snap_seq)
+        .unwrap_or(seqs.len());
+    let run_len = seqs[first..]
         .iter()
         .zip(snap_seq + 1..)
-        .take_while(|(s, next)| s.record.seq == *next)
+        .take_while(|(seq, next)| *seq == next)
         .count();
-    let run = &staged[first..first + run_len];
+    let run = first..first + run_len;
 
     // 3. Replay, buffering bulk loads until their end record.
-    let cat = db.catalog().clone();
+    let at = |seq: u64| move |e| RecoverError::Replay(format!("record at seq {seq}: {e}"));
     let mut pending: Option<PendingBulk> = None;
-    let mut applied_through = snap_seq;
-    let mut rest = run;
-    while let Some((s, after)) = rest.split_first() {
-        rest = after;
-        let seq = s.record.seq;
+    // The first frame an index batch has not taken.
+    let mut next = run.start;
+    for i in run.clone() {
+        if i < next {
+            continue;
+        }
+        next = i + 1;
+        let (seq, op) = decode(&frames[i], &mut scratch)?;
         if let Some(bulk) = &mut pending {
-            match &s.record.body {
-                RecordBody::InternStr { id, text } => {
-                    check_intern_str(&mut side, *id, text)?;
-                    bulk.interns.push(Intern::Str(text.clone()));
-                }
-                RecordBody::InternWide { id, value } => {
-                    check_intern_wide(&mut side, *id, *value)?;
-                    bulk.interns.push(Intern::Wide(*value));
-                }
-                RecordBody::BulkChunk { rel, rows, cells } if *rel == bulk.rel => {
-                    // A CRC-valid chunk of the wrong width must not reach
-                    // the table's arity assertion.
-                    let arity = cat.relation(RelId(*rel as usize)).arity();
-                    if *rows == 0 || (*rows as usize).checked_mul(arity) != Some(cells.len()) {
-                        return Err(RecoverError::Replay(format!(
-                            "bulk chunk at seq {seq} for relation {rel}: expected {rows} rows \
-                             of width {arity}, found {} cells",
-                            cells.len()
-                        )));
-                    }
-                    bulk.chunks.push(decode_cells(&side, cells, seq)?);
-                }
-                RecordBody::BulkEnd { rel } if *rel == bulk.rel => {
+            match op {
+                WalOp::InternStr { .. } | WalOp::InternWide { .. } => {}
+                WalOp::BulkChunk { rel, cells, .. } if rel == bulk.rel => bulk.cells += cells.len(),
+                WalOp::BulkEnd { rel } if rel == bulk.rel => {
                     let bulk = pending.take().unwrap();
-                    let rel = rel_id(&db, bulk.rel, seq)?;
-                    // Fold the load's interns in first, in logged (id)
-                    // order: the re-pushed rows then reuse the original
-                    // symbol ids even though the bulk-ingest fast path
-                    // interned them column-at-a-time.
-                    for intern in &bulk.interns {
-                        match intern {
-                            Intern::Str(text) => db.replay_intern_str(text),
-                            Intern::Wide(value) => db.replay_intern_wide(*value),
-                        }
+                    let mut loader = db
+                        .replay_bulk(bulk.commit, bulk.rel, bulk.cells)
+                        .map_err(at(seqs[bulk.begin]))?;
+                    for frame in &frames[bulk.begin + 1..i] {
+                        let (seq, op) = decode(frame, &mut scratch)?;
+                        loader.replay(op).map_err(at(seq))?;
                     }
-                    let mut loader = db.bulk_loader(rel);
-                    for chunk in &bulk.chunks {
-                        loader.push_rows(chunk);
-                    }
-                    drop(loader);
-                    check_commit(db.epoch(), bulk.commit, seq)?;
                 }
                 other => {
                     return Err(RecoverError::Replay(format!(
                         "record {other:?} at seq {seq} inside open bulk load of rel {}",
-                        bulk.rel
+                        bulk.rel.0
                     )))
                 }
             }
-            applied_through = seq;
             continue;
         }
-        match &s.record.body {
-            RecordBody::InternStr { id, text } => {
-                check_intern_str(&mut side, *id, text)?;
-                db.replay_intern_str(text);
-            }
-            RecordBody::InternWide { id, value } => {
-                check_intern_wide(&mut side, *id, *value)?;
-                db.replay_intern_wide(*value);
-            }
-            RecordBody::Insert { commit, rel, cells } => {
-                let rel = rel_id(&db, *rel, seq)?;
-                let row = decode_cells(&side, cells, seq)?;
-                db.insert(cat.relation(rel).name(), &row)
-                    .map_err(|e| RecoverError::Replay(format!("insert at seq {seq}: {e}")))?;
-                check_commit(db.epoch(), *commit, seq)?;
-            }
-            RecordBody::Delete { commit, rel, cells } => {
-                let rel = rel_id(&db, *rel, seq)?;
-                let row = decode_cells(&side, cells, seq)?;
-                let hit = db
-                    .delete(cat.relation(rel).name(), &row)
-                    .map_err(|e| RecoverError::Replay(format!("delete at seq {seq}: {e}")))?;
-                if hit.is_none() {
-                    return Err(RecoverError::Replay(format!(
-                        "logged delete at seq {seq} found no row on replay"
-                    )));
-                }
-                check_commit(db.epoch(), *commit, seq)?;
-            }
-            RecordBody::BulkBegin { commit, rel } => {
-                rel_id(&db, *rel, seq)?;
+        match op {
+            WalOp::BulkBegin { commit, rel } => {
                 pending = Some(PendingBulk {
-                    rel: *rel,
-                    commit: *commit,
-                    begin_seq: seq,
-                    chunks: Vec::new(),
-                    interns: Vec::new(),
+                    rel,
+                    commit,
+                    begin: i,
+                    cells: 0,
                 });
             }
-            RecordBody::BulkChunk { .. } | RecordBody::BulkEnd { .. } => {
-                return Err(RecoverError::Replay(format!(
-                    "bulk record at seq {seq} outside any bulk load"
-                )));
-            }
-            RecordBody::EnsureIndex { .. } => {
+            WalOp::EnsureIndex { .. } => {
                 // The run of index records starting here (a load's
                 // `build_indexes` logs one per index) is one batch, so its
                 // builds share every core; each record is still held to
                 // its own commit stamp.
-                let mut specs = Vec::new();
-                let mut stamps = Vec::new();
-                for s in std::iter::once(s).chain(after) {
-                    let RecordBody::EnsureIndex { commit, rel, x, y } = &s.record.body else {
+                let mut logged = Vec::new();
+                for frame in &frames[i..run.end] {
+                    let (_, WalOp::EnsureIndex { commit, rel, x, y }) =
+                        decode(frame, &mut scratch)?
+                    else {
                         break;
                     };
-                    let widen = |cols: &[u32]| cols.iter().map(|&c| c as usize).collect();
-                    let (x, y): (Vec<usize>, Vec<usize>) = (widen(x), widen(y));
-                    specs.push((rel_id(&db, *rel, s.record.seq)?, x, y));
-                    stamps.push((*commit, s.record.seq));
+                    logged.push((commit, rel, x.to_vec(), y.to_vec()));
                 }
-                let batch: Vec<_> = specs
+                next = i + logged.len();
+                let batch: Vec<_> = logged
                     .iter()
-                    .map(|(rel, x, y)| (*rel, x.as_slice(), y.as_slice()))
+                    .map(|(commit, rel, x, y)| (*commit, (*rel, x.as_slice(), y.as_slice())))
                     .collect();
-                let arrived = db.ensure_indexes_cols(&batch);
-                for (arrived, (commit, seq)) in arrived.into_iter().zip(stamps) {
-                    check_commit(arrived, commit, seq)?;
-                    applied_through = seq;
-                }
-                rest = &after[batch.len() - 1..];
-                continue;
+                db.replay_indexes(&batch).map_err(|e| {
+                    let last = seq + batch.len() as u64 - 1;
+                    RecoverError::Replay(format!("index records at seq {seq}..={last}: {e}"))
+                })?;
             }
+            WalOp::BulkChunk { .. } | WalOp::BulkEnd { .. } => {
+                return Err(RecoverError::Replay(format!(
+                    "bulk record at seq {seq} outside any bulk load"
+                )))
+            }
+            op => db.replay(op).map_err(at(seq))?,
         }
-        applied_through = seq;
     }
-    // A bulk load still open at the end of the run never logged its end
-    // record: it is torn, and everything from its begin record on is
-    // discarded (the buffered rows were never applied).
-    if let Some(bulk) = pending {
-        applied_through = bulk.begin_seq - 1;
-    }
+    // Every record of the run replayed but a bulk load still open at its
+    // end: that load never logged its end record, so it is torn, and
+    // everything from its begin record on is discarded (its buffered
+    // records were never applied).
+    let applied_through = match pending {
+        Some(bulk) => seqs[bulk.begin] - 1,
+        None => snap_seq + run_len as u64,
+    };
 
     // A skipped snapshot the run does not reach had its log cut: refuse
     // before truncating or deleting anything.
@@ -395,11 +318,11 @@ pub fn recover(
     let kept = (applied_through - snap_seq) as usize;
     report.last_seq = applied_through;
     report.replayed = kept as u64;
-    report.discarded = (staged.len() - first - kept) as u64;
+    report.discarded = (frames.len() - first - kept) as u64;
 
     // 4. Truncate the log behind its last kept record past the snapshot —
     // to 0 when it has none — then drop every other snapshot.
-    let keep = kept.checked_sub(1).map_or(0, |last| run[last].end_offset);
+    let keep = kept.checked_sub(1).map_or(0, |last| frames[first + last].1);
     if keep < bytes.len() {
         storage.truncate(keep as u64)?;
         report.truncated = true;
@@ -414,74 +337,10 @@ pub fn recover(
     Ok((db, report))
 }
 
-/// Applies an intern record to the side table, checking the id matches the
-/// replay contract (dense sequential assignment). The caller is
-/// responsible for mirroring the intern into the replaying database —
-/// immediately for committed records, or deferred through
-/// [`PendingBulk::interns`] inside an open bulk load (whose records may
-/// yet be discarded as torn).
-fn check_intern_str(side: &mut SymbolTable, id: u32, text: &str) -> Result<(), RecoverError> {
-    let got = side.intern(text);
-    if got.0 != id {
-        return Err(RecoverError::Replay(format!(
-            "intern of {text:?} replayed to id {} but was logged as {id}",
-            got.0
-        )));
-    }
-    Ok(())
-}
-
-fn check_intern_wide(side: &mut SymbolTable, id: u32, value: i64) -> Result<(), RecoverError> {
-    side.encode(&Value::Int(value));
-    if side.wide_ints().get(id as usize) != Some(&value) {
-        return Err(RecoverError::Replay(format!(
-            "wide int {value} not at logged pool index {id} after replay"
-        )));
-    }
-    Ok(())
-}
-
-/// Decodes a record's raw cell words against the side symbol table,
-/// rejecting words the table cannot account for.
-fn decode_cells(side: &SymbolTable, cells: &[u64], seq: u64) -> Result<Vec<Value>, RecoverError> {
-    cells
-        .iter()
-        .map(|&raw| {
-            let cell = Cell::from_raw(raw).ok_or_else(|| {
-                RecoverError::Replay(format!("invalid cell word {raw:#x} at seq {seq}"))
-            })?;
-            let known = match cell.kind() {
-                CellKind::Null | CellKind::SmallInt(_) => true,
-                CellKind::Sym(sym) => (sym.0 as usize) < side.len(),
-                CellKind::WideInt(ix) => (ix as usize) < side.num_wide_ints(),
-            };
-            if !known {
-                return Err(RecoverError::Replay(format!(
-                    "cell word {raw:#x} at seq {seq} references an id never interned"
-                )));
-            }
-            Ok(side.decode(cell))
-        })
-        .collect()
-}
-
-fn rel_id(db: &Database, rel: u32, seq: u64) -> Result<RelId, RecoverError> {
-    if (rel as usize) < db.num_relations() {
-        Ok(RelId(rel as usize))
-    } else {
-        Err(RecoverError::Replay(format!(
-            "record at seq {seq} names relation {rel}, catalog has {}",
-            db.num_relations()
-        )))
-    }
-}
-
-fn check_commit(arrived: u64, commit: u64, seq: u64) -> Result<(), RecoverError> {
-    if arrived == commit {
-        Ok(())
-    } else {
-        Err(RecoverError::Replay(format!(
-            "record at seq {seq} was stamped commit {commit}, replay arrived at {arrived}"
-        )))
-    }
+/// Decodes one frame's record, a failure reported at the frame's offset.
+fn decode<'a>(
+    &(start, _, payload): &(usize, usize, &'a [u8]),
+    scratch: &'a mut DecodeScratch,
+) -> Result<(u64, WalOp<'a>), RecoverError> {
+    decode_op(payload, scratch).map_err(|msg| RecoverError::Record { offset: start, msg })
 }

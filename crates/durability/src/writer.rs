@@ -308,7 +308,7 @@ impl WalSink for WalWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::WalRecord;
+    use crate::record::{decode_op, DecodeScratch};
     use crate::storage::MemLog;
     use bcq_core::prelude::*;
     use bcq_storage::Database;
@@ -336,7 +336,7 @@ mod tests {
         let seqs: Vec<u64> = frames
             .frames
             .iter()
-            .map(|(_, _, payload)| WalRecord::decode(payload).unwrap().seq)
+            .map(|(_, _, payload)| decode_op(payload, &mut DecodeScratch::default()).unwrap().0)
             .collect();
         assert_eq!(seqs, vec![1, 2, 3, 4]);
         assert_eq!(writer.last_seq(), 4);

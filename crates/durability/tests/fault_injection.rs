@@ -7,8 +7,11 @@
 
 use bcq_core::prelude::*;
 use bcq_durability::{
-    checkpoint, decode_frames, frame::append_frame, record::encode_op_into, recover, snapshot_name,
-    LogStorage, MemLog, RecoverError, RecoveryReport, SyncPolicy, WalRecord, WalWriter,
+    checkpoint, decode_frames,
+    frame::append_frame,
+    record::{decode_op, encode_op_into},
+    recover, snapshot_name, DecodeScratch, LogStorage, MemLog, RecoverError, RecoveryReport,
+    SyncPolicy, WalWriter,
 };
 use bcq_storage::{Database, Prepare, RowOp, WalOp};
 use std::sync::Arc;
@@ -573,6 +576,194 @@ fn bulk_chunk_of_the_wrong_width_is_a_replay_error_not_a_panic() {
     }
 }
 
+/// The small int whose cell word [`bad_tag`] replaces in an encoded log.
+const MARKER: i64 = 0x5eed;
+
+/// A frame the out-of-contract cases log: an op, or an op whose [`MARKER`]
+/// cell word is rewritten to carry an unknown tag — a word no `Cell` can
+/// hold, so it can only be written as bytes.
+#[derive(Clone, Copy)]
+enum Logged<'a> {
+    Op(WalOp<'a>),
+    BadTag(WalOp<'a>),
+}
+use Logged::{BadTag, Op};
+
+/// A synced log of CRC-valid frames, numbered from 1.
+fn log_of(frames: &[Logged<'_>]) -> MemLog {
+    let marker = Cell::from_small_int(MARKER).unwrap().raw().to_le_bytes();
+    let mut framed = Vec::new();
+    for (i, frame) in frames.iter().enumerate() {
+        let mut payload = Vec::new();
+        let (op, bad) = match frame {
+            Op(op) => (op, false),
+            BadTag(op) => (op, true),
+        };
+        encode_op_into(i as u64 + 1, op, &mut payload);
+        if bad {
+            let at = payload.windows(8).position(|w| w == marker).unwrap();
+            payload[at..at + 8].copy_from_slice(&0b1101u64.to_le_bytes());
+        }
+        append_frame(&mut framed, &payload);
+    }
+    let log = MemLog::new();
+    log.append(&framed).unwrap();
+    log.sync().unwrap();
+    log
+}
+
+#[test]
+fn every_out_of_contract_log_is_refused_without_a_panic_or_a_change() {
+    let int = |i| Cell::from_small_int(i).unwrap();
+    let (r, s, nowhere) = (RelId(0), RelId(1), RelId(2));
+    // Ids no record interned: symbol 0 and wide-int pool index 0.
+    let sym = [Cell::from_sym(Sym(0)), int(1)];
+    let wide = [Cell::from_raw(0b100).unwrap(), int(1)];
+    let marked = [int(MARKER), int(1)];
+    let row = [int(1), int(2)];
+    let one = [int(1)];
+    let begin = |commit| Op(WalOp::BulkBegin { commit, rel: r });
+    let end = Op(WalOp::BulkEnd { rel: r });
+    let insert = |commit, rel, cells| WalOp::Insert { commit, rel, cells };
+    let delete = |commit, rel, cells| WalOp::Delete { commit, rel, cells };
+    let chunk = |cells| WalOp::BulkChunk {
+        rel: r,
+        rows: 1,
+        cells,
+    };
+    let index = |commit, rel| WalOp::EnsureIndex {
+        commit,
+        rel,
+        x: &[0],
+        y: &[0],
+    };
+    let str_at = |id, text| Op(WalOp::InternStr { id, text });
+    let wide_at = |id| {
+        Op(WalOp::InternWide {
+            id,
+            value: i64::MAX,
+        })
+    };
+    let cases: Vec<(&str, Vec<Logged<'_>>)> = vec![
+        ("intern id skips ahead", vec![str_at(1, "x")]),
+        ("intern id repeats", vec![str_at(0, "x"), str_at(0, "y")]),
+        (
+            "bulk intern id skips ahead",
+            vec![begin(1), wide_at(1), end],
+        ),
+        (
+            "bulk intern id repeats",
+            vec![begin(1), str_at(0, "x"), str_at(0, "y"), end],
+        ),
+        (
+            "insert of a never-interned symbol",
+            vec![Op(insert(1, r, &sym))],
+        ),
+        (
+            "insert past the wide-int pool",
+            vec![Op(insert(1, r, &wide))],
+        ),
+        ("insert of a bad tag", vec![BadTag(insert(1, r, &marked))]),
+        (
+            "delete of a never-interned symbol",
+            vec![Op(delete(1, r, &sym))],
+        ),
+        (
+            "delete past the wide-int pool",
+            vec![Op(delete(1, r, &wide))],
+        ),
+        ("delete of a bad tag", vec![BadTag(delete(1, r, &marked))]),
+        (
+            "chunk of a never-interned symbol",
+            vec![begin(1), Op(chunk(&sym)), end],
+        ),
+        (
+            "chunk past the wide-int pool",
+            vec![begin(1), Op(chunk(&wide)), end],
+        ),
+        (
+            "chunk of a bad tag",
+            vec![begin(1), BadTag(chunk(&marked)), end],
+        ),
+        (
+            "insert past the catalog",
+            vec![Op(insert(1, nowhere, &row))],
+        ),
+        (
+            "delete past the catalog",
+            vec![Op(delete(1, nowhere, &row))],
+        ),
+        (
+            "bulk load past the catalog",
+            vec![
+                Op(WalOp::BulkBegin {
+                    commit: 1,
+                    rel: nowhere,
+                }),
+                Op(WalOp::BulkEnd { rel: nowhere }),
+            ],
+        ),
+        ("index past the catalog", vec![Op(index(1, nowhere))]),
+        ("insert stamped ahead", vec![Op(insert(2, r, &row))]),
+        (
+            "insert stamped behind",
+            vec![Op(insert(1, r, &row)), Op(insert(1, r, &row))],
+        ),
+        (
+            "delete stamped ahead",
+            vec![Op(insert(1, r, &row)), Op(delete(3, r, &row))],
+        ),
+        ("bulk load stamped ahead", vec![begin(2), end]),
+        ("index stamped ahead", vec![Op(index(2, s))]),
+        (
+            "index column past the arity",
+            vec![
+                Op(insert(1, r, &row)),
+                Op(WalOp::EnsureIndex {
+                    commit: 2,
+                    rel: r,
+                    x: &[2],
+                    y: &[0],
+                }),
+            ],
+        ),
+        ("delete of an absent row", vec![Op(delete(1, r, &row))]),
+        (
+            "insert inside an open bulk load",
+            vec![begin(1), Op(insert(2, s, &one)), end],
+        ),
+        (
+            "chunk of another relation inside a bulk load",
+            vec![
+                begin(1),
+                Op(WalOp::BulkChunk {
+                    rel: s,
+                    rows: 1,
+                    cells: &one,
+                }),
+                end,
+            ],
+        ),
+        ("bulk end with no begin", vec![end]),
+        ("chunk with no begin", vec![Op(chunk(&row))]),
+    ];
+    for (case, frames) in &cases {
+        let log = log_of(frames);
+        let before = stored(&log);
+        // A word with no valid tag does not decode; the rest decode and
+        // are refused by replay.
+        let bad_tag = frames.iter().any(|f| matches!(f, BadTag(_)));
+        match recover(&log, catalog()) {
+            Err(RecoverError::Record { msg, .. }) if bad_tag => {
+                assert!(msg.contains("invalid cell word 0xd"), "{case}: {msg}");
+            }
+            Err(RecoverError::Replay(_)) if !bad_tag => {}
+            other => panic!("{case}: expected a refusal, got {other:?}"),
+        }
+        assert_eq!(stored(&log), before, "{case}: a refusal changes nothing");
+    }
+}
+
 /// [`state`] plus every index: per relation, in registration order, its
 /// columns, tightest bound and key → (rows, witnesses) in key order.
 type IndexState = (
@@ -709,7 +900,8 @@ fn surviving_records_are_byte_identical_to_the_pre_retirement_format() {
         let decoded = decode_frames(bytes).unwrap();
         assert_eq!(decoded.torn_bytes, 0);
         for (start, end, payload) in decoded.frames {
-            frames.push((WalRecord::decode(payload).unwrap().seq, &bytes[start..end]));
+            let seq = decode_op(payload, &mut DecodeScratch::default()).unwrap().0;
+            frames.push((seq, &bytes[start..end]));
         }
     }
     frames.sort_by_key(|&(seq, _)| seq);

@@ -34,7 +34,8 @@
 
 use crate::database::log_new_interns;
 use crate::table::Table;
-use crate::wal::{WalOp, WalSink};
+use crate::wal::{check_logged_cells, refuse_logging, replay_intern, WalOp, WalSink};
+use bcq_core::error::{CoreError, Result};
 use bcq_core::prelude::{Cell, RelId, SymbolTable, Value};
 use std::sync::Arc;
 
@@ -150,8 +151,8 @@ impl BulkLoader<'_> {
 
     /// Appends one chunk given as flat **row-major** values
     /// (`flat.len()` must be a multiple of the arity; one row is a chunk
-    /// too) — the replay-side and convenience path; same batch encoding
-    /// and single WAL record as [`Self::push_chunk_columns`].
+    /// too) — the convenience path; same batch encoding and single WAL
+    /// record as [`Self::push_chunk_columns`].
     pub fn push_rows(&mut self, flat: &[Value]) {
         let arity = self.table.arity();
         assert_eq!(flat.len() % arity, 0, "arity mismatch on chunk append");
@@ -164,6 +165,38 @@ impl BulkLoader<'_> {
         let start = self.table.len();
         self.table.extend_cells(&self.rowbuf);
         self.log_appended(start, rows, all_hit);
+    }
+
+    /// Re-applies one record of a complete logged bulk bracket opened by
+    /// [`crate::Database::replay_bulk`]: an intern must land on its logged
+    /// id; a chunk of this load's relation is appended row-major as the
+    /// cells it logged, once its width and cell ids check out. Anything
+    /// else is refused, as is a loader that logs.
+    pub fn replay(&mut self, op: WalOp<'_>) -> Result<()> {
+        refuse_logging(self.wal.is_some())?;
+        let arity = self.table.arity();
+        match op {
+            WalOp::InternStr { .. } | WalOp::InternWide { .. } => replay_intern(self.symbols, op),
+            WalOp::BulkChunk { rel, rows, cells } if rel == self.rel => {
+                if rows == 0 || (rows as usize).checked_mul(arity) != Some(cells.len()) {
+                    return Err(CoreError::Invalid(format!(
+                        "bulk chunk for relation {}: expected {rows} rows of width {arity}, \
+                         found {} cells",
+                        rel.0,
+                        cells.len()
+                    )));
+                }
+                check_logged_cells(self.symbols, cells)?;
+                let start = self.table.len();
+                self.table.extend_cells(cells);
+                self.log_appended(start, rows as usize, true);
+                Ok(())
+            }
+            _ => Err(CoreError::Invalid(format!(
+                "{op:?} inside a bulk load of relation {}",
+                self.rel.0
+            ))),
+        }
     }
 
     /// Emits the WAL chunk record for rows appended at `start` and updates

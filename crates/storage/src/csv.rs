@@ -86,8 +86,12 @@ fn parse_value(field: &str) -> Value {
 /// With `has_header = true` the first record must name the relation's
 /// attributes (any order); columns are mapped by name and extra columns
 /// are ignored. Without a header, records must match the relation's arity
-/// positionally. Returns the number of rows loaded. Indices are dropped;
-/// rebuild with [`Database::build_indexes`].
+/// positionally. Returns the number of rows loaded. Each record is one
+/// [`Database::insert`]: one commit (and one WAL insert record when a sink
+/// is attached) per row, and every registered index maintained, so a
+/// database indexed before the load answers bounded queries after it with
+/// no rebuild. For a large file, a [`Database::bulk_loader`] load followed
+/// by [`Database::build_indexes`] is one commit for the whole load.
 pub fn load_csv(
     db: &mut Database,
     relation: &str,

@@ -25,10 +25,11 @@
 //!   a registered view's cached answer with. (Cached *plans* depend on no
 //!   epoch: a plan is a function of the query and the access schema.)
 
+use crate::bulk::BulkLoader;
 use crate::index::{build_many, host_workers, BuildJob, HashIndex};
 use crate::shard::{RelationShard, RowOp};
 use crate::table::Table;
-use crate::wal::{WalOp, WalSink};
+use crate::wal::{check_logged_cells, check_stamp, refuse_logging, replay_intern, WalOp, WalSink};
 use bcq_core::access::{AccessConstraint, AccessSchema};
 use bcq_core::error::{CoreError, Result};
 use bcq_core::prelude::{Catalog, Cell, RelId, RowBuf, SymbolTable, Value};
@@ -217,33 +218,6 @@ impl Database {
         Arc::clone(&self.symbols)
     }
 
-    /// Replay-side eager interning: folds one logged intern record into the
-    /// database's own symbol table. Recovery applies these in logged (id)
-    /// order **before** re-encoding the rows that referenced them, so the
-    /// rebuilt cells reuse the original symbol ids no matter what encode
-    /// order produced them — the bulk-ingest fast path interns
-    /// column-at-a-time, while replay pushes row-major chunks.
-    ///
-    /// Recovery-only: calling this on a WAL-attached database would create
-    /// an unlogged symbol.
-    pub fn replay_intern_str(&mut self, text: &str) {
-        debug_assert!(
-            self.wal.is_none(),
-            "replay-side interning on a WAL-attached database"
-        );
-        Arc::make_mut(&mut self.symbols).intern(text);
-    }
-
-    /// Replay-side eager interning of a wide integer; see
-    /// [`Self::replay_intern_str`].
-    pub fn replay_intern_wide(&mut self, value: i64) {
-        debug_assert!(
-            self.wal.is_none(),
-            "replay-side interning on a WAL-attached database"
-        );
-        Arc::make_mut(&mut self.symbols).encode(&Value::Int(value));
-    }
-
     /// The table for `rel`.
     pub fn table(&self, rel: RelId) -> &Table {
         &self.shards[rel.0].table
@@ -301,7 +275,7 @@ impl Database {
     /// chunk is symbol-encoded in batch passes, appended, and logged as one
     /// [`WalOp::BulkChunk`] record. Call [`Self::build_indexes`] when
     /// loading is done.
-    pub fn bulk_loader(&mut self, rel: RelId) -> crate::bulk::BulkLoader<'_> {
+    pub fn bulk_loader(&mut self, rel: RelId) -> BulkLoader<'_> {
         // The loader also borrows the symbol table, so the funnel is the
         // free `cow_shard` over field-disjoint borrows.
         self.commit += 1;
@@ -317,7 +291,97 @@ impl Database {
         if let Some(sink) = wal {
             sink.record(WalOp::BulkBegin { commit, rel });
         }
-        crate::bulk::BulkLoader::new(&mut shard.table, &mut self.symbols, wal, rel)
+        BulkLoader::new(&mut shard.table, &mut self.symbols, wal, rel)
+    }
+
+    /// Re-applies one logged intern, insert or delete — the inverse of its
+    /// emission (see [`crate::wal`]'s replay contract): an intern must land
+    /// on its logged id; an insert or delete applies the cells it logged,
+    /// with no name lookup and no encode, held to its relation, width,
+    /// cell ids and commit stamp, and a delete must find its row. Index
+    /// records go to [`Self::replay_indexes`] and a bulk bracket to
+    /// [`Self::replay_bulk`]; this refuses them. A refused op may have
+    /// applied in part: discard the database.
+    pub fn replay(&mut self, op: WalOp<'_>) -> Result<()> {
+        refuse_logging(self.wal.is_some())?;
+        let (row_op, commit, rel, cells) = match op {
+            WalOp::InternStr { .. } | WalOp::InternWide { .. } => {
+                return replay_intern(&mut self.symbols, op)
+            }
+            WalOp::Insert { commit, rel, cells } => (RowOp::Insert, commit, rel, cells),
+            WalOp::Delete { commit, rel, cells } => (RowOp::Delete, commit, rel, cells),
+            _ => {
+                return Err(CoreError::Invalid(format!(
+                    "{op:?} is not an intern, insert or delete"
+                )))
+            }
+        };
+        let arity = self.logged_arity(rel)?;
+        if cells.len() != arity {
+            return Err(CoreError::Invalid(format!(
+                "{} cells logged for a row of width {arity}",
+                cells.len()
+            )));
+        }
+        check_logged_cells(&self.symbols, cells)?;
+        check_stamp(commit, self.commit + 1)?;
+        let rid = self.shards[rel.0].slot_for(row_op, cells).ok_or_else(|| {
+            CoreError::Invalid(format!(
+                "logged delete from relation {} found no row",
+                rel.0
+            ))
+        })?;
+        self.shard_mut(rel).apply_row(row_op, rid, cells);
+        Ok(())
+    }
+
+    /// Re-applies a run of logged index records, each `(commit stamp,
+    /// spec)`, as one [`Self::ensure_indexes_cols`] batch whose builds
+    /// share every core, holding each to its relation, columns and stamp.
+    pub fn replay_indexes(&mut self, logged: &[(u64, IndexSpec<'_>)]) -> Result<()> {
+        refuse_logging(self.wal.is_some())?;
+        for &(_, (rel, x, y)) in logged {
+            let arity = self.logged_arity(rel)?;
+            if let Some(col) = x.iter().chain(y).find(|&&c| c >= arity) {
+                return Err(CoreError::Invalid(format!(
+                    "index on column {col} of a relation of width {arity}"
+                )));
+            }
+        }
+        let specs: Vec<IndexSpec<'_>> = logged.iter().map(|&(_, spec)| spec).collect();
+        let arrived = self.ensure_indexes_cols(&specs);
+        logged
+            .iter()
+            .zip(arrived)
+            .try_for_each(|(&(commit, _), arrived)| check_stamp(commit, arrived))
+    }
+
+    /// Opens the replay of one complete logged bulk bracket — its
+    /// `BulkBegin` stamped `commit` for `rel`, its chunks holding `cells`
+    /// cells in all — as the loader a live load gets, with those cells'
+    /// rows reserved up front (counting cells, not the rows the chunks
+    /// claim, bounds the reservation by the log's bytes). Feed it the
+    /// bracket's intern and chunk records in order ([`BulkLoader::replay`]).
+    pub fn replay_bulk(&mut self, commit: u64, rel: RelId, cells: usize) -> Result<BulkLoader<'_>> {
+        refuse_logging(self.wal.is_some())?;
+        let arity = self.logged_arity(rel)?;
+        check_stamp(commit, self.commit + 1)?;
+        let mut loader = self.bulk_loader(rel);
+        loader.reserve_rows(cells / arity);
+        Ok(loader)
+    }
+
+    /// The width of a logged relation id, refusing one past the catalog.
+    fn logged_arity(&self, rel: RelId) -> Result<usize> {
+        let relations = self.catalog.relations();
+        let r = relations.get(rel.0).ok_or_else(|| {
+            CoreError::Invalid(format!(
+                "relation {} logged, catalog has {}",
+                rel.0,
+                relations.len()
+            ))
+        })?;
+        Ok(r.arity())
     }
 
     /// Decodes a row of cells from this database back to values.
@@ -1296,6 +1360,23 @@ mod tests {
             .insert("friends", &[Value::str("u0"), Value::str("u1")])
             .unwrap();
         assert_eq!(rec.take(), vec![("insert:1".into(), Some(6))]);
+    }
+
+    #[test]
+    fn replay_refuses_a_wal_attached_database() {
+        // Replayed records were logged once already; on a logging database
+        // an intern would mint a symbol no record announces.
+        let mut db = Database::new(photos());
+        db.set_wal(Some(Arc::new(Recorder::default())));
+        let intern = WalOp::InternStr { id: 0, text: "u0" };
+        assert!(db.replay(intern).is_err());
+        assert!(db.replay_bulk(1, RelId(0), 0).is_err());
+        assert!(db.replay_indexes(&[(1, (RelId(1), &[0], &[1]))]).is_err());
+        assert!(db.bulk_loader(RelId(0)).replay(intern).is_err());
+        assert!(db.symbols().is_empty());
+        db.set_wal(None);
+        db.replay(intern).unwrap();
+        assert_eq!(db.symbols().lookup("u0"), Some(Sym(0)));
     }
 
     #[test]

@@ -11,20 +11,23 @@
 //!
 //! ## The replay contract
 //!
-//! The record stream is designed so that replaying it through the very
-//! same public `Database` API reproduces the store *exactly*:
+//! Replay is the inverse of emission and lives beside it
+//! ([`Database::replay`](crate::Database::replay) and its bulk and index
+//! forms). Replaying a log in order reproduces the store *exactly*:
 //!
 //! * **Commits are 1:1.** Each op record carries the commit number it was
-//!   stamped with; re-applying the ops in order against a database at
-//!   commit `c` leaves it at the record's commit. Per-relation epochs — the
-//!   vector clock — follow, because the epoch is just the commit number of
-//!   the relation's last mutation. Ineffective calls (deleting an absent
-//!   row, re-ensuring an existing index) emit nothing, exactly as they bump
-//!   nothing.
-//! * **Cell ids are stable.** Symbol interning assigns dense sequential
-//!   ids, and the intern records replay in emission order, so the raw
-//!   `u64` cell words stored in op records decode against the replayed
-//!   table to the original values.
+//!   stamped with, and replay refuses a record whose stamp is not the
+//!   commit it arrives at. Per-relation epochs — the vector clock —
+//!   follow, because the epoch is just the commit number of the
+//!   relation's last mutation. Ineffective calls (deleting an absent row,
+//!   re-ensuring an existing index) emit nothing, exactly as they bump
+//!   nothing, so a logged delete that finds no row is refused too.
+//! * **Cells are applied as logged.** Symbol interning assigns dense
+//!   sequential ids, and the intern records rebuild the symbol table in id
+//!   order — each must land on the id it was logged with. The raw cells of
+//!   an op record then go into the table and its indices as they are:
+//!   nothing is decoded to values and re-encoded, and a cell naming a
+//!   symbol or wide-int id the table does not hold yet is refused.
 //! * **Bulk loads are bracketed.**
 //!   [`Database::bulk_loader`](crate::Database::bulk_loader) bumps the
 //!   commit once for the whole load; the stream mirrors that with one
@@ -32,9 +35,10 @@
 //!   chunk (a single row pushed on its own is a one-row chunk), none of
 //!   which carries a commit of its own, closed by a [`WalOp::BulkEnd`]
 //!   when the loader drops — recovery's proof that the load was not torn
-//!   mid-way. Replay folds the load's intern records in first, in logged
-//!   order, and hands each chunk's decoded values back to
-//!   [`BulkLoader::push_rows`](crate::BulkLoader::push_rows).
+//!   mid-way. A bracket replays only once its end is known: the loader
+//!   reserves the bracket's total rows first, as a live load does, then
+//!   takes its intern and chunk records in logged order, each chunk's
+//!   cells appended row-major as they were logged.
 //! * **Indices never leave on a row write.** There is one insert and one
 //!   delete record; both maintain every registered index, live and on
 //!   replay, so an index logged by [`WalOp::EnsureIndex`] stays built
@@ -48,7 +52,10 @@
 //! snapshots — and means a clone mutated on the side would log too, so
 //! durability layers attach the sink to exactly one writer lineage.
 
-use bcq_core::prelude::{Cell, RelId};
+use bcq_core::error::{CoreError, Result};
+use bcq_core::prelude::{Cell, CellKind, RelId, SymbolTable, Value};
+use bcq_core::symbols::Sym;
+use std::sync::Arc;
 
 /// One logical mutation record, borrowed from the write path that
 /// produced it. See the [module docs](self) for the replay contract.
@@ -164,4 +171,64 @@ pub trait WalSink: Send + Sync + std::fmt::Debug {
     /// without poisoning unrelated callers, so sinks buffer failures
     /// internally and surface them on their own sync/checkpoint API.
     fn record(&self, op: WalOp<'_>);
+}
+
+/// Re-interns one logged intern record into `symbols`, refusing it unless
+/// it lands on the id it was logged with: the next id for a new value, its
+/// own id for one already interned.
+pub(crate) fn replay_intern(symbols: &mut Arc<SymbolTable>, op: WalOp<'_>) -> Result<()> {
+    let table = Arc::make_mut(symbols);
+    let (landed, logged) = match op {
+        WalOp::InternStr { id, text } => {
+            (Cell::from_sym(table.intern(text)), CellKind::Sym(Sym(id)))
+        }
+        WalOp::InternWide { id, value } => {
+            (table.encode(&Value::Int(value)), CellKind::WideInt(id))
+        }
+        _ => unreachable!("{op:?} is not an intern record"),
+    };
+    if landed.kind() != logged {
+        return Err(CoreError::Invalid(format!("{op:?} landed on {landed:?}")));
+    }
+    Ok(())
+}
+
+/// Refuses logged cells that name a symbol or wide-int id `symbols` does
+/// not hold: replay applies cells as logged, so an unknown id would
+/// otherwise become a row no decode can read.
+pub(crate) fn check_logged_cells(symbols: &SymbolTable, cells: &[Cell]) -> Result<()> {
+    let known = |cell: &Cell| match cell.kind() {
+        CellKind::Null | CellKind::SmallInt(_) => true,
+        CellKind::Sym(sym) => (sym.0 as usize) < symbols.len(),
+        CellKind::WideInt(ix) => (ix as usize) < symbols.num_wide_ints(),
+    };
+    match cells.iter().find(|c| !known(c)) {
+        Some(c) => Err(CoreError::Invalid(format!(
+            "{c:?} names an id never interned"
+        ))),
+        None => Ok(()),
+    }
+}
+
+/// Refuses a commit-bearing record whose stamp is not the commit its
+/// replay arrives at.
+pub(crate) fn check_stamp(commit: u64, arrived: u64) -> Result<()> {
+    if arrived == commit {
+        return Ok(());
+    }
+    Err(CoreError::Invalid(format!(
+        "record stamped commit {commit}, replay arrived at {arrived}"
+    )))
+}
+
+/// Refuses replay into a database that logs: what replay applies was
+/// logged already, and a re-applied intern would mint a symbol no record
+/// announces.
+pub(crate) fn refuse_logging(logging: bool) -> Result<()> {
+    if logging {
+        return Err(CoreError::Invalid(
+            "replay into a database that logs".into(),
+        ));
+    }
+    Ok(())
 }
