@@ -16,7 +16,7 @@
 //! ## Instruction set
 //!
 //! A program is a small set of flat, position-resolved tables — there is no
-//! bytecode, just vectors the columnar interpreter (`bcq_exec::pipeline`)
+//! bytecode, just vectors the columnar interpreter (`bcq-exec`'s `pipeline`)
 //! walks without ever consulting the query again:
 //!
 //! * **Pins** ([`PinSource`]): every constant and parameter slot the query

@@ -32,7 +32,7 @@
 //! walk with the plans dropped. When the check fails the query may still
 //! be bounded — that is the undecidability tax; the report says which
 //! subexpression failed and why. Evaluation of a [`PreparedRa`] lives in
-//! `bcq_exec::ra`.
+//! `bcq-exec`'s `ra` module.
 
 use crate::access::AccessSchema;
 use crate::error::{CoreError, Result};

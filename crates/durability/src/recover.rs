@@ -249,7 +249,7 @@ pub fn recover(
                 }
                 other => {
                     return Err(RecoverError::Replay(format!(
-                        "record {other:?} at seq {seq} inside open bulk load of rel {}",
+                        "{other} at seq {seq} inside the open bulk load of relation {}",
                         bulk.rel.0
                     )))
                 }

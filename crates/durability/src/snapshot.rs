@@ -340,6 +340,7 @@ pub fn read_snapshot(reader: &mut dyn Read, blob_len: u64) -> io::Result<Decoded
         }
         shards.push(ShardState {
             epoch,
+            arity: arity as usize,
             cells,
             indexes,
         });
@@ -358,7 +359,11 @@ pub fn read_snapshot(reader: &mut dyn Read, blob_len: u64) -> io::Result<Decoded
     })
 }
 
-/// Restores a database from a decoded snapshot against `catalog`.
+/// Restores a database from a decoded snapshot against `catalog`,
+/// refusing what log replay would refuse: a width that is not the
+/// catalog's, a cell naming an id the snapshot's own symbol table lacks,
+/// an index column past the width ([`Database::restore`]). Recovery
+/// treats a refusal like a blob that does not decode.
 pub fn restore_snapshot(catalog: Arc<Catalog>, snap: DecodedSnapshot) -> Result<Database, String> {
     Database::restore(catalog, snap.symbols, snap.shards, snap.commit)
         .map_err(|e| format!("snapshot restore: {e}"))

@@ -7,13 +7,14 @@
 
 use bcq_core::prelude::*;
 use bcq_durability::{
-    checkpoint, decode_frames,
+    checkpoint, crc32, decode_frames,
     frame::append_frame,
     record::{decode_op, encode_op_into},
-    recover, snapshot_name, DecodeScratch, LogStorage, MemLog, RecoverError, RecoveryReport,
-    SyncPolicy, WalWriter,
+    recover, snapshot_name, write_snapshot, DecodeScratch, LogStorage, MemLog, RecoverError,
+    RecoveryReport, SyncPolicy, WalWriter,
 };
 use bcq_storage::{Database, Prepare, RowOp, WalOp};
+use std::io::Read;
 use std::sync::Arc;
 
 fn catalog() -> Arc<Catalog> {
@@ -181,6 +182,164 @@ fn unreadable_snapshot_after_the_cut_is_refused_with_or_without_a_tail() {
             other => panic!("{past} past: expected a refusal, got {other:?}"),
         }
         assert_eq!(stored(&log), before, "{past} past: every byte in place");
+    }
+}
+
+/// One relation of a hand-framed snapshot: its epoch, the row count and
+/// width it states, its cells and its `(x, y)` index specs.
+#[derive(Clone)]
+struct SnapRel {
+    epoch: u64,
+    rows: u64,
+    arity: u32,
+    cells: Vec<Cell>,
+    indexes: Vec<(Vec<u32>, Vec<u32>)>,
+}
+
+/// A CRC-valid snapshot blob with no wide ints, framed by hand in the
+/// codec's layout: magic, payload length and CRC, then the payload.
+fn framed_snapshot(commit: u64, last_seq: u64, strings: &[&str], rels: &[SnapRel]) -> Vec<u8> {
+    let u32_of = |n: usize| u32::try_from(n).unwrap().to_le_bytes();
+    let mut p = Vec::new();
+    p.extend(commit.to_le_bytes());
+    p.extend(last_seq.to_le_bytes());
+    p.extend(u32_of(strings.len()));
+    for text in strings {
+        p.extend(u32_of(text.len()));
+        p.extend(text.as_bytes());
+    }
+    p.extend(u32_of(0));
+    p.extend(u32_of(rels.len()));
+    for rel in rels {
+        p.extend(rel.epoch.to_le_bytes());
+        p.extend(rel.rows.to_le_bytes());
+        p.extend(rel.arity.to_le_bytes());
+        for cell in &rel.cells {
+            p.extend(cell.raw().to_le_bytes());
+        }
+        p.extend(u32_of(rel.indexes.len()));
+        for (x, y) in &rel.indexes {
+            for cols in [x, y] {
+                p.extend(u32_of(cols.len()));
+                for col in cols {
+                    p.extend(col.to_le_bytes());
+                }
+            }
+        }
+    }
+    let mut blob = b"BCQSNAP1".to_vec();
+    blob.extend(u32_of(p.len()));
+    blob.extend(crc32(&p).to_le_bytes());
+    blob.extend(p);
+    blob
+}
+
+#[test]
+fn a_tampered_snapshot_is_refused_and_recovery_falls_back_to_the_log() {
+    // An intern, two inserts and an index build, synced: the log covers
+    // every record a snapshot of the end state would.
+    let history = || {
+        let log = Arc::new(MemLog::new());
+        let (mut db, w) = wired(&log, SyncPolicy::Always);
+        db.insert("r", &[Value::str("x"), Value::int(1)]).unwrap();
+        db.insert("s", &[Value::int(2)]).unwrap();
+        db.ensure_indexes_cols(&[(RelId(0), &[0], &[1])]);
+        (log, db, w.last_seq())
+    };
+    let put = |log: &MemLog, name: &str, blob: &[u8]| {
+        log.write_blob(name, &mut |sink| sink.write_all(blob))
+            .unwrap();
+        log.sync().unwrap();
+    };
+    let (log, db, covered) = history();
+    let oracle = state(&db);
+    let name = snapshot_name(covered);
+    let int = |i| Cell::from_small_int(i).unwrap();
+    let genuine = [
+        SnapRel {
+            epoch: db.epoch_of(RelId(0)),
+            rows: 1,
+            arity: 2,
+            cells: vec![Cell::from_sym(Sym(0)), int(1)],
+            indexes: vec![(vec![0], vec![1])],
+        },
+        SnapRel {
+            epoch: db.epoch_of(RelId(1)),
+            rows: 1,
+            arity: 1,
+            cells: vec![int(2)],
+            indexes: vec![],
+        },
+    ];
+    let frame = |rels: &[SnapRel]| framed_snapshot(db.epoch(), covered, &["x"], rels);
+    // The hand framing is the codec's, byte for byte, and restores.
+    log.write_blob(&name, &mut |sink| {
+        write_snapshot(sink, &db, covered).map(drop)
+    })
+    .unwrap();
+    let (mut reader, _) = log.read_blob(&name).unwrap().unwrap();
+    let mut written = Vec::new();
+    reader.read_to_end(&mut written).unwrap();
+    drop(reader);
+    assert_eq!(frame(&genuine), written);
+    log.truncate(0).unwrap();
+    let (restored, report) = recover(&*log, catalog()).unwrap();
+    assert_eq!(report.snapshot.as_deref(), Some(name.as_str()));
+    assert_eq!(state(&restored), oracle);
+
+    type Tamper = fn(&mut [SnapRel; 2]);
+    let cases: [(&str, Tamper); 7] = [
+        ("symbol id past its table", |rels| {
+            rels[0].cells[0] = Cell::from_sym(Sym(1))
+        }),
+        ("wide-int id past its pool", |rels| {
+            rels[0].cells[0] = Cell::from_raw(0b100).unwrap()
+        }),
+        ("index key column past the width", |rels| {
+            rels[0].indexes = vec![(vec![2], vec![1])]
+        }),
+        ("index value column past the width", |rels| {
+            rels[0].indexes = vec![(vec![0], vec![2])]
+        }),
+        ("width narrower than the catalog's", |rels| {
+            (rels[0].arity, rels[0].rows) = (1, 2)
+        }),
+        ("width wider than the catalog's", |rels| {
+            rels[1].arity = 2;
+            rels[1].cells.push(Cell::NULL);
+        }),
+        ("width of zero", |rels| {
+            (rels[1].arity, rels[1].rows) = (0, 0);
+            rels[1].cells.clear();
+        }),
+    ];
+    for (case, tamper) in cases {
+        let mut rels = genuine.clone();
+        tamper(&mut rels);
+        let blob = frame(&rels);
+
+        // The log still holds everything the snapshot covers: recovery
+        // skips the snapshot and replays the log from its start.
+        let (log, _, _) = history();
+        put(&log, &name, &blob);
+        let (recovered, report) = recover(&*log, catalog())
+            .unwrap_or_else(|e| panic!("{case}: expected a fallback, got {e}"));
+        assert_eq!(report.snapshot, None, "{case}");
+        assert_eq!(report.snapshots_skipped, 1, "{case}");
+        assert_eq!(state(&recovered), oracle, "{case}");
+
+        // A checkpoint's cut took the log: nothing is left to fall back to.
+        let (log, _, _) = history();
+        put(&log, &name, &blob);
+        log.truncate(0).unwrap();
+        let before = stored(&log);
+        match recover(&*log, catalog()) {
+            Err(RecoverError::SnapshotUnreadable { snapshot, last_seq }) => {
+                assert_eq!((snapshot, last_seq), (name.clone(), covered), "{case}");
+            }
+            other => panic!("{case}: expected a refusal, got {other:?}"),
+        }
+        assert_eq!(stored(&log), before, "{case}: a refusal changes nothing");
     }
 }
 
@@ -622,6 +781,8 @@ fn every_out_of_contract_log_is_refused_without_a_panic_or_a_change() {
     let marked = [int(MARKER), int(1)];
     let row = [int(1), int(2)];
     let one = [int(1)];
+    let thousand = [int(1); 1_000];
+    let long = "x".repeat(10_000);
     let begin = |commit| Op(WalOp::BulkBegin { commit, rel: r });
     let end = Op(WalOp::BulkEnd { rel: r });
     let insert = |commit, rel, cells| WalOp::Insert { commit, rel, cells };
@@ -645,7 +806,7 @@ fn every_out_of_contract_log_is_refused_without_a_panic_or_a_change() {
         })
     };
     let cases: Vec<(&str, Vec<Logged<'_>>)> = vec![
-        ("intern id skips ahead", vec![str_at(1, "x")]),
+        ("intern id skips ahead", vec![str_at(1, &long)]),
         ("intern id repeats", vec![str_at(0, "x"), str_at(0, "y")]),
         (
             "bulk intern id skips ahead",
@@ -738,8 +899,8 @@ fn every_out_of_contract_log_is_refused_without_a_panic_or_a_change() {
                 begin(1),
                 Op(WalOp::BulkChunk {
                     rel: s,
-                    rows: 1,
-                    cells: &one,
+                    rows: 1_000,
+                    cells: &thousand,
                 }),
                 end,
             ],
@@ -753,7 +914,13 @@ fn every_out_of_contract_log_is_refused_without_a_panic_or_a_change() {
         // A word with no valid tag does not decode; the rest decode and
         // are refused by replay.
         let bad_tag = frames.iter().any(|f| matches!(f, BadTag(_)));
-        match recover(&log, catalog()) {
+        let recovered = recover(&log, catalog());
+        // A refusal names the record, never its payload.
+        if let Err(e) = &recovered {
+            let msg = e.to_string();
+            assert!(msg.len() <= 256, "{case}: {}-byte refusal {msg}", msg.len());
+        }
+        match recovered {
             Err(RecoverError::Record { msg, .. }) if bad_tag => {
                 assert!(msg.contains("invalid cell word 0xd"), "{case}: {msg}");
             }

@@ -22,12 +22,9 @@
 //! The data plane is the shared [`crate::pipeline`]: the baseline only
 //! chooses *access paths* (table scan or full index postings, fetched
 //! column-major); filtering, joining, projecting, and all metering are the
-//! same interpreter `evalDQ` runs. [`baseline_interpreted`] swaps that tail
-//! for the query-walking reference — same fetches, same charges — as the
-//! differential oracle.
+//! same interpreter `evalDQ` runs.
 
 use crate::pipeline::{run_query_columnar, BudgetExhausted, ExecContext, Fetch, FetchSource};
-use crate::reference;
 use crate::results::ResultSet;
 use bcq_core::access::AccessSchema;
 use bcq_core::ebcheck::xq_cols;
@@ -130,41 +127,13 @@ pub fn baseline(
     a: &AccessSchema,
     opts: BaselineOptions,
 ) -> Result<BaselineOutcome> {
-    baseline_impl(db, q, a, opts, true)
-}
-
-/// [`baseline`] with the query-walking reference instead of a compiled
-/// program — the differential-testing oracle. Semantically identical
-/// (access-path choice and fetching are shared; only the
-/// filter/semijoin/join/project tail differs in how it derives its shape).
-pub fn baseline_interpreted(
-    db: &Database,
-    q: &SpcQuery,
-    a: &AccessSchema,
-    opts: BaselineOptions,
-) -> Result<BaselineOutcome> {
-    baseline_impl(db, q, a, opts, false)
-}
-
-fn baseline_impl(
-    db: &Database,
-    q: &SpcQuery,
-    a: &AccessSchema,
-    opts: BaselineOptions,
-    compiled: bool,
-) -> Result<BaselineOutcome> {
     q.require_ground()?;
     let start = Instant::now();
     let mut ctx = ExecContext::new(db, opts.work_budget);
     let sigma = Sigma::build(q);
     if !sigma.is_satisfiable() {
-        return Ok(BaselineOutcome::Completed {
-            result: ResultSet::empty(),
-            meter: ctx.meter,
-            elapsed: start.elapsed(),
-        });
+        return Ok(outcome(Ok(ResultSet::empty()), ctx.meter, start));
     }
-
     // Columns each atom needs downstream: its `X^i_Q` (joins, filters and
     // projection). Fetched rows are *charged* as whole tuples
     // (rows_scanned / tuples_fetched count full rows) but materialized
@@ -174,13 +143,54 @@ fn baseline_impl(
     let needed_cols: Vec<Vec<usize>> = (0..q.num_atoms())
         .map(|atom| xq_cols(q, &sigma, atom))
         .collect();
+    // The baseline is the ad-hoc competitor, so its program is compiled
+    // per call (for prepared queries the serving layer compiles once and
+    // reuses). IndexJoin mode: re-fetching atoms lazily through join-key
+    // indices is approximated by pre-restricting candidates with
+    // semijoins; the join itself is the shared interpreter either way.
+    let semijoin = opts.mode == BaselineMode::IndexJoin;
+    let joined =
+        fetch_candidates(q, a, opts.mode, &sigma, &needed_cols, &mut ctx).and_then(|batches| {
+            run_query_columnar(q, &sigma, &needed_cols, batches, semijoin, &mut ctx)
+        });
+    Ok(outcome(joined, ctx.meter, start))
+}
 
+/// The run's outcome: its answer, or "did not finish" once the budget ran
+/// out.
+pub(crate) fn outcome(
+    joined: std::result::Result<ResultSet, BudgetExhausted>,
+    meter: Meter,
+    start: Instant,
+) -> BaselineOutcome {
+    let elapsed = start.elapsed();
+    match joined {
+        Ok(result) => BaselineOutcome::Completed {
+            result,
+            meter,
+            elapsed,
+        },
+        Err(BudgetExhausted) => BaselineOutcome::DidNotFinish { meter, elapsed },
+    }
+}
+
+/// The baseline's access paths: fetches every atom's candidate rows,
+/// projected onto `needed_cols`, through a constant-keyed index's full
+/// postings where `mode` allows one and a table scan elsewhere, charging
+/// `ctx` per touched row.
+pub(crate) fn fetch_candidates(
+    q: &SpcQuery,
+    a: &AccessSchema,
+    mode: BaselineMode,
+    sigma: &Sigma,
+    needed_cols: &[Vec<usize>],
+    ctx: &mut ExecContext<'_>,
+) -> std::result::Result<Vec<ColumnBatch>, BudgetExhausted> {
+    let db = ctx.db;
     let mut batches: Vec<ColumnBatch> = Vec::with_capacity(q.num_atoms());
-    #[allow(clippy::needless_range_loop)]
-    for atom in 0..q.num_atoms() {
+    for (atom, cols) in needed_cols.iter().enumerate() {
         let rel = q.relation_of(atom);
         let table = db.table(rel);
-        let cols = needed_cols[atom].as_slice();
 
         // Constant-bound columns of this atom. A constant the symbol table
         // has never seen stays as `None`: it matches nothing, but the scan
@@ -194,7 +204,7 @@ fn baseline_impl(
 
         // Pick an index whose key columns are all constant-bound (largest
         // key first — most selective).
-        let index_choice = if opts.mode == BaselineMode::FullScan {
+        let index_choice = if mode == BaselineMode::FullScan {
             None
         } else {
             a.for_relation(rel)
@@ -240,39 +250,9 @@ fn baseline_impl(
                     .collect(),
             },
         };
-        match (Fetch { atom, cols, source }).run_columns(&mut ctx) {
-            Ok(batch) => batches.push(batch),
-            Err(BudgetExhausted) => {
-                return Ok(BaselineOutcome::DidNotFinish {
-                    meter: ctx.meter,
-                    elapsed: start.elapsed(),
-                });
-            }
-        }
+        batches.push((Fetch { atom, cols, source }).run_columns(ctx)?);
     }
-
-    // The baseline is the ad-hoc competitor, so its program is compiled
-    // per call (for prepared queries the serving layer compiles once and
-    // reuses). IndexJoin mode: re-fetching atoms lazily through join-key
-    // indices is approximated by pre-restricting candidates with
-    // semijoins; the join itself is the shared interpreter either way.
-    let semijoin = opts.mode == BaselineMode::IndexJoin;
-    let joined = if compiled {
-        run_query_columnar(q, &sigma, &needed_cols, batches, semijoin, &mut ctx)
-    } else {
-        reference::join_project(q, &sigma, &batches, semijoin, &mut ctx)
-    };
-    match joined {
-        Ok(result) => Ok(BaselineOutcome::Completed {
-            result,
-            meter: ctx.meter,
-            elapsed: start.elapsed(),
-        }),
-        Err(BudgetExhausted) => Ok(BaselineOutcome::DidNotFinish {
-            meter: ctx.meter,
-            elapsed: start.elapsed(),
-        }),
-    }
+    Ok(batches)
 }
 
 #[cfg(test)]
@@ -465,7 +445,7 @@ mod tests {
             .project(("r", "a"))
             .build()
             .unwrap();
-        for run in [baseline, baseline_interpreted] {
+        for run in [baseline, crate::reference::baseline] {
             let at = |budget| {
                 let opts = BaselineOptions {
                     mode: BaselineMode::IndexJoin,

@@ -17,7 +17,6 @@
 //! never materialize.
 
 use crate::pipeline::{run_program_columnar_impl, ColumnarScratch, ExecContext, ParamEnv};
-use crate::reference;
 use crate::results::ResultSet;
 use bcq_core::access::AccessSchema;
 use bcq_core::error::{CoreError, Result};
@@ -37,13 +36,13 @@ use std::time::{Duration, Instant};
 /// the access schema's `N`s, so the pool stays small; steady-state
 /// serving requests allocate almost nothing.
 #[derive(Default)]
-struct EvalScratch {
+pub(crate) struct EvalScratch {
     /// One batch per plan step, indexed by step id (grown on demand).
     fetched: Vec<ColumnBatch>,
     /// One batch per query atom, indexed by atom (swapped out of
     /// `fetched` after the fetch loop; buffers circulate between the two
     /// across requests).
-    anchors: Vec<ColumnBatch>,
+    pub(crate) anchors: Vec<ColumnBatch>,
     /// The current step's distinct probe keys, flat: one stride of
     /// `|X|` cells a key ([`enumerate_keys_into`]).
     keys: Vec<Cell>,
@@ -55,8 +54,8 @@ struct EvalScratch {
 
 thread_local! {
     /// Evaluation never re-enters itself, so one scratch per thread
-    /// suffices; `eval_dq_with_impl` still falls back to a fresh scratch
-    /// if the thread-local is somehow busy rather than panicking.
+    /// suffices; [`with_scratch`] still falls back to a fresh scratch if
+    /// the thread-local is somehow busy rather than panicking.
     static EVAL_SCRATCH: RefCell<EvalScratch> = RefCell::new(EvalScratch::default());
 }
 
@@ -90,17 +89,6 @@ pub fn eval_dq(db: &Database, plan: &QueryPlan, a: &AccessSchema) -> Result<Exec
     eval_dq_with(db, plan, a, ParamEnv::empty_ref())
 }
 
-/// [`eval_dq`] with the join/filter/project tail run by the query-walking
-/// reference instead of the compiled program — the ground-plan
-/// differential oracle (see [`eval_dq_with_interpreted`]).
-pub fn eval_dq_interpreted(
-    db: &Database,
-    plan: &QueryPlan,
-    a: &AccessSchema,
-) -> Result<ExecOutcome> {
-    eval_dq_with_interpreted(db, plan, a, ParamEnv::empty_ref())
-}
-
 /// Executes a (possibly parameterized) bounded plan with the given
 /// parameter bindings — the serving hot path.
 ///
@@ -116,44 +104,7 @@ pub fn eval_dq_with(
     a: &AccessSchema,
     params: &ParamEnv,
 ) -> Result<ExecOutcome> {
-    eval_dq_with_impl(db, plan, a, params, true)
-}
-
-/// [`eval_dq_with`] with the join/filter/project tail run by the
-/// **query-walking reference** instead of the compiled program — the
-/// differential-testing oracle. Same plan, same fetches, semantically
-/// identical; the reference re-derives the filter checks, join order and
-/// projection map from the query on every call, row at a time.
-pub fn eval_dq_with_interpreted(
-    db: &Database,
-    plan: &QueryPlan,
-    a: &AccessSchema,
-    params: &ParamEnv,
-) -> Result<ExecOutcome> {
-    eval_dq_with_impl(db, plan, a, params, false)
-}
-
-fn eval_dq_with_impl(
-    db: &Database,
-    plan: &QueryPlan,
-    a: &AccessSchema,
-    params: &ParamEnv,
-    compiled: bool,
-) -> Result<ExecOutcome> {
-    EVAL_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut scratch) => {
-            eval_dq_scratch(db, plan, a, params, compiled, &mut scratch, &mut NoProbe)
-        }
-        Err(_) => eval_dq_scratch(
-            db,
-            plan,
-            a,
-            params,
-            compiled,
-            &mut EvalScratch::default(),
-            &mut NoProbe,
-        ),
-    })
+    with_scratch(|scratch| eval_dq_scratch(db, plan, a, params, scratch, &mut NoProbe))
 }
 
 /// [`eval_dq_with`] in **profiled mode**: runs the compiled program with a
@@ -168,28 +119,27 @@ pub fn eval_dq_profiled(
     params: &ParamEnv,
 ) -> Result<(ExecOutcome, OpProfile)> {
     let mut profiler = Profiler::new();
-    let out = EVAL_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut scratch) => eval_dq_scratch(db, plan, a, params, true, &mut scratch, &mut profiler),
-        Err(_) => eval_dq_scratch(
-            db,
-            plan,
-            a,
-            params,
-            true,
-            &mut EvalScratch::default(),
-            &mut profiler,
-        ),
-    })?;
+    let out = with_scratch(|scratch| eval_dq_scratch(db, plan, a, params, scratch, &mut profiler))?;
     let total_ns = u64::try_from(out.elapsed.as_nanos()).unwrap_or(u64::MAX);
     Ok((out, profiler.finish(total_ns)))
 }
 
+/// Runs `run` on this thread's [`EvalScratch`], or on a fresh one if the
+/// thread-local is somehow busy.
+fn with_scratch<R>(run: impl FnOnce(&mut EvalScratch) -> R) -> R {
+    EVAL_SCRATCH.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut scratch) => run(&mut scratch),
+        Err(_) => run(&mut EvalScratch::default()),
+    })
+}
+
+/// Fetches `D_Q` through the plan ([`fetch_anchors`]), then runs the
+/// plan's compiled program over it.
 fn eval_dq_scratch<P: Probe>(
     db: &Database,
     plan: &QueryPlan,
     a: &AccessSchema,
     params: &ParamEnv,
-    compiled: bool,
     scratch: &mut EvalScratch,
     probe: &mut P,
 ) -> Result<ExecOutcome> {
@@ -200,33 +150,22 @@ fn eval_dq_scratch<P: Probe>(
     let result = if !fetch_anchors(db, plan, a, &mut ctx, scratch, probe)? {
         ResultSet::empty()
     } else {
+        // The serving hot path stays flat end to end: anchors are gathered
+        // column-major straight off the tables ([`fetch_anchors`]), the
+        // compiled program is interpreted vectorized, and only each
+        // distinct answer is decoded.
         let EvalScratch {
             anchors, interp, ..
         } = scratch;
-        if compiled {
-            // The serving hot path stays flat end to end: anchors are
-            // gathered column-major straight off the tables
-            // ([`fetch_anchors`]), the compiled program is interpreted
-            // vectorized, and only each distinct answer is decoded.
-            run_program_columnar_impl(
-                plan.program(),
-                &mut anchors[..num_atoms],
-                &mut ctx,
-                true,
-                interp,
-                probe,
-            )
-            .expect("bounded evaluation has no budget")
-        } else {
-            reference::join_project(
-                plan.query(),
-                plan.sigma(),
-                &anchors[..num_atoms],
-                false,
-                &mut ctx,
-            )
-            .expect("bounded evaluation has no budget")
-        }
+        run_program_columnar_impl(
+            plan.program(),
+            &mut anchors[..num_atoms],
+            &mut ctx,
+            true,
+            interp,
+            probe,
+        )
+        .expect("bounded evaluation has no budget")
     };
     Ok(ExecOutcome {
         result,
@@ -238,7 +177,7 @@ fn eval_dq_scratch<P: Probe>(
 /// Allocation-free validation on the happy path: the plan's slot names
 /// were collected once at plan time ([`QueryPlan::param_slots`]), and
 /// names are only cloned if something is actually missing.
-fn validate_bindings(plan: &QueryPlan, params: &ParamEnv) -> Result<()> {
+pub(crate) fn validate_bindings(plan: &QueryPlan, params: &ParamEnv) -> Result<()> {
     let mut missing: Vec<String> = Vec::new();
     for name in plan.param_slots() {
         if params.get(name).is_none() {
@@ -259,7 +198,7 @@ fn validate_bindings(plan: &QueryPlan, params: &ParamEnv) -> Result<()> {
 /// and are recycled across requests. On `Ok(true)` the per-atom anchor
 /// batches sit in `scratch.anchors[..num_atoms]`; `Ok(false)` means the
 /// plan is unsatisfiable (nothing fetched, empty answer).
-fn fetch_anchors<P: Probe>(
+pub(crate) fn fetch_anchors<P: Probe>(
     db: &Database,
     plan: &QueryPlan,
     a: &AccessSchema,
@@ -711,7 +650,7 @@ mod tests {
             .build()
             .unwrap();
         let plan = bcq_core::qplan::qplan(&q_true, &a).unwrap();
-        assert!(eval_dq(&db, &plan, &a).unwrap().result.as_bool());
+        assert!(!eval_dq(&db, &plan, &a).unwrap().result.is_empty());
 
         let q_false = SpcQuery::builder(cat, "bf")
             .atom("friends", "f")
@@ -719,7 +658,7 @@ mod tests {
             .build()
             .unwrap();
         let plan = bcq_core::qplan::qplan(&q_false, &a).unwrap();
-        assert!(!eval_dq(&db, &plan, &a).unwrap().result.as_bool());
+        assert!(eval_dq(&db, &plan, &a).unwrap().result.is_empty());
     }
 
     /// A Boolean query whose atoms have no parameter: every batch is
@@ -747,15 +686,13 @@ mod tests {
 
         for (db, answer) in [(&db, true), (&only_friends, false)] {
             let bounded = eval_dq(db, &plan, &a).unwrap();
-            assert_eq!(bounded.result.as_bool(), answer);
+            assert_eq!(!bounded.result.is_empty(), answer);
             assert_eq!(bounded.result.len(), usize::from(answer));
-            let reference = eval_dq_interpreted(db, &plan, &a).unwrap();
+            let reference =
+                crate::reference::eval_dq_with(db, &plan, &a, ParamEnv::empty_ref()).unwrap();
             assert_eq!(reference.result, bounded.result);
             assert_eq!(reference.meter, bounded.meter);
-            for run in [
-                crate::baseline::baseline,
-                crate::baseline::baseline_interpreted,
-            ] {
+            for run in [crate::baseline::baseline, crate::reference::baseline] {
                 let out = run(db, &q, &a, Default::default()).unwrap();
                 assert_eq!(out.result(), Some(&bounded.result));
             }

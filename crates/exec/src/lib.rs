@@ -12,25 +12,28 @@
 //!   enumerated block, and per membership probe with the candidate row
 //!   bound to the probed block's reserved slots. [`eval_ra`] is the same
 //!   path for a ground expression.
-//! * [`pipeline`] is the **one engine** all of the above share: the
+//! * The `pipeline` module is the **one engine** all of the above share: the
 //!   columnar interpreter of compiled [`bcq_core::program::OpProgram`]s
 //!   (fetch / filter sweeps / join schedule / project over
 //!   [`bcq_core::batch::ColumnBatch`]es, with unified metering and the
 //!   work budget).
-//! * The private `reference` module is the **one reference**: a
+//! * The test-only `reference` module is the **one reference**: a
 //!   query-walking, row-at-a-time filter → hash-join → project over the
-//!   same batches. It serves nothing; [`eval_dq_interpreted()`] /
-//!   [`eval_dq_with_interpreted()`] / [`baseline_interpreted()`] select it
-//!   so the differential suites can check the engine's join strategies,
-//!   join order and budget accounting on workload-sized inputs, which the
-//!   exponential enumeration oracle in `tests/oracle.rs` cannot reach.
+//!   same batches. The crate's tests run each executor's fetches into it
+//!   and hold the engine's join strategies, join order and budget
+//!   accounting against it on workload-sized inputs, which the exponential
+//!   enumeration oracle in `tests/oracle.rs` cannot reach. The release
+//!   build has one tail: the engine.
 
-pub mod baseline;
-pub mod eval_dq;
-pub mod pipeline;
-pub mod ra;
+mod baseline;
+#[cfg(test)]
+mod differential;
+mod eval_dq;
+mod pipeline;
+mod ra;
+#[cfg(test)]
 mod reference;
-pub mod results;
+mod results;
 #[cfg(test)]
 mod test_fixtures;
 // The RA suites' full-scan oracle and fixture, shared with the workspace's
@@ -40,16 +43,11 @@ extern crate self as bcq_exec;
 #[cfg(test)]
 #[path = "../../../tests/common/ra_oracle.rs"]
 mod ra_oracle;
-pub mod views;
+mod views;
 
-pub use baseline::{
-    baseline, baseline_interpreted, BaselineMode, BaselineOptions, BaselineOutcome,
-};
-pub use eval_dq::{
-    eval_dq, eval_dq_interpreted, eval_dq_profiled, eval_dq_with, eval_dq_with_interpreted,
-    ExecOutcome,
-};
-pub use pipeline::{BudgetExhausted, ExecContext, ParamEnv};
+pub use baseline::{baseline, BaselineMode, BaselineOptions, BaselineOutcome};
+pub use eval_dq::{eval_dq, eval_dq_profiled, eval_dq_with, ExecOutcome};
+pub use pipeline::ParamEnv;
 pub use ra::{eval_ra, eval_ra_prepared, PreparedRa, RaOutcome};
 pub use results::ResultSet;
 pub use views::materialize_views;

@@ -34,13 +34,13 @@
 //! ## One engine, one reference
 //!
 //! There is no second engine. The only other implementation of
-//! filter/join/project in this crate is the private `reference` module: a
-//! deliberately plain, query-walking, row-at-a-time evaluator over the
-//! same batches and the same context. It serves no request; the
-//! `*_interpreted` entry points select it so the differential suites can
-//! check this interpreter — its hash-join branch, join order and budget
-//! accounting — at workload scale, where the enumeration oracle of
-//! `tests/oracle.rs` cannot go.
+//! filter/join/project in this crate is the `reference` module, compiled
+//! into tests only: a deliberately plain, query-walking, row-at-a-time
+//! evaluator over the same batches and the same context. The crate's
+//! differential tests run each executor's fetches into it, to check this
+//! interpreter — its hash-join branch, join order and budget accounting —
+//! at workload scale, where the enumeration oracle of `tests/oracle.rs`
+//! cannot go.
 
 use crate::results::ResultSet;
 use bcq_core::fx::FxHashMap;
@@ -53,7 +53,7 @@ use std::collections::BTreeMap;
 
 /// Raised when the work budget is exhausted mid-pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BudgetExhausted;
+pub(crate) struct BudgetExhausted;
 
 /// Parameter bindings pre-encoded to interned cells — the serving layer's
 /// per-request boundary crossing, paid **once** per request instead of once
@@ -134,43 +134,28 @@ impl ParamEnv {
             .find(|(n, _)| n == name)
             .map(|(_, c)| *c)
     }
-
-    /// Bound names, in insertion order.
-    pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.entries.iter().map(|(n, _)| n.as_str())
-    }
-
-    /// Number of bindings.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` if no parameters are bound.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 /// Shared execution state: the database (for its symbol table), the meter
 /// every operator charges, the optional row budget, and the parameter
 /// bindings of the request being served.
-pub struct ExecContext<'a> {
+pub(crate) struct ExecContext<'a> {
     /// The database being queried (operators use its symbol table; fetch
     /// sources hold their own table/index references).
-    pub db: &'a Database,
+    pub(crate) db: &'a Database,
     /// Work accounting, charged exclusively by pipeline operators.
-    pub meter: Meter,
+    pub(crate) meter: Meter,
     /// Touched-row budget; `None` runs to completion.
-    pub budget: Option<u64>,
+    pub(crate) budget: Option<u64>,
     /// Parameter bindings for plans with [`bcq_core::plan::KeySource::Param`]
     /// slots; empty for ground plans. Borrowed: the serving layer encodes
     /// once per request and lends the environment to the context.
-    pub params: &'a ParamEnv,
+    pub(crate) params: &'a ParamEnv,
 }
 
 impl<'a> ExecContext<'a> {
     /// A fresh context over `db` with an optional work budget.
-    pub fn new(db: &'a Database, budget: Option<u64>) -> Self {
+    pub(crate) fn new(db: &'a Database, budget: Option<u64>) -> Self {
         ExecContext {
             db,
             meter: Meter::new(),
@@ -180,7 +165,7 @@ impl<'a> ExecContext<'a> {
     }
 
     /// A context carrying parameter bindings (prepared-plan execution).
-    pub fn with_params(db: &'a Database, budget: Option<u64>, params: &'a ParamEnv) -> Self {
+    pub(crate) fn with_params(db: &'a Database, budget: Option<u64>, params: &'a ParamEnv) -> Self {
         ExecContext {
             db,
             meter: Meter::new(),
@@ -190,7 +175,7 @@ impl<'a> ExecContext<'a> {
     }
 
     /// The symbol table query constants are encoded against.
-    pub fn symbols(&self) -> &SymbolTable {
+    pub(crate) fn symbols(&self) -> &SymbolTable {
         self.db.symbols()
     }
 
@@ -256,12 +241,12 @@ pub(crate) enum FetchSource<'a> {
 /// The bounded executor's witness fetches live in `eval_dq`.
 pub(crate) struct Fetch<'a> {
     /// The atom the batch instantiates.
-    pub atom: usize,
+    pub(crate) atom: usize,
     /// Relation columns to project each fetched row onto (borrowed: plans
     /// and baseline column sets outlive the fetch).
-    pub cols: &'a [usize],
+    pub(crate) cols: &'a [usize],
     /// The access path.
-    pub source: FetchSource<'a>,
+    pub(crate) source: FetchSource<'a>,
 }
 
 impl Fetch<'_> {
@@ -269,7 +254,10 @@ impl Fetch<'_> {
     /// are collected first (charging the meter per touched row), then every
     /// projected column is gathered from the table in one contiguous pass
     /// ([`Table::gather_column`]) — no row materialization.
-    pub fn run_columns(&self, ctx: &mut ExecContext<'_>) -> Result<ColumnBatch, BudgetExhausted> {
+    pub(crate) fn run_columns(
+        &self,
+        ctx: &mut ExecContext<'_>,
+    ) -> Result<ColumnBatch, BudgetExhausted> {
         let mut batch = ColumnBatch::new(self.atom, self.cols.to_vec());
         let gather = |table: &Table, rids: &[u32], batch: &mut ColumnBatch| {
             batch.extend_columns(rids.len(), |i, out| {

@@ -1,14 +1,14 @@
 //! The differential reference: filter → semijoin → hash-join → project,
 //! row at a time, walking the query on every call.
 //!
-//! This is **not** an engine. Nothing serves a request through it; it is
-//! reached only from the `compiled = false` branch behind
-//! `eval_dq_interpreted` / `eval_dq_with_interpreted` /
-//! `baseline_interpreted`, and it exists so the differential suites have a
-//! second, independently written implementation to hold the columnar
-//! interpreter ([`crate::pipeline`]) against at workload scale. The naive
-//! enumeration oracle in `tests/oracle.rs` is exponential and stops at a
-//! few dozen rows per table; the interpreter's hash-join branch, its
+//! This is **not** an engine, and it is compiled only into tests. It is
+//! a second, independently written implementation of the tail both
+//! executors share, so the differential suites can hold the columnar
+//! interpreter ([`crate::pipeline`]) against it at workload scale:
+//! [`eval_dq_with`] and [`baseline`] are the two executors with their
+//! fetches unchanged and their tail replaced by [`join_project`]. The
+//! naive enumeration oracle in `tests/oracle.rs` is exponential and stops
+//! at a few dozen rows per table; the interpreter's hash-join branch, its
 //! join-order choice and its intermediate-work accounting (the budget
 //! verdicts) only show up on inputs far larger than that.
 //!
@@ -20,15 +20,73 @@
 //! `Sigma` per call, which is what makes agreement with the compiled
 //! program evidence rather than tautology.
 
-use crate::pipeline::{BudgetExhausted, ExecContext};
+use crate::baseline::{fetch_candidates, outcome, BaselineMode, BaselineOptions, BaselineOutcome};
+use crate::eval_dq::{fetch_anchors, validate_bindings, EvalScratch, ExecOutcome};
+use crate::pipeline::{BudgetExhausted, ExecContext, ParamEnv};
 use crate::results::ResultSet;
+use bcq_core::access::AccessSchema;
+use bcq_core::ebcheck::xq_cols;
 use bcq_core::fx::{FxHashMap, FxHashSet};
+use bcq_core::plan::QueryPlan;
 use bcq_core::prelude::{
     Cell, ColumnBatch, Predicate, QAttr, RowBuf, SpcQuery, SymbolTable, Value,
 };
 use bcq_core::sigma::Sigma;
+use bcq_storage::Database;
+use bcq_telemetry::NoProbe;
+use std::time::Instant;
 
-/// The reference's one entry point: evaluates `q` over per-atom candidate
+/// [`crate::eval_dq_with`] with its tail run by [`join_project`]: the same
+/// plan and the same fetches, the bounded executor's oracle.
+pub(crate) fn eval_dq_with(
+    db: &Database,
+    plan: &QueryPlan,
+    a: &AccessSchema,
+    params: &ParamEnv,
+) -> bcq_core::error::Result<ExecOutcome> {
+    let start = Instant::now();
+    validate_bindings(plan, params)?;
+    let mut ctx = ExecContext::with_params(db, None, params);
+    let mut scratch = EvalScratch::default();
+    let result = if fetch_anchors(db, plan, a, &mut ctx, &mut scratch, &mut NoProbe)? {
+        let anchors = &scratch.anchors[..plan.query().num_atoms()];
+        join_project(plan.query(), plan.sigma(), anchors, false, &mut ctx)
+            .expect("bounded evaluation has no budget")
+    } else {
+        ResultSet::empty()
+    };
+    Ok(ExecOutcome {
+        result,
+        meter: ctx.meter,
+        elapsed: start.elapsed(),
+    })
+}
+
+/// [`crate::baseline()`] with its tail run by [`join_project`]: the same
+/// access paths and the same charges, the baseline's oracle.
+pub(crate) fn baseline(
+    db: &Database,
+    q: &SpcQuery,
+    a: &AccessSchema,
+    opts: BaselineOptions,
+) -> bcq_core::error::Result<BaselineOutcome> {
+    q.require_ground()?;
+    let start = Instant::now();
+    let mut ctx = ExecContext::new(db, opts.work_budget);
+    let sigma = Sigma::build(q);
+    if !sigma.is_satisfiable() {
+        return Ok(outcome(Ok(ResultSet::empty()), ctx.meter, start));
+    }
+    let needed_cols: Vec<Vec<usize>> = (0..q.num_atoms())
+        .map(|atom| xq_cols(q, &sigma, atom))
+        .collect();
+    let semijoin = opts.mode == BaselineMode::IndexJoin;
+    let joined = fetch_candidates(q, a, opts.mode, &sigma, &needed_cols, &mut ctx)
+        .and_then(|batches| join_project(q, &sigma, &batches, semijoin, &mut ctx));
+    Ok(outcome(joined, ctx.meter, start))
+}
+
+/// The reference's tail: evaluates `q` over per-atom candidate
 /// `batches` (indexed by atom, live rows only) and returns the projected
 /// answer, charging every produced intermediate row to `ctx`.
 ///
@@ -623,7 +681,7 @@ mod tests {
         let db = dummy_db();
         let mut ctx = ExecContext::new(&db, None);
         let rs = run_join_pipeline(&q, &sigma, batches, &mut ctx).unwrap();
-        assert!(rs.as_bool());
+        assert!(!rs.is_empty());
         assert_eq!(rs.rows()[0].len(), 0);
     }
 

@@ -43,11 +43,6 @@ impl ResultSet {
     pub fn contains(&self, row: &[Value]) -> bool {
         self.rows.binary_search_by(|r| r.as_ref().cmp(row)).is_ok()
     }
-
-    /// Boolean-query reading: `true` iff the result is non-empty.
-    pub fn as_bool(&self) -> bool {
-        !self.rows.is_empty()
-    }
 }
 
 impl fmt::Display for ResultSet {
@@ -85,9 +80,9 @@ mod tests {
     #[test]
     fn boolean_semantics() {
         let t = ResultSet::from_rows(vec![Vec::new().into_boxed_slice()]);
-        assert!(t.as_bool());
+        assert!(!t.is_empty());
         assert_eq!(t.len(), 1);
-        assert!(!ResultSet::empty().as_bool());
+        assert!(ResultSet::empty().is_empty());
     }
 
     #[test]

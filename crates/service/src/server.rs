@@ -66,10 +66,9 @@ use bcq_core::plan::QueryPlan;
 use bcq_core::prelude::{RaExpr, RelId, SpcQuery, Value};
 use bcq_core::qplan::{qplan, qplan_template};
 use bcq_durability::{recover, LogStorage, RecoveryReport, SyncPolicy, WalStats, WalWriter};
-use bcq_exec::ra::eval_ra_prepared;
 use bcq_exec::{
-    baseline, eval_dq_profiled, eval_dq_with, BaselineMode, BaselineOptions, BaselineOutcome,
-    ParamEnv, PreparedRa, ResultSet,
+    baseline, eval_dq_profiled, eval_dq_with, eval_ra_prepared, BaselineMode, BaselineOptions,
+    BaselineOutcome, ParamEnv, PreparedRa, ResultSet,
 };
 use bcq_storage::{BulkLoader, Database, IngestStats, Meter, Prepare, RowOp, WalSink};
 use bcq_telemetry::{LaneKind, MetricsRegistry, MetricsSnapshot, OpProfile, Phase};

@@ -193,7 +193,7 @@ impl BulkLoader<'_> {
                 Ok(())
             }
             _ => Err(CoreError::Invalid(format!(
-                "{op:?} inside a bulk load of relation {}",
+                "{op} inside a bulk load of relation {}",
                 self.rel.0
             ))),
         }

@@ -90,8 +90,12 @@ impl Database {
 
     /// Rebuilds a database from durably stored parts — the snapshot-restore
     /// path. `shards` must cover every relation of `catalog` in order;
-    /// each shard's epoch must not exceed `commit` (the restored global
-    /// commit counter). Declared indices are rebuilt from the restored
+    /// each shard's width must be its relation's, its cells must name only
+    /// ids `symbols` holds, its index columns must lie within the width,
+    /// and its epoch must not exceed `commit` (the restored global commit
+    /// counter) — the checks log replay makes, so a damaged snapshot is
+    /// refused instead of loading a row no decode can read or an index no
+    /// build can make. Declared indices are rebuilt from the restored
     /// rows. No WAL sink is attached; the recovery layer attaches one
     /// after replay.
     pub fn restore(
@@ -110,6 +114,12 @@ impl Database {
         let mut restored = Vec::with_capacity(shards.len());
         for (i, state) in shards.iter_mut().enumerate() {
             let arity = catalog.relation(RelId(i)).arity();
+            if state.arity != arity {
+                return Err(CoreError::Invalid(format!(
+                    "restore: relation {i} stored at width {}, catalog says {arity}",
+                    state.arity
+                )));
+            }
             if state.cells.len() % arity != 0 {
                 return Err(CoreError::Invalid(format!(
                     "restore: relation {i} cell count {} not a multiple of arity {arity}",
@@ -121,6 +131,10 @@ impl Database {
                     "restore: relation {i} epoch {} beyond commit {commit}",
                     state.epoch
                 )));
+            }
+            check_logged_cells(&symbols, &state.cells)?;
+            for (x, y) in &state.indexes {
+                check_index_cols(x, y, arity)?;
             }
             // The decoded cells become the table: no second copy.
             let table = Table::from_cells(RelId(i), arity, std::mem::take(&mut state.cells));
@@ -312,7 +326,7 @@ impl Database {
             WalOp::Delete { commit, rel, cells } => (RowOp::Delete, commit, rel, cells),
             _ => {
                 return Err(CoreError::Invalid(format!(
-                    "{op:?} is not an intern, insert or delete"
+                    "{op} is not an intern, insert or delete"
                 )))
             }
         };
@@ -341,12 +355,7 @@ impl Database {
     pub fn replay_indexes(&mut self, logged: &[(u64, IndexSpec<'_>)]) -> Result<()> {
         refuse_logging(self.wal.is_some())?;
         for &(_, (rel, x, y)) in logged {
-            let arity = self.logged_arity(rel)?;
-            if let Some(col) = x.iter().chain(y).find(|&&c| c >= arity) {
-                return Err(CoreError::Invalid(format!(
-                    "index on column {col} of a relation of width {arity}"
-                )));
-            }
+            check_index_cols(x, y, self.logged_arity(rel)?)?;
         }
         let specs: Vec<IndexSpec<'_>> = logged.iter().map(|&(_, spec)| spec).collect();
         let arrived = self.ensure_indexes_cols(&specs);
@@ -710,14 +719,27 @@ pub(crate) fn log_new_interns(
     }
 }
 
+/// Refuses an index over a column past the relation's width `arity`.
+fn check_index_cols(x: &[usize], y: &[usize], arity: usize) -> Result<()> {
+    match x.iter().chain(y).find(|&&c| c >= arity) {
+        Some(col) => Err(CoreError::Invalid(format!(
+            "index on column {col} of a relation of width {arity}"
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// One relation's durably stored state, as consumed by
-/// [`Database::restore`]: the shard's vector-clock component, its rows
-/// (flattened cells, arity taken from the catalog), and the `(x, y)`
-/// column sets of the indices to rebuild over them.
+/// [`Database::restore`]: the shard's vector-clock component, its row
+/// width and rows (flattened cells), and the `(x, y)` column sets of the
+/// indices to rebuild over them.
 #[derive(Debug, Clone, Default)]
 pub struct ShardState {
     /// The shard's epoch at snapshot time.
     pub epoch: u64,
+    /// The row width it was stored at; restore refuses one that is not
+    /// the catalog's.
+    pub arity: usize,
     /// Row cells, flattened in row-major order.
     pub cells: Vec<Cell>,
     /// `(key columns, value columns)` of each registered index.
@@ -1400,6 +1422,7 @@ mod tests {
                 let shard = db.shard(RelId(i));
                 ShardState {
                     epoch: shard.epoch(),
+                    arity: shard.table().arity(),
                     cells: shard.table().rows().flatten().copied().collect(),
                     indexes: if shard.num_indexes() > 0 {
                         vec![(vec![0], vec![1])]
@@ -1506,6 +1529,7 @@ mod tests {
                 let shard = serial.shard(RelId(i));
                 ShardState {
                     epoch: shard.epoch(),
+                    arity: shard.table().arity(),
                     cells: shard.table().cells().to_vec(),
                     indexes: shard
                         .index_specs()
@@ -1535,12 +1559,52 @@ mod tests {
     fn restore_rejects_malformed_parts() {
         let cat = photos();
         assert!(Database::restore(cat.clone(), SymbolTable::new(), vec![], 0).is_err());
-        let mut states = vec![ShardState::default(); 3];
-        states[0].cells = vec![Cell::NULL]; // in_album has arity 2
-        assert!(Database::restore(cat.clone(), SymbolTable::new(), states, 0).is_err());
-        let mut states = vec![ShardState::default(); 3];
-        states[1].epoch = 5; // beyond the restored commit counter
-        assert!(Database::restore(cat, SymbolTable::new(), states, 4).is_err());
+        // Empty shards at the catalog's widths restore; each case breaks
+        // one part of them.
+        let fresh = || {
+            [2, 2, 3].map(|arity| ShardState {
+                arity,
+                ..ShardState::default()
+            })
+        };
+        assert!(Database::restore(cat.clone(), SymbolTable::new(), fresh().to_vec(), 0).is_ok());
+        type Damage = fn(&mut [ShardState; 3]);
+        let cases: [(&str, Damage, u64); 7] = [
+            (
+                "cells not a multiple of the width",
+                |s| s[0].cells = vec![Cell::NULL],
+                0,
+            ),
+            ("epoch beyond the commit counter", |s| s[1].epoch = 5, 4),
+            ("width not the catalog's", |s| s[2].arity = 2, 0),
+            (
+                "symbol id past the table",
+                |s| s[0].cells = vec![Cell::from_sym(Sym(0)), Cell::NULL],
+                0,
+            ),
+            (
+                "wide-int id past the pool",
+                |s| s[0].cells = vec![Cell::from_raw(0b100).unwrap(), Cell::NULL],
+                0,
+            ),
+            (
+                "index key column past the width",
+                |s| s[1].indexes = vec![(vec![2], vec![0])],
+                0,
+            ),
+            (
+                "index value column past the width",
+                |s| s[2].indexes = vec![(vec![0], vec![3])],
+                0,
+            ),
+        ];
+        for (case, damage, commit) in cases {
+            let mut states = fresh();
+            damage(&mut states);
+            let restored =
+                Database::restore(cat.clone(), SymbolTable::new(), states.to_vec(), commit);
+            assert!(restored.is_err(), "{case}");
+        }
     }
 
     #[test]

@@ -55,6 +55,7 @@
 use bcq_core::error::{CoreError, Result};
 use bcq_core::prelude::{Cell, CellKind, RelId, SymbolTable, Value};
 use bcq_core::symbols::Sym;
+use std::fmt;
 use std::sync::Arc;
 
 /// One logical mutation record, borrowed from the write path that
@@ -157,6 +158,61 @@ impl WalOp<'_> {
     }
 }
 
+/// Bytes of an intern's text a [`WalOp`] summary copies.
+const TEXT_CAP: usize = 32;
+
+/// A one-line summary for refusal messages: the record's kind, relation,
+/// commit stamp and cell count — never its cells, and at most 32 bytes of
+/// an intern's text, so a refused bulk chunk does not render its
+/// thousands of cells.
+impl fmt::Display for WalOp<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            WalOp::InternStr { id, text } => {
+                let mut end = text.len().min(TEXT_CAP);
+                while !text.is_char_boundary(end) {
+                    end -= 1;
+                }
+                write!(f, "string intern #{id} {:?}", &text[..end])?;
+                if end < text.len() {
+                    write!(f, "… ({} bytes)", text.len())?;
+                }
+                Ok(())
+            }
+            WalOp::InternWide { id, value } => write!(f, "wide-int intern #{id} ({value})"),
+            WalOp::Insert { commit, rel, cells } => write!(
+                f,
+                "insert into relation {} at commit {commit} ({} cells)",
+                rel.0,
+                cells.len()
+            ),
+            WalOp::Delete { commit, rel, cells } => write!(
+                f,
+                "delete from relation {} at commit {commit} ({} cells)",
+                rel.0,
+                cells.len()
+            ),
+            WalOp::BulkBegin { commit, rel } => {
+                write!(f, "bulk begin of relation {} at commit {commit}", rel.0)
+            }
+            WalOp::BulkChunk { rel, rows, cells } => write!(
+                f,
+                "bulk chunk of relation {} ({rows} rows, {} cells)",
+                rel.0,
+                cells.len()
+            ),
+            WalOp::BulkEnd { rel } => write!(f, "bulk end of relation {}", rel.0),
+            WalOp::EnsureIndex { commit, rel, x, y } => write!(
+                f,
+                "index on relation {} at commit {commit} ({} key, {} value columns)",
+                rel.0,
+                x.len(),
+                y.len()
+            ),
+        }
+    }
+}
+
 /// Receiver of the storage engine's mutation record stream.
 ///
 /// Implemented by the durability layer's log writer; injected via
@@ -185,17 +241,17 @@ pub(crate) fn replay_intern(symbols: &mut Arc<SymbolTable>, op: WalOp<'_>) -> Re
         WalOp::InternWide { id, value } => {
             (table.encode(&Value::Int(value)), CellKind::WideInt(id))
         }
-        _ => unreachable!("{op:?} is not an intern record"),
+        _ => unreachable!("{op} is not an intern record"),
     };
     if landed.kind() != logged {
-        return Err(CoreError::Invalid(format!("{op:?} landed on {landed:?}")));
+        return Err(CoreError::Invalid(format!("{op} landed on {landed:?}")));
     }
     Ok(())
 }
 
-/// Refuses logged cells that name a symbol or wide-int id `symbols` does
-/// not hold: replay applies cells as logged, so an unknown id would
-/// otherwise become a row no decode can read.
+/// Refuses logged or snapshotted cells that name a symbol or wide-int id
+/// `symbols` does not hold: replay and restore apply cells as stored, so
+/// an unknown id would otherwise become a row no decode can read.
 pub(crate) fn check_logged_cells(symbols: &SymbolTable, cells: &[Cell]) -> Result<()> {
     let known = |cell: &Cell| match cell.kind() {
         CellKind::Null | CellKind::SmallInt(_) => true,

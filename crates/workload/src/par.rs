@@ -34,7 +34,7 @@
 //! Channels are bounded: memory stays `O(workers × chunk)` beyond the
 //! table being built, as in the serial path.
 
-use crate::source::{load_range, RowSource, DEFAULT_CHUNK_ROWS};
+use crate::source::{RowSource, DEFAULT_CHUNK_ROWS};
 use bcq_core::prelude::{Cell, SymbolTable, Value};
 use bcq_storage::{Database, IngestStats};
 use std::sync::mpsc::{sync_channel, Receiver};
@@ -47,9 +47,10 @@ const CHANNEL_DEPTH: usize = 2;
 /// Knobs for [`load_par`] / [`load_range_par`].
 #[derive(Debug, Clone, Copy)]
 pub struct ParLoadOptions {
-    /// Worker threads generating and pre-encoding chunks (the installer
-    /// runs on the calling thread). Clamped to at least 1 and at most the
-    /// number of chunks; `1` falls back to the serial path.
+    /// Worker threads generating and pre-encoding chunks beside the
+    /// installer, which runs on the calling thread. Clamped to at least 1
+    /// and at most the number of chunks; even one worker overlaps
+    /// generation with installing.
     pub threads: usize,
     /// Rows per chunk (also the unit of WAL amortization).
     pub chunk_rows: usize,
@@ -104,9 +105,6 @@ pub fn load_range_par(
     let total = end - start;
     let chunks = usize::try_from(total.div_ceil(chunk_rows as u64)).expect("chunk count fits");
     let workers = opts.threads.max(1).min(chunks.max(1));
-    if workers <= 1 || chunks <= 1 {
-        return load_range(db, src, start, end, chunk_rows);
-    }
 
     let mut loader = db.bulk_loader(src.rel());
     loader.reserve_rows(total as usize);
@@ -174,7 +172,7 @@ pub fn load_range_par(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::{load, rows};
+    use crate::source::{load, load_range, rows};
     use bcq_core::prelude::{Catalog, RelId};
     use std::sync::Arc as StdArc;
 
@@ -251,10 +249,10 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_shapes_fall_back_to_serial() {
+    fn degenerate_shapes_match_the_serial_loader() {
         let s = src(10);
-        // One thread, one chunk, and an empty range each take the serial
-        // path and still agree with it.
+        // One thread, one chunk, and an empty range each run one worker
+        // and still agree with the serial path.
         for (a, b, threads, chunk) in [(0, 10, 1, 4), (0, 10, 4, 100), (5, 5, 4, 4)] {
             let mut serial = Database::new(catalog());
             load_range(&mut serial, s.as_ref(), a, b, chunk);

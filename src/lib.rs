@@ -16,7 +16,7 @@
 //!   over interned rows, `D |= A` validation, constraint discovery.
 //! * [`exec`] — the bounded executor `evalDQ`, the
 //!   conventional-DBMS baseline, and the columnar program interpreter
-//!   ([`bcq_exec::pipeline`]) both run on.
+//!   both run on.
 //! * [`service`] — the prepared-query serving layer: compile
 //!   a template once, cache the plan, execute per request against epoch
 //!   snapshots under admission control.
@@ -81,8 +81,7 @@ pub use bcq_workload as workload;
 pub mod prelude {
     pub use bcq_core::prelude::*;
     pub use bcq_exec::{
-        baseline, baseline_interpreted, eval_dq, eval_dq_interpreted, eval_dq_with,
-        eval_dq_with_interpreted, eval_ra, materialize_views, BaselineMode, BaselineOptions,
+        baseline, eval_dq, eval_dq_with, eval_ra, materialize_views, BaselineMode, BaselineOptions,
         BaselineOutcome, ExecOutcome, ParamEnv, RaOutcome, ResultSet,
     };
     pub use bcq_service::{

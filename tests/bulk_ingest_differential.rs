@@ -312,7 +312,7 @@ fn parallel_ingest_is_bit_identical_to_the_serial_loader() {
         bounded_cq::workload::source::load_range(&mut serial, src.as_ref(), 0, N as u64, CHUNK);
     serial.build_indexes(&a);
 
-    for threads in [2, 3, 5] {
+    for threads in [1, 2, 3, 5] {
         let (par_log, mut par) = boot();
         let par_stats = load_range_par(
             &mut par,

@@ -1,4 +1,4 @@
-//! A reference for RA answers that shares nothing with `bcq_exec::ra` — no
+//! A reference for RA answers that shares nothing with `bcq-exec`'s `ra` — no
 //! certification, no plan, no probe: every SPC block runs through the
 //! conventional baseline in `FullScan` mode and the set operators are
 //! plain set algebra over the resulting rows. With it, the fixture the RA
