@@ -11,8 +11,11 @@
 //! Every movement is counted in [`CacheStats`].
 
 use crate::prepared::PreparedQuery;
+use crate::shared::lock_recovered;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, Mutex};
 
 /// Cache movement counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -123,6 +126,67 @@ impl PlanCache {
                 last_used: self.tick,
             },
         );
+    }
+}
+
+/// Number of plan-cache shards (a small power of two: enough that
+/// concurrent prepares on distinct templates rarely collide, few enough
+/// that summing stats stays trivial).
+const CACHE_SHARDS: usize = 8;
+
+/// The plan cache split into independently locked shards by key hash, so
+/// concurrent prepares on different templates never serialize on a single
+/// mutex. Every shard keeps the **full** configured capacity: capacity
+/// bounds the per-template working set, not a global memory budget, so
+/// dividing it across shards would evict hot templates that merely hash
+/// together.
+pub(crate) struct CacheShards {
+    shards: Vec<Shard>,
+}
+
+/// One shard on cache lines of its own: every hit writes its lock word,
+/// tick and counters, so two shards must not share a line, and what a
+/// hit costs must not depend on where the allocator put the `Vec`.
+#[repr(align(64))]
+struct Shard(Mutex<PlanCache>);
+
+impl CacheShards {
+    pub(crate) fn new(capacity: usize) -> Self {
+        CacheShards {
+            shards: (0..CACHE_SHARDS)
+                .map(|_| Shard(Mutex::new(PlanCache::new(capacity))))
+                .collect(),
+        }
+    }
+
+    /// The shard owning `key`.
+    pub(crate) fn shard(&self, key: &str) -> &Mutex<PlanCache> {
+        let mut h = DefaultHasher::new();
+        key.hash(&mut h);
+        &self.shards[(h.finish() as usize) % CACHE_SHARDS].0
+    }
+
+    /// Movement counters summed across shards.
+    pub(crate) fn stats(&self) -> CacheStats {
+        let mut sum = CacheStats::default();
+        for s in &self.shards {
+            let cs = lock_recovered(&s.0).stats();
+            sum.hits += cs.hits;
+            sum.misses += cs.misses;
+            sum.evictions += cs.evictions;
+        }
+        sum
+    }
+
+    /// Live entries summed across shards.
+    pub(crate) fn len(&self) -> usize {
+        self.shards.iter().map(|s| lock_recovered(&s.0).len()).sum()
+    }
+
+    /// Every shard's lock, for tests that poison them.
+    #[cfg(test)]
+    pub(crate) fn shard_locks(&self) -> impl Iterator<Item = &Mutex<PlanCache>> {
+        self.shards.iter().map(|s| &s.0)
     }
 }
 

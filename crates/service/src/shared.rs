@@ -11,29 +11,39 @@
 //! reader, and untouched shards stay pointer-shared between consecutive
 //! snapshots.
 //!
-//! The trade-off of the pre-sharding design — a write that raced
-//! outstanding snapshots paid a full database copy — is gone: a single-row
-//! write clones one shard (the touched relation's table + indices), however
-//! many other relations the database holds. Writers that batch (see
-//! `Server::bulk_update`) amortize even that.
-//!
-//! ## Per-relation write concurrency
-//!
-//! `write` is the exclusive **commit section**. Each relation also has a
-//! write latch ([`SharedDb::lock_rel`]): a row writer latches only the
-//! relation it touches. While snapshots are outstanding it prepares the
-//! new shard off the commit section (encode, copy-on-write clone, index
-//! maintenance — see [`bcq_storage::Database::prepare`]) and enters
-//! `write` just long enough to swap one shard pointer; with none
-//! outstanding it mutates the uniquely owned shard in place inside
-//! `write`, so writers on disjoint relations serialize there. The latch
-//! serializes same-relation writers so a prepared shard can never race
-//! another writer's commit.
+//! A write that races outstanding snapshots clones one shard (the touched
+//! relation's table + indices), however many other relations the database
+//! holds. `write` is the exclusive **commit section**; each relation also
+//! has a write latch ([`SharedDb::lock_rel`]), and a bulk write runs aside
+//! on a copy (`SharedDb::write_aside`). The serving tier's lock order over
+//! them is in the `server` module docs.
 
 use bcq_core::prelude::RelId;
 use bcq_storage::Database;
-use std::sync::{Arc, Mutex, MutexGuard, RwLock, TryLockError};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
 use std::time::Instant;
+
+/// Locks a mutex, recovering from poison, as every lock of the serving
+/// tier does: what they guard (the database handle, latches, plan cache,
+/// views, bulk gate) changes only by self-consistent steps — storage
+/// mutations keep the database valid at each one — so a thread that
+/// panicked holding a lock leaves nothing later holders would mis-read,
+/// and one panicking request does not brick the server.
+pub(crate) fn lock_recovered<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Read-locks an `RwLock`, recovering from poison (same rationale as
+/// [`lock_recovered`]).
+pub(crate) fn read_recovered<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    l.read().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Write-locks an `RwLock`, recovering from poison.
+pub(crate) fn write_recovered<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    l.write().unwrap_or_else(|e| e.into_inner())
+}
 
 /// A shared, snapshot-on-read / copy-on-write-by-shard database handle.
 #[derive(Debug)]
@@ -70,8 +80,7 @@ impl SharedDb {
     /// Acquires the write latch of one relation, reporting how long the
     /// acquisition waited behind another same-relation writer. Writers on
     /// different relations take different latches and never wait on each
-    /// other here. Poison-tolerant like the other locks: the guarded value
-    /// is `()`, so a panicked holder left nothing to corrupt.
+    /// other here.
     pub fn lock_rel(&self, rel: RelId) -> RelLatch<'_> {
         let latch = &self.latches[rel.0];
         match latch.try_lock() {
@@ -87,7 +96,7 @@ impl SharedDb {
             },
             Err(TryLockError::WouldBlock) => {
                 let start = Instant::now();
-                let guard = latch.lock().unwrap_or_else(|e| e.into_inner());
+                let guard = lock_recovered(latch);
                 RelLatch {
                     _guard: guard,
                     wait_ns: u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
@@ -98,47 +107,44 @@ impl SharedDb {
     }
 
     /// `true` when snapshots (or clones) of the current state are still
-    /// outstanding — i.e. an in-place mutation would have to copy-on-write
-    /// the touched shard anyway. The serving tier uses this to pick
-    /// between the in-place and the prepare-off-the-lock write paths; the
-    /// answer may be stale by the time the write runs, which is benign in
-    /// both directions (a clone that wasn't needed, or a copy-on-write
-    /// inside the commit section).
+    /// outstanding, so an in-place mutation would copy-on-write anyway —
+    /// how the serving tier picks between its in-place and off-lock write
+    /// paths. A stale answer is benign either way (a needless clone, or a
+    /// copy-on-write inside the commit section).
     pub fn has_snapshots(&self) -> bool {
-        Arc::strong_count(&self.inner.read().unwrap_or_else(|e| e.into_inner())) > 1
+        Arc::strong_count(&read_recovered(&self.inner)) > 1
     }
 
     /// An immutable snapshot of the current state. Cheap (`Arc` clone);
     /// the snapshot stays valid — and unchanged, global epoch and vector
     /// clock included — however many writes happen after it is taken.
-    ///
-    /// Poison-tolerant: the guarded value is an `Arc` swap, never left
-    /// half-mutated, so a reader that panicked while holding the lock
-    /// cannot have corrupted it — later readers recover the guard instead
-    /// of propagating the panic.
     pub fn snapshot(&self) -> Arc<Database> {
-        Arc::clone(&self.inner.read().unwrap_or_else(|e| e.into_inner()))
+        Arc::clone(&read_recovered(&self.inner))
     }
 
     /// Runs `f` against the database with exclusive write access — the
-    /// **commit section** of the concurrent write protocol (callers doing
-    /// more than installing prepared state must provide their own
-    /// exclusion against latched writers; in the serving tier that is the
-    /// view-registry write lock). The mutation copy-on-writes only the
-    /// shards it touches; every other shard is pointer-shared with
-    /// outstanding snapshots. All mutations advance the commit counter and
-    /// stamp the touched shards (enforced by [`Database`] itself). Returns
-    /// `f`'s result.
+    /// **commit section** (callers doing more than installing prepared
+    /// state exclude latched writers themselves). The mutation
+    /// copy-on-writes only the shards it touches; every other shard stays
+    /// pointer-shared with outstanding snapshots. Returns `f`'s result.
     pub fn write<R>(&self, f: impl FnOnce(&mut Database) -> R) -> R {
-        // Poison recovery mirrors [`SharedDb::snapshot`]: storage mutations
-        // keep the database structurally valid at every step, so a writer
-        // that panicked mid-closure leaves a usable (if partially applied)
-        // state behind — serving keeps running rather than poisoning every
-        // later read and write.
-        let mut guard = self.inner.write().unwrap_or_else(|e| e.into_inner());
+        let mut guard = write_recovered(&self.inner);
         // Shallow clone when snapshots are outstanding: O(relations)
         // pointer bumps, never table data.
         f(Arc::make_mut(&mut guard))
+    }
+
+    /// Runs `f` on a copy of the current state, off the commit section, and
+    /// publishes the copy when `f` returns or unwinds (a panicking `f`
+    /// publishes what it applied and logged). Snapshots taken meanwhile see
+    /// the state before; the copy clones only the shards `f` touches. The
+    /// caller excludes every other writer, whose commit would be lost.
+    pub(crate) fn write_aside<R>(&self, f: impl FnOnce(&mut Database) -> R) -> R {
+        let mut next = self.snapshot();
+        let r = panic::catch_unwind(AssertUnwindSafe(|| f(Arc::make_mut(&mut next))));
+        // Bound, so the state replaced is freed off the lock.
+        let _before = std::mem::replace(&mut *write_recovered(&self.inner), next);
+        r.unwrap_or_else(|p| panic::resume_unwind(p))
     }
 }
 

@@ -39,8 +39,8 @@ use bcq_core::error::{CoreError, Result};
 use bcq_core::prelude::{Cell, RelId, SymbolTable, Value};
 use std::sync::Arc;
 
-/// Running counters of one bulk load (see also the serving tier's ingest
-/// metrics, which aggregate these across loads).
+/// Running counters of one bulk load ([`BulkLoader::stats`]), or of every
+/// load a database ran ([`crate::Database::ingest_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IngestStats {
     /// Rows appended.
@@ -60,6 +60,8 @@ pub struct IngestStats {
 pub struct BulkLoader<'a> {
     table: &'a mut Table,
     symbols: &'a mut Arc<SymbolTable>,
+    /// The database's running totals, which `stats` joins on drop.
+    totals: &'a mut IngestStats,
     wal: Option<&'a dyn WalSink>,
     rel: RelId,
     /// Reused per-column encode scratch (`arity` vectors).
@@ -73,6 +75,7 @@ impl BulkLoader<'_> {
     pub(crate) fn new<'a>(
         table: &'a mut Table,
         symbols: &'a mut Arc<SymbolTable>,
+        totals: &'a mut IngestStats,
         wal: Option<&'a dyn WalSink>,
         rel: RelId,
     ) -> BulkLoader<'a> {
@@ -80,6 +83,7 @@ impl BulkLoader<'_> {
         BulkLoader {
             table,
             symbols,
+            totals,
             wal,
             rel,
             colbuf: vec![Vec::new(); arity],
@@ -236,6 +240,11 @@ impl BulkLoader<'_> {
 
 impl Drop for BulkLoader<'_> {
     fn drop(&mut self) {
+        let (totals, load) = (&mut *self.totals, self.stats);
+        totals.rows += load.rows;
+        totals.chunks += load.chunks;
+        totals.cell_bytes += load.cell_bytes;
+        totals.intern_batch_hits += load.intern_batch_hits;
         // Close the WAL bracket: recovery discards a bulk load whose end
         // record never made it to the log (torn mid-load).
         if let Some(sink) = self.wal {
@@ -298,6 +307,29 @@ mod tests {
         }
         drop(l);
         db
+    }
+
+    #[test]
+    fn the_database_sums_every_dropped_loader() {
+        let mut db = Database::new(catalog());
+        let mut first = db.bulk_loader(RelId(0));
+        first.push_rows(&row(1));
+        first.push_rows(&[row(2), row(3)].concat());
+        let first_load = first.stats();
+        drop(first);
+        assert_eq!(db.ingest_stats(), first_load);
+        let mut second = db.bulk_loader(RelId(1));
+        second.push_rows(&[Value::int(1)]);
+        let second_load = second.stats();
+        drop(second);
+        let totals = db.ingest_stats();
+        assert_eq!((totals.rows, totals.chunks), (4, 3));
+        assert_eq!(totals.cell_bytes, (3 * 3 + 1) * 8);
+        assert_eq!(
+            totals.intern_batch_hits,
+            first_load.intern_batch_hits + second_load.intern_batch_hits
+        );
+        assert_eq!(db.clone().ingest_stats(), totals, "carried along on clone");
     }
 
     #[test]

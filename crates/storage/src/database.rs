@@ -25,7 +25,7 @@
 //!   a registered view's cached answer with. (Cached *plans* depend on no
 //!   epoch: a plan is a function of the query and the access schema.)
 
-use crate::bulk::BulkLoader;
+use crate::bulk::{BulkLoader, IngestStats};
 use crate::index::{build_many, host_workers, BuildJob, HashIndex};
 use crate::shard::{RelationShard, RowOp};
 use crate::table::Table;
@@ -62,6 +62,8 @@ pub struct Database {
     cow_cells: u64,
     /// Diagnostics: shard clones forced by outstanding references.
     cow_clones: u64,
+    /// Diagnostics: what every bulk loader appended (see `ingest_stats`).
+    ingest: IngestStats,
     /// Optional write-ahead-log sink: every effective mutation delivers a
     /// [`WalOp`] record here, 1:1 with commit bumps (see [`crate::wal`]).
     /// Shared (not cleared) by `Clone`, since snapshots are read-only.
@@ -84,6 +86,7 @@ impl Database {
             commit: 0,
             cow_cells: 0,
             cow_clones: 0,
+            ingest: IngestStats::default(),
             wal: None,
         }
     }
@@ -167,6 +170,7 @@ impl Database {
             commit,
             cow_cells: 0,
             cow_clones: 0,
+            ingest: IngestStats::default(),
             wal: None,
         })
     }
@@ -250,6 +254,13 @@ impl Database {
         self.cow_clones
     }
 
+    /// What every [`BulkLoader`] run on this instance's history appended,
+    /// replayed brackets ([`Self::replay_bulk`]) included; a restored
+    /// snapshot starts from zero.
+    pub fn ingest_stats(&self) -> IngestStats {
+        self.ingest
+    }
+
     /// Bumps the commit counter and returns the touched shard for mutation,
     /// stamping its epoch — the single funnel every write path goes
     /// through. Clones the shard iff an outstanding clone/snapshot still
@@ -305,7 +316,8 @@ impl Database {
         if let Some(sink) = wal {
             sink.record(WalOp::BulkBegin { commit, rel });
         }
-        BulkLoader::new(&mut shard.table, &mut self.symbols, wal, rel)
+        let totals = &mut self.ingest;
+        BulkLoader::new(&mut shard.table, &mut self.symbols, totals, wal, rel)
     }
 
     /// Re-applies one logged intern, insert or delete — the inverse of its

@@ -96,7 +96,8 @@ pub struct WriteSnapshot {
 
 /// Bulk-ingest fast-path counters (chunked column appends through the
 /// storage layer's bulk loader, plus the deferred index rebuilds that
-/// follow them).
+/// follow them). All but `index_build_ns` are counted where the rows land,
+/// by the database, and filled in by the serving layer.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IngestSnapshot {
     /// Rows appended through the bulk-ingest fast path.
@@ -215,23 +216,20 @@ pub(crate) fn snapshot_of(reg: &MetricsRegistry) -> MetricsSnapshot {
             inserts: reg.inserts.get(),
             deletes: reg.deletes.get(),
             bulk_updates: reg.bulk_updates.get(),
-            latency: reg.write_latency_hist().snapshot(),
-            lock_wait: reg.writer_lock_wait_hist().snapshot(),
+            latency: reg.write_latency.snapshot(),
+            lock_wait: reg.writer_lock_wait.snapshot(),
             conflicts: reg.write_conflicts.get(),
-            commit_hold: reg.commit_hold_hist().snapshot(),
+            commit_hold: reg.commit_hold.snapshot(),
             view_recomputes: reg.view_recomputes.get(),
             cow_shard_clones: 0,
             cow_cells_cloned: 0,
         },
         ingest: IngestSnapshot {
-            rows: reg.ingest_rows.get(),
-            chunks: reg.ingest_chunks.get(),
-            bytes: reg.ingest_bytes.get(),
-            intern_batch_hits: reg.ingest_intern_batch_hits.get(),
             index_build_ns: reg.index_build_ns.get(),
+            ..IngestSnapshot::default()
         },
         wal: WalSnapshot {
-            group_batch_sizes: reg.group_commit_batch_hist().snapshot(),
+            group_batch_sizes: reg.group_commit_batch.snapshot(),
             ..WalSnapshot::default()
         },
         gauges: GaugeSnapshot::default(),
@@ -613,7 +611,7 @@ mod tests {
         r.record_sql(2);
         r.record_sql(1);
         r.record_write(true, 4_000);
-        r.record_ingest(1_000, 2, 48_000, 1, 7_500);
+        r.index_build_ns.add(7_500);
         r.record_lock_wait(250, true);
         r.record_lock_wait(0, false); // uncontended: not recorded
         r.record_commit_hold(90);
@@ -631,6 +629,10 @@ mod tests {
         snap.wal.last_seq = 5;
         snap.wal.retained_bytes = 64;
         snap.wal.snapshot_bytes = 4096;
+        snap.ingest.rows = 1_000;
+        snap.ingest.chunks = 2;
+        snap.ingest.bytes = 48_000;
+        snap.ingest.intern_batch_hits = 1;
         snap
     }
 

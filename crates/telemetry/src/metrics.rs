@@ -146,33 +146,24 @@ pub struct MetricsRegistry {
     pub deletes: Counter,
     /// Out-of-band bulk updates (views recompute lazily afterwards).
     pub bulk_updates: Counter,
-    /// Rows appended through the bulk-ingest fast path.
-    pub ingest_rows: Counter,
-    /// Chunks appended by bulk ingest (one WAL record each).
-    pub ingest_chunks: Counter,
-    /// Cell bytes appended by bulk ingest.
-    pub ingest_bytes: Counter,
-    /// Bulk-ingest chunks whose every value was already interned — the
-    /// steady state where encoding never copies the symbol table.
-    pub ingest_intern_batch_hits: Counter,
     /// Nanoseconds spent rebuilding indexes after bulk loads.
     pub index_build_ns: Counter,
     /// Write-path latency (insert + delete, end to end).
-    write_latency: Histogram,
+    pub(crate) write_latency: Histogram,
     /// Nanoseconds writers spent waiting for a per-relation write latch
     /// (0-wait uncontended acquisitions are not recorded — the series
     /// measures contention, not traffic).
-    writer_lock_wait: Histogram,
+    pub(crate) writer_lock_wait: Histogram,
     /// Write-latch acquisitions that found another writer holding the
     /// same relation's latch.
     pub write_conflicts: Counter,
     /// Nanoseconds spent inside the exclusive commit section (the shard
     /// pointer swap + epoch publication — excludes encoding, index
     /// maintenance, and fsyncs by construction).
-    commit_hold: Histogram,
+    pub(crate) commit_hold: Histogram,
     /// Commits made durable per group-commit fsync batch (recorded by the
     /// flush leader with the batch size).
-    group_commit_batch: Histogram,
+    pub(crate) group_commit_batch: Histogram,
     /// View re-evaluations: reads that found the cached answer behind a
     /// relation the view reads.
     pub view_recomputes: Counter,
@@ -212,10 +203,6 @@ impl MetricsRegistry {
             inserts: Counter::new(),
             deletes: Counter::new(),
             bulk_updates: Counter::new(),
-            ingest_rows: Counter::new(),
-            ingest_chunks: Counter::new(),
-            ingest_bytes: Counter::new(),
-            ingest_intern_batch_hits: Counter::new(),
             index_build_ns: Counter::new(),
             write_latency: Histogram::new(),
             writer_lock_wait: Histogram::new(),
@@ -297,28 +284,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Records one bulk-ingest bracket: rows/chunks/bytes appended, how
-    /// many chunks hit the already-interned batch-encode fast path, and
-    /// the nanoseconds the post-load index rebuild took. Off the
-    /// latency-critical path — called once per bulk load, not per row.
-    pub fn record_ingest(
-        &self,
-        rows: u64,
-        chunks: u64,
-        bytes: u64,
-        intern_batch_hits: u64,
-        index_build_ns: u64,
-    ) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.ingest_rows.add(rows);
-        self.ingest_chunks.add(chunks);
-        self.ingest_bytes.add(bytes);
-        self.ingest_intern_batch_hits.add(intern_batch_hits);
-        self.index_build_ns.add(index_build_ns);
-    }
-
     /// Records one row write (insert or delete) with its end-to-end
     /// latency.
     pub fn record_write(&self, insert: bool, latency_ns: u64) {
@@ -363,21 +328,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// The write-latch wait histogram (export use).
-    pub fn writer_lock_wait_hist(&self) -> &Histogram {
-        &self.writer_lock_wait
-    }
-
-    /// The commit-section hold-time histogram (export use).
-    pub fn commit_hold_hist(&self) -> &Histogram {
-        &self.commit_hold
-    }
-
-    /// The group-commit batch-size histogram (export use).
-    pub fn group_commit_batch_hist(&self) -> &Histogram {
-        &self.group_commit_batch
-    }
-
     /// Direct access to a lane's latency histogram (bench/export use).
     pub fn lane_latency(&self, lane: LaneKind) -> &Histogram {
         &self.lane_latency[lane.index()]
@@ -392,10 +342,6 @@ impl MetricsRegistry {
     /// the exporter).
     pub fn phase_hist(&self, phase: Phase) -> &Histogram {
         &self.phases[phase.index()]
-    }
-
-    pub(crate) fn write_latency_hist(&self) -> &Histogram {
-        &self.write_latency
     }
 
     /// A point-in-time snapshot of every registry series. Cache and

@@ -168,12 +168,14 @@ fn main() -> core::result::Result<(), Box<dyn std::error::Error>> {
     });
     // The chunked bulk-load fast path: one columnar chunk straight into
     // the store, which the ingest_* counters then expose.
-    let (_, ingest) = server.bulk_load("in_album", |loader| {
+    let ingest = server.bulk_update(|db| {
+        let mut loader = db.bulk_loader(db.catalog().require_rel("in_album")?);
         let n = 256usize;
         loader.reserve_rows(n);
         let photos: Vec<Value> = (0..n).map(|p| Value::str(format!("bp{p}"))).collect();
         let albums: Vec<Value> = (0..n).map(|p| Value::str(format!("a{}", p % 50))).collect();
         loader.push_chunk_columns(&[photos, albums]);
+        Ok::<_, CoreError>(loader.stats())
     })?;
     assert_eq!(ingest.rows, 256);
     // Stale again (four deletes and the bulk update): one more. Then a
@@ -211,7 +213,7 @@ fn main() -> core::result::Result<(), Box<dyn std::error::Error>> {
     );
     assert_eq!(snap.writes.inserts, 16);
     assert_eq!(snap.writes.deletes, 4);
-    assert_eq!(snap.writes.bulk_updates, 2, "bulk_update + bulk_load");
+    assert_eq!(snap.writes.bulk_updates, 2, "a row edit and a load");
     assert_eq!(snap.ingest.rows, 256);
     assert_eq!(snap.ingest.chunks, 1);
     assert!(snap.ingest.bytes > 0, "cell payload bytes were accounted");

@@ -418,9 +418,10 @@ proptest! {
                         .zip(&row2)
                         .map(|(a, b)| vec![a.clone(), b.clone()])
                         .collect();
-                    server
-                        .bulk_load(rel_name, |l| l.push_chunk_columns(&cols))
-                        .unwrap();
+                    server.bulk_update(|db| {
+                        let rel = db.catalog().require_rel(rel_name).unwrap();
+                        db.bulk_loader(rel).push_chunk_columns(&cols);
+                    });
                 }
                 9 => {
                     // Snapshot and cut: the crash below can only land in

@@ -96,7 +96,10 @@ proptest! {
         let (mut server, mut view) = open();
         if !initial_acc.is_empty() {
             let flat: Vec<Value> = initial_acc.iter().flatten().map(|&v| Value::int(v)).collect();
-            server.bulk_load("accident", |l| l.push_rows(&flat)).unwrap();
+            server.bulk_update(|db| {
+                let accident = db.catalog().require_rel("accident").unwrap();
+                db.bulk_loader(accident).push_rows(&flat);
+            });
         }
 
         for (kind, into_accident, vals) in &ops {
@@ -130,7 +133,10 @@ proptest! {
                 5 => {
                     // Two copies at once through the chunked fast path.
                     let flat = [row.clone(), row.clone()].concat();
-                    server.bulk_load(rel_name, |l| l.push_rows(&flat)).unwrap();
+                    server.bulk_update(|db| {
+                        let rel = db.catalog().require_rel(rel_name).unwrap();
+                        db.bulk_loader(rel).push_rows(&flat);
+                    });
                 }
                 6 => server.bulk_update(|db| {
                     db.insert(rel_name, &row).unwrap();
