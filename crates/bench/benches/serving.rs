@@ -89,8 +89,8 @@ mod common;
 use bcq_core::prelude::*;
 use bcq_exec::{eval_dq, PreparedRa};
 use bcq_service::{
-    DirLog, DurabilityConfig, LaneKind, LogStorage, MemLog, NetClient, NetServer, Server,
-    ServerConfig, SyncPolicy,
+    DirLog, DurabilityConfig, Lane, LogStorage, MemLog, NetClient, NetServer, Server, ServerConfig,
+    SyncPolicy,
 };
 use bcq_storage::Database;
 use common::summarize;
@@ -409,7 +409,7 @@ fn bench_serving(_c: &mut criterion::Criterion) {
     // from the always-on registry (log-linear histogram, ≤ 3.1% relative
     // error): the tail percentiles the medians above hide. ---
     let snap = server.metrics_snapshot();
-    let lat = &snap.lane(LaneKind::Bounded).latency;
+    let lat = &snap.lane(Lane::Bounded).latency;
     record_derived("serving_bounded_requests", lat.count() as f64);
     record_derived("serving_bounded_p50_ns", lat.quantile(0.50) as f64);
     record_derived("serving_bounded_p99_ns", lat.quantile(0.99) as f64);

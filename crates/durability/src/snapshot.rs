@@ -380,9 +380,12 @@ pub fn restore_snapshot(catalog: Arc<Catalog>, snap: DecodedSnapshot) -> Result<
 /// `writer.last_seq()`, and nothing may append to `writer` until this
 /// returns: the cut to 0 is only sound if the log holds no record past
 /// the snapshot. `Server::checkpoint` in `bcq-service` guarantees both by
-/// running inside the commit section — the only place records are
-/// appended — with the bulk gate held exclusively. A `last_seq` that moved
-/// anyway is an error, returned before anything is cut.
+/// holding its bulk gate exclusively: every record is appended by a holder
+/// of that gate (row writers share it, a bulk update holds it alone and
+/// appends off the commit section), so while the checkpoint holds it
+/// `last_seq` cannot move and the published state is the logged one. A
+/// `last_seq` that moved anyway is an error, returned before anything is
+/// cut.
 pub fn checkpoint(writer: &WalWriter, db: &Database) -> io::Result<(String, u64)> {
     let storage = &**writer.storage();
     let last_seq = writer.last_seq();

@@ -90,12 +90,8 @@ fn main() -> core::result::Result<(), Box<dyn std::error::Error>> {
         snap.cache.hits,
         snap.writes.inserts,
         snap.writes.conflicts,
-        snap.lane(bcq_service::LaneKind::Bounded)
-            .latency
-            .quantile(0.50),
-        snap.lane(bcq_service::LaneKind::Bounded)
-            .latency
-            .quantile(0.99),
+        snap.lane(bcq_service::Lane::Bounded).latency.quantile(0.50),
+        snap.lane(bcq_service::Lane::Bounded).latency.quantile(0.99),
     );
     assert_eq!(frames as usize, CLIENTS * (OPS + 1));
     assert_eq!(snap.cache.misses, 1, "one compile serves every connection");

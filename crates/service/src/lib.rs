@@ -81,10 +81,10 @@ pub mod shared;
 
 pub use cache::{CacheStats, PlanCache};
 pub use net::{NetClient, NetError, NetServer};
-pub use prepared::{query_fingerprint, ra_fingerprint, Lane, PreparedQuery};
+pub use prepared::{query_fingerprint, ra_fingerprint, PreparedQuery};
 pub use server::{
     AdmissionPolicy, BudgetVerdict, DurabilityConfig, Outcome, Prepared, RequestStats, Response,
-    Server, ServerConfig, ServiceError, Session, SessionStats, ViewId,
+    Server, ServerConfig, ServiceError, Session, ViewId,
 };
 pub use shared::SharedDb;
 // Re-exported so a durable deployment can be opened (storage backend,
@@ -92,11 +92,11 @@ pub use shared::SharedDb;
 pub use bcq_durability::{
     DirLog, LogStorage, MemLog, RecoveryReport, SyncPolicy, WalStats, WalWriter,
 };
-// Re-exported so downstream users of the serving tier can consume
-// [`Server::metrics_snapshot`] / [`Server::execute_profiled`] without
-// naming `bcq-telemetry` themselves.
+// Re-exported so downstream users of the serving tier can read
+// [`RequestStats::lane`], [`Server::metrics_snapshot`] and
+// [`Server::execute_profiled`] without naming `bcq-telemetry` themselves.
 pub use bcq_telemetry::{
-    LaneKind, MetricsRegistry, MetricsSnapshot, OpProfile, Phase, StepKind, StepProfile,
+    Lane, MetricsRegistry, MetricsSnapshot, OpProfile, Phase, StepKind, StepProfile,
 };
 
 /// Convenient alias used across the crate.

@@ -11,10 +11,11 @@
 //!   UTF-8 text. Small, inspectable, and trivially correct to parse.
 //! * **Threading model** — [`NetServer::bind`] spawns one accept thread;
 //!   each accepted connection gets its own thread owning a [`Session`],
-//!   so per-connection state (session stats, the per-thread parameter
-//!   environment) works exactly as it does for
-//!   embedded callers. No executor, no reactors: the kernel's scheduler
-//!   is the only scheduler.
+//!   so per-connection state (the session's query-text buffers, the
+//!   per-thread parameter environment) works exactly as it does for
+//!   embedded callers; what a connection serves is counted server-wide,
+//!   in [`Server::metrics_snapshot`]. No executor, no reactors: the
+//!   kernel's scheduler is the only scheduler.
 //! * **Commands** — a deliberately tiny text grammar (one line per
 //!   request): `PING`, `EXEC <template> [param=value …]`,
 //!   `SQL <query text>`, `INSERT <rel> <value …>`,

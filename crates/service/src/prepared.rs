@@ -19,36 +19,8 @@
 use bcq_core::plan::QueryPlan;
 use bcq_core::prelude::{OpProgram, Predicate, RaExpr, SpcQuery};
 use bcq_exec::PreparedRa;
+use bcq_telemetry::Lane;
 use std::fmt::Write as _;
-
-/// How a prepared query executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Lane {
-    /// Effectively bounded: compiled plan, `eval_dq` data plane. Per-request
-    /// cost independent of `|D|`.
-    Bounded,
-    /// A certified RA expression: evaluated boundedly through the
-    /// compiled [`PreparedRa`] skeleton. Preparation caches the
-    /// certification, the resolved set-operation orientation and a
-    /// parameterized plan (operator program included) for **every** block:
-    /// an enumerable block's own, and a probed block's with its projection
-    /// pinned to the probe slots. A request binds and interprets; a
-    /// membership probe is one more run of a compiled plan.
-    BoundedRa,
-    /// Not effectively bounded: admitted onto the conventional baseline
-    /// under a hard work budget (never under a strict admission policy).
-    Unbounded,
-}
-
-impl std::fmt::Display for Lane {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Lane::Bounded => write!(f, "bounded"),
-            Lane::BoundedRa => write!(f, "bounded-ra"),
-            Lane::Unbounded => write!(f, "unbounded"),
-        }
-    }
-}
 
 /// A query compiled and classified at prepare time.
 ///

@@ -1,6 +1,8 @@
 //! The serving front door: [`Server`] owns the shared database, the plan
-//! cache and the registered views; [`Session`] is a per-client handle that
-//! aggregates request statistics.
+//! cache and the registered views; [`Session`] is a per-client handle over
+//! both. Each request is counted once: server-wide in the metrics registry
+//! and the plan cache ([`Server::metrics_snapshot`]), and on its own
+//! [`Response`] ([`RequestStats`]).
 //!
 //! Each job is one module with one entry point per operation: `read`
 //! (prepare, execute), `session` (sessions, the query-text path), `write`
@@ -75,7 +77,7 @@ mod write;
 
 pub use durability::DurabilityConfig;
 pub use read::{BudgetVerdict, Outcome, Prepared, RequestStats, Response};
-pub use session::{Session, SessionStats};
+pub use session::Session;
 pub use views::ViewId;
 
 use crate::cache::{CacheShards, CacheStats};
@@ -372,6 +374,7 @@ mod tests {
     use super::*;
     use crate::server::views::ViewId;
     use bcq_core::prelude::{SpcQuery, Value};
+    use bcq_telemetry::Lane;
     use std::collections::BTreeMap;
 
     #[test]
@@ -411,10 +414,9 @@ mod tests {
         server.view_result(ViewId(0)).unwrap();
 
         let snap = server.metrics_snapshot();
-        use bcq_telemetry::LaneKind;
-        assert_eq!(snap.lane(LaneKind::Bounded).latency.count(), 2);
-        assert_eq!(snap.lane(LaneKind::Budgeted).latency.count(), 1);
-        assert!(snap.lane(LaneKind::Bounded).tuples_fetched > 0);
+        assert_eq!(snap.lane(Lane::Bounded).latency.count(), 2);
+        assert_eq!(snap.lane(Lane::Unbounded).latency.count(), 1);
+        assert!(snap.lane(Lane::Bounded).tuples_fetched > 0);
         assert_eq!(snap.admission.budget_completed, 1);
         assert_eq!(snap.cache.misses, 2, "Q1 + scan each compiled once");
         assert_eq!(snap.cache.hits, 1);

@@ -2,7 +2,7 @@
 //! into a [`Lane`] and the compile) and execute.
 
 use super::{dur_ns, AdmissionPolicy, Server, ServiceError};
-use crate::prepared::{query_fingerprint, ra_fingerprint, Compiled, Lane, PreparedQuery};
+use crate::prepared::{query_fingerprint, ra_fingerprint, Compiled, PreparedQuery};
 use crate::shared::lock_recovered;
 use bcq_core::error::CoreError;
 use bcq_core::prelude::{RaExpr, SpcQuery, Value};
@@ -12,7 +12,7 @@ use bcq_exec::{
     BaselineOutcome, ParamEnv, PreparedRa, ResultSet,
 };
 use bcq_storage::{Database, Meter};
-use bcq_telemetry::{LaneKind, OpProfile, Phase};
+use bcq_telemetry::{Lane, OpProfile, Phase};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -322,14 +322,9 @@ impl Server {
         // metrics path adds no clock read of its own — one enabled check,
         // one histogram `fetch_add`, one sharded-counter `fetch_add`.
         if self.metrics.is_enabled() {
-            let lane = match resp.stats.lane {
-                Lane::Bounded => LaneKind::Bounded,
-                Lane::BoundedRa => LaneKind::BoundedRa,
-                Lane::Unbounded => LaneKind::Budgeted,
-            };
             let ns = dur_ns(resp.stats.total_elapsed);
             self.metrics
-                .record_request(lane, ns, resp.stats.meter.tuples_fetched);
+                .record_request(resp.stats.lane, ns, resp.stats.meter.tuples_fetched);
             match resp.stats.budget {
                 BudgetVerdict::Unlimited => {}
                 BudgetVerdict::Completed { .. } => self.metrics.record_budget_verdict(true),
@@ -400,10 +395,9 @@ mod tests {
         assert!(r3.stats.cache_hit);
         assert!(r3.rows().unwrap().is_empty());
 
-        let stats = s.stats();
-        assert_eq!(stats.requests, 3);
-        assert_eq!(stats.cache_hits, 2);
-        assert_eq!(stats.bounded, 3);
+        let m = server.metrics_snapshot();
+        assert_eq!(m.requests(), 3);
+        assert_eq!(m.lane(Lane::Bounded).latency.count(), 3);
         let cs = server.cache_stats();
         assert_eq!(cs.misses, 1);
         assert_eq!(cs.hits, 2);
@@ -421,7 +415,7 @@ mod tests {
         let mut s = server.session();
         let err = s.query(&q, &BTreeMap::new()).unwrap_err();
         assert!(matches!(err, ServiceError::Rejected(_)), "{err}");
-        assert_eq!(s.stats().rejected, 1);
+        assert_eq!(server.metrics_snapshot().admission.rejected, 1);
     }
 
     #[test]
@@ -450,7 +444,7 @@ mod tests {
             r.stats.budget,
             BudgetVerdict::Exhausted { cap: 2 }
         ));
-        assert_eq!(s.stats().did_not_finish, 1);
+        assert_eq!(server.metrics_snapshot().admission.budget_exhausted, 1);
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //! the query-text path they serve, where a text is looked up in the plan
 //! cache by its **shape**.
 
-use super::{Prepared, Response, Server, ServiceError};
-use crate::prepared::Lane;
+use super::{Prepared, Response, Server};
 use bcq_core::error::CoreError;
 use bcq_core::parser::{lifted_slot_name, SqlShape, LIFTED_SLOT_PREFIX};
 use bcq_core::prelude::{RaExpr, SpcQuery, Value};
@@ -69,7 +68,6 @@ impl Server {
     pub fn session(self: &Arc<Self>) -> Session {
         Session {
             server: Arc::clone(self),
-            stats: SessionStats::default(),
             sql: SqlScratch::default(),
         }
     }
@@ -115,36 +113,12 @@ impl Server {
     }
 }
 
-/// Aggregate statistics of one session.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SessionStats {
-    /// Requests served (successful executes).
-    pub requests: u64,
-    /// Requests whose prepare was a cache hit.
-    pub cache_hits: u64,
-    /// Requests on the bounded lane.
-    pub bounded: u64,
-    /// Requests on the bounded-RA lane.
-    pub bounded_ra: u64,
-    /// Requests on the budgeted baseline lane.
-    pub unbounded: u64,
-    /// Budgeted requests that hit the work cap.
-    pub did_not_finish: u64,
-    /// Requests rejected by admission control.
-    pub rejected: u64,
-    /// Total tuples fetched across requests.
-    pub tuples_fetched: u64,
-    /// Rows inserted through this session.
-    pub inserts: u64,
-    /// Rows deleted through this session (only deletes that found a row).
-    pub deletes: u64,
-}
-
 /// A per-client handle: thin wrapper over an `Arc<Server>` that funnels
-/// prepare+execute and aggregates [`SessionStats`].
+/// prepare+execute and keeps the query-text path's buffers. What it
+/// serves is counted once, server-wide ([`Server::metrics_snapshot`]),
+/// and per request ([`Response::stats`]).
 pub struct Session {
     server: Arc<Server>,
-    stats: SessionStats,
     sql: SqlScratch,
 }
 
@@ -154,18 +128,13 @@ impl Session {
         &self.server
     }
 
-    /// Aggregate statistics so far.
-    pub fn stats(&self) -> SessionStats {
-        self.stats
-    }
-
     /// Prepares (cached) and executes `q` with `bindings`.
     pub fn query(
         &mut self,
         q: &SpcQuery,
         bindings: &BTreeMap<String, Value>,
     ) -> crate::Result<Response> {
-        let prepared = self.record_prepare(self.server.prepare(q))?;
+        let prepared = self.server.prepare(q)?;
         self.run(&prepared, bindings)
     }
 
@@ -175,7 +144,7 @@ impl Session {
         expr: &RaExpr,
         bindings: &BTreeMap<String, Value>,
     ) -> crate::Result<Response> {
-        let prepared = self.record_prepare(self.server.prepare_ra(expr))?;
+        let prepared = self.server.prepare_ra(expr)?;
         self.run(&prepared, bindings)
     }
 
@@ -195,9 +164,7 @@ impl Session {
     ) -> crate::Result<Response> {
         let mut scratch = std::mem::take(&mut self.sql);
         let prepared = self.server.prepare_sql(name, sql, bindings, &mut scratch);
-        let result = self
-            .record_prepare(prepared)
-            .and_then(|p| self.run(&p, &scratch.bindings));
+        let result = prepared.and_then(|p| self.run(&p, &scratch.bindings));
         self.sql = scratch;
         result
     }
@@ -205,28 +172,17 @@ impl Session {
     /// Inserts one row through the server's write path
     /// ([`Server::insert`]).
     pub fn insert(&mut self, rel_name: &str, row: &[Value]) -> crate::Result<u32> {
-        let rid = self.server.insert(rel_name, row)?;
-        self.stats.inserts += 1;
-        Ok(rid)
+        self.server.insert(rel_name, row)
     }
 
     /// Deletes one copy of a row through the server's write path
     /// ([`Server::delete`]). Returns `false` if no copy was stored.
     pub fn delete(&mut self, rel_name: &str, row: &[Value]) -> crate::Result<bool> {
-        let deleted = self.server.delete(rel_name, row)?;
-        self.stats.deletes += u64::from(deleted);
-        Ok(deleted)
-    }
-
-    fn record_prepare(&mut self, r: crate::Result<Prepared>) -> crate::Result<Prepared> {
-        if matches!(r, Err(ServiceError::Rejected(_))) {
-            self.stats.rejected += 1;
-        }
-        r
+        self.server.delete(rel_name, row)
     }
 
     fn run(
-        &mut self,
+        &self,
         prepared: &Prepared,
         bindings: &BTreeMap<String, Value>,
     ) -> crate::Result<Response> {
@@ -238,15 +194,6 @@ impl Session {
         // compile time back in so `total_elapsed` is end-to-end and the
         // `compile + exec ≤ total` invariant holds per request.
         resp.stats.total_elapsed += prepared.compile_elapsed;
-        self.stats.requests += 1;
-        self.stats.cache_hits += u64::from(prepared.cache_hit);
-        match resp.stats.lane {
-            Lane::Bounded => self.stats.bounded += 1,
-            Lane::BoundedRa => self.stats.bounded_ra += 1,
-            Lane::Unbounded => self.stats.unbounded += 1,
-        }
-        self.stats.did_not_finish += u64::from(!resp.finished());
-        self.stats.tuples_fetched += resp.stats.meter.tuples_fetched;
         Ok(resp)
     }
 }
@@ -256,6 +203,7 @@ mod tests {
     use super::*;
     use crate::server::fixtures::{bind, setup, template};
     use crate::server::AdmissionPolicy;
+    use bcq_telemetry::Lane;
     use std::time::Duration;
 
     #[test]
@@ -527,8 +475,9 @@ mod tests {
         assert!(!s
             .delete("friends", &[Value::str("u0"), Value::str("u7")])
             .unwrap());
-        assert_eq!(s.stats().inserts, 1);
-        assert_eq!(s.stats().deletes, 1, "only the delete that found a row");
+        let writes = server.metrics_snapshot().writes;
+        assert_eq!(writes.inserts, 1);
+        assert_eq!(writes.deletes, 1, "only the delete that found a row");
     }
 
     #[test]
@@ -537,6 +486,7 @@ mod tests {
         let q1 = template(&server);
         // Warm the cache once so every thread hits.
         server.session().query(&q1, &bind("a0", "u0")).unwrap();
+        let warm = server.metrics_snapshot().requests();
 
         let mut handles = Vec::new();
         for _ in 0..4 {
@@ -549,14 +499,12 @@ mod tests {
                     assert_eq!(r.rows().unwrap().len(), 1);
                     assert!(r.stats.cache_hit);
                 }
-                s.stats()
             }));
         }
-        let mut total = 0;
         for h in handles {
-            total += h.join().unwrap().requests;
+            h.join().unwrap();
         }
-        assert_eq!(total, 100);
+        assert_eq!(server.metrics_snapshot().requests() - warm, 100);
         assert_eq!(server.cache_stats().misses, 1, "one compile served all");
     }
 }

@@ -21,15 +21,20 @@
 //!   monomorphization (`ENABLED = false`) compiles every probe site away,
 //!   while a [`Profiler`] times each operator step with row counts.
 //! * [`MetricsSnapshot`] — an owned, mergeable snapshot with hand-rolled
-//!   JSON and Prometheus-style text expositions (serde-free).
+//!   JSON and Prometheus-style text expositions (serde-free). Each section
+//!   is declared as one table of metrics (field, kind, JSON key,
+//!   Prometheus name) that merging and both expositions walk, so a new
+//!   metric is one row.
+//! * [`Lane`] — the serving lane a request runs on, shared with
+//!   `bcq-service`, which re-exports it.
 //!
 //! ```
-//! use bcq_telemetry::{LaneKind, MetricsRegistry};
+//! use bcq_telemetry::{Lane, MetricsRegistry};
 //!
 //! let reg = MetricsRegistry::new();
-//! reg.record_request(LaneKind::Bounded, 870, 4); // 870 ns, |D_Q| = 4
+//! reg.record_request(Lane::Bounded, 870, 4); // 870 ns, |D_Q| = 4
 //! let snap = reg.snapshot();
-//! assert_eq!(snap.lane(LaneKind::Bounded).latency.count(), 1);
+//! assert_eq!(snap.lane(Lane::Bounded).latency.count(), 1);
 //! assert!(snap.to_json().contains("\"bounded\""));
 //! ```
 
@@ -44,6 +49,6 @@ pub use export::{
     PlanCacheSnapshot, SqlSnapshot, WalSnapshot, WriteSnapshot,
 };
 pub use hist::{HistSnapshot, Histogram};
-pub use metrics::{Counter, LaneKind, MetricsRegistry, NUM_LANES};
+pub use metrics::{Counter, Lane, MetricsRegistry, NUM_LANES};
 pub use profile::{NoProbe, OpProfile, Probe, Profiler, StepKind, StepProfile};
 pub use span::{Phase, SpanGuard, NUM_PHASES};

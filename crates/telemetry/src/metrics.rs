@@ -83,24 +83,28 @@ impl Counter {
     }
 }
 
-/// The serving lane a request executed on, as telemetry sees it.
+/// The serving lane a request executes on: how a prepared query runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LaneKind {
-    /// Effectively bounded queries on the compiled `eval_dq` fast path.
+pub enum Lane {
+    /// Effectively bounded: compiled plan, `eval_dq` data plane. Per-request
+    /// cost independent of `|D|`.
     Bounded,
-    /// Certified RA expressions.
+    /// A certified RA expression, evaluated boundedly through its compiled
+    /// skeleton: a parameterized plan per block, membership probes
+    /// included.
     BoundedRa,
-    /// Unbounded queries admitted onto the budgeted baseline.
-    Budgeted,
+    /// Not effectively bounded: admitted onto the conventional baseline
+    /// under a hard work budget (never under a strict admission policy).
+    /// Exposed under the label `budgeted`.
+    Unbounded,
 }
 
 /// Number of serving lanes tracked by the registry.
 pub const NUM_LANES: usize = 3;
 
-impl LaneKind {
+impl Lane {
     /// All lanes, in registry index order.
-    pub const ALL: [LaneKind; NUM_LANES] =
-        [LaneKind::Bounded, LaneKind::BoundedRa, LaneKind::Budgeted];
+    pub const ALL: [Lane; NUM_LANES] = [Lane::Bounded, Lane::BoundedRa, Lane::Unbounded];
 
     /// The lane's slot in the registry's per-lane arrays.
     #[inline]
@@ -111,10 +115,16 @@ impl LaneKind {
     /// Stable label used in the JSON / Prometheus expositions.
     pub fn label(self) -> &'static str {
         match self {
-            LaneKind::Bounded => "bounded",
-            LaneKind::BoundedRa => "bounded_ra",
-            LaneKind::Budgeted => "budgeted",
+            Lane::Bounded => "bounded",
+            Lane::BoundedRa => "bounded_ra",
+            Lane::Unbounded => "budgeted",
         }
+    }
+}
+
+impl std::fmt::Display for Lane {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.label())
     }
 }
 
@@ -242,7 +252,7 @@ impl MetricsRegistry {
     /// and tuples fetched. One enabled check, one histogram `fetch_add`,
     /// one sharded-counter `fetch_add` — no allocation, no lock.
     #[inline]
-    pub fn record_request(&self, lane: LaneKind, latency_ns: u64, tuples_fetched: u64) {
+    pub fn record_request(&self, lane: Lane, latency_ns: u64, tuples_fetched: u64) {
         if !self.is_enabled() {
             return;
         }
@@ -329,12 +339,12 @@ impl MetricsRegistry {
     }
 
     /// Direct access to a lane's latency histogram (bench/export use).
-    pub fn lane_latency(&self, lane: LaneKind) -> &Histogram {
+    pub fn lane_latency(&self, lane: Lane) -> &Histogram {
         &self.lane_latency[lane.index()]
     }
 
     /// Total tuples fetched on one lane so far.
-    pub fn lane_tuples(&self, lane: LaneKind) -> u64 {
+    pub fn lane_tuples(&self, lane: Lane) -> u64 {
         self.lane_tuples[lane.index()].get()
     }
 
@@ -381,36 +391,36 @@ mod tests {
     fn disabled_registry_records_nothing() {
         let r = MetricsRegistry::new();
         r.set_enabled(false);
-        r.record_request(LaneKind::Bounded, 500, 3);
+        r.record_request(Lane::Bounded, 500, 3);
         r.record_budget_verdict(true);
         r.record_rejected();
         r.record_sql(2);
         r.record_write(true, 1000);
         assert_eq!(r.sql_requests.get(), 0);
         assert_eq!(r.sql_literals_lifted.get(), 0);
-        assert_eq!(r.lane_latency(LaneKind::Bounded).snapshot().count(), 0);
-        assert_eq!(r.lane_tuples(LaneKind::Bounded), 0);
+        assert_eq!(r.lane_latency(Lane::Bounded).snapshot().count(), 0);
+        assert_eq!(r.lane_tuples(Lane::Bounded), 0);
         assert_eq!(r.budget_completed.get(), 0);
         assert_eq!(r.rejected.get(), 0);
         assert_eq!(r.inserts.get(), 0);
 
         r.set_enabled(true);
-        r.record_request(LaneKind::Bounded, 500, 3);
-        assert_eq!(r.lane_latency(LaneKind::Bounded).snapshot().count(), 1);
-        assert_eq!(r.lane_tuples(LaneKind::Bounded), 3);
+        r.record_request(Lane::Bounded, 500, 3);
+        assert_eq!(r.lane_latency(Lane::Bounded).snapshot().count(), 1);
+        assert_eq!(r.lane_tuples(Lane::Bounded), 3);
     }
 
     #[test]
     fn per_lane_series_are_independent() {
         let r = MetricsRegistry::new();
-        r.record_request(LaneKind::Bounded, 100, 1);
-        r.record_request(LaneKind::Bounded, 200, 1);
-        r.record_request(LaneKind::Budgeted, 9_000, 50);
+        r.record_request(Lane::Bounded, 100, 1);
+        r.record_request(Lane::Bounded, 200, 1);
+        r.record_request(Lane::Unbounded, 9_000, 50);
         r.record_budget_verdict(false);
-        assert_eq!(r.lane_latency(LaneKind::Bounded).snapshot().count(), 2);
-        assert_eq!(r.lane_latency(LaneKind::BoundedRa).snapshot().count(), 0);
-        assert_eq!(r.lane_latency(LaneKind::Budgeted).snapshot().count(), 1);
-        assert_eq!(r.lane_tuples(LaneKind::Budgeted), 50);
+        assert_eq!(r.lane_latency(Lane::Bounded).snapshot().count(), 2);
+        assert_eq!(r.lane_latency(Lane::BoundedRa).snapshot().count(), 0);
+        assert_eq!(r.lane_latency(Lane::Unbounded).snapshot().count(), 1);
+        assert_eq!(r.lane_tuples(Lane::Unbounded), 50);
         assert_eq!(r.budget_exhausted.get(), 1);
         assert_eq!(r.budget_completed.get(), 0);
     }

@@ -28,7 +28,7 @@ pub enum Phase {
     Bind,
     /// Plan execution against the snapshot.
     Execute,
-    /// Response assembly and session accounting.
+    /// Response assembly.
     Respond,
 }
 

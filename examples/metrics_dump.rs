@@ -16,6 +16,48 @@ use bounded_cq::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+/// Checks the shape of both expositions of `snap`. Prometheus: every
+/// sample line belongs to the family the closest `# TYPE` line above it
+/// declares (a summary's `_count` included), and no family is declared
+/// twice. JSON: quotes pair up and braces balance outside strings.
+fn check_expositions(snap: &MetricsSnapshot) {
+    let prometheus = snap.to_prometheus();
+    let mut declared = std::collections::HashSet::new();
+    let mut family = None;
+    for line in prometheus.lines() {
+        if let Some(decl) = line.strip_prefix("# TYPE ") {
+            let (name, kind) = decl.split_once(' ').expect("`# TYPE <name> <kind>`");
+            assert!(matches!(kind, "counter" | "gauge" | "summary"), "{line}");
+            assert!(declared.insert(name), "family {name} declared twice");
+            family = Some((name, kind));
+            continue;
+        }
+        let (series, value) = line.rsplit_once(' ').expect("`<series> <value>`");
+        assert!(value.parse::<f64>().is_ok(), "{line}");
+        let name = series.split('{').next().unwrap_or(series);
+        let (family, kind) = family.unwrap_or_else(|| panic!("{line}: no `# TYPE` above it"));
+        let count_of_summary = kind == "summary" && name.strip_suffix("_count") == Some(family);
+        assert!(
+            name == family || count_of_summary,
+            "{line}: not of family {family}"
+        );
+    }
+    let json = snap.to_json();
+    let (mut depth, mut in_string) = (0i64, false);
+    for c in json.chars() {
+        match c {
+            '"' => in_string = !in_string,
+            '{' if !in_string => depth += 1,
+            '}' if !in_string => {
+                depth -= 1;
+                assert!(depth >= 0, "a `}}` closes nothing in:\n{json}");
+            }
+            _ => {}
+        }
+    }
+    assert!(!in_string && depth == 0, "unbalanced JSON:\n{json}");
+}
+
 /// The social-search server of the other examples, behind a budgeted
 /// admission policy so unbounded scans land on the metered baseline
 /// instead of being rejected.
@@ -196,10 +238,11 @@ fn main() -> core::result::Result<(), Box<dyn std::error::Error>> {
     let snap = server.metrics_snapshot();
     println!("=== JSON ===\n{}\n", snap.to_json());
     println!("=== Prometheus ===\n{}", snap.to_prometheus());
+    check_expositions(&snap);
 
-    assert_eq!(snap.lane(LaneKind::Bounded).latency.count(), 2_201);
-    assert_eq!(snap.lane(LaneKind::Budgeted).latency.count(), 3);
-    assert!(snap.lane(LaneKind::Bounded).latency.quantile(0.999) > 0);
+    assert_eq!(snap.lane(Lane::Bounded).latency.count(), 2_201);
+    assert_eq!(snap.lane(Lane::Unbounded).latency.count(), 3);
+    assert!(snap.lane(Lane::Bounded).latency.quantile(0.999) > 0);
     assert_eq!(snap.admission.budget_completed, 3);
     assert_eq!(
         snap.cache.misses, 3,
@@ -289,6 +332,7 @@ fn main() -> core::result::Result<(), Box<dyn std::error::Error>> {
         }
     });
     let dsnap = durable.metrics_snapshot();
+    check_expositions(&dsnap);
     assert_eq!(dsnap.writes.inserts, 64);
     assert!(dsnap.wal.group_batches >= 1, "deferred fsyncs were batched");
     assert_eq!(

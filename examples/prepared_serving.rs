@@ -97,7 +97,7 @@ fn main() -> core::result::Result<(), Box<dyn std::error::Error>> {
             let q1 = q1.clone();
             std::thread::spawn(move || {
                 let mut session = server.session();
-                let mut answers = 0usize;
+                let (mut answers, mut tuples) = (0usize, 0u64);
                 for i in 0..requests_per_thread {
                     let r = (t * 7919 + i * 13) as i64;
                     let mut bind = BTreeMap::new();
@@ -105,17 +105,18 @@ fn main() -> core::result::Result<(), Box<dyn std::error::Error>> {
                     bind.insert("uid".to_string(), Value::str(format!("u{}", r % 2_000)));
                     let resp = session.query(&q1, &bind).expect("bounded lane");
                     answers += resp.rows().map_or(0, |rows| rows.len());
+                    tuples += resp.stats.meter.tuples_fetched;
                 }
-                (session.stats(), answers)
+                (answers, tuples)
             })
         })
         .collect();
     let mut answers = 0usize;
     let mut tuples = 0u64;
     for h in handles {
-        let (stats, a) = h.join().unwrap();
+        let (a, t) = h.join().unwrap();
         answers += a;
-        tuples += stats.tuples_fetched;
+        tuples += t;
     }
     let elapsed = start.elapsed();
     let total = threads * requests_per_thread;

@@ -85,11 +85,10 @@ pub mod prelude {
         BaselineOutcome, ExecOutcome, ParamEnv, RaOutcome, ResultSet,
     };
     pub use bcq_service::{
-        AdmissionPolicy, BudgetVerdict, DirLog, DurabilityConfig, Lane, LaneKind, MemLog,
-        MetricsRegistry, MetricsSnapshot, NetClient, NetError, NetServer, OpProfile, Outcome,
-        Phase, PreparedQuery, RecoveryReport, RequestStats, Response, Server, ServerConfig,
-        ServiceError, Session, SessionStats, SharedDb, StepKind, StepProfile, SyncPolicy, ViewId,
-        WalStats,
+        AdmissionPolicy, BudgetVerdict, DirLog, DurabilityConfig, Lane, MemLog, MetricsRegistry,
+        MetricsSnapshot, NetClient, NetError, NetServer, OpProfile, Outcome, Phase, PreparedQuery,
+        RecoveryReport, RequestStats, Response, Server, ServerConfig, ServiceError, Session,
+        SharedDb, StepKind, StepProfile, SyncPolicy, ViewId, WalStats,
     };
     pub use bcq_storage::{
         discover_bound, dump_csv, load_csv, validate, Database, HashIndex, Meter, RelationShard,

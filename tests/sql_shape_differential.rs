@@ -399,7 +399,7 @@ fn failed_compiles_cache_nothing() {
     for (i, who) in ["u1", "u2", "u1"].into_iter().enumerate() {
         let err = s.query_sql("scan", &unbounded(who), &none).unwrap_err();
         assert!(matches!(err, ServiceError::Rejected(_)), "{err}");
-        assert_eq!(s.stats().rejected, i as u64 + 1);
+        assert_eq!(server.metrics_snapshot().admission.rejected, i as u64 + 1);
     }
     for bad in [
         "SELECT f.friend_id FROM friends f WHERE f.user_id < 3",
