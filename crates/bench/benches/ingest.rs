@@ -32,12 +32,19 @@
 //! `index_build_parallel_speedup`, is what the second core buys; every
 //! derived rate uses the lane's median as the load's build time.
 //!
+//! Recovery has a lane too (`ingest/recover_checkpoint_sf32_ns`, ≥ 15
+//! samples): an indexed TPCH SF 32 instance (SF 2 in smoke mode) is
+//! checkpointed once onto a `DirLog`, and each sample is one `recover`
+//! of that directory into a fresh database, indices included — what a
+//! server restarted right after a checkpoint pays before it serves.
+//!
 //! The maintained side is measured on a prefix of the stream
 //! (`maintained_rows_measured`) at full size — per-row rates stabilize
 //! within a few chunks, and the prefix's smaller index maps *under*state
 //! the maintained cost, so the reported speedup is conservative.
 
 use bcq_core::prelude::Value;
+use bcq_durability::{checkpoint, recover};
 use bcq_service::{DirLog, LogStorage, SyncPolicy, WalWriter};
 use bcq_storage::{Database, HashIndex};
 use bcq_workload::{source, tpch};
@@ -211,6 +218,8 @@ fn bench(c: &mut Criterion) {
     }
     let _ = std::fs::remove_dir_all(&wal_dir);
 
+    recover_lane(&wal_dir);
+
     let per_row_bulk = bulk_ns / rows as f64;
     let per_row_maintained = maintained_ns / maintained_rows as f64;
     let secs = bulk_ns / 1e9;
@@ -241,6 +250,32 @@ fn bench(c: &mut Criterion) {
         maintained_rows,
         per_row_maintained / per_row_bulk,
     );
+}
+
+/// Times `recover` of an indexed TPCH instance from a fresh checkpoint in
+/// `dir`, one sample per recovery, and records the lane.
+fn recover_lane(dir: &std::path::Path) {
+    let mut db = tpch::generate(if smoke_mode() { 2.0 } else { 32.0 }, 0xBC0);
+    db.build_indexes(&tpch::access_schema());
+    let (rows, indexes) = (db.total_tuples(), db.num_indexes());
+    let catalog = Arc::clone(db.catalog());
+    let _ = std::fs::remove_dir_all(dir);
+    let log = Arc::new(DirLog::open(dir).expect("open DirLog"));
+    let writer = WalWriter::new(log.clone(), SyncPolicy::Manual, 1);
+    checkpoint(&writer, &db).expect("checkpoint");
+    drop(db);
+    let mut samples = Vec::new();
+    for _ in 0..if smoke_mode() { 1 } else { 15 } {
+        let t = Instant::now();
+        let (recovered, _) = recover(&*log, Arc::clone(&catalog)).expect("recover");
+        samples.push(t.elapsed().as_nanos() as f64);
+        assert_eq!(
+            (recovered.total_tuples(), recovered.num_indexes()),
+            (rows, indexes)
+        );
+    }
+    let _ = std::fs::remove_dir_all(dir);
+    summarize(&mut samples, 1).record("ingest/recover_checkpoint_sf32_ns");
 }
 
 criterion_group!(benches, bench);

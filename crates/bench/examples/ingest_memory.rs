@@ -23,17 +23,17 @@
 //! the allocator counted.
 //!
 //! A fourth check covers the durable store: a checkpoint of that instance
-//! onto a `DirLog` in a temp directory must stream its snapshot — its
-//! peak stays within 2 MiB of the live bytes at entry, so no copy of the
-//! database as bytes exists — and recovering from it must stream the blob
-//! back, peaking within 2 MiB of what the recovered database keeps.
+//! onto a `DirLog` in a temp directory must stream its compacted log —
+//! its peak stays within 2 MiB of the live bytes at entry, so no copy of
+//! the database as bytes exists — and recovering from it must stream the
+//! log back, peaking within 2 MiB of what the recovered database keeps.
 //!
-//! A fifth check covers recovery with no snapshot: the same instance
+//! A fifth check covers recovery with no checkpoint: the same instance
 //! bulk-loaded and indexed through a WAL-attached `DirLog`, synced and
-//! never checkpointed, must replay from the log holding no more than the
-//! log's bytes and one chunk — its peak stays within the log's size plus
-//! 4 MiB of what the recovered database keeps, so no record outlives its
-//! apply and no row is held as values on the way back.
+//! never checkpointed, must replay the log as it streams — its peak stays
+//! within 4 MiB of what the recovered database keeps, so neither the log
+//! nor a record outlives its apply and no row is held as values on the
+//! way back.
 
 use bcq_core::prelude::Value;
 use bcq_durability::{checkpoint, recover, DirLog, SyncPolicy, WalWriter};
@@ -189,29 +189,29 @@ fn main() {
         off * 100.0
     );
 
-    // Durable-store side: the snapshot streams to disk and back. The
-    // instance is the one just indexed, logged by nothing (the snapshot
+    // Durable-store side: the compacted log streams to disk and back. The
+    // instance is the one just indexed, logged by nothing (the checkpoint
     // covers seq 0).
     const SLACK: i64 = 2 * 1024 * 1024;
     let dir = std::env::temp_dir().join(format!("bcq-ingest-memory-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let log = Arc::new(DirLog::open(&dir).expect("open log directory"));
     let writer = WalWriter::new(log.clone(), SyncPolicy::Manual, 1);
-    let ((name, blob_bytes), ckpt_peak, _) =
+    let (base_bytes, ckpt_peak, _) =
         deltas_during(|| checkpoint(&writer, &db).expect("checkpoint"));
     let catalog = Arc::clone(db.catalog());
     drop(db);
     let ((recovered, report), rec_peak, rec_live) =
         deltas_during(|| recover(&*log, catalog).expect("recover"));
     println!(
-        "checkpoint: {:.2} MB blob; peak {:.2} MB above entry; recovery keeps {:.2} MB, \
+        "checkpoint: {:.2} MB compacted log; peak {:.2} MB above entry; recovery keeps {:.2} MB, \
          peaks {:.2} MB above that",
-        blob_bytes as f64 / 1e6,
+        base_bytes as f64 / 1e6,
         ckpt_peak as f64 / 1e6,
         rec_live as f64 / 1e6,
         (rec_peak - rec_live) as f64 / 1e6,
     );
-    assert_eq!(report.snapshot, Some(name));
+    assert_eq!(report.snapshot_bytes, base_bytes);
     assert_eq!(
         recovered.total_tuples(),
         rows,
@@ -229,8 +229,8 @@ fn main() {
     drop(recovered);
     std::fs::remove_dir_all(&dir).expect("remove log directory");
 
-    // Log-only recovery: replay holds the log bytes it read and one
-    // chunk's cells, never a second copy of the data.
+    // Log-only recovery: replay holds one chunk of the log at a time,
+    // never the log nor a second copy of the data.
     let dir = std::env::temp_dir().join(format!("bcq-ingest-replay-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let log = Arc::new(DirLog::open(&dir).expect("open log directory"));
@@ -258,13 +258,13 @@ fn main() {
         rec_live as f64 / 1e6,
         (rec_peak - rec_live) as f64 / 1e6,
     );
-    assert_eq!(report.snapshot, None);
+    assert_eq!(report.snapshot_bytes, 0);
     assert_eq!(recovered.total_tuples(), rows, "replay restored every row");
     assert!(
-        rec_peak - rec_live <= report.log_bytes as i64 + 4 * 1024 * 1024,
-        "replay peaked {} bytes above the {rec_live} it keeps, past the {}-byte log",
+        rec_peak - rec_live <= 4 * 1024 * 1024,
+        "replay of the {}-byte log peaked {} bytes above the {rec_live} it keeps",
+        report.log_bytes,
         rec_peak - rec_live,
-        report.log_bytes
     );
     drop(recovered);
     std::fs::remove_dir_all(&dir).expect("remove log directory");

@@ -14,9 +14,9 @@
 //!
 //! then keeps writing on the recovered server, checkpoints, reopens, and
 //! checks the post-crash writes survived a clean restart too — and that
-//! the final checkpoint left one copy of the data: one empty `wal.log`,
-//! one `snap-*.blob`, and a reopen that reads and replays nothing.
-//! CI runs this as the recover-after-kill step.
+//! the final checkpoint left one copy of the data: one file, `wal.log`,
+//! holding the compacted base and nothing else, and a reopen that replays
+//! no record past it. CI runs this as the recover-after-kill step.
 
 use bcq_core::access::AccessSchema;
 use bcq_core::prelude::*;
@@ -31,8 +31,9 @@ const EVENTS: RelId = RelId(0);
 /// Acknowledged inserts the parent waits for before pulling the plug.
 const KILL_AFTER: u64 = 500;
 /// The writer checkpoints every this many inserts, so the kill can land
-/// inside a snapshot write, a log cut or a snapshot deletion, and
-/// recovery exercises snapshot + tail replay, not just a cold log scan.
+/// inside a compaction (before its temp file is durable, before its
+/// rename, before the directory's fsync), and recovery exercises a base
+/// plus tail replay, not just a history from its first record.
 const CHECKPOINT_EVERY: u64 = 100;
 
 fn catalog() -> Arc<Catalog> {
@@ -55,17 +56,19 @@ fn open(dir: &Path) -> (Server, RecoveryReport) {
     (server, report)
 }
 
-/// The sizes of the files in `dir` whose names end in `suffix`.
-fn file_sizes(dir: &Path, suffix: &str) -> Vec<(String, u64)> {
-    std::fs::read_dir(dir)
+/// The names and sizes of the files in `dir`, but the writer's
+/// acknowledgement counter, by name.
+fn file_sizes(dir: &Path) -> Vec<(String, u64)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
         .unwrap()
         .map(|e| e.unwrap())
         .filter_map(|e| {
             let name = e.file_name().into_string().ok()?;
-            name.ends_with(suffix)
-                .then(|| (name, e.metadata().unwrap().len()))
+            (!name.starts_with("acked")).then(|| (name, e.metadata().unwrap().len()))
         })
-        .collect()
+        .collect();
+    files.sort();
+    files
 }
 
 fn row(i: u64) -> [Value; 2] {
@@ -165,35 +168,30 @@ fn main() {
     let (server, report) = open(&dir);
     let recovered = assert_prefix(&server, acked, "after kill");
     println!(
-        "recovered {recovered} rows (>= {acked} acknowledged) from {:?} + {} replayed records",
-        report.snapshot, report.replayed
+        "recovered {recovered} rows (>= {acked} acknowledged) from a {}-byte base + {} replayed records",
+        report.snapshot_bytes, report.replayed
     );
 
     // Life goes on: write past the crash, checkpoint, restart cleanly.
     for i in recovered..recovered + 50 {
         server.insert("events", &row(i)).unwrap();
     }
-    server.checkpoint().unwrap();
+    let base = server.checkpoint().unwrap();
     drop(server);
 
-    // The checkpoint left one copy of the data on the real directory.
-    let logs = file_sizes(&dir, ".log");
+    // The checkpoint left one copy of the data on the real directory: the
+    // log, holding the base alone.
     assert_eq!(
-        logs,
-        [("wal.log".to_string(), 0)],
-        "one log, cut after the checkpoint"
-    );
-    let snaps = file_sizes(&dir, ".blob");
-    assert!(
-        snaps.len() == 1 && snaps[0].0.starts_with("snap-"),
-        "exactly one snapshot after the checkpoint: {snaps:?}"
+        file_sizes(&dir),
+        [("wal.log".to_string(), base)],
+        "one log, the compacted base, after the checkpoint"
     );
 
     let (reopened, report) = open(&dir);
     assert_eq!(
-        (report.replayed, report.log_bytes),
-        (0, 0),
-        "a reopen right after a checkpoint reads the snapshot alone"
+        (report.snapshot_bytes, report.replayed, report.log_bytes),
+        (base, 0, 0),
+        "a reopen right after a checkpoint replays the base alone"
     );
     let final_rows = assert_prefix(&reopened, recovered + 50, "after clean restart");
     println!("clean restart serves {final_rows} rows — recover-after-kill OK");

@@ -6,9 +6,13 @@
 //! Every record carries a global **sequence number** assigned by the
 //! [`crate::WalWriter`] at emission time. The log holds its records in
 //! sequence order, and the numbers are what recovery checks that order
-//! by: the replayable history is the run of records after the snapshot
-//! boundary up to the first whose number is not the next one.
+//! by: the replayable history is the run of records up to the first whose
+//! number is not the next one. A checkpoint's compacted base numbers its
+//! own records from 0 — a history starts at 1 — and its closing
+//! [`WalOp::Checkpoint`] names the number the records after it continue
+//! from.
 
+use crate::frame::{crc32, FRAME_HEADER};
 use bcq_core::prelude::{Cell, RelId};
 use bcq_storage::WalOp;
 
@@ -20,6 +24,7 @@ const KIND_BULK_BEGIN: u8 = 7;
 const KIND_ENSURE_INDEX: u8 = 9;
 const KIND_BULK_END: u8 = 10;
 const KIND_BULK_CHUNK: u8 = 11;
+const KIND_CHECKPOINT: u8 = 12;
 
 /// Tags of record kinds no writer emits any more. They keep their numbers
 /// so a log that still holds one is refused by name instead of being
@@ -153,16 +158,43 @@ pub fn encode_op_into(seq: u64, op: &WalOp<'_>, out: &mut Vec<u8>) {
             put_col_slice(out, x);
             put_col_slice(out, y);
         }
+        WalOp::Checkpoint {
+            commit,
+            last_seq,
+            epochs,
+        } => {
+            out.push(KIND_CHECKPOINT);
+            out.extend_from_slice(&commit.to_le_bytes());
+            out.extend_from_slice(&last_seq.to_le_bytes());
+            out.extend_from_slice(&(epochs.len() as u32).to_le_bytes());
+            for epoch in epochs {
+                out.extend_from_slice(&epoch.to_le_bytes());
+            }
+        }
     }
 }
 
-/// Reused buffers [`decode_op`] copies a record's cells and columns into:
-/// payload words are unaligned, so the borrowed op points here instead.
+/// Replaces `out` with `op`'s record under sequence number `seq`, framed
+/// (length and CRC header, then the payload) and ready to append.
+pub(crate) fn encode_frame(seq: u64, op: &WalOp<'_>, out: &mut Vec<u8>) {
+    out.clear();
+    out.extend_from_slice(&[0; FRAME_HEADER]);
+    encode_op_into(seq, op, out);
+    let len = u32::try_from(out.len() - FRAME_HEADER).expect("record too large");
+    let crc = crc32(&out[FRAME_HEADER..]);
+    out[..4].copy_from_slice(&len.to_le_bytes());
+    out[4..8].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Reused buffers [`decode_op`] copies a record's cells, columns and
+/// epochs into: payload words are unaligned, so the borrowed op points
+/// here instead.
 #[derive(Debug, Default)]
 pub struct DecodeScratch {
     cells: Vec<Cell>,
     x: Vec<usize>,
     y: Vec<usize>,
+    epochs: Vec<u64>,
 }
 
 /// Parses a frame payload into its sequence number and the [`WalOp`] it
@@ -176,7 +208,12 @@ pub fn decode_op<'a>(
     let seq = r.u64()?;
     let kind = r.u8()?;
     let rel = |r: &mut Reader<'_>| Ok::<_, DecodeError>(RelId(r.u32()? as usize));
-    let DecodeScratch { cells, x, y } = scratch;
+    let DecodeScratch {
+        cells,
+        x,
+        y,
+        epochs,
+    } = scratch;
     let op = match kind {
         KIND_INTERN_STR => {
             let id = r.u32()?;
@@ -215,6 +252,19 @@ pub fn decode_op<'a>(
             x: take_cols(&mut r, x)?,
             y: take_cols(&mut r, y)?,
         },
+        KIND_CHECKPOINT => WalOp::Checkpoint {
+            commit: r.u64()?,
+            last_seq: r.u64()?,
+            epochs: {
+                let n = r.u32()? as usize;
+                epochs.clear();
+                epochs.reserve(n.min(r.remaining() / 8));
+                for _ in 0..n {
+                    epochs.push(r.u64()?);
+                }
+                epochs
+            },
+        },
         other => {
             return Err(match RETIRED_KINDS.iter().find(|(tag, _)| *tag == other) {
                 Some((_, name)) => format!("retired record kind {other} ({name})"),
@@ -226,16 +276,56 @@ pub fn decode_op<'a>(
     Ok((seq, op))
 }
 
-/// A length-prefixed run of cell words, into `out`.
+/// A length-prefixed run of cell words, into `out`: the count is held to
+/// the bytes left before anything is reserved, and the reservation is
+/// exact, so a large chunk leaves no doubled buffer behind.
 fn take_cells<'a>(r: &mut Reader<'_>, out: &'a mut Vec<Cell>) -> Result<&'a [Cell], DecodeError> {
     let n = r.u32()? as usize;
+    let words = r.take(n * 8)?;
     out.clear();
-    out.reserve(n.min(r.remaining() / 8));
-    for _ in 0..n {
-        let raw = r.u64()?;
+    out.reserve_exact(n);
+    for word in words.chunks_exact(8) {
+        let raw = u64::from_le_bytes(word.try_into().unwrap());
         out.push(Cell::from_raw(raw).ok_or_else(|| format!("invalid cell word {raw:#x}"))?);
     }
     Ok(out)
+}
+
+/// Payload bytes [`peek_bulk`] reads: a chunk's sequence number, kind,
+/// relation, row count and cell count.
+pub(crate) const BULK_HEAD: usize = 21;
+
+/// What the head of a record inside a bulk load says, read before the
+/// record's CRC is checked: recovery's look-ahead for the load's end.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum BulkHead {
+    /// An intern record.
+    Intern,
+    /// A chunk of `rel` claiming `cells` cells.
+    Chunk { rel: RelId, cells: usize },
+    /// The end of the load of `rel`.
+    End { rel: RelId },
+}
+
+/// The sequence number and [`BulkHead`] of a record from the first
+/// [`BULK_HEAD`] bytes of its payload (or all of a shorter one); `None`
+/// for any other kind or a head too short for its kind.
+pub(crate) fn peek_bulk(head: &[u8]) -> Option<(u64, BulkHead)> {
+    let mut r = Reader::new(head);
+    let seq = r.u64().ok()?;
+    let rel = |r: &mut Reader<'_>| r.u32().ok().map(|rel| RelId(rel as usize));
+    let op = match r.u8().ok()? {
+        KIND_INTERN_STR | KIND_INTERN_WIDE => BulkHead::Intern,
+        KIND_BULK_CHUNK => {
+            let rel = rel(&mut r)?;
+            r.u32().ok()?;
+            let cells = r.u32().ok()? as usize;
+            BulkHead::Chunk { rel, cells }
+        }
+        KIND_BULK_END => BulkHead::End { rel: rel(&mut r)? },
+        _ => return None,
+    };
+    Some((seq, op))
 }
 
 /// A length-prefixed run of column numbers, into `out`.
@@ -301,6 +391,11 @@ mod tests {
                 x: &[0, 2],
                 y: &[1],
             },
+            WalOp::Checkpoint {
+                commit: 15,
+                last_seq: 99,
+                epochs: &[0, 15, 3],
+            },
         ];
         let mut tags = Vec::new();
         let mut scratch = DecodeScratch::default();
@@ -310,7 +405,57 @@ mod tests {
             tags.push(bytes[8]);
             assert_eq!(decode_op(&bytes, &mut scratch).unwrap(), (seq, op));
         }
-        assert_eq!(tags, [1, 2, 4, 6, 7, 11, 10, 9], "surviving tag bytes");
+        assert_eq!(tags, [1, 2, 4, 6, 7, 11, 10, 9, 12], "surviving tag bytes");
+    }
+
+    #[test]
+    fn the_bulk_head_is_what_decode_reads() {
+        let chunk: Vec<Cell> = (1..=6).map(|i| Cell::from_small_int(i).unwrap()).collect();
+        for (seq, op, head) in [
+            (
+                3,
+                WalOp::InternStr { id: 0, text: "x" },
+                Some(BulkHead::Intern),
+            ),
+            (
+                4,
+                WalOp::InternWide {
+                    id: 0,
+                    value: 1 << 62,
+                },
+                Some(BulkHead::Intern),
+            ),
+            (
+                5,
+                WalOp::BulkChunk {
+                    rel: RelId(2),
+                    rows: 3,
+                    cells: &chunk,
+                },
+                Some(BulkHead::Chunk {
+                    rel: RelId(2),
+                    cells: 6,
+                }),
+            ),
+            (
+                6,
+                WalOp::BulkEnd { rel: RelId(2) },
+                Some(BulkHead::End { rel: RelId(2) }),
+            ),
+            (
+                7,
+                WalOp::BulkBegin {
+                    commit: 1,
+                    rel: RelId(2),
+                },
+                None,
+            ),
+        ] {
+            let bytes = encode(seq, &op);
+            let peeked = peek_bulk(&bytes[..bytes.len().min(BULK_HEAD)]);
+            assert_eq!(peeked, head.map(|head| (seq, head)), "{op}");
+        }
+        assert_eq!(peek_bulk(&[0; 12]), None, "a head cut short");
     }
 
     #[test]

@@ -1,56 +1,51 @@
-//! Crash recovery: latest usable snapshot + log replay to a consistent
+//! Crash recovery: one log, replayed as it streams, to a consistent
 //! epoch vector.
 //!
-//! Recovery proceeds in four steps:
+//! The log is read once, front to back, through a [`FrameReader`]: one
+//! reused payload buffer, never the log as one byte buffer. Recovery
+//! proceeds in four steps:
 //!
-//! 1. **Snapshot.** Snapshot blobs are tried newest-first; a torn or
-//!    corrupt blob is skipped (that is what a crash mid-checkpoint leaves
-//!    behind) and the previous one is used, falling back to an empty
-//!    database when none decodes. The snapshot fixes the replay start:
-//!    records with sequence numbers ≤ its `last_seq` are already folded in.
-//!    A skipped `snap-<s>` is only survivable while the log still holds
-//!    the records up to `s`: a checkpoint cuts the log only after its
-//!    snapshot is durable, so a snapshot torn mid-write never had its cut.
-//!    If the replayable run stops short of `s`, the log was cut behind that
-//!    snapshot and recovery refuses with [`RecoverError::SnapshotUnreadable`]
-//!    — changing nothing — rather than return a prefix of the history.
-//! 2. **Decode.** The log is split into intact frames — a torn tail
-//!    dropped, a CRC mismatch loudly fatal — whose records are already in
-//!    sequence order. The replayable history is the **in-order run**: the
-//!    records after the snapshot boundary up to the first whose number is
-//!    not the next one. A skipped number means every later record may
-//!    depend on un-synced state, and a repeat or a step back can only be
-//!    damage, so everything from there on is discarded.
-//! 3. **Replay.** The kept run is re-applied through the storage engine's
-//!    own replay — [`Database::replay`] per record, the inverse of its
+//! 1. **Decode.** The log is split into intact frames — a torn tail
+//!    dropped, a CRC mismatch loudly fatal — whose records are in
+//!    sequence order. Every frame must parse, whether or not it replays.
+//! 2. **The in-order run.** A log begins either with a checkpoint's
+//!    compacted base, whose records are numbered from 0, or with a
+//!    history numbered from 1 (see [`crate::checkpoint()`]). The
+//!    replayable history is the **in-order run**: the records each
+//!    numbered the next one, where the base's closing
+//!    [`WalOp::Checkpoint`] record names the number after it. A skipped
+//!    number means every later record may depend on un-synced state, and
+//!    a repeat or a step back can only be damage, so everything from
+//!    there on is discarded. A base is whole or refused: a run that ends
+//!    inside it — cut, torn or gapped before its closing record — is
+//!    refused with [`RecoverError::IncompleteBase`], changing nothing,
+//!    since a prefix of a base is no state the store was ever in.
+//! 3. **Replay.** The run is re-applied through the storage engine's own
+//!    replay — [`Database::replay`] per record, the inverse of its
 //!    emission — which applies each record's cells as logged against a
 //!    symbol table the intern records rebuild in id order, so rows,
 //!    indices and epochs come back bit-identical with nothing decoded to
 //!    values on the way. It holds every record to its relation, its width,
-//!    the ids its cells name and its commit stamp. A run of index records
-//!    is one [`Database::replay_indexes`] batch. A bulk load replays only
-//!    if its closing `BulkEnd` made it to the log: until then its records
-//!    stay payload slices of the log bytes already read, and at the end
-//!    [`Database::replay_bulk`] reserves the load's rows and its records
-//!    are decoded and applied in logged order; an open bulk at the tail is
-//!    torn and discarded whole, its interns never reaching the symbol
+//!    the ids its cells name and its commit stamp, and the closing record
+//!    of a base sets the vector clock. A run of index records is one
+//!    [`Database::replay_indexes`] batch. A bulk load replays only if its
+//!    closing `BulkEnd` made it to the log: its frames are first read,
+//!    checked and decoded through to the end, then read again from the
+//!    load's first frame and applied through [`Database::replay_bulk`],
+//!    which reserves the load's rows first; an open bulk at the run's end
+//!    is torn and discarded whole, its interns never reaching the symbol
 //!    table.
 //! 4. **Truncate.** The log is cut back to the last kept record, so the
 //!    discarded suffix can never resurface and a writer restarted at
-//!    `last_seq + 1` never collides. With no kept record past the snapshot
-//!    it is cut to 0 — the snapshot covers it, and a checkpoint that
-//!    crashed before its cut left it behind — and every snapshot but the
-//!    restored one is deleted, so recovery finishes an interrupted
-//!    checkpoint and leaves one copy of the data. This is also what makes
-//!    recovery idempotent: recovering twice equals recovering once.
+//!    `last_seq + 1` never collides. This is also what makes recovery
+//!    idempotent: recovering twice equals recovering once.
 
-use crate::frame::{decode_frames, FrameError};
-use crate::record::{decode_op, DecodeScratch};
-use crate::snapshot::{read_snapshot, restore_snapshot, snapshots};
+use crate::frame::{FrameError, FrameReader, FRAME_HEADER};
+use crate::record::{decode_op, peek_bulk, BulkHead, DecodeScratch, BULK_HEAD};
 use crate::storage::LogStorage;
 use bcq_core::prelude::{Catalog, RelId};
-use bcq_storage::{Database, WalOp};
-use std::io;
+use bcq_storage::{Database, IndexSpec, WalOp};
+use std::io::{self, BufReader, Read};
 use std::sync::Arc;
 
 /// Why recovery refused to produce a database.
@@ -75,15 +70,13 @@ pub enum RecoverError {
     /// The kept run does not replay cleanly (out-of-contract log, e.g. a
     /// logged delete that misses, or a commit-stamp mismatch).
     Replay(String),
-    /// A snapshot does not decode and the log no longer reaches the
-    /// sequence number it covers — a checkpoint cut the log behind it — so
-    /// any database recovery could build would silently miss committed
-    /// history. Nothing was truncated or deleted.
-    SnapshotUnreadable {
-        /// The blob that failed to decode.
-        snapshot: String,
-        /// The last sequence number it covers.
-        last_seq: u64,
+    /// The log begins with a checkpoint's compacted base that ends before
+    /// its closing record, so any database recovery could build would be
+    /// part of a state, not one the store was ever in. Nothing was
+    /// truncated.
+    IncompleteBase {
+        /// Byte offset where the base's in-order run breaks off.
+        offset: usize,
     },
 }
 
@@ -98,10 +91,10 @@ impl std::fmt::Display for RecoverError {
                 write!(f, "log: unparseable record at byte offset {offset}: {msg}")
             }
             RecoverError::Replay(msg) => write!(f, "replay diverged: {msg}"),
-            RecoverError::SnapshotUnreadable { snapshot, last_seq } => write!(
+            RecoverError::IncompleteBase { offset } => write!(
                 f,
-                "snapshot `{snapshot}` does not decode and the log was cut behind it \
-                 (through seq {last_seq}): refusing to recover a prefix of the history"
+                "log: the checkpoint base breaks off at byte offset {offset} before its \
+                 closing record: refusing to recover a part of it"
             ),
         }
     }
@@ -115,21 +108,27 @@ impl From<io::Error> for RecoverError {
     }
 }
 
+impl From<FrameError> for RecoverError {
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::Corrupt { offset } => RecoverError::Corrupt { offset },
+            FrameError::Io(e) => RecoverError::Io(e),
+        }
+    }
+}
+
 /// What recovery did, for logs and telemetry.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Name of the snapshot blob restored from, if any.
-    pub snapshot: Option<String>,
-    /// Size of that blob in bytes (0 without one).
+    /// Bytes of the checkpoint's compacted base the log begins with (0
+    /// without one).
     pub snapshot_bytes: u64,
-    /// Newer snapshot blobs skipped because they were torn or corrupt.
-    pub snapshots_skipped: usize,
-    /// Log bytes recovery read and kept: the tail past the snapshot that
-    /// the reopened log holds. On a log that was closed cleanly this is
-    /// every byte it read; torn, discarded and snapshot-covered bytes it
-    /// cut away are not counted.
+    /// Log bytes recovery read and kept past the base: the tail the
+    /// reopened log holds after it. On a log that was closed cleanly this
+    /// is every byte past the base; torn and discarded bytes it cut away
+    /// are not counted.
     pub log_bytes: u64,
-    /// Records re-applied from the log (op, intern, and bulk records).
+    /// Records re-applied past the base (op, intern, and bulk records).
     pub replayed: u64,
     /// Records discarded: from the first out-of-order sequence number on,
     /// or part of a torn bulk.
@@ -143,204 +142,254 @@ pub struct RecoveryReport {
     pub truncated: bool,
 }
 
-/// A bulk load whose `BulkEnd` has not been read yet. Its records are
-/// the frames after its begin, left in the log bytes until the end proves
-/// the load complete: a torn load must not touch the database.
-struct PendingBulk {
-    rel: RelId,
-    commit: u64,
-    /// Index of its `BulkBegin` frame.
-    begin: usize,
-    /// Cells over all its chunks, whose rows are reserved up front.
-    cells: usize,
-}
+/// The log as recovery reads it.
+type Log<'a> = FrameReader<BufReader<Box<dyn crate::storage::SeekRead + 'a>>>;
+
+/// One logged index record, held until its run is applied as a batch:
+/// sequence number, commit stamp, relation and columns.
+type LoggedIndex = (u64, u64, RelId, Vec<usize>, Vec<usize>);
 
 /// Recovers a database from `storage` (see the [module docs](self)).
 pub fn recover(
     storage: &dyn LogStorage,
     catalog: Arc<Catalog>,
 ) -> Result<(Database, RecoveryReport), RecoverError> {
-    let mut report = RecoveryReport::default();
-
-    // 1. Newest usable snapshot, else empty database.
-    let snaps = snapshots(storage)?;
-    let mut db = None;
-    let mut snap_seq = 0;
-    // Newer blobs that did not decode, newest first.
-    let mut skipped = Vec::new();
-    for (name_seq, name) in snaps.iter().rev() {
-        let Some((mut reader, blob_len)) = storage.read_blob(name)? else {
-            continue;
-        };
-        // Damage skips the blob; a failing device fails recovery.
-        let restored = match read_snapshot(&mut reader, blob_len) {
-            Ok(snap) => {
-                let seq = snap.last_seq;
-                restore_snapshot(catalog.clone(), snap).map(|db| (db, seq))
-            }
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => Err(e.to_string()),
-            Err(e) => return Err(e.into()),
-        };
-        match restored {
-            Ok((restored_db, seq)) => {
-                db = Some(restored_db);
-                snap_seq = seq;
-                report.snapshot = Some(name.clone());
-                report.snapshot_bytes = blob_len;
-                break;
-            }
-            Err(_) => skipped.push((*name_seq, name)),
-        }
-    }
-    report.snapshots_skipped = skipped.len();
-    let mut db = db.unwrap_or_else(|| Database::new(catalog.clone()));
-
-    // 2. Decode the log; its records are in sequence order. Every frame
-    // must parse, whether or not it replays.
-    let bytes = storage.read()?;
-    let decoded = decode_frames(&bytes)
-        .map_err(|FrameError::Corrupt { offset }| RecoverError::Corrupt { offset })?;
-    report.torn_bytes = decoded.torn_bytes as u64;
-    let frames = decoded.frames;
+    let (reader, len) = storage.read()?;
+    let mut log: Log<'_> = FrameReader::new(BufReader::new(reader), len);
+    let mut db = Database::new(catalog);
     let mut scratch = DecodeScratch::default();
-    let mut seqs = Vec::with_capacity(frames.len());
-    for frame in &frames {
-        seqs.push(decode(frame, &mut scratch)?.0);
-    }
-
-    // The in-order run: past the records the snapshot folded in, up to the
-    // first number that is not the next one — a gap, a repeat or a step
-    // back — beyond which nothing is trustworthy.
-    let first = seqs
-        .iter()
-        .position(|&seq| seq > snap_seq)
-        .unwrap_or(seqs.len());
-    let run_len = seqs[first..]
-        .iter()
-        .zip(snap_seq + 1..)
-        .take_while(|(seq, next)| *seq == next)
-        .count();
-    let run = first..first + run_len;
-
-    // 3. Replay, buffering bulk loads until their end record.
+    let mut indexes: Vec<LoggedIndex> = Vec::new();
     let at = |seq: u64| move |e| RecoverError::Replay(format!("record at seq {seq}: {e}"));
-    let mut pending: Option<PendingBulk> = None;
-    // The first frame an index batch has not taken.
-    let mut next = run.start;
-    for i in run.clone() {
-        if i < next {
-            continue;
+
+    // The number the next record of the run must carry; `None` until a
+    // whole record was read.
+    let mut next = None;
+    let mut in_base = false;
+    // The base's end offset and the last sequence number it covers.
+    let (mut base_end, mut base_seq) = (0, 0);
+    // The last record of the run so far: its number and end offset.
+    let (mut last_seq, mut kept) = (0, 0);
+    loop {
+        let start = log.pos();
+        let Some(payload) = log.next_frame()? else {
+            break;
+        };
+        let (seq, op) = decode(start, payload, &mut scratch)?;
+        // The first record fixes the numbering: 0 opens a base, anything
+        // else a history from 1.
+        if seq != next.unwrap_or(u64::from(seq != 0)) {
+            break;
         }
-        next = i + 1;
-        let (seq, op) = decode(&frames[i], &mut scratch)?;
-        if let Some(bulk) = &mut pending {
-            match op {
-                WalOp::InternStr { .. } | WalOp::InternWide { .. } => {}
-                WalOp::BulkChunk { rel, cells, .. } if rel == bulk.rel => bulk.cells += cells.len(),
-                WalOp::BulkEnd { rel } if rel == bulk.rel => {
-                    let bulk = pending.take().unwrap();
-                    let mut loader = db
-                        .replay_bulk(bulk.commit, bulk.rel, bulk.cells)
-                        .map_err(at(seqs[bulk.begin]))?;
-                    for frame in &frames[bulk.begin + 1..i] {
-                        let (seq, op) = decode(frame, &mut scratch)?;
-                        loader.replay(op).map_err(at(seq))?;
+        if next.is_none() {
+            in_base = seq == 0;
+        }
+        if !matches!(op, WalOp::EnsureIndex { .. }) {
+            apply_indexes(&mut db, &mut indexes)?;
+        }
+        last_seq = match op {
+            WalOp::BulkBegin { commit, rel } => {
+                let body = log.pos();
+                let Some((cells, end_seq)) = check_bulk(&mut log, rel, seq, &mut scratch)? else {
+                    break;
+                };
+                let mut loader = db.replay_bulk(commit, rel, cells).map_err(at(seq))?;
+                // Every record of the load read again, its CRC checked,
+                // decoded and applied; the end closes it.
+                log.seek(body)?;
+                for want in seq + 1..=end_seq {
+                    let start = log.pos();
+                    let payload = log.next_frame()?.ok_or_else(changed)?;
+                    match decode(start, payload, &mut scratch)? {
+                        (seq, WalOp::BulkEnd { rel: r }) if r == rel && seq == end_seq => {}
+                        (seq, op) if seq == want && seq < end_seq => {
+                            loader.replay(op).map_err(at(seq))?
+                        }
+                        _ => return Err(changed().into()),
                     }
                 }
-                other => {
-                    return Err(RecoverError::Replay(format!(
-                        "{other} at seq {seq} inside the open bulk load of relation {}",
-                        bulk.rel.0
-                    )))
-                }
+                end_seq
             }
-            continue;
-        }
-        match op {
-            WalOp::BulkBegin { commit, rel } => {
-                pending = Some(PendingBulk {
-                    rel,
-                    commit,
-                    begin: i,
-                    cells: 0,
-                });
+            WalOp::EnsureIndex { commit, rel, x, y } => {
+                indexes.push((seq, commit, rel, x.to_vec(), y.to_vec()));
+                seq
             }
-            WalOp::EnsureIndex { .. } => {
-                // The run of index records starting here (a load's
-                // `build_indexes` logs one per index) is one batch, so its
-                // builds share every core; each record is still held to
-                // its own commit stamp.
-                let mut logged = Vec::new();
-                for frame in &frames[i..run.end] {
-                    let (_, WalOp::EnsureIndex { commit, rel, x, y }) =
-                        decode(frame, &mut scratch)?
-                    else {
-                        break;
-                    };
-                    logged.push((commit, rel, x.to_vec(), y.to_vec()));
-                }
-                next = i + logged.len();
-                let batch: Vec<_> = logged
-                    .iter()
-                    .map(|(commit, rel, x, y)| (*commit, (*rel, x.as_slice(), y.as_slice())))
-                    .collect();
-                db.replay_indexes(&batch).map_err(|e| {
-                    let last = seq + batch.len() as u64 - 1;
-                    RecoverError::Replay(format!("index records at seq {seq}..={last}: {e}"))
-                })?;
+            WalOp::Checkpoint {
+                last_seq: covered, ..
+            } if in_base => {
+                db.replay(op).map_err(at(seq))?;
+                in_base = false;
+                (base_end, base_seq) = (log.pos(), covered);
+                covered
+            }
+            WalOp::Checkpoint { .. } => {
+                return Err(RecoverError::Replay(format!(
+                    "checkpoint record at seq {seq} outside a compacted base"
+                )))
             }
             WalOp::BulkChunk { .. } | WalOp::BulkEnd { .. } => {
                 return Err(RecoverError::Replay(format!(
                     "bulk record at seq {seq} outside any bulk load"
                 )))
             }
-            op => db.replay(op).map_err(at(seq))?,
-        }
+            op => {
+                db.replay(op).map_err(at(seq))?;
+                seq
+            }
+        };
+        next = Some(last_seq.checked_add(1).ok_or_else(|| {
+            RecoverError::Replay(format!("record at seq {seq}: no sequence number follows"))
+        })?);
+        kept = log.pos();
     }
-    // Every record of the run replayed but a bulk load still open at its
-    // end: that load never logged its end record, so it is torn, and
-    // everything from its begin record on is discarded (its buffered
-    // records were never applied).
-    let applied_through = match pending {
-        Some(bulk) => seqs[bulk.begin] - 1,
-        None => snap_seq + run_len as u64,
-    };
+    apply_indexes(&mut db, &mut indexes)?;
 
-    // A skipped snapshot the run does not reach had its log cut: refuse
-    // before truncating or deleting anything.
-    if let Some((last_seq, name)) = skipped.iter().find(|(seq, _)| *seq > applied_through) {
-        return Err(RecoverError::SnapshotUnreadable {
-            snapshot: name.to_string(),
-            last_seq: *last_seq,
+    // Everything past the run is discarded, but must still parse.
+    log.seek(kept)?;
+    let mut discarded = 0;
+    loop {
+        let start = log.pos();
+        let Some(payload) = log.next_frame()? else {
+            break;
+        };
+        decode(start, payload, &mut scratch)?;
+        discarded += 1;
+    }
+    let torn_bytes = log.torn_bytes();
+    drop(log);
+    if in_base || (next.is_none() && torn_base(storage)?) {
+        return Err(RecoverError::IncompleteBase {
+            offset: kept as usize,
         });
     }
 
-    let kept = (applied_through - snap_seq) as usize;
-    report.last_seq = applied_through;
-    report.replayed = kept as u64;
-    report.discarded = (frames.len() - first - kept) as u64;
-
-    // 4. Truncate the log behind its last kept record past the snapshot —
-    // to 0 when it has none — then drop every other snapshot.
-    let keep = kept.checked_sub(1).map_or(0, |last| frames[first + last].1);
-    if keep < bytes.len() {
-        storage.truncate(keep as u64)?;
-        report.truncated = true;
+    // Cut the log behind its last kept record.
+    let truncated = kept < len;
+    if truncated {
+        storage.truncate(kept)?;
     }
-    report.log_bytes = keep as u64;
-    for (_, name) in &snaps {
-        if report.snapshot.as_ref() != Some(name) {
-            storage.delete_blob(name)?;
+    let report = RecoveryReport {
+        snapshot_bytes: base_end,
+        log_bytes: kept - base_end,
+        replayed: last_seq - base_seq,
+        discarded,
+        torn_bytes,
+        last_seq,
+        truncated,
+    };
+    Ok((db, report))
+}
+
+/// Finds the end of a bulk load whose `BulkBegin` (numbered `seq`, for
+/// `rel`) was just read, without applying any of it: returns the cells
+/// its chunks hold and the number of its `BulkEnd` — or `None` when the
+/// run ends first, which tears the load.
+///
+/// A load whose records are all its own is found by their heads alone,
+/// read unverified: the pass that applies it checks every CRC and decodes
+/// every record, so this one need not. Anything else — a torn or cut
+/// load, a record out of place, damage — is judged on the records read
+/// again whole: each CRC-checked, decoded and held to the run and to the
+/// load.
+fn check_bulk(
+    log: &mut Log<'_>,
+    rel: RelId,
+    seq: u64,
+    scratch: &mut DecodeScratch,
+) -> Result<Option<(usize, u64)>, RecoverError> {
+    let body = log.pos();
+    let (mut cells, mut last) = (0, seq);
+    while let Some((head, len)) = log.peek(BULK_HEAD)? {
+        let Some((next, head)) =
+            peek_bulk(head).filter(|&(next, _)| last.checked_add(1) == Some(next))
+        else {
+            break;
+        };
+        match head {
+            BulkHead::Intern => {}
+            // A count past the frame's bytes is damage the apply pass
+            // refuses; it never sizes the reservation beyond them.
+            BulkHead::Chunk { rel: r, cells: c } if r == rel => cells += c.min(len as usize / 8),
+            BulkHead::End { rel: r } if r == rel => return Ok(Some((cells, next))),
+            _ => break,
+        }
+        last = next;
+    }
+
+    log.seek(body)?;
+    let (mut cells, mut last) = (0, seq);
+    loop {
+        let start = log.pos();
+        let Some(payload) = log.next_frame()? else {
+            return Ok(None);
+        };
+        let (next, op) = decode(start, payload, scratch)?;
+        if last.checked_add(1) != Some(next) {
+            return Ok(None);
+        }
+        last = next;
+        match op {
+            WalOp::InternStr { .. } | WalOp::InternWide { .. } => {}
+            WalOp::BulkChunk {
+                rel: r, cells: c, ..
+            } if r == rel => cells += c.len(),
+            WalOp::BulkEnd { rel: r } if r == rel => return Ok(Some((cells, next))),
+            other => {
+                return Err(RecoverError::Replay(format!(
+                    "{other} at seq {next} inside the open bulk load of relation {}",
+                    rel.0
+                )))
+            }
         }
     }
+}
 
-    Ok((db, report))
+/// The error for a log whose records read differently the second time:
+/// the file changed under recovery.
+fn changed() -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        "the log changed while recovery read it",
+    )
+}
+
+/// Applies the run of index records held so far as one batch, so its
+/// builds share every core; each record is still held to its own commit
+/// stamp.
+fn apply_indexes(db: &mut Database, logged: &mut Vec<LoggedIndex>) -> Result<(), RecoverError> {
+    let (Some(first), Some(last)) = (logged.first(), logged.last()) else {
+        return Ok(());
+    };
+    let range = format!("{}..={}", first.0, last.0);
+    let batch: Vec<(u64, IndexSpec<'_>)> = logged
+        .iter()
+        .map(|(_, commit, rel, x, y)| (*commit, (*rel, x.as_slice(), y.as_slice())))
+        .collect();
+    db.replay_indexes(&batch)
+        .map_err(|e| RecoverError::Replay(format!("index records at seq {range}: {e}")))?;
+    logged.clear();
+    Ok(())
+}
+
+/// Whether a log holding no whole frame is the start of a base: its first
+/// frame is torn, and the bytes of its sequence number that made it are
+/// all 0 (a history's first record is numbered 1).
+fn torn_base(storage: &dyn LogStorage) -> io::Result<bool> {
+    let (reader, _) = storage.read()?;
+    let mut head = Vec::with_capacity(FRAME_HEADER + 8);
+    reader
+        .take((FRAME_HEADER + 8) as u64)
+        .read_to_end(&mut head)?;
+    Ok(head.len() > FRAME_HEADER && head[FRAME_HEADER..].iter().all(|&b| b == 0))
 }
 
 /// Decodes one frame's record, a failure reported at the frame's offset.
 fn decode<'a>(
-    &(start, _, payload): &(usize, usize, &'a [u8]),
+    start: u64,
+    payload: &'a [u8],
     scratch: &'a mut DecodeScratch,
 ) -> Result<(u64, WalOp<'a>), RecoverError> {
-    decode_op(payload, scratch).map_err(|msg| RecoverError::Record { offset: start, msg })
+    decode_op(payload, scratch).map_err(|msg| RecoverError::Record {
+        offset: start as usize,
+        msg,
+    })
 }

@@ -34,10 +34,12 @@
 //! every `ack()` and `sync()` returns an error of its kind and message,
 //! under every policy. The record it lost leaves a sequence gap that
 //! recovery stops at, so no write after it may be acknowledged durable.
-//! The in-memory store keeps serving either way.
+//! A failed fsync poisons it the same way, followers waiting on that
+//! flush included: a retried fsync can report success after the kernel
+//! dropped the dirty pages it failed to write, so no later flush may
+//! vouch for them. The in-memory store keeps serving either way.
 
-use crate::frame::{crc32, FRAME_HEADER};
-use crate::record::encode_op_into;
+use crate::record::encode_frame;
 use crate::storage::LogStorage;
 use bcq_storage::{WalOp, WalSink};
 use std::io;
@@ -93,8 +95,8 @@ pub struct WalWriter {
     storage: Arc<dyn LogStorage>,
     policy: SyncPolicy,
     inner: Mutex<WriterInner>,
-    /// The first failed append's kind and message (`io::Error` is not
-    /// `Clone`); once set, every `ack` and `sync` fails with it.
+    /// The first failed append's or fsync's kind and message (`io::Error`
+    /// is not `Clone`); once set, every `ack` and `sync` fails with it.
     poison: OnceLock<(io::ErrorKind, String)>,
     records: AtomicU64,
     bytes: AtomicU64,
@@ -150,7 +152,8 @@ impl WalWriter {
     }
 
     /// Flushes everything appended so far. Fails without flushing once a
-    /// failed append has poisoned the writer (see the module docs).
+    /// failed append or fsync has poisoned the writer (see the module
+    /// docs), and poisons it if this fsync fails.
     pub fn sync(&self) -> io::Result<()> {
         self.check_poison()?;
         // Snapshot the watermarks while holding `inner`: no append can
@@ -158,15 +161,23 @@ impl WalWriter {
         let _inner = self.inner.lock().unwrap();
         let seq = self.appended_seq.load(Ordering::Acquire);
         let commits = self.commits.load(Ordering::Acquire);
-        self.storage.sync()?;
+        self.storage.sync().map_err(|e| self.poisoned(e))?;
         self.fsyncs.fetch_add(1, Ordering::Relaxed);
         self.durable_seq.fetch_max(seq, Ordering::AcqRel);
         self.durable_commits.fetch_max(commits, Ordering::AcqRel);
         Ok(())
     }
 
-    /// `Err` with the poisoning append's kind and message once a failed
-    /// append has poisoned the writer.
+    /// Poisons the writer with `e` unless it is poisoned already, and
+    /// returns the error every later `ack` and `sync` will.
+    fn poisoned(&self, e: io::Error) -> io::Error {
+        let _ = self.poison.set((e.kind(), e.to_string()));
+        self.check_poison()
+            .expect_err("the writer was just poisoned")
+    }
+
+    /// `Err` with the poisoning call's kind and message once a failed
+    /// append or fsync has poisoned the writer.
     fn check_poison(&self) -> io::Result<()> {
         match self.poison.get() {
             Some((kind, msg)) => Err(io::Error::new(*kind, msg.clone())),
@@ -190,7 +201,8 @@ impl WalWriter {
     /// does nothing. Returns the number of commits this call's own
     /// flush(es) newly made durable (the group-commit batch size), or
     /// `None` if it didn't lead a flush. Fails under every policy once a
-    /// failed append has poisoned the writer (see the module docs).
+    /// failed append or fsync has poisoned the writer (see the module
+    /// docs).
     pub fn ack(&self) -> io::Result<Option<u64>> {
         self.check_poison()?;
         match self.policy {
@@ -227,8 +239,10 @@ impl WalWriter {
             if st.leading {
                 // Follow: the in-flight fsync (started before we checked
                 // `durable_seq`) may or may not cover `seq`; re-check on
-                // wakeup and lead ourselves if it didn't.
+                // wakeup — failing if it failed — and lead ourselves if it
+                // didn't cover it.
                 let _st = self.group_cv.wait(st).unwrap_or_else(|e| e.into_inner());
+                self.check_poison()?;
                 continue;
             }
             st.leading = true;
@@ -238,7 +252,8 @@ impl WalWriter {
             // (later racing appends just aren't claimed durable yet).
             let target_seq = self.appended_seq.load(Ordering::Acquire);
             let target_commits = self.commits.load(Ordering::Acquire);
-            let res = self.storage.sync();
+            // A failure poisons before the followers wake.
+            let res = self.storage.sync().map_err(|e| self.poisoned(e));
             let mut st = self.group.lock().unwrap_or_else(|e| e.into_inner());
             st.leading = false;
             drop(st);
@@ -278,16 +293,9 @@ impl WalSink for WalWriter {
         let seq = inner.next_seq;
         inner.next_seq += 1;
 
-        // Frame in place into the reused scratch buffer (placeholder
-        // header, payload, then patch len + crc): the record path itself
-        // allocates nothing in steady state.
-        inner.scratch.clear();
-        inner.scratch.extend_from_slice(&[0u8; FRAME_HEADER]);
-        encode_op_into(seq, &op, &mut inner.scratch);
-        let len = u32::try_from(inner.scratch.len() - FRAME_HEADER).expect("record too large");
-        let crc = crc32(&inner.scratch[FRAME_HEADER..]);
-        inner.scratch[..4].copy_from_slice(&len.to_le_bytes());
-        inner.scratch[4..8].copy_from_slice(&crc.to_le_bytes());
+        // Frame in place into the reused scratch buffer: the record path
+        // itself allocates nothing in steady state.
+        encode_frame(seq, &op, &mut inner.scratch);
 
         if let Err(e) = self.storage.append(&inner.scratch) {
             // Only the first failure is kept (see the module docs).
@@ -308,8 +316,9 @@ impl WalSink for WalWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::FrameReader;
     use crate::record::{decode_op, DecodeScratch};
-    use crate::storage::MemLog;
+    use crate::storage::{MemLog, SeekRead};
     use bcq_core::prelude::*;
     use bcq_storage::Database;
 
@@ -331,13 +340,12 @@ mod tests {
             .is_some());
 
         // The intern and the three ops, dense and in file order.
-        let bytes = log.read().unwrap();
-        let frames = crate::frame::decode_frames(&bytes).unwrap();
-        let seqs: Vec<u64> = frames
-            .frames
-            .iter()
-            .map(|(_, _, payload)| decode_op(payload, &mut DecodeScratch::default()).unwrap().0)
-            .collect();
+        let bytes = log.bytes();
+        let mut frames = FrameReader::new(std::io::Cursor::new(&bytes), bytes.len() as u64);
+        let mut seqs = Vec::new();
+        while let Some(payload) = frames.next_frame().unwrap() {
+            seqs.push(decode_op(payload, &mut DecodeScratch::default()).unwrap().0);
+        }
         assert_eq!(seqs, vec![1, 2, 3, 4]);
         assert_eq!(writer.last_seq(), 4);
         let stats = writer.stats();
@@ -474,5 +482,63 @@ mod tests {
         }
         assert!(writer.ack().is_err(), "a Manual ack is refused too");
         assert_eq!((log.syncs(), writer.stats().fsyncs), (0, 0));
+    }
+
+    /// A [`MemLog`] whose next `sync` fails once, then syncs again.
+    #[derive(Debug, Default)]
+    struct FlakySync {
+        log: MemLog,
+        fail_next: std::sync::atomic::AtomicBool,
+    }
+
+    impl LogStorage for FlakySync {
+        fn append(&self, bytes: &[u8]) -> io::Result<()> {
+            self.log.append(bytes)
+        }
+        fn sync(&self) -> io::Result<()> {
+            if self.fail_next.swap(false, Ordering::SeqCst) {
+                return Err(io::Error::other("EIO on fsync"));
+            }
+            self.log.sync()
+        }
+        fn read(&self) -> io::Result<(Box<dyn SeekRead + '_>, u64)> {
+            self.log.read()
+        }
+        fn truncate(&self, len: u64) -> io::Result<()> {
+            self.log.truncate(len)
+        }
+        fn replace(
+            &self,
+            fill: &mut dyn FnMut(&mut dyn std::io::Write) -> io::Result<()>,
+        ) -> io::Result<()> {
+            self.log.replace(fill)
+        }
+    }
+
+    #[test]
+    fn a_failed_fsync_poisons_every_later_ack_and_sync() {
+        for policy in [SyncPolicy::Always, SyncPolicy::EveryOps(1)] {
+            let storage = Arc::new(FlakySync::default());
+            let writer = Arc::new(WalWriter::new(storage.clone(), policy, 1));
+            let mut db = Database::new(catalog());
+            db.set_wal(Some(writer.clone()));
+            db.insert("s", &[Value::int(1)]).unwrap();
+            storage.fail_next.store(true, Ordering::SeqCst);
+            let e = writer.ack().unwrap_err();
+            assert!(e.to_string().contains("EIO on fsync"), "{policy:?}: {e}");
+            // The storage would sync now; the writer does not retry.
+            db.insert("s", &[Value::int(2)]).unwrap();
+            for _ in 0..2 {
+                let e = writer.ack().unwrap_err();
+                assert!(e.to_string().contains("EIO on fsync"), "{policy:?}: {e}");
+                assert!(writer.sync().is_err(), "{policy:?}");
+            }
+            assert_eq!(
+                storage.log.syncs(),
+                0,
+                "{policy:?}: no fsync after the failure"
+            );
+            assert_eq!(writer.stats().fsyncs, 0, "{policy:?}");
+        }
     }
 }

@@ -1,20 +1,20 @@
 //! Fault-injection matrix for the durability layer, driven end-to-end
-//! through [`MemLog`]'s crash model: torn tails, partial snapshots, a
-//! crash at every step of a checkpoint, CRC corruption, lying fsyncs,
-//! torn bulk loads, and out-of-order sequence numbers — each asserting recovery lands on
-//! a consistent committed prefix (or fails loudly when the log is damaged
-//! in a way a crash cannot produce).
+//! through [`MemLog`]'s crash model: torn tails, cut and tampered
+//! checkpoint bases, a crash at every step of a checkpoint, CRC
+//! corruption, lying fsyncs, torn bulk loads, and out-of-order sequence
+//! numbers — each asserting recovery lands on a consistent committed
+//! prefix (or fails loudly when the log is damaged in a way a crash cannot
+//! produce).
 
 use bcq_core::prelude::*;
 use bcq_durability::{
-    checkpoint, crc32, decode_frames,
+    checkpoint,
     frame::append_frame,
     record::{decode_op, encode_op_into},
-    recover, snapshot_name, write_snapshot, DecodeScratch, LogStorage, MemLog, RecoverError,
-    RecoveryReport, SyncPolicy, WalWriter,
+    recover, DecodeScratch, FrameReader, LogStorage, MemLog, RecoverError, RecoveryReport,
+    SyncPolicy, WalWriter,
 };
 use bcq_storage::{Database, Prepare, RowOp, WalOp};
-use std::io::Read;
 use std::sync::Arc;
 
 fn catalog() -> Arc<Catalog> {
@@ -33,7 +33,9 @@ fn wired(log: &Arc<MemLog>, policy: SyncPolicy) -> (Database, Arc<WalWriter>) {
 type RelState = (u64, Vec<Vec<Value>>);
 
 /// Comparable full state: global epoch, then per relation (epoch, rows).
-fn state(db: &Database) -> (u64, Vec<RelState>) {
+type State = (u64, Vec<RelState>);
+
+fn state(db: &Database) -> State {
     let rels = (0..db.num_relations())
         .map(|i| {
             let rel = RelId(i);
@@ -94,257 +96,287 @@ fn crc_corruption_fails_loudly_with_the_offending_offset() {
     }
 }
 
-/// The log's bytes and every blob name: what recovery must not touch
-/// when it refuses.
-fn stored(log: &MemLog) -> (Vec<u8>, Vec<String>) {
-    let mut blobs = log.list_blobs().unwrap();
-    blobs.sort();
-    (log.read().unwrap(), blobs)
+/// The log's bytes: what recovery must not touch when it refuses.
+fn stored(log: &MemLog) -> Vec<u8> {
+    log.bytes()
 }
 
 /// Bytes the log holds.
 fn log_bytes(log: &MemLog) -> u64 {
-    stored(log).0.len() as u64
+    stored(log).len() as u64
+}
+
+/// A log that begins with a base: a checkpoint of an intern, rows in both
+/// relations and an index, then a tail of two inserts and an intern. The
+/// log, its base's length, and the end offset of the base and of each
+/// insert with the state there.
+fn base_and_tail() -> (Arc<MemLog>, u64, Vec<(u64, State)>) {
+    let log = Arc::new(MemLog::new());
+    let (mut db, w) = wired(&log, SyncPolicy::Always);
+    db.insert("r", &[Value::str("x"), Value::int(1)]).unwrap();
+    db.bulk_loader(RelId(1))
+        .push_rows(&(0..600).map(Value::int).collect::<Vec<_>>());
+    db.ensure_indexes_cols(&[(RelId(0), &[0], &[1])]);
+    let base = checkpoint(&w, &db).unwrap();
+    let mut states = vec![(base, state(&db))];
+    db.insert("s", &[Value::int(-5)]).unwrap();
+    states.push((log_bytes(&log), state(&db)));
+    db.insert("r", &[Value::str("y"), Value::int(2)]).unwrap();
+    states.push((log_bytes(&log), state(&db)));
+    log.sync().unwrap();
+    (log, base, states)
+}
+
+/// `bytes` as a synced log.
+fn log_holding(bytes: &[u8]) -> MemLog {
+    let log = MemLog::new();
+    log.append(bytes).unwrap();
+    log.sync().unwrap();
+    log
 }
 
 #[test]
-fn truncated_snapshot_falls_back_to_the_previous_one() {
-    // A crash inside the second checkpoint tears its blob: the cut never
-    // happened, so the first snapshot plus the log since it still hold
-    // everything.
-    let log = Arc::new(MemLog::new());
-    let (mut db, w) = wired(&log, SyncPolicy::Always);
-    db.insert("r", &[Value::str("early"), Value::int(1)])
-        .unwrap();
-    let (older, _) = checkpoint(&w, &db).unwrap();
-
-    db.insert("r", &[Value::str("mid"), Value::int(2)]).unwrap();
-    db.insert("s", &[Value::int(9)]).unwrap();
-    let oracle = state(&db);
-    // Log sync and blob write go through; the process dies in the sync
-    // that would have made the blob durable, and 5 of its bytes land.
-    log.fail_after(2);
-    assert!(checkpoint(&w, &db).is_err());
-    log.crash(5);
-    let newer = snapshot_name(w.last_seq());
-    assert_eq!(log.read_blob(&newer).unwrap().unwrap().1, 5);
-
-    let (recovered, report) = recover(&*log, catalog()).unwrap();
-    assert_eq!(report.snapshot.as_deref(), Some(older.as_str()));
-    assert_eq!(report.snapshots_skipped, 1);
-    assert_eq!(report.replayed, 3, "the intern and both inserts since");
-    assert_eq!(state(&recovered), oracle, "older snapshot + longer replay");
-    // The torn blob was replayed past, so recovery deleted it.
-    assert_eq!(log.list_blobs().unwrap(), vec![older.clone()]);
-
-    // Once a checkpoint completes its cut there is one snapshot, and
-    // losing it is a refusal, not a replay from genesis.
-    let log = Arc::new(MemLog::new());
-    let (mut db, w) = wired(&log, SyncPolicy::Always);
-    db.insert("r", &[Value::str("early"), Value::int(1)])
-        .unwrap();
-    checkpoint(&w, &db).unwrap();
-    db.insert("r", &[Value::str("mid"), Value::int(2)]).unwrap();
-    let (newest, _) = checkpoint(&w, &db).unwrap();
-    db.insert("s", &[Value::int(9)]).unwrap();
-    assert_eq!(log.list_blobs().unwrap(), vec![newest.clone()]);
-    log.truncate_blob(&newest, 5);
-    let before = stored(&log);
-    match recover(&*log, catalog()) {
-        Err(RecoverError::SnapshotUnreadable { snapshot, last_seq }) => {
-            assert_eq!(snapshot, newest);
-            assert_eq!(last_seq, w.last_seq() - 1);
+fn a_base_cut_anywhere_is_refused_and_a_cut_tail_keeps_the_base() {
+    let (log, base, states) = base_and_tail();
+    let bytes = stored(&log);
+    // A history's first record is numbered 1, a base's 0: a cut before
+    // the first sequence number has a byte to show is indistinguishable
+    // from a history whose first append tore, and recovers nothing.
+    for cut in 0..=bytes.len() {
+        let cut_log = log_holding(&bytes[..cut]);
+        let recovered = recover(&cut_log, catalog());
+        if cut <= 8 {
+            let (db, report) = recovered.unwrap();
+            assert_eq!(
+                (db.epoch(), report.torn_bytes),
+                (0, cut as u64),
+                "cut {cut}"
+            );
+        } else if (cut as u64) < base {
+            assert!(
+                matches!(recovered, Err(RecoverError::IncompleteBase { .. })),
+                "cut {cut} of the {base}-byte base: {recovered:?}"
+            );
+            assert_eq!(
+                stored(&cut_log),
+                &bytes[..cut],
+                "cut {cut}: nothing changed"
+            );
+        } else {
+            // The base and every tail record that made it whole.
+            let (db, report) = recovered.unwrap();
+            let (end, want) = states
+                .iter()
+                .rev()
+                .find(|(end, _)| *end <= cut as u64)
+                .unwrap();
+            assert_eq!(&state(&db), want, "cut {cut}");
+            assert_eq!(report.snapshot_bytes, base, "cut {cut}");
+            // An intern record before its insert is kept whole too.
+            assert!(report.log_bytes >= end - base, "cut {cut}");
+            assert_eq!(report.log_bytes + report.torn_bytes, cut as u64 - base);
         }
-        other => panic!("expected a refusal, got {other:?}"),
     }
-    assert_eq!(stored(&log), before, "a refusal changes nothing");
 }
 
 #[test]
-fn unreadable_snapshot_after_the_cut_is_refused_with_or_without_a_tail() {
-    for past in [0, 2] {
+fn a_base_spliced_onto_its_tail_is_refused_not_replayed() {
+    // The base loses bytes from its middle (or its end) while the records
+    // after it stay: whatever the frames now read as, no state comes back.
+    for (past, keep) in [(0, 20), (2, 20), (2, 200), (2, usize::MAX)] {
         let log = Arc::new(MemLog::new());
         let (mut db, w) = wired(&log, SyncPolicy::Always);
         db.insert("r", &[Value::str("x"), Value::int(1)]).unwrap();
         db.insert("s", &[Value::int(2)]).unwrap();
-        let (name, _) = checkpoint(&w, &db).unwrap();
-        let covered = w.last_seq();
+        let base = checkpoint(&w, &db).unwrap() as usize;
         for i in 0..past {
             db.insert("s", &[Value::int(10 + i)]).unwrap();
         }
-        log.truncate_blob(&name, 20);
-        let before = stored(&log);
-        assert_eq!(log_bytes(&log) > 0, past > 0);
-        match recover(&*log, catalog()) {
-            Err(RecoverError::SnapshotUnreadable { snapshot, last_seq }) => {
-                assert_eq!((snapshot, last_seq), (name, covered), "{past} past");
-            }
-            other => panic!("{past} past: expected a refusal, got {other:?}"),
-        }
-        assert_eq!(stored(&log), before, "{past} past: every byte in place");
+        let bytes = stored(&log);
+        // All of the base but its closing record, when `keep` is past it.
+        let keep = keep.min(base - 41);
+        let spliced = [&bytes[..keep], &bytes[base..]].concat();
+        let spliced_log = log_holding(&spliced);
+        let recovered = recover(&spliced_log, catalog());
+        assert!(
+            matches!(
+                recovered,
+                Err(RecoverError::IncompleteBase { .. } | RecoverError::Corrupt { .. })
+            ),
+            "{past} past, {keep} kept: {recovered:?}"
+        );
+        assert_eq!(
+            stored(&spliced_log),
+            spliced,
+            "{past} past: every byte in place"
+        );
     }
 }
 
-/// One relation of a hand-framed snapshot: its epoch, the row count and
-/// width it states, its cells and its `(x, y)` index specs.
-#[derive(Clone)]
-struct SnapRel {
-    epoch: u64,
-    rows: u64,
-    arity: u32,
-    cells: Vec<Cell>,
-    indexes: Vec<(Vec<u32>, Vec<u32>)>,
-}
-
-/// A CRC-valid snapshot blob with no wide ints, framed by hand in the
-/// codec's layout: magic, payload length and CRC, then the payload.
-fn framed_snapshot(commit: u64, last_seq: u64, strings: &[&str], rels: &[SnapRel]) -> Vec<u8> {
-    let u32_of = |n: usize| u32::try_from(n).unwrap().to_le_bytes();
-    let mut p = Vec::new();
-    p.extend(commit.to_le_bytes());
-    p.extend(last_seq.to_le_bytes());
-    p.extend(u32_of(strings.len()));
-    for text in strings {
-        p.extend(u32_of(text.len()));
-        p.extend(text.as_bytes());
+/// `frames` framed as a log numbered from 0: a compacted base written by
+/// hand.
+fn base_of(frames: &[WalOp<'_>]) -> Vec<u8> {
+    let mut framed = Vec::new();
+    for (seq, op) in frames.iter().enumerate() {
+        let mut payload = Vec::new();
+        encode_op_into(seq as u64, op, &mut payload);
+        append_frame(&mut framed, &payload);
     }
-    p.extend(u32_of(0));
-    p.extend(u32_of(rels.len()));
-    for rel in rels {
-        p.extend(rel.epoch.to_le_bytes());
-        p.extend(rel.rows.to_le_bytes());
-        p.extend(rel.arity.to_le_bytes());
-        for cell in &rel.cells {
-            p.extend(cell.raw().to_le_bytes());
-        }
-        p.extend(u32_of(rel.indexes.len()));
-        for (x, y) in &rel.indexes {
-            for cols in [x, y] {
-                p.extend(u32_of(cols.len()));
-                for col in cols {
-                    p.extend(col.to_le_bytes());
-                }
-            }
-        }
-    }
-    let mut blob = b"BCQSNAP1".to_vec();
-    blob.extend(u32_of(p.len()));
-    blob.extend(crc32(&p).to_le_bytes());
-    blob.extend(p);
-    blob
+    framed
 }
 
 #[test]
-fn a_tampered_snapshot_is_refused_and_recovery_falls_back_to_the_log() {
-    // An intern, two inserts and an index build, synced: the log covers
-    // every record a snapshot of the end state would.
-    let history = || {
-        let log = Arc::new(MemLog::new());
-        let (mut db, w) = wired(&log, SyncPolicy::Always);
-        db.insert("r", &[Value::str("x"), Value::int(1)]).unwrap();
-        db.insert("s", &[Value::int(2)]).unwrap();
-        db.ensure_indexes_cols(&[(RelId(0), &[0], &[1])]);
-        (log, db, w.last_seq())
-    };
-    let put = |log: &MemLog, name: &str, blob: &[u8]| {
-        log.write_blob(name, &mut |sink| sink.write_all(blob))
-            .unwrap();
-        log.sync().unwrap();
-    };
-    let (log, db, covered) = history();
+fn a_tampered_base_is_refused_and_changes_nothing() {
+    // An intern, two inserts and an index build, then the checkpoint.
+    let log = Arc::new(MemLog::new());
+    let (mut db, w) = wired(&log, SyncPolicy::Always);
+    db.insert("r", &[Value::str("x"), Value::int(1)]).unwrap();
+    db.insert("s", &[Value::int(2)]).unwrap();
+    db.ensure_indexes_cols(&[(RelId(0), &[0], &[1])]);
+    let covered = w.last_seq();
+    checkpoint(&w, &db).unwrap();
     let oracle = state(&db);
-    let name = snapshot_name(covered);
     let int = |i| Cell::from_small_int(i).unwrap();
+    let (r, s) = (RelId(0), RelId(1));
+    let r_cells = [Cell::from_sym(Sym(0)), int(1)];
+    let s_cells = [int(2)];
+    let epochs = [db.epoch_of(r), db.epoch_of(s)];
     let genuine = [
-        SnapRel {
-            epoch: db.epoch_of(RelId(0)),
+        WalOp::InternStr { id: 0, text: "x" },
+        WalOp::BulkBegin { commit: 1, rel: r },
+        WalOp::BulkChunk {
+            rel: r,
             rows: 1,
-            arity: 2,
-            cells: vec![Cell::from_sym(Sym(0)), int(1)],
-            indexes: vec![(vec![0], vec![1])],
+            cells: &r_cells,
         },
-        SnapRel {
-            epoch: db.epoch_of(RelId(1)),
+        WalOp::BulkEnd { rel: r },
+        WalOp::BulkBegin { commit: 2, rel: s },
+        WalOp::BulkChunk {
+            rel: s,
             rows: 1,
-            arity: 1,
-            cells: vec![int(2)],
-            indexes: vec![],
+            cells: &s_cells,
+        },
+        WalOp::BulkEnd { rel: s },
+        WalOp::EnsureIndex {
+            commit: 3,
+            rel: r,
+            x: &[0],
+            y: &[1],
+        },
+        WalOp::Checkpoint {
+            commit: db.epoch(),
+            last_seq: covered,
+            epochs: &epochs,
         },
     ];
-    let frame = |rels: &[SnapRel]| framed_snapshot(db.epoch(), covered, &["x"], rels);
-    // The hand framing is the codec's, byte for byte, and restores.
-    log.write_blob(&name, &mut |sink| {
-        write_snapshot(sink, &db, covered).map(drop)
-    })
-    .unwrap();
-    let (mut reader, _) = log.read_blob(&name).unwrap().unwrap();
-    let mut written = Vec::new();
-    reader.read_to_end(&mut written).unwrap();
-    drop(reader);
-    assert_eq!(frame(&genuine), written);
-    log.truncate(0).unwrap();
-    let (restored, report) = recover(&*log, catalog()).unwrap();
-    assert_eq!(report.snapshot.as_deref(), Some(name.as_str()));
-    assert_eq!(state(&restored), oracle);
+    // The hand framing is the checkpoint's, byte for byte, and recovers.
+    assert_eq!(base_of(&genuine), stored(&log));
+    let (recovered, report) = recover(&*log, catalog()).unwrap();
+    assert_eq!(state(&recovered), oracle);
+    assert_eq!(report.last_seq, covered);
 
-    type Tamper = fn(&mut [SnapRel; 2]);
-    let cases: [(&str, Tamper); 7] = [
-        ("symbol id past its table", |rels| {
-            rels[0].cells[0] = Cell::from_sym(Sym(1))
-        }),
-        ("wide-int id past its pool", |rels| {
-            rels[0].cells[0] = Cell::from_raw(0b100).unwrap()
-        }),
-        ("index key column past the width", |rels| {
-            rels[0].indexes = vec![(vec![2], vec![1])]
-        }),
-        ("index value column past the width", |rels| {
-            rels[0].indexes = vec![(vec![0], vec![2])]
-        }),
-        ("width narrower than the catalog's", |rels| {
-            (rels[0].arity, rels[0].rows) = (1, 2)
-        }),
-        ("width wider than the catalog's", |rels| {
-            rels[1].arity = 2;
-            rels[1].cells.push(Cell::NULL);
-        }),
-        ("width of zero", |rels| {
-            (rels[1].arity, rels[1].rows) = (0, 0);
-            rels[1].cells.clear();
-        }),
+    let unknown_sym = [Cell::from_sym(Sym(1)), int(1)];
+    let unknown_wide = [Cell::from_raw(0b100).unwrap(), int(1)];
+    let s_wide = [int(2), Cell::NULL];
+    let ahead = [db.epoch() + 1, db.epoch_of(s)];
+    let cases: [(&str, usize, WalOp<'_>); 8] = [
+        (
+            "symbol id past its table",
+            2,
+            WalOp::BulkChunk {
+                rel: r,
+                rows: 1,
+                cells: &unknown_sym,
+            },
+        ),
+        (
+            "wide-int id past its pool",
+            2,
+            WalOp::BulkChunk {
+                rel: r,
+                rows: 1,
+                cells: &unknown_wide,
+            },
+        ),
+        (
+            "index key column past the width",
+            7,
+            WalOp::EnsureIndex {
+                commit: 3,
+                rel: r,
+                x: &[2],
+                y: &[1],
+            },
+        ),
+        (
+            "index value column past the width",
+            7,
+            WalOp::EnsureIndex {
+                commit: 3,
+                rel: r,
+                x: &[0],
+                y: &[2],
+            },
+        ),
+        (
+            "width narrower than the catalog's",
+            2,
+            WalOp::BulkChunk {
+                rel: r,
+                rows: 2,
+                cells: &r_cells,
+            },
+        ),
+        (
+            "width wider than the catalog's",
+            5,
+            WalOp::BulkChunk {
+                rel: s,
+                rows: 1,
+                cells: &s_wide,
+            },
+        ),
+        (
+            "width of zero",
+            5,
+            WalOp::BulkChunk {
+                rel: s,
+                rows: 0,
+                cells: &[],
+            },
+        ),
+        (
+            "epoch beyond its commit",
+            8,
+            WalOp::Checkpoint {
+                commit: db.epoch(),
+                last_seq: covered,
+                epochs: &ahead,
+            },
+        ),
     ];
-    for (case, tamper) in cases {
-        let mut rels = genuine.clone();
-        tamper(&mut rels);
-        let blob = frame(&rels);
-
-        // The log still holds everything the snapshot covers: recovery
-        // skips the snapshot and replays the log from its start.
-        let (log, _, _) = history();
-        put(&log, &name, &blob);
-        let (recovered, report) = recover(&*log, catalog())
-            .unwrap_or_else(|e| panic!("{case}: expected a fallback, got {e}"));
-        assert_eq!(report.snapshot, None, "{case}");
-        assert_eq!(report.snapshots_skipped, 1, "{case}");
-        assert_eq!(state(&recovered), oracle, "{case}");
-
-        // A checkpoint's cut took the log: nothing is left to fall back to.
-        let (log, _, _) = history();
-        put(&log, &name, &blob);
-        log.truncate(0).unwrap();
-        let before = stored(&log);
-        match recover(&*log, catalog()) {
-            Err(RecoverError::SnapshotUnreadable { snapshot, last_seq }) => {
-                assert_eq!((snapshot, last_seq), (name.clone(), covered), "{case}");
+    for (case, at, tampered) in cases {
+        let mut frames = genuine;
+        frames[at] = tampered;
+        // With a tail past the base, and without.
+        for tail in [false, true] {
+            let mut bytes = base_of(&frames);
+            if tail {
+                bytes.extend(insert_frame(covered + 1, 99));
             }
-            other => panic!("{case}: expected a refusal, got {other:?}"),
+            let log = log_holding(&bytes);
+            let recovered = recover(&log, catalog());
+            assert!(
+                matches!(recovered, Err(RecoverError::Replay(_))),
+                "{case}, tail {tail}: expected a refusal, got {recovered:?}"
+            );
+            assert_eq!(stored(&log), bytes, "{case}: a refusal changes nothing");
         }
-        assert_eq!(stored(&log), before, "{case}: a refusal changes nothing");
     }
 }
 
 #[test]
-fn recovery_after_a_checkpoint_reads_only_the_tail() {
+fn recovery_after_a_checkpoint_replays_the_base_and_the_tail() {
     let log = Arc::new(MemLog::new());
     let (mut db, w) = wired(&log, SyncPolicy::Always);
     for i in 0..50 {
@@ -354,8 +386,8 @@ fn recovery_after_a_checkpoint_reads_only_the_tail() {
     db.bulk_loader(RelId(1))
         .push_rows(&(0..40).map(Value::int).collect::<Vec<_>>());
     db.ensure_indexes_cols(&[(RelId(0), &[0], &[1])]);
-    let (name, _) = checkpoint(&w, &db).unwrap();
-    assert_eq!(log_bytes(&log), 0, "the checkpoint cut the log");
+    let base = checkpoint(&w, &db).unwrap();
+    assert_eq!(log_bytes(&log), base, "the log is the base alone");
 
     let k = 3;
     let bytes_before = w.stats().bytes;
@@ -365,17 +397,17 @@ fn recovery_after_a_checkpoint_reads_only_the_tail() {
     let tail = w.stats().bytes - bytes_before;
     let (recovered, report) = recover(&*log, catalog()).unwrap();
     assert_eq!(state(&recovered), state(&db));
-    assert_eq!(report.snapshot, Some(name));
+    assert_eq!(report.snapshot_bytes, base);
     assert_eq!(report.replayed, k as u64);
-    assert_eq!(report.log_bytes, tail, "only the k records were read");
-    assert_eq!(report.log_bytes, log_bytes(&log));
+    assert_eq!(report.log_bytes, tail, "the tail past the base");
+    assert_eq!(report.log_bytes + base, log_bytes(&log));
 }
 
 #[test]
 fn a_crash_at_every_step_of_a_checkpoint_recovers_to_the_uncrashed_state() {
     // One checkpoint behind, writes on both relations since, then a
-    // second checkpoint whose mutating calls are: log sync, blob write,
-    // blob sync, the log's truncate, one delete of the old snapshot.
+    // second checkpoint whose mutating calls are: the log's sync, then the
+    // replacement's temp-file fsync, rename and directory fsync.
     let scenario = || {
         let log = Arc::new(MemLog::new());
         let (mut db, w) = wired(&log, SyncPolicy::Always);
@@ -392,17 +424,19 @@ fn a_crash_at_every_step_of_a_checkpoint_recovers_to_the_uncrashed_state() {
         w.ack().unwrap();
         (log, db, w)
     };
-    let steps = 3 + 1 + 1;
+    // The intern and insert of "b", the insert of 4, the index.
+    let tail_records = 4;
+    let steps = 1 + 3;
     for n in 0..=steps {
-        // Where the blob write went through but its sync did not, the crash
-        // can keep any prefix of it; everything else was already durable.
+        // Where the rename went through but the directory's fsync did
+        // not, the crash keeps the new log or the old one.
         let unsynced = {
             let (log, db, w) = scenario();
             log.fail_after(n);
             assert_eq!(checkpoint(&w, &db).is_err(), n < steps, "step {n}");
             log.unsynced_bytes()
         };
-        assert_eq!(unsynced > 0, n == 2, "step {n}");
+        assert_eq!(unsynced > 0, n == 3, "step {n}");
         let mut keeps = vec![0, unsynced / 2, unsynced];
         keeps.dedup();
         for keep in keeps {
@@ -410,27 +444,21 @@ fn a_crash_at_every_step_of_a_checkpoint_recovers_to_the_uncrashed_state() {
             log.fail_after(n);
             let _ = checkpoint(&w, &db);
             log.crash(keep);
-            let at = format!("crash after {n} steps, {keep} blob bytes kept");
+            let at = format!("crash after {n} steps, {keep} unsynced bytes kept");
             let (recovered, report) = recover(&*log, catalog()).unwrap();
             assert_eq!(state(&recovered), state(&db), "{at}");
             assert_eq!(report.last_seq, w.last_seq(), "{at}");
-            // The new snapshot is durable from the blob sync on (or when
-            // the crash happened to keep all of it).
-            let new_durable = n > 2 || (n == 2 && keep == unsynced);
-            let newest = snapshot_name(w.last_seq());
-            assert_eq!(
-                report.snapshot.as_deref() == Some(&newest),
-                new_durable,
-                "{at}"
-            );
+            // The new base is the log from the directory's fsync on (or
+            // when the crash happened to keep the rename).
+            let new_base = n == steps || (n == 3 && keep == unsynced);
+            let replayed = if new_base { 0 } else { tail_records };
+            assert_eq!(report.replayed, replayed, "{at}");
+            assert_eq!(report.log_bytes == 0, new_base, "{at}");
 
             let (again, report2) = recover(&*log, catalog()).unwrap();
             assert_eq!(state(&again), state(&db), "{at}");
             assert!(!report2.truncated, "{at}");
-            assert_eq!(log.list_blobs().unwrap().len(), 1, "{at}: one snapshot");
-            if new_durable {
-                assert_eq!((log_bytes(&log), report2.replayed), (0, 0), "{at}");
-            }
+            assert_eq!(report2, report, "{at}: recovering twice");
         }
     }
 }
@@ -568,13 +596,13 @@ fn delete_touches_only_its_shard_and_recovery_keeps_the_vector_clock() {
     // (the log has never been checkpointed, so it holds everything), and
     // so does a checkpoint taken across it.
     let (from_log, report) = recover(&*log, catalog()).unwrap();
-    assert_eq!(report.snapshot, None);
+    assert_eq!(report.snapshot_bytes, 0);
     assert_eq!(state(&from_log), state(&db));
-    checkpoint(&w, &db).unwrap();
-    let (from_snap, report) = recover(&*log, catalog()).unwrap();
-    assert_eq!(report.snapshot, Some(snapshot_name(w.last_seq())));
+    let base = checkpoint(&w, &db).unwrap();
+    let (from_base, report) = recover(&*log, catalog()).unwrap();
+    assert_eq!(report.snapshot_bytes, base);
     assert_eq!(report.replayed, 0);
-    assert_eq!(state(&from_snap), state(&db));
+    assert_eq!(state(&from_base), state(&db));
 }
 
 #[test]
@@ -666,7 +694,7 @@ fn a_retired_record_kind_is_refused_by_name_at_its_offset() {
     let log = Arc::new(MemLog::new());
     let (mut db, _w) = wired(&log, SyncPolicy::Always);
     db.insert("r", &[Value::int(1), Value::int(2)]).unwrap();
-    let offset = log.read().unwrap().len();
+    let offset = log_bytes(&log) as usize;
     // A CRC-valid frame of tag 3, an index-dropping insert: the tag byte
     // follows the record's sequence number.
     let mut syms = SymbolTable::new();
@@ -907,6 +935,14 @@ fn every_out_of_contract_log_is_refused_without_a_panic_or_a_change() {
         ),
         ("bulk end with no begin", vec![end]),
         ("chunk with no begin", vec![Op(chunk(&row))]),
+        (
+            "checkpoint record outside a base",
+            vec![Op(WalOp::Checkpoint {
+                commit: 0,
+                last_seq: 0,
+                epochs: &[0, 0],
+            })],
+        ),
     ];
     for (case, frames) in &cases {
         let log = log_of(frames);
@@ -939,7 +975,7 @@ type IndexState = (
     usize,
     Vec<(Vec<Cell>, Vec<u32>, Vec<u32>)>,
 );
-fn indexed_state(db: &Database) -> ((u64, Vec<RelState>), Vec<Vec<IndexState>>) {
+fn indexed_state(db: &Database) -> (State, Vec<Vec<IndexState>>) {
     let indexes = (0..db.num_relations())
         .map(|i| {
             let shard = db.shard(RelId(i));
@@ -1064,12 +1100,17 @@ fn surviving_records_are_byte_identical_to_the_pre_retirement_format() {
     let captured = [META, REL_0, REL_1].map(unhex);
     let mut frames: Vec<(u64, &[u8])> = Vec::new();
     for bytes in &captured {
-        let decoded = decode_frames(bytes).unwrap();
-        assert_eq!(decoded.torn_bytes, 0);
-        for (start, end, payload) in decoded.frames {
+        let len = bytes.len() as u64;
+        let mut reader = FrameReader::new(std::io::Cursor::new(bytes), len);
+        loop {
+            let start = reader.pos() as usize;
+            let Some(payload) = reader.next_frame().unwrap() else {
+                break;
+            };
             let seq = decode_op(payload, &mut DecodeScratch::default()).unwrap().0;
-            frames.push((seq, &bytes[start..end]));
+            frames.push((seq, &bytes[start..reader.pos() as usize]));
         }
+        assert_eq!(reader.torn_bytes(), 0);
     }
     frames.sort_by_key(|&(seq, _)| seq);
     let seqs: Vec<u64> = frames.iter().map(|&(seq, _)| seq).collect();
@@ -1093,6 +1134,6 @@ fn surviving_records_are_byte_identical_to_the_pre_retirement_format() {
         }
         db.bulk_loader(RelId(1))
             .push_rows(&[Value::int(10), Value::int(i64::MAX)]);
-        assert_eq!(hex(&log.read().unwrap()), want, "prepared = {prepared}");
+        assert_eq!(hex(&log.bytes()), want, "prepared = {prepared}");
     }
 }

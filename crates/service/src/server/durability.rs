@@ -39,7 +39,8 @@ pub(super) struct DurabilityState {
     /// this: the tail recovery kept at open, then minus the counter's
     /// value at each checkpoint's cut. The record path never touches it.
     retained_offset: AtomicI64,
-    /// Bytes of the last snapshot written or restored.
+    /// Bytes of the compacted base the log begins with: the last one a
+    /// checkpoint wrote, or the one recovery replayed.
     snapshot_bytes: AtomicU64,
 }
 
@@ -63,15 +64,16 @@ impl DurabilityState {
 
 impl Server {
     /// Opens a **durable** server over `storage`: recovers the database
-    /// from the latest consistent snapshot plus WAL replay, attaches a WAL
+    /// by replaying the log (a checkpoint's compacted base and the records
+    /// after it, [`bcq_durability::recover()`]), attaches a WAL
     /// writer so every subsequent write — single-row writes, bulk
     /// updates, index builds — is logged before it is acknowledged, and
     /// re-registers `views` (each evaluates against the recovered state on
     /// its first read).
     ///
-    /// Returns the server, the [`RecoveryReport`] (what was restored,
-    /// replayed and discarded), and the ids of the re-registered views in
-    /// `views` order.
+    /// Returns the server, the [`RecoveryReport`] (the base it replayed,
+    /// the records past it, what was discarded), and the ids of the
+    /// re-registered views in `views` order.
     ///
     /// On first boot (empty storage) recovery yields the empty database and
     /// the index builds declared by `access` are themselves logged, so the
@@ -140,32 +142,29 @@ impl Server {
         self.durability.as_ref().map(|d| d.writer.stats())
     }
 
-    /// Takes a snapshot checkpoint: flushes the WAL, writes the full
-    /// database state (rows, epoch vector, symbols, index specs) as one
-    /// atomic blob, and once it is durable cuts the log to 0 and deletes
-    /// the older snapshots ([`bcq_durability::checkpoint`]), so the
-    /// storage holds exactly one copy of the data and recovery after this
-    /// point reads the snapshot plus the records written since. Returns
-    /// the blob name.
-    pub fn checkpoint(&self) -> crate::Result<String> {
+    /// Takes a checkpoint: flushes the WAL and replaces the log, atomically,
+    /// with the records of the current state — its interns, one bulk load
+    /// per relation, its index records and the vector clock
+    /// ([`bcq_durability::checkpoint()`]) — so the storage holds exactly one
+    /// copy of the data and recovery after this point replays that base
+    /// plus the records written since. Returns the base's length in bytes.
+    pub fn checkpoint(&self) -> crate::Result<u64> {
         let d = self
             .durability
             .as_ref()
             .ok_or_else(|| ServiceError::Durability("server opened without durability".into()))?;
-        // The cut to 0 needs the log to hold no record past the snapshot.
-        // Every record is appended under the bulk gate, so exclusive on it
-        // the snapshot is exactly the state the log describes; reads go on.
+        // The base replaces the log, so no record may land past it. Every
+        // record is appended under the bulk gate, so exclusive on it the
+        // published state is exactly the one the log describes; reads go on.
         let _gate = write_recovered(&self.gate);
         let db = self.shared.snapshot();
-        let (name, written) = bcq_durability::checkpoint(&d.writer, &db)
+        let written = bcq_durability::checkpoint(&d.writer, &db)
             .map_err(|e| ServiceError::Durability(e.to_string()))?;
         d.retained_offset
             .store(-(d.writer.stats().bytes as i64), Ordering::Relaxed);
-        if written > 0 {
-            d.snapshot_bytes.store(written, Ordering::Relaxed);
-        }
+        d.snapshot_bytes.store(written, Ordering::Relaxed);
         d.checkpoints.fetch_add(1, Ordering::Relaxed);
-        Ok(name)
+        Ok(written)
     }
 
     /// Waits until every WAL record appended so far is durable per the
@@ -236,7 +235,7 @@ mod tests {
         let log = Arc::new(bcq_durability::MemLog::new());
         let (server, report, view) = open_durable(&log, SyncPolicy::Always);
         assert_eq!(report.replayed, 0, "first boot: empty storage");
-        assert_eq!(report.snapshot, None);
+        assert_eq!(report.snapshot_bytes, 0);
 
         // Example 1's data, written *through* the server so it is logged.
         for (p, al) in [("p1", "a0"), ("p2", "a0"), ("p3", "a0"), ("p4", "a1")] {
@@ -256,16 +255,12 @@ mod tests {
             )
             .unwrap();
         assert_eq!(server.view_result(view).unwrap().len(), 1);
-        let name = server.checkpoint().unwrap();
-        // One copy: the snapshot alone, the log cut to 0.
-        assert_eq!(log.list_blobs().unwrap(), vec![name.clone()]);
-        assert!(log.read().unwrap().is_empty(), "the log was cut");
+        let base = server.checkpoint().unwrap();
+        // One copy: the log is the compacted base alone.
+        assert_eq!(log.bytes().len() as u64, base, "the log is the base");
         let m = server.metrics_snapshot();
         assert_eq!(m.wal.retained_bytes, 0);
-        assert_eq!(
-            m.wal.snapshot_bytes,
-            log.read_blob(&name).unwrap().unwrap().1
-        );
+        assert_eq!(m.wal.snapshot_bytes, base);
 
         // One more write past the checkpoint, then "crash".
         server
@@ -284,7 +279,7 @@ mod tests {
         drop(server);
 
         let (server2, report2, view2) = open_durable(&log, SyncPolicy::Always);
-        assert_eq!(report2.snapshot.as_deref(), Some(name.as_str()));
+        assert_eq!(report2.snapshot_bytes, base);
         assert!(report2.replayed > 0, "the post-checkpoint insert replays");
         assert_eq!(server2.epoch(), epoch, "vector clock reproduced");
         {
@@ -310,37 +305,32 @@ mod tests {
         assert_eq!(r.rows().unwrap().len(), 2);
     }
 
-    /// A disk that fills up under blob writes: no blob grows past `cap`
-    /// bytes. Everything else is the wrapped `MemLog`'s.
+    /// A disk that fills up under a log replacement: no new log grows past
+    /// `cap` bytes. Everything else is the wrapped `MemLog`'s.
     #[derive(Debug)]
     struct FullDisk {
         log: Arc<bcq_durability::MemLog>,
         cap: AtomicU64,
     }
 
-    /// A blob sink on a [`FullDisk`]: a write past `cap` fails.
+    /// A replacement's sink on a [`FullDisk`]: a write past `cap` fails.
     struct Capped<'a> {
-        sink: &'a mut dyn bcq_durability::BlobSink,
-        cap: u64,
+        sink: &'a mut dyn std::io::Write,
+        room: u64,
     }
 
     impl std::io::Write for Capped<'_> {
         fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            let room = self.cap.saturating_sub(self.sink.stream_position()?);
-            if room == 0 && !buf.is_empty() {
+            if self.room == 0 && !buf.is_empty() {
                 return Err(std::io::ErrorKind::StorageFull.into());
             }
-            self.sink.write(&buf[..buf.len().min(room as usize)])
+            let n = self.sink.write(&buf[..buf.len().min(self.room as usize)])?;
+            self.room -= n as u64;
+            Ok(n)
         }
 
         fn flush(&mut self) -> std::io::Result<()> {
             self.sink.flush()
-        }
-    }
-
-    impl std::io::Seek for Capped<'_> {
-        fn seek(&mut self, pos: std::io::SeekFrom) -> std::io::Result<u64> {
-            self.sink.seek(pos)
         }
     }
 
@@ -351,34 +341,24 @@ mod tests {
         fn sync(&self) -> std::io::Result<()> {
             self.log.sync()
         }
-        fn read(&self) -> std::io::Result<Vec<u8>> {
+        fn read(&self) -> std::io::Result<(Box<dyn bcq_durability::SeekRead + '_>, u64)> {
             self.log.read()
         }
         fn truncate(&self, len: u64) -> std::io::Result<()> {
             self.log.truncate(len)
         }
-        fn write_blob(
+        fn replace(
             &self,
-            name: &str,
-            fill: &mut dyn FnMut(&mut dyn bcq_durability::BlobSink) -> std::io::Result<()>,
+            fill: &mut dyn FnMut(&mut dyn std::io::Write) -> std::io::Result<()>,
         ) -> std::io::Result<()> {
-            let cap = self.cap.load(Ordering::Relaxed);
+            let room = self.cap.load(Ordering::Relaxed);
             self.log
-                .write_blob(name, &mut |sink| fill(&mut Capped { sink, cap }))
-        }
-        fn read_blob(&self, name: &str) -> std::io::Result<Option<bcq_durability::BlobReader<'_>>> {
-            self.log.read_blob(name)
-        }
-        fn list_blobs(&self) -> std::io::Result<Vec<String>> {
-            self.log.list_blobs()
-        }
-        fn delete_blob(&self, name: &str) -> std::io::Result<()> {
-            self.log.delete_blob(name)
+                .replace(&mut |sink| fill(&mut Capped { sink, room }))
         }
     }
 
     #[test]
-    fn a_disk_full_mid_snapshot_fails_the_checkpoint_and_cuts_nothing() {
+    fn a_disk_full_mid_checkpoint_fails_it_and_keeps_the_log() {
         type State = (u64, Vec<Vec<Vec<Value>>>);
         let state = |server: &Server| -> State {
             let snap = server.snapshot();
@@ -396,7 +376,7 @@ mod tests {
                 .unwrap()
                 .0
         };
-        // An older snapshot, then writes the log alone holds.
+        // An older checkpoint, then writes the log holds past its base.
         let scenario = || {
             let log = Arc::new(bcq_durability::MemLog::new());
             let disk = Arc::new(FullDisk {
@@ -407,7 +387,7 @@ mod tests {
             server
                 .insert("friends", &[Value::str("u0"), Value::str("u1")])
                 .unwrap();
-            let older = server.checkpoint().unwrap();
+            server.checkpoint().unwrap();
             for i in 0..50 {
                 server
                     .insert(
@@ -416,42 +396,32 @@ mod tests {
                     )
                     .unwrap();
             }
-            (disk, server, older)
+            (disk, server)
         };
-        let blob_len = {
-            let (_, server, _) = scenario();
-            let mut sink = std::io::Cursor::new(Vec::new());
-            bcq_durability::write_snapshot(&mut sink, &server.snapshot(), 0).unwrap()
+        let base_len = {
+            let (_, server) = scenario();
+            server.checkpoint().unwrap()
         };
-        // Nothing written, inside the frame header, mid-payload, and all
-        // but the last byte.
-        for cap in [0, 12, blob_len / 2, blob_len - 1] {
-            let (disk, server, older) = scenario();
+        // Nothing written, inside the first frame header, mid-base, and
+        // all but the last byte.
+        for cap in [0, 4, base_len / 2, base_len - 1] {
+            let (disk, server) = scenario();
             let before = state(&server);
-            let log_before = disk.log.read().unwrap();
+            let log_before = disk.log.bytes();
             disk.cap.store(cap, Ordering::Relaxed);
             assert!(
                 matches!(server.checkpoint(), Err(ServiceError::Durability(_))),
                 "cap {cap}"
             );
-            assert_eq!(
-                disk.log.list_blobs().unwrap(),
-                vec![older.clone()],
-                "cap {cap}"
-            );
-            assert_eq!(
-                disk.log.read().unwrap(),
-                log_before,
-                "cap {cap}: the log is not cut"
-            );
+            assert_eq!(disk.log.bytes(), log_before, "cap {cap}: the log is kept");
             drop(server);
 
             disk.cap.store(u64::MAX, Ordering::Relaxed);
             let reopened = open(&disk);
             assert_eq!(state(&reopened), before, "cap {cap}");
             // With room again, the checkpoint goes through.
-            let newer = reopened.checkpoint().unwrap();
-            assert_eq!(disk.log.list_blobs().unwrap(), vec![newer]);
+            let base = reopened.checkpoint().unwrap();
+            assert_eq!(disk.log.bytes().len() as u64, base, "cap {cap}");
         }
     }
 

@@ -55,7 +55,7 @@
 //!
 //! A bulk write holds the gate alone while its closure runs: it works on
 //! a copy of the state (`SharedDb::write_aside`) and takes the commit
-//! lock only to publish it. A checkpoint writes a snapshot under the gate
+//! lock only to publish it. A checkpoint compacts the log under the gate
 //! alone. Reads keep serving the state before either meanwhile.
 //!
 //! The registered views' locks — the view list, then one view's answer —

@@ -91,90 +91,6 @@ impl Database {
         }
     }
 
-    /// Rebuilds a database from durably stored parts — the snapshot-restore
-    /// path. `shards` must cover every relation of `catalog` in order;
-    /// each shard's width must be its relation's, its cells must name only
-    /// ids `symbols` holds, its index columns must lie within the width,
-    /// and its epoch must not exceed `commit` (the restored global commit
-    /// counter) — the checks log replay makes, so a damaged snapshot is
-    /// refused instead of loading a row no decode can read or an index no
-    /// build can make. Declared indices are rebuilt from the restored
-    /// rows. No WAL sink is attached; the recovery layer attaches one
-    /// after replay.
-    pub fn restore(
-        catalog: Arc<Catalog>,
-        symbols: SymbolTable,
-        mut shards: Vec<ShardState>,
-        commit: u64,
-    ) -> Result<Database> {
-        if shards.len() != catalog.relations().len() {
-            return Err(CoreError::Invalid(format!(
-                "restore: {} shards for a {}-relation catalog",
-                shards.len(),
-                catalog.relations().len()
-            )));
-        }
-        let mut restored = Vec::with_capacity(shards.len());
-        for (i, state) in shards.iter_mut().enumerate() {
-            let arity = catalog.relation(RelId(i)).arity();
-            if state.arity != arity {
-                return Err(CoreError::Invalid(format!(
-                    "restore: relation {i} stored at width {}, catalog says {arity}",
-                    state.arity
-                )));
-            }
-            if state.cells.len() % arity != 0 {
-                return Err(CoreError::Invalid(format!(
-                    "restore: relation {i} cell count {} not a multiple of arity {arity}",
-                    state.cells.len()
-                )));
-            }
-            if state.epoch > commit {
-                return Err(CoreError::Invalid(format!(
-                    "restore: relation {i} epoch {} beyond commit {commit}",
-                    state.epoch
-                )));
-            }
-            check_logged_cells(&symbols, &state.cells)?;
-            for (x, y) in &state.indexes {
-                check_index_cols(x, y, arity)?;
-            }
-            // The decoded cells become the table: no second copy.
-            let table = Table::from_cells(RelId(i), arity, std::mem::take(&mut state.cells));
-            let mut shard = RelationShard::new(table);
-            shard.epoch = state.epoch;
-            restored.push(shard);
-        }
-        // Every shard's declared indices in one batch.
-        let jobs: Vec<BuildJob<'_>> = restored
-            .iter()
-            .zip(&shards)
-            .flat_map(|(shard, state)| {
-                let specs = state.indexes.iter();
-                specs.map(|(x, y)| (&shard.table, x.as_slice(), y.as_slice()))
-            })
-            .collect();
-        let mut built = build_many(&jobs, host_workers()).into_iter();
-        let shards = restored
-            .into_iter()
-            .zip(&shards)
-            .map(|(mut shard, state)| {
-                shard.indexes = built.by_ref().take(state.indexes.len()).collect();
-                Arc::new(shard)
-            })
-            .collect();
-        Ok(Database {
-            catalog,
-            symbols: Arc::new(symbols),
-            shards,
-            commit,
-            cow_cells: 0,
-            cow_clones: 0,
-            ingest: IngestStats::default(),
-            wal: None,
-        })
-    }
-
     /// Attaches (or detaches) the write-ahead-log sink mutation records are
     /// delivered to. See [`crate::wal`] for the record contract.
     pub fn set_wal(&mut self, sink: Option<Arc<dyn WalSink>>) {
@@ -255,8 +171,8 @@ impl Database {
     }
 
     /// What every [`BulkLoader`] run on this instance's history appended,
-    /// replayed brackets ([`Self::replay_bulk`]) included; a restored
-    /// snapshot starts from zero.
+    /// replayed brackets ([`Self::replay_bulk`]) included, so a recovered
+    /// database counts the brackets of the log it replayed.
     pub fn ingest_stats(&self) -> IngestStats {
         self.ingest
     }
@@ -320,12 +236,13 @@ impl Database {
         BulkLoader::new(&mut shard.table, &mut self.symbols, totals, wal, rel)
     }
 
-    /// Re-applies one logged intern, insert or delete — the inverse of its
-    /// emission (see [`crate::wal`]'s replay contract): an intern must land
-    /// on its logged id; an insert or delete applies the cells it logged,
-    /// with no name lookup and no encode, held to its relation, width,
-    /// cell ids and commit stamp, and a delete must find its row. Index
-    /// records go to [`Self::replay_indexes`] and a bulk bracket to
+    /// Re-applies one logged intern, insert, delete or checkpoint — the
+    /// inverse of its emission (see [`crate::wal`]'s replay contract): an
+    /// intern must land on its logged id; an insert or delete applies the
+    /// cells it logged, with no name lookup and no encode, held to its
+    /// relation, width, cell ids and commit stamp, and a delete must find
+    /// its row; a checkpoint sets the vector clock. Index records go to
+    /// [`Self::replay_indexes`] and a bulk bracket to
     /// [`Self::replay_bulk`]; this refuses them. A refused op may have
     /// applied in part: discard the database.
     pub fn replay(&mut self, op: WalOp<'_>) -> Result<()> {
@@ -336,9 +253,10 @@ impl Database {
             }
             WalOp::Insert { commit, rel, cells } => (RowOp::Insert, commit, rel, cells),
             WalOp::Delete { commit, rel, cells } => (RowOp::Delete, commit, rel, cells),
+            WalOp::Checkpoint { commit, epochs, .. } => return self.replay_clock(commit, epochs),
             _ => {
                 return Err(CoreError::Invalid(format!(
-                    "{op} is not an intern, insert or delete"
+                    "{op} is not an intern, insert, delete or checkpoint"
                 )))
             }
         };
@@ -358,6 +276,33 @@ impl Database {
             ))
         })?;
         self.shard_mut(rel).apply_row(row_op, rid, cells);
+        Ok(())
+    }
+
+    /// Sets the vector clock a checkpoint record logged: the commit
+    /// counter, which may not step back, and every relation's epoch, none
+    /// beyond it.
+    fn replay_clock(&mut self, commit: u64, epochs: &[u64]) -> Result<()> {
+        let invalid = |msg: String| Err(CoreError::Invalid(format!("checkpoint: {msg}")));
+        if epochs.len() != self.shards.len() {
+            let n = self.shards.len();
+            return invalid(format!("{} epochs for {n} relations", epochs.len()));
+        }
+        if commit < self.commit {
+            return invalid(format!("commit {commit} behind replay at {}", self.commit));
+        }
+        if let Some(rel) = epochs.iter().position(|&epoch| epoch > commit) {
+            let epoch = epochs[rel];
+            return invalid(format!(
+                "relation {rel} epoch {epoch} beyond commit {commit}"
+            ));
+        }
+        for (shard, &epoch) in self.shards.iter_mut().zip(epochs) {
+            if shard.epoch != epoch {
+                Arc::make_mut(shard).epoch = epoch;
+            }
+        }
+        self.commit = commit;
         Ok(())
     }
 
@@ -739,23 +684,6 @@ fn check_index_cols(x: &[usize], y: &[usize], arity: usize) -> Result<()> {
         ))),
         None => Ok(()),
     }
-}
-
-/// One relation's durably stored state, as consumed by
-/// [`Database::restore`]: the shard's vector-clock component, its row
-/// width and rows (flattened cells), and the `(x, y)` column sets of the
-/// indices to rebuild over them.
-#[derive(Debug, Clone, Default)]
-pub struct ShardState {
-    /// The shard's epoch at snapshot time.
-    pub epoch: u64,
-    /// The row width it was stored at; restore refuses one that is not
-    /// the catalog's.
-    pub arity: usize,
-    /// Row cells, flattened in row-major order.
-    pub cells: Vec<Cell>,
-    /// `(key columns, value columns)` of each registered index.
-    pub indexes: Vec<(Vec<usize>, Vec<usize>)>,
 }
 
 #[cfg(test)]
@@ -1301,6 +1229,7 @@ mod tests {
                 W::BulkChunk { rel, rows, .. } => format!("chunk:{}x{rows}", rel.0),
                 W::BulkEnd { rel } => format!("bulk_end:{}", rel.0),
                 W::EnsureIndex { rel, .. } => format!("index:{}", rel.0),
+                W::Checkpoint { commit, .. } => format!("checkpoint:{commit}"),
             };
             let full = format!("{op:?}");
             self.0.lock().unwrap().push((kind, op.commit(), full));
@@ -1414,54 +1343,82 @@ mod tests {
     }
 
     #[test]
-    fn restore_rebuilds_rows_epochs_and_indexes() {
+    fn a_checkpoint_record_sets_the_vector_clock() {
+        // The state of a live history, replayed as a compacted log: one
+        // bracket per non-empty relation and the index record, each at the
+        // commit replay arrives at, then the clock the history reached.
         let cat = photos();
-        let mut a = AccessSchema::new(cat.clone());
-        let cid = a.add("friends", &["user_id"], &["friend_id"], 10).unwrap();
-        let mut db = Database::new(cat.clone());
+        let mut live = Database::new(cat.clone());
+        let (albums, friends, tagging) = (RelId(0), RelId(1), RelId(2));
         for (u, f) in [(1, 2), (1, 3), (2, 4)] {
-            db.insert("friends", &[Value::int(u), Value::int(f)])
+            live.insert("friends", &[Value::int(u), Value::int(f)])
                 .unwrap();
         }
-        db.insert("in_album", &[Value::str("p"), Value::str("al")])
+        live.insert("in_album", &[Value::int(7), Value::int(8)])
             .unwrap();
-        db.build_indexes(&a);
+        live.ensure_indexes_cols(&[(friends, &[0], &[1])]);
+        // Emptied by deletes: no bracket, but its epoch moved.
+        live.insert("tagging", &[Value::int(1), Value::int(2), Value::int(3)])
+            .unwrap();
+        live.delete("tagging", &[Value::int(1), Value::int(2), Value::int(3)])
+            .unwrap();
+        let epochs: Vec<u64> = (0..3).map(|i| live.epoch_of(RelId(i))).collect();
 
-        // Dump by hand (the durability crate does this through its
-        // snapshot codec) and restore.
-        let states: Vec<ShardState> = (0..db.num_relations())
-            .map(|i| {
-                let shard = db.shard(RelId(i));
-                ShardState {
-                    epoch: shard.epoch(),
-                    arity: shard.table().arity(),
-                    cells: shard.table().rows().flatten().copied().collect(),
-                    indexes: if shard.num_indexes() > 0 {
-                        vec![(vec![0], vec![1])]
-                    } else {
-                        vec![]
-                    },
-                }
-            })
-            .collect();
-        let restored = Database::restore(cat, (*db.symbols()).clone(), states, db.epoch()).unwrap();
-
-        assert_eq!(restored.epoch(), db.epoch());
-        for i in 0..db.num_relations() {
-            assert_eq!(restored.epoch_of(RelId(i)), db.epoch_of(RelId(i)));
-            let (a_rows, b_rows): (Vec<_>, Vec<_>) = (
-                db.value_rows(RelId(i)).collect(),
-                restored.value_rows(RelId(i)).collect(),
-            );
-            assert_eq!(a_rows, b_rows, "relation {i} rows");
+        let mut db = Database::new(cat);
+        for (commit, rel) in [(1, albums), (2, friends)] {
+            let cells = live.table(rel).cells().to_vec();
+            let mut loader = db.replay_bulk(commit, rel, cells.len()).unwrap();
+            let rows = (cells.len() / live.table(rel).arity()) as u32;
+            loader
+                .replay(WalOp::BulkChunk {
+                    rel,
+                    rows,
+                    cells: &cells,
+                })
+                .unwrap();
         }
-        let key = restored.symbols().try_encode_row(&[Value::int(1)]).unwrap();
-        let idx = restored.index_for(a.constraint(cid)).unwrap();
-        assert_eq!(idx.witnesses(&key).len(), 2);
+        db.replay_indexes(&[(3, (friends, &[0], &[1]))]).unwrap();
+        let clock = |commit, epochs| WalOp::Checkpoint {
+            commit,
+            last_seq: 9,
+            epochs,
+        };
+        // Refused, changing nothing: a clock of the wrong width, one that
+        // steps back, and an epoch beyond its commit.
+        let mut wide = epochs.clone();
+        wide.push(0);
+        let mut ahead = epochs.clone();
+        ahead[2] = live.epoch() + 1;
+        for (case, op) in [
+            ("wrong width", clock(live.epoch(), &wide)),
+            ("steps back", clock(2, &[0, 1, 2])),
+            ("epoch past commit", clock(live.epoch(), &ahead)),
+        ] {
+            let err = db.replay(op).unwrap_err().to_string();
+            assert!(err.contains("checkpoint"), "{case}: {err}");
+            assert_eq!(db.epoch(), 3, "{case}");
+        }
+        db.replay(clock(live.epoch(), &epochs)).unwrap();
+        assert_eq!(db.epoch(), live.epoch());
+        for rel in [albums, friends, tagging] {
+            assert_eq!(db.epoch_of(rel), live.epoch_of(rel));
+            assert_eq!(image(&db, rel), image(&live, rel));
+        }
+        assert_eq!(db.epoch_of(tagging), epochs[2], "the emptied relation");
+        // Replay goes on from the clock.
+        let next = live.epoch() + 1;
+        let row = [Cell::from_small_int(5).unwrap(); 2];
+        db.replay(WalOp::Insert {
+            commit: next,
+            rel: albums,
+            cells: &row,
+        })
+        .unwrap();
+        assert_eq!(db.epoch(), next);
     }
 
     #[test]
-    fn parallel_build_keeps_log_epochs_and_restore() {
+    fn parallel_build_keeps_log_and_epochs() {
         // Two relations past the sorted-build threshold (skewed keys,
         // repeated `Y`s), one small; the spec list names one index twice
         // and one that is already there.
@@ -1532,90 +1489,6 @@ mod tests {
                 };
                 assert_eq!(specs(&parallel), specs(&serial), "installed in spec order");
             }
-        }
-
-        // `restore` (every shard in one batch, on this host's cores) gives
-        // what one `HashIndex::build` per declared index gives.
-        let states: Vec<ShardState> = (0..serial.num_relations())
-            .map(|i| {
-                let shard = serial.shard(RelId(i));
-                ShardState {
-                    epoch: shard.epoch(),
-                    arity: shard.table().arity(),
-                    cells: shard.table().cells().to_vec(),
-                    indexes: shard
-                        .index_specs()
-                        .map(|(x, y)| (x.to_vec(), y.to_vec()))
-                        .collect(),
-                }
-            })
-            .collect();
-        let symbols = (*serial.symbols()).clone();
-        let restored = Database::restore(cat, symbols, states, serial.epoch()).unwrap();
-        assert_eq!(restored.num_indexes(), 7);
-        for rel in [albums, friends, tagging] {
-            assert_eq!(image(&restored, rel), image(&serial, rel));
-            let shard = restored.shard(rel);
-            for (x, y) in shard.index_specs() {
-                let (batch, alone) = (
-                    shard.index(x, y).unwrap(),
-                    HashIndex::build(shard.table(), x, y),
-                );
-                assert_eq!(batch.approx_bytes(), alone.approx_bytes());
-                assert_eq!(batch.num_keys(), alone.num_keys());
-            }
-        }
-    }
-
-    #[test]
-    fn restore_rejects_malformed_parts() {
-        let cat = photos();
-        assert!(Database::restore(cat.clone(), SymbolTable::new(), vec![], 0).is_err());
-        // Empty shards at the catalog's widths restore; each case breaks
-        // one part of them.
-        let fresh = || {
-            [2, 2, 3].map(|arity| ShardState {
-                arity,
-                ..ShardState::default()
-            })
-        };
-        assert!(Database::restore(cat.clone(), SymbolTable::new(), fresh().to_vec(), 0).is_ok());
-        type Damage = fn(&mut [ShardState; 3]);
-        let cases: [(&str, Damage, u64); 7] = [
-            (
-                "cells not a multiple of the width",
-                |s| s[0].cells = vec![Cell::NULL],
-                0,
-            ),
-            ("epoch beyond the commit counter", |s| s[1].epoch = 5, 4),
-            ("width not the catalog's", |s| s[2].arity = 2, 0),
-            (
-                "symbol id past the table",
-                |s| s[0].cells = vec![Cell::from_sym(Sym(0)), Cell::NULL],
-                0,
-            ),
-            (
-                "wide-int id past the pool",
-                |s| s[0].cells = vec![Cell::from_raw(0b100).unwrap(), Cell::NULL],
-                0,
-            ),
-            (
-                "index key column past the width",
-                |s| s[1].indexes = vec![(vec![2], vec![0])],
-                0,
-            ),
-            (
-                "index value column past the width",
-                |s| s[2].indexes = vec![(vec![0], vec![3])],
-                0,
-            ),
-        ];
-        for (case, damage, commit) in cases {
-            let mut states = fresh();
-            damage(&mut states);
-            let restored =
-                Database::restore(cat.clone(), SymbolTable::new(), states.to_vec(), commit);
-            assert!(restored.is_err(), "{case}");
         }
     }
 

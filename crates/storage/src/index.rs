@@ -708,7 +708,7 @@ pub(crate) fn host_workers() -> usize {
 }
 
 /// Builds one index per job and returns them in job order — the builder
-/// behind `Database::build_indexes`, `Database::restore` and log replay.
+/// behind `Database::build_indexes` and log replay.
 /// Each index is exactly what [`HashIndex::build`] gives for its job. Runs
 /// on at most `workers` threads, and is the serial loop when that or the
 /// number of jobs is at most 1; the count is a parameter so tests can
@@ -733,7 +733,7 @@ pub(crate) fn host_workers() -> usize {
 /// |---|---|---|---|
 /// | serial loop (16 + 7 runs) | 1.30 – 1.55 and one 2.33, median 1.38 | 431 – 442, median 435 | 174 – 200, median 180 |
 /// | workers build whole indices, `build_indexes` only | 0.90 – 1.00 | 508 – 524 (+16…19%) | — |
-/// | the same plus `restore` | 0.89 | 434 – 442 | 209 – 251 (+14…39%); 149 – 151 with the C library held to one arena |
+/// | the same plus snapshot restore (since removed) | 0.89 | 434 – 442 | 209 – 251 (+14…39%); 149 – 151 with the C library held to one arena |
 /// | this thread allocates, workers fill (16 + 7 runs) | 0.78 – 0.94, median 0.89 | 434 – 442, median 440 (+1%) | 172 – 196, median 183 (+2%) |
 ///
 /// So do not move the `with_keys` call into the worker to save the round

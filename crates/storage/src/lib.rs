@@ -33,7 +33,7 @@ pub mod wal;
 
 pub use bulk::{BulkLoader, IngestStats};
 pub use csv::{dump_csv, load_csv};
-pub use database::{Database, IndexSpec, Prepare, PreparedWrite, ShardState};
+pub use database::{Database, IndexSpec, Prepare, PreparedWrite};
 pub use index::{HashIndex, Postings};
 pub use meter::Meter;
 pub use shard::{RelationShard, RowOp};

@@ -38,19 +38,6 @@ impl Table {
         }
     }
 
-    /// A table over already-encoded rows given as a flat row-major cell
-    /// vector (`cells.len()` must be a multiple of the arity), adopted
-    /// as the table's storage without a copy — the snapshot-restore path.
-    pub fn from_cells(rel: RelId, arity: usize, cells: Vec<Cell>) -> Self {
-        assert!(arity > 0, "tables must have at least one column");
-        assert_eq!(cells.len() % arity, 0, "arity mismatch on restore");
-        Table {
-            rel,
-            arity,
-            data: cells,
-        }
-    }
-
     /// The relation this table instantiates.
     pub fn rel(&self) -> RelId {
         self.rel

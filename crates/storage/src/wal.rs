@@ -43,6 +43,11 @@
 //!   delete record; both maintain every registered index, live and on
 //!   replay, so an index logged by [`WalOp::EnsureIndex`] stays built
 //!   until a bulk load clears it.
+//! * **A checkpoint is written in the same records.** The current state
+//!   is its interns in id order, one bulk bracket per non-empty relation
+//!   and its index records — each stamped with the commit replay arrives
+//!   at — closed by one [`WalOp::Checkpoint`] that sets the vector clock
+//!   to the one the state was taken at.
 //!
 //! The sink is called *after* the in-memory mutation succeeds, under the
 //! same `&mut self` that performed it, so the record order equals the
@@ -138,6 +143,22 @@ pub enum WalOp<'a> {
         /// Value columns.
         y: &'a [usize],
     },
+    /// The vector clock of a compacted log: the closing record of a
+    /// checkpoint, which writes the current state as intern, bulk and
+    /// index records and then this one. Replay sets the global commit
+    /// and every relation's epoch to it (no commit bump of its own), so a
+    /// relation emptied by deletes keeps its epoch with no record of its
+    /// own; an epoch beyond `commit` is refused.
+    Checkpoint {
+        /// The global commit counter the state stands at.
+        commit: u64,
+        /// The last sequence number of the log the state was compacted
+        /// from; records after this one continue at `last_seq + 1`.
+        /// Replay leaves it to the log layer.
+        last_seq: u64,
+        /// Every relation's epoch, in relation order.
+        epochs: &'a [u64],
+    },
 }
 
 impl WalOp<'_> {
@@ -153,7 +174,8 @@ impl WalOp<'_> {
             WalOp::InternStr { .. }
             | WalOp::InternWide { .. }
             | WalOp::BulkChunk { .. }
-            | WalOp::BulkEnd { .. } => None,
+            | WalOp::BulkEnd { .. }
+            | WalOp::Checkpoint { .. } => None,
         }
     }
 }
@@ -209,6 +231,15 @@ impl fmt::Display for WalOp<'_> {
                 x.len(),
                 y.len()
             ),
+            WalOp::Checkpoint {
+                commit,
+                last_seq,
+                epochs,
+            } => write!(
+                f,
+                "checkpoint at commit {commit} through seq {last_seq} ({} relations)",
+                epochs.len()
+            ),
         }
     }
 }
@@ -249,9 +280,9 @@ pub(crate) fn replay_intern(symbols: &mut Arc<SymbolTable>, op: WalOp<'_>) -> Re
     Ok(())
 }
 
-/// Refuses logged or snapshotted cells that name a symbol or wide-int id
-/// `symbols` does not hold: replay and restore apply cells as stored, so
-/// an unknown id would otherwise become a row no decode can read.
+/// Refuses logged cells that name a symbol or wide-int id `symbols` does
+/// not hold: replay applies cells as stored, so an unknown id would
+/// otherwise become a row no decode can read.
 pub(crate) fn check_logged_cells(symbols: &SymbolTable, cells: &[Cell]) -> Result<()> {
     let known = |cell: &Cell| match cell.kind() {
         CellKind::Null | CellKind::SmallInt(_) => true,

@@ -249,13 +249,14 @@ table! {
         group_records: counter => "group_records", "bcq_wal_group_records_total";
         /// Records replayed by the most recent recovery.
         replayed: counter => "replayed", "bcq_wal_replayed_total";
-        /// Checkpoints (snapshots) taken since startup.
+        /// Checkpoints (log compactions) taken since startup.
         checkpoints: counter => "checkpoints", "bcq_wal_checkpoints_total";
         /// Highest durable sequence number.
         last_seq: gauge => "last_seq", "bcq_wal_last_seq";
-        /// Log bytes on storage since the last checkpoint cut.
+        /// Log bytes on storage past the last checkpoint's base.
         retained_bytes: gauge => "retained_bytes", "bcq_wal_retained_bytes";
-        /// Bytes of the last snapshot written or restored.
+        /// Bytes of the checkpoint base the log begins with: the last one
+        /// written, or the one recovery replayed.
         snapshot_bytes: gauge => "snapshot_bytes", "bcq_snapshot_bytes";
         /// Group-commit batch-size distribution (commits per flush).
         group_batch_sizes: summary("unit", "commits") => "group_batch_size", "bcq_group_commit_batch";

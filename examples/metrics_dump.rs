@@ -357,12 +357,12 @@ fn main() -> core::result::Result<(), Box<dyn std::error::Error>> {
         dsnap.wal.records,
     );
 
-    // --- Disk footprint: a checkpoint cuts the log, so right after it the
-    // store is the snapshot alone; the next write starts a new tail. ---
+    // --- Disk footprint: a checkpoint compacts the log, so right after it
+    // the store is the base alone; the next write starts a new tail. ---
     assert!(dsnap.wal.retained_bytes > 0, "the writes are in the log");
     durable.checkpoint()?;
     let cut = durable.metrics_snapshot();
-    assert_eq!(cut.wal.retained_bytes, 0, "the checkpoint cut the log");
+    assert_eq!(cut.wal.retained_bytes, 0, "the log is the base alone");
     assert!(cut.wal.snapshot_bytes > 0);
     durable.insert("left", &[Value::int(-1), Value::int(-1)])?;
     let tail = durable.metrics_snapshot();
@@ -371,7 +371,7 @@ fn main() -> core::result::Result<(), Box<dyn std::error::Error>> {
         "a write past the cut is retained"
     );
     println!(
-        "disk: snapshot {} B + log tail {} B after one write past the checkpoint\n",
+        "disk: checkpoint base {} B + log tail {} B after one write past it\n",
         tail.wal.snapshot_bytes, tail.wal.retained_bytes,
     );
 

@@ -1,8 +1,8 @@
 //! Crash-point differential proof of the durability layer: random
 //! interleavings of row inserts/deletes, bulk loads — one-row chunks
 //! and multi-row columnar chunks, so cuts land inside encoded `BulkChunk`
-//! records too — and checkpoints, which snapshot the state and cut the
-//! log behind it, are applied to a WAL-attached database, the log is cut
+//! records too — and checkpoints, which replace the log with its
+//! compacted base, are applied to a WAL-attached database, the log is cut
 //! at a
 //! **random byte offset** — including mid-record and mid-bulk — and
 //! recovery must land on exactly the state the never-crashed oracle had at
@@ -14,7 +14,7 @@
 //! A second layer drives the same interleavings end to end through the
 //! serving tier ([`Server::open`] with a registered view): after the
 //! crash, the reopened view must equal a fresh recompute over the
-//! recovered snapshot.
+//! recovered state.
 //!
 //! Runs 256 interleavings per schema by default (the shim's deterministic
 //! per-test seeding keeps the normal CI job reproducible);
@@ -129,7 +129,7 @@ type Op = (i64, bool, [i64; 3]);
 
 /// Op kinds [`crash_and_check`] knows: 0–1 insert, 2–3 delete, 4 a bulk
 /// load of one-row chunks, 5 a bulk load of one three-row columnar chunk,
-/// 6 a checkpoint (snapshot, then the log cut behind it).
+/// 6 a checkpoint (the log replaced by its compacted base).
 /// Its `match` is exhaustive over exactly this range — no modulus — so
 /// the generator and the arms cannot drift apart.
 const STORAGE_OP_KINDS: i64 = 7;
@@ -246,8 +246,8 @@ fn crash_and_check(
                 l.push_chunk_columns(&cols);
             }
             6 => {
-                // Everything so far becomes durable in the snapshot and the
-                // log is cut to 0: the crash below can only land in the
+                // Everything so far becomes durable in the base, which is
+                // the whole log: the crash below can only land in the
                 // records written after it.
                 ran[4] += 1;
                 checkpoint(&writer, &db).unwrap();
@@ -290,13 +290,19 @@ fn crash_and_check(
     assert_eq!(report2.last_seq, report.last_seq);
     assert_eq!(report2.torn_bytes, 0);
     assert_eq!(report2.discarded, 0);
-    // A checkpoint leaves exactly one snapshot behind, and recovery keeps
-    // at most that one.
-    let snapshots = log.list_blobs().unwrap().len();
+    // A checkpoint leaves one log whose front is its compacted base, and
+    // recovery keeps it whole: the log begins with a base exactly when a
+    // checkpoint ran, and holds the base and the kept tail, nothing else.
     assert_eq!(
-        snapshots,
-        usize::from(ran[4] > 0),
-        "snapshots left: {snapshots}"
+        report2.snapshot_bytes > 0,
+        ran[4] > 0,
+        "base of {} bytes after {} checkpoints",
+        report2.snapshot_bytes,
+        ran[4]
+    );
+    assert_eq!(
+        report2.snapshot_bytes + report2.log_bytes,
+        log.bytes().len() as u64
     );
     ran
 }
