@@ -38,7 +38,8 @@
 //!   everything else hits.
 //! * **Is observability free?** `serving/prepared_metrics_off` re-measures
 //!   the prepared lane with the metrics registry switched off;
-//!   `derived.metrics_overhead_ratio` (on/off) is CI's ≤ 1.05 gate. The
+//!   `derived.metrics_overhead_ratio` is the median of the 31 interleaved
+//!   windows' on/off ratios, and CI gates the smoke run's at ≤ 1.05. The
 //!   registry's own log-linear histogram supplies the tail:
 //!   `derived.serving_bounded_p50/p99/p999_ns`.
 //! * **What does a write cost under snapshots?** (`bench_write_path`)
@@ -52,7 +53,8 @@
 //!   an in-memory log device so the number isolates record encoding +
 //!   append, not disk latency) vs the identical WAL-free server. The
 //!   on/off sample windows interleave so drift cancels;
-//!   `derived.wal_overhead_ratio` is CI's ≤ 2.0 regression gate, with
+//!   `derived.wal_overhead_ratio`, the median of the 31 pairs' on/off
+//!   ratios, is CI's ≤ 2.0 regression gate on the smoke run, with
 //!   `wal_bytes_per_write` / `wal_fsyncs_per_write` recording what the
 //!   log actually absorbed.
 //! * **Does mixed traffic scale?** `serving/mixed/threads/N`: N sessions
@@ -77,12 +79,16 @@
 //!   ack including the fsync) shows the disk wait is paid **off** the
 //!   write lock; concurrent writers on the same log then share flushes
 //!   (`derived.durable_group_batch_mean_commits` > 1 when they pile up).
+//!   The property itself is pinned without timing by `bcq-service`'s
+//!   `a_writer_in_its_fsync_holds_up_no_commit_and_no_read`.
 //!
 //! Every datapoint in `BENCH_serving.json` carries the machine's `cores`
 //! (top-level and as `derived.cores`): read the `threads/N` lanes against
 //! it. No thread-scaling ratio is derived — none this host can bind.
 //!
-//! `BENCH_SMOKE=1` shrinks the dataset and runs every lane once (CI).
+//! `BENCH_SMOKE=1` shrinks the dataset and runs every lane once (CI),
+//! except the lanes whose ratios CI gates on the smoke run: those keep
+//! their windows.
 
 mod common;
 
@@ -194,6 +200,14 @@ fn bindings(users: i64, n: usize) -> Vec<BTreeMap<String, Value>> {
         .collect()
 }
 
+/// The median of the ratios `on[i] / off[i]` of interleaved on/off
+/// windows: drift that slows one pair slows both of its sides.
+fn median_ratio(on: &[f64], off: &[f64]) -> f64 {
+    let mut ratios: Vec<f64> = on.iter().zip(off).map(|(a, b)| a / b).collect();
+    ratios.sort_by(f64::total_cmp);
+    ratios[ratios.len() / 2]
+}
+
 fn bench_serving(_c: &mut criterion::Criterion) {
     let users = if smoke_mode() { SMOKE_USERS } else { USERS };
     let cat = social_catalog();
@@ -209,12 +223,13 @@ fn bench_serving(_c: &mut criterion::Criterion) {
     // request only encodes its bindings and runs the plan), measured
     // against the identical loop with the metrics registry switched off.
     // The on/off sample windows interleave so ambient machine drift hits
-    // both sides equally; the committed `derived.metrics_overhead_ratio`
-    // is CI's ≤ 1.05 regression gate — always-on metrics must stay within
-    // 5% of the bare path. ---
+    // both sides of a pair equally; `derived.metrics_overhead_ratio`, the
+    // median of the pairs' ratios, is CI's ≤ 1.05 regression gate on the
+    // smoke run — always-on metrics must stay within 5% of the bare path.
+    // The windows keep their size under BENCH_SMOKE. ---
     let handle = server.prepare(&tpl).unwrap();
     let mut sink = 0usize;
-    let (ab_samples, ab_iters) = if smoke_mode() { (1, 1) } else { (31, 2000) };
+    let (ab_samples, ab_iters) = (31, 2000);
     let run_window = |sink: &mut usize| {
         let start = Instant::now();
         for i in 0..ab_iters {
@@ -234,11 +249,11 @@ fn bench_serving(_c: &mut criterion::Criterion) {
         off_ns.push(run_window(&mut sink));
     }
     server.metrics().set_enabled(true);
+    record_derived("metrics_overhead_ratio", median_ratio(&on_ns, &off_ns));
     let prepared = summarize(on_ns, ab_iters);
     let prepared_off = summarize(off_ns, ab_iters);
     prepared.record("serving/prepared");
     prepared_off.record("serving/prepared_metrics_off");
-    record_derived("metrics_overhead_ratio", prepared.ns / prepared_off.ns);
 
     // --- Lane 1b: the full session path (fingerprint + plan-cache lookup
     // per request, then the same execution). ---
@@ -696,13 +711,15 @@ fn bench_write_path(_c: &mut criterion::Criterion) {
     // (values already interned, no snapshot held) against a durable
     // server and a WAL-free one. The log device is in-memory, so the
     // ratio isolates what the write path itself pays — record encoding +
-    // framed append + the 1-in-64 group fsync — not disk latency. The
-    // committed `derived.wal_overhead_ratio` is CI's ≤ 2.0 gate. ---
+    // framed append + the 1-in-64 group fsync — not disk latency.
+    // `derived.wal_overhead_ratio`, the median of the pairs' ratios, is
+    // CI's ≤ 2.0 gate on the smoke run, so the windows keep their size
+    // under BENCH_SMOKE. ---
     let durable = durable_write_server(users);
     let plain = write_server(users, 0);
     let row = [Value::str("u1"), Value::str("f1")];
     let mut sink = 0usize;
-    let (w_samples, w_iters) = if smoke_mode() { (1, 1) } else { (31, 256) };
+    let (w_samples, w_iters) = (31, 256);
     let write_window = |server: &Arc<Server>, sink: &mut usize| {
         let start = Instant::now();
         for _ in 0..w_iters {
@@ -719,11 +736,11 @@ fn bench_write_path(_c: &mut criterion::Criterion) {
         off_ns.push(write_window(&plain, &mut sink));
     }
     let wal_after = durable.wal_stats().unwrap();
+    record_derived("wal_overhead_ratio", median_ratio(&on_ns, &off_ns));
     let wal_on = summarize(on_ns, w_iters);
     let wal_off = summarize(off_ns, w_iters);
     wal_on.record("serving/write/wal_group_commit");
     wal_off.record("serving/write/wal_off");
-    record_derived("wal_overhead_ratio", wal_on.ns / wal_off.ns);
     let measured_writes = (w_samples * w_iters) as f64;
     record_derived(
         "wal_bytes_per_write",

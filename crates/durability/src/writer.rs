@@ -178,7 +178,7 @@ impl WalWriter {
 
     /// `Err` with the poisoning call's kind and message once a failed
     /// append or fsync has poisoned the writer.
-    fn check_poison(&self) -> io::Result<()> {
+    pub fn check_poison(&self) -> io::Result<()> {
         match self.poison.get() {
             Some((kind, msg)) => Err(io::Error::new(*kind, msg.clone())),
             None => Ok(()),

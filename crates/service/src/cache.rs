@@ -12,6 +12,7 @@
 
 use crate::prepared::PreparedQuery;
 use crate::shared::lock_recovered;
+use bcq_telemetry::{FromCache, MetricsSnapshot};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -181,6 +182,17 @@ impl CacheShards {
     /// Live entries summed across shards.
     pub(crate) fn len(&self) -> usize {
         self.shards.iter().map(|s| lock_recovered(&s.0).len()).sum()
+    }
+
+    /// Fills the plan-cache rows of a metrics snapshot.
+    pub(crate) fn sample(&self, snap: &mut MetricsSnapshot) {
+        let stats = self.stats();
+        snap.sample(|m| match m {
+            FromCache::hits => stats.hits,
+            FromCache::misses => stats.misses,
+            FromCache::evictions => stats.evictions,
+            FromCache::entries => self.len() as u64,
+        });
     }
 
     /// Every shard's lock, for tests that poison them.

@@ -7,7 +7,7 @@ use bcq_core::access::AccessSchema;
 use bcq_core::prelude::SpcQuery;
 use bcq_durability::{recover, LogStorage, RecoveryReport, SyncPolicy, WalStats, WalWriter};
 use bcq_storage::WalSink;
-use bcq_telemetry::WalSnapshot;
+use bcq_telemetry::{FromWal, Hist, MetricsSnapshot};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -45,20 +45,24 @@ pub(super) struct DurabilityState {
 }
 
 impl DurabilityState {
-    /// Fills the WAL section of a metrics snapshot.
-    pub(super) fn export(&self, wal: &mut WalSnapshot) {
+    /// Fills the WAL rows of a metrics snapshot.
+    pub(super) fn sample(&self, snap: &mut MetricsSnapshot) {
         let ws = self.writer.stats();
-        wal.records = ws.records;
-        wal.bytes = ws.bytes;
-        wal.fsyncs = ws.fsyncs;
-        wal.group_batches = ws.group_batches;
-        wal.group_records = ws.group_records;
-        wal.replayed = self.replayed;
-        wal.checkpoints = self.checkpoints.load(Ordering::Relaxed);
-        wal.last_seq = self.writer.last_seq();
-        let retained = ws.bytes as i64 + self.retained_offset.load(Ordering::Relaxed);
-        wal.retained_bytes = retained.max(0) as u64;
-        wal.snapshot_bytes = self.snapshot_bytes.load(Ordering::Relaxed);
+        snap.sample(|m| match m {
+            FromWal::records => ws.records,
+            FromWal::bytes => ws.bytes,
+            FromWal::fsyncs => ws.fsyncs,
+            FromWal::group_batches => ws.group_batches,
+            FromWal::group_records => ws.group_records,
+            FromWal::replayed => self.replayed,
+            FromWal::checkpoints => self.checkpoints.load(Ordering::Relaxed),
+            FromWal::last_seq => self.writer.last_seq(),
+            FromWal::retained_bytes => {
+                let retained = ws.bytes as i64 + self.retained_offset.load(Ordering::Relaxed);
+                retained.max(0) as u64
+            }
+            FromWal::snapshot_bytes => self.snapshot_bytes.load(Ordering::Relaxed),
+        });
     }
 }
 
@@ -79,10 +83,16 @@ impl Server {
     /// the index builds declared by `access` are themselves logged, so the
     /// next `open` replays them. With group commit
     /// ([`SyncPolicy::EveryOps`]) the tail of unsynced writes is flushed by
-    /// [`Server::wal_sync`] or [`Server::checkpoint`]. A failed WAL append
-    /// poisons the log: the write that hit it, every later write, and
-    /// `wal_sync` / `checkpoint` then return [`ServiceError::Durability`],
-    /// though each write's in-memory commit stays applied.
+    /// [`Server::wal_sync`] or [`Server::checkpoint`].
+    ///
+    /// A failed WAL append or fsync poisons the log. From then on a row
+    /// write is refused inside the commit section, before it applies, so no
+    /// reader sees it; it, `wal_sync` and `checkpoint` return
+    /// [`ServiceError::Durability`]. The write whose own append or fsync
+    /// failed has committed (its append runs inside the commit section,
+    /// after it applied) and only its ack fails; recovery keeps it only if
+    /// its record reached the disk. [`Server::bulk_update`] has no error
+    /// slot and still applies.
     pub fn open(
         storage: Arc<dyn LogStorage>,
         access: AccessSchema,
@@ -127,12 +137,18 @@ impl Server {
     /// before acknowledging a batch under [`SyncPolicy::EveryOps`] /
     /// [`SyncPolicy::Manual`].
     pub fn wal_sync(&self) -> crate::Result<()> {
+        self.with_wal(WalWriter::sync)
+    }
+
+    /// `f` of the WAL writer, its error a [`ServiceError::Durability`];
+    /// `T::default()` on a server without durability.
+    pub(super) fn with_wal<T: Default>(
+        &self,
+        f: impl FnOnce(&WalWriter) -> std::io::Result<T>,
+    ) -> crate::Result<T> {
         match &self.durability {
-            Some(d) => d
-                .writer
-                .sync()
-                .map_err(|e| ServiceError::Durability(e.to_string())),
-            None => Ok(()),
+            Some(d) => f(&d.writer).map_err(|e| ServiceError::Durability(e.to_string())),
+            None => Ok(T::default()),
         }
     }
 
@@ -174,17 +190,10 @@ impl Server {
     /// the batch size when this thread ends up leading a flush. A no-op
     /// without durability or under [`SyncPolicy::Manual`].
     pub(super) fn wal_ack(&self) -> crate::Result<()> {
-        let Some(d) = &self.durability else {
-            return Ok(());
-        };
-        match d.writer.ack() {
-            Ok(Some(batch)) => {
-                self.metrics.record_group_commit(batch);
-                Ok(())
-            }
-            Ok(None) => Ok(()),
-            Err(e) => Err(ServiceError::Durability(e.to_string())),
+        if let Some(batch) = self.with_wal(WalWriter::ack)? {
+            self.metrics.record(Hist::group_batch_sizes, batch);
         }
+        Ok(())
     }
 }
 
@@ -425,6 +434,135 @@ mod tests {
         }
     }
 
+    /// A log whose `sync` waits while its gate is shut, so a test can hold
+    /// a writer inside its ack's fsync. Everything else is the wrapped
+    /// `MemLog`'s.
+    #[derive(Debug, Default)]
+    struct GatedLog {
+        log: bcq_durability::MemLog,
+        /// Whether the gate is shut, and how many syncs wait at it.
+        gate: std::sync::Mutex<(bool, usize)>,
+        moved: std::sync::Condvar,
+    }
+
+    impl GatedLog {
+        fn set_shut(&self, shut: bool) {
+            self.gate.lock().unwrap().0 = shut;
+            self.moved.notify_all();
+        }
+
+        /// Returns once a sync waits at the gate.
+        fn await_sync(&self) {
+            let gate = self.gate.lock().unwrap();
+            let timeout = std::time::Duration::from_secs(10);
+            let (gate, _) = self
+                .moved
+                .wait_timeout_while(gate, timeout, |(_, waiting)| *waiting == 0)
+                .unwrap();
+            assert!(gate.1 > 0, "no sync reached the gate");
+        }
+    }
+
+    impl LogStorage for GatedLog {
+        fn append(&self, bytes: &[u8]) -> std::io::Result<()> {
+            self.log.append(bytes)
+        }
+        fn sync(&self) -> std::io::Result<()> {
+            let mut gate = self.gate.lock().unwrap();
+            gate.1 += 1;
+            self.moved.notify_all();
+            let mut gate = self.moved.wait_while(gate, |(shut, _)| *shut).unwrap();
+            gate.1 -= 1;
+            drop(gate);
+            self.log.sync()
+        }
+        fn read(&self) -> std::io::Result<(Box<dyn bcq_durability::SeekRead + '_>, u64)> {
+            self.log.read()
+        }
+        fn truncate(&self, len: u64) -> std::io::Result<()> {
+            self.log.truncate(len)
+        }
+        fn replace(
+            &self,
+            fill: &mut dyn FnMut(&mut dyn std::io::Write) -> std::io::Result<()>,
+        ) -> std::io::Result<()> {
+            self.log.replace(fill)
+        }
+    }
+
+    /// Opens the gate when dropped, so a failing test leaves no writer
+    /// blocked at it.
+    struct OpenOnDrop<'a>(&'a GatedLog);
+
+    impl Drop for OpenOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.set_shut(false);
+        }
+    }
+
+    #[test]
+    fn a_writer_in_its_fsync_holds_up_no_commit_and_no_read() {
+        let disk = Arc::new(GatedLog::default());
+        let (server, _, _) = Server::open(
+            Arc::clone(&disk) as Arc<dyn LogStorage>,
+            schema(),
+            ServerConfig {
+                policy: AdmissionPolicy::Strict,
+                ..ServerConfig::default()
+            },
+            DurabilityConfig {
+                policy: SyncPolicy::Always,
+            },
+            &[],
+        )
+        .unwrap();
+        let server = Arc::new(server);
+        let friend = |i: i64| [Value::str("u0"), Value::int(i)];
+        let tagged = [Value::str("p1"), Value::str("u1"), Value::str("u0")];
+        let of_u0 = SpcQuery::builder(Arc::clone(server.access().catalog()), "of_u0")
+            .atom("friends", "f")
+            .eq_const(("f", "user_id"), "u0")
+            .project(("f", "friend_id"))
+            .build()
+            .unwrap();
+        disk.set_shut(true);
+        std::thread::scope(|scope| {
+            let _open = OpenOnDrop(&disk);
+            let a = scope.spawn(|| server.insert("friends", &friend(1)));
+            disk.await_sync();
+            // A has committed and waits in its ack's fsync, holding no lock:
+            // a writer on another relation and one on A's relation commit,
+            // and a reader is served, before the fsync returns.
+            let other = scope.spawn(|| server.insert("tagging", &tagged));
+            let same = scope.spawn(|| server.insert("friends", &friend(2)));
+            let start = std::time::Instant::now();
+            loop {
+                let snap = server.snapshot();
+                let (friends, tagging) = (RelId(1), RelId(2));
+                let has = |rel, row: &[Value]| snap.contains_row(rel, row).unwrap();
+                if has(friends, &friend(2)) && has(tagging, &tagged) {
+                    break;
+                }
+                assert!(
+                    start.elapsed() < std::time::Duration::from_secs(10),
+                    "a writer waited behind the held fsync"
+                );
+                std::thread::yield_now();
+            }
+            let read = server.session().query(&of_u0, &Default::default());
+            assert_eq!(
+                read.unwrap().rows().unwrap().len(),
+                2,
+                "u0's friends 1 and 2"
+            );
+            assert!(!a.is_finished(), "A is still in its fsync");
+            disk.set_shut(false);
+            for w in [a, other, same] {
+                w.join().unwrap().unwrap();
+            }
+        });
+    }
+
     #[test]
     fn group_commit_loses_at_most_the_unsynced_tail() {
         let log = Arc::new(bcq_durability::MemLog::new());
@@ -459,21 +597,39 @@ mod tests {
         server.insert("friends", &row(0)).unwrap();
         let before = server.snapshot();
         log.fail_after(0);
-        for i in 1..=2 {
-            assert!(
-                matches!(
-                    server.insert("friends", &row(i)),
-                    Err(ServiceError::Durability(_))
-                ),
-                "insert {i} after the failed append"
-            );
-        }
+        // The write whose own append fails: the append runs inside the
+        // commit section, after the write applied, so only its ack fails.
+        assert!(matches!(
+            server.insert("friends", &row(1)),
+            Err(ServiceError::Durability(_))
+        ));
+        assert_eq!(server.epoch(), before.epoch() + 1);
+        // Every later write is refused before it commits.
+        assert!(matches!(
+            server.insert("friends", &row(2)),
+            Err(ServiceError::Durability(_))
+        ));
+        assert!(matches!(
+            server.delete("friends", &row(0)),
+            Err(ServiceError::Durability(_))
+        ));
         assert!(matches!(
             server.wal_sync(),
             Err(ServiceError::Durability(_))
         ));
-        // The failed commits stay applied in memory.
-        assert_eq!(server.epoch(), before.epoch() + 2);
+        assert_eq!(server.epoch(), before.epoch() + 1);
+        let friends = server.snapshot().catalog().require_rel("friends").unwrap();
+        let stored: Vec<Vec<Value>> = server.snapshot().value_rows(friends).collect();
+        assert_eq!(stored, [row(0).to_vec(), row(1).to_vec()]);
+        let of_u0 = SpcQuery::builder(Arc::clone(server.access().catalog()), "of_u0")
+            .atom("friends", "f")
+            .eq_const(("f", "user_id"), "u0")
+            .project(("f", "friend_id"))
+            .build()
+            .unwrap();
+        let served = server.session().query(&of_u0, &Default::default()).unwrap();
+        assert_eq!(served.rows().unwrap().len(), 2, "rows 0 and 1, not 2");
+        assert!(!served.rows().unwrap().contains(&[Value::int(2)]));
         drop(server);
 
         log.crash(0);

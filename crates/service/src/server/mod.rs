@@ -147,9 +147,6 @@ pub struct ServerConfig {
     pub plan_cache_capacity: usize,
     /// Admission policy for unbounded queries.
     pub policy: AdmissionPolicy,
-    /// Whether the always-on metrics registry records (on by default; the
-    /// off switch exists for overhead measurement, not production).
-    pub metrics_enabled: bool,
 }
 
 impl Default for ServerConfig {
@@ -157,7 +154,6 @@ impl Default for ServerConfig {
         ServerConfig {
             plan_cache_capacity: 256,
             policy: AdmissionPolicy::Budgeted(1_000_000),
-            metrics_enabled: true,
         }
     }
 }
@@ -195,8 +191,6 @@ impl Server {
     /// `access` exists before the first request.
     pub fn new(mut db: Database, access: AccessSchema, config: ServerConfig) -> Self {
         db.build_indexes(&access);
-        let metrics = MetricsRegistry::new();
-        metrics.set_enabled(config.metrics_enabled);
         Server {
             shared: SharedDb::new(db),
             access,
@@ -204,7 +198,7 @@ impl Server {
             cache: CacheShards::new(config.plan_cache_capacity),
             gate: RwLock::new(()),
             views: RwLock::new(Vec::new()),
-            metrics,
+            metrics: MetricsRegistry::new(),
             durability: None,
         }
     }
@@ -236,7 +230,9 @@ impl Server {
     }
 
     /// The server's metrics registry — always-on counters and latency
-    /// histograms the serving paths record into.
+    /// histograms the serving paths record into. Recording can be switched
+    /// off at run time ([`MetricsRegistry::set_enabled`]) to measure what
+    /// it costs.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
     }
@@ -253,33 +249,14 @@ impl Server {
     /// registry's counters and histograms, plus what the plan cache, the
     /// WAL writer and the database count themselves (copy-on-write
     /// amplification, bulk ingest — replayed loads included — and storage
-    /// gauges), each counted once at its source.
+    /// gauges), each counted once at its source and sampled here.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = self.metrics.snapshot();
-        let cs = self.cache.stats();
-        snap.cache.hits = cs.hits;
-        snap.cache.misses = cs.misses;
-        snap.cache.evictions = cs.evictions;
-        snap.cache.entries = self.cache.len() as u64;
+        self.cache.sample(&mut snap);
         if let Some(d) = &self.durability {
-            d.export(&mut snap.wal);
+            d.sample(&mut snap);
         }
-        let db = self.shared.snapshot();
-        snap.writes.cow_shard_clones = db.cow_clones();
-        snap.writes.cow_cells_cloned = db.cow_cells_cloned();
-        let ingest = db.ingest_stats();
-        snap.ingest.rows = ingest.rows;
-        snap.ingest.chunks = ingest.chunks;
-        snap.ingest.bytes = ingest.cell_bytes;
-        snap.ingest.intern_batch_hits = ingest.intern_batch_hits;
-        snap.gauges.relations = db.num_relations() as u64;
-        snap.gauges.total_tuples = db.total_tuples() as u64;
-        snap.gauges.interner_symbols = db.symbols().len() as u64;
-        let (index_keys, index_bytes) = db.index_footprint();
-        snap.gauges.index_keys = index_keys as u64;
-        snap.gauges.index_bytes = index_bytes as u64;
-        snap.gauges.table_bytes = db.table_bytes() as u64;
-        snap.gauges.epoch = db.epoch();
+        self.shared.sample(&mut snap);
         snap
     }
 }
@@ -339,7 +316,6 @@ mod fixtures {
             ServerConfig {
                 plan_cache_capacity: 8,
                 policy,
-                ..ServerConfig::default()
             },
         ))
     }
@@ -446,14 +422,8 @@ mod tests {
         let mut db = Database::new(Arc::clone(&catalog));
         db.insert("friends", &[Value::str("u0"), Value::str("u1")])
             .unwrap();
-        let server = Arc::new(Server::new(
-            db,
-            a,
-            ServerConfig {
-                metrics_enabled: false,
-                ..ServerConfig::default()
-            },
-        ));
+        let server = Arc::new(Server::new(db, a, ServerConfig::default()));
+        server.metrics().set_enabled(false);
         let q = SpcQuery::builder(catalog, "f0")
             .atom("friends", "f")
             .eq_const(("f", "user_id"), "u0")
@@ -488,20 +458,24 @@ mod tests {
         s.query(&q1, &bind("a0", "u0")).unwrap(); // hit: no compile
         s.query(&template(&server), &bind("a1", "u0")).unwrap();
         server.set_tracing(false);
-        let m = server.metrics();
-        assert_eq!(m.phase_hist(Phase::CacheLookup).snapshot().count(), 2);
-        assert_eq!(m.phase_hist(Phase::Bind).snapshot().count(), 2);
-        assert_eq!(m.phase_hist(Phase::Execute).snapshot().count(), 2);
-        assert_eq!(m.phase_hist(Phase::Respond).snapshot().count(), 2);
+        let count = |phase: Phase| {
+            server.metrics_snapshot().phases[phase.index()]
+                .timings
+                .count()
+        };
+        assert_eq!(count(Phase::CacheLookup), 2);
+        assert_eq!(count(Phase::Bind), 2);
+        assert_eq!(count(Phase::Execute), 2);
+        assert_eq!(count(Phase::Respond), 2);
         assert_eq!(
-            m.phase_hist(Phase::Compile).snapshot().count(),
+            count(Phase::Compile),
             0,
             "both traced requests were cache hits"
         );
 
         s.query(&q1, &bind("a0", "u0")).unwrap();
         assert_eq!(
-            m.phase_hist(Phase::Execute).snapshot().count(),
+            count(Phase::Execute),
             2,
             "tracing off again: no further phase records"
         );

@@ -12,7 +12,7 @@ use bcq_exec::{
     BaselineOutcome, ParamEnv, PreparedRa, ResultSet,
 };
 use bcq_storage::{Database, Meter};
-use bcq_telemetry::{Lane, OpProfile, Phase};
+use bcq_telemetry::{Count, Lane, OpProfile, Phase};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -181,7 +181,7 @@ impl Server {
             Ok(plan) => Ok(PreparedQuery::bounded(plan)),
             Err(CoreError::NotEffectivelyBounded(why)) => match self.config.policy {
                 AdmissionPolicy::Strict => {
-                    self.metrics.record_rejected();
+                    self.metrics.add(Count::rejected, 1);
                     Err(ServiceError::Rejected(format!(
                         "query is not effectively bounded and the policy is strict: {why}"
                     )))
@@ -205,7 +205,7 @@ impl Server {
         match PreparedRa::prepare(expr, &self.access) {
             Ok(compiled) => Ok(PreparedQuery::bounded_ra(compiled)),
             Err(CoreError::NotEffectivelyBounded(why)) => {
-                self.metrics.record_rejected();
+                self.metrics.add(Count::rejected, 1);
                 Err(ServiceError::Rejected(format!(
                     "RA expression is not certified effectively bounded: {why}"
                 )))
@@ -285,7 +285,7 @@ impl Server {
                 let cap = match self.config.policy {
                     AdmissionPolicy::Budgeted(cap) => cap,
                     AdmissionPolicy::Strict => {
-                        self.metrics.record_rejected();
+                        self.metrics.add(Count::rejected, 1);
                         return Err(ServiceError::Rejected(
                             "unbounded query under a strict policy".into(),
                         ));
@@ -321,15 +321,13 @@ impl Server {
         // The latency recorded is the total already measured above: the
         // metrics path adds no clock read of its own — one enabled check,
         // one histogram `fetch_add`, one sharded-counter `fetch_add`.
-        if self.metrics.is_enabled() {
-            let ns = dur_ns(resp.stats.total_elapsed);
-            self.metrics
-                .record_request(resp.stats.lane, ns, resp.stats.meter.tuples_fetched);
-            match resp.stats.budget {
-                BudgetVerdict::Unlimited => {}
-                BudgetVerdict::Completed { .. } => self.metrics.record_budget_verdict(true),
-                BudgetVerdict::Exhausted { .. } => self.metrics.record_budget_verdict(false),
-            }
+        let ns = dur_ns(resp.stats.total_elapsed);
+        self.metrics
+            .record_request(resp.stats.lane, ns, resp.stats.meter.tuples_fetched);
+        match resp.stats.budget {
+            BudgetVerdict::Unlimited => {}
+            BudgetVerdict::Completed { .. } => self.metrics.add(Count::budget_completed, 1),
+            BudgetVerdict::Exhausted { .. } => self.metrics.add(Count::budget_exhausted, 1),
         }
         Ok(resp)
     }

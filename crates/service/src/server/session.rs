@@ -6,7 +6,7 @@ use super::{Prepared, Response, Server};
 use bcq_core::error::CoreError;
 use bcq_core::parser::{lifted_slot_name, SqlShape, LIFTED_SLOT_PREFIX};
 use bcq_core::prelude::{RaExpr, SpcQuery, Value};
-use bcq_telemetry::Phase;
+use bcq_telemetry::{Count, Phase};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -103,7 +103,9 @@ impl Server {
         scratch.key.push_str(SQL_KEY_PREFIX);
         scratch.values.clear();
         let shape = SqlShape::scan(sql, &mut scratch.key, &mut scratch.values)?;
-        self.metrics.record_sql(scratch.values.len() as u64);
+        self.metrics.add(Count::requests, 1);
+        self.metrics
+            .add(Count::literals_lifted, scratch.values.len() as u64);
         let prepared = self.prepare_keyed(&scratch.key, || {
             let template = shape.template(Arc::clone(self.access.catalog()), name)?;
             self.classify_spc(&template)

@@ -10,6 +10,7 @@ use bcq_core::plan::QueryPlan;
 use bcq_core::prelude::{RelId, SpcQuery};
 use bcq_core::qplan::qplan;
 use bcq_exec::{eval_dq_with, ParamEnv, ResultSet};
+use bcq_telemetry::Count;
 use std::sync::Mutex;
 
 /// Identifier of a registered view.
@@ -77,9 +78,7 @@ impl Server {
             cached.answer = out.result;
             let stamps = view.read_rels.iter().map(|&rel| (rel, snap.epoch_of(rel)));
             cached.stamps = Some(stamps.collect());
-            if self.metrics.is_enabled() {
-                self.metrics.view_recomputes.inc();
-            }
+            self.metrics.add(Count::view_recomputes, 1);
         }
         Ok(cached.answer.clone())
     }

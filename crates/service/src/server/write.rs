@@ -4,7 +4,9 @@
 use super::{dur_ns, Server};
 use crate::shared::{read_recovered, write_recovered};
 use bcq_core::prelude::Value;
+use bcq_durability::WalWriter;
 use bcq_storage::{Database, Prepare, RowOp};
+use bcq_telemetry::{Count, Hist};
 use std::time::Instant;
 
 impl Server {
@@ -31,7 +33,9 @@ impl Server {
     /// storage layer reported (the appended row's for an insert, the
     /// removed copy's pre-swap id for a delete), or `None` when nothing
     /// changed (a delete that found no copy), in which case nothing was
-    /// logged or recorded. The latch and the shared bulk gate together
+    /// logged or recorded. Once the WAL writer is poisoned the write is
+    /// refused inside the commit section, before it applies (see
+    /// [`Server::open`]). The latch and the shared bulk gate together
     /// exclude every other writer that could touch this shard between the
     /// off-lock prepare ([`Database::prepare`]) and the commit.
     fn write_row(&self, op: RowOp, rel_name: &str, row: &[Value]) -> crate::Result<Option<u32>> {
@@ -41,8 +45,10 @@ impl Server {
         // other row writers.
         let gate = read_recovered(&self.gate);
         let latch = self.shared.lock_rel(rel);
-        self.metrics
-            .record_lock_wait(latch.wait_ns, latch.contended);
+        if latch.contended {
+            self.metrics.add(Count::conflicts, 1);
+            self.metrics.record(Hist::lock_wait, latch.wait_ns);
+        }
         // `None`: no snapshot is outstanding, the shard is uniquely owned.
         let prepared = if self.shared.has_snapshots() {
             Some(self.shared.snapshot().prepare(op, rel_name, row)?)
@@ -55,15 +61,22 @@ impl Server {
             None
         } else {
             let hold = Instant::now();
-            let rid = self.shared.write(|db| match (prepared, op) {
-                (Some(Prepare::Ready(p)), _) => Ok(Some(db.commit_prepared(p))),
-                // Nothing to copy, or a row value missed the interner
-                // (encoding needs `&mut SymbolTable`): in place under the
-                // commit lock.
-                (_, RowOp::Insert) => db.insert(rel_name, row).map(Some),
-                (_, RowOp::Delete) => db.delete(rel_name, row),
+            let rid = self.shared.write(|db| -> crate::Result<_> {
+                // Every earlier row write appended inside this section, so
+                // a failed append of any of them is seen here, before this
+                // write applies.
+                self.with_wal(WalWriter::check_poison)?;
+                Ok(match (prepared, op) {
+                    (Some(Prepare::Ready(p)), _) => Some(db.commit_prepared(p)),
+                    // Nothing to copy, or a row value missed the interner
+                    // (encoding needs `&mut SymbolTable`): in place under
+                    // the commit lock.
+                    (_, RowOp::Insert) => Some(db.insert(rel_name, row)?),
+                    (_, RowOp::Delete) => db.delete(rel_name, row)?,
+                })
             })?;
-            self.metrics.record_commit_hold(dur_ns(hold.elapsed()));
+            self.metrics
+                .record(Hist::commit_hold, dur_ns(hold.elapsed()));
             rid
         };
         drop(latch);
@@ -73,8 +86,13 @@ impl Server {
             // order = commit order); the fsync that makes it durable is
             // shared with concurrent writers and waited on lock-free.
             self.wal_ack()?;
+            let count = match op {
+                RowOp::Insert => Count::inserts,
+                RowOp::Delete => Count::deletes,
+            };
+            self.metrics.add(count, 1);
             self.metrics
-                .record_write(op == RowOp::Insert, dur_ns(write_start.elapsed()));
+                .record(Hist::latency, dur_ns(write_start.elapsed()));
         }
         Ok(rid)
     }
@@ -95,10 +113,8 @@ impl Server {
             db.build_indexes(&self.access);
             (r, dur_ns(start.elapsed()))
         });
-        if self.metrics.is_enabled() {
-            self.metrics.bulk_updates.inc();
-            self.metrics.index_build_ns.add(build_ns);
-        }
+        self.metrics.add(Count::bulk_updates, 1);
+        self.metrics.add(Count::index_build_ns, build_ns);
         // Best-effort group-commit wait (the signature has no error
         // slot): a failed fsync is retried by the next `wal_ack` /
         // [`Server::wal_sync`] caller, and a failed append poisoned the

@@ -20,6 +20,7 @@
 
 use bcq_core::prelude::RelId;
 use bcq_storage::Database;
+use bcq_telemetry::{FromDb, MetricsSnapshot};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
 use std::time::Instant;
@@ -145,6 +146,30 @@ impl SharedDb {
         // Bound, so the state replaced is freed off the lock.
         let _before = std::mem::replace(&mut *write_recovered(&self.inner), next);
         r.unwrap_or_else(|p| panic::resume_unwind(p))
+    }
+
+    /// Fills the rows the current state counts of itself — copy-on-write
+    /// amplification, bulk ingest and the storage gauges — in a metrics
+    /// snapshot.
+    pub(crate) fn sample(&self, snap: &mut MetricsSnapshot) {
+        let db = self.snapshot();
+        let ingest = db.ingest_stats();
+        let (index_keys, index_bytes) = db.index_footprint();
+        snap.sample(|m| match m {
+            FromDb::cow_shard_clones => db.cow_clones(),
+            FromDb::cow_cells_cloned => db.cow_cells_cloned(),
+            FromDb::rows => ingest.rows,
+            FromDb::chunks => ingest.chunks,
+            FromDb::bytes => ingest.cell_bytes,
+            FromDb::intern_batch_hits => ingest.intern_batch_hits,
+            FromDb::relations => db.num_relations() as u64,
+            FromDb::total_tuples => db.total_tuples() as u64,
+            FromDb::interner_symbols => db.symbols().len() as u64,
+            FromDb::index_keys => index_keys as u64,
+            FromDb::index_bytes => index_bytes as u64,
+            FromDb::table_bytes => db.table_bytes() as u64,
+            FromDb::epoch => db.epoch(),
+        });
     }
 }
 

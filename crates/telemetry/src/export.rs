@@ -3,20 +3,29 @@
 //! formats are small and fixed, and the crate stays dependency-free).
 //!
 //! Each section of the snapshot is declared as one table: a row per
-//! metric gives its field, its kind, its JSON key and its Prometheus name.
+//! metric gives its field, its kind, its source, its JSON key and its
+//! Prometheus name. The row is the only place a metric is declared.
 //! [`MetricsSnapshot::merge`], [`MetricsSnapshot::to_json`] and
-//! [`MetricsSnapshot::to_prometheus`] walk those tables, so adding a metric
-//! is adding a row. The kind decides the rest: a counter adds on merge, a
-//! gauge keeps the larger value, a summary merges its histogram. JSON
-//! lists a section's rows in table order; Prometheus lists its counters,
-//! then its non-empty summaries, then its gauges.
+//! [`MetricsSnapshot::to_prometheus`] walk those tables, and so does the
+//! filling of a snapshot. The kind decides how a row merges and prints: a
+//! counter adds on merge, a gauge keeps the larger value, a summary
+//! merges its histogram. JSON lists a section's rows in table order;
+//! Prometheus lists its counters, then its non-empty summaries, then its
+//! gauges.
 //!
-//! The registry fills in its own series ([`MetricsRegistry::snapshot`]);
-//! the serving layer owns the plan cache and the storage gauges and fills
-//! those fields itself before exporting.
+//! The source says who counts the metric. A row `from registry` is
+//! recorded into the [`MetricsRegistry`]: its field names a variant of
+//! [`Count`] (a counter) or [`Hist`] (a summary), which indexes the
+//! registry's arrays. A row `from cache`, `from wal` or `from db` is
+//! sampled when the snapshot is taken: its field names a variant of
+//! [`FromCache`], [`FromWal`] or [`FromDb`], and the serving layer fills
+//! each source's rows with one [`MetricsSnapshot::sample`] call whose
+//! closure matches on those variants.
+//!
+//! [`MetricsRegistry`]: crate::MetricsRegistry
 
 use crate::hist::HistSnapshot;
-use crate::metrics::{Lane, MetricsRegistry};
+use crate::metrics::Lane;
 use crate::span::Phase;
 use std::fmt::Write as _;
 
@@ -44,6 +53,10 @@ impl Kind {
 
 /// One row of a metric table.
 struct Row {
+    /// The snapshot field, which is also the name of the row's source
+    /// variant.
+    #[cfg(test)]
+    field: &'static str,
     json: &'static str,
     prometheus: &'static str,
     kind: Kind,
@@ -89,6 +102,8 @@ macro_rules! table {
 
         impl $name {
             const ROWS: &'static [Row] = &[$(Row {
+                #[cfg(test)]
+                field: stringify!($field),
                 json: $json,
                 prometheus: $prom,
                 kind: table!(@kind $kind),
@@ -118,6 +133,158 @@ macro_rules! table {
     (@fold summary, $a:expr, $b:expr) => { $a.merge(&$b) };
 }
 
+/// Declares every section of [`MetricsSnapshot`] and the snapshot itself.
+/// A section reads `pub struct Name in field as "json_key" { rows }`; a
+/// row is a [`table!`] row with its source after the kind: `from
+/// registry`, `from cache`, `from wal` or `from db`. Each section becomes
+/// a [`table!`] struct and a field of the snapshot, and [`sources!`] sorts
+/// the rows by source into the source enums.
+macro_rules! sections {
+    ($(
+        $(#[$attr:meta])*
+        pub struct $name:ident in $sec:ident as $key:literal {
+            $(
+                $(#[$doc:meta])*
+                $field:ident: $kind:ident $(($lk:literal, $lv:literal))? from $src:ident
+                    => $json:literal, $prom:literal;
+            )*
+        }
+    )*) => {
+        $(table! {
+            $(#[$attr])*
+            pub struct $name {
+                $(
+                    $(#[$doc])*
+                    $field: $kind $(($lk, $lv))? => $json, $prom;
+                )*
+            }
+        })*
+
+        /// A complete, owned, mergeable metrics snapshot.
+        #[derive(Debug, Clone)]
+        pub struct MetricsSnapshot {
+            /// Per-lane request series, in [`Lane::ALL`] order.
+            pub lanes: Vec<LaneSnapshot>,
+            /// Traced phase timings, in [`Phase::ALL`] order.
+            pub phases: Vec<PhaseSnapshot>,
+            $(
+                #[doc = concat!("The `", $key, "` section (see [`", stringify!($name), "`]).")]
+                pub $sec: $name,
+            )*
+        }
+
+        impl MetricsSnapshot {
+            /// The snapshot of these families with every section zeroed.
+            pub(crate) fn new(lanes: Vec<LaneSnapshot>, phases: Vec<PhaseSnapshot>) -> Self {
+                MetricsSnapshot { lanes, phases, $($sec: $name::default()),* }
+            }
+
+            /// The sections in exposition order: their JSON keys, tables
+            /// and values.
+            fn sections(&self) -> Vec<Section<'_>> {
+                vec![$(($key, $name::ROWS, self.$sec.values())),*]
+            }
+
+            fn fold_sections(&mut self, other: &Self) {
+                $(self.$sec.fold(&other.$sec);)*
+            }
+        }
+
+        sources!([] [] [] [] []; $($(($sec $field $kind $src [$(#[$doc])*]))*)*);
+    };
+}
+
+/// Sorts the rows `(section field kind source [docs])` into five buckets —
+/// registry counters, registry summaries, and the rows from the cache,
+/// the WAL and the database — and declares one [`source!`] enum per
+/// bucket. A registry gauge or a sampled summary matches no arm.
+macro_rules! sources {
+    ([$($count:tt)*] [$($hist:tt)*] [$($cache:tt)*] [$($wal:tt)*] [$($db:tt)*];) => {
+        source! {
+            /// A counter row `from registry`: its slot in
+            /// [`MetricsRegistry::add`](crate::MetricsRegistry::add).
+            Count: u64 [$($count)*]
+        }
+        source! {
+            /// A summary row `from registry`: its slot in
+            /// [`MetricsRegistry::record`](crate::MetricsRegistry::record).
+            Hist: HistSnapshot [$($hist)*]
+        }
+        source! {
+            /// A row `from cache`, sampled from the plan cache.
+            FromCache: u64 [$($cache)*]
+        }
+        source! {
+            /// A row `from wal`, sampled from the WAL writer.
+            FromWal: u64 [$($wal)*]
+        }
+        source! {
+            /// A row `from db`, sampled from the database.
+            FromDb: u64 [$($db)*]
+        }
+    };
+    ([$($c:tt)*] $h:tt $ca:tt $w:tt $d:tt; ($s:ident $f:ident counter registry $doc:tt) $($rest:tt)*) => {
+        sources!([$($c)* ($s $f $doc)] $h $ca $w $d; $($rest)*);
+    };
+    ($c:tt [$($h:tt)*] $ca:tt $w:tt $d:tt; ($s:ident $f:ident summary registry $doc:tt) $($rest:tt)*) => {
+        sources!($c [$($h)* ($s $f $doc)] $ca $w $d; $($rest)*);
+    };
+    ($c:tt $h:tt [$($ca:tt)*] $w:tt $d:tt; ($s:ident $f:ident $k:ident cache $doc:tt) $($rest:tt)*) => {
+        sources!($c $h [$($ca)* ($s $f $doc)] $w $d; $($rest)*);
+    };
+    ($c:tt $h:tt $ca:tt [$($w:tt)*] $d:tt; ($s:ident $f:ident $k:ident wal $doc:tt) $($rest:tt)*) => {
+        sources!($c $h $ca [$($w)* ($s $f $doc)] $d; $($rest)*);
+    };
+    ($c:tt $h:tt $ca:tt $w:tt [$($d:tt)*]; ($s:ident $f:ident $k:ident db $doc:tt) $($rest:tt)*) => {
+        sources!($c $h $ca $w [$($d)* ($s $f $doc)]; $($rest)*);
+    };
+}
+
+/// Declares one source enum — a variant per row, named after the row's
+/// field and documented by it — and its [`Source`] impl, which fills
+/// exactly those rows.
+macro_rules! source {
+    (
+        $(#[$attr:meta])*
+        $name:ident: $value:ty [$(($sec:ident $field:ident [$(#[$doc:meta])*]))*]
+    ) => {
+        $(#[$attr])*
+        #[allow(non_camel_case_types)]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $name {
+            $($(#[$doc])* $field,)*
+        }
+
+        // Only the tests read the sampled sources' lists.
+        #[cfg_attr(not(test), allow(dead_code))]
+        impl $name {
+            /// Every variant, in table order; a variant's position is its
+            /// slot.
+            pub(crate) const ALL: &'static [$name] = &[$($name::$field),*];
+        }
+
+        impl Source for $name {
+            type Value = $value;
+
+            fn fill(snap: &mut MetricsSnapshot, mut value: impl FnMut(Self) -> $value) {
+                $(snap.$sec.$field = value($name::$field);)*
+            }
+        }
+    };
+}
+
+/// Who counts a group of metrics: one of the enums the section tables
+/// declare ([`Count`], [`Hist`], [`FromCache`], [`FromWal`], [`FromDb`]),
+/// whose variants are the rows it fills.
+pub trait Source: Copy {
+    /// The value a row of this source holds.
+    type Value;
+
+    /// Sets each of this source's rows in `snap` to `value` of its
+    /// variant.
+    fn fill(snap: &mut MetricsSnapshot, value: impl FnMut(Self) -> Self::Value);
+}
+
 table! {
     /// One lane's request series.
     #[derive(Debug, Clone)]
@@ -138,173 +305,135 @@ table! {
     }
 }
 
-table! {
+sections! {
     /// The SQL text path: requests received and literals lifted into slots.
     /// How many of those requests compiled is the plan cache's `misses`.
     #[derive(Debug, Clone, Copy, Default)]
-    pub struct SqlSnapshot {
+    pub struct SqlSnapshot in sql as "sql" {
         /// Query texts received that lexed.
-        requests: counter => "requests", "bcq_sql_requests_total";
+        requests: counter from registry => "requests", "bcq_sql_requests_total";
         /// Literals lifted out of those texts into parameter slots.
-        literals_lifted: counter => "literals_lifted", "bcq_sql_literals_lifted_total";
+        literals_lifted: counter from registry => "literals_lifted", "bcq_sql_literals_lifted_total";
     }
-}
 
-table! {
     /// Admission-control verdict counts.
     #[derive(Debug, Clone, Copy, Default)]
-    pub struct AdmissionSnapshot {
+    pub struct AdmissionSnapshot in admission as "admission" {
         /// Requests refused outright (strict policy).
-        rejected: counter => "rejected", "bcq_admission_rejected_total";
+        rejected: counter from registry => "rejected", "bcq_admission_rejected_total";
         /// Budgeted requests that finished within the cap.
-        budget_completed: counter => "budget_completed", "bcq_budget_completed_total";
+        budget_completed: counter from registry => "budget_completed", "bcq_budget_completed_total";
         /// Budgeted requests that exhausted the cap.
-        budget_exhausted: counter => "budget_exhausted", "bcq_budget_exhausted_total";
+        budget_exhausted: counter from registry => "budget_exhausted", "bcq_budget_exhausted_total";
     }
-}
 
-table! {
-    /// Plan-cache movement counters plus current occupancy. Filled by the
-    /// serving layer (the cache is not owned by the registry).
+    /// Plan-cache movement counters plus current occupancy.
     #[derive(Debug, Clone, Copy, Default)]
-    pub struct PlanCacheSnapshot {
+    pub struct PlanCacheSnapshot in cache as "plan_cache" {
         /// Lookups that found a live entry.
-        hits: counter => "hits", "bcq_plan_cache_hits_total";
+        hits: counter from cache => "hits", "bcq_plan_cache_hits_total";
         /// Lookups that found nothing.
-        misses: counter => "misses", "bcq_plan_cache_misses_total";
+        misses: counter from cache => "misses", "bcq_plan_cache_misses_total";
         /// Capacity evictions.
-        evictions: counter => "evictions", "bcq_plan_cache_evictions_total";
+        evictions: counter from cache => "evictions", "bcq_plan_cache_evictions_total";
         /// Live entries right now.
-        entries: gauge => "entries", "bcq_plan_cache_entries";
+        entries: gauge from cache => "entries", "bcq_plan_cache_entries";
     }
-}
 
-table! {
     /// Write-path counters and latency.
     #[derive(Debug, Clone, Default)]
-    pub struct WriteSnapshot {
+    pub struct WriteSnapshot in writes as "writes" {
         /// Maintained single-row inserts.
-        inserts: counter => "inserts", "bcq_writes_inserts_total";
+        inserts: counter from registry => "inserts", "bcq_writes_inserts_total";
         /// Maintained single-row deletes that found a row.
-        deletes: counter => "deletes", "bcq_writes_deletes_total";
+        deletes: counter from registry => "deletes", "bcq_writes_deletes_total";
         /// Out-of-band bulk updates.
-        bulk_updates: counter => "bulk_updates", "bcq_writes_bulk_updates_total";
+        bulk_updates: counter from registry => "bulk_updates", "bcq_writes_bulk_updates_total";
         /// View re-evaluations forced by a stale cached answer.
-        view_recomputes: counter => "view_recomputes", "bcq_view_recomputes_total";
+        view_recomputes: counter from registry => "view_recomputes", "bcq_view_recomputes_total";
         /// Relation shards cloned by copy-on-write since startup.
-        cow_shard_clones: counter => "cow_shard_clones", "bcq_cow_shard_clones_total";
+        cow_shard_clones: counter from db => "cow_shard_clones", "bcq_cow_shard_clones_total";
         /// Cells (row slots) copied by those clones — with `inserts` +
         /// `deletes`, the write-amplification numerator.
-        cow_cells_cloned: counter => "cow_cells_cloned", "bcq_cow_cells_cloned_total";
+        cow_cells_cloned: counter from db => "cow_cells_cloned", "bcq_cow_cells_cloned_total";
         /// Latch acquisitions that conflicted with a same-relation writer.
-        conflicts: counter => "lock_conflicts", "bcq_write_conflicts_total";
+        conflicts: counter from registry => "lock_conflicts", "bcq_write_conflicts_total";
         /// End-to-end write latency (inserts + deletes).
-        latency: summary("path", "maintained") => "latency_ns", "bcq_write_latency_ns";
+        latency: summary("path", "maintained") from registry => "latency_ns", "bcq_write_latency_ns";
         /// Nanoseconds writers waited for per-relation write latches
         /// (contended acquisitions only).
-        lock_wait: summary("lock", "relation") => "lock_wait_ns", "bcq_writer_lock_wait_ns";
+        lock_wait: summary("lock", "relation") from registry => "lock_wait_ns", "bcq_writer_lock_wait_ns";
         /// Time spent inside the exclusive commit section (shard swap + epoch
         /// publication; excludes encoding, index maintenance, fsyncs).
-        commit_hold: summary("section", "commit") => "commit_hold_ns", "bcq_commit_hold_ns";
+        commit_hold: summary("section", "commit") from registry => "commit_hold_ns", "bcq_commit_hold_ns";
     }
-}
 
-table! {
-    /// Bulk-ingest fast-path counters (chunked column appends through the
-    /// storage layer's bulk loader, plus the deferred index rebuilds that
-    /// follow them). All but `index_build_ns` are counted where the rows land,
-    /// by the database, and filled in by the serving layer.
+    /// Bulk-ingest fast-path counters: chunked column appends through the
+    /// storage layer's bulk loader, counted where the rows land, and the
+    /// deferred index rebuilds that follow them.
     #[derive(Debug, Clone, Copy, Default)]
-    pub struct IngestSnapshot {
+    pub struct IngestSnapshot in ingest as "ingest" {
         /// Rows appended through the bulk-ingest fast path.
-        rows: counter => "rows", "bcq_ingest_rows_total";
+        rows: counter from db => "rows", "bcq_ingest_rows_total";
         /// Chunks appended (one WAL record each).
-        chunks: counter => "chunks", "bcq_ingest_chunks_total";
+        chunks: counter from db => "chunks", "bcq_ingest_chunks_total";
         /// Cell bytes appended.
-        bytes: counter => "bytes", "bcq_ingest_bytes_total";
+        bytes: counter from db => "bytes", "bcq_ingest_bytes_total";
         /// Chunks whose every value was already interned (no symbol-table
         /// copy-on-write, no intern WAL records).
-        intern_batch_hits: counter => "intern_batch_hits", "bcq_ingest_intern_batch_hits_total";
+        intern_batch_hits: counter from db => "intern_batch_hits", "bcq_ingest_intern_batch_hits_total";
         /// Nanoseconds spent rebuilding indexes after bulk loads.
-        index_build_ns: counter => "index_build_ns", "bcq_ingest_index_build_ns_total";
+        index_build_ns: counter from registry => "index_build_ns", "bcq_ingest_index_build_ns_total";
     }
-}
 
-table! {
-    /// Durability-layer counters, filled by the serving layer from its WAL
-    /// writer (except `group_batch_sizes`, which the registry records as
-    /// flush leaders report their batches). All-zero when the server runs
-    /// without durability.
+    /// Durability-layer counters. All-zero when the server runs without
+    /// durability.
     #[derive(Debug, Clone, Default)]
-    pub struct WalSnapshot {
+    pub struct WalSnapshot in wal as "wal" {
         /// WAL records appended.
-        records: counter => "records", "bcq_wal_records_total";
+        records: counter from wal => "records", "bcq_wal_records_total";
         /// WAL bytes appended (framing included).
-        bytes: counter => "bytes", "bcq_wal_bytes_total";
+        bytes: counter from wal => "bytes", "bcq_wal_bytes_total";
         /// fsync batches issued (group commit collapses many records into one).
-        fsyncs: counter => "fsyncs", "bcq_wal_fsyncs_total";
+        fsyncs: counter from wal => "fsyncs", "bcq_wal_fsyncs_total";
         /// Group flushes led by an ack that covered ≥ 1 new commit.
-        group_batches: counter => "group_batches", "bcq_wal_group_batches_total";
+        group_batches: counter from wal => "group_batches", "bcq_wal_group_batches_total";
         /// Commits covered by those group flushes.
-        group_records: counter => "group_records", "bcq_wal_group_records_total";
+        group_records: counter from wal => "group_records", "bcq_wal_group_records_total";
         /// Records replayed by the most recent recovery.
-        replayed: counter => "replayed", "bcq_wal_replayed_total";
+        replayed: counter from wal => "replayed", "bcq_wal_replayed_total";
         /// Checkpoints (log compactions) taken since startup.
-        checkpoints: counter => "checkpoints", "bcq_wal_checkpoints_total";
+        checkpoints: counter from wal => "checkpoints", "bcq_wal_checkpoints_total";
         /// Highest durable sequence number.
-        last_seq: gauge => "last_seq", "bcq_wal_last_seq";
+        last_seq: gauge from wal => "last_seq", "bcq_wal_last_seq";
         /// Log bytes on storage past the last checkpoint's base.
-        retained_bytes: gauge => "retained_bytes", "bcq_wal_retained_bytes";
+        retained_bytes: gauge from wal => "retained_bytes", "bcq_wal_retained_bytes";
         /// Bytes of the checkpoint base the log begins with: the last one
         /// written, or the one recovery replayed.
-        snapshot_bytes: gauge => "snapshot_bytes", "bcq_snapshot_bytes";
-        /// Group-commit batch-size distribution (commits per flush).
-        group_batch_sizes: summary("unit", "commits") => "group_batch_size", "bcq_group_commit_batch";
+        snapshot_bytes: gauge from wal => "snapshot_bytes", "bcq_snapshot_bytes";
+        /// Group-commit batch-size distribution (commits per flush), as
+        /// flush leaders report their batches.
+        group_batch_sizes: summary("unit", "commits") from registry => "group_batch_size", "bcq_group_commit_batch";
     }
-}
 
-table! {
-    /// Point-in-time storage gauges, filled by the serving layer.
+    /// Point-in-time storage gauges.
     #[derive(Debug, Clone, Copy, Default)]
-    pub struct GaugeSnapshot {
+    pub struct GaugeSnapshot in gauges as "gauges" {
         /// Relations in the catalog.
-        relations: gauge => "relations", "bcq_relations";
+        relations: gauge from db => "relations", "bcq_relations";
         /// Tuples stored across all relations.
-        total_tuples: gauge => "total_tuples", "bcq_total_tuples";
+        total_tuples: gauge from db => "total_tuples", "bcq_total_tuples";
         /// Interned symbols in the shared symbol table.
-        interner_symbols: gauge => "interner_symbols", "bcq_interner_symbols";
+        interner_symbols: gauge from db => "interner_symbols", "bcq_interner_symbols";
         /// Distinct keys across all hash indices.
-        index_keys: gauge => "index_keys", "bcq_index_keys";
+        index_keys: gauge from db => "index_keys", "bcq_index_keys";
         /// Resident bytes of all hash indices (`HashIndex::approx_bytes`).
-        index_bytes: gauge => "index_bytes", "bcq_index_bytes";
+        index_bytes: gauge from db => "index_bytes", "bcq_index_bytes";
         /// Resident bytes of all tables' cell storage.
-        table_bytes: gauge => "table_bytes", "bcq_table_bytes";
+        table_bytes: gauge from db => "table_bytes", "bcq_table_bytes";
         /// Global database epoch.
-        epoch: gauge => "epoch", "bcq_epoch";
+        epoch: gauge from db => "epoch", "bcq_epoch";
     }
-}
-
-/// A complete, owned, mergeable metrics snapshot.
-#[derive(Debug, Clone)]
-pub struct MetricsSnapshot {
-    /// Per-lane request series, in [`Lane::ALL`] order.
-    pub lanes: Vec<LaneSnapshot>,
-    /// Traced phase timings, in [`Phase::ALL`] order.
-    pub phases: Vec<PhaseSnapshot>,
-    /// The SQL text path.
-    pub sql: SqlSnapshot,
-    /// Admission verdicts.
-    pub admission: AdmissionSnapshot,
-    /// Plan-cache movement (serving layer fills this).
-    pub cache: PlanCacheSnapshot,
-    /// Write path.
-    pub writes: WriteSnapshot,
-    /// Bulk-ingest fast path.
-    pub ingest: IngestSnapshot,
-    /// WAL / durability counters (serving layer fills this).
-    pub wal: WalSnapshot,
-    /// Storage gauges (serving layer fills this).
-    pub gauges: GaugeSnapshot,
 }
 
 /// A labelled family of series: one JSON object per member, and under
@@ -323,57 +452,6 @@ struct Family<'a> {
 /// A section: its JSON key, its table and its values.
 type Section<'a> = (&'static str, &'static [Row], Vec<Value<'a>>);
 
-pub(crate) fn snapshot_of(reg: &MetricsRegistry) -> MetricsSnapshot {
-    MetricsSnapshot {
-        lanes: Lane::ALL
-            .iter()
-            .map(|&lane| LaneSnapshot {
-                lane,
-                latency: reg.lane_latency(lane).snapshot(),
-                tuples_fetched: reg.lane_tuples(lane),
-            })
-            .collect(),
-        phases: Phase::ALL
-            .iter()
-            .map(|&phase| PhaseSnapshot {
-                phase,
-                timings: reg.phase_hist(phase).snapshot(),
-            })
-            .collect(),
-        sql: SqlSnapshot {
-            requests: reg.sql_requests.get(),
-            literals_lifted: reg.sql_literals_lifted.get(),
-        },
-        admission: AdmissionSnapshot {
-            rejected: reg.rejected.get(),
-            budget_completed: reg.budget_completed.get(),
-            budget_exhausted: reg.budget_exhausted.get(),
-        },
-        cache: PlanCacheSnapshot::default(),
-        writes: WriteSnapshot {
-            inserts: reg.inserts.get(),
-            deletes: reg.deletes.get(),
-            bulk_updates: reg.bulk_updates.get(),
-            latency: reg.write_latency.snapshot(),
-            lock_wait: reg.writer_lock_wait.snapshot(),
-            conflicts: reg.write_conflicts.get(),
-            commit_hold: reg.commit_hold.snapshot(),
-            view_recomputes: reg.view_recomputes.get(),
-            cow_shard_clones: 0,
-            cow_cells_cloned: 0,
-        },
-        ingest: IngestSnapshot {
-            index_build_ns: reg.index_build_ns.get(),
-            ..IngestSnapshot::default()
-        },
-        wal: WalSnapshot {
-            group_batch_sizes: reg.group_commit_batch.snapshot(),
-            ..WalSnapshot::default()
-        },
-        gauges: GaugeSnapshot::default(),
-    }
-}
-
 impl MetricsSnapshot {
     /// Total requests served across all lanes.
     pub fn requests(&self) -> u64 {
@@ -383,6 +461,12 @@ impl MetricsSnapshot {
     /// The snapshot of one lane.
     pub fn lane(&self, lane: Lane) -> &LaneSnapshot {
         &self.lanes[lane.index()]
+    }
+
+    /// Fills every row of one source with `value` of its variant, e.g.
+    /// `snap.sample(|m| match m { FromCache::hits => …, … })`.
+    pub fn sample<S: Source>(&mut self, value: impl FnMut(S) -> S::Value) {
+        S::fill(self, value);
     }
 
     /// The families in exposition order: every lane, then the phases
@@ -415,23 +499,6 @@ impl MetricsSnapshot {
         ]
     }
 
-    /// The sections in exposition order.
-    fn sections(&self) -> [Section<'_>; 7] {
-        [
-            ("sql", SqlSnapshot::ROWS, self.sql.values()),
-            (
-                "admission",
-                AdmissionSnapshot::ROWS,
-                self.admission.values(),
-            ),
-            ("plan_cache", PlanCacheSnapshot::ROWS, self.cache.values()),
-            ("writes", WriteSnapshot::ROWS, self.writes.values()),
-            ("ingest", IngestSnapshot::ROWS, self.ingest.values()),
-            ("wal", WalSnapshot::ROWS, self.wal.values()),
-            ("gauges", GaugeSnapshot::ROWS, self.gauges.values()),
-        ]
-    }
-
     /// Folds `other` into `self`: histograms and counters add (exact —
     /// the bucket layout is shared), gauges take the componentwise max.
     /// Merging snapshots from different servers yields the fleet view.
@@ -442,13 +509,7 @@ impl MetricsSnapshot {
         for (a, b) in self.phases.iter_mut().zip(&other.phases) {
             a.fold(b);
         }
-        self.sql.fold(&other.sql);
-        self.admission.fold(&other.admission);
-        self.cache.fold(&other.cache);
-        self.writes.fold(&other.writes);
-        self.ingest.fold(&other.ingest);
-        self.wal.fold(&other.wal);
-        self.gauges.fold(&other.gauges);
+        self.fold_sections(other);
     }
 
     /// Hand-rolled JSON rendering (stable key order, no dependencies).
@@ -559,21 +620,23 @@ fn prom_summary(s: &mut String, name: &str, key: &str, label: &str, h: &HistSnap
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MetricsRegistry;
 
     fn sample() -> MetricsSnapshot {
         let r = MetricsRegistry::new();
         r.record_request(Lane::Bounded, 800, 3);
         r.record_request(Lane::Bounded, 900, 3);
         r.record_request(Lane::Unbounded, 50_000, 120);
-        r.record_budget_verdict(true);
-        r.record_sql(2);
-        r.record_sql(1);
-        r.record_write(true, 4_000);
-        r.index_build_ns.add(7_500);
-        r.record_lock_wait(250, true);
-        r.record_lock_wait(0, false); // uncontended: not recorded
-        r.record_commit_hold(90);
-        r.record_group_commit(4);
+        r.add(Count::budget_completed, 1);
+        r.add(Count::requests, 2);
+        r.add(Count::literals_lifted, 3);
+        r.add(Count::inserts, 1);
+        r.record(Hist::latency, 4_000);
+        r.add(Count::index_build_ns, 7_500);
+        r.add(Count::conflicts, 1);
+        r.record(Hist::lock_wait, 250);
+        r.record(Hist::commit_hold, 90);
+        r.record(Hist::group_batch_sizes, 4);
         r.phase_hist(Phase::CacheLookup).record(40);
         r.phase_hist(Phase::Execute).record(300);
         let mut snap = r.snapshot();
@@ -705,6 +768,96 @@ mod tests {
                 _ => panic!("{name}: the row's kind does not match its value"),
             }
         }
+    }
+
+    /// The one row whose value differs between `a` and `b`; panics unless
+    /// exactly one does.
+    fn moved_row(a: &MetricsSnapshot, b: &MetricsSnapshot) -> &'static Row {
+        let moved: Vec<&'static Row> = cells(a)
+            .into_iter()
+            .zip(cells(b))
+            .filter(|((_, x), (_, y))| match (x, y) {
+                (Value::Num(x), Value::Num(y)) => x != y,
+                (Value::Hist(x), Value::Hist(y)) => x.count() != y.count(),
+                _ => true,
+            })
+            .map(|((row, _), _)| row)
+            .collect();
+        let names: Vec<_> = moved.iter().map(|r| r.prometheus).collect();
+        assert_eq!(moved.len(), 1, "rows moved: {names:?}");
+        moved[0]
+    }
+
+    #[test]
+    fn every_row_reads_its_own_slot() {
+        let fresh = MetricsRegistry::new().snapshot();
+        let mut moved = Vec::new();
+        let mut check = |slot: String, snap: MetricsSnapshot| {
+            let row = moved_row(&fresh, &snap);
+            assert_eq!(row.field, slot, "slot {slot} moved {}", row.prometheus);
+            moved.push(row.prometheus);
+        };
+        for &m in Count::ALL {
+            let r = MetricsRegistry::new();
+            r.add(m, 1);
+            check(format!("{m:?}"), r.snapshot());
+        }
+        for &m in Hist::ALL {
+            let r = MetricsRegistry::new();
+            r.record(m, 1);
+            check(format!("{m:?}"), r.snapshot());
+        }
+        fn sampled<S: Source<Value = u64> + PartialEq + std::fmt::Debug>(
+            fresh: &MetricsSnapshot,
+            all: &[S],
+            check: &mut impl FnMut(String, MetricsSnapshot),
+        ) {
+            for &m in all {
+                let mut snap = fresh.clone();
+                snap.sample(|v: S| u64::from(v == m));
+                check(format!("{m:?}"), snap);
+            }
+        }
+        sampled(&fresh, FromCache::ALL, &mut check);
+        sampled(&fresh, FromWal::ALL, &mut check);
+        sampled(&fresh, FromDb::ALL, &mut check);
+        // Every section row is some slot's.
+        let mut rows: Vec<_> = fresh
+            .sections()
+            .iter()
+            .flat_map(|(_, rows, _)| rows.iter().map(|r| r.prometheus))
+            .collect();
+        rows.sort_unstable();
+        moved.sort_unstable();
+        assert_eq!(moved, rows);
+    }
+
+    #[test]
+    fn exposition_names_are_unique() {
+        let snap = sample();
+        let mut prometheus = Vec::new();
+        for family in snap.families() {
+            prometheus.extend(family.requests);
+            prometheus.extend(family.rows.iter().map(|r| r.prometheus));
+            let mut json: Vec<_> = family.rows.iter().map(|r| r.json).collect();
+            json.push("count");
+            let n = json.len();
+            json.sort_unstable();
+            json.dedup();
+            assert_eq!(json.len(), n, "a JSON key twice in {}", family.json);
+        }
+        for (key, rows, _) in snap.sections() {
+            prometheus.extend(rows.iter().map(|r| r.prometheus));
+            let mut json: Vec<_> = rows.iter().map(|r| r.json).collect();
+            let n = json.len();
+            json.sort_unstable();
+            json.dedup();
+            assert_eq!(json.len(), n, "a JSON key twice in {key}");
+        }
+        let n = prometheus.len();
+        prometheus.sort_unstable();
+        prometheus.dedup();
+        assert_eq!(prometheus.len(), n, "a Prometheus name twice");
     }
 
     /// `sample().to_json()`, pinned byte for byte.

@@ -22,9 +22,14 @@
 //!   while a [`Profiler`] times each operator step with row counts.
 //! * [`MetricsSnapshot`] — an owned, mergeable snapshot with hand-rolled
 //!   JSON and Prometheus-style text expositions (serde-free). Each section
-//!   is declared as one table of metrics (field, kind, JSON key,
-//!   Prometheus name) that merging and both expositions walk, so a new
-//!   metric is one row.
+//!   is declared as one table of metrics (field, kind, source, JSON key,
+//!   Prometheus name) that filling, merging and both expositions walk, so
+//!   a new metric is one row plus the line that counts it. A row the
+//!   registry records names a [`Count`] or [`Hist`] slot
+//!   ([`MetricsRegistry::add`], [`MetricsRegistry::record`]); a row
+//!   sampled from the plan cache, the WAL or the database names a
+//!   [`FromCache`], [`FromWal`] or [`FromDb`] variant, which that source's
+//!   one fill function matches on ([`MetricsSnapshot::sample`]).
 //! * [`Lane`] — the serving lane a request runs on, shared with
 //!   `bcq-service`, which re-exports it.
 //!
@@ -45,10 +50,11 @@ pub mod profile;
 pub mod span;
 
 pub use export::{
-    AdmissionSnapshot, GaugeSnapshot, IngestSnapshot, LaneSnapshot, MetricsSnapshot, PhaseSnapshot,
-    PlanCacheSnapshot, SqlSnapshot, WalSnapshot, WriteSnapshot,
+    AdmissionSnapshot, Count, FromCache, FromDb, FromWal, GaugeSnapshot, Hist, IngestSnapshot,
+    LaneSnapshot, MetricsSnapshot, PhaseSnapshot, PlanCacheSnapshot, Source, SqlSnapshot,
+    WalSnapshot, WriteSnapshot,
 };
 pub use hist::{HistSnapshot, Histogram};
-pub use metrics::{Counter, Lane, MetricsRegistry, NUM_LANES};
+pub use metrics::{Lane, MetricsRegistry, NUM_LANES};
 pub use profile::{NoProbe, OpProfile, Probe, Profiler, StepKind, StepProfile};
 pub use span::{Phase, SpanGuard, NUM_PHASES};

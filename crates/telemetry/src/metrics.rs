@@ -6,15 +6,19 @@
 //! record_request`]: an enabled load, one histogram `fetch_add`, and one
 //! sharded-counter `fetch_add` — a handful of nanoseconds against a
 //! sub-microsecond request. Everything else (write path, admission
-//! verdicts, view re-evaluation) records off the latency-critical path.
+//! verdicts, view re-evaluation) records off the latency-critical path,
+//! through [`MetricsRegistry::add`] and [`MetricsRegistry::record`]: the
+//! metric is a [`Count`] or [`Hist`] variant, declared by its table row in
+//! [`crate::export`], and its position is the slot it indexes.
 
+use crate::export::{Count, Hist, LaneSnapshot, MetricsSnapshot, PhaseSnapshot};
 use crate::hist::Histogram;
-use crate::span::Phase;
+use crate::span::{Phase, NUM_PHASES};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 /// Number of shards per [`Counter`]; each shard sits on its own cache
 /// line so writer threads do not bounce a shared line.
-pub const COUNTER_SHARDS: usize = 8;
+const COUNTER_SHARDS: usize = 8;
 
 #[repr(align(64))]
 #[derive(Default)]
@@ -44,38 +48,21 @@ fn thread_shard() -> usize {
 /// cache-line-padded shard (one relaxed `fetch_add`, no contention across
 /// threads on distinct shards); reads sum the shards.
 #[derive(Default)]
-pub struct Counter {
+pub(crate) struct Counter {
     shards: [PaddedU64; COUNTER_SHARDS],
 }
 
-impl std::fmt::Debug for Counter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Counter({})", self.get())
-    }
-}
-
 impl Counter {
-    /// A zeroed counter.
-    pub fn new() -> Self {
-        Counter::default()
-    }
-
     /// Adds `n` on the calling thread's shard. Wait-free.
     #[inline]
-    pub fn add(&self, n: u64) {
+    pub(crate) fn add(&self, n: u64) {
         self.shards[thread_shard()]
             .0
             .fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Adds 1 on the calling thread's shard.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
     /// The current total across all shards.
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.shards
             .iter()
             .map(|s| s.0.load(Ordering::Relaxed))
@@ -139,47 +126,13 @@ pub struct MetricsRegistry {
     /// Total tuples fetched per lane — aggregate `|D_Q|`, the paper's
     /// bounded-access measure, summed fleet-wide.
     lane_tuples: [Counter; NUM_LANES],
-    /// Query texts received on the SQL path that lexed (each goes on to
-    /// a plan-cache lookup by shape; hits and misses are the cache's).
-    pub sql_requests: Counter,
-    /// Literals lifted out of those texts into parameter slots.
-    pub sql_literals_lifted: Counter,
-    /// Requests refused by admission control (strict policy).
-    pub rejected: Counter,
-    /// Budgeted-lane requests that finished within the work cap.
-    pub budget_completed: Counter,
-    /// Budgeted-lane requests that exhausted the cap (no answer).
-    pub budget_exhausted: Counter,
-    /// Maintained single-row inserts.
-    pub inserts: Counter,
-    /// Maintained single-row deletes that found a row.
-    pub deletes: Counter,
-    /// Out-of-band bulk updates (views recompute lazily afterwards).
-    pub bulk_updates: Counter,
-    /// Nanoseconds spent rebuilding indexes after bulk loads.
-    pub index_build_ns: Counter,
-    /// Write-path latency (insert + delete, end to end).
-    pub(crate) write_latency: Histogram,
-    /// Nanoseconds writers spent waiting for a per-relation write latch
-    /// (0-wait uncontended acquisitions are not recorded — the series
-    /// measures contention, not traffic).
-    pub(crate) writer_lock_wait: Histogram,
-    /// Write-latch acquisitions that found another writer holding the
-    /// same relation's latch.
-    pub write_conflicts: Counter,
-    /// Nanoseconds spent inside the exclusive commit section (the shard
-    /// pointer swap + epoch publication — excludes encoding, index
-    /// maintenance, and fsyncs by construction).
-    pub(crate) commit_hold: Histogram,
-    /// Commits made durable per group-commit fsync batch (recorded by the
-    /// flush leader with the batch size).
-    pub(crate) group_commit_batch: Histogram,
-    /// View re-evaluations: reads that found the cached answer behind a
-    /// relation the view reads.
-    pub view_recomputes: Counter,
+    /// One counter per [`Count`], at its slot.
+    counters: [Counter; Count::ALL.len()],
+    /// One histogram per [`Hist`], at its slot.
+    histograms: [Histogram; Hist::ALL.len()],
     /// Traced phase timings (admit → … → respond); populated only while
     /// tracing is enabled.
-    phases: [Histogram; crate::span::NUM_PHASES],
+    phases: [Histogram; NUM_PHASES],
 }
 
 impl Default for MetricsRegistry {
@@ -205,21 +158,8 @@ impl MetricsRegistry {
             tracing: AtomicBool::new(false),
             lane_latency: Default::default(),
             lane_tuples: Default::default(),
-            sql_requests: Counter::new(),
-            sql_literals_lifted: Counter::new(),
-            rejected: Counter::new(),
-            budget_completed: Counter::new(),
-            budget_exhausted: Counter::new(),
-            inserts: Counter::new(),
-            deletes: Counter::new(),
-            bulk_updates: Counter::new(),
-            index_build_ns: Counter::new(),
-            write_latency: Histogram::new(),
-            writer_lock_wait: Histogram::new(),
-            write_conflicts: Counter::new(),
-            commit_hold: Histogram::new(),
-            group_commit_batch: Histogram::new(),
-            view_recomputes: Counter::new(),
+            counters: std::array::from_fn(|_| Counter::default()),
+            histograms: std::array::from_fn(|_| Histogram::new()),
             phases: Default::default(),
         }
     }
@@ -261,105 +201,45 @@ impl MetricsRegistry {
         self.lane_tuples[i].add(tuples_fetched);
     }
 
-    /// Records one query text received on the SQL path and how many of
-    /// its literals were lifted into slots.
+    /// Adds `n` to one counter, if recording is on: one enabled check and
+    /// one sharded-counter `fetch_add`.
     #[inline]
-    pub fn record_sql(&self, literals_lifted: u64) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.sql_requests.inc();
-        self.sql_literals_lifted.add(literals_lifted);
-    }
-
-    /// Records a budgeted-lane verdict (completed within the cap or
-    /// exhausted it).
-    #[inline]
-    pub fn record_budget_verdict(&self, completed: bool) {
-        if !self.is_enabled() {
-            return;
-        }
-        if completed {
-            self.budget_completed.inc();
-        } else {
-            self.budget_exhausted.inc();
-        }
-    }
-
-    /// Records an admission rejection.
-    #[inline]
-    pub fn record_rejected(&self) {
+    pub fn add(&self, metric: Count, n: u64) {
         if self.is_enabled() {
-            self.rejected.inc();
+            self.counters[metric as usize].add(n);
         }
     }
 
-    /// Records one row write (insert or delete) with its end-to-end
-    /// latency.
-    pub fn record_write(&self, insert: bool, latency_ns: u64) {
-        if !self.is_enabled() {
-            return;
-        }
-        if insert {
-            self.inserts.inc();
-        } else {
-            self.deletes.inc();
-        }
-        self.write_latency.record(latency_ns);
-    }
-
-    /// Records one per-relation write-latch acquisition: the wait (only
-    /// when there was one) and whether it conflicted with another writer
-    /// on the same relation.
+    /// Records one value into one histogram, if recording is on.
     #[inline]
-    pub fn record_lock_wait(&self, wait_ns: u64, contended: bool) {
-        if !self.is_enabled() || !contended {
-            return;
-        }
-        self.writer_lock_wait.record(wait_ns);
-        self.write_conflicts.inc();
-    }
-
-    /// Records the time one write spent inside the exclusive commit
-    /// section.
-    #[inline]
-    pub fn record_commit_hold(&self, ns: u64) {
+    pub fn record(&self, metric: Hist, value: u64) {
         if self.is_enabled() {
-            self.commit_hold.record(ns);
+            self.histograms[metric as usize].record(value);
         }
     }
 
-    /// Records one group-commit fsync batch: how many commits the flush
-    /// newly made durable.
-    #[inline]
-    pub fn record_group_commit(&self, batch: u64) {
-        if self.is_enabled() {
-            self.group_commit_batch.record(batch);
-        }
-    }
-
-    /// Direct access to a lane's latency histogram (bench/export use).
-    pub fn lane_latency(&self, lane: Lane) -> &Histogram {
-        &self.lane_latency[lane.index()]
-    }
-
-    /// Total tuples fetched on one lane so far.
-    pub fn lane_tuples(&self, lane: Lane) -> u64 {
-        self.lane_tuples[lane.index()].get()
-    }
-
-    /// The histogram a traced phase records into (also read by tests and
-    /// the exporter).
-    pub fn phase_hist(&self, phase: Phase) -> &Histogram {
+    /// The histogram a traced phase records into.
+    pub(crate) fn phase_hist(&self, phase: Phase) -> &Histogram {
         &self.phases[phase.index()]
     }
 
-    /// A point-in-time snapshot of every registry series. Cache and
-    /// storage gauges are owned by the server, which fills them in after
-    /// calling this (see the `gauges`/`cache` fields of
-    /// [`crate::MetricsSnapshot`]).
-    pub fn snapshot(&self) -> crate::MetricsSnapshot {
-        crate::export::snapshot_of(self)
+    /// A point-in-time snapshot of every registry series. The rows the
+    /// registry does not record are zero; the server samples them from
+    /// their sources afterwards ([`MetricsSnapshot::sample`]).
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        let lanes = Lane::ALL.iter().map(|&lane| LaneSnapshot {
+            lane,
+            latency: self.lane_latency[lane.index()].snapshot(),
+            tuples_fetched: self.lane_tuples[lane.index()].get(),
+        });
+        let phases = Phase::ALL.iter().map(|&phase| PhaseSnapshot {
+            phase,
+            timings: self.phase_hist(phase).snapshot(),
+        });
+        let mut snap = MetricsSnapshot::new(lanes.collect(), phases.collect());
+        snap.sample(|m: Count| self.counters[m as usize].get());
+        snap.sample(|m: Hist| self.histograms[m as usize].snapshot());
+        snap
     }
 }
 
@@ -370,13 +250,13 @@ mod tests {
     #[test]
     fn counter_sums_across_threads() {
         use std::sync::Arc;
-        let c = Arc::new(Counter::new());
+        let c = Arc::new(Counter::default());
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let c = Arc::clone(&c);
                 std::thread::spawn(move || {
                     for _ in 0..10_000 {
-                        c.inc();
+                        c.add(1);
                     }
                 })
             })
@@ -392,22 +272,22 @@ mod tests {
         let r = MetricsRegistry::new();
         r.set_enabled(false);
         r.record_request(Lane::Bounded, 500, 3);
-        r.record_budget_verdict(true);
-        r.record_rejected();
-        r.record_sql(2);
-        r.record_write(true, 1000);
-        assert_eq!(r.sql_requests.get(), 0);
-        assert_eq!(r.sql_literals_lifted.get(), 0);
-        assert_eq!(r.lane_latency(Lane::Bounded).snapshot().count(), 0);
-        assert_eq!(r.lane_tuples(Lane::Bounded), 0);
-        assert_eq!(r.budget_completed.get(), 0);
-        assert_eq!(r.rejected.get(), 0);
-        assert_eq!(r.inserts.get(), 0);
+        for &m in Count::ALL {
+            r.add(m, 2);
+        }
+        for &m in Hist::ALL {
+            r.record(m, 1000);
+        }
+        let snap = r.snapshot();
+        assert_eq!(snap.lane(Lane::Bounded).latency.count(), 0);
+        assert_eq!(snap.lane(Lane::Bounded).tuples_fetched, 0);
+        assert_eq!(snap.to_json(), MetricsRegistry::new().snapshot().to_json());
 
         r.set_enabled(true);
         r.record_request(Lane::Bounded, 500, 3);
-        assert_eq!(r.lane_latency(Lane::Bounded).snapshot().count(), 1);
-        assert_eq!(r.lane_tuples(Lane::Bounded), 3);
+        let snap = r.snapshot();
+        assert_eq!(snap.lane(Lane::Bounded).latency.count(), 1);
+        assert_eq!(snap.lane(Lane::Bounded).tuples_fetched, 3);
     }
 
     #[test]
@@ -416,12 +296,11 @@ mod tests {
         r.record_request(Lane::Bounded, 100, 1);
         r.record_request(Lane::Bounded, 200, 1);
         r.record_request(Lane::Unbounded, 9_000, 50);
-        r.record_budget_verdict(false);
-        assert_eq!(r.lane_latency(Lane::Bounded).snapshot().count(), 2);
-        assert_eq!(r.lane_latency(Lane::BoundedRa).snapshot().count(), 0);
-        assert_eq!(r.lane_latency(Lane::Unbounded).snapshot().count(), 1);
-        assert_eq!(r.lane_tuples(Lane::Unbounded), 50);
-        assert_eq!(r.budget_exhausted.get(), 1);
-        assert_eq!(r.budget_completed.get(), 0);
+        let snap = r.snapshot();
+        assert_eq!(snap.lane(Lane::Bounded).latency.count(), 2);
+        assert_eq!(snap.lane(Lane::BoundedRa).latency.count(), 0);
+        assert_eq!(snap.lane(Lane::Unbounded).latency.count(), 1);
+        assert_eq!(snap.lane(Lane::Unbounded).tuples_fetched, 50);
+        assert_eq!(snap.lane(Lane::Bounded).tuples_fetched, 2);
     }
 }

@@ -423,7 +423,6 @@ fn served_unbounded_equals_baseline() {
             ServerConfig {
                 plan_cache_capacity: 64,
                 policy: AdmissionPolicy::Budgeted(u64::MAX),
-                ..ServerConfig::default()
             },
         ));
         let mut session = server.session();
